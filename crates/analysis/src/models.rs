@@ -12,6 +12,7 @@
 //! | [`HistogramCasSum`] | `safeloc_telemetry::Histogram` f64-bits CAS sum | no lost update: final sum is the exact total, count matches |
 //! | [`RingWraparound`] | `safeloc_telemetry::FlightRecorder` mutex ring | retained events are exactly the most recent `capacity` pushes, every snapshot is consistent |
 //! | [`HotSwapMonotonic`] | `safeloc_serve::ModelRegistry` publish/resolve | readers never see torn (version, weights) pairs; per-key versions are monotone per reader |
+//! | [`BatchQueue`] | `safeloc_serve`'s serve queue (`queue.rs`): mutex + condvar, batch drains, bounded fill wait, close | every accepted job is delivered exactly once, no job is queued beside a sleeping un-notified worker with nobody on the way, every worker terminates after close |
 //!
 //! Each model has a `*_buggy` variant with the guarding discipline
 //! removed (no CAS, no recheck, no lock); `tests/interleave.rs` asserts
@@ -639,6 +640,327 @@ impl Model for HotSwapMonotonic {
             return Err(format!(
                 "final weights {} torn against version {}",
                 self.payload, self.version
+            ));
+        }
+        Ok(())
+    }
+}
+
+// ---------------------------------------------------------------------
+// 5. Serve batch queue: mutex + condvar, work-conserving drains, close.
+// ---------------------------------------------------------------------
+
+/// Producers `push`, workers loop on `next_batch` and then execute what
+/// they took, one closer `close`s — the protocol of `safeloc_serve`'s
+/// serve queue, with the closer free to run at any point (a shutdown
+/// racing live submits).
+///
+/// The condvar is a wait set: `wait` releases the mutex and joins the
+/// set in one atomic step, and the waiter is runnable again only once a
+/// notify has taken it out of the set *and* the mutex is free (it
+/// re-acquires on the way out, as `Condvar::wait` does). `notify_one`
+/// picks the lowest-index waiter — workers run identical code, so the
+/// reachable states are closed under relabelling them and every choice
+/// of waiter is explored in some relabelling. Spurious wakeups are not
+/// modeled; the loop head re-checks the queue after every wakeup anyway.
+///
+/// The queue wakes one worker per backlog, not per job: a push notifies
+/// only when it makes the queue non-empty (or fills the batch a worker
+/// waits for), and a worker whose drain leaves jobs behind notifies one
+/// more before it executes. The step invariant is what that discipline
+/// must guarantee — no job sits queued while a worker sleeps un-notified
+/// and nobody is on the way to the queue (`close` would eventually flush
+/// such a job, so only a per-step check sees it).
+///
+/// A worker that finds a *short* batch (fewer than `max_batch` queued,
+/// queue open) waits once, bounded, for it to fill — unless a peer
+/// already does, in which case it sleeps as beside an empty queue. The
+/// bounded wait is a `wait_timeout`: the worker sits in the same wait set
+/// but is runnable whenever the mutex is free, because its time may run
+/// out at any point. While it sits there it *absorbs* every notify that
+/// picks it (the real worker may go back to waiting out its time after a
+/// wakeup), which is the worst case for a peer sleeping beside it — and
+/// harmless, since the fill-waiter itself is on the way to the queue.
+///
+/// Lock-protected work is one step with its release: nothing another
+/// thread can observe happens between them.
+#[derive(Debug, Clone)]
+pub struct BatchQueue {
+    /// `true` skips the notify after a drain that left jobs behind (the
+    /// bug that chained wakeup prevents: the remainder waits out this
+    /// worker's whole forward pass beside a sleeping peer).
+    no_chain: bool,
+    max_batch: usize,
+    workers: usize,
+    lock: VMutex,
+    queue: Vec<u32>,
+    open: bool,
+    /// Queue length a fill-waiting worker asked to be woken at (0: none).
+    fill_target: usize,
+    /// Condvar wait set, by worker.
+    waiting: Vec<bool>,
+    /// Job ids each producer pushes, in order; progress through them.
+    plans: Vec<Vec<u32>>,
+    progress: Vec<usize>,
+    /// Whether the push a producer just made found the queue empty or
+    /// filled a waited-for batch (it notifies only then).
+    notifies: Vec<bool>,
+    delivered: Vec<u32>,
+    rejected: Vec<u32>,
+    pc: Vec<u8>,
+}
+
+/// Worker program counters past the shared `lock()` / under-the-lock pair.
+const PARKED: u8 = 2;
+const CHAIN_NOTIFY: u8 = 3;
+const EXECUTING: u8 = 4;
+const EXITED: u8 = 5;
+/// In the bounded wait for a short batch to fill.
+const FILLING: u8 = 6;
+/// Out of that wait, holding the lock again.
+const FILLED: u8 = 7;
+/// Producer and closer: unlocked, about to notify.
+const NOTIFY: u8 = 2;
+
+impl BatchQueue {
+    /// `workers` consumers taking at most `max_batch` jobs a drain, one
+    /// producer per id list, one closer.
+    pub fn new(workers: usize, max_batch: usize, producers: &[&[u32]]) -> Self {
+        Self {
+            no_chain: false,
+            max_batch,
+            workers,
+            lock: VMutex::default(),
+            queue: Vec::new(),
+            open: true,
+            fill_target: 0,
+            waiting: vec![false; workers],
+            plans: producers.iter().map(|ids| ids.to_vec()).collect(),
+            progress: vec![0; producers.len()],
+            notifies: vec![false; producers.len()],
+            delivered: Vec::new(),
+            rejected: Vec::new(),
+            pc: vec![0; workers + producers.len() + 1],
+        }
+    }
+
+    /// The no-notify-after-a-partial-drain buggy variant.
+    pub fn buggy(workers: usize, max_batch: usize, producers: &[&[u32]]) -> Self {
+        Self {
+            no_chain: true,
+            ..Self::new(workers, max_batch, producers)
+        }
+    }
+
+    /// Every thread's step 0 is `lock()`; its step 1 runs under the lock.
+    fn lock_step(&mut self, tid: usize) -> Step {
+        if self.lock.try_acquire(tid) {
+            self.pc[tid] = 1;
+            Step::Ran
+        } else {
+            Step::Blocked
+        }
+    }
+
+    /// `notify_one`: takes the lowest-index waiter out of the wait set —
+    /// unless that waiter is waiting for a fill, which absorbs the notify
+    /// and stays (see the type docs).
+    fn notify_one(&mut self) {
+        if let Some(w) = self.waiting.iter().position(|&w| w) {
+            self.waiting[w] = self.pc[w] == FILLING;
+        }
+    }
+
+    /// The loop head, under the lock: wait for a short batch to fill
+    /// (first pass only), drain, exit, or sleep.
+    fn loop_head(&mut self, tid: usize, may_wait_for_fill: bool) -> Step {
+        self.lock.release(tid);
+        let short = self.queue.len() < self.max_batch && self.open;
+        if !self.queue.is_empty() && short && self.fill_target != 0 {
+            // A peer already waits for this batch to fill and will take
+            // it: sleep like beside an empty queue.
+            self.waiting[tid] = true; // atomically with the release
+            self.pc[tid] = PARKED;
+            Step::Ran
+        } else if !self.queue.is_empty() && short && may_wait_for_fill {
+            self.fill_target = self.max_batch;
+            self.waiting[tid] = true; // atomically with the release
+            self.pc[tid] = FILLING;
+            Step::Ran
+        } else if !self.queue.is_empty() {
+            let take = self.queue.len().min(self.max_batch);
+            self.delivered.extend(self.queue.drain(..take));
+            let chain = !self.queue.is_empty() && !self.no_chain;
+            self.pc[tid] = if chain { CHAIN_NOTIFY } else { EXECUTING };
+            Step::Ran
+        } else if !self.open {
+            self.pc[tid] = EXITED;
+            Step::Done
+        } else {
+            self.waiting[tid] = true; // atomically with the release
+            self.pc[tid] = PARKED;
+            Step::Ran
+        }
+    }
+
+    fn worker_step(&mut self, tid: usize) -> Step {
+        match self.pc[tid] {
+            0 => self.lock_step(tid),
+            1 => self.loop_head(tid, true),
+            // In `wait`: runnable once notified and the mutex is free to
+            // re-acquire; then back to the loop head.
+            PARKED => {
+                if self.waiting[tid] || !self.lock.try_acquire(tid) {
+                    return Step::Blocked;
+                }
+                self.pc[tid] = 1;
+                Step::Ran
+            }
+            CHAIN_NOTIFY => {
+                self.notify_one();
+                self.pc[tid] = EXECUTING;
+                Step::Ran
+            }
+            // In `wait_timeout`: notified, filled, closed or out of time —
+            // runnable whenever the mutex is free.
+            FILLING => {
+                if !self.lock.try_acquire(tid) {
+                    return Step::Blocked;
+                }
+                self.waiting[tid] = false;
+                self.pc[tid] = FILLED;
+                Step::Ran
+            }
+            // Takes what is there; a peer may have left nothing.
+            FILLED => {
+                self.fill_target = 0;
+                self.loop_head(tid, false)
+            }
+            // The forward pass: long, and away from the queue.
+            EXECUTING => {
+                self.pc[tid] = 0;
+                Step::Ran
+            }
+            _ => Step::Done,
+        }
+    }
+
+    fn producer_step(&mut self, tid: usize) -> Step {
+        let p = tid - self.workers;
+        if self.progress[p] >= self.plans[p].len() {
+            return Step::Done;
+        }
+        match self.pc[tid] {
+            0 => self.lock_step(tid),
+            // Push (or get the job back from a closed queue), unlock.
+            1 => {
+                let job = self.plans[p][self.progress[p]];
+                let filled = self.queue.len() + 1 == self.fill_target;
+                self.notifies[p] = self.open && (self.queue.is_empty() || filled);
+                if self.open {
+                    self.queue.push(job);
+                } else {
+                    self.rejected.push(job);
+                }
+                self.lock.release(tid);
+                self.pc[tid] = NOTIFY;
+                Step::Ran
+            }
+            _ => {
+                if self.notifies[p] {
+                    self.notify_one();
+                    self.notifies[p] = false;
+                }
+                self.progress[p] += 1;
+                self.pc[tid] = 0;
+                if self.progress[p] >= self.plans[p].len() {
+                    Step::Done
+                } else {
+                    Step::Ran
+                }
+            }
+        }
+    }
+
+    fn closer_step(&mut self, tid: usize) -> Step {
+        match self.pc[tid] {
+            0 => self.lock_step(tid),
+            1 => {
+                self.open = false;
+                self.lock.release(tid);
+                self.pc[tid] = NOTIFY;
+                Step::Ran
+            }
+            // `notify_all`.
+            NOTIFY => {
+                self.waiting.fill(false);
+                self.pc[tid] = NOTIFY + 1;
+                Step::Done
+            }
+            _ => Step::Done,
+        }
+    }
+
+    /// Someone will look at the queue without a further notify: a worker
+    /// heading for the loop head (fresh, woken, about to chain, or in a
+    /// fill wait that runs out by itself), or a notify that is decided
+    /// but not yet issued.
+    fn someone_is_on_the_way(&self) -> bool {
+        let closer = self.pc.len() - 1;
+        (0..self.workers).any(|w| match self.pc[w] {
+            PARKED => !self.waiting[w],
+            EXECUTING | EXITED => false,
+            _ => true,
+        }) || self.notifies.iter().any(|&n| n)
+            || self.pc[closer] == NOTIFY
+    }
+}
+
+impl Model for BatchQueue {
+    fn threads(&self) -> usize {
+        self.pc.len()
+    }
+
+    fn step(&mut self, tid: usize) -> Step {
+        if tid < self.workers {
+            self.worker_step(tid)
+        } else if tid + 1 < self.pc.len() {
+            self.producer_step(tid)
+        } else {
+            self.closer_step(tid)
+        }
+    }
+
+    fn check_step(&self) -> Result<(), String> {
+        let asleep = (0..self.workers).find(|&w| self.waiting[w] && self.pc[w] == PARKED);
+        match asleep {
+            Some(w) if !self.queue.is_empty() && !self.someone_is_on_the_way() => Err(format!(
+                "jobs {:?} queued while worker {w} sleeps un-notified and nobody is on the way",
+                self.queue
+            )),
+            _ => Ok(()),
+        }
+    }
+
+    fn check_final(&self) -> Result<(), String> {
+        // Every worker is done (a parked one would have been a deadlock),
+        // so whatever was accepted must have been handed out.
+        if !self.queue.is_empty() {
+            return Err(format!("jobs {:?} left queued after close", self.queue));
+        }
+        let mut seen: Vec<u32> = self
+            .delivered
+            .iter()
+            .chain(&self.rejected)
+            .copied()
+            .collect();
+        seen.sort_unstable();
+        let mut all: Vec<u32> = self.plans.iter().flatten().copied().collect();
+        all.sort_unstable();
+        if seen != all {
+            return Err(format!(
+                "delivered {:?} + rejected {:?} is not each of {all:?} exactly once",
+                self.delivered, self.rejected
             ));
         }
         Ok(())

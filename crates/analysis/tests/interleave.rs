@@ -9,7 +9,7 @@
 
 use safeloc_analysis::interleave::{explore, Limits, Model, Violation};
 use safeloc_analysis::models::{
-    HistogramCasSum, HotSwapMonotonic, RegistryInterning, RingWraparound,
+    BatchQueue, HistogramCasSum, HotSwapMonotonic, RegistryInterning, RingWraparound,
 };
 
 /// Explores `model` expecting zero violations and ≥1k schedules.
@@ -97,6 +97,48 @@ fn model_registry_without_write_lock_tears() {
     assert!(v.message.contains("torn"), "{v}");
 }
 
+#[test]
+fn serve_batch_queue_delivers_once_and_never_loses_a_wakeup() {
+    // Small enough to exhaust (with a budget of its own: the three have
+    // ~1.0 M, ~64 k and ~2.2 M schedules): "no schedule deadlocks or
+    // strands a job" is then a proof over these configurations, not a
+    // sample.
+    let exhaustive = Limits {
+        max_schedules: 4_000_000,
+        ..Limits::default()
+    };
+    let configs = [
+        // Two jobs against max_batch 1 leave a remainder after a drain:
+        // the chained notify, two workers racing for it and for the
+        // close wakeup.
+        ("batch-queue", BatchQueue::new(2, 1, &[&[1, 2]])),
+        // Two producers race each other, the closer and one worker
+        // that waits for its short batch to fill and takes both jobs at
+        // once when they come in time.
+        (
+            "batch-queue-two-producers",
+            BatchQueue::new(1, 2, &[&[1], &[2]]),
+        ),
+        // Two workers, one waiting for the batch to fill (and absorbing
+        // the notifies its peer would have needed), one asleep beside
+        // the short batch, while the second push fills it and the closer
+        // cuts the wait short.
+        ("batch-queue-fill-wait", BatchQueue::new(2, 2, &[&[1, 2]])),
+    ];
+    for (name, model) in configs {
+        let stats = explore(&model, exhaustive)
+            .unwrap_or_else(|v| panic!("{name}: unexpected violation: {v}"));
+        assert!(stats.complete, "{name}: search budget hit");
+        assert!(stats.schedules >= 1_000, "{name}: {}", stats.schedules);
+    }
+}
+
+#[test]
+fn serve_batch_queue_without_chained_notify_strands_the_remainder() {
+    let v = assert_buggy("batch-queue-buggy", BatchQueue::buggy(2, 1, &[&[1, 2]]));
+    assert!(v.message.contains("sleeps un-notified"), "{v}");
+}
+
 /// The acceptance bar from the issue, stated as its own test: every
 /// modeled structure explores ≥1 000 distinct schedules.
 #[test]
@@ -121,6 +163,10 @@ fn every_model_clears_the_thousand_schedule_bar() {
         (
             "hot-swap-monotonic",
             explore(&HotSwapMonotonic::new(2, 2, 2, 2), Limits::default()).unwrap(),
+        ),
+        (
+            "batch-queue",
+            explore(&BatchQueue::new(2, 1, &[&[1, 2]]), Limits::default()).unwrap(),
         ),
     ];
     for (name, stats) in counts {

@@ -40,7 +40,6 @@ use safeloc_serve::{
 use safeloc_wire::{run_tcp_load, FaultProfile, WireServer};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use std::time::Duration;
 
 struct Args {
     cfg: HarnessConfig,
@@ -204,11 +203,7 @@ fn main() {
         );
     }
 
-    let serve_cfg = ServeConfig {
-        max_batch: 32,
-        batch_deadline: Duration::from_millis(1),
-        workers: 2,
-    };
+    let serve_cfg = ServeConfig::default();
     let service = Arc::new(Service::start(
         Arc::clone(&registry),
         DeviceCatalog::new(data.devices.clone()),

@@ -23,7 +23,6 @@ use safeloc_serve::{
     request_pool, run_load, LoadPlan, ModelKey, ModelRegistry, ServeConfig, Service,
 };
 use std::sync::Arc;
-use std::time::Duration;
 
 fn check(path: &str) -> ! {
     let json = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -100,7 +99,6 @@ fn main() {
         DeviceCatalog::new(data.devices.clone()),
         ServeConfig {
             max_batch: 16,
-            batch_deadline: Duration::from_micros(500),
             workers: 2,
         },
     );

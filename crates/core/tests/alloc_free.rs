@@ -6,15 +6,30 @@
 use safeloc::{FusedConfig, FusedNetwork, FusedWorkspace};
 use safeloc_nn::{Adam, HasParams, Matrix, MseLoss, Optimizer, SparseCrossEntropyLoss};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Counted per thread: the harness runs this file's tests on parallel
+    /// threads, and a process-wide count charges one test with another's
+    /// allocations (the three tests failed at random on a 2-core box).
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // try_with: the allocator is still called while a thread tears down.
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -23,7 +38,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -56,11 +71,11 @@ fn fused_step_is_allocation_free_after_warmup() {
         net.train_batch_weighted_with(&x, &labels, &mut opt, true, 1.0, &mut ws);
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..5 {
         net.train_batch_weighted_with(&x, &labels, &mut opt, true, 1.0, &mut ws);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -80,11 +95,11 @@ fn fused_step_is_allocation_free_in_joint_decoder_mode_too() {
     for _ in 0..2 {
         net.train_batch_weighted_with(&x, &labels, &mut opt, false, 0.5, &mut ws);
     }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..5 {
         net.train_batch_weighted_with(&x, &labels, &mut opt, false, 0.5, &mut ws);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,

@@ -14,11 +14,12 @@
 //!   model is resolved through a [`DeviceCatalog`](safeloc_dataset::DeviceCatalog)
 //!   to the right model variant (the HetNN mapping), falling back to the
 //!   building default for unknown devices.
-//! * [`Service`] — channel-fed micro-batch workers that coalesce pending
-//!   requests (up to batch-32 or a deadline, whichever first) and run
-//!   them through the rayon-parallel batch-inference hot path. Served
-//!   predictions are bitwise identical to offline `predict` on the same
-//!   snapshot for any batching schedule (`tests/service.rs`).
+//! * [`Service`] — micro-batch workers: each takes the backlog that
+//!   built up while it was busy (up to batch-32; only a shorter batch
+//!   waits, 1.2 ms at most, to fill) and runs it through the
+//!   rayon-parallel batch-inference hot path. Served predictions are bitwise identical
+//!   to offline `predict` on the same snapshot for any batching schedule
+//!   (`tests/service.rs`).
 //! * [`RegistryPublisher`] + [`run_load`] — the closed loop: an
 //!   [`FlSession`](safeloc_fl::FlSession) hook that hot-swaps each
 //!   round's aggregated model into the registry, and a closed-loop
@@ -67,6 +68,7 @@ pub mod front;
 pub mod loadgen;
 pub mod metrics;
 pub mod publisher;
+mod queue;
 pub mod registry;
 pub mod service;
 

@@ -229,7 +229,6 @@ mod tests {
     use safeloc_dataset::{Building, DatasetConfig, DeviceCatalog};
     use safeloc_nn::{Activation, Sequential};
     use std::sync::Arc;
-    use std::time::Duration;
 
     #[test]
     fn percentiles_cover_edges() {
@@ -265,7 +264,6 @@ mod tests {
             DeviceCatalog::new(data.devices.clone()),
             ServeConfig {
                 max_batch: 8,
-                batch_deadline: Duration::from_micros(200),
                 workers: 2,
             },
         );

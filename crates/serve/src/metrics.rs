@@ -23,14 +23,14 @@ struct RouteHandles {
 ///
 /// Metric catalog (all names prefixed `serve_`):
 ///
-/// | series | kind | labels |
-/// |---|---|---|
-/// | `serve_requests_total` | counter | `building`, `device_class` |
-/// | `serve_model_version` | gauge | `building`, `device_class` |
-/// | `serve_batch_size` | histogram | — |
-/// | `serve_queue_depth` | histogram | — |
-/// | `serve_latency_us` | histogram | — |
-/// | `serve_pending_requests` | gauge | — |
+/// | series | kind | labels | meaning |
+/// |---|---|---|---|
+/// | `serve_requests_total` | counter | `building`, `device_class` | admitted requests per route |
+/// | `serve_model_version` | gauge | `building`, `device_class` | version the route's latest request pinned |
+/// | `serve_batch_size` | histogram | — | requests a worker took in one batch |
+/// | `serve_queue_depth` | histogram | — | backlog left in the queue when a batch was sealed (0 on an idle service; excludes jobs already inside a batch) |
+/// | `serve_latency_us` | histogram | — | admission → reply |
+/// | `serve_pending_requests` | gauge | — | admitted − replied: queued *plus* executing |
 pub struct ServeMetrics {
     registry: Arc<Registry>,
     batch_size: Arc<Histogram>,
@@ -73,11 +73,11 @@ impl ServeMetrics {
         self.pending.add(1);
     }
 
-    /// Records one assembled micro-batch and the queue depth the worker
-    /// observed when it sealed the batch.
-    pub fn on_batch(&self, batch_len: usize) {
+    /// Records one sealed micro-batch and the backlog it left in the
+    /// queue, read from the queue's own length under its lock.
+    pub fn on_batch(&self, batch_len: usize, backlog: usize) {
         self.batch_size.record(batch_len as u64);
-        self.queue_depth.record(self.pending.get().max(0) as u64);
+        self.queue_depth.record(backlog as u64);
     }
 
     /// Records a completed request: admission→response latency, and one
@@ -163,7 +163,7 @@ mod tests {
         let submitted = Instant::now() - Duration::from_millis(5);
         metrics.on_admit(1, "x", 1);
         metrics.on_admit(1, "x", 1);
-        metrics.on_batch(2);
+        metrics.on_batch(2, 5);
         metrics.on_reply(submitted);
         metrics.on_reply(submitted);
         let snap = metrics.registry().snapshot();
@@ -185,6 +185,10 @@ mod tests {
             .iter()
             .find(|h| h.name == "serve_queue_depth")
             .unwrap();
-        assert_eq!(depth.count, 1);
+        assert_eq!(
+            (depth.count, depth.sum),
+            (1, 5.0),
+            "depth is the backlog handed in, not the 2 still pending"
+        );
     }
 }

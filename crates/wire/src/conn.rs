@@ -22,10 +22,27 @@ fn map_io(e: &std::io::Error) -> WireError {
     }
 }
 
+/// Capacity a connection's frame buffers keep between frames. Localize
+/// traffic (~1 KiB frames) reuses them without allocating; a larger frame
+/// grows a buffer for its own duration only, so one 16 MiB frame cannot
+/// pin 16 MiB on every connection thread that ever saw one.
+const RETAINED_BUF_CAP: usize = 64 * 1024;
+
+/// Empties a frame buffer for reuse, returning what exceeds
+/// [`RETAINED_BUF_CAP`] to the allocator.
+fn recycle(buf: &mut Vec<u8>) {
+    buf.clear();
+    buf.shrink_to(RETAINED_BUF_CAP);
+}
+
 /// A TCP stream that sends and receives whole frames.
 #[derive(Debug)]
 pub struct FrameConn {
     stream: TcpStream,
+    /// Body of the frame being received (empty between frames).
+    read_buf: Vec<u8>,
+    /// Wire bytes of the frame being sent (empty between frames).
+    write_buf: Vec<u8>,
 }
 
 impl FrameConn {
@@ -34,7 +51,11 @@ impl FrameConn {
     /// behind a 40 ms coalescing window.
     pub fn new(stream: TcpStream) -> Self {
         stream.set_nodelay(true).ok();
-        Self { stream }
+        Self {
+            stream,
+            read_buf: Vec::new(),
+            write_buf: Vec::new(),
+        }
     }
 
     /// Connects to `addr` (no handshake — see [`FrameConn::client_handshake`]).
@@ -70,13 +91,15 @@ impl FrameConn {
     ///
     /// [`WireError::Io`] on any write failure.
     pub fn send(&mut self, frame: &Frame) -> Result<(), WireError> {
-        let bytes = frame.encode();
-        wire_metrics().on_frame("out", frame.kind(), bytes.len());
-        self.stream.write_all(&bytes).map_err(|e| {
+        frame.encode_into(&mut self.write_buf);
+        wire_metrics().on_frame("out", frame.kind(), self.write_buf.len());
+        let sent = self.stream.write_all(&self.write_buf).map_err(|e| {
             let err = map_io(&e);
             wire_metrics().on_error(&err);
             err
-        })
+        });
+        recycle(&mut self.write_buf);
+        sent
     }
 
     /// Sends raw bytes verbatim — for tests that need to put deliberately
@@ -137,9 +160,14 @@ impl FrameConn {
                 max: MAX_FRAME_LEN,
             });
         }
-        let mut body = vec![0u8; len];
-        self.stream.read_exact(&mut body).map_err(|e| map_io(&e))?;
-        let frame = Frame::decode_body(&body)?;
+        self.read_buf.resize(len, 0);
+        let decoded = self
+            .stream
+            .read_exact(&mut self.read_buf)
+            .map_err(|e| map_io(&e))
+            .and_then(|()| Frame::decode_body(&self.read_buf));
+        recycle(&mut self.read_buf);
+        let frame = decoded?;
         wire_metrics().on_frame("in", frame.kind(), 4 + len);
         Ok(frame)
     }
@@ -320,6 +348,42 @@ mod tests {
             .unwrap();
         assert_eq!(client.recv(), Err(WireError::Timeout));
         drop(server);
+    }
+
+    #[test]
+    fn frame_buffers_are_reused_and_do_not_retain_a_large_frame() {
+        let (mut server, mut client) = pair();
+        let small = Frame::LocalizeReq {
+            id: 1,
+            building: 1,
+            device: "S7".to_string(),
+            rss_dbm: vec![-60.0; 203],
+        };
+        client.send(&small).unwrap();
+        assert_eq!(server.recv().unwrap(), small);
+        let (read_cap, write_cap) = (server.read_buf.capacity(), client.write_buf.capacity());
+        assert!(read_cap >= 800 && write_cap >= 800, "buffers are kept");
+        client.send(&small).unwrap();
+        assert_eq!(server.recv().unwrap(), small);
+        assert_eq!(
+            (server.read_buf.capacity(), client.write_buf.capacity()),
+            (read_cap, write_cap),
+            "a same-sized frame reuses them as they are"
+        );
+
+        let big = Frame::MetricsResponse {
+            text: "x".repeat(1 << 20),
+        };
+        let sent = big.clone();
+        let t = std::thread::spawn(move || {
+            client.send(&sent).unwrap();
+            client
+        });
+        assert_eq!(server.recv().unwrap(), big);
+        let client = t.join().unwrap();
+        assert!(server.read_buf.capacity() <= RETAINED_BUF_CAP);
+        assert!(client.write_buf.capacity() <= RETAINED_BUF_CAP);
+        assert!(server.read_buf.is_empty() && client.write_buf.is_empty());
     }
 
     #[test]

@@ -369,14 +369,23 @@ impl Frame {
     }
 
     /// Encodes the frame as its full wire bytes: length prefix, tag,
-    /// payload.
+    /// payload. The returned buffer holds no spare capacity, so callers
+    /// that keep many encoded frames pay for their bytes only.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::with_capacity(64);
-        self.encode_body(&mut body);
-        let mut out = Vec::with_capacity(4 + body.len());
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&body);
+        let mut out = Vec::with_capacity(64);
+        self.encode_into(&mut out);
+        out.shrink_to_fit();
         out
+    }
+
+    /// Appends the frame's full wire bytes to `out` — what [`Frame::encode`]
+    /// returns, without a fresh allocation when `out` has room.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.extend_from_slice(&[0; 4]);
+        self.encode_body(out);
+        let len = (out.len() - start - 4) as u32;
+        out[start..start + 4].copy_from_slice(&len.to_le_bytes());
     }
 
     /// Tag byte followed by payload (everything after the length prefix).

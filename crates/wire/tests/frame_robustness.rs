@@ -25,6 +25,11 @@ fn params(rows: usize, cols: usize, seed: u64) -> safeloc_nn::NamedParams {
 
 fn assert_round_trip(frame: &Frame) -> Result<(), TestCaseError> {
     let bytes = frame.encode();
+    // Appending to a buffer that already holds a frame writes the same bytes.
+    let mut twice = bytes.clone();
+    frame.encode_into(&mut twice);
+    prop_assert_eq!(&twice[..bytes.len()], &bytes[..]);
+    prop_assert_eq!(&twice[bytes.len()..], &bytes[..]);
     match Frame::decode(&bytes) {
         Ok((back, used)) => {
             prop_assert_eq!(&back, frame);

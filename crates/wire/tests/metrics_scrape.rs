@@ -10,7 +10,6 @@ use safeloc_wire::{
     Frame, FrameConn, WireClient, WireError, WireServer, ERR_PROTOCOL, MIN_WIRE_SCHEMA, WIRE_SCHEMA,
 };
 use std::sync::Arc;
-use std::time::Duration;
 
 fn fixture() -> (BuildingDataset, Arc<Service>) {
     let data = BuildingDataset::generate(Building::tiny(6), &DatasetConfig::tiny(), 6);
@@ -31,7 +30,6 @@ fn fixture() -> (BuildingDataset, Arc<Service>) {
         DeviceCatalog::new(data.devices.clone()),
         ServeConfig {
             max_batch: 8,
-            batch_deadline: Duration::from_micros(200),
             workers: 2,
         },
         Arc::new(safeloc_telemetry::Registry::new()),

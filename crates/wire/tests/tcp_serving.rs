@@ -11,7 +11,6 @@ use safeloc_wire::{
     ERR_PROTOCOL, ERR_SERVE,
 };
 use std::sync::Arc;
-use std::time::Duration;
 
 fn fixture() -> (BuildingDataset, Sequential, Arc<Service>) {
     let data = BuildingDataset::generate(Building::tiny(6), &DatasetConfig::tiny(), 6);
@@ -31,7 +30,6 @@ fn fixture() -> (BuildingDataset, Sequential, Arc<Service>) {
         DeviceCatalog::new(data.devices.clone()),
         ServeConfig {
             max_batch: 8,
-            batch_deadline: Duration::from_micros(200),
             workers: 2,
         },
     ));

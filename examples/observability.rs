@@ -168,7 +168,6 @@ fn parent(argv: &[String]) {
         DeviceCatalog::new(data.devices.clone()),
         ServeConfig {
             max_batch: 16,
-            batch_deadline: Duration::from_micros(500),
             workers: 2,
         },
     ));
