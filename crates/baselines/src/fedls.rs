@@ -64,12 +64,8 @@ impl Framework for FedLs {
         Box::new(self.clone())
     }
 
-    fn set_aggregator(
-        &mut self,
-        aggregator: Box<dyn safeloc_fl::Aggregator>,
-    ) -> Result<(), String> {
+    fn set_aggregator(&mut self, aggregator: Box<dyn safeloc_fl::Aggregator>) {
         self.inner.set_aggregator(aggregator);
-        Ok(())
     }
 }
 

@@ -63,12 +63,8 @@ impl Framework for KrumFramework {
         Box::new(self.clone())
     }
 
-    fn set_aggregator(
-        &mut self,
-        aggregator: Box<dyn safeloc_fl::Aggregator>,
-    ) -> Result<(), String> {
+    fn set_aggregator(&mut self, aggregator: Box<dyn safeloc_fl::Aggregator>) {
         self.inner.set_aggregator(aggregator);
-        Ok(())
     }
 }
 

@@ -210,11 +210,10 @@ impl Framework for Onlad {
         Box::new(self.clone())
     }
 
-    fn set_aggregator(&mut self, aggregator: Box<dyn Aggregator>) -> Result<(), String> {
+    fn set_aggregator(&mut self, aggregator: Box<dyn Aggregator>) {
         // Only the server-side combination rule is swapped; the on-device
         // detector keeps screening samples in front of whatever runs here.
         self.aggregator = aggregator;
-        Ok(())
     }
 }
 

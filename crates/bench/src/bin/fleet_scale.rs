@@ -2,8 +2,8 @@
 //!
 //! Reads the `fleets`, `participation` and `deltas` axes of a suite
 //! scenario spec (default `scenarios/fleet_scale.json`) and, for each
-//! `(fleet size, delta repr)` cell, runs one [`StreamingFlSession`] round
-//! over a [`SyntheticFleet`]: the provider *generates* each sampled
+//! `(fleet size, delta repr)` cell, runs one [`FlSession`] round over a
+//! [`SyntheticFleet`]: the provider *generates* each sampled
 //! client on `materialize` and drops stateless ones on `reclaim`, so peak
 //! memory is bounded by the cohort — never the fleet. Per cell the sweep
 //! records wall time, peak RSS (Linux `VmHWM`, reset per cell via
@@ -29,8 +29,8 @@ use safeloc_bench::{
     peak_rss_bytes, record_peak_rss_gauge, reset_peak_rss, Scale, ScenarioSpec, SyntheticFleet,
 };
 use safeloc_fl::{
-    CohortSampler, DefensePipeline, DeltaRepr, DeltaSpec, SequentialFlServer, ServerConfig,
-    StreamingFlSession,
+    CohortSampler, DefensePipeline, DeltaRepr, DeltaSpec, FlSession, SequentialFlServer,
+    ServerConfig,
 };
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -213,7 +213,8 @@ fn main() {
                 Box::new(DefensePipeline::fedavg()),
                 ServerConfig::tiny(),
             );
-            let mut session = StreamingFlSession::builder(Box::new(server), Box::new(fleet))
+            let mut session = FlSession::builder(Box::new(server))
+                .fleet(Box::new(fleet))
                 .sampler(CohortSampler::uniform(cohort, fleet_seed ^ 0xC0_4082))
                 .build();
 
@@ -323,7 +324,8 @@ fn main() {
             Box::new(DefensePipeline::fedavg()),
             ServerConfig::tiny(),
         );
-        let mut session = StreamingFlSession::builder(Box::new(server), Box::new(fleet))
+        let mut session = FlSession::builder(Box::new(server))
+            .fleet(Box::new(fleet))
             .sampler(CohortSampler::uniform(ab_cohort, args.seed ^ 0xC0_4082))
             .build();
         let started = Instant::now();

@@ -2,9 +2,9 @@
 //!
 //! The `fleet_scale` binary needs fleets far past what a
 //! [`BuildingDataset`](safeloc_dataset::BuildingDataset) can materialize —
-//! 10⁴–10⁵ clients — precisely to demonstrate that a
-//! [`StreamingFlSession`](safeloc_fl::StreamingFlSession) never holds them
-//! all. [`SyntheticFleet`] therefore *generates* each client's local
+//! 10⁴–10⁵ clients — precisely to demonstrate that an
+//! [`FlSession`](safeloc_fl::FlSession) over a generating
+//! [`FleetProvider`] never holds them all. [`SyntheticFleet`] therefore *generates* each client's local
 //! fingerprints on `materialize` from a per-client seed stream and drops
 //! stateless clients again on `reclaim`; only clients with round-to-round
 //! state ([`Client::has_round_state`], e.g. an error-feedback residual)

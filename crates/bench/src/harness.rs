@@ -269,51 +269,43 @@ pub fn run_fleet_with_reports(
     rounds: usize,
     sampler: CohortSampler,
 ) -> ScenarioOutcome {
-    let mut session = FlSession::builder(framework)
-        .clients(clients)
-        .sampler(sampler)
-        .build();
-    session.run(rounds);
-    let (framework, _, reports) = session.into_parts();
-    ScenarioOutcome {
-        errors: evaluate_errors(framework.as_ref(), data),
-        reports,
-    }
+    // No network axis: an ideal profile, no deadline.
+    let ideal = FaultProfile::ideal();
+    run_fleet_with_network(framework, data, clients, rounds, sampler, &ideal, 0.0)
 }
 
 /// [`run_fleet_with_reports`] under simulated network conditions: every
 /// round's sampled cohort plan is replayed through the wire crate's
-/// fault-injection shim ([`FaultProfile::degrade_plan`]) before the
-/// framework runs it, so a would-be connection drop becomes
+/// fault-injection shim ([`FaultProfile::degrade_plan`], installed as the
+/// session's plan transform) before the framework runs it, so a would-be
+/// connection drop becomes
 /// [`Availability::DropsOut`](safeloc_fl::Availability::DropsOut) and a
 /// slow reader — or a latency draw beyond `deadline_ms` — becomes
 /// [`Availability::Straggles`](safeloc_fl::Availability::Straggles).
 /// Network conditions thereby sweep like any other scenario axis without
 /// paying per-cell process spawns.
 ///
-/// An ideal profile takes the exact [`FlSession`] path, so cells without
-/// the network axis stay bitwise identical to the pre-axis engine.
+/// An ideal profile returns every plan untouched, so cells without the
+/// network axis stay bitwise identical to the pre-axis engine.
 pub fn run_fleet_with_network(
-    mut framework: Box<dyn Framework>,
+    framework: Box<dyn Framework>,
     data: &BuildingDataset,
-    mut clients: Vec<Client>,
+    clients: Vec<Client>,
     rounds: usize,
     sampler: CohortSampler,
     fault: &FaultProfile,
     deadline_ms: f64,
 ) -> ScenarioOutcome {
-    if fault.is_ideal() {
-        return run_fleet_with_reports(framework, data, clients, rounds, sampler);
-    }
-    if let Err(problem) = sampler.validate_for_fleet(clients.len()) {
-        panic!("run_fleet_with_network: {problem}");
-    }
-    let mut reports = Vec::with_capacity(rounds);
-    for round in 0..rounds {
-        let plan = sampler.plan(round, clients.len());
-        let degraded = fault.degrade_plan(&plan, round as u64, deadline_ms);
-        reports.push(framework.run_round(&mut clients, &degraded));
-    }
+    let fault = *fault;
+    let mut session = FlSession::builder(framework)
+        .clients(clients)
+        .sampler(sampler)
+        .plan_transform(Box::new(move |round, plan| {
+            fault.degrade_plan(&plan, round as u64, deadline_ms)
+        }))
+        .build();
+    session.run(rounds);
+    let (framework, reports) = session.into_parts();
     ScenarioOutcome {
         errors: evaluate_errors(framework.as_ref(), data),
         reports,
@@ -397,6 +389,91 @@ mod tests {
         assert_eq!(errors.len(), expected);
         let stats = ErrorStats::from_errors(&errors);
         assert!(stats.mean.is_finite());
+    }
+
+    #[test]
+    fn degraded_session_matches_a_hand_rolled_network_loop() {
+        use safeloc_fl::{ModelPublisher, RoundPlan};
+        use safeloc_nn::NamedParams;
+        use std::sync::{Arc, Mutex};
+
+        struct Recorder(Arc<Mutex<Vec<(RoundReport, NamedParams)>>>);
+        impl ModelPublisher for Recorder {
+            fn publish_round(&mut self, report: &RoundReport, global: &NamedParams) {
+                self.0
+                    .lock()
+                    .unwrap()
+                    .push((report.clone(), global.clone()));
+            }
+        }
+
+        let data = tiny_dataset();
+        let mut template = SafeLoc::new(
+            data.building.num_aps(),
+            data.building.num_rps(),
+            safeloc::SafeLocConfig::tiny(),
+        );
+        template.pretrain(&data.server_train);
+        let fault = FaultProfile::latency(40.0, 30.0, 5)
+            .with_drops(0.2)
+            .with_slow_readers(0.2);
+        let (deadline_ms, rounds) = (60.0, 6);
+        let sampler = || CohortSampler::uniform(2, 9);
+        let fleet = || Client::from_dataset(&data, 3);
+
+        // The reference: the loop the harness used to hand-roll.
+        let mut reference = template.clone_box();
+        let mut clients = fleet();
+        let mut plans: Vec<RoundPlan> = Vec::new();
+        let mut expected: Vec<RoundReport> = Vec::new();
+        for round in 0..rounds {
+            let plan = sampler().plan(round, clients.len());
+            let degraded = fault.degrade_plan(&plan, round as u64, deadline_ms);
+            expected.push(reference.run_round(&mut clients, &degraded));
+            plans.push(degraded);
+        }
+        let lost: usize = expected.iter().map(|r| r.dropped() + r.straggled()).sum();
+        assert!(lost > 0, "the profile degraded nothing: {plans:?}");
+
+        let published = Arc::new(Mutex::new(Vec::new()));
+        let mut session = FlSession::builder(template.clone_box())
+            .clients(fleet())
+            .sampler(sampler())
+            .plan_transform(Box::new(move |round, plan| {
+                fault.degrade_plan(&plan, round as u64, deadline_ms)
+            }))
+            .publisher(Box::new(Recorder(published.clone())))
+            .build();
+        session.run(rounds);
+
+        // Wall-clock fields aside, report for report and GM bit for bit.
+        let outcomes = |reports: &[RoundReport]| -> Vec<_> {
+            reports
+                .iter()
+                .map(|r| (r.round, r.clients.clone()))
+                .collect()
+        };
+        assert_eq!(outcomes(session.reports()), outcomes(&expected));
+        assert_eq!(
+            session.framework().global_params(),
+            reference.global_params()
+        );
+        let published = published.lock().unwrap();
+        let seen: Vec<RoundReport> = published.iter().map(|(r, _)| r.clone()).collect();
+        assert_eq!(seen, session.reports(), "publisher missed a degraded round");
+        assert_eq!(published.last().unwrap().1, reference.global_params());
+
+        let harness = run_fleet_with_network(
+            template.clone_box(),
+            &data,
+            fleet(),
+            rounds,
+            sampler(),
+            &fault,
+            deadline_ms,
+        );
+        assert_eq!(outcomes(&harness.reports), outcomes(&expected));
+        assert_eq!(harness.errors, evaluate_errors(reference.as_ref(), &data));
     }
 
     #[test]

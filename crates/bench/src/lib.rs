@@ -20,7 +20,11 @@
 //! [`run_scenario`] drives a full-participation session, and
 //! [`run_scenario_with_reports`] accepts any
 //! [`CohortSampler`](safeloc_fl::CohortSampler) and returns the per-round
-//! [`RoundReport`](safeloc_fl::RoundReport)s next to the errors.
+//! [`RoundReport`](safeloc_fl::RoundReport)s next to the errors;
+//! [`run_fleet_with_network`] installs the suite's network axis as the
+//! same session's per-round plan transform. City-scale cells hand the
+//! session a [`SyntheticFleet`], a generating
+//! [`FleetProvider`](safeloc_fl::FleetProvider).
 //!
 //! Every binary accepts `--quick` (smoke-test scale), `--full` (the paper's
 //! 700-epoch configuration) and `--seed N`; the default is a

@@ -1036,9 +1036,9 @@ impl ScenarioCell {
 /// Builds the experimental bundle for one cell's `(building, fleet)` pair.
 type DatasetBuilder = Box<dyn Fn(usize, &FleetSpec, u64) -> BuildingDataset>;
 
-/// A cell paired with its instantiated framework (or the defense
-/// override's refusal), the unit the parallel executor consumes.
-type PreparedCell = (ScenarioCell, Result<Box<dyn Framework>, String>);
+/// A cell paired with its instantiated framework, the unit the parallel
+/// executor consumes.
+type PreparedCell = (ScenarioCell, Box<dyn Framework>);
 
 /// Expands a [`ScenarioSpec`] over a [`HarnessConfig`] and executes the
 /// grid, caching datasets per `(building, fleet)` and pretrained framework
@@ -1204,21 +1204,14 @@ impl SuiteRunner {
     /// A ready-to-run framework for one cell: the pretrained template,
     /// cloned and specialized (τ overrides applied, the cell's defense
     /// pipeline swapped in).
-    ///
-    /// # Errors
-    ///
-    /// Returns the framework's refusal message when the cell requests a
-    /// defense override the framework does not support.
-    pub fn framework(&mut self, cell: &ScenarioCell) -> Result<Box<dyn Framework>, String> {
+    pub fn framework(&mut self, cell: &ScenarioCell) -> Box<dyn Framework> {
         let key = self.ensure_template(cell);
         let mut framework = self.templates[&key].instantiate(&cell.framework);
         if let DefenseSpec::Pipeline(spec) = &cell.defense {
             let pipeline = spec.build(cell.defense_seed(self.cfg.seed));
-            framework
-                .set_aggregator(Box::new(pipeline))
-                .map_err(|e| format!("defense {:?} not applicable: {e}", spec.label()))?;
+            framework.set_aggregator(Box::new(pipeline));
         }
-        Ok(framework)
+        framework
     }
 
     /// Executes one cell end to end: fleet construction with the cell's
@@ -1287,29 +1280,16 @@ impl SuiteRunner {
 }
 
 /// Executes one cell against the prepared dataset cache, converting a
-/// panicking cell — or a framework that refused the cell's defense
-/// override — into a [`CellRun`] with [`CellRun::error`] set.
+/// panicking cell into a [`CellRun`] with [`CellRun::error`] set.
 fn run_prepared_cell(
     datasets: &HashMap<(usize, usize), BuildingDataset>,
     base_seed: u64,
     cell: ScenarioCell,
-    framework: Result<Box<dyn Framework>, String>,
+    framework: Box<dyn Framework>,
 ) -> CellRun {
     let data = datasets
         .get(&(cell.building, cell.fleet.total))
         .expect("prepare ensured the dataset");
-    let framework = match framework {
-        Ok(framework) => framework,
-        Err(message) => {
-            return CellRun {
-                cell,
-                fleet_size: data.num_clients(),
-                errors: Vec::new(),
-                reports: Vec::new(),
-                error: Some(message),
-            }
-        }
-    };
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let scenario = Scenario {
             attack: cell.attack.attack.clone(),

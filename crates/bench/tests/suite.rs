@@ -413,8 +413,8 @@ fn defense_variants_share_one_pretrained_template() {
     // Building both cells' frameworks forces template resolution; if the
     // defense leaked into the template key this would pretrain twice and
     // the clean trajectories would diverge between axis positions.
-    let a = runner.framework(&cells[0]).expect("builtin instantiates");
-    let b = runner.framework(&cells[1]).expect("pipeline instantiates");
+    let a = runner.framework(&cells[0]);
+    let b = runner.framework(&cells[1]);
     assert_eq!(
         a.global_params(),
         b.global_params(),

@@ -251,12 +251,11 @@ impl Framework for SafeLoc {
         Box::new(self.clone())
     }
 
-    fn set_aggregator(&mut self, aggregator: Box<dyn Aggregator>) -> Result<(), String> {
+    fn set_aggregator(&mut self, aggregator: Box<dyn Aggregator>) {
         // The client-side detector/de-noiser is untouched: only the
         // server-side combination rule is swapped, which is exactly the
         // ablation axis ("SAFELOC's pipeline with X instead of saliency").
         self.aggregator = aggregator;
-        Ok(())
     }
 }
 

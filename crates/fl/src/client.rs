@@ -85,8 +85,8 @@ impl Client {
     }
 
     /// Builds one client of the fleet `from_dataset(data, seed)` would
-    /// build, without materializing the others. Streaming fleets use this
-    /// to bound peak memory by cohort size.
+    /// build, without materializing the others. Generating fleet
+    /// providers use this to bound peak memory by cohort size.
     pub fn single_from_dataset(data: &BuildingDataset, seed: u64, i: usize) -> Client {
         Client {
             id: i,

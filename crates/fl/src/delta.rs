@@ -196,8 +196,8 @@ impl DeltaCompressor {
     }
 
     /// `true` once the accumulator carries round-to-round state — the
-    /// signal streaming fleets use to decide whether a reclaimed client
-    /// must persist or can be rebuilt from its seed.
+    /// signal generating fleet providers use to decide whether a reclaimed
+    /// client must persist or can be rebuilt from its seed.
     pub fn has_state(&self) -> bool {
         !self.residual.is_empty()
     }

@@ -1,13 +1,19 @@
-//! Streaming fleets: city-scale rounds with cohort-bounded memory.
+//! Fleet providers: where an [`FlSession`](crate::FlSession)'s clients
+//! come from, and how a round borrows them.
 //!
-//! [`FlSession`](crate::FlSession) owns its whole fleet as `Vec<Client>`,
-//! which is the right shape for paper-scale experiments (tens of clients)
-//! but materializes every client's local fingerprints up front — at
-//! city scale (10⁴–10⁵ phones) the fleet dominates peak RSS even though a
-//! round only ever touches its cohort. [`StreamingFlSession`] bounds peak
-//! memory by cohort size instead: a [`FleetProvider`] materializes exactly
-//! the clients a round's [`RoundPlan`] names, the framework runs over that
-//! slice, and the provider reclaims them afterwards.
+//! A session plans every round over the whole *fleet* and then asks its
+//! [`FleetProvider`] to [`lend`](FleetProvider::lend) the round the
+//! clients the plan names. Two kinds of provider exist:
+//!
+//! * **In-memory** — `Vec<Client>`, the shape of paper-scale experiments
+//!   (tens of clients). The vector is lent in place under the
+//!   fleet-indexed plan: nothing is cloned or moved per round.
+//! * **Generating** — at city scale (10⁴–10⁵ phones) a materialized fleet
+//!   dominates peak RSS even though a round only ever touches its cohort.
+//!   A provider that implements only [`materialize`](FleetProvider::materialize)
+//!   and [`reclaim`](FleetProvider::reclaim) gets exactly the clients the
+//!   round's [`RoundPlan`] names built, lent as a cohort slice, and handed
+//!   back afterwards, so peak memory is bounded by cohort size.
 //!
 //! Determinism is preserved by construction:
 //!
@@ -18,33 +24,33 @@
 //! * The cohort slice is ordered by fleet index (plans sort on
 //!   construction) and the remapped plan preserves per-client
 //!   [`Availability`](crate::Availability), so the framework sees the same active clients in
-//!   the same order as a materialized run.
+//!   the same order as over an in-memory fleet.
 //! * Round reports keep true fleet identities: report entries carry
 //!   `Client::id`, not the cohort slot.
 //!
-//! Providers only need to persist clients with round-to-round state — a
-//! poison injector's RNG stream or a [`DeltaCompressor`](crate::DeltaCompressor)'s error-feedback
-//! residual ([`Client::has_round_state`]). Everything else can be rebuilt
-//! on demand.
+//! Generating providers only need to persist clients with round-to-round
+//! state — a poison injector's RNG stream or a
+//! [`DeltaCompressor`](crate::DeltaCompressor)'s error-feedback residual
+//! ([`Client::has_round_state`]). Everything else can be rebuilt on
+//! demand.
 
 use crate::client::Client;
-use crate::framework::Framework;
-use crate::report::{pooled_rate, RoundReport};
-use crate::round::{CohortSampler, RoundPlan};
-use crate::session::ModelPublisher;
+use crate::report::RoundReport;
+use crate::round::RoundPlan;
 
 impl Client {
     /// `true` if the client carries state that must survive between
     /// rounds: a poison injector (whose RNG stream advances per round) or
     /// a compressor that has accumulated an error-feedback residual.
     /// Stateless clients rebuild bitwise-identically from their seed, so
-    /// streaming fleets may drop them after each round.
+    /// generating providers may drop them after each round.
     pub fn has_round_state(&self) -> bool {
         self.injector.is_some() || self.compressor.as_ref().is_some_and(|c| c.has_state())
     }
 }
 
-/// A source of clients that can be materialized one at a time.
+/// A fleet of clients, indexed `0..len()`, that lends each round its
+/// cohort.
 ///
 /// Contract: `materialize(i)` returns the fleet's client `i`, either
 /// rebuilt from scratch or restored from a previous [`reclaim`]. For a
@@ -52,8 +58,11 @@ impl Client {
 /// rebuilt copy must be bitwise the reclaimed one, so providers are free
 /// to drop it; stateful clients must round-trip through `reclaim`.
 ///
+/// `Send` because the [`FlSession`](crate::FlSession) that owns the
+/// provider runs on background threads.
+///
 /// [`reclaim`]: FleetProvider::reclaim
-pub trait FleetProvider {
+pub trait FleetProvider: Send {
     /// Total fleet size (clients are indexed `0..len()`).
     fn len(&self) -> usize;
 
@@ -72,152 +81,28 @@ pub trait FleetProvider {
     /// Returns a client after its round, giving the provider the chance
     /// to persist round-to-round state.
     fn reclaim(&mut self, client: Client);
-}
 
-/// The trivial provider: a fully materialized fleet behind the
-/// [`FleetProvider`] interface.
-///
-/// Useful for equivalence tests (streaming over a materialized fleet must
-/// reproduce [`FlSession`](crate::FlSession) bitwise) and for small fleets
-/// driven through streaming-only call sites. Clients are stored in place;
-/// `materialize` clones and `reclaim` writes back, so stateful clients
-/// (injectors, compressor residuals) persist exactly as they would in a
-/// `Vec<Client>` fleet.
-pub struct MaterializedFleet {
-    clients: Vec<Client>,
-}
-
-impl MaterializedFleet {
-    /// Wraps a fleet. Clients must sit at their own index (`clients[i].id
-    /// == i`), which is how every fleet constructor builds them.
+    /// Lends `round` the clients the fleet-indexed `plan` names and
+    /// returns its report.
     ///
-    /// # Panics
-    ///
-    /// Panics if some client's `id` differs from its position.
-    pub fn new(clients: Vec<Client>) -> Self {
-        for (i, c) in clients.iter().enumerate() {
-            assert_eq!(
-                c.id, i,
-                "MaterializedFleet: client {} sits at slot {i}",
-                c.id
-            );
-        }
-        Self { clients }
-    }
-
-    /// The underlying fleet.
-    pub fn clients(&self) -> &[Client] {
-        &self.clients
-    }
-
-    /// Mutable fleet access (e.g. to compromise a client between rounds).
-    pub fn clients_mut(&mut self) -> &mut [Client] {
-        &mut self.clients
-    }
-}
-
-impl FleetProvider for MaterializedFleet {
-    fn len(&self) -> usize {
-        self.clients.len()
-    }
-
-    fn materialize(&mut self, index: usize) -> Client {
-        self.clients[index].clone()
-    }
-
-    fn reclaim(&mut self, client: Client) {
-        let slot = client.id;
-        self.clients[slot] = client;
-    }
-}
-
-/// Builder for [`StreamingFlSession`].
-pub struct StreamingSessionBuilder {
-    framework: Box<dyn Framework>,
-    provider: Box<dyn FleetProvider>,
-    sampler: CohortSampler,
-    publisher: Option<Box<dyn ModelPublisher>>,
-}
-
-impl StreamingSessionBuilder {
-    /// Sets the cohort sampler (default: full participation, no churn).
-    /// Full participation over a streaming fleet still materializes the
-    /// whole cohort — pick a bounded strategy to bound memory.
-    pub fn sampler(mut self, sampler: CohortSampler) -> Self {
-        self.sampler = sampler;
-        self
-    }
-
-    /// Attaches a [`ModelPublisher`] observing every round's aggregated
-    /// global model (default: none).
-    pub fn publisher(mut self, publisher: Box<dyn ModelPublisher>) -> Self {
-        self.publisher = Some(publisher);
-        self
-    }
-
-    /// Finalizes the session.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sampler is not usable over the provider's fleet size
-    /// (same validation as [`FlSession`](crate::FlSession)).
-    pub fn build(self) -> StreamingFlSession {
-        if let Err(problem) = self.sampler.validate_for_fleet(self.provider.len()) {
-            panic!("StreamingFlSession: {problem}");
-        }
-        StreamingFlSession {
-            framework: self.framework,
-            provider: self.provider,
-            sampler: self.sampler,
-            publisher: self.publisher,
-            history: Vec::new(),
-        }
-    }
-}
-
-/// A federated session whose peak memory is bounded by cohort size, not
-/// fleet size.
-///
-/// Each round: draw the plan over the *fleet*, materialize only the
-/// cohort, run the framework over the cohort slice under a slot-remapped
-/// plan (availabilities preserved), then hand every client back to the
-/// provider. See the module docs for the determinism argument.
-pub struct StreamingFlSession {
-    framework: Box<dyn Framework>,
-    provider: Box<dyn FleetProvider>,
-    sampler: CohortSampler,
-    publisher: Option<Box<dyn ModelPublisher>>,
-    history: Vec<RoundReport>,
-}
-
-impl StreamingFlSession {
-    /// Starts building a session around a (typically pretrained)
-    /// framework and a fleet provider.
-    pub fn builder(
-        framework: Box<dyn Framework>,
-        provider: Box<dyn FleetProvider>,
-    ) -> StreamingSessionBuilder {
-        StreamingSessionBuilder {
-            framework,
-            provider,
-            sampler: CohortSampler::full(),
-            publisher: None,
-        }
-    }
-
-    /// Executes the next round: plan over the fleet, materialize the
-    /// cohort, run, reclaim, record.
-    pub fn next_round(&mut self) -> &RoundReport {
-        let plan = self.sampler.plan(self.history.len(), self.provider.len());
-        // Plans are sorted by fleet index on construction, so the cohort
-        // slice is in fleet order — the same order a materialized fleet
-        // presents its active clients in.
+    /// The provided body materializes only the cohort, in fleet order
+    /// (plans are sorted by fleet index on construction — the order an
+    /// in-memory fleet presents its active clients in), runs `round` over
+    /// that slice under a slot-remapped plan with every availability
+    /// preserved, and reclaims each client afterwards. Providers that hold
+    /// the whole fleet override it to lend the fleet itself.
+    fn lend(
+        &mut self,
+        plan: &RoundPlan,
+        round: &mut dyn FnMut(&mut [Client], &RoundPlan) -> RoundReport,
+    ) -> RoundReport {
         let mut cohort: Vec<Client> = plan
             .cohort()
             .iter()
-            .map(|&(i, _)| self.provider.materialize(i))
+            .map(|&(i, _)| self.materialize(i))
             .collect();
-        crate::metrics::fl_metrics().on_streaming_materialized(cohort.len() as i64);
+        let held = cohort.len() as i64;
+        crate::metrics::fl_metrics().on_streaming_materialized(held);
         let slot_plan = RoundPlan::new(
             plan.cohort()
                 .iter()
@@ -225,71 +110,46 @@ impl StreamingFlSession {
                 .map(|(slot, &(_, availability))| (slot, availability))
                 .collect(),
         );
-        let report = self.framework.run_round(&mut cohort, &slot_plan);
-        let reclaimed = cohort.len() as i64;
+        let report = round(&mut cohort, &slot_plan);
         for client in cohort {
-            self.provider.reclaim(client);
+            self.reclaim(client);
         }
-        crate::metrics::fl_metrics().on_streaming_materialized(-reclaimed);
-        if let Some(publisher) = &mut self.publisher {
-            publisher.publish_round(&report, &self.framework.global_params());
-        }
-        self.history.push(report);
-        self.history.last().expect("just pushed")
+        crate::metrics::fl_metrics().on_streaming_materialized(-held);
+        report
+    }
+}
+
+/// The in-memory fleet. Clients sit wherever the caller put them — a
+/// position need not equal the [`Client::id`] sitting there — and plans
+/// index positions, while reports carry ids.
+impl FleetProvider for Vec<Client> {
+    fn len(&self) -> usize {
+        <[Client]>::len(self)
     }
 
-    /// Runs `n` more rounds and returns their reports.
-    pub fn run(&mut self, n: usize) -> &[RoundReport] {
-        let start = self.history.len();
-        for _ in 0..n {
-            self.next_round();
-        }
-        &self.history[start..]
+    fn materialize(&mut self, index: usize) -> Client {
+        self[index].clone()
     }
 
-    /// Rounds executed by this session.
-    pub fn rounds_run(&self) -> usize {
-        self.history.len()
+    /// # Panics
+    ///
+    /// Panics if no client of the fleet carries the reclaimed id.
+    fn reclaim(&mut self, client: Client) {
+        let slot = self
+            .iter()
+            .position(|c| c.id == client.id)
+            .expect("reclaimed client belongs to this fleet");
+        self[slot] = client;
     }
 
-    /// Every report so far, in round order.
-    pub fn reports(&self) -> &[RoundReport] {
-        &self.history
-    }
-
-    /// The framework under the session.
-    pub fn framework(&self) -> &dyn Framework {
-        self.framework.as_ref()
-    }
-
-    /// Mutable framework access.
-    pub fn framework_mut(&mut self) -> &mut dyn Framework {
-        self.framework.as_mut()
-    }
-
-    /// The fleet provider.
-    pub fn provider(&self) -> &dyn FleetProvider {
-        self.provider.as_ref()
-    }
-
-    /// Mutable provider access.
-    pub fn provider_mut(&mut self) -> &mut dyn FleetProvider {
-        self.provider.as_mut()
-    }
-
-    /// Pooled attacker-rejection rate over every round run so far.
-    pub fn attacker_rejection_rate(&self) -> Option<f32> {
-        pooled_rate(self.history.iter(), RoundReport::attacker_rejection_rate)
-    }
-
-    /// Pooled honest-rejection rate over every round run so far.
-    pub fn honest_rejection_rate(&self) -> Option<f32> {
-        pooled_rate(self.history.iter(), RoundReport::honest_rejection_rate)
-    }
-
-    /// Dismantles the session into framework, provider and history.
-    pub fn into_parts(self) -> (Box<dyn Framework>, Box<dyn FleetProvider>, Vec<RoundReport>) {
-        (self.framework, self.provider, self.history)
+    /// Lends the whole fleet in place under the fleet-indexed plan: no
+    /// client is cloned or moved.
+    fn lend(
+        &mut self,
+        plan: &RoundPlan,
+        round: &mut dyn FnMut(&mut [Client], &RoundPlan) -> RoundReport,
+    ) -> RoundReport {
+        round(self, plan)
     }
 }
 
@@ -298,13 +158,22 @@ mod tests {
     use super::*;
     use crate::defense::DefensePipeline;
     use crate::delta::{DeltaCompressor, DeltaSpec};
+    use crate::framework::Framework;
+    use crate::report::ClientReport;
+    use crate::round::CohortSampler;
     use crate::server::{SequentialFlServer, ServerConfig};
     use crate::session::FlSession;
     use safeloc_attacks::{Attack, PoisonInjector};
     use safeloc_dataset::{Building, BuildingDataset, DatasetConfig};
+    use std::collections::{BTreeMap, BTreeSet};
+    use std::sync::{Arc, Mutex};
 
+    const FLEET_SEED: u64 = 0;
+
+    /// Six phones, so `uniform(3)` cohorts are a real subsample.
     fn dataset() -> BuildingDataset {
-        BuildingDataset::generate(Building::tiny(4), &DatasetConfig::tiny(), 5)
+        let cfg = DatasetConfig::tiny().with_fleet(6, 5);
+        BuildingDataset::generate(Building::tiny(4), &cfg, 5)
     }
 
     fn pretrained(data: &BuildingDataset) -> SequentialFlServer {
@@ -317,13 +186,67 @@ mod tests {
         s
     }
 
+    /// One stateful attacker and one compressing client, to exercise the
+    /// reclaim path for both kinds of round-to-round state.
+    fn arm(client: &mut Client) {
+        match client.id {
+            1 => client.injector = Some(PoisonInjector::new(Attack::label_flip(1.0), 3)),
+            2 => client.compressor = Some(DeltaCompressor::new(DeltaSpec::TopK { fraction: 0.1 })),
+            _ => {}
+        }
+    }
+
     fn fleet(data: &BuildingDataset) -> Vec<Client> {
-        let mut clients = Client::from_dataset(data, 0);
-        // One stateful attacker and one compressing client, to exercise
-        // the reclaim path for both kinds of round-to-round state.
-        clients[1].injector = Some(PoisonInjector::new(Attack::label_flip(1.0), 3));
-        clients[2].compressor = Some(DeltaCompressor::new(DeltaSpec::TopK { fraction: 0.1 }));
+        let mut clients = Client::from_dataset(data, FLEET_SEED);
+        clients.iter_mut().for_each(arm);
         clients
+    }
+
+    /// Clients the rebuilding provider keeps between rounds, shared with
+    /// the test so it can look inside after the session took the provider.
+    type Retained = Arc<Mutex<BTreeMap<usize, Client>>>;
+
+    /// A generating provider: every client is rebuilt from the dataset on
+    /// `materialize` and dropped on `reclaim` unless it carries
+    /// round-to-round state.
+    struct Rebuilding {
+        data: BuildingDataset,
+        retained: Retained,
+    }
+
+    impl Rebuilding {
+        fn new(data: &BuildingDataset) -> (Self, Retained) {
+            let retained = Retained::default();
+            let provider = Self {
+                data: data.clone(),
+                retained: retained.clone(),
+            };
+            (provider, retained)
+        }
+    }
+
+    impl FleetProvider for Rebuilding {
+        fn len(&self) -> usize {
+            self.data.num_clients()
+        }
+
+        fn materialize(&mut self, index: usize) -> Client {
+            self.retained
+                .lock()
+                .unwrap()
+                .remove(&index)
+                .unwrap_or_else(|| {
+                    let mut client = Client::single_from_dataset(&self.data, FLEET_SEED, index);
+                    arm(&mut client);
+                    client
+                })
+        }
+
+        fn reclaim(&mut self, client: Client) {
+            if client.has_round_state() {
+                self.retained.lock().unwrap().insert(client.id, client);
+            }
+        }
     }
 
     #[test]
@@ -343,7 +266,7 @@ mod tests {
     fn streaming_matches_materialized_session_bitwise_under_churn() {
         let data = dataset();
         let sampler = || {
-            CohortSampler::uniform(3, 9)
+            CohortSampler::uniform(3, 1)
                 .with_dropout(0.2)
                 .with_straggle(0.2)
         };
@@ -352,35 +275,66 @@ mod tests {
             .clients(fleet(&data))
             .sampler(sampler())
             .build();
-        dense.run(4);
+        dense.run(8);
 
-        let provider = MaterializedFleet::new(fleet(&data));
-        let mut streaming =
-            StreamingFlSession::builder(Box::new(pretrained(&data)), Box::new(provider))
-                .sampler(sampler())
-                .build();
-        streaming.run(4);
+        let (provider, retained) = Rebuilding::new(&data);
+        let mut streaming = FlSession::builder(Box::new(pretrained(&data)))
+            .fleet(Box::new(provider))
+            .sampler(sampler())
+            .build();
+        streaming.run(8);
 
         assert_eq!(
             streaming.framework().global_params(),
             dense.framework().global_params(),
-            "streaming cohorts diverged from the materialized fleet"
+            "rebuilt cohorts diverged from the in-memory fleet"
         );
-        for (s, d) in streaming.reports().iter().zip(dense.reports()) {
-            assert_eq!(s.clients, d.clients, "per-round outcomes diverged");
+        let per_round = |s: &FlSession| -> Vec<Vec<ClientReport>> {
+            s.reports().iter().map(|r| r.clients.clone()).collect()
+        };
+        assert_eq!(
+            per_round(&streaming),
+            per_round(&dense),
+            "per-round outcomes diverged"
+        );
+        // Uniform 3-of-6 rounds name fleet ids, not cohort slots 0..3.
+        let ids: BTreeSet<usize> = streaming
+            .reports()
+            .iter()
+            .flat_map(|r| r.clients.iter().map(|c| c.client_id))
+            .collect();
+        assert!(ids.iter().any(|&id| id >= 3), "slots, not ids: {ids:?}");
+        // Both stateful clients delivered more than once, so equal GMs
+        // above already mean the injector stream and the residual survived
+        // reclaim; the retained map shows it directly.
+        for stateful in [1, 2] {
+            let delivered = streaming
+                .reports()
+                .iter()
+                .flat_map(|r| &r.clients)
+                .filter(|c| c.client_id == stateful && c.samples > 0)
+                .count();
+            assert!(delivered >= 2, "client {stateful} delivered {delivered}x");
         }
+        let retained = retained.lock().unwrap();
+        assert!(retained[&1].injector.is_some());
+        assert!(retained[&2].compressor.as_ref().unwrap().has_state());
+        assert!(
+            retained.values().all(Client::has_round_state),
+            "stateless clients must be dropped, not retained"
+        );
     }
 
     #[test]
     fn streaming_reports_true_fleet_ids_not_cohort_slots() {
         let data = dataset();
-        let provider = MaterializedFleet::new(fleet(&data));
+        let (provider, _) = Rebuilding::new(&data);
         let n = provider.len();
-        let mut session =
-            StreamingFlSession::builder(Box::new(pretrained(&data)), Box::new(provider))
-                .sampler(CohortSampler::uniform(2, 7))
-                .build();
-        let mut seen = std::collections::HashSet::new();
+        let mut session = FlSession::builder(Box::new(pretrained(&data)))
+            .fleet(Box::new(provider))
+            .sampler(CohortSampler::uniform(2, 7))
+            .build();
+        let mut seen = BTreeSet::new();
         for _ in 0..4 {
             let report = session.next_round();
             assert_eq!(report.clients.len(), 2);
@@ -398,38 +352,44 @@ mod tests {
     #[test]
     fn reclaim_persists_compressor_residuals() {
         let data = dataset();
-        let provider = MaterializedFleet::new(fleet(&data));
-        let mut session =
-            StreamingFlSession::builder(Box::new(pretrained(&data)), Box::new(provider)).build();
+        let (provider, retained) = Rebuilding::new(&data);
+        let mut session = FlSession::builder(Box::new(pretrained(&data)))
+            .fleet(Box::new(provider))
+            .build();
         session.run(1);
-        // Downcast-free check: materialize the compressing client again
-        // and confirm its residual survived the round.
-        let c = session.provider_mut().materialize(2);
+        let retained = retained.lock().unwrap();
         assert!(
-            c.compressor.as_ref().unwrap().has_state(),
+            retained[&2].compressor.as_ref().unwrap().has_state(),
             "error-feedback residual was lost on reclaim"
         );
-        assert!(c.has_round_state());
-        session.provider_mut().reclaim(c);
     }
 
     #[test]
     #[should_panic(expected = "one weight per client")]
     fn sampler_validation_runs_at_build() {
         let data = dataset();
-        let provider = MaterializedFleet::new(fleet(&data));
+        let (provider, _) = Rebuilding::new(&data);
         let n = provider.len();
-        let _ = StreamingFlSession::builder(Box::new(pretrained(&data)), Box::new(provider))
+        let _ = FlSession::builder(Box::new(pretrained(&data)))
+            .fleet(Box::new(provider))
             .sampler(CohortSampler::weighted(2, vec![1.0; n - 1], 5))
             .build();
     }
 
     #[test]
-    #[should_panic(expected = "sits at slot")]
-    fn materialized_fleet_rejects_misplaced_clients() {
+    fn shuffled_in_memory_fleets_report_client_ids() {
         let data = dataset();
-        let mut clients = Client::from_dataset(&data, 0);
-        clients.swap_remove(0);
-        let _ = MaterializedFleet::new(clients);
+        let mut clients = fleet(&data);
+        clients.reverse();
+        let ids: Vec<usize> = clients.iter().map(|c| c.id).collect();
+        let mut session = FlSession::builder(Box::new(pretrained(&data)))
+            .clients(clients)
+            .build();
+        assert_eq!(session.fleet_len(), ids.len());
+        let report = session.next_round();
+        let reported: Vec<usize> = report.clients.iter().map(|c| c.client_id).collect();
+        assert_eq!(reported, ids, "reports carry Client::id in fleet order");
+        let attacker = report.clients.iter().find(|c| c.client_id == 1).unwrap();
+        assert!(attacker.malicious, "the injector moved with its client");
     }
 }

@@ -59,22 +59,7 @@ pub trait Framework: Send {
     /// trained global model and the client-side protocol. This is how a
     /// scenario spec sweeps defense compositions over one pretrained
     /// framework (the `DefenseSpec` axis in `safeloc-bench`).
-    ///
-    /// The default declines: frameworks whose defense is inseparable from
-    /// their protocol can refuse, and the suite surfaces the message as a
-    /// cell error instead of silently running the wrong defense.
-    ///
-    /// # Errors
-    ///
-    /// A message explaining why this framework's defense cannot be
-    /// replaced.
-    fn set_aggregator(&mut self, aggregator: Box<dyn Aggregator>) -> Result<(), String> {
-        let _ = aggregator;
-        Err(format!(
-            "{} does not support replacing its server-side defense",
-            self.name()
-        ))
-    }
+    fn set_aggregator(&mut self, aggregator: Box<dyn Aggregator>);
 
     /// Classification accuracy helper.
     fn accuracy(&self, x: &Matrix, labels: &[usize]) -> f32 {

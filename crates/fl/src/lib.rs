@@ -38,8 +38,12 @@
 //!   [`RoundReport`] recording what happened to every cohort member —
 //!   trained (with aggregation weight), dropped out, straggled, or
 //!   rejected by a named defense rule with its score.
-//! * [`FlSession`] — framework + fleet + plan stream in one value; the
-//!   harness and examples drive rounds through it.
+//! * [`FlSession`] — framework + fleet + plan stream in one value, and
+//!   the only round driver: the fleet sits behind a [`FleetProvider`]
+//!   (an in-memory `Vec<Client>` lent in place, or a provider that
+//!   generates each round's cohort on demand so city-scale fleets stay
+//!   cohort-bounded in memory); the harness and examples drive every
+//!   round through [`FlSession::next_round`].
 //! * [`SequentialFlServer`] — a complete FL server around a
 //!   [`Sequential`](safeloc_nn::Sequential) DNN global model; every baseline
 //!   framework is this server with a different architecture + aggregator.
@@ -69,7 +73,7 @@
 //!     .clients(Client::from_dataset(&data, 1))
 //!     .build();
 //! let report = session.next_round();
-//! assert_eq!(report.accepted(), session.clients().len());
+//! assert_eq!(report.accepted(), session.fleet_len());
 //! let acc = session
 //!     .framework()
 //!     .accuracy(&data.client_test[0].x, &data.client_test[0].labels);
@@ -96,7 +100,7 @@ pub use aggregate::{
 pub use client::{Client, LabelingMode, LocalTrainConfig};
 pub use defense::{Combiner, DefensePipeline, DefenseStage};
 pub use delta::{DeltaCompressor, DeltaRepr, DeltaSpec};
-pub use fleet::{FleetProvider, MaterializedFleet, StreamingFlSession};
+pub use fleet::FleetProvider;
 pub use framework::Framework;
 pub use metrics::{fl_metrics, FlMetrics};
 pub use report::{
@@ -105,5 +109,5 @@ pub use report::{
 };
 pub use round::{Availability, CohortSampler, CohortStrategy, RoundPlan};
 pub use server::{active_clients, SequentialFlServer, ServerConfig};
-pub use session::{FlSession, FlSessionBuilder, ModelPublisher};
+pub use session::{FlSession, FlSessionBuilder, ModelPublisher, PlanTransform};
 pub use update::ClientUpdate;

@@ -8,8 +8,9 @@
 //! unchanged whether telemetry is enabled or not.
 //!
 //! Stage series are registered lazily per stage name (the pipeline's
-//! stage set is configuration, not code) and cached behind an `RwLock`;
-//! the steady-state path is a read-lock plus relaxed atomic ops.
+//! stage set is configuration, not code) and cached in a
+//! [`HandleCache`]; the steady-state path is a read-lock plus relaxed
+//! atomic ops.
 //!
 //! Metric catalog (all names prefixed `fl_`):
 //!
@@ -27,9 +28,8 @@
 //! | `fl_streaming_materialized` | gauge | — |
 
 use crate::report::StageTelemetry;
-use safeloc_telemetry::{Counter, Gauge, Histogram, Registry};
-use std::collections::HashMap;
-use std::sync::{Arc, OnceLock, RwLock};
+use safeloc_telemetry::{Counter, Gauge, HandleCache, Histogram, Registry};
+use std::sync::{Arc, OnceLock};
 
 /// Cached per-stage handles.
 struct StageHandles {
@@ -48,7 +48,7 @@ pub struct FlMetrics {
     delta_raw_bytes: Arc<Counter>,
     delta_wire_bytes: Arc<Counter>,
     streaming_materialized: Arc<Gauge>,
-    stages: RwLock<HashMap<String, StageHandles>>,
+    stages: HandleCache<String, StageHandles>,
 }
 
 impl FlMetrics {
@@ -62,7 +62,7 @@ impl FlMetrics {
             delta_raw_bytes: registry.counter("fl_delta_raw_bytes_total", &[]),
             delta_wire_bytes: registry.counter("fl_delta_wire_bytes_total", &[]),
             streaming_materialized: registry.gauge("fl_streaming_materialized", &[]),
-            stages: RwLock::new(HashMap::new()),
+            stages: HandleCache::default(),
             registry,
         }
     }
@@ -81,24 +81,20 @@ impl FlMetrics {
     /// engines that never drain
     /// [`take_stage_telemetry`](crate::Aggregator::take_stage_telemetry).
     pub fn on_stage(&self, stage: &StageTelemetry) {
-        {
-            let stages = self.stages.read().expect("fl metrics lock poisoned");
-            if let Some(handles) = stages.get(&stage.stage) {
+        self.stages.with(
+            stage.stage.as_str(),
+            || {
+                let labels: &[(&str, &str)] = &[("stage", &stage.stage)];
+                StageHandles {
+                    rejections: self.registry.counter("fl_stage_rejections_total", labels),
+                    wall_us: self.registry.histogram("fl_stage_wall_us", labels),
+                }
+            },
+            |handles| {
                 handles.rejections.add(stage.rejections as u64);
                 handles.wall_us.record_f64(stage.wall_ms * 1e3);
-                return;
-            }
-        }
-        let mut stages = self.stages.write().expect("fl metrics lock poisoned");
-        let handles = stages.entry(stage.stage.clone()).or_insert_with(|| {
-            let labels: &[(&str, &str)] = &[("stage", &stage.stage)];
-            StageHandles {
-                rejections: self.registry.counter("fl_stage_rejections_total", labels),
-                wall_us: self.registry.histogram("fl_stage_wall_us", labels),
-            }
-        });
-        handles.rejections.add(stage.rejections as u64);
-        handles.wall_us.record_f64(stage.wall_ms * 1e3);
+            },
+        );
     }
 
     /// Records one delta compression: the dense bytes the update would
@@ -108,8 +104,9 @@ impl FlMetrics {
         self.delta_wire_bytes.add(wire_bytes as u64);
     }
 
-    /// Tracks how many fleet members a streaming session currently holds
-    /// materialized (`delta` of +n on materialization, −n on reclaim).
+    /// Tracks how many fleet members a generating
+    /// [`FleetProvider`](crate::FleetProvider) currently has lent out
+    /// (`delta` of +n on materialization, −n on reclaim).
     pub fn on_streaming_materialized(&self, delta: i64) {
         self.streaming_materialized.add(delta);
     }

@@ -374,8 +374,8 @@ impl RoundSplit {
     ) -> RoundReport {
         let aggregate_ms = self.aggregate_start.elapsed().as_secs_f64() * 1e3;
         // Every engine funnels through this assembly point, so recording
-        // round wall time and cohort size here covers sequential, remote
-        // and streaming rounds alike.
+        // round wall time and cohort size here covers sequential and
+        // remote rounds over any fleet provider.
         crate::metrics::fl_metrics().on_round(self.train_ms, aggregate_ms, plan.cohort().len());
         RoundReport::assemble(
             round,

@@ -252,9 +252,8 @@ impl Framework for SequentialFlServer {
         Box::new(self.clone())
     }
 
-    fn set_aggregator(&mut self, aggregator: Box<dyn Aggregator>) -> Result<(), String> {
+    fn set_aggregator(&mut self, aggregator: Box<dyn Aggregator>) {
         SequentialFlServer::set_aggregator(self, aggregator);
-        Ok(())
     }
 }
 

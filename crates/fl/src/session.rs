@@ -1,11 +1,15 @@
 //! Composable FL sessions: framework + fleet + plan stream in one value.
 //!
 //! An [`FlSession`] owns everything a federated deployment needs — the
-//! [`Framework`], the client fleet, and a seeded [`CohortSampler`]
-//! producing one [`RoundPlan`](crate::RoundPlan) per round — and yields a [`RoundReport`]
-//! per executed round. The benchmark harness, the paper-figure binaries
-//! and the examples all drive rounds through a session; calling
-//! [`Framework::run_round`] by hand is for engines and tests.
+//! [`Framework`], the client fleet behind a [`FleetProvider`], and a
+//! seeded [`CohortSampler`] producing one [`RoundPlan`] per round — and
+//! yields a [`RoundReport`] per executed round. It is the only round
+//! driver: paper-scale in-memory fleets ([`FlSessionBuilder::clients`]),
+//! city-scale generating providers ([`FlSessionBuilder::fleet`]) and
+//! network-degraded rounds ([`FlSessionBuilder::plan_transform`]) all go
+//! through [`FlSession::next_round`]. The benchmark harness, the
+//! paper-figure binaries and the examples drive rounds through a session;
+//! calling [`Framework::run_round`] by hand is for engines and tests.
 //!
 //! ```
 //! use safeloc_fl::{
@@ -32,9 +36,10 @@
 //! ```
 
 use crate::client::Client;
+use crate::fleet::FleetProvider;
 use crate::framework::Framework;
 use crate::report::{pooled_rate, RoundReport};
-use crate::round::CohortSampler;
+use crate::round::{CohortSampler, RoundPlan};
 use safeloc_nn::NamedParams;
 
 /// A hook observing every aggregated global model a session produces —
@@ -53,25 +58,52 @@ pub trait ModelPublisher: Send {
     fn publish_round(&mut self, report: &RoundReport, global: &NamedParams);
 }
 
+/// A per-round rewrite of the sampled plan: `(round, plan) -> plan`, with
+/// `round` the session's own 0-based round count. See
+/// [`FlSessionBuilder::plan_transform`].
+pub type PlanTransform = Box<dyn FnMut(usize, RoundPlan) -> RoundPlan + Send>;
+
 /// Builder for [`FlSession`] — see the module docs for a full example.
 pub struct FlSessionBuilder {
     framework: Box<dyn Framework>,
-    clients: Vec<Client>,
+    fleet: Box<dyn FleetProvider>,
     sampler: CohortSampler,
+    plan_transform: Option<PlanTransform>,
     publisher: Option<Box<dyn ModelPublisher>>,
 }
 
 impl FlSessionBuilder {
-    /// Sets the client fleet.
-    pub fn clients(mut self, clients: Vec<Client>) -> Self {
-        self.clients = clients;
+    /// Sets an in-memory client fleet. It is lent to every round in place
+    /// — never cloned or moved — and plans index positions in `clients`,
+    /// which need not equal the [`Client::id`]s sitting there (reports
+    /// carry the ids).
+    pub fn clients(self, clients: Vec<Client>) -> Self {
+        self.fleet(Box::new(clients))
+    }
+
+    /// Sets the fleet to any [`FleetProvider`] — e.g. one that generates
+    /// clients on demand, so only each round's cohort is ever resident.
+    pub fn fleet(mut self, provider: Box<dyn FleetProvider>) -> Self {
+        self.fleet = provider;
         self
     }
 
     /// Sets the cohort sampler (default: full participation, no churn —
-    /// the paper's round shape).
+    /// the paper's round shape). Full participation over a generating
+    /// provider still materializes the whole fleet — pick a bounded
+    /// strategy to bound memory.
     pub fn sampler(mut self, sampler: CohortSampler) -> Self {
         self.sampler = sampler;
+        self
+    }
+
+    /// Rewrites every sampled plan before the round runs it (default:
+    /// plans run as sampled) — how simulated network conditions downgrade
+    /// cohort members to dropouts and stragglers. The transform must keep
+    /// the cohort inside the fleet; it normally only changes
+    /// availabilities.
+    pub fn plan_transform(mut self, transform: PlanTransform) -> Self {
+        self.plan_transform = Some(transform);
         self
     }
 
@@ -91,13 +123,14 @@ impl FlSessionBuilder {
     /// weight vector whose length differs from the fleet size, which would
     /// silently make the tail of the fleet unsampleable.
     pub fn build(self) -> FlSession {
-        if let Err(problem) = self.sampler.validate_for_fleet(self.clients.len()) {
+        if let Err(problem) = self.sampler.validate_for_fleet(self.fleet.len()) {
             panic!("FlSession: {problem}");
         }
         FlSession {
             framework: self.framework,
-            clients: self.clients,
+            fleet: self.fleet,
             sampler: self.sampler,
+            plan_transform: self.plan_transform,
             publisher: self.publisher,
             history: Vec::new(),
         }
@@ -111,8 +144,9 @@ impl FlSessionBuilder {
 /// own (higher) internal counter for [`RoundReport::round`].
 pub struct FlSession {
     framework: Box<dyn Framework>,
-    clients: Vec<Client>,
+    fleet: Box<dyn FleetProvider>,
     sampler: CohortSampler,
+    plan_transform: Option<PlanTransform>,
     publisher: Option<Box<dyn ModelPublisher>>,
     history: Vec<RoundReport>,
 }
@@ -123,17 +157,27 @@ impl FlSession {
     pub fn builder(framework: Box<dyn Framework>) -> FlSessionBuilder {
         FlSessionBuilder {
             framework,
-            clients: Vec::new(),
+            fleet: Box::new(Vec::<Client>::new()),
             sampler: CohortSampler::full(),
+            plan_transform: None,
             publisher: None,
         }
     }
 
-    /// Executes the next round: draws the plan, runs it, records the
-    /// report, notifies the publisher (if any) and returns the report.
+    /// Executes the next round: draws the plan over the fleet, applies the
+    /// plan transform (if any), borrows the plan's clients from the
+    /// provider for the framework to run, records the report, notifies the
+    /// publisher (if any) and returns the report.
     pub fn next_round(&mut self) -> &RoundReport {
-        let plan = self.sampler.plan(self.history.len(), self.clients.len());
-        let report = self.framework.run_round(&mut self.clients, &plan);
+        let round = self.history.len();
+        let mut plan = self.sampler.plan(round, self.fleet.len());
+        if let Some(transform) = &mut self.plan_transform {
+            plan = transform(round, plan);
+        }
+        let framework = &mut self.framework;
+        let report = self.fleet.lend(&plan, &mut |clients, plan| {
+            framework.run_round(clients, plan)
+        });
         if let Some(publisher) = &mut self.publisher {
             publisher.publish_round(&report, &self.framework.global_params());
         }
@@ -170,14 +214,9 @@ impl FlSession {
         self.framework.as_mut()
     }
 
-    /// The client fleet.
-    pub fn clients(&self) -> &[Client] {
-        &self.clients
-    }
-
-    /// Mutable fleet access (e.g. to compromise a client mid-session).
-    pub fn clients_mut(&mut self) -> &mut [Client] {
-        &mut self.clients
+    /// Fleet size — what the sampler draws cohorts from.
+    pub fn fleet_len(&self) -> usize {
+        self.fleet.len()
     }
 
     /// Pooled attacker-rejection rate over every round run so far, or
@@ -191,9 +230,9 @@ impl FlSession {
         pooled_rate(self.history.iter(), RoundReport::honest_rejection_rate)
     }
 
-    /// Dismantles the session into framework, fleet and report history.
-    pub fn into_parts(self) -> (Box<dyn Framework>, Vec<Client>, Vec<RoundReport>) {
-        (self.framework, self.clients, self.history)
+    /// Dismantles the session into framework and report history.
+    pub fn into_parts(self) -> (Box<dyn Framework>, Vec<RoundReport>) {
+        (self.framework, self.history)
     }
 }
 
@@ -247,7 +286,7 @@ mod tests {
         assert!(session
             .reports()
             .iter()
-            .all(|r| r.accepted() == session.clients().len()));
+            .all(|r| r.accepted() == session.fleet_len()));
     }
 
     #[test]
@@ -375,6 +414,13 @@ mod tests {
     }
 
     #[test]
+    fn sessions_move_across_threads() {
+        fn assert_send<T: Send>() {}
+        assert_send::<FlSession>();
+        assert_send::<FlSessionBuilder>();
+    }
+
+    #[test]
     fn session_is_deterministic_given_seeds() {
         let data = dataset();
         let run = || {
@@ -388,7 +434,7 @@ mod tests {
                 )
                 .build();
             session.run(4);
-            let (framework, _, reports) = session.into_parts();
+            let (framework, reports) = session.into_parts();
             (
                 framework.global_params(),
                 reports.into_iter().map(|r| r.clients).collect::<Vec<_>>(),

@@ -3,14 +3,14 @@
 //! side channel of the request path.
 //!
 //! Handles are pre-registered per (building × device-class) route and
-//! cached behind an `RwLock`-protected nested map, so the steady-state
-//! record path is a read-lock plus relaxed atomic ops — no allocation,
-//! no write contention. Registration (the first request a route ever
-//! sees) takes the write lock once.
+//! cached in nested [`HandleCache`]s (building, then class, so a lookup
+//! borrows the class name instead of allocating a key), keeping the
+//! steady-state record path to read-locks plus relaxed atomic ops — no
+//! allocation, no write contention. Registration (the first request a
+//! route ever sees) takes the write lock once.
 
-use safeloc_telemetry::{Counter, Gauge, Histogram, Registry};
-use std::collections::HashMap;
-use std::sync::{Arc, PoisonError, RwLock};
+use safeloc_telemetry::{Counter, Gauge, HandleCache, Histogram, Registry};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Pre-registered handles for one (building × device-class) route.
@@ -37,7 +37,7 @@ pub struct ServeMetrics {
     queue_depth: Arc<Histogram>,
     latency_us: Arc<Histogram>,
     pending: Arc<Gauge>,
-    routes: RwLock<HashMap<usize, HashMap<String, RouteHandles>>>,
+    routes: HandleCache<usize, HandleCache<String, RouteHandles>>,
 }
 
 impl ServeMetrics {
@@ -54,7 +54,7 @@ impl ServeMetrics {
             queue_depth,
             latency_us,
             pending,
-            routes: RwLock::new(HashMap::new()),
+            routes: HandleCache::default(),
         })
     }
 
@@ -96,30 +96,22 @@ impl ServeMetrics {
 
     /// Runs `f` over the route's handles, registering them on first use.
     fn with_route(&self, building: usize, device_class: &str, f: impl FnOnce(&RouteHandles)) {
-        {
-            // Poison recovery: route registration inserts whole entries;
-            // a panicked registrant cannot leave the map torn, and
-            // metrics must never take the serving path down.
-            let routes = self.routes.read().unwrap_or_else(PoisonError::into_inner);
-            if let Some(route) = routes.get(&building).and_then(|m| m.get(device_class)) {
-                f(route);
-                return;
-            }
-        }
-        let mut routes = self.routes.write().unwrap_or_else(PoisonError::into_inner);
-        let per_class = routes.entry(building).or_default();
-        let route = per_class
-            .entry(device_class.to_string())
-            .or_insert_with(|| {
-                let building = building.to_string();
-                let labels: &[(&str, &str)] =
-                    &[("building", &building), ("device_class", device_class)];
-                RouteHandles {
-                    requests: self.registry.counter("serve_requests_total", labels),
-                    version: self.registry.gauge("serve_model_version", labels),
-                }
+        self.routes
+            .with(&building, HandleCache::default, |per_class| {
+                per_class.with(
+                    device_class,
+                    || {
+                        let building = building.to_string();
+                        let labels: &[(&str, &str)] =
+                            &[("building", &building), ("device_class", device_class)];
+                        RouteHandles {
+                            requests: self.registry.counter("serve_requests_total", labels),
+                            version: self.registry.gauge("serve_model_version", labels),
+                        }
+                    },
+                    f,
+                )
             });
-        f(route);
     }
 }
 

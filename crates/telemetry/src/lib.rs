@@ -12,7 +12,7 @@
 //! the counting-allocator test in `tests/alloc_free.rs`, the same idiom
 //! `safeloc-nn`'s `Workspace` uses). Locks exist only at the edges:
 //! metric *registration* takes a write lock once per metric, label-set
-//! lookup in instrumented subsystems is a read-mostly `RwLock`, and the
+//! lookup in instrumented subsystems is a read-mostly [`HandleCache`], and the
 //! flight recorder holds a short mutex over a pre-allocated ring (spans
 //! fire per batch/round, not per sample).
 //!
@@ -38,12 +38,14 @@
 
 #![warn(missing_docs)]
 
+mod cache;
 mod expose;
 mod metric;
 mod registry;
 mod snapshot;
 mod trace;
 
+pub use cache::HandleCache;
 pub use expose::{parse_prometheus, render_prometheus, PromSample};
 pub use metric::{Counter, Gauge, Histogram, HISTOGRAM_BUCKETS};
 pub use registry::{MetricEntry, MetricHandle, Registry};

@@ -7,7 +7,7 @@
 //! may sit mid-frame, so callers treat a timed-out connection as dead —
 //! exactly what the round server does to a straggler.
 
-use crate::frame::{Frame, WireError, ERR_SCHEMA, MAX_FRAME_LEN, MIN_WIRE_SCHEMA, WIRE_SCHEMA};
+use crate::frame::{Frame, WireError, ERR_SCHEMA, MAX_FRAME_LEN, WIRE_SCHEMA};
 use crate::metrics::wire_metrics;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
@@ -177,27 +177,22 @@ impl FrameConn {
         self.stream.shutdown(Shutdown::Both).ok();
     }
 
-    /// Opens the connection from the client side: sends `Hello`, expects a
-    /// `HelloAck` and returns the negotiated schema — the server answers
-    /// `min(ours, theirs)`, so an older (but still ≥
-    /// [`MIN_WIRE_SCHEMA`]) server yields a downgraded connection rather
-    /// than a refusal. Frames gated on a newer schema (the metrics pair)
-    /// must not be sent below their version.
+    /// Opens the connection from the client side: sends `Hello` and
+    /// expects a `HelloAck` carrying exactly [`WIRE_SCHEMA`].
     ///
     /// # Errors
     ///
-    /// [`WireError::SchemaVersion`] if the server answered outside
-    /// `MIN_WIRE_SCHEMA..=WIRE_SCHEMA`, [`WireError::Peer`] if it
-    /// answered with an error frame, [`WireError::Protocol`] on any other
-    /// reply, plus transport errors.
-    pub fn client_handshake(&mut self) -> Result<u32, WireError> {
+    /// [`WireError::SchemaVersion`] if the server acked another schema,
+    /// [`WireError::Peer`] if it answered with an error frame,
+    /// [`WireError::Protocol`] on any other reply, plus transport errors.
+    pub fn client_handshake(&mut self) -> Result<(), WireError> {
         self.send(&Frame::Hello {
             schema: WIRE_SCHEMA,
         })?;
         match self.recv()? {
-            Frame::HelloAck { schema } if (MIN_WIRE_SCHEMA..=WIRE_SCHEMA).contains(&schema) => {
-                Ok(schema)
-            }
+            Frame::HelloAck {
+                schema: WIRE_SCHEMA,
+            } => Ok(()),
             Frame::HelloAck { schema } => Err(WireError::SchemaVersion {
                 ours: WIRE_SCHEMA,
                 theirs: schema,
@@ -210,30 +205,27 @@ impl FrameConn {
         }
     }
 
-    /// Answers the client-side handshake from the server side: expects
-    /// `Hello` and, for any client schema ≥ [`MIN_WIRE_SCHEMA`], acks and
-    /// returns `min(ours, theirs)` — a v2 client keeps its v2
-    /// conversation; v3-only frames stay gated. Clients older than
-    /// [`MIN_WIRE_SCHEMA`] get a typed error frame (best effort).
+    /// Answers the client-side handshake from the server side: expects a
+    /// `Hello` carrying exactly [`WIRE_SCHEMA`] and acks it. Any other
+    /// client schema gets a typed error frame (best effort).
     ///
     /// # Errors
     ///
-    /// [`WireError::SchemaVersion`] on an unsupported client schema,
+    /// [`WireError::SchemaVersion`] on any other client schema,
     /// [`WireError::Protocol`] if the opener was a different frame, plus
     /// decode/transport errors from the opener itself.
-    pub fn server_handshake(&mut self) -> Result<u32, WireError> {
+    pub fn server_handshake(&mut self) -> Result<(), WireError> {
         match self.recv()? {
-            Frame::Hello { schema } if schema >= MIN_WIRE_SCHEMA => {
-                let negotiated = schema.min(WIRE_SCHEMA);
-                self.send(&Frame::HelloAck { schema: negotiated })?;
-                Ok(negotiated)
-            }
+            Frame::Hello {
+                schema: WIRE_SCHEMA,
+            } => self.send(&Frame::HelloAck {
+                schema: WIRE_SCHEMA,
+            }),
             Frame::Hello { schema } => {
                 let _ = self.send(&Frame::Error {
                     code: ERR_SCHEMA,
                     message: format!(
-                        "server speaks wire schema v{MIN_WIRE_SCHEMA}..=v{WIRE_SCHEMA}, \
-                         client sent v{schema}"
+                        "server speaks wire schema v{WIRE_SCHEMA}, client sent v{schema}"
                     ),
                 });
                 Err(WireError::SchemaVersion {
@@ -275,68 +267,30 @@ mod tests {
     fn handshake_agrees_on_schema() {
         let (mut server, mut client) = pair();
         let s = std::thread::spawn(move || {
-            assert_eq!(server.server_handshake().unwrap(), WIRE_SCHEMA);
+            server.server_handshake().unwrap();
             server
         });
-        assert_eq!(client.client_handshake().unwrap(), WIRE_SCHEMA);
+        client.client_handshake().unwrap();
         s.join().unwrap();
     }
 
     #[test]
-    fn older_supported_client_negotiates_down() {
-        let (mut server, mut client) = pair();
-        let s = std::thread::spawn(move || server.server_handshake());
-        client
-            .send(&Frame::Hello {
-                schema: MIN_WIRE_SCHEMA,
-            })
-            .unwrap();
-        assert_eq!(s.join().unwrap(), Ok(MIN_WIRE_SCHEMA));
-        assert_eq!(
-            client.recv().unwrap(),
-            Frame::HelloAck {
-                schema: MIN_WIRE_SCHEMA
-            }
-        );
-    }
-
-    #[test]
-    fn newer_client_is_capped_at_our_schema() {
-        let (mut server, mut client) = pair();
-        let s = std::thread::spawn(move || server.server_handshake());
-        client
-            .send(&Frame::Hello {
-                schema: WIRE_SCHEMA + 5,
-            })
-            .unwrap();
-        assert_eq!(s.join().unwrap(), Ok(WIRE_SCHEMA));
-        assert_eq!(
-            client.recv().unwrap(),
-            Frame::HelloAck {
-                schema: WIRE_SCHEMA
-            }
-        );
-    }
-
-    #[test]
     fn schema_mismatch_is_typed_on_both_ends() {
-        let (mut server, mut client) = pair();
-        let s = std::thread::spawn(move || server.server_handshake());
-        client
-            .send(&Frame::Hello {
-                schema: MIN_WIRE_SCHEMA - 1,
-            })
-            .unwrap();
-        assert_eq!(
-            s.join().unwrap(),
-            Err(WireError::SchemaVersion {
-                ours: WIRE_SCHEMA,
-                theirs: MIN_WIRE_SCHEMA - 1
-            })
-        );
-        match client.recv().unwrap() {
-            Frame::Error { code, .. } => assert_eq!(code, ERR_SCHEMA),
-            other => panic!("expected error frame, got {}", other.kind()),
+        for theirs in [WIRE_SCHEMA - 1, WIRE_SCHEMA + 1] {
+            let (mut server, mut client) = pair();
+            let s = std::thread::spawn(move || server.server_handshake());
+            client.send(&Frame::Hello { schema: theirs }).unwrap();
+            assert_eq!(
+                s.join().unwrap(),
+                Err(WireError::SchemaVersion {
+                    ours: WIRE_SCHEMA,
+                    theirs
+                })
+            );
+            match client.recv().unwrap() {
+                Frame::Error { code, .. } => assert_eq!(code, ERR_SCHEMA),
+                other => panic!("expected error frame, got {}", other.kind()),
+            }
         }
     }
 

@@ -46,16 +46,11 @@
 use safeloc_fl::DeltaRepr;
 use safeloc_nn::{Matrix, NamedParams};
 
-/// Wire schema version spoken by this build. v2 added the compressed
-/// [`Frame::UpdateDelta`] frame; v3 added the telemetry-exposition
-/// [`Frame::MetricsRequest`] / [`Frame::MetricsResponse`] pair.
+/// Wire schema version spoken by this build, and the only one a handshake
+/// accepts. v2 added the compressed [`Frame::UpdateDelta`] frame; v3 added
+/// the telemetry-exposition [`Frame::MetricsRequest`] /
+/// [`Frame::MetricsResponse`] pair.
 pub const WIRE_SCHEMA: u32 = 3;
-
-/// Oldest peer schema this build still speaks. Handshakes negotiate
-/// `min(ours, theirs)` as long as the peer is in
-/// `MIN_WIRE_SCHEMA..=WIRE_SCHEMA`; v3-only frames (the metrics pair)
-/// are rejected as protocol errors on a connection negotiated below v3.
-pub const MIN_WIRE_SCHEMA: u32 = 2;
 
 /// Hard cap on `tag + payload` length (16 MiB). Large enough for a
 /// paper-scale model update (~100k parameters ≈ 400 KiB), small enough

@@ -7,7 +7,7 @@
 //! updates arrive over a wire, not via `&mut [Client]`. Four pieces:
 //!
 //! * [`frame`] — the wire format: length-prefixed, tagged binary frames
-//!   ([`Frame`]) with explicit schema negotiation ([`WIRE_SCHEMA`]) and
+//!   ([`Frame`]) with an explicit schema check ([`WIRE_SCHEMA`]) and
 //!   total decoding into typed [`WireError`]s — malformed input never
 //!   panics either end.
 //! * [`conn`] — [`FrameConn`]: whole-frame I/O over a `TcpStream`, read
@@ -38,7 +38,7 @@ pub use conn::FrameConn;
 pub use fault::{FaultDraw, FaultProfile};
 pub use frame::{
     DeltaUpdateFrame, Frame, UpdateFrame, WireAvailability, WireError, ERR_MALFORMED, ERR_PROTOCOL,
-    ERR_SCHEMA, ERR_SERVE, MAX_FRAME_LEN, MIN_WIRE_SCHEMA, WIRE_SCHEMA,
+    ERR_SCHEMA, ERR_SERVE, MAX_FRAME_LEN, WIRE_SCHEMA,
 };
 pub use metrics::{wire_metrics, WireMetrics};
 pub use remote::{RemoteFlServer, RemoteFleet};

@@ -5,7 +5,7 @@
 //! Everything records into the process-global telemetry registry, so one
 //! scrape (or one [`crate::Frame::MetricsRequest`]) sees serving, wire
 //! and federated metrics together. Handles are registered lazily per
-//! `(direction, frame kind)` and cached behind an `RwLock` keyed on
+//! `(direction, frame kind)` and cached in [`HandleCache`]s keyed on
 //! `&'static str` pairs — the steady-state path is a read-lock plus a
 //! relaxed atomic add, no allocation.
 //!
@@ -21,19 +21,20 @@
 //! | `wire_round_dropouts_total` | counter | — |
 
 use crate::frame::WireError;
-use safeloc_telemetry::{Counter, Registry};
-use std::collections::HashMap;
-use std::sync::{Arc, OnceLock, PoisonError, RwLock};
+use safeloc_telemetry::{Counter, HandleCache, Registry};
+use std::sync::{Arc, OnceLock};
 
 /// Cached per-(dir, kind) frame and byte counters.
-type FrameHandles = HashMap<(&'static str, &'static str), (Arc<Counter>, Arc<Counter>)>;
+type FrameHandles = HandleCache<(&'static str, &'static str), (Arc<Counter>, Arc<Counter>)>;
+/// Cached per-kind counters of one labeled series.
+type KindCounters = HandleCache<&'static str, Arc<Counter>>;
 
 /// Telemetry handles for the wire layer, shared process-wide.
 pub struct WireMetrics {
     registry: Arc<Registry>,
-    frames: RwLock<FrameHandles>,
-    errors: RwLock<HashMap<&'static str, Arc<Counter>>>,
-    faults: RwLock<HashMap<&'static str, Arc<Counter>>>,
+    frames: FrameHandles,
+    errors: KindCounters,
+    faults: KindCounters,
     stragglers: Arc<Counter>,
     dropouts: Arc<Counter>,
 }
@@ -44,9 +45,9 @@ impl WireMetrics {
         let dropouts = registry.counter("wire_round_dropouts_total", &[]);
         Self {
             registry,
-            frames: RwLock::new(HashMap::new()),
-            errors: RwLock::new(HashMap::new()),
-            faults: RwLock::new(HashMap::new()),
+            frames: HandleCache::default(),
+            errors: HandleCache::default(),
+            faults: HandleCache::default(),
             stragglers,
             dropouts,
         }
@@ -55,27 +56,20 @@ impl WireMetrics {
     /// Counts one frame (and its wire bytes) moving in `dir`
     /// (`"in"`/`"out"`).
     pub fn on_frame(&self, dir: &'static str, kind: &'static str, bytes: usize) {
-        {
-            // Poison recovery: counter caches insert whole entries and a
-            // panicked peer cannot tear them; metrics must never abort
-            // the connection-handling thread.
-            let frames = self.frames.read().unwrap_or_else(PoisonError::into_inner);
-            if let Some((count, byte_count)) = frames.get(&(dir, kind)) {
+        self.frames.with(
+            &(dir, kind),
+            || {
+                let labels: &[(&str, &str)] = &[("dir", dir), ("kind", kind)];
+                (
+                    self.registry.counter("wire_frames_total", labels),
+                    self.registry.counter("wire_bytes_total", labels),
+                )
+            },
+            |(count, byte_count)| {
                 count.inc();
                 byte_count.add(bytes as u64);
-                return;
-            }
-        }
-        let mut frames = self.frames.write().unwrap_or_else(PoisonError::into_inner);
-        let (count, byte_count) = frames.entry((dir, kind)).or_insert_with(|| {
-            let labels: &[(&str, &str)] = &[("dir", dir), ("kind", kind)];
-            (
-                self.registry.counter("wire_frames_total", labels),
-                self.registry.counter("wire_bytes_total", labels),
-            )
-        });
-        count.inc();
-        byte_count.add(bytes as u64);
+            },
+        );
     }
 
     /// Counts one typed wire error by variant.
@@ -99,25 +93,12 @@ impl WireMetrics {
         self.dropouts.inc();
     }
 
-    fn labeled(
-        &self,
-        cache: &RwLock<HashMap<&'static str, Arc<Counter>>>,
-        name: &str,
-        kind: &'static str,
-    ) {
-        {
-            // Poison recovery: same single-insert reasoning as on_frame.
-            let cached = cache.read().unwrap_or_else(PoisonError::into_inner);
-            if let Some(counter) = cached.get(kind) {
-                counter.inc();
-                return;
-            }
-        }
-        let mut cached = cache.write().unwrap_or_else(PoisonError::into_inner);
-        cached
-            .entry(kind)
-            .or_insert_with(|| self.registry.counter(name, &[("kind", kind)]))
-            .inc();
+    fn labeled(&self, cache: &KindCounters, name: &str, kind: &'static str) {
+        cache.with(
+            &kind,
+            || self.registry.counter(name, &[("kind", kind)]),
+            |counter| counter.inc(),
+        );
     }
 }
 

@@ -266,26 +266,37 @@ impl Framework for RemoteFlServer {
         let round_salt = (round as u64 + 1) << 16;
         let deadline_ms = self.deadline.as_millis().min(u32::MAX as u128) as u32;
         let gm_params = self.gm.snapshot();
-        let wire_cohort: Vec<(u32, WireAvailability)> = plan
+        // Plan slots index `clients`; connections, invitations and updates
+        // are keyed by the fleet identity each process joined under
+        // (`Client::id`). The two differ whenever the session lends a
+        // cohort slice (slots 0..k, ids arbitrary).
+        let id_of = |slot: usize| clients[slot].id;
+        // What actually happened to each cohort member, seeded from the
+        // plan (out-of-range slots ignored, as in-process) and downgraded
+        // by transport reality.
+        let mut effective: Vec<(usize, Availability)> = plan
             .cohort()
             .iter()
-            .map(|&(i, a)| (i as u32, wire_availability(a)))
+            .copied()
+            .filter(|&(slot, _)| slot < clients.len())
+            .collect();
+        let wire_cohort: Vec<(u32, WireAvailability)> = effective
+            .iter()
+            .map(|&(slot, a)| (id_of(slot) as u32, wire_availability(a)))
             .collect();
 
         // Poison recovery: rounds run one at a time; a previous round
         // that panicked left connections in whatever state the transport
         // did, which the per-member error handling below already absorbs.
         let mut fleet = self.fleet.lock().unwrap_or_else(PoisonError::into_inner);
-        // What actually happened to each cohort member, seeded from the
-        // plan and downgraded by transport reality.
-        let mut effective: Vec<(usize, Availability)> = plan.cohort().to_vec();
 
         // Phase 1 — broadcast, so every remote client trains concurrently.
         for entry in effective.iter_mut() {
-            let (i, availability) = *entry;
+            let (slot, availability) = *entry;
             if availability != Availability::Participates {
                 continue;
             }
+            let i = id_of(slot);
             let sent = match fleet.conn_mut(i) {
                 Some(conn) => conn
                     .send(&Frame::CohortInvite {
@@ -321,10 +332,11 @@ impl Framework for RemoteFlServer {
         let deadline_at = Instant::now() + self.deadline;
         let mut updates: Vec<ClientUpdate> = Vec::new();
         for entry in effective.iter_mut() {
-            let (i, availability) = *entry;
+            let (slot, availability) = *entry;
             if availability != Availability::Participates {
                 continue;
             }
+            let i = id_of(slot);
             // A hung earlier client may have consumed the whole deadline,
             // but updates that already crossed the wire are sitting in
             // this socket's buffer — a short grace read drains them rather
@@ -426,9 +438,8 @@ impl Framework for RemoteFlServer {
         Box::new(self.clone())
     }
 
-    fn set_aggregator(&mut self, aggregator: Box<dyn Aggregator>) -> Result<(), String> {
+    fn set_aggregator(&mut self, aggregator: Box<dyn Aggregator>) {
         self.aggregator = aggregator;
-        Ok(())
     }
 }
 

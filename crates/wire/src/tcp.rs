@@ -115,16 +115,14 @@ impl Drop for WireServer {
 /// until the client leaves or sends something unspeakable.
 fn serve_connection(service: &Service, stream: TcpStream) {
     let mut conn = FrameConn::new(stream);
-    let Ok(schema) = conn.server_handshake() else {
+    if conn.server_handshake().is_err() {
         // The handshake already answered with a typed error frame where
         // possible; nothing to salvage on this connection.
         return;
-    };
+    }
     loop {
         match conn.recv() {
-            // Telemetry exposition is a v3 frame: a connection negotiated
-            // down to v2 treats it like any other out-of-protocol frame.
-            Ok(Frame::MetricsRequest) if schema >= 3 => {
+            Ok(Frame::MetricsRequest) => {
                 let text = safeloc_telemetry::render_prometheus(&service.telemetry());
                 if conn.send(&Frame::MetricsResponse { text }).is_err() {
                     return;
@@ -184,7 +182,6 @@ fn serve_connection(service: &Service, stream: TcpStream) {
 pub struct WireClient {
     conn: FrameConn,
     next_id: u64,
-    schema: u32,
 }
 
 impl WireClient {
@@ -196,17 +193,8 @@ impl WireClient {
     /// speaks an unsupported wire schema.
     pub fn connect(addr: SocketAddr) -> Result<Self, WireError> {
         let mut conn = FrameConn::connect(addr)?;
-        let schema = conn.client_handshake()?;
-        Ok(Self {
-            conn,
-            next_id: 0,
-            schema,
-        })
-    }
-
-    /// The wire schema this connection negotiated.
-    pub fn schema(&self) -> u32 {
-        self.schema
+        conn.client_handshake()?;
+        Ok(Self { conn, next_id: 0 })
     }
 
     /// Fetches the server's telemetry snapshot in Prometheus text
@@ -215,17 +203,9 @@ impl WireClient {
     ///
     /// # Errors
     ///
-    /// [`WireError::Protocol`] if this connection negotiated below wire
-    /// schema v3 (the server would reject the frame anyway),
-    /// [`WireError::Peer`] on a server-side error frame, plus transport
-    /// errors.
+    /// [`WireError::Peer`] on a server-side error frame,
+    /// [`WireError::Protocol`] on any other reply, plus transport errors.
     pub fn scrape_metrics(&mut self) -> Result<String, WireError> {
-        if self.schema < 3 {
-            return Err(WireError::Protocol(format!(
-                "metrics frames need wire schema v3, connection negotiated v{}",
-                self.schema
-            )));
-        }
         self.conn.send(&Frame::MetricsRequest)?;
         match self.conn.recv()? {
             Frame::MetricsResponse { text } => Ok(text),

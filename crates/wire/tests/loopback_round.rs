@@ -10,10 +10,15 @@
 
 use safeloc_dataset::{Building, BuildingDataset, DatasetConfig};
 use safeloc_fl::report::ClientOutcome;
-use safeloc_fl::{Client, DefensePipeline, Framework, RoundPlan, SequentialFlServer, ServerConfig};
-use safeloc_wire::{FaultProfile, RemoteFlServer, RemoteFleet};
+use safeloc_fl::{
+    Client, CohortSampler, DefensePipeline, FlSession, FleetProvider, Framework, RoundPlan,
+    SequentialFlServer, ServerConfig,
+};
+use safeloc_wire::{FaultProfile, Frame, FrameConn, RemoteFlServer, RemoteFleet, UpdateFrame};
+use std::collections::BTreeSet;
+use std::net::SocketAddr;
 use std::process::{Child, Command};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 const FLEET_SEED: u64 = 0;
@@ -268,4 +273,131 @@ fn deadline_turns_a_hung_client_into_a_straggler() {
     assert_eq!(trained, n - 1);
     assert_eq!(remote.server.rounds_run(), 1);
     remote.teardown();
+}
+
+/// A generating provider over a five-phone dataset: every round's cohort
+/// reaches the framework as a rebuilt slice (slots `0..k`, ids arbitrary).
+struct Rebuilt(BuildingDataset);
+
+impl FleetProvider for Rebuilt {
+    fn len(&self) -> usize {
+        self.0.num_clients()
+    }
+
+    fn materialize(&mut self, index: usize) -> Client {
+        Client::single_from_dataset(&self.0, FLEET_SEED, index)
+    }
+
+    fn reclaim(&mut self, _client: Client) {}
+}
+
+/// In-thread stand-in for an `fl_client` process: joins as `id`, logs
+/// every invitation it receives as `(round, own id, invited index)` and
+/// answers each broadcast with the GM itself under its own id.
+fn echo_client(
+    addr: SocketAddr,
+    id: usize,
+    invitations: mpsc::Sender<(u32, usize, u32)>,
+) -> std::thread::JoinHandle<()> {
+    std::thread::spawn(move || {
+        let mut conn = FrameConn::connect(addr).unwrap();
+        conn.client_handshake().unwrap();
+        conn.send(&Frame::Join {
+            client_index: id as u32,
+        })
+        .unwrap();
+        loop {
+            match conn.recv() {
+                Ok(Frame::CohortInvite {
+                    round,
+                    client_index,
+                    ..
+                }) => invitations.send((round, id, client_index)).unwrap(),
+                Ok(Frame::RoundPlan { .. }) => {}
+                Ok(Frame::GmBroadcast { round, params, .. }) => conn
+                    .send(&Frame::Update(UpdateFrame {
+                        client_id: id as u64,
+                        round,
+                        building: 0,
+                        device_class: "echo".to_string(),
+                        num_samples: 1,
+                        params,
+                    }))
+                    .unwrap(),
+                _ => return,
+            }
+        }
+    })
+}
+
+/// Under a lent cohort slice the plan's slots are not fleet ids: the
+/// processes invited, the ids their updates are credited to and the ids
+/// the report names must all be the sampled fleet members.
+#[test]
+fn lent_cohorts_invite_and_credit_the_sampled_fleet_members() {
+    let cfg = DatasetConfig::tiny().with_fleet(5, DATA_SEED);
+    let data = BuildingDataset::generate(Building::tiny(DATA_SEED), &cfg, DATA_SEED);
+    let n = data.num_clients();
+    let mut fleet = RemoteFleet::bind(n).unwrap();
+    let (tx, invitations) = mpsc::channel();
+    let clients: Vec<_> = (0..n)
+        .map(|id| echo_client(fleet.addr(), id, tx.clone()))
+        .collect();
+    fleet.accept_all(Duration::from_secs(60)).unwrap();
+    let fleet = Arc::new(Mutex::new(fleet));
+    let server = RemoteFlServer::new(
+        &dims(&data),
+        Box::new(DefensePipeline::fedavg()),
+        ServerConfig::tiny(),
+        Arc::clone(&fleet),
+        Duration::from_secs(60),
+    );
+    let sampler = CohortSampler::uniform(2, 7);
+    let mut session = FlSession::builder(Box::new(server))
+        .fleet(Box::new(Rebuilt(data)))
+        .sampler(sampler.clone())
+        .build();
+
+    let mut ever_sampled = BTreeSet::new();
+    for round in 0..4 {
+        let sampled: BTreeSet<usize> = sampler
+            .plan(round, n)
+            .cohort()
+            .iter()
+            .map(|&(i, _)| i)
+            .collect();
+        let report = session.next_round();
+        let reported: BTreeSet<usize> = report.clients.iter().map(|c| c.client_id).collect();
+        // Only an update carrying the id the server expected is credited,
+        // so `Trained` ids are the update ids.
+        let credited: BTreeSet<usize> = report
+            .clients
+            .iter()
+            .filter(|c| matches!(c.outcome, ClientOutcome::Trained { .. }))
+            .map(|c| c.client_id)
+            .collect();
+        let mut invited = BTreeSet::new();
+        for (invited_round, me, client_index) in invitations.try_iter() {
+            assert_eq!(invited_round as usize, round);
+            assert_eq!(
+                client_index as usize, me,
+                "invitation reached another process"
+            );
+            invited.insert(me);
+        }
+        assert_eq!(sampled.len(), 2);
+        assert_eq!(reported, sampled);
+        assert_eq!(invited, sampled);
+        assert_eq!(credited, sampled);
+        ever_sampled.extend(sampled);
+    }
+    assert!(
+        ever_sampled.iter().any(|&id| id >= 2),
+        "every cohort was {{0, 1}}: slots and ids never differed"
+    );
+
+    fleet.lock().unwrap().broadcast_bye();
+    for client in clients {
+        client.join().unwrap();
+    }
 }

@@ -1,14 +1,11 @@
-//! Live telemetry exposition over the wire: a v3 client scrapes a
-//! Prometheus snapshot reflecting real served traffic, a v2 connection
-//! keeps localizing but cannot scrape, and the metrics round trip stays
-//! parseable end to end.
+//! Live telemetry exposition over the wire: a client scrapes a Prometheus
+//! snapshot reflecting real served traffic, and the metrics round trip
+//! stays parseable end to end.
 
 use safeloc_dataset::{Building, BuildingDataset, DatasetConfig, DeviceCatalog};
 use safeloc_serve::{ModelKey, ModelRegistry, ServeConfig, Service};
 use safeloc_telemetry::parse_prometheus;
-use safeloc_wire::{
-    Frame, FrameConn, WireClient, WireError, WireServer, ERR_PROTOCOL, MIN_WIRE_SCHEMA, WIRE_SCHEMA,
-};
+use safeloc_wire::{WireClient, WireServer};
 use std::sync::Arc;
 
 fn fixture() -> (BuildingDataset, Arc<Service>) {
@@ -43,7 +40,6 @@ fn scrape_reflects_served_traffic_and_parses_back() {
     let server = WireServer::serve(Arc::clone(&service)).unwrap();
     let pool = safeloc_serve::request_pool(&data);
     let mut client = WireClient::connect(server.addr()).unwrap();
-    assert_eq!(client.schema(), WIRE_SCHEMA);
 
     let n_requests = 12.min(pool.len());
     for req in pool.iter().take(n_requests) {
@@ -81,67 +77,4 @@ fn scrape_reflects_served_traffic_and_parses_back() {
     // The connection is still a serving connection after the scrape.
     client.localize(&pool[0]).unwrap();
     client.bye();
-}
-
-#[test]
-fn v2_connection_localizes_but_cannot_scrape() {
-    let (data, service) = fixture();
-    let server = WireServer::serve(Arc::clone(&service)).unwrap();
-    let pool = safeloc_serve::request_pool(&data);
-
-    // Speak v2 by hand: Hello(v2) negotiates the connection down.
-    let mut conn = FrameConn::connect(server.addr()).unwrap();
-    conn.send(&Frame::Hello {
-        schema: MIN_WIRE_SCHEMA,
-    })
-    .unwrap();
-    assert_eq!(
-        conn.recv().unwrap(),
-        Frame::HelloAck {
-            schema: MIN_WIRE_SCHEMA
-        }
-    );
-
-    // Ordinary serving works on the downgraded connection.
-    let req = &pool[0];
-    conn.send(&Frame::LocalizeReq {
-        id: 1,
-        building: req.building as u32,
-        device: req.device.clone(),
-        rss_dbm: req.rss_dbm.clone(),
-    })
-    .unwrap();
-    assert!(matches!(
-        conn.recv().unwrap(),
-        Frame::LocalizeResp { id: 1, .. }
-    ));
-
-    // A metrics frame on a v2 connection is a protocol error.
-    conn.send(&Frame::MetricsRequest).unwrap();
-    match conn.recv().unwrap() {
-        Frame::Error { code, .. } => assert_eq!(code, ERR_PROTOCOL),
-        other => panic!("expected protocol error, got {}", other.kind()),
-    }
-}
-
-#[test]
-fn client_side_gate_refuses_scraping_below_v3() {
-    let (_, service) = fixture();
-    let server = WireServer::serve(Arc::clone(&service)).unwrap();
-    // A full client never negotiates below v3 against our own server, so
-    // fake the downgrade through the public schema gate.
-    let mut client = WireClient::connect(server.addr()).unwrap();
-    assert!(client.scrape_metrics().is_ok());
-    drop(client);
-
-    // Protocol-level check of the error the gate mirrors: the server
-    // refuses unknown-at-v2 frames rather than answering them.
-    let mut conn = FrameConn::connect(server.addr()).unwrap();
-    conn.send(&Frame::Hello { schema: 2 }).unwrap();
-    conn.recv().unwrap();
-    conn.send(&Frame::MetricsRequest).unwrap();
-    assert!(matches!(
-        conn.recv(),
-        Ok(Frame::Error { .. }) | Err(WireError::Io(_))
-    ));
 }

@@ -173,7 +173,6 @@ fn parent(argv: &[String]) {
     ));
     let wire = WireServer::serve(Arc::clone(&service)).expect("bind wire front");
     let mut client = WireClient::connect(wire.addr()).expect("connect");
-    println!("  negotiated wire schema v{}", client.schema());
     let burst = 40usize;
     {
         let _span = recorder.span("serving_burst", "serve");

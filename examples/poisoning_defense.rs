@@ -69,13 +69,11 @@ fn main() {
     // by a composed pipeline: clip update norms at 3x the round median,
     // then Krum-select among the bounded survivors.
     let mut composed = FedLoc::new(aps, rps, ServerConfig::default_scale(11));
-    composed
-        .set_aggregator(Box::new(DefensePipeline::new(
-            "norm-clip+krum",
-            vec![Box::new(NormClip::new(3.0))],
-            Box::new(Krum::new(1)),
-        )))
-        .expect("FEDLOC supports defense replacement");
+    composed.set_aggregator(Box::new(DefensePipeline::new(
+        "norm-clip+krum",
+        vec![Box::new(NormClip::new(3.0))],
+        Box::new(Krum::new(1)),
+    )));
     let composed_mean = attacked_mean(Box::new(composed), &data, rounds);
     println!("FEDLOC + norm-clip→Krum pipeline: mean error {composed_mean:.2} m\n");
 

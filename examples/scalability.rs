@@ -13,7 +13,7 @@ use safeloc_bench::SyntheticFleet;
 use safeloc_dataset::{Building, BuildingDataset, DatasetConfig};
 use safeloc_fl::{
     Client, ClientOutcome, CohortSampler, DefensePipeline, DeltaRepr, DeltaSpec, FlSession,
-    Framework, SequentialFlServer, ServerConfig, StreamingFlSession,
+    Framework, SequentialFlServer, ServerConfig,
 };
 use safeloc_metrics::{localization_errors, ErrorStats};
 
@@ -76,7 +76,8 @@ fn main() {
         Box::new(DefensePipeline::fedavg()),
         ServerConfig::tiny(),
     );
-    let mut session = StreamingFlSession::builder(Box::new(server), Box::new(fleet))
+    let mut session = FlSession::builder(Box::new(server))
+        .fleet(Box::new(fleet))
         .sampler(CohortSampler::uniform(COHORT, 9))
         .build();
     for _ in 0..2 {

@@ -182,7 +182,7 @@ fn compressed_rounds_are_bitwise_deterministic_across_thread_counts() {
                 .sampler(CohortSampler::uniform(3, 13))
                 .build();
             session.run(3);
-            let (framework, _, reports) = session.into_parts();
+            let (framework, reports) = session.into_parts();
             (framework.global_params(), reports)
         })
     };
@@ -225,7 +225,7 @@ fn subsampled_session_is_bitwise_deterministic_across_thread_counts() {
                 )
                 .build();
             session.run(3);
-            let (framework, _, reports) = session.into_parts();
+            let (framework, reports) = session.into_parts();
             (framework.global_params(), reports)
         })
     };

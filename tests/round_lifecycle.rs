@@ -75,7 +75,7 @@ fn full_participation_session_reproduces_manual_rounds_bitwise_for_all_seven() {
         // Full participation: every client appears in every report and
         // every update is either accepted or rejected by a named rule.
         for report in session.reports() {
-            assert_eq!(report.clients.len(), session.clients().len());
+            assert_eq!(report.clients.len(), session.fleet_len());
             assert_eq!(report.participants(), report.clients.len());
             assert_eq!(report.dropped() + report.straggled(), 0);
             assert_eq!(report.framework, template.name());
