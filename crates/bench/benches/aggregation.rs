@@ -1,11 +1,18 @@
 //! Server-side aggregation cost per strategy (supports Table I's overhead
-//! comparison: SAFELOC's saliency map vs. the baselines' rules).
+//! comparison: SAFELOC's saliency map vs. the baselines' rules), plus the
+//! city-scale screening round `benchmark/`'s `round_screen` times end to
+//! end, here without the frame decode around it.
 //!
 //! Run with `cargo bench -p safeloc-bench --bench aggregation`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use safeloc::SaliencyAggregator;
-use safeloc_fl::{Aggregator, ClientUpdate, DefensePipeline};
+use safeloc_fl::defense::{NonFiniteGuard, NormClip, TrimmedMean};
+use safeloc_fl::{
+    Aggregator, ClientUpdate, ClusterAggregator, DefensePipeline, Krum, LatentFilterAggregator,
+};
 use safeloc_nn::{Activation, HasParams, NamedParams, Sequential};
 
 fn updates(n_clients: usize) -> (NamedParams, Vec<ClientUpdate>) {
@@ -42,5 +49,69 @@ fn bench_aggregation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_aggregation);
+/// `round_screen`'s cohort shape over the paper-sized model: 256 updates
+/// around one honest direction, every tenth a ×10-boosted outlier pointing
+/// the other way — above `EXACT_SCREEN_MAX`, so the sampled-distance
+/// context, the recycled delta block and the block projection are what is
+/// timed.
+fn attacked_cohort(n_clients: usize) -> (NamedParams, Vec<ClientUpdate>) {
+    let global = Sequential::mlp(&[203, 128, 89, 62, 60], Activation::Relu, 0).snapshot();
+    let mut rng = StdRng::seed_from_u64(0x5C12EE);
+    let mut like_global = |scale: f32| {
+        let mut p = global.clone();
+        for (_, t) in p.iter_mut() {
+            t.as_mut_slice()
+                .iter_mut()
+                .for_each(|v| *v = rng.gen_range(-scale..scale));
+        }
+        p
+    };
+    let honest = like_global(0.05);
+    let updates = (0..n_clients)
+        .map(|i| {
+            let mut delta = like_global(0.02);
+            delta.axpy(1.0, &honest);
+            let mut lm = global.clone();
+            lm.axpy(if i % 10 == 3 { -10.0 } else { 1.0 }, &delta);
+            ClientUpdate::new(i, lm, 100)
+        })
+        .collect();
+    (global, updates)
+}
+
+fn bench_screening_256(c: &mut Criterion) {
+    let (global, ups) = attacked_cohort(256);
+    let mut group = c.benchmark_group("screening_256");
+    group.sample_size(10);
+    let mut pipelines = [
+        DefensePipeline::new(
+            "non-finite+norm-clip+cluster+latent+trimmed-mean",
+            vec![
+                Box::new(NonFiniteGuard),
+                Box::new(NormClip::default()),
+                Box::new(ClusterAggregator::default()),
+                Box::new(LatentFilterAggregator::new(0)),
+            ],
+            Box::new(TrimmedMean::new(0.1)),
+        ),
+        // Every boosted update is clipped, so Krum ranks clip-scaled
+        // distances — on the sampled block at this size.
+        DefensePipeline::new(
+            "norm-clip+krum",
+            vec![Box::new(NormClip::default())],
+            Box::new(Krum::new(26)),
+        ),
+    ];
+    for pipeline in &mut pipelines {
+        // Warm: the first round sizes the recycled buffers (and seeds the
+        // latent stage's benign history), as every round but a server's
+        // first finds them.
+        pipeline.aggregate(&global, &ups);
+        let label = pipeline.label().to_string();
+        group.bench_function(label, |b| b.iter(|| pipeline.aggregate(&global, &ups)));
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_aggregation, bench_screening_256);
 criterion_main!(benches);

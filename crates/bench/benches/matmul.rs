@@ -1,11 +1,12 @@
 //! Blocked kernels vs the preserved seed scalar kernels, on the paper's
-//! layer shapes (203→128→89→62→60 at batch 32).
+//! layer shapes (203→128→89→62→60 at batch 32), and the fixed-lane
+//! reduction kernels at the screening path's two row widths.
 //!
 //! Run with `cargo bench -p safeloc-bench --bench matmul`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use safeloc_bench::naive;
-use safeloc_nn::Matrix;
+use safeloc_nn::{kernels, Matrix};
 
 const BATCH: usize = 32;
 const DIMS: [usize; 5] = [203, 128, 89, 62, 60];
@@ -61,5 +62,31 @@ fn bench_transposed_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_matmul, bench_transposed_kernels);
+/// The screening path's `O(d)` reductions at its two row widths: the
+/// sampled block's `d′ = 2048` (L1-resident pairs, compute-bound) and the
+/// paper model's full `d = 46 953` delta row (streamed, memory-bound).
+fn bench_reductions(c: &mut Criterion) {
+    let mut group = c.benchmark_group("reductions");
+    for d in [2048, 46_953] {
+        let (a, b) = (fill(1, d, 6), fill(1, d, 7));
+        let (a, b) = (a.as_slice(), b.as_slice());
+        group.bench_function(format!("dot/{d}"), |bench| {
+            bench.iter(|| kernels::dot(black_box(a), black_box(b)))
+        });
+        group.bench_function(format!("sum_squares/{d}"), |bench| {
+            bench.iter(|| kernels::sum_squares(black_box(a)))
+        });
+        group.bench_function(format!("squared_distance/{d}"), |bench| {
+            bench.iter(|| kernels::squared_distance(black_box(a), black_box(b)))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_matmul,
+    bench_transposed_kernels,
+    bench_reductions
+);
 criterion_main!(benches);

@@ -2,7 +2,7 @@
 //! cluster — now a screening [`DefenseStage`] of the defense-pipeline API.
 
 use crate::defense::{DefenseStage, RoundContext, Verdicts};
-use safeloc_nn::Matrix;
+use safeloc_nn::kernels;
 
 /// Clustering defense following the paper's §II summary of FEDCC:
 /// "clustering techniques to group LMs based on gradient similarity,
@@ -44,20 +44,44 @@ impl Default for ClusterAggregator {
     }
 }
 
-fn cosine(a: &Matrix, b: &Matrix) -> f32 {
-    let dot = a.flat_dot(b);
-    let na = a.l2_norm();
-    let nb = b.l2_norm();
-    if na == 0.0 || nb == 0.0 {
-        0.0
+/// Cosine distance in `[0, 2]` between two vectors whose L2 norms the
+/// caller already holds (0 similarity when either norm is 0).
+fn cos_dist(a: &[f32], norm_a: f32, b: &[f32], norm_b: f32) -> f32 {
+    if norm_a == 0.0 || norm_b == 0.0 {
+        1.0
     } else {
-        dot / (na * nb)
+        1.0 - kernels::dot(a, b) / (norm_a * norm_b)
     }
 }
 
-/// Cosine distance in `[0, 2]`.
-fn cos_dist(a: &Matrix, b: &Matrix) -> f32 {
-    1.0 - cosine(a, b)
+/// A 2-means centroid with its L2 norm, taken once per pass instead of
+/// once per distance.
+struct Centroid {
+    values: Vec<f32>,
+    norm: f32,
+}
+
+impl Centroid {
+    fn new(values: Vec<f32>) -> Self {
+        let norm = kernels::sum_squares(&values).sqrt();
+        Self { values, norm }
+    }
+
+    /// Replaces the centroid with the mean of `members` (kept as is when
+    /// there are none).
+    fn recenter(&mut self, members: &[&[f32]]) {
+        if members.is_empty() {
+            return;
+        }
+        let weight = 1.0 / members.len() as f32;
+        self.values.fill(0.0);
+        for member in members {
+            for (c, v) in self.values.iter_mut().zip(*member) {
+                *c += weight * v;
+            }
+        }
+        self.norm = kernels::sum_squares(&self.values).sqrt();
+    }
 }
 
 impl DefenseStage for ClusterAggregator {
@@ -73,7 +97,6 @@ impl DefenseStage for ClusterAggregator {
             return;
         }
 
-        let deltas = ctx.deltas();
         // Deterministic 2-means seeding: the active pair with maximal
         // cosine distance becomes the initial centroids. All pairwise
         // cosine distances come from the shared round matrix (computed
@@ -94,43 +117,34 @@ impl DefenseStage for ClusterAggregator {
             return;
         }
 
-        let mut centroid_a = deltas[ca].clone();
-        let mut centroid_b = deltas[cb].clone();
+        // Each pass sweeps every delta twice (one dot per centroid): the
+        // delta norms are the round's cached `raw_norms`, the centroid
+        // norms are taken once per pass.
+        let (deltas, norms) = (ctx.deltas(), ctx.raw_norms());
+        let mut centroids = [
+            Centroid::new(deltas.row(ca).to_vec()),
+            Centroid::new(deltas.row(cb).to_vec()),
+        ];
+        let dist_to = |c: &Centroid, i: usize| cos_dist(deltas.row(i), norms[i], &c.values, c.norm);
         let mut assignment = vec![0u8; n];
         for _ in 0..10 {
             let mut changed = false;
             for (slot, &i) in active.iter().enumerate() {
-                let d = &deltas[i];
-                let side = if cos_dist(d, &centroid_a) <= cos_dist(d, &centroid_b) {
-                    0
-                } else {
-                    1
-                };
+                let nearer_a = dist_to(&centroids[0], i) <= dist_to(&centroids[1], i);
+                let side = if nearer_a { 0 } else { 1 };
                 if assignment[slot] != side {
                     assignment[slot] = side;
                     changed = true;
                 }
             }
-            // Recompute centroids.
-            for side in 0..2u8 {
-                let members: Vec<&Matrix> = active
+            for (side, centroid) in centroids.iter_mut().enumerate() {
+                let members: Vec<&[f32]> = active
                     .iter()
                     .zip(&assignment)
-                    .filter(|(_, &a)| a == side)
-                    .map(|(&i, _)| &deltas[i])
+                    .filter(|(_, &a)| usize::from(a) == side)
+                    .map(|(&i, _)| deltas.row(i))
                     .collect();
-                if members.is_empty() {
-                    continue;
-                }
-                let mut acc = members[0].scale(0.0);
-                for m in &members {
-                    acc.axpy(1.0 / members.len() as f32, m);
-                }
-                if side == 0 {
-                    centroid_a = acc;
-                } else {
-                    centroid_b = acc;
-                }
+                centroid.recenter(&members);
             }
             if !changed {
                 break;
@@ -139,14 +153,10 @@ impl DefenseStage for ClusterAggregator {
 
         let count_a = assignment.iter().filter(|&&a| a == 0).count();
         let majority: u8 = if count_a * 2 >= n { 0 } else { 1 };
-        let kept_centroid = if majority == 0 {
-            &centroid_a
-        } else {
-            &centroid_b
-        };
+        let kept = &centroids[usize::from(majority)];
         for (&i, &a) in active.iter().zip(&assignment) {
             if a != majority {
-                verdicts.reject(i, "cluster", cos_dist(&deltas[i], kept_centroid));
+                verdicts.reject(i, "cluster", dist_to(kept, i));
             }
         }
     }

@@ -13,6 +13,7 @@
 
 use crate::update::ClientUpdate;
 use rayon::prelude::*;
+use safeloc_nn::{kernels, Matrix};
 
 /// Pairs below this count are computed serially — thread spawn costs more
 /// than the distance arithmetic for tiny client fleets.
@@ -89,50 +90,52 @@ impl DistanceMatrix {
     }
 
     /// Squared L2 distances between *clip-scaled* update deltas:
-    /// `‖sᵢ·δᵢ − sⱼ·δⱼ‖²` for flattened deltas `δ` and per-update clip
-    /// scales `s`. This is the distance between the effective updates
-    /// `GM + sᵢ·δᵢ` a clipping stage admits — what a selection rule must
-    /// rank once any update has been norm-bounded, lest it score ghosts
-    /// the aggregation will never apply.
+    /// `‖sᵢ·δᵢ − sⱼ·δⱼ‖²` for the rows `δ` of the `n × d` delta block and
+    /// per-update clip scales `s`. This is the distance between the
+    /// effective updates `GM + sᵢ·δᵢ` a clipping stage admits — what a
+    /// selection rule must rank once any update has been norm-bounded,
+    /// lest it score ghosts the aggregation will never apply. Exact over
+    /// all `d` coordinates; rounds go through
+    /// [`RoundContext::with_squared_l2_scaled`](crate::defense::RoundContext::with_squared_l2_scaled),
+    /// which switches to the sampled block above `EXACT_SCREEN_MAX`.
     ///
     /// # Panics
     ///
-    /// Panics if `deltas` and `scales` lengths differ.
-    pub fn squared_l2_scaled(deltas: &[safeloc_nn::Matrix], scales: &[f32]) -> Self {
+    /// Panics if `deltas` has a different row count than `scales`.
+    pub fn squared_l2_scaled(deltas: &Matrix, scales: &[f32]) -> Self {
+        Self::squared_l2_scaled_into(deltas, scales, Vec::new())
+    }
+
+    /// [`squared_l2_scaled`](Self::squared_l2_scaled) into a reused buffer.
+    pub fn squared_l2_scaled_into(deltas: &Matrix, scales: &[f32], scratch: Vec<f32>) -> Self {
         assert_eq!(
-            deltas.len(),
+            deltas.rows(),
             scales.len(),
             "one clip scale per update delta"
         );
-        Self::build(deltas.len(), |i, j| {
-            deltas[i]
-                .as_slice()
-                .iter()
-                .zip(deltas[j].as_slice())
-                .map(|(&a, &b)| {
-                    let d = scales[i] * a - scales[j] * b;
-                    d * d
-                })
-                .sum()
+        Self::build_into(deltas.rows(), scratch, |i, j| {
+            kernels::squared_distance_scaled(deltas.row(i), scales[i], deltas.row(j), scales[j])
         })
     }
 
     /// Cosine distances (`1 − cos`) between flattened update deltas — the
-    /// metric FEDCC-style clustering groups by. `deltas` are the flattened
-    /// `LM − GM` rows.
-    pub fn cosine(deltas: &[safeloc_nn::Matrix]) -> Self {
+    /// metric FEDCC-style clustering groups by. `deltas` is the `n × d`
+    /// block of flattened `LM − GM` rows.
+    pub fn cosine(deltas: &Matrix) -> Self {
         Self::cosine_into(deltas, Vec::new())
     }
 
     /// [`cosine`](Self::cosine) into a reused buffer.
-    pub fn cosine_into(deltas: &[safeloc_nn::Matrix], scratch: Vec<f32>) -> Self {
-        let norms: Vec<f32> = deltas.iter().map(|d| d.l2_norm()).collect();
-        Self::build_into(deltas.len(), scratch, |i, j| {
+    pub fn cosine_into(deltas: &Matrix, scratch: Vec<f32>) -> Self {
+        let norms: Vec<f32> = (0..deltas.rows())
+            .map(|i| kernels::sum_squares(deltas.row(i)).sqrt())
+            .collect();
+        Self::build_into(deltas.rows(), scratch, |i, j| {
             let denom = norms[i] * norms[j];
             if denom == 0.0 {
                 1.0
             } else {
-                1.0 - deltas[i].flat_dot(&deltas[j]) / denom
+                1.0 - kernels::dot(deltas.row(i), deltas.row(j)) / denom
             }
         })
     }
@@ -223,7 +226,6 @@ fn unflatten(p: usize, n: usize) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use safeloc_nn::Matrix;
 
     #[test]
     fn condensed_layout_round_trips() {
@@ -279,11 +281,13 @@ mod tests {
 
     #[test]
     fn cosine_of_identical_directions_is_zero() {
-        let a = Matrix::row_vector(&[1.0, 0.0]);
-        let b = Matrix::row_vector(&[2.0, 0.0]);
-        let c = Matrix::row_vector(&[0.0, 3.0]);
-        let z = Matrix::row_vector(&[0.0, 0.0]);
-        let m = DistanceMatrix::cosine(&[a, b, c, z]);
+        let deltas = Matrix::from_rows(&[
+            vec![1.0, 0.0],
+            vec![2.0, 0.0],
+            vec![0.0, 3.0],
+            vec![0.0, 0.0],
+        ]);
+        let m = DistanceMatrix::cosine(&deltas);
         assert!(m.get(0, 1).abs() < 1e-6, "parallel vectors");
         assert!((m.get(0, 2) - 1.0).abs() < 1e-6, "orthogonal vectors");
         assert!((m.get(0, 3) - 1.0).abs() < 1e-6, "zero vector convention");

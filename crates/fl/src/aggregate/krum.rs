@@ -20,10 +20,11 @@ use safeloc_nn::NamedParams;
 /// common unclipped round, distances come from the round's shared
 /// [`RoundContext::squared_l2`] matrix; once any stage has clipped an
 /// update, distances are recomputed over the clip-scaled deltas
-/// ([`DistanceMatrix::squared_l2_scaled`]) so a boosted attacker cannot
-/// first be shrunk to the benign norm scale and then still be ranked —
-/// and selected — at its unclipped magnitude. The returned GM honors the
-/// selected update's clip scale either way.
+/// ([`RoundContext::with_squared_l2_scaled`], exact or sampled by the same
+/// round-size split) so a boosted attacker cannot first be shrunk to the
+/// benign norm scale and then still be ranked — and selected — at its
+/// unclipped magnitude. The returned GM honors the selected update's clip
+/// scale either way.
 #[derive(Debug, Clone, Copy)]
 pub struct Krum {
     /// Assumed number of malicious clients.
@@ -45,6 +46,31 @@ impl Default for Krum {
     }
 }
 
+/// Krum scores over one distance matrix: per active update, the sum of
+/// its `k` smallest distances to the other active updates. Returns the
+/// scores (parallel to `active`) and the update with the smallest one
+/// (the first on ties).
+fn rank(distances: &DistanceMatrix, active: &[usize], k: usize) -> (Vec<f32>, usize) {
+    let mut scores = Vec::with_capacity(active.len());
+    let mut best = (f32::INFINITY, active[0]);
+    let mut dists = Vec::with_capacity(active.len().saturating_sub(1));
+    for &i in active {
+        dists.clear();
+        for &j in active {
+            if j != i {
+                dists.push(distances.get(i, j));
+            }
+        }
+        dists.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        let score: f32 = dists.iter().take(k).sum();
+        scores.push(score);
+        if score < best.0 {
+            best = (score, i);
+        }
+    }
+    (scores, best.1)
+}
+
 impl Combiner for Krum {
     fn name(&self) -> &'static str {
         "krum"
@@ -56,47 +82,30 @@ impl Combiner for Krum {
             verdicts.set_weight(active[0], 1.0);
             return verdicts.effective(ctx, active[0]).into_owned();
         }
-        let n = active.len();
         // Number of closest neighbours to score against.
-        let k = n.saturating_sub(self.assumed_byzantine + 2).max(1);
+        let k = active
+            .len()
+            .saturating_sub(self.assumed_byzantine + 2)
+            .max(1);
         // One symmetric distance pass for the whole round, shared with any
         // other distance-reading stage. The seed recomputed all O(n²)
         // distances per candidate — O(n³·d) total; this is O(n²·d/2) once.
         // If an upstream stage clipped anything, score the clip-scaled
         // deltas instead — the updates aggregation will actually apply.
-        let scaled;
-        let distances = if active.iter().any(|&i| verdicts.scale(i) < 1.0) {
+        let (scores, selected) = if active.iter().any(|&i| verdicts.scale(i) < 1.0) {
             let scales: Vec<f32> = (0..ctx.len()).map(|i| verdicts.scale(i)).collect();
-            scaled = DistanceMatrix::squared_l2_scaled(ctx.deltas(), &scales);
-            &scaled
+            ctx.with_squared_l2_scaled(&scales, |distances| rank(distances, &active, k))
         } else {
-            ctx.squared_l2()
+            rank(ctx.squared_l2(), &active, k)
         };
-        let mut scores = Vec::with_capacity(n);
-        let mut best = (f32::INFINITY, active[0]);
-        let mut dists = Vec::with_capacity(n.saturating_sub(1));
-        for &i in &active {
-            dists.clear();
-            for &j in &active {
-                if j != i {
-                    dists.push(distances.get(i, j));
-                }
-            }
-            dists.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-            let score: f32 = dists.iter().take(k).sum();
-            scores.push(score);
-            if score < best.0 {
-                best = (score, i);
-            }
-        }
         for (&i, score) in active.iter().zip(scores) {
-            if i == best.1 {
+            if i == selected {
                 verdicts.set_weight(i, 1.0);
             } else {
                 verdicts.reject(i, "krum", score);
             }
         }
-        verdicts.effective(ctx, best.1).into_owned()
+        verdicts.effective(ctx, selected).into_owned()
     }
 
     fn clone_combiner(&self) -> Box<dyn Combiner> {
@@ -277,5 +286,59 @@ mod tests {
             w.get(0, 0),
             w.get(0, 1)
         );
+    }
+
+    /// Regression for the clipped-Krum cost cliff: one clipped update used
+    /// to send a round of any size through an exact all-pairs pass over
+    /// all `d` coordinates — the attacker chose the server's cost. Above
+    /// `EXACT_SCREEN_MAX` the clip-scaled distances now come from the
+    /// sampled block (pinned bitwise against the stride reference in
+    /// `defense/context.rs`), and on a cohort with a clear consensus they
+    /// select what the exact rule selects.
+    #[test]
+    fn clipped_large_rounds_select_what_the_exact_rule_selects() {
+        use crate::aggregate::test_support::{attacked_cohort, WIDE_SHAPES};
+        use crate::defense::{DefenseStage, NormClip, EXACT_SCREEN_MAX};
+        let n = 96;
+        assert!(n > EXACT_SCREEN_MAX);
+        let (g, mut u) = attacked_cohort(n, &WIDE_SHAPES, 5);
+        // A clear consensus: update 0 sits at the mean of the unboosted
+        // updates, half as far from each of them as they are from each
+        // other.
+        let benign: Vec<NamedParams> = u
+            .iter()
+            .filter(|u| u.client_id % 10 != 3 && u.client_id != 7)
+            .map(|u| u.params.clone())
+            .collect();
+        u[0].params = NamedParams::mean(&benign);
+        let f = n / 10;
+
+        // The exact rule, as `combine` ran it for every round size before
+        // the split: all pairs over all `d` clip-scaled coordinates.
+        let refs: Vec<&crate::ClientUpdate> = u.iter().collect();
+        let ctx = RoundContext::new(&g, &refs);
+        let mut verdicts = Verdicts::new(n);
+        NormClip::default().screen(&ctx, &mut verdicts);
+        let scales: Vec<f32> = (0..n).map(|i| verdicts.scale(i)).collect();
+        assert!(
+            scales[3] < 1.0 && scales[7] < 1.0 && scales[0] == 1.0,
+            "the fixture no longer clips its boosted updates"
+        );
+        let exact = DistanceMatrix::squared_l2_scaled(ctx.deltas(), &scales);
+        let (_, expected) = rank(&exact, &verdicts.active_indices(), n - f - 2);
+        assert_eq!(expected, 0, "the exact rule misses the planted consensus");
+
+        let mut clipped = DefensePipeline::new(
+            "norm-clip+krum",
+            vec![Box::new(NormClip::default())],
+            Box::new(Krum::new(f)),
+        );
+        let out = clipped.aggregate(&g, &u);
+        assert_eq!(out.accepted(), 1);
+        assert!(
+            out.decisions[expected].is_accepted(),
+            "sampled clipped Krum diverged from the exact selection"
+        );
+        assert_eq!(out.params, u[expected].params);
     }
 }

@@ -5,7 +5,6 @@
 use crate::defense::{DefenseStage, RoundContext, Verdicts};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use safeloc_nn::{Activation, Adam, Dense, Init, Matrix, MseLoss, Optimizer, Sequential};
 
 /// Latent-space update screening, following the paper's §II summary of
@@ -88,9 +87,8 @@ impl LatentFilterAggregator {
     const HISTORY_CAP: usize = 60;
 
     /// Builds (or rebuilds on dimension change) the random projection and
-    /// returns it, so callers can project many updates in parallel against
-    /// one shared matrix.
-    fn projection_for(&mut self, d: usize) -> &Matrix {
+    /// returns it.
+    pub(crate) fn projection_for(&mut self, d: usize) -> &Matrix {
         if self
             .projection
             .as_ref()
@@ -102,17 +100,6 @@ impl LatentFilterAggregator {
             self.projection = Some(Init::Uniform(scale).matrix(d, self.feature_dim, &mut rng));
         }
         self.projection.as_ref().expect("just built")
-    }
-
-    /// Feature rows of the active updates: the shared flattened deltas,
-    /// random-projected (in parallel against the shared projection).
-    fn project_active(&mut self, ctx: &RoundContext<'_>, active: &[usize]) -> Vec<Vec<f32>> {
-        let projection = self.projection_for(ctx.global().num_params());
-        let deltas = ctx.deltas();
-        active
-            .par_iter()
-            .map(|&i| deltas[i].matmul(projection).into_vec())
-            .collect()
     }
 
     /// Appends an accepted feature row (and its raw norm) to the benign
@@ -139,11 +126,10 @@ impl LatentFilterAggregator {
     /// distribution is rejected.
     fn screen_small_round(
         &mut self,
-        ctx: &RoundContext<'_>,
+        raw_rows: &[Vec<f32>],
         active: &[usize],
         verdicts: &mut Verdicts,
     ) {
-        let raw_rows = self.project_active(ctx, active);
         let raw_norms: Vec<f32> = raw_rows.iter().map(|r| row_norm(r)).collect();
         let benign_scale = median_lower(&self.history_norms).max(1e-9);
         let rows: Vec<Vec<f32>> = raw_rows
@@ -162,6 +148,17 @@ impl LatentFilterAggregator {
             }
         }
     }
+}
+
+/// Feature rows of the active updates: the round's shared delta block,
+/// random-projected by **one** kernel call, active rows picked out. The
+/// tall `d × feature_dim` projection is thereby streamed from memory once
+/// per round (the kernel blocks over `d`) instead of once per update;
+/// a row's features depend on that row alone, so projecting the
+/// already-rejected rows along changes nothing but a little arithmetic.
+fn project_active(ctx: &RoundContext<'_>, projection: &Matrix, active: &[usize]) -> Vec<Vec<f32>> {
+    let features = ctx.deltas().matmul(projection);
+    active.iter().map(|&i| features.row(i).to_vec()).collect()
 }
 
 /// Norm ratio past which an unscreened bootstrap row is kept *out* of a
@@ -275,6 +272,26 @@ impl DefenseStage for LatentFilterAggregator {
         if active.is_empty() {
             return;
         }
+        let projection = self.projection_for(ctx.global().num_params());
+        let raw_rows = project_active(ctx, projection, &active);
+        self.screen_features(raw_rows, &active, verdicts);
+    }
+
+    fn clone_stage(&self) -> Box<dyn DefenseStage> {
+        Box::new(self.clone())
+    }
+}
+
+impl LatentFilterAggregator {
+    /// The stage proper, past the projection: screens the active updates
+    /// by their raw feature rows (`raw_rows[slot]` for update
+    /// `active[slot]`).
+    pub(crate) fn screen_features(
+        &mut self,
+        raw_rows: Vec<Vec<f32>>,
+        active: &[usize],
+        verdicts: &mut Verdicts,
+    ) {
         if active.len() < Self::MIN_ROUND {
             // The round is too small to fit the AE (or any within-round
             // statistic). With accumulated benign history the updates are
@@ -286,7 +303,6 @@ impl DefenseStage for LatentFilterAggregator {
             // cohorts still bootstraps a history and starts screening
             // within a couple of rounds.
             if self.history.len() < Self::MIN_FALLBACK_HISTORY {
-                let raw_rows = self.project_active(ctx, &active);
                 let norms: Vec<f32> = raw_rows.iter().map(|r| row_norm(r)).collect();
                 // Boost suspects are still accepted (nothing to screen
                 // against yet) but never recorded as benign.
@@ -295,16 +311,13 @@ impl DefenseStage for LatentFilterAggregator {
                 }
                 return;
             }
-            self.screen_small_round(ctx, &active, verdicts);
+            self.screen_small_round(&raw_rows, active, verdicts);
             return;
         }
 
         // Feature matrix: one row per update, scaled by the round's median
         // row norm so magnitudes stay comparable across rounds while
-        // preserving outlier magnitude *within* the round. Each update's
-        // delta-flatten-project chain is independent, so the fleet is
-        // projected in parallel against the shared projection matrix.
-        let raw_rows = self.project_active(ctx, &active);
+        // preserving outlier magnitude *within* the round.
         let raw_norms: Vec<f32> = raw_rows.iter().map(|r| row_norm(r)).collect();
         let median_norm = median(&raw_norms).max(1e-9);
         let rows: Vec<Vec<f32>> = raw_rows
@@ -371,10 +384,6 @@ impl DefenseStage for LatentFilterAggregator {
                 verdicts.reject(i, "latent", score);
             }
         }
-    }
-
-    fn clone_stage(&self) -> Box<dyn DefenseStage> {
-        Box::new(self.clone())
     }
 }
 
@@ -463,11 +472,7 @@ impl DefenseStage for HistoryScreen {
             return;
         }
         let projection = self.projection_for(ctx.global().num_params());
-        let deltas = ctx.deltas();
-        let raw_rows: Vec<Vec<f32>> = active
-            .par_iter()
-            .map(|&i| deltas[i].matmul(projection).into_vec())
-            .collect();
+        let raw_rows = project_active(ctx, projection, &active);
         let raw_norms: Vec<f32> = raw_rows.iter().map(|r| row_norm(r)).collect();
 
         if self.history.len() < self.min_history {

@@ -23,20 +23,32 @@
 //! bitwise-identical for any thread count. This keeps Krum/Cluster-style
 //! screening `O(n²·d′)` instead of `O(n²·d)` at city-scale cohorts.
 //!
+//! The sampled block reads its coordinates *in place*: the stride is
+//! resolved to `(tensor, offset)` once and only those `d′` elements of each
+//! update are subtracted — no delta pass, and no dependence on
+//! [`RoundContext::deltas`], so a Krum-only city-scale round never
+//! materializes `n × d`. Clip-scaled distances
+//! ([`RoundContext::with_squared_l2_scaled`], what Krum ranks once a stage
+//! has clipped anything) obey the same split; an attacker who gets itself
+//! clipped cannot push the server back onto the `O(n²·d)` path.
+//!
 //! # Buffer reuse
 //!
-//! The O(n²) distance triangles are the round's largest screening
+//! The `n × d` delta block (48 MB at 256 paper-sized updates) and the
+//! O(n²) distance triangles are the round's largest screening
 //! allocations; a [`DistanceScratch`] carries them across rounds
 //! ([`RoundContext::with_scratch`] → [`RoundContext::reclaim_scratch`]),
-//! so steady-state rounds reallocate nothing. Reuse never changes a
-//! value — warm-scratch rounds are bitwise-identical to cold ones.
+//! so steady-state rounds reallocate — and page-fault — nothing. Reuse
+//! never changes a value: every buffer is cleared or fully overwritten
+//! before it is read, so warm-scratch rounds are bitwise-identical to cold
+//! ones whatever the previous round's size or model width.
 
 use crate::aggregate::DistanceMatrix;
 use crate::update::ClientUpdate;
 use rayon::prelude::*;
-use safeloc_nn::{Matrix, NamedParams};
+use safeloc_nn::{kernels, Matrix, NamedParams};
 use std::borrow::Cow;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Largest round screened through the exact distance paths; bigger rounds
 /// use the deterministic coordinate subsample (see the module docs).
@@ -45,19 +57,38 @@ pub const EXACT_SCREEN_MAX: usize = 64;
 /// Coordinate budget per update for sampled screening distances.
 pub const SCREEN_SAMPLE_DIM: usize = 2048;
 
-/// Reusable buffers for the per-round O(n²) distance triangles, carried
-/// across rounds by the owning pipeline.
-#[derive(Debug, Default, Clone)]
+/// Reusable buffers for the per-round delta block and O(n²) distance
+/// triangles, carried across rounds by the owning pipeline. Deliberately
+/// not `Clone`: the buffers are a cache, and a cloned pipeline starts cold
+/// rather than copying tens of megabytes of recycled block.
+#[derive(Debug, Default)]
 pub struct DistanceScratch {
+    deltas: Vec<f32>,
     squared_l2: Vec<f32>,
+    squared_l2_scaled: Vec<f32>,
     cosine: Vec<f32>,
+}
+
+#[cfg(test)]
+impl DistanceScratch {
+    /// Total floats held across the recycled buffers (0 for a cold scratch).
+    pub(crate) fn capacity(&self) -> usize {
+        [
+            &self.deltas,
+            &self.squared_l2,
+            &self.squared_l2_scaled,
+            &self.cosine,
+        ]
+        .iter()
+        .map(|b| b.capacity())
+        .sum()
+    }
 }
 
 /// The `n × d′` stride-subsampled delta block sampled screening computes
 /// distances on.
 struct SampledDeltas {
-    rows: Vec<f32>,
-    d_prime: usize,
+    block: Matrix,
     /// `d / d′` — the unbiased rescale for sampled squared distances.
     scale: f32,
 }
@@ -71,7 +102,7 @@ struct SampledDeltas {
 pub struct RoundContext<'a> {
     global: &'a NamedParams,
     updates: &'a [&'a ClientUpdate],
-    deltas: OnceLock<Vec<Matrix>>,
+    deltas: OnceLock<Matrix>,
     raw_norms: OnceLock<Vec<f32>>,
     squared_l2: OnceLock<DistanceMatrix>,
     cosine: OnceLock<DistanceMatrix>,
@@ -85,7 +116,7 @@ impl<'a> RoundContext<'a> {
         Self::with_scratch(global, updates, DistanceScratch::default())
     }
 
-    /// [`new`](Self::new), reusing a previous round's distance buffers.
+    /// [`new`](Self::new), reusing a previous round's buffers.
     pub fn with_scratch(
         global: &'a NamedParams,
         updates: &'a [&'a ClientUpdate],
@@ -103,10 +134,17 @@ impl<'a> RoundContext<'a> {
         }
     }
 
-    /// Dismantles the context, handing its distance buffers back for the
-    /// next round.
+    /// Dismantles the context, handing its buffers back for the next
+    /// round.
     pub fn reclaim_scratch(self) -> DistanceScratch {
-        let mut scratch = self.scratch.into_inner().expect("scratch lock poisoned");
+        // A poisoned lock is recovered, not propagated: see `lock_scratch`.
+        let mut scratch = self
+            .scratch
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(m) = self.deltas.into_inner() {
+            scratch.deltas = m.into_vec();
+        }
         if let Some(m) = self.squared_l2.into_inner() {
             scratch.squared_l2 = m.into_values();
         }
@@ -136,24 +174,36 @@ impl<'a> RoundContext<'a> {
         self.updates.is_empty()
     }
 
-    /// Flattened update deltas `LM_i − GM`, one `1 × num_params` row per
-    /// update, computed in parallel on first use. This is the
-    /// representation the clustering split and the latent projection both
-    /// read.
-    pub fn deltas(&self) -> &[Matrix] {
+    /// Flattened update deltas `LM_i − GM` as one contiguous
+    /// `n × num_params` block, row `i` for update `i`, written straight
+    /// from the parameters (rows in parallel) on first use into the
+    /// recycled buffer. This is the representation the clustering split
+    /// and the latent projection both read.
+    pub fn deltas(&self) -> &Matrix {
         self.deltas.get_or_init(|| {
-            self.updates
-                .par_iter()
-                .map(|u| u.params.delta(self.global).flatten())
-                .collect()
+            let (n, d) = (self.updates.len(), self.global.num_params());
+            let mut block = std::mem::take(&mut self.lock_scratch().deltas);
+            // Not cleared first: every element of the `n·d` prefix is
+            // overwritten below, and skipping the clear skips a 48 MB
+            // zero-fill of memory about to be written anyway.
+            block.resize(n * d, 0.0);
+            let mut rows: Vec<(&mut [f32], &&ClientUpdate)> =
+                block.chunks_mut(d.max(1)).zip(self.updates).collect();
+            rows.par_iter_mut()
+                .for_each(|(row, u)| u.params.delta_flat_into(self.global, row));
+            Matrix::from_vec(n, d, block).expect("n·d elements by construction")
         })
     }
 
     /// L2 norm of each update's delta (the magnitude a norm-bounding stage
     /// screens, and the quantity a boost attack inflates).
     pub fn raw_norms(&self) -> &[f32] {
-        self.raw_norms
-            .get_or_init(|| self.deltas().iter().map(|d| d.l2_norm()).collect())
+        self.raw_norms.get_or_init(|| {
+            let deltas = self.deltas();
+            (0..deltas.rows())
+                .map(|i| kernels::sum_squares(deltas.row(i)).sqrt())
+                .collect()
+        })
     }
 
     /// Pairwise squared-L2 distances between update parameters — the
@@ -167,21 +217,42 @@ impl<'a> RoundContext<'a> {
                 return DistanceMatrix::squared_l2_into(self.updates, scratch);
             }
             let s = self.sampled();
-            let (rows, d_prime, scale) = (&s.rows, s.d_prime, s.scale);
             DistanceMatrix::build_into(self.updates.len(), scratch, |i, j| {
-                let a = &rows[i * d_prime..(i + 1) * d_prime];
-                let b = &rows[j * d_prime..(j + 1) * d_prime];
-                let sum: f32 = a
-                    .iter()
-                    .zip(b)
-                    .map(|(&x, &y)| {
-                        let d = x - y;
-                        d * d
-                    })
-                    .sum();
-                sum * scale
+                kernels::squared_distance(s.block.row(i), s.block.row(j)) * s.scale
             })
         })
+    }
+
+    /// Runs `read` on the pairwise squared-L2 distances between
+    /// *clip-scaled* deltas, `‖sᵢ·δᵢ − sⱼ·δⱼ‖²` — what a selection rule
+    /// ranks once a stage has clipped anything (see
+    /// [`DistanceMatrix::squared_l2_scaled`]). Same exact / sampled split
+    /// as [`squared_l2`](Self::squared_l2). Not cached — the scales are the
+    /// caller's — but built into a recycled buffer that goes back to the
+    /// scratch when `read` returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is exactly one scale per update.
+    pub fn with_squared_l2_scaled<R>(
+        &self,
+        scales: &[f32],
+        read: impl FnOnce(&DistanceMatrix) -> R,
+    ) -> R {
+        assert_eq!(scales.len(), self.len(), "one clip scale per update");
+        let scratch = std::mem::take(&mut self.lock_scratch().squared_l2_scaled);
+        let distances = if self.updates.len() <= EXACT_SCREEN_MAX {
+            DistanceMatrix::squared_l2_scaled_into(self.deltas(), scales, scratch)
+        } else {
+            let s = self.sampled();
+            DistanceMatrix::build_into(self.updates.len(), scratch, |i, j| {
+                let (a, b) = (s.block.row(i), s.block.row(j));
+                kernels::squared_distance_scaled(a, scales[i], b, scales[j]) * s.scale
+            })
+        };
+        let out = read(&distances);
+        self.lock_scratch().squared_l2_scaled = distances.into_values();
+        out
     }
 
     /// Pairwise cosine distances between update deltas — the metric the
@@ -191,59 +262,67 @@ impl<'a> RoundContext<'a> {
     pub fn cosine(&self) -> &DistanceMatrix {
         self.cosine.get_or_init(|| {
             let scratch = std::mem::take(&mut self.lock_scratch().cosine);
-            if self.updates.len() <= EXACT_SCREEN_MAX {
-                return DistanceMatrix::cosine_into(self.deltas(), scratch);
-            }
-            let s = self.sampled();
-            let (rows, d_prime) = (&s.rows, s.d_prime);
-            let norms: Vec<f32> = rows
-                .chunks(d_prime)
-                .map(|r| r.iter().map(|&v| v * v).sum::<f32>().sqrt())
-                .collect();
-            DistanceMatrix::build_into(self.updates.len(), scratch, |i, j| {
-                let denom = norms[i] * norms[j];
-                if denom == 0.0 {
-                    return 1.0;
-                }
-                let a = &rows[i * d_prime..(i + 1) * d_prime];
-                let b = &rows[j * d_prime..(j + 1) * d_prime];
-                let dot: f32 = a.iter().zip(b).map(|(&x, &y)| x * y).sum();
-                1.0 - dot / denom
-            })
+            let rows = if self.updates.len() <= EXACT_SCREEN_MAX {
+                self.deltas()
+            } else {
+                &self.sampled().block
+            };
+            DistanceMatrix::cosine_into(rows, scratch)
         })
     }
 
-    fn lock_scratch(&self) -> std::sync::MutexGuard<'_, DistanceScratch> {
-        self.scratch.lock().expect("scratch lock poisoned")
+    /// The scratch buffers. A poisoned lock is recovered rather than
+    /// propagated: every buffer is cleared or fully overwritten before it
+    /// is read, so whatever a panicking round left behind is harmless —
+    /// and one stage's panic must not turn every later round of the
+    /// pipeline into a panic.
+    fn lock_scratch(&self) -> MutexGuard<'_, DistanceScratch> {
+        self.scratch.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The `n × d′` subsampled delta block (built once). Coordinates are a
     /// deterministic stride `⌊j·d/d′⌋` over each flattened delta, so two
-    /// runs — at any thread count — sample identical coordinates.
+    /// runs — at any thread count — sample identical coordinates. The
+    /// stride is resolved to `(tensor, offset)` once and each update
+    /// contributes only those `d′` subtractions (the values a full
+    /// `LM − GM` pass would produce at the sampled positions, without the
+    /// pass).
     fn sampled(&self) -> &SampledDeltas {
         self.sampled.get_or_init(|| {
-            let d = self.global.num_params().max(1);
+            let num_params = self.global.num_params();
+            let d = num_params.max(1);
             let d_prime = d.min(SCREEN_SAMPLE_DIM);
-            let per_update: Vec<Vec<f32>> = self
-                .updates
-                .par_iter()
-                .map(|u| {
-                    let flat = u.params.delta(self.global).flatten();
-                    let s = flat.as_slice();
-                    // `get` only misses for a zero-parameter model (d was
-                    // clamped to 1); its "delta" samples as zero.
-                    (0..d_prime)
-                        .map(|j| s.get(j * d / d_prime).copied().unwrap_or(0.0))
-                        .collect()
+            // The stride, resolved once to `(tensor, offset, GM value)`.
+            // Empty only for a zero-parameter model (`d` was clamped to 1),
+            // whose "delta" samples as zero.
+            let gm: Vec<&[f32]> = self.global.iter().map(|(_, t)| t.as_slice()).collect();
+            let (mut tensor, mut start) = (0, 0);
+            let picks: Vec<(usize, usize, f32)> = (0..d_prime.min(num_params))
+                .map(|j| {
+                    let flat = j * d / d_prime;
+                    while flat >= start + gm[tensor].len() {
+                        start += gm[tensor].len();
+                        tensor += 1;
+                    }
+                    (tensor, flat - start, gm[tensor][flat - start])
                 })
                 .collect();
-            let mut rows = Vec::with_capacity(self.updates.len() * d_prime);
-            for r in per_update {
-                rows.extend(r);
-            }
+            let mut rows = vec![0.0f32; self.updates.len() * d_prime];
+            let mut per_update: Vec<(&mut [f32], &&ClientUpdate)> =
+                rows.chunks_mut(d_prime).zip(self.updates).collect();
+            per_update.par_iter_mut().for_each(|(row, u)| {
+                assert!(
+                    u.params.same_arch(self.global),
+                    "delta: architecture mismatch"
+                );
+                let lm: Vec<&[f32]> = u.params.iter().map(|(_, t)| t.as_slice()).collect();
+                for (slot, &(tensor, offset, gm_value)) in row.iter_mut().zip(&picks) {
+                    *slot = lm[tensor][offset] - gm_value;
+                }
+            });
             SampledDeltas {
-                rows,
-                d_prime,
+                block: Matrix::from_vec(self.updates.len(), d_prime, rows)
+                    .expect("n·d′ elements by construction"),
                 scale: d as f32 / d_prime as f32,
             }
         })
@@ -268,7 +347,7 @@ impl<'a> RoundContext<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::test_support::{params, update};
+    use crate::aggregate::test_support::{attacked_cohort, params, update, WIDE_SHAPES};
 
     #[test]
     fn deltas_and_norms_match_direct_computation() {
@@ -280,8 +359,8 @@ mod tests {
         let refs: Vec<&ClientUpdate> = u.iter().collect();
         let ctx = RoundContext::new(&g, &refs);
         assert_eq!(ctx.len(), 2);
-        assert_eq!(ctx.deltas()[0].as_slice(), &[1.0, 0.0, 0.0]);
-        assert_eq!(ctx.deltas()[1].as_slice(), &[0.0, 3.0, 3.0]);
+        assert_eq!(ctx.deltas().row(0), &[1.0, 0.0, 0.0]);
+        assert_eq!(ctx.deltas().row(1), &[0.0, 3.0, 3.0]);
         let expected: f32 = (9.0f32 + 9.0).sqrt();
         assert!((ctx.raw_norms()[1] - expected).abs() < 1e-6);
         // Distance matrices agree with the direct constructors.
@@ -299,14 +378,116 @@ mod tests {
             .collect();
         let refs: Vec<&ClientUpdate> = u.iter().collect();
 
+        let scales = [1.0, 0.5, 1.0, 0.25, 1.0, 1.0];
+
         let cold = RoundContext::new(&g, &refs);
         let cold_l2 = cold.squared_l2().clone();
         let cold_cos = cold.cosine().clone();
+        let cold_deltas = cold.deltas().clone();
+        let cold_scaled = cold.with_squared_l2_scaled(&scales, DistanceMatrix::clone);
         let scratch = cold.reclaim_scratch();
+        assert!(scratch.capacity() > 0, "nothing was handed back");
 
         let warm = RoundContext::with_scratch(&g, &refs, scratch);
         assert_eq!(*warm.squared_l2(), cold_l2, "warm L2 diverged");
         assert_eq!(*warm.cosine(), cold_cos, "warm cosine diverged");
+        assert_eq!(*warm.deltas(), cold_deltas, "warm delta block diverged");
+        // Twice: the second build reuses the buffer the first gave back.
+        for _ in 0..2 {
+            assert_eq!(
+                warm.with_squared_l2_scaled(&scales, DistanceMatrix::clone),
+                cold_scaled,
+                "warm scaled L2 diverged"
+            );
+        }
+    }
+
+    /// A stage that panics while it holds the scratch lock must not turn
+    /// the rest of the round — or any later round off the same buffers —
+    /// into a panic.
+    #[test]
+    fn a_poisoned_scratch_lock_is_recovered() {
+        let g = params(&[0.5, -0.5], &[0.1]);
+        let u: Vec<ClientUpdate> = (0..4)
+            .map(|i| update(i, &[i as f32, 1.0], &[0.5]))
+            .collect();
+        let refs: Vec<&ClientUpdate> = u.iter().collect();
+        let ctx = RoundContext::new(&g, &refs);
+        let expected = ctx.squared_l2().clone();
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _held = ctx.scratch.lock().expect("not poisoned yet");
+                panic!("a stage panicked mid-build (expected by this test)");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(ctx.scratch.is_poisoned());
+        let cosine = ctx.cosine().clone();
+        let next = RoundContext::with_scratch(&g, &refs, ctx.reclaim_scratch());
+        assert_eq!(*next.squared_l2(), expected);
+        assert_eq!(*next.cosine(), cosine);
+    }
+
+    /// A reference for the sampled block: the parent implementation's full
+    /// `LM − GM` pass per update, flattened, then strided.
+    fn delta_pass_sample(g: &NamedParams, u: &ClientUpdate) -> Vec<f32> {
+        let flat = u.params.delta(g).flatten().into_vec();
+        let d_prime = flat.len().min(SCREEN_SAMPLE_DIM);
+        (0..d_prime)
+            .map(|j| flat[j * flat.len() / d_prime])
+            .collect()
+    }
+
+    /// Sampled rounds read their `d′` coordinates in place; the values —
+    /// and so every sampled distance, plain, cosine and clip-scaled — must
+    /// be the ones the delta pass produced, and none of it may
+    /// materialize the `n × d` block.
+    #[test]
+    fn sampled_distances_match_the_delta_pass_reference_bitwise() {
+        let n = 96;
+        let (g, u) = attacked_cohort(n, &WIDE_SHAPES, 17);
+        let refs: Vec<&ClientUpdate> = u.iter().collect();
+        let rows: Vec<Vec<f32>> = u.iter().map(|u| delta_pass_sample(&g, u)).collect();
+        let d = g.num_params();
+        assert!(
+            d > SCREEN_SAMPLE_DIM,
+            "the fixture must be a proper subsample"
+        );
+        let rescale = d as f32 / SCREEN_SAMPLE_DIM as f32;
+        // One boosted update clipped, as `NormClip` would leave the round.
+        let mut scales = vec![1.0f32; n];
+        scales[3] = 0.3;
+
+        let ctx = RoundContext::new(&g, &refs);
+        let expected_l2 = DistanceMatrix::build(n, |i, j| {
+            kernels::squared_distance(&rows[i], &rows[j]) * rescale
+        });
+        let expected_scaled = DistanceMatrix::build(n, |i, j| {
+            kernels::squared_distance_scaled(&rows[i], scales[i], &rows[j], scales[j]) * rescale
+        });
+        let expected_cos = DistanceMatrix::cosine(&Matrix::from_rows(&rows));
+        assert_eq!(*ctx.squared_l2(), expected_l2);
+        assert_eq!(*ctx.cosine(), expected_cos);
+        ctx.with_squared_l2_scaled(&scales, |m| assert_eq!(*m, expected_scaled));
+        assert!(
+            ctx.deltas.get().is_none(),
+            "a sampled distance materialized the n × d delta block"
+        );
+    }
+
+    /// Up to the threshold the clip-scaled distances are the exact
+    /// all-coordinate ones, bit for bit what `Krum` computed before the
+    /// split existed.
+    #[test]
+    fn scaled_distances_at_the_threshold_are_the_exact_ones_bitwise() {
+        let n = EXACT_SCREEN_MAX;
+        let (g, u) = attacked_cohort(n, &WIDE_SHAPES, 23);
+        let refs: Vec<&ClientUpdate> = u.iter().collect();
+        let mut scales = vec![1.0f32; n];
+        scales[3] = 0.3;
+        let ctx = RoundContext::new(&g, &refs);
+        let exact = DistanceMatrix::squared_l2_scaled(ctx.deltas(), &scales);
+        ctx.with_squared_l2_scaled(&scales, |m| assert_eq!(*m, exact));
     }
 
     /// Large rounds over a model no wider than the sample budget: the
@@ -327,12 +508,12 @@ mod tests {
         let sampled_l2 = ctx.squared_l2();
         let sampled_cos = ctx.cosine();
         let exact_l2 = DistanceMatrix::squared_l2(&refs);
-        let exact_cos = DistanceMatrix::cosine(
+        let exact_cos = DistanceMatrix::cosine(&Matrix::from_rows(
             &refs
                 .iter()
-                .map(|r| r.params.delta(&g).flatten())
+                .map(|r| r.params.delta(&g).flatten().into_vec())
                 .collect::<Vec<_>>(),
-        );
+        ));
         for i in 0..n {
             for j in 0..n {
                 assert!(

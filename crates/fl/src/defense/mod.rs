@@ -54,6 +54,8 @@
 //! ```
 
 mod context;
+#[cfg(test)]
+mod oracles;
 mod robust;
 mod stages;
 mod verdicts;
@@ -121,15 +123,29 @@ impl Clone for Box<dyn Combiner> {
 
 /// An ordered stage list plus a terminal combiner — the composable form
 /// every server-side defense now takes (see the module docs).
-#[derive(Clone)]
 pub struct DefensePipeline {
     label: String,
     stages: Vec<Box<dyn DefenseStage>>,
     combiner: Box<dyn Combiner>,
     last_telemetry: Vec<StageTelemetry>,
-    /// Distance buffers reused across rounds — reuse is bitwise-neutral
-    /// (see [`DistanceScratch`]).
+    /// Delta-block and distance buffers reused across rounds — reuse is
+    /// bitwise-neutral (see [`DistanceScratch`]).
     scratch: DistanceScratch,
+}
+
+impl Clone for DefensePipeline {
+    /// Clones the rules and their state; the clone's scratch starts cold
+    /// (frameworks clone pipelines freely, and a warm scratch is tens of
+    /// megabytes of cache that reuse never needs copied).
+    fn clone(&self) -> Self {
+        Self {
+            label: self.label.clone(),
+            stages: self.stages.clone(),
+            combiner: self.combiner.clone(),
+            last_telemetry: self.last_telemetry.clone(),
+            scratch: DistanceScratch::default(),
+        }
+    }
 }
 
 impl std::fmt::Debug for DefensePipeline {

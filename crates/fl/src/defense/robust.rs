@@ -118,7 +118,11 @@ impl Combiner for TrimmedMean {
             .min(n.saturating_sub(1) / 2);
         let sources = effective_active(ctx, verdicts, &active);
         let params = coordinate_wise(ctx, &sources, |values| {
-            values.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+            // Unstable, total order: updates reaching a combiner are finite,
+            // and equal values are interchangeable in a sum (`-0.0` now
+            // sorts before `0.0`, which can only flip the sign of an
+            // all-zero sum).
+            values.sort_unstable_by(f32::total_cmp);
             let kept = &values[t..values.len() - t];
             kept.iter().sum::<f32>() / kept.len() as f32
         });

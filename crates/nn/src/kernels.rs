@@ -1,9 +1,12 @@
 //! Register-blocked, autovectorization-friendly matrix kernels.
 //!
 //! These slice-level kernels are the only place in the workspace that
-//! multiplies matrices; [`Matrix`](crate::Matrix) methods and every layer
-//! above them route here. Three design rules, all driven by profiles of the
-//! paper-sized (203→128→89→62→60) training step on AVX2/AVX-512 hardware:
+//! multiplies matrices or reduces an `O(d)` vector to a scalar;
+//! [`Matrix`](crate::Matrix) methods and every layer above them route
+//! here. Five design rules, the first three driven by profiles of the
+//! paper-sized (203→128→89→62→60) training step on AVX2/AVX-512 hardware,
+//! the last two by the 256-client screening round (`46 953`-coordinate
+//! deltas):
 //!
 //! 1. **Write into caller-owned buffers.** The seed implementation
 //!    allocated (and zeroed) a fresh output for every product; at batch 32
@@ -18,6 +21,29 @@
 //! 3. **Block columns for L1.** Column ranges are walked in `NC`-sized
 //!    blocks so the four active `b` rows and the output block stay
 //!    L1-resident across the reduction.
+//! 4. **Reduce in fixed lanes.** `iter().map(..).sum::<f32>()` is one
+//!    strict-order add chain: it cannot vectorize, and runs at the FP-add
+//!    latency (~4 cycles per float). [`dot`], [`sum_squares`],
+//!    [`squared_distance`] and [`squared_distance_scaled`] instead keep
+//!    `LANES` independent partial sums — element `i` always lands in lane
+//!    `i mod LANES` — and fold them in one fixed order. The lane count is a
+//!    constant of the algorithm, *not* the machine's vector width: the
+//!    compiler maps the lanes onto whatever registers the target has, but
+//!    which elements meet in which partial sum never changes, so a result
+//!    is identical for every target CPU and every thread count (threads
+//!    only ever split *rows* between reductions, never one reduction). No
+//!    `cfg(target_feature)`, no runtime dispatch, no scalar twin.
+//! 5. **Block long reductions.** [`matmul_into`] walks `k` in `KC`-row
+//!    blocks, outermost, so each block of `b` is swept by every output row
+//!    before the next one is touched: a tall `b` (the latent stages'
+//!    `46 953 × 32` projection, 6 MB) streams from memory once per call
+//!    instead of once per output row block. `KC` is a multiple of 4, so a
+//!    block's 4-step reduction groups *are* the un-blocked loop's groups
+//!    and every output element adds them in the same ascending order:
+//!    blocking is bitwise invisible for every `k` (pinned by
+//!    `k_blocking_is_bitwise_identical_to_the_unblocked_loop`), and the
+//!    paper shapes (`k ≤ 203 < KC`) are a single block running the loop
+//!    nest they always ran.
 //!
 //! The seed kernel's `a == 0.0` skip is deliberately gone: it helped only
 //! on artificially sparse inputs and costs a branch per multiply on the
@@ -48,15 +74,33 @@ thread_local! {
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
+/// Reduction block size for [`matmul_into`]. A multiple of 4, so block
+/// edges coincide with the kernel's 4-step reduction groups and blocking
+/// never moves a group boundary; at least 256, so every paper-network
+/// shape (`k ≤ 203`) is a single block.
+const KC: usize = 256;
+const _: () = assert!(
+    KC.is_multiple_of(4),
+    "a k-block edge would split a reduction group"
+);
+
 /// `out[m×n] = a[m×k] · b[k×n]`, accumulating from zero.
 ///
-/// Large shapes (`m ≥ 16` rows and `k·n ≥ 4096` `b` elements) take a
-/// packed path: each `NC`-column block of `b` is copied once into a
-/// contiguous thread-local scratch and reused across every output row
-/// block, turning the inner loop's four `n`-strided `b` row reads into
-/// sequential ones. The packed path reads the same values and runs the
-/// same per-element FMA order as the direct path, so results are bitwise
-/// identical (pinned by `packed_path_is_bitwise_identical`).
+/// Single-block shapes (`k ≤ KC = 256`) that are large (`m ≥ 16` rows and
+/// `k·n ≥ 4096` `b` elements) take a packed path: each `NC`-column block
+/// of `b` is copied once into a contiguous thread-local scratch and
+/// reused across every output row block, turning the inner loop's four
+/// `n`-strided `b` row reads into sequential ones. The packed path reads
+/// the same values and runs the same per-element FMA order as the direct
+/// path, so results are bitwise identical (pinned by
+/// `packed_path_is_bitwise_identical`).
+///
+/// Longer reductions are walked in `KC`-row blocks, outermost (design
+/// rule 5 in the module docs), each block through the direct kernel: the
+/// packed kernel reaches its slab through the thread-local `Vec`, which
+/// costs the compiler its no-alias proof (7.6 vs 19.6 MAC/ns at the
+/// projection's `n = 32`), and a `KC`-row block of `b` is cache-resident
+/// as it is.
 ///
 /// # Panics
 ///
@@ -69,22 +113,48 @@ pub fn matmul_into(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n:
     if m == 0 || k == 0 || n == 0 {
         return;
     }
-    if m >= PACK_MIN_ROWS && k * n >= PACK_MIN_B {
+    if k <= KC && m >= PACK_MIN_ROWS && k * n >= PACK_MIN_B {
         PACK_SCRATCH.with(|cell| matmul_into_packed(out, a, b, m, k, n, &mut cell.borrow_mut()));
-    } else {
-        matmul_into_direct(out, a, b, m, k, n);
+        return;
+    }
+    for k0 in (0..k).step_by(KC) {
+        let kb = KC.min(k - k0);
+        accumulate_direct(out, &a[k0..], k, &b[k0 * n..(k0 + kb) * n], m, kb, n);
     }
 }
 
-/// The direct kernel: `b` rows read in place, `n`-strided per column
-/// block. Optimal while `b` fits in L1; the oracle the packed path is
-/// pinned against.
+/// The un-blocked direct kernel over the whole reduction — the oracle the
+/// packed and k-blocked paths are pinned against.
+#[cfg(test)]
 fn matmul_into_direct(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+    accumulate_direct(out, a, k, b, m, k, n);
+}
+
+/// The direct kernel over one reduction block:
+/// `out[m×n] += a[m×k] · b[k×n]`, where row `i` of `a` is
+/// `a[i·lda..i·lda + k]` (a `k`-column window of an `lda`-wide matrix).
+/// `b` rows are read in place, `n`-strided per column block — optimal
+/// while the block of `b` fits in cache.
+fn accumulate_direct(
+    out: &mut [f32],
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     let mut i = 0;
     // Main loop: 4 output rows × 4 reduction steps per pass.
     while i + 4 <= m {
-        let (ar0, ar1) = (&a[i * k..(i + 1) * k], &a[(i + 1) * k..(i + 2) * k]);
-        let (ar2, ar3) = (&a[(i + 2) * k..(i + 3) * k], &a[(i + 3) * k..(i + 4) * k]);
+        let (ar0, ar1) = (
+            &a[i * lda..i * lda + k],
+            &a[(i + 1) * lda..(i + 1) * lda + k],
+        );
+        let (ar2, ar3) = (
+            &a[(i + 2) * lda..(i + 2) * lda + k],
+            &a[(i + 3) * lda..(i + 3) * lda + k],
+        );
         for j0 in (0..n).step_by(NC) {
             let jlen = NC.min(n - j0);
             // Split the four output rows into disjoint mutable windows.
@@ -126,7 +196,7 @@ fn matmul_into_direct(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize,
     }
     // Row tail (< 4 rows): one output row, 4-wide reduction unroll.
     while i < m {
-        let a_row = &a[i * k..(i + 1) * k];
+        let a_row = &a[i * lda..i * lda + k];
         for j0 in (0..n).step_by(NC) {
             let jlen = NC.min(n - j0);
             let o_row = &mut out[i * n + j0..i * n + j0 + jlen];
@@ -158,7 +228,7 @@ fn matmul_into_direct(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize,
 /// The packed kernel: column blocks outermost, each `k × jlen` slab of
 /// `b` copied contiguous (`scratch[kk·jlen + j]`) once and then swept by
 /// every output row block. Same loads, same FMA expressions, same
-/// per-element accumulation order as [`matmul_into_direct`] — only the
+/// per-element accumulation order as [`accumulate_direct`] — only the
 /// `b` addressing changes — so the two are bitwise interchangeable.
 fn matmul_into_packed(
     out: &mut [f32],
@@ -339,24 +409,88 @@ pub fn transposed_matmul_into(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k
     });
 }
 
-/// Dot product with four parallel accumulators.
-#[inline]
+/// Independent accumulators per fixed-lane reduction. A constant of the
+/// *algorithm*, not the machine's vector width: it fixes which elements
+/// meet in which partial sum, so a result never depends on the CPU the
+/// crate was built for (design rule 4 in the module docs).
+const LANES: usize = 32;
+
+/// `Σ term(a[i], b[i])` with the fixed-lane layout every reduction kernel
+/// shares: lane `l` adds the terms of elements `l, l + LANES, l + 2·LANES,
+/// …` in index order (a ragged tail lands in the leading lanes like any
+/// other element), then the lanes fold by halving — `lane[l] += lane[l +
+/// w]` for `w = LANES/2, …, 1`. That order is the contract
+/// (`reductions_follow_the_documented_lane_layout`).
+#[inline(always)]
+fn lane_sum(a: &[f32], b: &[f32], term: impl Fn(f32, f32) -> f32) -> f32 {
+    assert_eq!(a.len(), b.len(), "reduction operands differ in length");
+    let mut lanes = [0.0f32; LANES];
+    let (a_chunks, b_chunks) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
+    let (a_tail, b_tail) = (a_chunks.remainder(), b_chunks.remainder());
+    for (x, y) in a_chunks.zip(b_chunks) {
+        for l in 0..LANES {
+            lanes[l] += term(x[l], y[l]);
+        }
+    }
+    for (lane, (&x, &y)) in lanes.iter_mut().zip(a_tail.iter().zip(b_tail)) {
+        *lane += term(x, y);
+    }
+    let mut width = LANES;
+    while width > 1 {
+        width /= 2;
+        for l in 0..width {
+            lanes[l] += lanes[l + width];
+        }
+    }
+    lanes[0]
+}
+
+/// Dot product `Σ a[i]·b[i]`, reduced in fixed lanes (design rule 4 in the
+/// module docs).
+///
+/// # Panics
+///
+/// Panics if the slices differ in length (as do the kernels below).
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    let n = a.len().min(b.len());
-    let chunks = n / 4;
-    let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-    for c in 0..chunks {
-        let i = c * 4;
-        s0 += a[i] * b[i];
-        s1 += a[i + 1] * b[i + 1];
-        s2 += a[i + 2] * b[i + 2];
-        s3 += a[i + 3] * b[i + 3];
-    }
-    let mut tail = 0.0f32;
-    for i in chunks * 4..n {
-        tail += a[i] * b[i];
-    }
-    (s0 + s1) + (s2 + s3) + tail
+    lane_sum(a, b, |x, y| x * y)
+}
+
+/// Sum of squares `Σ a[i]²` — bitwise `dot(a, a)`.
+pub fn sum_squares(a: &[f32]) -> f32 {
+    lane_sum(a, a, |x, _| x * x)
+}
+
+/// Squared Euclidean distance `Σ (a[i] − b[i])²`.
+pub fn squared_distance(a: &[f32], b: &[f32]) -> f32 {
+    lane_sum(a, b, |x, y| {
+        let d = x - y;
+        d * d
+    })
+}
+
+/// Squared Euclidean distance between scaled vectors,
+/// `Σ (sa·a[i] − sb·b[i])²` — the distance between clip-scaled deltas,
+/// without materializing either.
+pub fn squared_distance_scaled(a: &[f32], sa: f32, b: &[f32], sb: f32) -> f32 {
+    lane_sum(a, b, |x, y| {
+        let d = sa * x - sb * y;
+        d * d
+    })
+}
+
+/// Elements per early-exit check of [`has_non_finite`].
+const NON_FINITE_CHUNK: usize = 1024;
+
+/// `true` if any element is NaN or ±Inf. Branch-free inside a
+/// 1024-element chunk (an integer max over the sign-stripped bit patterns,
+/// which vectorizes), with one early-exit test per chunk.
+pub fn has_non_finite(a: &[f32]) -> bool {
+    const ABS: u32 = 0x7FFF_FFFF;
+    const EXPONENT: u32 = 0x7F80_0000;
+    a.chunks(NON_FINITE_CHUNK).any(|chunk| {
+        let max_abs_bits = chunk.iter().fold(0, |m, v| m.max(v.to_bits() & ABS));
+        max_abs_bits >= EXPONENT
+    })
 }
 
 #[cfg(test)]
@@ -490,6 +624,29 @@ mod tests {
         }
     }
 
+    /// Blocking the reduction must be bitwise invisible: below, at, just
+    /// past and far past the block edge (with and without a `k % 4` tail),
+    /// for row counts that take the 4-row main loop, the row tail and both.
+    #[test]
+    fn k_blocking_is_bitwise_identical_to_the_unblocked_loop() {
+        for k in [1, 3, 203, 255, 256, 257, 1024 + 5] {
+            for m in [1, 3, 4, 17] {
+                for n in [5, 32, 130] {
+                    let a = fill(m * k, 11);
+                    let b = fill(k * n, 12);
+                    let mut blocked = vec![f32::NAN; m * n];
+                    matmul_into(&mut blocked, &a, &b, m, k, n);
+                    let mut unblocked = vec![0.0f32; m * n];
+                    matmul_into_direct(&mut unblocked, &a, &b, m, k, n);
+                    assert!(
+                        blocked == unblocked,
+                        "k-blocked and un-blocked kernels diverged bitwise at {m}x{k}x{n}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn dot_matches_naive() {
         for len in [0, 1, 3, 4, 7, 64, 203] {
@@ -498,5 +655,149 @@ mod tests {
             let naive: f32 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
             assert!((dot(&a, &b) - naive).abs() < 1e-3 * (1.0 + naive.abs()));
         }
+    }
+
+    /// The lane layout spelled out in scalar code: term `i` is added to
+    /// lane `i mod LANES` in index order, then lanes fold by halving.
+    fn lane_layout(terms: impl Iterator<Item = f32>) -> f32 {
+        let mut lanes = [0.0f32; LANES];
+        for (i, term) in terms.enumerate() {
+            lanes[i % LANES] += term;
+        }
+        let mut width = LANES / 2;
+        while width >= 1 {
+            for l in 0..width {
+                lanes[l] += lanes[l + width];
+            }
+            width /= 2;
+        }
+        lanes[0]
+    }
+
+    /// The fold order is the contract: every reduction kernel must equal
+    /// the scalar spelling of the lane layout bit for bit, at every tail
+    /// shape and at the paper model's width.
+    #[test]
+    fn reductions_follow_the_documented_lane_layout() {
+        let pairs = |len: usize| (fill(len, 21), fill(len, 22));
+        for len in (0..=4 * LANES + 3).chain([2048, 46_953]) {
+            let (a, b) = pairs(len);
+            let zip = || a.iter().zip(&b);
+            assert_eq!(
+                dot(&a, &b).to_bits(),
+                lane_layout(zip().map(|(x, y)| x * y)).to_bits(),
+                "dot, len {len}"
+            );
+            assert_eq!(
+                sum_squares(&a).to_bits(),
+                lane_layout(a.iter().map(|x| x * x)).to_bits(),
+                "sum_squares, len {len}"
+            );
+            assert_eq!(sum_squares(&a).to_bits(), dot(&a, &a).to_bits());
+            assert_eq!(
+                squared_distance(&a, &b).to_bits(),
+                lane_layout(zip().map(|(x, y)| (x - y) * (x - y))).to_bits(),
+                "squared_distance, len {len}"
+            );
+            assert_eq!(
+                squared_distance_scaled(&a, 0.3, &b, 1.7).to_bits(),
+                lane_layout(zip().map(|(x, y)| {
+                    let d = 0.3 * x - 1.7 * y;
+                    d * d
+                }))
+                .to_bits(),
+                "squared_distance_scaled, len {len}"
+            );
+            // Unit scales are exact: the scaled kernel degenerates to the
+            // plain one.
+            assert_eq!(
+                squared_distance_scaled(&a, 1.0, &b, 1.0).to_bits(),
+                squared_distance(&a, &b).to_bits()
+            );
+        }
+    }
+
+    /// Worst-case rounding of a fixed-lane sum of `len` terms against the
+    /// exact (f64) sum: each term carries a few roundings of its own, its
+    /// lane adds `⌈len / LANES⌉` times and the fold `log2(LANES)` times,
+    /// every step within half an ulp of the running magnitude — so
+    /// `|got − exact| ≤ (⌈len / LANES⌉ + log2(LANES) + 4) · ε · Σ|termᵢ|`.
+    fn error_bound(len: usize, sum_abs_terms: f64) -> f64 {
+        let depth = len.div_ceil(LANES) + LANES.ilog2() as usize + 4;
+        depth as f64 * f64::from(f32::EPSILON) * sum_abs_terms
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Every kernel against a straight-line f64 reference, at every
+        /// length up to four full lane sweeps plus a ragged tail.
+        #[test]
+        fn reductions_match_an_f64_reference_within_the_stated_bound(
+            a in prop::collection::vec(-100.0f32..100.0, 4 * LANES + 3),
+            b in prop::collection::vec(-100.0f32..100.0, 4 * LANES + 3),
+            sa in 0.0f32..1.0,
+            sb in 0.0f32..1.0,
+        ) {
+            for len in 0..=a.len() {
+                let (a, b) = (&a[..len], &b[..len]);
+                let wide = || a.iter().zip(b).map(|(&x, &y)| (f64::from(x), f64::from(y)));
+                let check = |name: &str, got: f32, terms: Vec<f64>| {
+                    let exact: f64 = terms.iter().sum();
+                    let bound = error_bound(len, terms.iter().map(|t| t.abs()).sum());
+                    prop_assert!(
+                        (f64::from(got) - exact).abs() <= bound,
+                        "{} at len {}: {} vs {} (bound {})", name, len, got, exact, bound
+                    );
+                    Ok(())
+                };
+                check("dot", dot(a, b), wide().map(|(x, y)| x * y).collect())?;
+                check("sum_squares", sum_squares(a), wide().map(|(x, _)| x * x).collect())?;
+                check(
+                    "squared_distance",
+                    squared_distance(a, b),
+                    wide().map(|(x, y)| (x - y) * (x - y)).collect(),
+                )?;
+                let (wa, wb) = (f64::from(sa), f64::from(sb));
+                check(
+                    "squared_distance_scaled",
+                    squared_distance_scaled(a, sa, b, sb),
+                    wide().map(|(x, y)| (wa * x - wb * y).powi(2)).collect(),
+                )?;
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "differ in length")]
+    fn reductions_reject_mismatched_lengths() {
+        dot(&[1.0, 2.0], &[1.0]);
+    }
+
+    /// A lone NaN / ±Inf must be found wherever it sits — first, last, and
+    /// both sides of every chunk boundary — and nothing else may trip it.
+    #[test]
+    fn has_non_finite_finds_a_lone_bad_value_at_every_chunk_edge() {
+        let len = 3 * NON_FINITE_CHUNK + 17;
+        let mut v = fill(len, 31);
+        v[7] = f32::MAX;
+        v[8] = f32::MIN_POSITIVE / 2.0; // subnormal
+        v[9] = -0.0;
+        assert!(!has_non_finite(&v));
+        assert!(!has_non_finite(&[]));
+        let mut edges = vec![0, len - 1];
+        for boundary in (NON_FINITE_CHUNK..len).step_by(NON_FINITE_CHUNK) {
+            edges.extend([boundary - 1, boundary]);
+        }
+        for &at in &edges {
+            for bad in [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                let clean = std::mem::replace(&mut v[at], bad);
+                assert!(has_non_finite(&v), "missed {bad} at index {at}");
+                v[at] = clean;
+            }
+        }
+        assert!(!has_non_finite(&v));
     }
 }

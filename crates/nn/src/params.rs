@@ -283,6 +283,32 @@ impl NamedParams {
         Matrix::from_vec(1, cols, data).expect("flatten length is consistent by construction")
     }
 
+    /// Writes the flattened delta `self − other` into `out`, in
+    /// [`NamedParams::flatten`] order: `delta(other).flatten()` without
+    /// the intermediate snapshot or the copy (same subtraction, same
+    /// bits).
+    ///
+    /// # Panics
+    ///
+    /// Panics if architectures differ or `out.len()` differs from
+    /// [`NamedParams::num_params`].
+    pub fn delta_flat_into(&self, other: &NamedParams, out: &mut [f32]) {
+        assert!(self.same_arch(other), "delta: architecture mismatch");
+        assert_eq!(
+            out.len(),
+            self.num_params(),
+            "delta_flat_into: output length mismatch"
+        );
+        let mut offset = 0;
+        for ((_, a), (_, b)) in self.tensors.iter().zip(&other.tensors) {
+            let dst = &mut out[offset..offset + a.len()];
+            for ((o, x), y) in dst.iter_mut().zip(a.as_slice()).zip(b.as_slice()) {
+                *o = x - y;
+            }
+            offset += a.len();
+        }
+    }
+
     /// In-place `self += flat`, where `flat` is a flattened-parameter
     /// vector in [`NamedParams::flatten`] order — the inverse direction of
     /// `flatten`, used to re-materialize a model from a flat delta.
@@ -479,6 +505,15 @@ mod tests {
         p.add_flat(&[0.5, -1.0, 2.0]);
         assert_eq!(p.get("a").unwrap().as_slice(), &[1.5, 1.0]);
         assert_eq!(p.get("b").unwrap().as_slice(), &[5.0]);
+    }
+
+    #[test]
+    fn delta_flat_into_is_delta_then_flatten_bitwise() {
+        let a = snap(&[("a", vec![1.5, -2.25]), ("b", vec![0.1, 3.0, -7.0])]);
+        let b = snap(&[("a", vec![0.3, 2.0]), ("b", vec![0.1, -1.0e-3, 9.5])]);
+        let mut out = [f32::NAN; 5];
+        a.delta_flat_into(&b, &mut out);
+        assert_eq!(out, a.delta(&b).flatten().as_slice());
     }
 
     #[test]

@@ -555,7 +555,7 @@ impl Matrix {
 
     /// Frobenius (L2) norm of the matrix viewed as a flat vector.
     pub fn l2_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
+        kernels::sum_squares(&self.data).sqrt()
     }
 
     /// L2 distance between `self` and `rhs` viewed as flat vectors.
@@ -565,12 +565,7 @@ impl Matrix {
     /// Panics on shape mismatch.
     pub fn l2_distance(&self, rhs: &Matrix) -> f32 {
         self.assert_same_shape(rhs, "l2_distance");
-        self.data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f32>()
-            .sqrt()
+        kernels::squared_distance(&self.data, &rhs.data).sqrt()
     }
 
     /// Dot product of the two matrices viewed as flat vectors.
@@ -580,7 +575,7 @@ impl Matrix {
     /// Panics on shape mismatch.
     pub fn flat_dot(&self, rhs: &Matrix) -> f32 {
         self.assert_same_shape(rhs, "flat_dot");
-        self.data.iter().zip(&rhs.data).map(|(a, b)| a * b).sum()
+        kernels::dot(&self.data, &rhs.data)
     }
 
     /// Index of the maximum element in row `r` (first occurrence on ties).
@@ -617,7 +612,7 @@ impl Matrix {
 
     /// `true` if any element is NaN or infinite.
     pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|v| !v.is_finite())
+        kernels::has_non_finite(&self.data)
     }
 
     fn zip_with(&self, rhs: &Matrix, f: impl Fn(f32, f32) -> f32, op: &str) -> Matrix {

@@ -799,10 +799,13 @@ impl<'a> Reader<'a> {
                 .checked_mul(cols)
                 .ok_or_else(|| WireError::BadPayload("tensor shape overflow".to_string()))?;
             self.check_capacity(elems, 4)?;
-            let mut data = Vec::with_capacity(elems);
-            for _ in 0..elems {
-                data.push(self.f32()?);
-            }
+            // One bounds check for the tensor, not one per element (the
+            // capacity check above already proved the bytes are there).
+            let data = self
+                .take(elems * 4)?
+                .chunks_exact(4)
+                .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+                .collect();
             let tensor = Matrix::from_vec(rows, cols, data)
                 .map_err(|e| WireError::BadPayload(format!("bad tensor shape: {e:?}")))?;
             tensors.push((name, tensor));
@@ -818,12 +821,18 @@ impl<'a> Reader<'a> {
                 let count = self.u32()? as usize;
                 // Each kept coefficient costs 8 bytes on the wire.
                 self.check_capacity(count, 8)?;
-                let mut indices = Vec::with_capacity(count);
-                let mut values = Vec::with_capacity(count);
-                for _ in 0..count {
-                    indices.push(self.u32()?);
-                    values.push(self.f32()?);
-                }
+                // One bounds check for the run of (index, value) pairs,
+                // not two per coefficient.
+                let (indices, values) = self
+                    .take(count * 8)?
+                    .chunks_exact(8)
+                    .map(|b| {
+                        (
+                            u32::from_le_bytes([b[0], b[1], b[2], b[3]]),
+                            f32::from_le_bytes([b[4], b[5], b[6], b[7]]),
+                        )
+                    })
+                    .unzip();
                 Ok(DeltaRepr::TopK { indices, values, k })
             }
             REPR_Q8 => {
