@@ -7,6 +7,7 @@
 //! committed baseline is exactly reproduced.
 
 pub mod baseline;
+pub mod dead_pub;
 pub mod rules;
 pub mod source;
 
@@ -22,6 +23,20 @@ use std::path::{Path, PathBuf};
 /// stubs exist only because the build env is offline.
 const SKIP_CRATES: &[&str] = &["vendor"];
 
+/// Where Rust code that can call into `crates/*/src` lives, besides those
+/// sources themselves: per-crate and repo-root test / bench / example
+/// directories, the facade, and the standalone `benchmark/` crate.
+/// `dead-pub` reads these for uses only.
+const CALLER_DIRS_PER_CRATE: &[&str] = &["tests", "benches", "examples"];
+const CALLER_DIRS_AT_ROOT: &[&str] = &[
+    "src",
+    "tests",
+    "examples",
+    "benches",
+    "benchmark/src",
+    "benchmark/tests",
+];
+
 /// Lints one file's text as if it lived at `path` in crate `crate_name`
 /// — the fixture-testing entry point.
 pub fn lint_text(path: &str, crate_name: &str, text: &str) -> Vec<Finding> {
@@ -29,7 +44,9 @@ pub fn lint_text(path: &str, crate_name: &str, text: &str) -> Vec<Finding> {
 }
 
 /// Walks `<root>/crates/*/src/**/*.rs` (skipping vendor stubs) and runs
-/// every rule, returning findings sorted by (path, line, rule).
+/// every rule, returning findings sorted by (path, line, rule). The one
+/// cross-file rule, [`dead_pub`], additionally reads every other Rust
+/// source in the repo that could hold a caller.
 ///
 /// # Errors
 ///
@@ -48,6 +65,8 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
         ));
     }
     let mut findings = Vec::new();
+    let mut sources = Vec::new();
+    let mut caller_dirs: Vec<PathBuf> = CALLER_DIRS_AT_ROOT.iter().map(|d| root.join(d)).collect();
     let mut crate_dirs: Vec<PathBuf> = fs::read_dir(&crates_dir)?
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| p.is_dir())
@@ -61,22 +80,41 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
         if SKIP_CRATES.contains(&crate_name.as_str()) {
             continue;
         }
+        caller_dirs.extend(CALLER_DIRS_PER_CRATE.iter().map(|d| crate_dir.join(d)));
         let src = crate_dir.join("src");
         if !src.is_dir() {
             continue;
         }
-        let mut files = Vec::new();
-        collect_rs_files(&src, &mut files)?;
-        files.sort();
-        for file in files {
-            let text = fs::read_to_string(&file)?;
-            let rel = relative_path(root, &file);
-            let parsed = SourceFile::parse(&rel, &crate_name, &text);
+        for parsed in parse_dir(root, &src, &crate_name)? {
             findings.extend(rules::lint_file(&parsed));
+            sources.push(parsed);
         }
     }
+    let mut callers = Vec::new();
+    for dir in caller_dirs.iter().filter(|d| d.is_dir()) {
+        callers.extend(parse_dir(root, dir, "")?);
+    }
+    findings.extend(dead_pub::dead_pub(&sources, &callers));
     findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     Ok(findings)
+}
+
+/// Parses every `.rs` file under `dir`, in path order.
+fn parse_dir(root: &Path, dir: &Path, crate_name: &str) -> io::Result<Vec<SourceFile>> {
+    let mut files = Vec::new();
+    collect_rs_files(dir, &mut files)?;
+    files.sort();
+    files
+        .iter()
+        .map(|file| {
+            let text = fs::read_to_string(file)?;
+            Ok(SourceFile::parse(
+                &relative_path(root, file),
+                crate_name,
+                &text,
+            ))
+        })
+        .collect()
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {

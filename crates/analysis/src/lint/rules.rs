@@ -6,9 +6,9 @@
 //! gate:
 //!
 //! 1. **Justification comments** — a comment containing the rule's
-//!    token (`det:`, `panic-ok:`, `relaxed:`, `seqcst:`) on the flagged
-//!    line or within [`JUSTIFY_WINDOW`] lines above it suppresses the
-//!    finding. The token must carry a reason; reviewers see it inline.
+//!    token (`det:`, `panic-ok:`, `relaxed:`, `seqcst:`, `pub-ok:`) on the
+//!    flagged line or within [`JUSTIFY_WINDOW`] lines above it suppresses
+//!    the finding. The token must carry a reason; reviewers see it inline.
 //! 2. **The baseline** — pre-existing accepted findings live in
 //!    `crates/analysis/lint_baseline.txt`; `--check` fails only on
 //!    findings not in it (and on stale entries).
@@ -129,6 +129,18 @@ pub const RULES: &[RuleInfo] = &[
                     bumping the schema cannot be blessed away.",
         justify: None,
     },
+    RuleInfo {
+        id: "dead-pub",
+        scope: "free `pub fn` in non-test code under crates/*/src",
+        rationale: "rustc's dead_code stops at `pub`: a library function whose last caller was \
+                    deleted stays exported, documented and unit-tested. A free `pub fn` whose \
+                    name occurs nowhere else in the repo's Rust sources — comments, strings, \
+                    `pub use` re-exports and the defining file's own #[cfg(test)] code do not \
+                    count as uses — is a finding: delete it or give it its caller. Methods, \
+                    types and consts are out of scope (matching them by name needs type \
+                    information a lexical engine does not have).",
+        justify: Some("pub-ok:"),
+    },
 ];
 
 /// One lint finding.
@@ -148,7 +160,12 @@ pub struct Finding {
 }
 
 impl Finding {
-    fn new(rule: &'static str, file: &SourceFile, line0: usize, message: String) -> Self {
+    pub(super) fn new(
+        rule: &'static str,
+        file: &SourceFile,
+        line0: usize,
+        message: String,
+    ) -> Self {
         Self {
             rule,
             path: file.path.clone(),
@@ -202,7 +219,7 @@ pub fn lint_file(file: &SourceFile) -> Vec<Finding> {
     findings
 }
 
-fn justified(file: &SourceFile, line0: usize, token: &str) -> bool {
+pub(super) fn justified(file: &SourceFile, line0: usize, token: &str) -> bool {
     let lo = line0.saturating_sub(JUSTIFY_WINDOW);
     file.comment_window_contains(lo, line0, token)
 }

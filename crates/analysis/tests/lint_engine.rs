@@ -3,8 +3,9 @@
 //! is exactly what linting this workspace produces — so CI's
 //! `safeloc_lint --check` gate and `cargo test` can never disagree.
 
+use safeloc_analysis::lint::dead_pub::dead_pub;
 use safeloc_analysis::lint::{
-    default_baseline_path, lint_text, lint_workspace, load_baseline, Finding,
+    default_baseline_path, lint_text, lint_workspace, load_baseline, Finding, SourceFile,
 };
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -152,6 +153,38 @@ fn frame_rules_only_fire_on_the_frame_module() {
         &fixture("wire_frame_bad.rs"),
     );
     assert!(findings.is_empty(), "{findings:#?}");
+}
+
+#[test]
+fn dead_pub_fixture_flags_uncalled_free_pub_fns_only() {
+    let defs = SourceFile::parse(
+        "crates/bench/src/fixture.rs",
+        "bench",
+        &fixture("dead_pub_defs.rs"),
+    );
+    let callers = SourceFile::parse("tests/fixture.rs", "", &fixture("dead_pub_callers.rs"));
+    let findings = dead_pub(&[defs], &[callers]);
+    assert!(findings.iter().all(|f| f.rule == "dead-pub"));
+    let flagged: Vec<&str> = findings
+        .iter()
+        .map(|f| {
+            let name = f.excerpt.split("fn ").nth(1).expect("a fn definition line");
+            &name[..name.find('(').expect("a parameter list")]
+        })
+        .collect();
+    // Silent: called, tested from another file, justified, pub(crate),
+    // a method.
+    assert_eq!(
+        flagged,
+        [
+            "fixture_orphan",
+            "fixture_reexported_only",
+            "fixture_tested_here_only",
+            "fixture_mentioned_in_prose",
+            "fixture_nested_orphan",
+        ],
+        "{findings:#?}"
+    );
 }
 
 /// The self-lint: linting this workspace must reproduce the committed

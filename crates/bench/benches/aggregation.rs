@@ -1,7 +1,8 @@
 //! Server-side aggregation cost per strategy (supports Table I's overhead
 //! comparison: SAFELOC's saliency map vs. the baselines' rules), plus the
 //! city-scale screening round `benchmark/`'s `round_screen` times end to
-//! end, here without the frame decode around it.
+//! end, here without the frame decode around it, and the telemetry
+//! recording A/B (`telemetry_on_off`).
 //!
 //! Run with `cargo bench -p safeloc-bench --bench aggregation`.
 
@@ -9,11 +10,15 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use safeloc::SaliencyAggregator;
+use safeloc_bench::naive;
+use safeloc_dataset::{Building, BuildingDataset, DatasetConfig, DeviceCatalog};
 use safeloc_fl::defense::{NonFiniteGuard, NormClip, TrimmedMean};
 use safeloc_fl::{
     Aggregator, ClientUpdate, ClusterAggregator, DefensePipeline, Krum, LatentFilterAggregator,
 };
 use safeloc_nn::{Activation, HasParams, NamedParams, Sequential};
+use safeloc_serve::{request_pool, ModelKey, ModelRegistry, ServeConfig, Service};
+use std::sync::Arc;
 
 fn updates(n_clients: usize) -> (NamedParams, Vec<ClientUpdate>) {
     // Realistically sized model: the paper's fused architecture for B1.
@@ -46,6 +51,8 @@ fn bench_aggregation(c: &mut Criterion) {
             |b, (g, u)| b.iter(|| strategy.aggregate(g, u)),
         );
     }
+    // The seed's O(n³·d) Krum, the baseline the shared-matrix rule replaced.
+    group.bench_function("Krum (seed)", |b| b.iter(|| naive::krum_select(&ups, 1)));
     group.finish();
 }
 
@@ -113,5 +120,65 @@ fn bench_screening_256(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_aggregation, bench_screening_256);
+/// Recording on vs off on the two instrumented hot paths: one served
+/// batch (admission → queue → predict → reply for `max_batch` tickets) and
+/// one layered aggregation. `benchmark/` always records, so its gate
+/// already sees instrumentation that leaks into a hot path; this is the
+/// explicit A/B. Read each `on` line against the `off` line under it.
+fn bench_telemetry_on_off(c: &mut Criterion) {
+    let data = BuildingDataset::generate(Building::tiny(3), &DatasetConfig::tiny(), 3);
+    let registry = Arc::new(ModelRegistry::new());
+    registry.publish(
+        ModelKey::default_for(data.building.id),
+        Sequential::mlp(
+            &[data.building.num_aps(), 128, 89, data.building.num_rps()],
+            Activation::Relu,
+            0,
+        ),
+        Some(data.building.clone()),
+    );
+    let config = ServeConfig::default();
+    let service = Service::start(registry, DeviceCatalog::new(data.devices.clone()), config);
+    let pool = request_pool(&data);
+    let (global, ups) = updates(6);
+    let mut pipeline = DefensePipeline::new(
+        "norm-clip+krum",
+        vec![Box::new(NormClip::default())],
+        Box::new(Krum::new(1)),
+    );
+
+    let mut group = c.benchmark_group("telemetry_on_off");
+    for (on, label) in [(true, "on"), (false, "off")] {
+        safeloc_telemetry::set_enabled(on);
+        group.bench_function(format!("served_batch/{label}"), |b| {
+            b.iter(|| {
+                let tickets: Vec<_> = pool
+                    .iter()
+                    .cycle()
+                    .take(config.max_batch)
+                    .map(|request| service.submit(request).expect("admitted"))
+                    .collect();
+                for ticket in tickets {
+                    ticket.wait().expect("served");
+                }
+            })
+        });
+    }
+    for (on, label) in [(true, "on"), (false, "off")] {
+        safeloc_telemetry::set_enabled(on);
+        group.bench_function(format!("aggregate/{label}"), |b| {
+            b.iter(|| pipeline.aggregate(&global, &ups))
+        });
+    }
+    safeloc_telemetry::set_enabled(true);
+    group.finish();
+    service.shutdown();
+}
+
+criterion_group!(
+    benches,
+    bench_aggregation,
+    bench_screening_256,
+    bench_telemetry_on_off
+);
 criterion_main!(benches);

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use safeloc::{SafeLoc, SafeLocConfig};
-use safeloc_baselines::{FedCc, FedHil, FedLoc, FedLs, Onlad};
+use safeloc_baselines::{fedcc, fedhil, fedloc, fedls, Onlad};
 use safeloc_dataset::{Building, BuildingDataset, DatasetConfig};
 use safeloc_fl::{Framework, ServerConfig};
 use safeloc_nn::Matrix;
@@ -22,10 +22,10 @@ fn frameworks(d: &BuildingDataset) -> Vec<Box<dyn Framework>> {
     vec![
         Box::new(SafeLoc::new(aps, rps, sl)),
         Box::new(Onlad::new(aps, rps, cfg)),
-        Box::new(FedLs::new(aps, rps, cfg)),
-        Box::new(FedCc::new(aps, rps, cfg)),
-        Box::new(FedHil::new(aps, rps, cfg)),
-        Box::new(FedLoc::new(aps, rps, cfg)),
+        Box::new(fedls(aps, rps, cfg)),
+        Box::new(fedcc(aps, rps, cfg)),
+        Box::new(fedhil(aps, rps, cfg)),
+        Box::new(fedloc(aps, rps, cfg)),
     ]
 }
 

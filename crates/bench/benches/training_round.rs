@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use safeloc::{SafeLoc, SafeLocConfig};
-use safeloc_baselines::{FedHil, FedLoc, Onlad};
+use safeloc_baselines::{fedhil, fedloc, Onlad};
 use safeloc_dataset::{Building, BuildingDataset, DatasetConfig};
 use safeloc_fl::{Client, Framework, RoundPlan, ServerConfig};
 
@@ -16,8 +16,8 @@ fn bench_round(c: &mut Criterion) {
     let mut frameworks: Vec<Box<dyn Framework>> = vec![
         Box::new(SafeLoc::new(aps, rps, SafeLocConfig::tiny())),
         Box::new(Onlad::new(aps, rps, ServerConfig::tiny())),
-        Box::new(FedHil::new(aps, rps, ServerConfig::tiny())),
-        Box::new(FedLoc::new(aps, rps, ServerConfig::tiny())),
+        Box::new(fedhil(aps, rps, ServerConfig::tiny())),
+        Box::new(fedloc(aps, rps, ServerConfig::tiny())),
     ];
     for f in &mut frameworks {
         f.pretrain(&data.server_train);

@@ -9,7 +9,7 @@
 //! cargo run -p safeloc-bench --release --bin fig4_threshold [--quick|--full] [--seed N]
 //! ```
 
-use safeloc_attacks::Attack;
+use safeloc_attacks::{paper_tau_grid, Attack};
 use safeloc_bench::{AttackSpec, FrameworkSpec, HarnessConfig, Scale, ScenarioSpec, SuiteRunner};
 use safeloc_metrics::{markdown_table, ErrorStats};
 
@@ -17,7 +17,8 @@ fn main() {
     let cfg = HarnessConfig::from_args();
     let taus: Vec<f32> = match cfg.scale {
         Scale::Quick => vec![0.05, 0.1, 0.25, 0.5],
-        _ => vec![0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5],
+        Scale::Default => vec![0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5],
+        Scale::Full => paper_tau_grid(),
     };
     // The HTC U11 introduces a mix of backdoor and label-flip poison, as in
     // the paper's τ study; errors pool over the three attacks per τ cell.

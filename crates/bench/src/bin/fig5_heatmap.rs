@@ -9,7 +9,7 @@
 //! cargo run -p safeloc-bench --release --bin fig5_heatmap [--quick|--full] [--seed N]
 //! ```
 
-use safeloc_attacks::{Attack, AttackKind, ALL_ATTACK_KINDS};
+use safeloc_attacks::{paper_epsilon_grid, Attack, AttackKind, ALL_ATTACK_KINDS};
 use safeloc_bench::{AttackSpec, FrameworkSpec, HarnessConfig, Scale, ScenarioSpec, SuiteRunner};
 use safeloc_metrics::{heatmap, ErrorStats};
 
@@ -17,7 +17,8 @@ fn main() {
     let cfg = HarnessConfig::from_args();
     let epsilons: Vec<f32> = match cfg.scale {
         Scale::Quick => vec![0.05, 0.1, 0.3, 0.6, 1.0],
-        _ => vec![0.01, 0.03, 0.05, 0.08, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0],
+        Scale::Default => vec![0.01, 0.03, 0.05, 0.08, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0],
+        Scale::Full => paper_epsilon_grid(),
     };
     // The attack axis is the flattened (kind, ε) grid, kind-major.
     let mut attacks = Vec::new();

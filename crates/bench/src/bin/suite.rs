@@ -4,9 +4,9 @@
 //!
 //! Spec files live in `scenarios/` at the repo root (see the
 //! `safeloc_bench::suite` module docs for the format). CI runs the
-//! checked-in specs with `--quick` and uploads the reports next to
-//! `BENCH_ci.json`, and gates on `--check-specs` so a malformed spec
-//! fails fast without running anything.
+//! checked-in specs with `--quick` and uploads the reports, and gates on
+//! `--check-specs` so a malformed spec fails fast without running
+//! anything.
 //!
 //! ```text
 //! cargo run -p safeloc-bench --release --bin suite -- \

@@ -1,10 +1,12 @@
-//! Synthetic city-scale fleets for the streaming-round sweep.
+//! Synthetic city-scale fleets for streaming rounds.
 //!
-//! The `fleet_scale` binary needs fleets far past what a
+//! `examples/scalability.rs` runs fleets far past what a
 //! [`BuildingDataset`](safeloc_dataset::BuildingDataset) can materialize —
 //! 10⁴–10⁵ clients — precisely to demonstrate that an
 //! [`FlSession`](safeloc_fl::FlSession) over a generating
-//! [`FleetProvider`] never holds them all. [`SyntheticFleet`] therefore *generates* each client's local
+//! [`FleetProvider`] never holds them all (the test
+//! `a_city_scale_session_materializes_only_its_cohort` below pins it).
+//! [`SyntheticFleet`] therefore *generates* each client's local
 //! fingerprints on `materialize` from a per-client seed stream and drops
 //! stateless clients again on `reclaim`; only clients with round-to-round
 //! state ([`Client::has_round_state`], e.g. an error-feedback residual)
@@ -58,7 +60,7 @@ impl SyntheticFleet {
     /// Estimated resident bytes of one materialized client: the local
     /// fingerprint matrix plus its labels. Deliberately an underestimate
     /// (struct overhead, allocator slack and the device-name string are
-    /// ignored), so the streaming-headroom ratio the sweep reports is
+    /// ignored), so a streaming-headroom ratio computed from it is
     /// conservative.
     pub fn per_client_bytes(&self) -> u64 {
         let matrix = (self.samples_per_client * self.input_dim * std::mem::size_of::<f32>()) as u64;
@@ -130,6 +132,8 @@ impl FleetProvider for SyntheticFleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use safeloc_fl::{CohortSampler, DefensePipeline, FlSession, SequentialFlServer, ServerConfig};
+    use std::sync::{Arc, Mutex};
 
     fn fleet(delta: DeltaSpec) -> SyntheticFleet {
         SyntheticFleet::new(100, 16, 4, 8, 7, delta)
@@ -181,5 +185,85 @@ mod tests {
         let f = fleet(DeltaSpec::Dense);
         assert_eq!(f.per_client_bytes(), (8 * 16 * 4 + 8 * 8) as u64);
         assert_eq!(f.materialized_bytes(), 100 * f.per_client_bytes());
+    }
+
+    /// Counts what the session asks of the fleet. The process-global
+    /// streaming gauge would see every concurrently running test's
+    /// sessions; a wrapper sees only this one's.
+    struct Counting {
+        fleet: SyntheticFleet,
+        seen: Arc<Mutex<Seen>>,
+    }
+
+    #[derive(Default)]
+    struct Seen {
+        materialized: usize,
+        live: usize,
+        max_live: usize,
+        retained: usize,
+    }
+
+    impl FleetProvider for Counting {
+        fn len(&self) -> usize {
+            self.fleet.len()
+        }
+
+        fn materialize(&mut self, index: usize) -> Client {
+            let mut seen = self.seen.lock().unwrap();
+            seen.materialized += 1;
+            seen.live += 1;
+            seen.max_live = seen.max_live.max(seen.live);
+            self.fleet.materialize(index)
+        }
+
+        fn reclaim(&mut self, client: Client) {
+            self.fleet.reclaim(client);
+            let mut seen = self.seen.lock().unwrap();
+            seen.live -= 1;
+            seen.retained = self.fleet.retained();
+        }
+    }
+
+    /// The city-scale memory claim, deterministically: nothing fleet-sized
+    /// is ever built, so 100 000 clients cost what 64 do.
+    #[test]
+    fn a_city_scale_session_materializes_only_its_cohort() {
+        const FLEET: usize = 100_000;
+        const COHORT: usize = 64;
+        const ROUNDS: usize = 2;
+        for delta in [DeltaSpec::Dense, DeltaSpec::TopK { fraction: 0.25 }] {
+            let seen = Arc::new(Mutex::new(Seen::default()));
+            let fleet = Counting {
+                fleet: SyntheticFleet::new(FLEET, 16, 4, 8, 7, delta),
+                seen: Arc::clone(&seen),
+            };
+            let server = SequentialFlServer::new(
+                &[16, 8, 4],
+                Box::new(DefensePipeline::fedavg()),
+                ServerConfig::tiny(),
+            );
+            let mut session = FlSession::builder(Box::new(server))
+                .fleet(Box::new(fleet))
+                .sampler(CohortSampler::uniform(COHORT, 7))
+                .build();
+            for round in 1..=ROUNDS {
+                let report = session.next_round();
+                assert_eq!(report.clients.len(), COHORT);
+                let seen = seen.lock().unwrap();
+                assert_eq!(seen.materialized, COHORT * round, "{delta:?}");
+                assert_eq!(seen.live, 0, "{delta:?}: a client was never reclaimed");
+                assert_eq!(seen.max_live, COHORT, "{delta:?}");
+                match delta {
+                    DeltaSpec::Dense => assert_eq!(seen.retained, 0),
+                    // Residual carriers only: at most the clients that
+                    // have trained so far.
+                    _ => assert!(
+                        (1..=COHORT * round).contains(&seen.retained),
+                        "{delta:?}: {} retained after round {round}",
+                        seen.retained
+                    ),
+                }
+            }
+        }
     }
 }

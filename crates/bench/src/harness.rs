@@ -1,11 +1,9 @@
-//! Shared experiment plumbing: scales, dataset/framework construction and
-//! the standard attack-scenario runner.
+//! Shared experiment plumbing: scales, the scenario fleet and the session
+//! runner every suite cell goes through.
 
-use safeloc::{SafeLoc, SafeLocConfig};
+use safeloc::SafeLocConfig;
 use safeloc_attacks::{Attack, PoisonInjector};
-use safeloc_baselines::{FedCc, FedHil, FedLoc, FedLs, Onlad};
-use safeloc_dataset::{Building, BuildingDataset, DatasetConfig, DeviceProfile};
-use safeloc_fl::report::pooled_rate;
+use safeloc_dataset::{Building, BuildingDataset};
 use safeloc_fl::{Client, CohortSampler, FlSession, Framework, RoundReport, ServerConfig};
 use safeloc_metrics::localization_errors;
 use safeloc_wire::FaultProfile;
@@ -103,40 +101,6 @@ pub fn default_buildings(scale: Scale) -> Vec<Building> {
     }
 }
 
-/// Generates the experimental bundle for one building with the paper's
-/// six-phone protocol.
-pub fn build_dataset(building: Building, seed: u64) -> BuildingDataset {
-    BuildingDataset::generate(building, &DatasetConfig::paper(), seed)
-}
-
-/// Builds SAFELOC followed by the five compared baselines, all untrained.
-pub fn build_frameworks(
-    input_dim: usize,
-    n_classes: usize,
-    cfg: &HarnessConfig,
-) -> Vec<Box<dyn Framework>> {
-    let server = cfg.server_config();
-    vec![
-        Box::new(SafeLoc::new(input_dim, n_classes, cfg.safeloc_config())),
-        Box::new(Onlad::new(input_dim, n_classes, server)),
-        Box::new(FedLs::new(input_dim, n_classes, server)),
-        Box::new(FedCc::new(input_dim, n_classes, server)),
-        Box::new(FedHil::new(input_dim, n_classes, server)),
-        Box::new(FedLoc::new(input_dim, n_classes, server)),
-    ]
-}
-
-/// Builds and pretrains a SAFELOC instance for `data`.
-pub fn pretrained_safeloc(data: &BuildingDataset, cfg: &HarnessConfig) -> SafeLoc {
-    let mut f = SafeLoc::new(
-        data.building.num_aps(),
-        data.building.num_rps(),
-        cfg.safeloc_config(),
-    );
-    f.pretrain(&data.server_train);
-    f
-}
-
 /// One attack scenario: which attack, which clients are compromised, and
 /// how many federated rounds run before evaluation.
 #[derive(Debug, Clone)]
@@ -159,21 +123,6 @@ pub struct Scenario {
     pub coherent: bool,
 }
 
-impl Scenario {
-    /// The paper's standard single-attacker scenario (HTC U11 compromised,
-    /// model-replacement boost).
-    pub fn paper(attack: Option<Attack>, rounds: usize, seed: u64) -> Self {
-        Self {
-            attack,
-            attacker_ids: vec![DeviceProfile::ATTACKER_DEVICE],
-            rounds,
-            seed,
-            boost: None,
-            coherent: false,
-        }
-    }
-}
-
 /// Errors plus the per-round telemetry a scenario session produced.
 #[derive(Debug, Clone)]
 pub struct ScenarioOutcome {
@@ -182,24 +131,6 @@ pub struct ScenarioOutcome {
     pub errors: Vec<f32>,
     /// One report per federated round, in order.
     pub reports: Vec<RoundReport>,
-}
-
-impl ScenarioOutcome {
-    /// Pooled attacker-rejection rate over the session's rounds, or `None`
-    /// if no malicious client ever delivered an update.
-    pub fn attacker_rejection_rate(&self) -> Option<f32> {
-        pooled_rate(self.reports.iter(), RoundReport::attacker_rejection_rate)
-    }
-
-    /// Pooled honest-rejection rate (collateral damage) over the session.
-    pub fn honest_rejection_rate(&self) -> Option<f32> {
-        pooled_rate(self.reports.iter(), RoundReport::honest_rejection_rate)
-    }
-
-    /// Pooled mean attacker aggregation weight (soft defenses).
-    pub fn mean_attacker_weight(&self) -> Option<f32> {
-        pooled_rate(self.reports.iter(), RoundReport::mean_attacker_weight)
-    }
 }
 
 /// The fleet for a scenario: clients with the scenario's attackers wired
@@ -227,54 +158,8 @@ pub fn scenario_fleet(data: &BuildingDataset, scenario: &Scenario) -> Vec<Client
     clients
 }
 
-/// Runs `scenario` on a **clone** of the pretrained `template` framework and
-/// returns per-sample localization errors (meters) over the five
-/// non-training devices' held-out test sets.
-///
-/// Full participation; use [`run_scenario_with_reports`] to subsample
-/// cohorts or read the per-round telemetry.
-pub fn run_scenario(
-    template: &dyn Framework,
-    data: &BuildingDataset,
-    scenario: &Scenario,
-) -> Vec<f32> {
-    run_scenario_with_reports(template, data, scenario, CohortSampler::full()).errors
-}
-
-/// [`run_scenario`] through an [`FlSession`] with an explicit cohort
-/// sampler, returning the round telemetry alongside the errors.
-pub fn run_scenario_with_reports(
-    template: &dyn Framework,
-    data: &BuildingDataset,
-    scenario: &Scenario,
-    sampler: CohortSampler,
-) -> ScenarioOutcome {
-    run_fleet_with_reports(
-        template.clone_box(),
-        data,
-        scenario_fleet(data, scenario),
-        scenario.rounds,
-        sampler,
-    )
-}
-
-/// The innermost scenario step: drives `rounds` session rounds of
-/// `framework` over an explicit, prebuilt fleet — the shape the
-/// scenario-suite engine needs when the sampler itself is derived from the
-/// fleet (e.g. [`CohortSampler::weighted_by_data_volume`]).
-pub fn run_fleet_with_reports(
-    framework: Box<dyn Framework>,
-    data: &BuildingDataset,
-    clients: Vec<Client>,
-    rounds: usize,
-    sampler: CohortSampler,
-) -> ScenarioOutcome {
-    // No network axis: an ideal profile, no deadline.
-    let ideal = FaultProfile::ideal();
-    run_fleet_with_network(framework, data, clients, rounds, sampler, &ideal, 0.0)
-}
-
-/// [`run_fleet_with_reports`] under simulated network conditions: every
+/// Drives `rounds` session rounds of `framework` over a prebuilt fleet
+/// under simulated network conditions and evaluates the result: every
 /// round's sampled cohort plan is replayed through the wire crate's
 /// fault-injection shim ([`FaultProfile::degrade_plan`], installed as the
 /// session's plan transform) before the framework runs it, so a would-be
@@ -285,8 +170,9 @@ pub fn run_fleet_with_reports(
 /// Network conditions thereby sweep like any other scenario axis without
 /// paying per-cell process spawns.
 ///
-/// An ideal profile returns every plan untouched, so cells without the
-/// network axis stay bitwise identical to the pre-axis engine.
+/// [`FaultProfile::ideal`] returns every plan untouched (`deadline_ms` is
+/// then unused), so cells without the network axis stay bitwise identical
+/// to the pre-axis engine.
 pub fn run_fleet_with_network(
     framework: Box<dyn Framework>,
     data: &BuildingDataset,
@@ -326,14 +212,9 @@ pub fn evaluate_errors(framework: &dyn Framework, data: &BuildingDataset) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use safeloc::SafeLoc;
+    use safeloc_dataset::DatasetConfig;
     use safeloc_metrics::ErrorStats;
-
-    fn quick_cfg() -> HarnessConfig {
-        HarnessConfig {
-            scale: Scale::Quick,
-            seed: 7,
-        }
-    }
 
     fn tiny_dataset() -> BuildingDataset {
         BuildingDataset::generate(Building::tiny(3), &DatasetConfig::tiny(), 3)
@@ -358,16 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn frameworks_come_in_paper_order() {
-        let fw = build_frameworks(20, 8, &quick_cfg());
-        let names: Vec<&str> = fw.iter().map(|f| f.name()).collect();
-        assert_eq!(
-            names,
-            ["SAFELOC", "ONLAD", "FEDLS", "FEDCC", "FEDHIL", "FEDLOC"]
-        );
-    }
-
-    #[test]
     fn scenario_runner_produces_errors_for_every_eval_sample() {
         let data = tiny_dataset();
         let mut f = SafeLoc::new(
@@ -384,7 +255,16 @@ mod tests {
             boost: None,
             coherent: false,
         };
-        let errors = run_scenario(&f, &data, &scenario);
+        let errors = run_fleet_with_network(
+            f.clone_box(),
+            &data,
+            scenario_fleet(&data, &scenario),
+            scenario.rounds,
+            CohortSampler::full(),
+            &FaultProfile::ideal(),
+            0.0,
+        )
+        .errors;
         let expected: usize = data.eval_sets().iter().map(|(_, s)| s.len()).sum();
         assert_eq!(errors.len(), expected);
         let stats = ErrorStats::from_errors(&errors);
@@ -493,7 +373,16 @@ mod tests {
             boost: None,
             coherent: false,
         };
-        let errors = run_scenario(&f, &data, &clean);
+        let errors = run_fleet_with_network(
+            f.clone_box(),
+            &data,
+            scenario_fleet(&data, &clean),
+            clean.rounds,
+            CohortSampler::full(),
+            &FaultProfile::ideal(),
+            0.0,
+        )
+        .errors;
         let stats = ErrorStats::from_errors(&errors);
         // Random guessing on the tiny serpentine floor is ~2.5 m mean.
         assert!(stats.mean < 2.5, "clean mean error {}", stats.mean);

@@ -14,17 +14,23 @@
 //! | `fig8_participation` | (ours) accuracy + attacker-rejection rate vs participation fraction |
 //! | `table1_overhead` | Table I — parameters + inference latency |
 //! | `ablation` | (ours) design-choice attribution |
-//! | `serve_bench` | (ours) closed-loop serving load + mid-traffic hot swap → `SERVE_*.json` + the `serving` section of `BENCH_nn.json` |
 //!
-//! Scenario execution runs through [`safeloc_fl::FlSession`]:
-//! [`run_scenario`] drives a full-participation session, and
-//! [`run_scenario_with_reports`] accepts any
-//! [`CohortSampler`](safeloc_fl::CohortSampler) and returns the per-round
-//! [`RoundReport`](safeloc_fl::RoundReport)s next to the errors;
-//! [`run_fleet_with_network`] installs the suite's network axis as the
-//! same session's per-round plan transform. City-scale cells hand the
-//! session a [`SyntheticFleet`], a generating
-//! [`FleetProvider`](safeloc_fl::FleetProvider).
+//! The figure binaries are specs plus formatters over the scenario-suite
+//! engine ([`suite`]; the `suite` binary runs a checked-in
+//! `scenarios/*.json` spec directly). Every cell runs through one
+//! [`safeloc_fl::FlSession`]: [`run_fleet_with_network`] takes any
+//! [`CohortSampler`](safeloc_fl::CohortSampler), installs the suite's
+//! network axis as the session's per-round plan transform and returns the
+//! per-round [`RoundReport`](safeloc_fl::RoundReport)s next to the errors.
+//! [`SyntheticFleet`] is a generating
+//! [`FleetProvider`](safeloc_fl::FleetProvider) for fleets too large to
+//! hold in memory (`examples/scalability.rs`).
+//!
+//! This crate reproduces figures; it does not record performance. The
+//! perf record is the standalone `benchmark/` crate at the repo root, and
+//! the criterion benches under `benches/` are the kernel-level companions
+//! (with [`naive`]'s seed kernels as their baselines). `telemetry_dump`
+//! cross-validates the three views of a telemetry snapshot ([`telem`]).
 //!
 //! Every binary accepts `--quick` (smoke-test scale), `--full` (the paper's
 //! 700-epoch configuration) and `--seed N`; the default is a
@@ -33,19 +39,16 @@
 pub mod fleet;
 pub mod harness;
 pub mod naive;
-pub mod perf;
 pub mod rss;
 pub mod suite;
 pub mod telem;
 
 pub use fleet::SyntheticFleet;
 pub use harness::{
-    build_dataset, build_frameworks, default_buildings, evaluate_errors, pretrained_safeloc,
-    run_fleet_with_network, run_fleet_with_reports, run_scenario, run_scenario_with_reports,
-    scenario_fleet, HarnessConfig, Scale, Scenario, ScenarioOutcome,
+    default_buildings, evaluate_errors, run_fleet_with_network, scenario_fleet, HarnessConfig,
+    Scale, Scenario, ScenarioOutcome,
 };
-pub use perf::{pool_stage_means, time_median_ns, FleetTiming, PerfReport, StageMean};
-pub use rss::{peak_rss_bytes, record_peak_rss_gauge, reset_peak_rss};
+pub use rss::record_peak_rss_gauge;
 pub use suite::{
     AttackSpec, CellRun, CombinerSpec, DefenseSpec, FleetSpec, FrameworkSpec, NetworkSpec,
     ParticipationMode, ParticipationSpec, PipelineSpec, SafelocVariant, ScenarioCell, ScenarioSpec,

@@ -4,10 +4,10 @@
 //! Everything here is intentionally *not* used by the production code: the
 //! tensor layer now routes through the blocked kernels in
 //! `safeloc_nn::kernels` and the training loop through the reusable
-//! [`Workspace`](safeloc_nn::Workspace). The benches and `perf_report`
-//! binary call these functions to measure how far the hot path has moved —
-//! giving every future PR a stable "seed" reference instead of comparing
-//! against a moving target.
+//! [`Workspace`](safeloc_nn::Workspace). The criterion benches call these
+//! functions to measure how far the hot path has moved — giving every
+//! future PR a stable "seed" reference instead of comparing against a
+//! moving target.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -136,7 +136,7 @@ pub fn train_step(
 /// trains a clone of the GM through the allocation-per-op scalar path
 /// above, the full GM is re-snapshotted once per client, and the updates
 /// are FedAvg-aggregated. This is the wall-clock baseline the rebuilt
-/// round is measured against in `BENCH_nn.json`.
+/// round is measured against (`benches/training_step.rs`).
 pub fn seed_round(gm: &mut Sequential, clients: &mut [Client], local: &LocalTrainConfig) {
     let n_classes = gm.out_dim();
     let round_salt = 1u64 << 16;

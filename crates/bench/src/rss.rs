@@ -1,33 +1,16 @@
-//! Peak-RSS measurement for the fleet-scale sweep.
+//! The process's peak RSS as a telemetry gauge.
 //!
-//! The streaming-cohort claim is a *memory* claim — a 100k-client round
-//! must not materialize 100k models — so the bench harness needs the
-//! kernel's own high-water mark, not an in-process estimate. On Linux
-//! that is `VmHWM` in `/proc/self/status`, resettable between sweep
-//! cells by writing `5` to `/proc/self/clear_refs`; elsewhere both
-//! calls gracefully report `None` and the sweep records wall time and
-//! bytes-on-wire only.
-
-/// Peak resident-set size of this process in bytes (`VmHWM`), or `None`
-/// when the platform does not expose it.
-pub fn peak_rss_bytes() -> Option<u64> {
-    peak_rss_impl()
-}
-
-/// Resets the kernel's peak-RSS watermark so the next
-/// [`peak_rss_bytes`] reflects only allocations made after this call.
-/// Returns `false` when the platform does not support resetting (the
-/// watermark then monotonically covers the whole process lifetime).
-pub fn reset_peak_rss() -> bool {
-    reset_peak_rss_impl()
-}
+//! `telemetry_dump` and `examples/observability.rs` publish the kernel's
+//! own high-water mark (`VmHWM` in `/proc/self/status` on Linux) next to
+//! the throughput series, so a scrape carries memory without an
+//! in-process estimate. Elsewhere the call reports `None`.
 
 /// Publishes the current peak RSS as the `process_peak_rss_bytes` gauge
 /// in the global telemetry registry, so a live scrape (or a
 /// `telemetry_dump` snapshot) carries the memory high-water mark next to
 /// the throughput series. Returns the recorded value, `None` where the
 /// platform has no watermark (the gauge is then left untouched — absent,
-/// not zero, mirroring `FleetTiming::peak_rss_bytes`).
+/// not zero).
 pub fn record_peak_rss_gauge() -> Option<u64> {
     let bytes = peak_rss_bytes()?;
     safeloc_telemetry::global()
@@ -37,25 +20,14 @@ pub fn record_peak_rss_gauge() -> Option<u64> {
 }
 
 #[cfg(target_os = "linux")]
-fn peak_rss_impl() -> Option<u64> {
+fn peak_rss_bytes() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     parse_vm_hwm(&status)
 }
 
-#[cfg(target_os = "linux")]
-fn reset_peak_rss_impl() -> bool {
-    // `5` resets the peak-RSS watermark (Documentation/filesystems/proc.rst).
-    std::fs::write("/proc/self/clear_refs", "5").is_ok()
-}
-
 #[cfg(not(target_os = "linux"))]
-fn peak_rss_impl() -> Option<u64> {
+fn peak_rss_bytes() -> Option<u64> {
     None
-}
-
-#[cfg(not(target_os = "linux"))]
-fn reset_peak_rss_impl() -> bool {
-    false
 }
 
 /// Parses the `VmHWM:  123456 kB` line out of a `/proc/self/status`
@@ -77,7 +49,7 @@ mod tests {
     #[test]
     fn vm_hwm_parses_out_of_a_status_dump() {
         let status =
-            "Name:\tfleet_scale\nVmPeak:\t  200000 kB\nVmHWM:\t   81920 kB\nVmRSS:\t   40960 kB\n";
+            "Name:\ttelemetry_dump\nVmPeak:\t  200000 kB\nVmHWM:\t   81920 kB\nVmRSS:\t   40960 kB\n";
         assert_eq!(parse_vm_hwm(status), Some(81920 * 1024));
     }
 
@@ -85,19 +57,5 @@ mod tests {
     fn missing_or_garbled_hwm_lines_yield_none() {
         assert_eq!(parse_vm_hwm("Name:\tx\nVmRSS:\t 1 kB\n"), None);
         assert_eq!(parse_vm_hwm("VmHWM:\tnot-a-number kB\n"), None);
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn live_peak_rss_is_positive_and_survives_a_reset() {
-        let before = peak_rss_bytes().expect("linux exposes VmHWM");
-        assert!(before > 0);
-        // Resetting may be refused in restricted sandboxes; when it
-        // succeeds the watermark must still be readable afterwards.
-        if reset_peak_rss() {
-            let after = peak_rss_bytes().expect("VmHWM readable after reset");
-            assert!(after > 0);
-            assert!(after <= before);
-        }
     }
 }

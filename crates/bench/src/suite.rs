@@ -29,7 +29,7 @@ use crate::harness::{
 use rayon::prelude::*;
 use safeloc::{AggregationMode, DaeAugment, SafeLoc, SaliencyAggregator};
 use safeloc_attacks::Attack;
-use safeloc_baselines::{FedCc, FedHil, FedLoc, FedLs, KrumFramework, Onlad};
+use safeloc_baselines::{fedcc, fedhil, fedloc, fedls, krum, Onlad};
 use safeloc_dataset::{Building, BuildingDataset, DatasetConfig, DeviceProfile, FingerprintSet};
 use safeloc_fl::defense::{
     Combiner, CoordinateMedian, DefensePipeline, DefenseStage, NonFiniteGuard, NormClip,
@@ -210,31 +210,21 @@ impl FrameworkSpec {
                 n_classes,
                 cfg.server_config(),
             ))),
-            FrameworkSpec::FedLs => Template::Boxed(Box::new(FedLs::new(
-                input_dim,
-                n_classes,
-                cfg.server_config(),
-            ))),
-            FrameworkSpec::FedCc => Template::Boxed(Box::new(FedCc::new(
-                input_dim,
-                n_classes,
-                cfg.server_config(),
-            ))),
-            FrameworkSpec::FedHil => Template::Boxed(Box::new(FedHil::new(
-                input_dim,
-                n_classes,
-                cfg.server_config(),
-            ))),
-            FrameworkSpec::FedLoc => Template::Boxed(Box::new(FedLoc::new(
-                input_dim,
-                n_classes,
-                cfg.server_config(),
-            ))),
-            FrameworkSpec::Krum => Template::Boxed(Box::new(KrumFramework::new(
-                input_dim,
-                n_classes,
-                cfg.server_config(),
-            ))),
+            FrameworkSpec::FedLs => {
+                Template::Boxed(Box::new(fedls(input_dim, n_classes, cfg.server_config())))
+            }
+            FrameworkSpec::FedCc => {
+                Template::Boxed(Box::new(fedcc(input_dim, n_classes, cfg.server_config())))
+            }
+            FrameworkSpec::FedHil => {
+                Template::Boxed(Box::new(fedhil(input_dim, n_classes, cfg.server_config())))
+            }
+            FrameworkSpec::FedLoc => {
+                Template::Boxed(Box::new(fedloc(input_dim, n_classes, cfg.server_config())))
+            }
+            FrameworkSpec::Krum => {
+                Template::Boxed(Box::new(krum(input_dim, n_classes, cfg.server_config())))
+            }
         }
     }
 }
@@ -1723,8 +1713,8 @@ pub struct SuiteCellReport {
     pub cell: ScenarioCell,
 }
 
-/// The serializable record of a whole suite — written next to
-/// `BENCH_nn.json` by the `suite` binary and uploaded as a CI artifact.
+/// The serializable record of a whole suite — written by the `suite`
+/// binary (`SUITE_<name>.json`) and uploaded as a CI artifact.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SuiteReport {
     /// Report format version.

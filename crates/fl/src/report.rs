@@ -22,8 +22,8 @@ use std::time::Instant;
 /// rejected and how long it ran. A
 /// [`DefensePipeline`](crate::defense::DefensePipeline) emits one entry
 /// per stage in execution order, combiner last; engines fold the trail
-/// into [`RoundReport::stages`] so suite reports and `BENCH_nn.json` can
-/// attribute both rejections and wall time to individual stages.
+/// into [`RoundReport::stages`] so suite reports can attribute both
+/// rejections and wall time to individual stages.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StageTelemetry {
     /// Stage (or combiner) name, e.g. `"norm-clip"`, `"latent"`, `"krum"`.
@@ -412,8 +412,8 @@ pub fn pooled_rate<'a>(
 /// per stage name, in order of first appearance (= pipeline order):
 /// `rejections` totalled, `wall_ms` averaged over the rounds the stage
 /// appeared in. This is the single fold behind the suite's per-cell
-/// `stage_stats`, `BENCH_nn.json`'s `session[].stage_ms` and any ad-hoc
-/// report consumer — so the pooling semantics cannot drift between them.
+/// `stage_stats` and any ad-hoc report consumer — so the pooling
+/// semantics cannot drift between them.
 pub fn pooled_stage_telemetry<'a>(
     reports: impl Iterator<Item = &'a RoundReport>,
 ) -> Vec<StageTelemetry> {

@@ -30,4 +30,4 @@ pub mod table;
 
 pub use error::localization_errors;
 pub use stats::ErrorStats;
-pub use table::{heatmap, markdown_table, series_table};
+pub use table::{heatmap, markdown_table};

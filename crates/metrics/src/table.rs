@@ -27,15 +27,6 @@ pub fn markdown_table(header: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Renders a named numeric series as a two-column markdown table.
-pub fn series_table(x_name: &str, y_name: &str, points: &[(f32, f32)]) -> String {
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|(x, y)| vec![format!("{x:.3}"), format!("{y:.3}")])
-        .collect();
-    markdown_table(&[x_name, y_name], &rows)
-}
-
 /// Renders a heatmap (Fig. 5 style): one row label per row, one column
 /// label per column, `values[r][c]` formatted to two decimals.
 ///
@@ -85,13 +76,6 @@ mod tests {
     #[should_panic(expected = "row width mismatch")]
     fn table_validates_rows() {
         let _ = markdown_table(&["a", "b"], &[vec!["1".into()]]);
-    }
-
-    #[test]
-    fn series_formats_points() {
-        let out = series_table("tau", "error", &[(0.1, 1.5), (0.2, 2.0)]);
-        assert!(out.contains("| 0.100 | 1.500 |"));
-        assert!(out.contains("| tau | error |"));
     }
 
     #[test]

@@ -50,8 +50,9 @@
 //! dense activations real training produces.
 //!
 //! Measured against the preserved seed loops (`safeloc_bench::naive`) at
-//! batch 32 on the paper shapes, these kernels run 1.8–2.6× faster; see
-//! `BENCH_nn.json` for the current numbers.
+//! batch 32 on the paper shapes, these kernels run 1.8–2.6× faster;
+//! `cargo bench -p safeloc-bench --bench matmul` prints both sides, and
+//! `benchmark/`'s `nn.matmul_l1_us` / `nn.tmatmul_l1_us` track them per PR.
 
 /// Column block size (floats). Four `b` row blocks (4 × 128 × 4 B = 2 KiB)
 /// plus four output row blocks stay comfortably L1-resident.

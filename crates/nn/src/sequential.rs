@@ -7,7 +7,7 @@ use crate::dense::Dense;
 use crate::init::Init;
 use crate::loss::{MseLoss, SparseCrossEntropyLoss};
 use crate::optim::Optimizer;
-use crate::params::{HasParams, NamedParams};
+use crate::params::HasParams;
 use crate::tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -591,14 +591,6 @@ impl HasParams for Sequential {
             f(b);
         }
     }
-}
-
-/// Convenience: snapshot/load round-trip helper used by the FL layer.
-pub fn clone_with_params(model: &Sequential, params: &NamedParams) -> Sequential {
-    let mut m = model.clone();
-    m.load(params)
-        .expect("architecture-compatible by construction");
-    m
 }
 
 #[cfg(test)]

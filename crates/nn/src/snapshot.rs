@@ -121,6 +121,8 @@ pub fn read_json_file<T: serde::Deserialize>(path: impl AsRef<Path>) -> Result<T
 /// # Errors
 ///
 /// Returns [`SnapshotError::Io`] if the file cannot be written.
+// pub-ok: single-model file persistence is library API; no in-repo caller
+// yet (the serve registry saves whole registries via `write_json_file`).
 pub fn save_params(path: impl AsRef<Path>, params: &NamedParams) -> Result<(), SnapshotError> {
     write_json_file(
         path,
@@ -151,6 +153,8 @@ pub fn load_params(path: impl AsRef<Path>) -> Result<NamedParams, SnapshotError>
 ///
 /// Everything [`load_params`] reports, plus [`SnapshotError::Arch`] when
 /// the snapshot does not match the model's architecture.
+// pub-ok: single-model file persistence is library API; no in-repo caller
+// yet (the serve registry saves whole registries via `write_json_file`).
 pub fn load_params_into<M: HasParams>(
     model: &mut M,
     path: impl AsRef<Path>,
@@ -165,6 +169,8 @@ pub fn load_params_into<M: HasParams>(
 /// # Errors
 ///
 /// Returns [`SnapshotError::Io`] if the file cannot be written.
+// pub-ok: single-model file persistence is library API; no in-repo caller
+// yet (the serve registry saves whole registries via `write_json_file`).
 pub fn save_network(path: impl AsRef<Path>, network: &Sequential) -> Result<(), SnapshotError> {
     write_json_file(
         path,
@@ -181,6 +187,8 @@ pub fn save_network(path: impl AsRef<Path>, network: &Sequential) -> Result<(), 
 ///
 /// [`SnapshotError::Io`] if the file cannot be read, [`SnapshotError::Parse`]
 /// on malformed JSON or a wrong schema tag.
+// pub-ok: single-model file persistence is library API; no in-repo caller
+// yet (the serve registry saves whole registries via `write_json_file`).
 pub fn load_network(path: impl AsRef<Path>) -> Result<Sequential, SnapshotError> {
     let file: NetworkFile = read_json_file(path)?;
     check_schema(&file.schema, NETWORK_SCHEMA)?;

@@ -24,8 +24,8 @@
 //!   [`FlSession`](safeloc_fl::FlSession) hook that hot-swaps each
 //!   round's aggregated model into the registry, and a closed-loop
 //!   synthetic client population measuring throughput and p50/p95/p99
-//!   latency against the live service (the `serve_bench` binary drives
-//!   both concurrently).
+//!   latency against the live service (`examples/serving.rs` drives both
+//!   concurrently).
 //!
 //! # Example
 //!

@@ -45,8 +45,7 @@ impl LoadPlan {
     }
 }
 
-/// Latency/throughput statistics of one run — the `serving` numbers that
-/// land in `BENCH_nn.json`.
+/// Latency/throughput statistics of one run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServingStats {
     /// Closed-loop clients.

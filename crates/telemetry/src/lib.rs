@@ -23,8 +23,9 @@
 //! every bitwise-pinned trajectory (round lifecycle, loopback rounds,
 //! thread invariance) is unchanged with telemetry enabled. A process-wide
 //! kill switch ([`set_enabled`]) turns every record into a single relaxed
-//! load, which is what the instrumented-vs-uninstrumented overhead
-//! comparison in `serve_bench`/`fleet_scale` measures.
+//! load, which is what the `telemetry_on_off` criterion group
+//! (`safeloc-bench`, `benches/aggregation.rs`) flips to compare the
+//! instrumented and uninstrumented hot paths.
 //!
 //! # Exposition
 //!

@@ -64,9 +64,9 @@ impl TelemetrySnapshot {
         self.len() == 0
     }
 
-    /// Structural sanity check, mirroring `PerfReport::validate`: every
-    /// histogram's bucket total must equal its count, and sums must be
-    /// finite. Returns the list of problems (empty = valid).
+    /// Structural sanity check: every histogram's bucket total must equal
+    /// its count, and sums must be finite. Returns the list of problems
+    /// (empty = valid).
     pub fn validate(&self) -> Vec<String> {
         let mut problems = Vec::new();
         for h in &self.histograms {

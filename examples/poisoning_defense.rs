@@ -15,7 +15,7 @@
 
 use safeloc::{SafeLoc, SafeLocConfig};
 use safeloc_attacks::{Attack, PoisonInjector};
-use safeloc_baselines::FedLoc;
+use safeloc_baselines::fedloc;
 use safeloc_dataset::{Building, BuildingDataset, DatasetConfig, DeviceProfile};
 use safeloc_fl::defense::{DefensePipeline, NormClip};
 use safeloc_fl::{pooled_stage_telemetry, Client, FlSession, Framework, Krum, ServerConfig};
@@ -61,14 +61,14 @@ fn main() {
     let aps = data.building.num_aps();
     let rps = data.building.num_rps();
 
-    let fedloc = FedLoc::new(aps, rps, ServerConfig::default_scale(11));
-    let fedloc_mean = attacked_mean(Box::new(fedloc), &data, rounds);
+    let undefended = fedloc(aps, rps, ServerConfig::default_scale(11));
+    let fedloc_mean = attacked_mean(Box::new(undefended), &data, rounds);
     println!("FEDLOC  (FedAvg, no defense): mean error {fedloc_mean:.2} m\n");
 
     // The same FEDLOC architecture, but its server-side defense replaced
     // by a composed pipeline: clip update norms at 3x the round median,
     // then Krum-select among the bounded survivors.
-    let mut composed = FedLoc::new(aps, rps, ServerConfig::default_scale(11));
+    let mut composed = fedloc(aps, rps, ServerConfig::default_scale(11));
     composed.set_aggregator(Box::new(DefensePipeline::new(
         "norm-clip+krum",
         vec![Box::new(NormClip::new(3.0))],

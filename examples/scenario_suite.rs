@@ -71,7 +71,7 @@ fn main() {
     }
 
     // The whole suite serializes for regression tracking (the `suite` bin
-    // writes this next to BENCH_nn.json; CI uploads it as an artifact).
+    // writes it as SUITE_<name>.json; CI uploads it as an artifact).
     let report = run.report();
     println!(
         "\nSuiteReport: {} cells, schema {}",

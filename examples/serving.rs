@@ -25,8 +25,7 @@ fn main() {
     server.pretrain(&data.server_train);
 
     // Publish the pretrained model as the building default, plus one
-    // per-device variant (here just the same weights; `serve_bench`
-    // fine-tunes real variants).
+    // per-device variant (here just the same weights).
     let registry = Arc::new(ModelRegistry::new());
     let key = ModelKey::default_for(data.building.id);
     registry.publish(

@@ -17,7 +17,7 @@
 //! | [`serve`] | online serving: model registry, micro-batched inference, load harness |
 //! | [`wire`] | binary wire protocol: TCP serving front, remote federated rounds |
 //! | [`telemetry`] | lock-light metrics, flight-recorder tracing, Prometheus exposition |
-//! | [`bench`](mod@bench) | paper-figure harness and performance reporting |
+//! | [`bench`](mod@bench) | paper-figure harness: scenario suites, figure bins, criterion kernel benches |
 
 pub use safeloc as core;
 pub use safeloc_attacks as attacks;

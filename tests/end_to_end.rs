@@ -4,7 +4,7 @@
 
 use safeloc::{SafeLoc, SafeLocConfig};
 use safeloc_attacks::{Attack, PoisonInjector};
-use safeloc_baselines::{FedCc, FedHil, FedLoc, FedLs, KrumFramework, Onlad};
+use safeloc_baselines::{fedcc, fedhil, fedloc, fedls, krum, Onlad};
 use safeloc_dataset::{Building, BuildingDataset, DatasetConfig};
 use safeloc_fl::{Client, Framework, RoundPlan, ServerConfig};
 use safeloc_metrics::{localization_errors, ErrorStats};
@@ -62,12 +62,12 @@ fn every_baseline_completes_rounds() {
     let (aps, rps) = (data.building.num_aps(), data.building.num_rps());
     let cfg = ServerConfig::tiny();
     let mut frameworks: Vec<Box<dyn Framework>> = vec![
-        Box::new(FedLoc::new(aps, rps, cfg)),
-        Box::new(FedHil::new(aps, rps, cfg)),
-        Box::new(FedCc::new(aps, rps, cfg)),
-        Box::new(FedLs::new(aps, rps, cfg)),
+        Box::new(fedloc(aps, rps, cfg)),
+        Box::new(fedhil(aps, rps, cfg)),
+        Box::new(fedcc(aps, rps, cfg)),
+        Box::new(fedls(aps, rps, cfg)),
         Box::new(Onlad::new(aps, rps, cfg)),
-        Box::new(KrumFramework::new(aps, rps, cfg)),
+        Box::new(krum(aps, rps, cfg)),
     ];
     for f in &mut frameworks {
         f.pretrain(&data.server_train);
@@ -101,7 +101,7 @@ fn safeloc_beats_fedloc_under_boosted_label_flip() {
         data.building.num_rps(),
         SafeLocConfig::tiny(),
     )));
-    let fedloc = run(Box::new(FedLoc::new(
+    let fedloc = run(Box::new(fedloc(
         data.building.num_aps(),
         data.building.num_rps(),
         ServerConfig::tiny(),

@@ -9,7 +9,7 @@
 
 use safeloc::{SafeLoc, SafeLocConfig};
 use safeloc_attacks::{Attack, PoisonInjector};
-use safeloc_baselines::{FedCc, FedHil, FedLoc, FedLs, KrumFramework, Onlad};
+use safeloc_baselines::{fedcc, fedhil, fedloc, fedls, krum, Onlad};
 use safeloc_dataset::{Building, BuildingDataset, DatasetConfig, DeviceProfile};
 use safeloc_fl::{
     Availability, Client, ClientOutcome, CohortSampler, FlSession, Framework, RoundPlan,
@@ -27,11 +27,11 @@ fn all_seven(data: &BuildingDataset) -> Vec<Box<dyn Framework>> {
     let mut frameworks: Vec<Box<dyn Framework>> = vec![
         Box::new(SafeLoc::new(aps, rps, SafeLocConfig::tiny())),
         Box::new(Onlad::new(aps, rps, cfg)),
-        Box::new(FedLs::new(aps, rps, cfg)),
-        Box::new(FedCc::new(aps, rps, cfg)),
-        Box::new(FedHil::new(aps, rps, cfg)),
-        Box::new(FedLoc::new(aps, rps, cfg)),
-        Box::new(KrumFramework::new(aps, rps, cfg)),
+        Box::new(fedls(aps, rps, cfg)),
+        Box::new(fedcc(aps, rps, cfg)),
+        Box::new(fedhil(aps, rps, cfg)),
+        Box::new(fedloc(aps, rps, cfg)),
+        Box::new(krum(aps, rps, cfg)),
     ];
     for f in &mut frameworks {
         f.pretrain(&data.server_train);
@@ -126,7 +126,7 @@ fn reports_expose_defense_decisions_per_framework() {
 fn krum_reports_reject_the_boosted_attacker() {
     let data = dataset();
     let (aps, rps) = (data.building.num_aps(), data.building.num_rps());
-    let mut f = KrumFramework::new(aps, rps, ServerConfig::tiny());
+    let mut f = krum(aps, rps, ServerConfig::tiny());
     f.pretrain(&data.server_train);
     let mut session = FlSession::builder(Box::new(f))
         .clients(attacked_fleet(&data))
@@ -179,7 +179,7 @@ fn fedls_small_cohort_rejects_the_boosted_attacker() {
         ..DatasetConfig::tiny()
     };
     let data = BuildingDataset::generate(Building::tiny(8), &cfg, 8);
-    let mut f = FedLs::new(
+    let mut f = fedls(
         data.building.num_aps(),
         data.building.num_rps(),
         ServerConfig::tiny(),
@@ -233,7 +233,7 @@ fn cohort_membership_does_not_perturb_other_clients_training() {
     let data = dataset();
     let (aps, rps) = (data.building.num_aps(), data.building.num_rps());
     let run = |extra: usize| {
-        let mut f = FedLoc::new(aps, rps, ServerConfig::tiny());
+        let mut f = fedloc(aps, rps, ServerConfig::tiny());
         f.pretrain(&data.server_train);
         let mut clients = Client::from_dataset(&data, 31);
         let plan = RoundPlan::new(vec![
