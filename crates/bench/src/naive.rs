@@ -12,8 +12,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use safeloc_fl::{Aggregator, Client, ClientUpdate, DefensePipeline, LocalTrainConfig};
+use safeloc_nn::optim::ParamStream;
 use safeloc_nn::{
-    gather_labels, gather_rows, shuffled_batches, Activation, Adam, HasParams, Matrix, NamedParams,
+    gather_labels, gather_rows, shuffled_batches, Activation, HasParams, Matrix, NamedParams,
     Optimizer, Sequential, SparseCrossEntropyLoss,
 };
 
@@ -82,16 +83,90 @@ pub fn transposed_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
+/// The seed's Adam (standard betas and epsilon), `step_stream` verbatim,
+/// so the seed side of the benches stays where the seed was while the
+/// production optimizer (`safeloc_nn::kernels::adam_update`) gets faster.
+///
+/// Verbatim includes the visitor closure: the loop is slow because the
+/// moments are indexed through `&mut Vec<f32>` borrowed inside it (design
+/// rule 6 in the `safeloc_nn::kernels` module docs), and the same loop as
+/// a free function over slices vectorizes — it would not be a fixed
+/// baseline. Pinned bit for bit against production by
+/// `seed_adam_and_the_kernel_agree_bitwise`.
+#[derive(Debug, Clone)]
+pub struct SeedAdam {
+    lr: f32,
+    beta1: f32,
+    beta2: f32,
+    eps: f32,
+    t: u64,
+    m: Vec<Vec<f32>>,
+    v: Vec<Vec<f32>>,
+}
+
+impl SeedAdam {
+    /// A fresh optimizer with learning rate `lr`.
+    pub fn new(lr: f32) -> Self {
+        Self {
+            lr,
+            beta1: 0.9,
+            beta2: 0.999,
+            eps: 1e-8,
+            t: 0,
+            m: Vec::new(),
+            v: Vec::new(),
+        }
+    }
+}
+
+impl Optimizer for SeedAdam {
+    fn step_stream(&mut self, params: &mut dyn ParamStream, grads: &[Matrix]) {
+        if self.m.is_empty() {
+            self.m = grads.iter().map(|g| vec![0.0; g.len()]).collect();
+            self.v = grads.iter().map(|g| vec![0.0; g.len()]).collect();
+        }
+        assert_eq!(self.m.len(), grads.len(), "parameter count changed");
+        self.t += 1;
+        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
+        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let (lr, beta1, beta2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
+        let (moments_m, moments_v) = (&mut self.m, &mut self.v);
+        let mut idx = 0;
+        params.visit(&mut |p| {
+            assert!(idx < grads.len(), "params/grads length mismatch");
+            let g = &grads[idx];
+            let m = &mut moments_m[idx];
+            let v = &mut moments_v[idx];
+            assert_eq!(p.shape(), g.shape(), "param/grad shape mismatch");
+            assert_eq!(p.len(), m.len(), "parameter shape changed between steps");
+            let ps = p.as_mut_slice();
+            let gs = g.as_slice();
+            for i in 0..ps.len() {
+                m[i] = beta1 * m[i] + (1.0 - beta1) * gs[i];
+                v[i] = beta2 * v[i] + (1.0 - beta2) * gs[i] * gs[i];
+                let m_hat = m[i] / bc1;
+                let v_hat = v[i] / bc2;
+                ps[i] -= lr * m_hat / (v_hat.sqrt() + eps);
+            }
+            idx += 1;
+        });
+        assert_eq!(idx, grads.len(), "params/grads length mismatch");
+    }
+
+    fn learning_rate(&self) -> f32 {
+        self.lr
+    }
+
+    fn set_learning_rate(&mut self, lr: f32) {
+        self.lr = lr;
+    }
+}
+
 /// The seed's forward/backward/step training path: every intermediate —
 /// pre-activations, activation outputs, derivative masks, gradients, the
 /// softmax — is a freshly allocated matrix, and all products go through the
 /// scalar kernels above. Returns the batch loss.
-pub fn train_step(
-    model: &mut Sequential,
-    x: &Matrix,
-    labels: &[usize],
-    opt: &mut dyn Optimizer,
-) -> f32 {
+pub fn train_step(model: &mut Sequential, x: &Matrix, labels: &[usize], opt: &mut SeedAdam) -> f32 {
     let depth = model.depth();
     // Forward trace.
     let mut inputs: Vec<Matrix> = Vec::with_capacity(depth + 1);
@@ -127,7 +202,6 @@ pub fn train_step(
         grads[2 * i + 1] = grad_pre.sum_rows();
         grad = matmul_transposed(&grad_pre, layer.weights());
     }
-    use safeloc_nn::HasParams;
     opt.step(model.param_tensors_mut(), &grads);
     loss
 }
@@ -147,7 +221,7 @@ pub fn seed_round(gm: &mut Sequential, clients: &mut [Client], local: &LocalTrai
             // Seed-style local training: allocation per batch, scalar
             // kernels per step.
             let mut lm = gm.clone();
-            let mut opt = Adam::new(local.learning_rate);
+            let mut opt = SeedAdam::new(local.learning_rate);
             let mut rng = StdRng::seed_from_u64(c.seed ^ round_salt);
             for _ in 0..local.epochs {
                 for batch in shuffled_batches(set.x.rows(), local.batch_size, &mut rng) {
@@ -237,16 +311,40 @@ mod tests {
         let mut b = a.clone();
         let x = mat(6, 12, 9);
         let labels = vec![0usize, 1, 2, 3, 0, 1];
-        let mut oa = Adam::new(1e-3);
+        let mut oa = SeedAdam::new(1e-3);
         let mut ob = Adam::new(1e-3);
         for _ in 0..3 {
             let la = train_step(&mut a, &x, &labels, &mut oa);
             let lb = b.train_batch(&x, &labels, &mut ob);
             assert!((la - lb).abs() < 1e-5, "losses diverged: {la} vs {lb}");
         }
-        use safeloc_nn::HasParams;
         let dist = a.snapshot().l2_distance(&b.snapshot());
         assert!(dist < 1e-3, "weights diverged: {dist}");
+    }
+
+    /// The production kernel computes exactly what the seed loop did: the
+    /// two optimizers' parameters (whose trajectory carries both moments)
+    /// are equal bit for bit after every one of 60 consecutive steps.
+    #[test]
+    fn seed_adam_and_the_kernel_agree_bitwise() {
+        let bits = |a: &Matrix| a.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let shapes = [(203, 128), (1, 128), (62, 60), (1, 60), (3, 5)];
+        let tensors = |salt: u64| -> Vec<Matrix> {
+            (shapes.iter().zip(salt..))
+                .map(|(&(r, c), salt)| mat(r, c, salt))
+                .collect()
+        };
+        let mut seed_params = tensors(0);
+        let mut kernel_params = seed_params.clone();
+        let (mut seed_opt, mut kernel_opt) = (SeedAdam::new(1e-3), Adam::new(1e-3));
+        for t in 1..=60 {
+            let grads = tensors(100 * t);
+            seed_opt.step(seed_params.iter_mut().collect(), &grads);
+            kernel_opt.step(kernel_params.iter_mut().collect(), &grads);
+            for (a, b) in seed_params.iter().zip(&kernel_params) {
+                assert!(bits(a) == bits(b), "optimizers diverged at step {t}");
+            }
+        }
     }
 
     #[test]

@@ -1,23 +1,31 @@
 //! Register-blocked, autovectorization-friendly matrix kernels.
 //!
 //! These slice-level kernels are the only place in the workspace that
-//! multiplies matrices or reduces an `O(d)` vector to a scalar;
-//! [`Matrix`](crate::Matrix) methods and every layer above them route
-//! here. Five design rules, the first three driven by profiles of the
-//! paper-sized (203→128→89→62→60) training step on AVX2/AVX-512 hardware,
-//! the last two by the 256-client screening round (`46 953`-coordinate
-//! deltas):
+//! multiplies matrices, reduces an `O(d)` vector to a scalar or applies
+//! the optimizer's update; [`Matrix`](crate::Matrix) methods, [`Adam`]
+//! and every layer above them route here. Six design rules, the first
+//! three driven by profiles of the paper-sized (203→128→89→62→60)
+//! training step on AVX2/AVX-512 hardware, the next two by the 256-client
+//! screening round (`46 953`-coordinate deltas), the last by the fused
+//! network's training step (`70 830` parameters, twelve tensors):
+//!
+//! [`Adam`]: crate::Adam
 //!
 //! 1. **Write into caller-owned buffers.** The seed implementation
 //!    allocated (and zeroed) a fresh output for every product; at batch 32
 //!    that is three allocations per layer per step. Every kernel here takes
 //!    `out: &mut [f32]` so the training loop can run allocation-free.
 //! 2. **Register-block the output.** [`matmul_into`] computes a 4-row ×
-//!    4-k block per pass: 16 independent FMA streams per loaded `b` row,
-//!    which amortizes loads across rows (the seed's one-row-at-a-time loop
-//!    was load-port bound) and breaks the FMA latency chain. The
-//!    dot-product kernel ([`matmul_transposed_into`]) computes four output
-//!    columns per pass for the same reason.
+//!    4-k block per pass: four loaded `b` rows meet four output rows in 16
+//!    independent multiplies feeding four separate add chains, which
+//!    amortizes loads across rows (the seed's one-row-at-a-time loop was
+//!    load-port bound) and breaks the add latency chain. The products and
+//!    sums are separate multiplies and adds — nothing here asks for fused
+//!    multiply-add, and the compiler never contracts on its own — which
+//!    is precisely why a result is bit-stable across CPUs with and
+//!    without FMA units.
+//!    [`matmul_transposed_into`] and [`transposed_matmul_into`] transpose
+//!    once and run the same kernel.
 //! 3. **Block columns for L1.** Column ranges are walked in `NC`-sized
 //!    blocks so the four active `b` rows and the output block stay
 //!    L1-resident across the reduction.
@@ -44,6 +52,32 @@
 //!    `k_blocking_is_bitwise_identical_to_the_unblocked_loop`), and the
 //!    paper shapes (`k ≤ 203 < KC`) are a single block running the loop
 //!    nest they always ran.
+//! 6. **Element-wise updates take slices, never containers.**
+//!    [`adam_update`] receives the parameter, gradient and both moment
+//!    buffers as four slice *arguments*, asserts their lengths equal once
+//!    and walks them zipped. The loop it replaced sat inside
+//!    `Adam::step_stream`'s visitor closure and indexed the moments
+//!    through `&mut Vec<f32>` borrowed there: nothing told the compiler
+//!    that a store to `m[i]` leaves a `Vec`'s own pointer and length (or
+//!    another of the four buffers) alone, so it reloaded and re-checked
+//!    them per element and the divide/sqrt chain stayed scalar — 4.3 ns
+//!    per parameter, 39 % of a fused training step at batch 32 and 54 %
+//!    at batch 16. Slice arguments carry the no-alias guarantee into the
+//!    loop wherever it is inlined; the kernel runs 0.9 ns per parameter.
+//!    Every element still goes through the *same* IEEE operations in the
+//!    *same* order — `m / bc1`, `v / bc2`, `lr·m̂ / (√v̂ + eps)`: three
+//!    true divides and a correctly rounded square root, no hoisted
+//!    reciprocal, no `mul_add`, no `rsqrt` — so each vector lane computes
+//!    exactly what the scalar loop did and trained models are
+//!    bit-identical (pinned by
+//!    `adam_update_is_bitwise_identical_to_the_indexed_loop`; the parent's
+//!    loop survives only as that test's oracle and as
+//!    `safeloc_bench::naive::SeedAdam`). Moments that decay into
+//!    subnormals (a weight whose gradient turned exactly zero: `0.9·m`
+//!    rounds back to `m` below five subnormal ulps, so it never reaches
+//!    zero) cost a microcode assist per divide, ×2.5–3 per step for this
+//!    kernel and the old loop alike; flushing them changes bits and is
+//!    not done here.
 //!
 //! The seed kernel's `a == 0.0` skip is deliberately gone: it helped only
 //! on artificially sparse inputs and costs a branch per multiply on the
@@ -92,8 +126,8 @@ const _: () = assert!(
 /// of `b` is copied once into a contiguous thread-local scratch and
 /// reused across every output row block, turning the inner loop's four
 /// `n`-strided `b` row reads into sequential ones. The packed path reads
-/// the same values and runs the same per-element FMA order as the direct
-/// path, so results are bitwise identical (pinned by
+/// the same values and runs the same per-element multiply-add order as the
+/// direct path, so results are bitwise identical (pinned by
 /// `packed_path_is_bitwise_identical`).
 ///
 /// Longer reductions are walked in `KC`-row blocks, outermost (design
@@ -228,9 +262,9 @@ fn accumulate_direct(
 
 /// The packed kernel: column blocks outermost, each `k × jlen` slab of
 /// `b` copied contiguous (`scratch[kk·jlen + j]`) once and then swept by
-/// every output row block. Same loads, same FMA expressions, same
-/// per-element accumulation order as [`accumulate_direct`] — only the
-/// `b` addressing changes — so the two are bitwise interchangeable.
+/// every output row block. Same loads, same multiply-add expressions,
+/// same per-element accumulation order as [`accumulate_direct`] — only
+/// the `b` addressing changes — so the two are bitwise interchangeable.
 fn matmul_into_packed(
     out: &mut [f32],
     a: &[f32],
@@ -477,6 +511,71 @@ pub fn squared_distance_scaled(a: &[f32], sa: f32, b: &[f32], sb: f32) -> f32 {
         let d = sa * x - sb * y;
         d * d
     })
+}
+
+/// One Adam step's scalars, fixed for every element of every tensor:
+/// the hyper-parameters and the step's two bias corrections
+/// (`bc1 = 1 − β₁ᵗ`, `bc2 = 1 − β₂ᵗ`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AdamStep {
+    /// Learning rate.
+    pub lr: f32,
+    /// First-moment decay β₁.
+    pub beta1: f32,
+    /// Second-moment decay β₂.
+    pub beta2: f32,
+    /// Denominator offset ε.
+    pub eps: f32,
+    /// First-moment bias correction `1 − β₁ᵗ`.
+    pub bc1: f32,
+    /// Second-moment bias correction `1 − β₂ᵗ`.
+    pub bc2: f32,
+}
+
+/// Adam's element-wise update of one parameter tensor `p` with gradient
+/// `g` and moment estimates `m`, `v` (design rule 6 in the module docs):
+///
+/// ```text
+/// m ← β₁·m + (1 − β₁)·g
+/// v ← β₂·v + ((1 − β₂)·g)·g
+/// p ← p − (lr·(m / bc1)) / (√(v / bc2) + ε)
+/// ```
+///
+/// Every element goes through exactly these IEEE operations in exactly
+/// this order — two true divides by the bias corrections, a correctly
+/// rounded square root, a third divide — so the result does not depend on
+/// how many elements share a vector register.
+///
+/// # Panics
+///
+/// Panics if the four slices differ in length.
+pub fn adam_update(p: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32], step: &AdamStep) {
+    assert_eq!(g.len(), p.len(), "gradient and parameter lengths differ");
+    assert_eq!(
+        m.len(),
+        p.len(),
+        "first-moment and parameter lengths differ"
+    );
+    assert_eq!(
+        v.len(),
+        p.len(),
+        "second-moment and parameter lengths differ"
+    );
+    let AdamStep {
+        lr,
+        beta1,
+        beta2,
+        eps,
+        bc1,
+        bc2,
+    } = *step;
+    for (((p, &g), m), v) in p.iter_mut().zip(g).zip(m.iter_mut()).zip(v.iter_mut()) {
+        *m = beta1 * *m + (1.0 - beta1) * g;
+        *v = beta2 * *v + (1.0 - beta2) * g * g;
+        let m_hat = *m / bc1;
+        let v_hat = *v / bc2;
+        *p -= lr * m_hat / (v_hat.sqrt() + eps);
+    }
 }
 
 /// Elements per early-exit check of [`has_non_finite`].
@@ -775,6 +874,166 @@ mod tests {
     #[should_panic(expected = "differ in length")]
     fn reductions_reject_mismatched_lengths() {
         dot(&[1.0, 2.0], &[1.0]);
+    }
+
+    /// The parent's update loop, verbatim: one index into four separately
+    /// bounds-checked buffers. The oracle [`adam_update`] is pinned to.
+    fn adam_update_indexed(
+        ps: &mut [f32],
+        gs: &[f32],
+        m: &mut [f32],
+        v: &mut [f32],
+        step: &AdamStep,
+    ) {
+        let (lr, beta1, beta2, eps) = (step.lr, step.beta1, step.beta2, step.eps);
+        let (bc1, bc2) = (step.bc1, step.bc2);
+        for i in 0..ps.len() {
+            m[i] = beta1 * m[i] + (1.0 - beta1) * gs[i];
+            v[i] = beta2 * v[i] + (1.0 - beta2) * gs[i] * gs[i];
+            let m_hat = m[i] / bc1;
+            let v_hat = v[i] / bc2;
+            ps[i] -= lr * m_hat / (v_hat.sqrt() + eps);
+        }
+    }
+
+    /// Step `t` of an `Adam::new(lr)` run, bias corrections as
+    /// `Adam::step_stream` computes them.
+    fn adam_step(lr: f32, t: i32) -> AdamStep {
+        let (beta1, beta2) = (0.9f32, 0.999f32);
+        AdamStep {
+            lr,
+            beta1,
+            beta2,
+            eps: 1e-8,
+            bc1: 1.0 - beta1.powi(t),
+            bc2: 1.0 - beta2.powi(t),
+        }
+    }
+
+    /// Step `t`'s gradient: ordinary values with the edge classes mixed in
+    /// by position, rotating so every element meets every class — `±0`,
+    /// values whose squares are subnormal (`1e-20` scale) or flush to zero
+    /// (`1e-22` scale), and `1e6`-scale outliers.
+    fn edge_gradients(len: usize, t: usize) -> Vec<f32> {
+        let mut g = fill(len, 40 + t as u64);
+        for (i, x) in g.iter_mut().enumerate() {
+            match (i + t) % 11 {
+                0 => *x = 0.0,
+                1 => *x = -0.0,
+                2 => *x *= 1e-20,
+                3 => *x *= 1e-22,
+                4 => *x *= 1e6,
+                _ => {}
+            }
+        }
+        g
+    }
+
+    fn same_bits(a: &[f32], b: &[f32]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    /// Each vector lane must compute exactly what the scalar loop did:
+    /// parameters and both moments equal the indexed oracle's bit for bit
+    /// after every step, at every length around the vector widths and at
+    /// the paper model's largest tensor and flat width.
+    #[test]
+    fn adam_update_is_bitwise_identical_to_the_indexed_loop() {
+        // The subnormal path is exercised, not just intended.
+        assert!(edge_gradients(64, 1)
+            .iter()
+            .any(|g| ((1.0 - 0.999f32) * g * g).is_subnormal()));
+        for len in (0..=67).chain([25_984, 46_953]) {
+            let mut p = fill(len, 41);
+            let (mut m, mut v) = (vec![0.0f32; len], vec![0.0f32; len]);
+            let (mut p_ref, mut m_ref, mut v_ref) = (p.clone(), m.clone(), v.clone());
+            for t in 1..=60 {
+                let g = edge_gradients(len, t);
+                let step = adam_step(1e-3, t as i32);
+                adam_update(&mut p, &g, &mut m, &mut v, &step);
+                adam_update_indexed(&mut p_ref, &g, &mut m_ref, &mut v_ref, &step);
+                assert!(same_bits(&p, &p_ref), "p, len {len}, step {t}");
+                assert!(same_bits(&m, &m_ref), "m, len {len}, step {t}");
+                assert!(same_bits(&v, &v_ref), "v, len {len}, step {t}");
+            }
+            assert!(!has_non_finite(&p), "len {len}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// One update from an arbitrary optimizer state against the same
+        /// formulas in f64. With `ε = f32::EPSILON`, `S_m = |β₁m| + |(1−β₁)g|`,
+        /// `S_v = β₂v + (1−β₂)g²`, `D = √(v′/bc2) + eps` and
+        /// `A = (lr/bc1)·S_m / D` (the update's size without cancellation
+        /// in `m′`), counting half an ulp per f32 operation gives
+        /// `|m′ − exact| ≤ 2ε·S_m`, `|v′ − exact| ≤ 3ε·S_v` and
+        /// `|p′ − exact| ≤ 8ε·(|p| + A)`. The input ranges keep every
+        /// intermediate normal, where that rounding model holds.
+        #[test]
+        fn adam_update_matches_an_f64_reference_within_the_stated_bound(
+            p in prop::collection::vec(-100.0f32..100.0, 67),
+            g in prop::collection::vec(-100.0f32..100.0, 67),
+            m in prop::collection::vec(-100.0f32..100.0, 67),
+            v in prop::collection::vec(0.0f32..1e4, 67),
+            lr in 1e-4f32..1e-1,
+            t in 1i32..2000,
+        ) {
+            let step = adam_step(lr, t);
+            let (mut p_got, mut m_got, mut v_got) = (p.clone(), m.clone(), v.clone());
+            adam_update(&mut p_got, &g, &mut m_got, &mut v_got, &step);
+            let eps32 = f64::from(f32::EPSILON);
+            let [lr, beta1, beta2, eps, bc1, bc2] =
+                [step.lr, step.beta1, step.beta2, step.eps, step.bc1, step.bc2].map(f64::from);
+            for i in 0..p.len() {
+                let [p, g, m, v] = [p[i], g[i], m[i], v[i]].map(f64::from);
+                let m_exact = beta1 * m + (1.0 - beta1) * g;
+                let v_exact = beta2 * v + (1.0 - beta2) * g * g;
+                let denom = (v_exact / bc2).sqrt() + eps;
+                let p_exact = p - lr * (m_exact / bc1) / denom;
+                let s_m = (beta1 * m).abs() + ((1.0 - beta1) * g).abs();
+                let spread = lr / bc1 * s_m / denom;
+                prop_assert!(
+                    (f64::from(m_got[i]) - m_exact).abs() <= 2.0 * eps32 * s_m,
+                    "m[{}]: {} vs {}", i, m_got[i], m_exact
+                );
+                prop_assert!(
+                    (f64::from(v_got[i]) - v_exact).abs() <= 3.0 * eps32 * v_exact,
+                    "v[{}]: {} vs {}", i, v_got[i], v_exact
+                );
+                prop_assert!(
+                    (f64::from(p_got[i]) - p_exact).abs() <= 8.0 * eps32 * (p.abs() + spread),
+                    "p[{}]: {} vs {}", i, p_got[i], p_exact
+                );
+            }
+        }
+    }
+
+    /// One update over zeroed buffers of the given lengths.
+    fn adam_update_with_lengths(p: usize, g: usize, m: usize, v: usize) {
+        let (mut p, g) = (vec![0.0; p], vec![0.0; g]);
+        let (mut m, mut v) = (vec![0.0; m], vec![0.0; v]);
+        adam_update(&mut p, &g, &mut m, &mut v, &adam_step(1e-3, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "gradient and parameter lengths differ")]
+    fn adam_update_rejects_a_short_gradient() {
+        adam_update_with_lengths(3, 2, 3, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "first-moment and parameter lengths differ")]
+    fn adam_update_rejects_a_short_first_moment() {
+        adam_update_with_lengths(3, 3, 2, 3);
+    }
+
+    /// The parent indexed `v[i]` without ever checking `v.len()`.
+    #[test]
+    #[should_panic(expected = "second-moment and parameter lengths differ")]
+    fn adam_update_rejects_a_short_second_moment() {
+        adam_update_with_lengths(3, 3, 3, 2);
     }
 
     /// A lone NaN / ±Inf must be found wherever it sits — first, last, and

@@ -5,9 +5,10 @@
 //! * [`Matrix`] — a row-major `f32` matrix with the linear-algebra ops needed
 //!   for dense networks (matmul, transpose, elementwise algebra, reductions),
 //!   including `*_into` variants that write into caller-owned buffers.
-//! * [`kernels`] — the register-blocked matmul kernels every product routes
-//!   through (see the module docs for the design rationale and measured
-//!   speedups over the seed scalar loops).
+//! * [`kernels`] — the slice-level kernels every product, every `O(d)`
+//!   reduction and the optimizer's element-wise update route through (see
+//!   the module docs for the design rules and measured speedups over the
+//!   seed scalar loops).
 //! * [`Dense`] — a fully-connected layer with explicit forward/backward.
 //! * [`Activation`] — ReLU / LeakyReLU / Sigmoid / Tanh / Identity, with
 //!   in-place `forward_assign` / `backward_assign` hot-path variants.

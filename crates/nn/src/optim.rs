@@ -1,5 +1,6 @@
 //! Optimizers: plain SGD and Adam (the paper trains everything with Adam).
 
+use crate::kernels::{adam_update, AdamStep};
 use crate::params::HasParams;
 use crate::tensor::Matrix;
 
@@ -153,27 +154,29 @@ impl Optimizer for Adam {
         }
         assert_eq!(self.m.len(), grads.len(), "parameter count changed");
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let (lr, beta1, beta2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
+        let step = AdamStep {
+            lr: self.lr,
+            beta1: self.beta1,
+            beta2: self.beta2,
+            eps: self.eps,
+            bc1: 1.0 - self.beta1.powi(self.t as i32),
+            bc2: 1.0 - self.beta2.powi(self.t as i32),
+        };
         let (moments_m, moments_v) = (&mut self.m, &mut self.v);
         let mut idx = 0;
         params.visit(&mut |p| {
             assert!(idx < grads.len(), "params/grads length mismatch");
             let g = &grads[idx];
-            let m = &mut moments_m[idx];
-            let v = &mut moments_v[idx];
             assert_eq!(p.shape(), g.shape(), "param/grad shape mismatch");
-            assert_eq!(p.len(), m.len(), "parameter shape changed between steps");
-            let ps = p.as_mut_slice();
-            let gs = g.as_slice();
-            for i in 0..ps.len() {
-                m[i] = beta1 * m[i] + (1.0 - beta1) * gs[i];
-                v[i] = beta2 * v[i] + (1.0 - beta2) * gs[i] * gs[i];
-                let m_hat = m[i] / bc1;
-                let v_hat = v[i] / bc2;
-                ps[i] -= lr * m_hat / (v_hat.sqrt() + eps);
-            }
+            // The kernel checks all four lengths: a moment buffer of another
+            // length means the parameter shapes changed between steps.
+            adam_update(
+                p.as_mut_slice(),
+                g.as_slice(),
+                &mut moments_m[idx],
+                &mut moments_v[idx],
+                &step,
+            );
             idx += 1;
         });
         assert_eq!(idx, grads.len(), "params/grads length mismatch");

@@ -339,8 +339,14 @@ impl Sequential {
     /// for any thread count.
     pub fn predict(&self, x: &Matrix) -> Vec<usize> {
         let rows = x.rows();
-        let threads = rayon::current_num_threads();
-        if rows < PARALLEL_PREDICT_MIN_ROWS || threads <= 1 || x.cols() == 0 {
+        // Size first: asking for the thread count queries the OS on every
+        // call, which costs more than a batch-1 forward pass.
+        let threads = if rows < PARALLEL_PREDICT_MIN_ROWS || x.cols() == 0 {
+            1
+        } else {
+            rayon::current_num_threads()
+        };
+        if threads <= 1 {
             return self.forward(x).argmax_rows();
         }
         let chunk_rows = rows.div_ceil(threads).max(1);
@@ -634,6 +640,27 @@ mod tests {
         m.fit_classifier(&x, &y, &mut opt, &TrainConfig::new(400, 0, 3));
         assert_eq!(m.predict(&x), y, "XOR not learned");
         assert_eq!(m.accuracy(&x, &y), 1.0);
+    }
+
+    /// Below, at and above the row threshold `predict` must return what
+    /// the serial forward pass does, whether or not it splits the batch.
+    #[test]
+    fn predict_equals_forward_argmax_on_both_sides_of_the_row_threshold() {
+        let m = Sequential::mlp(&[7, 9, 5], Activation::Relu, 13);
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(4)
+            .build()
+            .expect("pool");
+        for rows in [
+            1,
+            PARALLEL_PREDICT_MIN_ROWS - 1,
+            PARALLEL_PREDICT_MIN_ROWS,
+            200,
+        ] {
+            let x = Matrix::from_fn(rows, 7, |r, c| ((r * 37 + c * 11) % 23) as f32 / 11.0 - 1.0);
+            let expected = m.forward(&x).argmax_rows();
+            assert_eq!(pool.install(|| m.predict(&x)), expected, "{rows} rows");
+        }
     }
 
     #[test]
