@@ -1,22 +1,26 @@
 //! Server-side aggregation cost per strategy (supports Table I's overhead
 //! comparison: SAFELOC's saliency map vs. the baselines' rules), plus the
 //! city-scale screening round `benchmark/`'s `round_screen` times end to
-//! end, here without the frame decode around it, and the telemetry
-//! recording A/B (`telemetry_on_off`).
+//! end, here without the frame decode around it, the screening
+//! operations over dense rows vs over supports at five upload densities
+//! (`screening_sparse`), and the telemetry recording A/B
+//! (`telemetry_on_off`).
 //!
 //! Run with `cargo bench -p safeloc-bench --bench aggregation`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use safeloc::SaliencyAggregator;
 use safeloc_bench::naive;
 use safeloc_dataset::{Building, BuildingDataset, DatasetConfig, DeviceCatalog};
-use safeloc_fl::defense::{NonFiniteGuard, NormClip, TrimmedMean};
+use safeloc_fl::defense::{
+    Combiner, NonFiniteGuard, NormClip, RoundContext, TrimmedMean, Verdicts,
+};
 use safeloc_fl::{
     Aggregator, ClientUpdate, ClusterAggregator, DefensePipeline, Krum, LatentFilterAggregator,
 };
-use safeloc_nn::{Activation, HasParams, NamedParams, Sequential};
+use safeloc_nn::{kernels, Activation, HasParams, Matrix, NamedParams, Sequential};
 use safeloc_serve::{request_pool, ModelKey, ModelRegistry, ServeConfig, Service};
 use std::sync::Arc;
 
@@ -120,6 +124,163 @@ fn bench_screening_256(c: &mut Criterion) {
     group.finish();
 }
 
+/// One 2-means pass over `n` rows read through `dot` and `add_scaled`:
+/// every row assigned to the nearer of two centroids, both centroids
+/// re-averaged from their members.
+fn two_means_pass(
+    n: usize,
+    centroids: &mut [Vec<f32>; 2],
+    dot: impl Fn(usize, &[f32]) -> f32,
+    add_scaled: impl Fn(usize, &mut [f32], f32),
+) {
+    let sides: Vec<usize> = (0..n)
+        .map(|i| usize::from(dot(i, &centroids[0]) < dot(i, &centroids[1])))
+        .collect();
+    for (side, centroid) in centroids.iter_mut().enumerate() {
+        let members = sides.iter().filter(|&&s| s == side).count().max(1);
+        centroid.fill(0.0);
+        for i in (0..n).filter(|&i| sides[i] == side) {
+            add_scaled(i, centroid, 1.0 / members as f32);
+        }
+        black_box(kernels::sum_squares(centroid));
+    }
+}
+
+/// The four things a screening round does with its `n × d` deltas — norms,
+/// a 2-means pass, the latent projection, the trimmed mean — over dense
+/// rows (`dense/*`: the kernels and the gather-and-sort combiner every
+/// round ran before rows could be stored as supports) and over supports
+/// (`view/*`: the support kernels, and the combiner through a
+/// `RoundContext`), at 256 × 46 953 and five upload densities. Read each
+/// `view` line against the `dense` line above it; where the two curves
+/// cross is the density past which `RoundContext` stores a row dense
+/// (`SUPPORT_MAX_DENSITY_INV` in `fl/src/defense/rows.rs`). The support
+/// kernels are driven directly, so their lines run past that threshold;
+/// the trimmed mean goes through the context, so from 25 % up its `view`
+/// line *is* the dense arm and shows what a dense round pays for having
+/// been looked at.
+fn bench_screening_sparse(c: &mut Criterion) {
+    const N: usize = 256;
+    let global = Sequential::mlp(&[203, 128, 89, 62, 60], Activation::Relu, 0).snapshot();
+    let d = global.num_params();
+    let projection = Matrix::from_fn(d, 32, |r, c| ((r * 31 + c * 7) % 13) as f32 / 13.0 - 0.5);
+    let mut group = c.benchmark_group("screening_sparse");
+    group.sample_size(10);
+    for (label, density) in [
+        ("1%", 0.01),
+        ("5%", 0.05),
+        ("12.5%", 0.125),
+        ("25%", 0.25),
+        ("100%", 1.0),
+    ] {
+        let mut rng = StdRng::seed_from_u64(0x5BA125E);
+        // Exactly `⌊density · d⌋` coordinates per row (selection sampling),
+        // so the 12.5 % rows sit *at* the context's threshold, not astride it.
+        let support_len = (density * d as f64) as usize;
+        let supports: Vec<(Vec<u32>, Vec<f32>)> = (0..N)
+            .map(|_| {
+                let mut wanted = support_len;
+                (0..d)
+                    .filter_map(|e| {
+                        let value = rng.gen_range(-0.05f32..0.05);
+                        let pick = rng.gen_range(0..d - e) < wanted;
+                        wanted -= usize::from(pick);
+                        pick.then_some((e as u32, value))
+                    })
+                    .unzip()
+            })
+            .collect();
+        let mut block = Matrix::zeros(N, d);
+        for (i, (indices, values)) in supports.iter().enumerate() {
+            for (&e, &v) in indices.iter().zip(values) {
+                block.row_mut(i)[e as usize] = v;
+            }
+        }
+        let both = |op: &str| [format!("dense/{op}/{label}"), format!("view/{op}/{label}")];
+
+        let [dense, view] = both("norms");
+        group.bench_function(dense, |b| {
+            b.iter(|| block.iter_rows().map(kernels::sum_squares).sum::<f32>())
+        });
+        group.bench_function(view, |b| {
+            b.iter(|| {
+                (supports.iter())
+                    .map(|(indices, values)| kernels::support_sum_squares(indices, values))
+                    .sum::<f32>()
+            })
+        });
+
+        let [dense, view] = both("two_means_pass");
+        let mut centroids = [block.row(0).to_vec(), block.row(3).to_vec()];
+        group.bench_function(dense, |b| {
+            b.iter(|| {
+                two_means_pass(
+                    N,
+                    &mut centroids,
+                    |i, c| kernels::dot(block.row(i), c),
+                    |i, c, w| {
+                        c.iter_mut()
+                            .zip(block.row(i))
+                            .for_each(|(c, v)| *c += w * v)
+                    },
+                )
+            })
+        });
+        let mut centroids = [block.row(0).to_vec(), block.row(3).to_vec()];
+        group.bench_function(view, |b| {
+            b.iter(|| {
+                two_means_pass(
+                    N,
+                    &mut centroids,
+                    |i, c| kernels::support_dot(&supports[i].0, &supports[i].1, c),
+                    |i, c, w| kernels::support_axpy(c, w, &supports[i].0, &supports[i].1),
+                )
+            })
+        });
+
+        let [dense, view] = both("projection");
+        group.bench_function(dense, |b| b.iter(|| block.matmul(&projection)));
+        let rows: Vec<(&[u32], &[f32])> = (supports.iter())
+            .map(|(indices, values)| (indices.as_slice(), values.as_slice()))
+            .collect();
+        let mut features = vec![0.0f32; N * projection.cols()];
+        group.bench_function(view, |b| {
+            b.iter(|| {
+                kernels::support_matmul_into(
+                    &mut features,
+                    &rows,
+                    projection.as_slice(),
+                    d,
+                    projection.cols(),
+                )
+            })
+        });
+
+        let [dense, view] = both("trimmed_mean");
+        let updates: Vec<ClientUpdate> = (0..N)
+            .map(|i| {
+                let mut lm = global.clone();
+                lm.add_flat(block.row(i));
+                ClientUpdate::new(i, lm, 100)
+            })
+            .collect();
+        drop(block);
+        let mut trim = TrimmedMean::new(0.1);
+        group.bench_function(dense, |b| {
+            b.iter(|| naive::trimmed_mean(&updates, (0.1 * N as f32) as usize))
+        });
+        let refs: Vec<&ClientUpdate> = updates.iter().collect();
+        let ctx = RoundContext::new(&global, &refs);
+        // Discovered outside the clock, as the stages before the combiner
+        // leave it.
+        ctx.delta_rows();
+        group.bench_function(view, |b| {
+            b.iter(|| trim.combine(&ctx, &mut Verdicts::new(N)))
+        });
+    }
+    group.finish();
+}
+
 /// Recording on vs off on the two instrumented hot paths: one served
 /// batch (admission → queue → predict → reply for `max_batch` tickets) and
 /// one layered aggregation. `benchmark/` always records, so its gate
@@ -179,6 +340,7 @@ criterion_group!(
     benches,
     bench_aggregation,
     bench_screening_256,
+    bench_screening_sparse,
     bench_telemetry_on_off
 );
 criterion_main!(benches);

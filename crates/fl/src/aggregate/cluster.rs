@@ -1,7 +1,7 @@
 //! FEDCC-style clustering: group updates by similarity, keep the majority
 //! cluster — now a screening [`DefenseStage`] of the defense-pipeline API.
 
-use crate::defense::{DefenseStage, RoundContext, Verdicts};
+use crate::defense::{DefenseStage, DeltaRow, RoundContext, Verdicts};
 use safeloc_nn::kernels;
 
 /// Clustering defense following the paper's §II summary of FEDCC:
@@ -9,7 +9,7 @@ use safeloc_nn::kernels;
 /// allowing it to detect and exclude poisoned updates".
 ///
 /// The update deltas (LM − GM, from the round's shared
-/// [`RoundContext::deltas`]) are split by 2-means with cosine distance;
+/// [`RoundContext::delta_rows`]) are split by 2-means with cosine distance;
 /// the minority cluster is rejected with rule `"cluster"` and the cosine
 /// distance to the kept centroid as score, leaving the majority for the
 /// pipeline's combiner (a [`UniformMean`](crate::defense::UniformMean) in
@@ -44,16 +44,6 @@ impl Default for ClusterAggregator {
     }
 }
 
-/// Cosine distance in `[0, 2]` between two vectors whose L2 norms the
-/// caller already holds (0 similarity when either norm is 0).
-fn cos_dist(a: &[f32], norm_a: f32, b: &[f32], norm_b: f32) -> f32 {
-    if norm_a == 0.0 || norm_b == 0.0 {
-        1.0
-    } else {
-        1.0 - kernels::dot(a, b) / (norm_a * norm_b)
-    }
-}
-
 /// A 2-means centroid with its L2 norm, taken once per pass instead of
 /// once per distance.
 struct Centroid {
@@ -62,23 +52,34 @@ struct Centroid {
 }
 
 impl Centroid {
-    fn new(values: Vec<f32>) -> Self {
+    /// A centroid sitting on `row`, one of `dim`-long deltas.
+    fn at(row: DeltaRow<'_>, dim: usize) -> Self {
+        let mut values = vec![0.0; dim];
+        row.write_to(&mut values);
         let norm = kernels::sum_squares(&values).sqrt();
         Self { values, norm }
     }
 
+    /// Cosine distance in `[0, 2]` to a delta whose L2 norm the caller
+    /// already holds (0 similarity when either norm is 0).
+    fn cos_dist(&self, row: DeltaRow<'_>, row_norm: f32) -> f32 {
+        if row_norm == 0.0 || self.norm == 0.0 {
+            1.0
+        } else {
+            1.0 - row.dot(&self.values) / (row_norm * self.norm)
+        }
+    }
+
     /// Replaces the centroid with the mean of `members` (kept as is when
     /// there are none).
-    fn recenter(&mut self, members: &[&[f32]]) {
+    fn recenter(&mut self, members: &[DeltaRow<'_>]) {
         if members.is_empty() {
             return;
         }
         let weight = 1.0 / members.len() as f32;
         self.values.fill(0.0);
         for member in members {
-            for (c, v) in self.values.iter_mut().zip(*member) {
-                *c += weight * v;
-            }
+            member.add_scaled_to(&mut self.values, weight);
         }
         self.norm = kernels::sum_squares(&self.values).sqrt();
     }
@@ -120,12 +121,9 @@ impl DefenseStage for ClusterAggregator {
         // Each pass sweeps every delta twice (one dot per centroid): the
         // delta norms are the round's cached `raw_norms`, the centroid
         // norms are taken once per pass.
-        let (deltas, norms) = (ctx.deltas(), ctx.raw_norms());
-        let mut centroids = [
-            Centroid::new(deltas.row(ca).to_vec()),
-            Centroid::new(deltas.row(cb).to_vec()),
-        ];
-        let dist_to = |c: &Centroid, i: usize| cos_dist(deltas.row(i), norms[i], &c.values, c.norm);
+        let (deltas, norms) = (ctx.delta_rows(), ctx.raw_norms());
+        let mut centroids = [ca, cb].map(|i| Centroid::at(deltas.row(i), deltas.dim()));
+        let dist_to = |c: &Centroid, i: usize| c.cos_dist(deltas.row(i), norms[i]);
         let mut assignment = vec![0u8; n];
         for _ in 0..10 {
             let mut changed = false;
@@ -138,7 +136,7 @@ impl DefenseStage for ClusterAggregator {
                 }
             }
             for (side, centroid) in centroids.iter_mut().enumerate() {
-                let members: Vec<&[f32]> = active
+                let members: Vec<DeltaRow<'_>> = active
                     .iter()
                     .zip(&assignment)
                     .filter(|(_, &a)| usize::from(a) == side)

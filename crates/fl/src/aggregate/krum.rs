@@ -297,7 +297,7 @@ mod tests {
     /// select what the exact rule selects.
     #[test]
     fn clipped_large_rounds_select_what_the_exact_rule_selects() {
-        use crate::aggregate::test_support::{attacked_cohort, WIDE_SHAPES};
+        use crate::aggregate::test_support::{attacked_cohort, delta_block, WIDE_SHAPES};
         use crate::defense::{DefenseStage, NormClip, EXACT_SCREEN_MAX};
         let n = 96;
         assert!(n > EXACT_SCREEN_MAX);
@@ -324,7 +324,7 @@ mod tests {
             scales[3] < 1.0 && scales[7] < 1.0 && scales[0] == 1.0,
             "the fixture no longer clips its boosted updates"
         );
-        let exact = DistanceMatrix::squared_l2_scaled(ctx.deltas(), &scales);
+        let exact = DistanceMatrix::squared_l2_scaled(&delta_block(&g, &refs), &scales);
         let (_, expected) = rank(&exact, &verdicts.active_indices(), n - f - 2);
         assert_eq!(expected, 0, "the exact rule misses the planted consensus");
 

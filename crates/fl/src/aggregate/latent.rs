@@ -11,7 +11,7 @@ use safeloc_nn::{Activation, Adam, Dense, Init, Matrix, MseLoss, Optimizer, Sequ
 /// FEDLS: "autoencoder-based latent space representations to detect
 /// anomalous LM updates".
 ///
-/// Update deltas (from the round's shared [`RoundContext::deltas`]) are
+/// Update deltas (from the round's shared [`RoundContext::delta_rows`]) are
 /// random-projected to a small feature space (the deltas have tens of
 /// thousands of dimensions; FEDLS's own encoder serves the same role), an
 /// autoencoder is fit on the accumulated benign history, and updates
@@ -150,14 +150,16 @@ impl LatentFilterAggregator {
     }
 }
 
-/// Feature rows of the active updates: the round's shared delta block,
-/// random-projected by **one** kernel call, active rows picked out. The
-/// tall `d × feature_dim` projection is thereby streamed from memory once
-/// per round (the kernel blocks over `d`) instead of once per update;
-/// a row's features depend on that row alone, so projecting the
-/// already-rejected rows along changes nothing but a little arithmetic.
+/// Feature rows of the active updates: the round's shared delta rows,
+/// random-projected by **one** kernel call per storage kind
+/// ([`DeltaRows::project`](crate::defense::DeltaRows::project)), active
+/// rows picked out. The tall `d × feature_dim` projection is thereby
+/// streamed from memory once per round (the kernels block over `d`)
+/// instead of once per update; a row's features depend on that row alone,
+/// so projecting the already-rejected rows along changes nothing but a
+/// little arithmetic.
 fn project_active(ctx: &RoundContext<'_>, projection: &Matrix, active: &[usize]) -> Vec<Vec<f32>> {
-    let features = ctx.deltas().matmul(projection);
+    let features = ctx.delta_rows().project(projection);
     active.iter().map(|&i| features.row(i).to_vec()).collect()
 }
 

@@ -172,6 +172,36 @@ pub(crate) mod test_support {
         ClientUpdate::new(id, params(w, b), 10)
     }
 
+    /// The `n × d` block of flattened deltas `LM_i − GM` every stage swept
+    /// before rows could be stored as supports — the dense reference the
+    /// delta view is pinned against.
+    pub fn delta_block(global: &NamedParams, updates: &[&ClientUpdate]) -> Matrix {
+        let rows: Vec<Vec<f32>> = updates
+            .iter()
+            .map(|u| u.params.delta(global).flatten().into_vec())
+            .collect();
+        Matrix::from_rows(&rows)
+    }
+
+    /// `updates` as they reach the server when every client compresses
+    /// with `spec`: `GM + decode(encode(LM − GM))`, carrying the repr.
+    pub fn reencoded(
+        g: &NamedParams,
+        updates: &[ClientUpdate],
+        spec: crate::DeltaSpec,
+    ) -> Vec<ClientUpdate> {
+        updates
+            .iter()
+            .map(|u| {
+                let delta = u.params.delta(g).flatten().into_vec();
+                let (repr, decoded) = crate::DeltaCompressor::new(spec).compress(&delta);
+                let mut params = g.clone();
+                params.add_flat(&decoded);
+                ClientUpdate::with_repr(u.client_id, params, u.num_samples, repr)
+            })
+            .collect()
+    }
+
     /// Tensor shapes of [`attacked_cohort`]'s default model: four tensors,
     /// `d = 3070 >` [`SCREEN_SAMPLE_DIM`](crate::defense::SCREEN_SAMPLE_DIM),
     /// so the stride subsample is a proper subset crossing tensor edges.

@@ -26,15 +26,60 @@
 //! The sampled block reads its coordinates *in place*: the stride is
 //! resolved to `(tensor, offset)` once and only those `d′` elements of each
 //! update are subtracted — no delta pass, and no dependence on
-//! [`RoundContext::deltas`], so a Krum-only city-scale round never
+//! [`RoundContext::delta_rows`], so a Krum-only city-scale round never
 //! materializes `n × d`. Clip-scaled distances
 //! ([`RoundContext::with_squared_l2_scaled`], what Krum ranks once a stage
 //! has clipped anything) obey the same split; an attacker who gets itself
 //! clipped cannot push the server back onto the `O(n²·d)` path.
 //!
+//! # Dense vs. sparse rows
+//!
+//! City-scale rounds ship `TopK` deltas, and the server re-materializes
+//! each as a full LM — so `LM − GM` is exactly `+0.0` on 95 % of a row's
+//! coordinates, and an `n × d` block of such rows is 48 MB of zeros swept
+//! from DRAM by every stage. [`RoundContext::delta_rows`] is therefore the
+//! one way to read deltas, and each of its rows is stored the way the row
+//! turned out: a plain `d`-long slice, or its *support* — the coordinates
+//! where `LM.to_bits() != GM.to_bits()`, as `(index, LM − GM, LM)` — when
+//! that is at most ⅛ of the row (the measured break-even; discovery stops
+//! at the first coordinate past it, so a dense row costs what it always
+//! did plus an eighth of one comparison pass). The choice is per row: one
+//! dense upload among sparse ones is one dense row.
+//!
+//! *Discovered, never declared.* The support is found by comparing bits,
+//! in the pass that would otherwise have built the block.
+//! [`ClientUpdate::repr`](crate::ClientUpdate) is what the client *says*
+//! it sent; no stage, combiner or line of this module reads it. An update
+//! that claims `TopK` and differs everywhere is a dense row; a `Dense`
+//! upload that happens to move few coordinates is a sparse one.
+//!
+//! *Bitwise invisible.* Where the bits agree and the GM is finite,
+//! `x − x` is `+0.0`. Every consumer is a sum that starts at `+0.0`: a
+//! norm's or a dot's lane, a 2-means centroid coordinate, a projected
+//! feature. In round-to-nearest `x + y` is `−0.0` only when *both*
+//! operands are, so such an accumulator is never `−0.0`, and adding a
+//! `+0.0 · y = ±0.0` term — or a 4-step projection group of them — to
+//! anything else returns it unchanged: the adds the support kernels skip
+//! were identities (`safeloc_nn::kernels`, design rule 7). Coordinates
+//! that differ only as `−0.0` vs `+0.0` differ in bits, so they are *in*
+//! the support and go through the arithmetic like any other value. The
+//! coordinate-wise combiners see a sparse row's column entry as the GM's
+//! own value there (it *is* that value, bit for bit) and sort only what
+//! differs. The two cases where a skipped term would not have been `±0.0`
+//! — a non-finite GM coordinate (`x − x = NaN`) and a finite LM whose
+//! delta overflows (`0 · ∞ = NaN` once it reaches a centroid) — are
+//! detected in the discovery pass and store the whole round dense.
+//! `fl/src/defense/oracles.rs` pins view == dense block, decisions and GM,
+//! `to_bits`.
+//!
+//! The dense rows' block is built when a stage first *reads* a dense row:
+//! a round that only asks which rows are sparse (the non-finite guard, the
+//! coordinate-wise combiners) never materializes it.
+//!
 //! # Buffer reuse
 //!
-//! The `n × d` delta block (48 MB at 256 paper-sized updates) and the
+//! The dense rows' delta block (48 MB at 256 dense paper-sized updates),
+//! the sparse rows' compact buffers and the
 //! O(n²) distance triangles are the round's largest screening
 //! allocations; a [`DistanceScratch`] carries them across rounds
 //! ([`RoundContext::with_scratch`] → [`RoundContext::reclaim_scratch`]),
@@ -44,6 +89,7 @@
 //! ones whatever the previous round's size or model width.
 
 use crate::aggregate::DistanceMatrix;
+use crate::defense::rows::{DeltaRows, RowBuffers};
 use crate::update::ClientUpdate;
 use rayon::prelude::*;
 use safeloc_nn::{kernels, Matrix, NamedParams};
@@ -57,13 +103,15 @@ pub const EXACT_SCREEN_MAX: usize = 64;
 /// Coordinate budget per update for sampled screening distances.
 pub const SCREEN_SAMPLE_DIM: usize = 2048;
 
-/// Reusable buffers for the per-round delta block and O(n²) distance
-/// triangles, carried across rounds by the owning pipeline. Deliberately
-/// not `Clone`: the buffers are a cache, and a cloned pipeline starts cold
-/// rather than copying tens of megabytes of recycled block.
+/// Reusable buffers for the per-round delta view (the dense rows' block
+/// and the sparse rows' compact `(index, LM − GM, LM)` buffers) and the
+/// O(n²) distance triangles, carried across rounds by the owning pipeline.
+/// Deliberately not `Clone`: the buffers are a cache, and a cloned
+/// pipeline starts cold rather than copying tens of megabytes of recycled
+/// block.
 #[derive(Debug, Default)]
 pub struct DistanceScratch {
-    deltas: Vec<f32>,
+    delta_rows: RowBuffers,
     squared_l2: Vec<f32>,
     squared_l2_scaled: Vec<f32>,
     cosine: Vec<f32>,
@@ -71,17 +119,14 @@ pub struct DistanceScratch {
 
 #[cfg(test)]
 impl DistanceScratch {
-    /// Total floats held across the recycled buffers (0 for a cold scratch).
+    /// Total elements held across the recycled buffers (0 for a cold
+    /// scratch).
     pub(crate) fn capacity(&self) -> usize {
-        [
-            &self.deltas,
-            &self.squared_l2,
-            &self.squared_l2_scaled,
-            &self.cosine,
-        ]
-        .iter()
-        .map(|b| b.capacity())
-        .sum()
+        [&self.squared_l2, &self.squared_l2_scaled, &self.cosine]
+            .iter()
+            .map(|b| b.capacity())
+            .sum::<usize>()
+            + self.delta_rows.capacity()
     }
 }
 
@@ -102,7 +147,7 @@ struct SampledDeltas {
 pub struct RoundContext<'a> {
     global: &'a NamedParams,
     updates: &'a [&'a ClientUpdate],
-    deltas: OnceLock<Matrix>,
+    delta_rows: OnceLock<DeltaRows<'a>>,
     raw_norms: OnceLock<Vec<f32>>,
     squared_l2: OnceLock<DistanceMatrix>,
     cosine: OnceLock<DistanceMatrix>,
@@ -125,7 +170,7 @@ impl<'a> RoundContext<'a> {
         Self {
             global,
             updates,
-            deltas: OnceLock::new(),
+            delta_rows: OnceLock::new(),
             raw_norms: OnceLock::new(),
             squared_l2: OnceLock::new(),
             cosine: OnceLock::new(),
@@ -142,8 +187,8 @@ impl<'a> RoundContext<'a> {
             .scratch
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner);
-        if let Some(m) = self.deltas.into_inner() {
-            scratch.deltas = m.into_vec();
+        if let Some(rows) = self.delta_rows.into_inner() {
+            scratch.delta_rows = rows.into_buffers();
         }
         if let Some(m) = self.squared_l2.into_inner() {
             scratch.squared_l2 = m.into_values();
@@ -174,24 +219,14 @@ impl<'a> RoundContext<'a> {
         self.updates.is_empty()
     }
 
-    /// Flattened update deltas `LM_i − GM` as one contiguous
-    /// `n × num_params` block, row `i` for update `i`, written straight
-    /// from the parameters (rows in parallel) on first use into the
-    /// recycled buffer. This is the representation the clustering split
-    /// and the latent projection both read.
-    pub fn deltas(&self) -> &Matrix {
-        self.deltas.get_or_init(|| {
-            let (n, d) = (self.updates.len(), self.global.num_params());
-            let mut block = std::mem::take(&mut self.lock_scratch().deltas);
-            // Not cleared first: every element of the `n·d` prefix is
-            // overwritten below, and skipping the clear skips a 48 MB
-            // zero-fill of memory about to be written anyway.
-            block.resize(n * d, 0.0);
-            let mut rows: Vec<(&mut [f32], &&ClientUpdate)> =
-                block.chunks_mut(d.max(1)).zip(self.updates).collect();
-            rows.par_iter_mut()
-                .for_each(|(row, u)| u.params.delta_flat_into(self.global, row));
-            Matrix::from_vec(n, d, block).expect("n·d elements by construction")
+    /// The update deltas `LM_i − GM`, row `i` for update `i` — the one way
+    /// stages and combiners read them. Each row is stored dense or as its
+    /// support, whichever it turned out to be; the first caller pays for
+    /// the discovery pass (see "Dense vs. sparse rows" in the module docs).
+    pub fn delta_rows(&self) -> &DeltaRows<'a> {
+        self.delta_rows.get_or_init(|| {
+            let buffers = std::mem::take(&mut self.lock_scratch().delta_rows);
+            DeltaRows::discover(self.global, self.updates, buffers)
         })
     }
 
@@ -199,9 +234,9 @@ impl<'a> RoundContext<'a> {
     /// screens, and the quantity a boost attack inflates).
     pub fn raw_norms(&self) -> &[f32] {
         self.raw_norms.get_or_init(|| {
-            let deltas = self.deltas();
-            (0..deltas.rows())
-                .map(|i| kernels::sum_squares(deltas.row(i)).sqrt())
+            let rows = self.delta_rows();
+            (0..rows.len())
+                .map(|i| rows.row(i).sum_squares().sqrt())
                 .collect()
         })
     }
@@ -242,7 +277,7 @@ impl<'a> RoundContext<'a> {
         assert_eq!(scales.len(), self.len(), "one clip scale per update");
         let scratch = std::mem::take(&mut self.lock_scratch().squared_l2_scaled);
         let distances = if self.updates.len() <= EXACT_SCREEN_MAX {
-            DistanceMatrix::squared_l2_scaled_into(self.deltas(), scales, scratch)
+            DistanceMatrix::squared_l2_scaled_into(&self.delta_rows().to_block(), scales, scratch)
         } else {
             let s = self.sampled();
             DistanceMatrix::build_into(self.updates.len(), scratch, |i, j| {
@@ -262,12 +297,11 @@ impl<'a> RoundContext<'a> {
     pub fn cosine(&self) -> &DistanceMatrix {
         self.cosine.get_or_init(|| {
             let scratch = std::mem::take(&mut self.lock_scratch().cosine);
-            let rows = if self.updates.len() <= EXACT_SCREEN_MAX {
-                self.deltas()
+            if self.updates.len() <= EXACT_SCREEN_MAX {
+                DistanceMatrix::cosine_into(&self.delta_rows().to_block(), scratch)
             } else {
-                &self.sampled().block
-            };
-            DistanceMatrix::cosine_into(rows, scratch)
+                DistanceMatrix::cosine_into(&self.sampled().block, scratch)
+            }
         })
     }
 
@@ -347,7 +381,17 @@ impl<'a> RoundContext<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::test_support::{attacked_cohort, params, update, WIDE_SHAPES};
+    use crate::aggregate::test_support::{
+        attacked_cohort, delta_block, params, reencoded, update, WIDE_SHAPES,
+    };
+    use crate::defense::DeltaRow;
+
+    /// Row `i` of the view, densified.
+    fn dense_row(ctx: &RoundContext<'_>, i: usize) -> Vec<f32> {
+        let mut out = vec![f32::NAN; ctx.delta_rows().dim()];
+        ctx.delta_rows().row(i).write_to(&mut out);
+        out
+    }
 
     #[test]
     fn deltas_and_norms_match_direct_computation() {
@@ -359,12 +403,68 @@ mod tests {
         let refs: Vec<&ClientUpdate> = u.iter().collect();
         let ctx = RoundContext::new(&g, &refs);
         assert_eq!(ctx.len(), 2);
-        assert_eq!(ctx.deltas().row(0), &[1.0, 0.0, 0.0]);
-        assert_eq!(ctx.deltas().row(1), &[0.0, 3.0, 3.0]);
+        assert_eq!(dense_row(&ctx, 0), [1.0, 0.0, 0.0]);
+        assert_eq!(dense_row(&ctx, 1), [0.0, 3.0, 3.0]);
         let expected: f32 = (9.0f32 + 9.0).sqrt();
         assert!((ctx.raw_norms()[1] - expected).abs() < 1e-6);
         // Distance matrices agree with the direct constructors.
         assert_eq!(*ctx.squared_l2(), DistanceMatrix::squared_l2(&refs));
+    }
+
+    fn same_bits(a: &[f32], b: &[f32]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    /// However a row is stored, every way of reading it gives the dense
+    /// block's bits: densified, its norm, a dot product, its projection —
+    /// in a round above and a round below the exact-screening threshold.
+    #[test]
+    fn the_delta_view_reads_like_the_dense_block_bitwise() {
+        for n in [EXACT_SCREEN_MAX + 6, 9] {
+            let (g, dense) = attacked_cohort(n, &WIDE_SHAPES, 31);
+            // 5 % supports; one upload left dense, one that moved nothing.
+            let mut u = reencoded(&g, &dense, crate::DeltaSpec::TopK { fraction: 0.05 });
+            u[2] = dense[2].clone();
+            u[4].params = g.clone();
+            let refs: Vec<&ClientUpdate> = u.iter().collect();
+            let ctx = RoundContext::new(&g, &refs);
+            let (rows, block) = (ctx.delta_rows(), delta_block(&g, &refs));
+            assert_eq!((rows.len(), rows.dim()), (n, g.num_params()));
+            assert_eq!(rows.dense_rows(), 1);
+            assert!(matches!(rows.row(2), DeltaRow::Dense(_)));
+            assert!(matches!(rows.row(4), DeltaRow::Support { indices: [], .. }));
+            assert!(same_bits(rows.to_block().as_slice(), block.as_slice()));
+            let other = dense[0].params.flatten().into_vec();
+            for i in 0..n {
+                let (row, expected) = (rows.row(i), block.row(i));
+                assert!(same_bits(&dense_row(&ctx, i), expected), "row {i}");
+                assert_eq!(
+                    row.sum_squares().to_bits(),
+                    kernels::sum_squares(expected).to_bits(),
+                    "row {i}"
+                );
+                assert_eq!(
+                    ctx.raw_norms()[i].to_bits(),
+                    kernels::sum_squares(expected).sqrt().to_bits()
+                );
+                assert_eq!(
+                    row.dot(&other).to_bits(),
+                    kernels::dot(expected, &other).to_bits(),
+                    "row {i}"
+                );
+            }
+            assert_eq!(ctx.raw_norms()[4], 0.0);
+            let projection =
+                Matrix::from_fn(g.num_params(), 7, |r, c| ((r * 7 + c) as f32 * 0.37).sin());
+            assert!(same_bits(
+                rows.project(&projection).as_slice(),
+                block.matmul(&projection).as_slice()
+            ));
+            // The exact paths read the view densified.
+            if n <= EXACT_SCREEN_MAX {
+                assert_eq!(*ctx.cosine(), DistanceMatrix::cosine(&block));
+            }
+        }
     }
 
     #[test]
@@ -383,7 +483,8 @@ mod tests {
         let cold = RoundContext::new(&g, &refs);
         let cold_l2 = cold.squared_l2().clone();
         let cold_cos = cold.cosine().clone();
-        let cold_deltas = cold.deltas().clone();
+        let cold_deltas = delta_block(&g, &refs);
+        assert_eq!(*cold.delta_rows().to_block(), cold_deltas);
         let cold_scaled = cold.with_squared_l2_scaled(&scales, DistanceMatrix::clone);
         let scratch = cold.reclaim_scratch();
         assert!(scratch.capacity() > 0, "nothing was handed back");
@@ -391,7 +492,11 @@ mod tests {
         let warm = RoundContext::with_scratch(&g, &refs, scratch);
         assert_eq!(*warm.squared_l2(), cold_l2, "warm L2 diverged");
         assert_eq!(*warm.cosine(), cold_cos, "warm cosine diverged");
-        assert_eq!(*warm.deltas(), cold_deltas, "warm delta block diverged");
+        assert_eq!(
+            *warm.delta_rows().to_block(),
+            cold_deltas,
+            "warm delta block diverged"
+        );
         // Twice: the second build reuses the buffer the first gave back.
         for _ in 0..2 {
             assert_eq!(
@@ -470,8 +575,8 @@ mod tests {
         assert_eq!(*ctx.cosine(), expected_cos);
         ctx.with_squared_l2_scaled(&scales, |m| assert_eq!(*m, expected_scaled));
         assert!(
-            ctx.deltas.get().is_none(),
-            "a sampled distance materialized the n × d delta block"
+            ctx.delta_rows.get().is_none(),
+            "a sampled distance asked for the delta view"
         );
     }
 
@@ -486,7 +591,7 @@ mod tests {
         let mut scales = vec![1.0f32; n];
         scales[3] = 0.3;
         let ctx = RoundContext::new(&g, &refs);
-        let exact = DistanceMatrix::squared_l2_scaled(ctx.deltas(), &scales);
+        let exact = DistanceMatrix::squared_l2_scaled(&delta_block(&g, &refs), &scales);
         ctx.with_squared_l2_scaled(&scales, |m| assert_eq!(*m, exact));
     }
 

@@ -57,11 +57,13 @@ mod context;
 #[cfg(test)]
 mod oracles;
 mod robust;
+mod rows;
 mod stages;
 mod verdicts;
 
 pub use context::{DistanceScratch, RoundContext, EXACT_SCREEN_MAX, SCREEN_SAMPLE_DIM};
 pub use robust::{CoordinateMedian, TrimmedMean, UniformMean};
+pub use rows::{DeltaRow, DeltaRows};
 pub use stages::{NonFiniteGuard, NormClip};
 pub use verdicts::Verdicts;
 
@@ -128,7 +130,7 @@ pub struct DefensePipeline {
     stages: Vec<Box<dyn DefenseStage>>,
     combiner: Box<dyn Combiner>,
     last_telemetry: Vec<StageTelemetry>,
-    /// Delta-block and distance buffers reused across rounds — reuse is
+    /// Delta-view and distance buffers reused across rounds — reuse is
     /// bitwise-neutral (see [`DistanceScratch`]).
     scratch: DistanceScratch,
 }

@@ -1,21 +1,76 @@
 //! Differential oracles for the screening path.
 //!
-//! The fast screening path (cached norms in 2-means, one kernel call per
-//! projection, the sampled block read in place, a recycled delta block)
-//! promises the *same bits* as the straightforward implementations it
-//! replaced. Those implementations live on here, test-only, as the
-//! references the promise is checked against: on an attacked cohort above
-//! [`EXACT_SCREEN_MAX`] the full
+//! The fast screening path (rows stored as supports and read through
+//! support kernels, cached norms in 2-means, one kernel call per
+//! projection, the sampled block read in place, recycled buffers, sorted
+//! columns that only gather what can differ from the GM) promises the
+//! *same bits* as the straightforward implementations it replaced. Those
+//! implementations live on here, test-only, as the references the promise
+//! is checked against — every one of them reads the dense `n × d` block of
+//! `LM − GM` ([`delta_block`]) or the updates' own parameters, never the
+//! delta view: on attacked cohorts above [`EXACT_SCREEN_MAX`], dense,
+//! `TopK`-sparse and mixed, the full
 //! `NonFiniteGuard → NormClip → cluster → latent → TrimmedMean` pipeline
 //! must reach identical decisions — rule, accepted set, score bits — and a
 //! bit-identical GM either way. (The delta-pass reference for the sampled
 //! block sits next to it in `context.rs`.)
 
 use super::*;
-use crate::aggregate::test_support::{attacked_cohort, WIDE_SHAPES};
-use crate::aggregate::{ClusterAggregator, Krum, LatentFilterAggregator};
+use crate::aggregate::test_support::{attacked_cohort, delta_block, reencoded, WIDE_SHAPES};
+use crate::aggregate::{ClusterAggregator, Krum, LatentFilterAggregator, NON_FINITE_RULE};
 use crate::report::UpdateDecision;
-use safeloc_nn::Matrix;
+use crate::{DeltaRepr, DeltaSpec};
+use rayon::prelude::*;
+use safeloc_nn::{kernels, Matrix};
+use std::borrow::Cow;
+
+/// The guard before it read the view: every update's parameters swept.
+#[derive(Clone)]
+struct ReferenceGuard;
+
+impl DefenseStage for ReferenceGuard {
+    fn name(&self) -> &'static str {
+        NON_FINITE_RULE
+    }
+
+    fn screen(&mut self, ctx: &RoundContext<'_>, verdicts: &mut Verdicts) {
+        for (i, u) in ctx.updates().iter().enumerate() {
+            if verdicts.is_active(i) && u.params.has_non_finite() {
+                verdicts.reject(i, NON_FINITE_RULE, 1.0);
+            }
+        }
+    }
+
+    fn clone_stage(&self) -> Box<dyn DefenseStage> {
+        Box::new(self.clone())
+    }
+}
+
+/// Norm clipping on norms swept from the dense block.
+#[derive(Clone)]
+struct ReferenceNormClip(NormClip);
+
+impl DefenseStage for ReferenceNormClip {
+    fn name(&self) -> &'static str {
+        "norm-clip"
+    }
+
+    fn screen(&mut self, ctx: &RoundContext<'_>, verdicts: &mut Verdicts) {
+        let active = verdicts.active_indices();
+        if active.len() < 2 {
+            return;
+        }
+        let norms: Vec<f32> = delta_block(ctx.global(), ctx.updates())
+            .iter_rows()
+            .map(|row| kernels::sum_squares(row).sqrt())
+            .collect();
+        self.0.clip_to_norms(&norms, &active, verdicts);
+    }
+
+    fn clone_stage(&self) -> Box<dyn DefenseStage> {
+        Box::new(self.clone())
+    }
+}
 
 /// The cluster stage before norms were cached: every cosine distance
 /// recomputes both operands' norms (six sweeps per update per pass), over
@@ -45,7 +100,10 @@ impl DefenseStage for ReferenceCluster {
         if n <= 2 {
             return;
         }
-        let deltas: Vec<Matrix> = ctx.deltas().iter_rows().map(Matrix::row_vector).collect();
+        let deltas: Vec<Matrix> = delta_block(ctx.global(), ctx.updates())
+            .iter_rows()
+            .map(Matrix::row_vector)
+            .collect();
         let pairwise = ctx.cosine();
         let mut best = (active[0], active[1], f32::NEG_INFINITY);
         for (slot, &i) in active.iter().enumerate() {
@@ -124,10 +182,11 @@ impl DefenseStage for ReferenceLatent {
             return;
         }
         let projection = self.0.projection_for(ctx.global().num_params());
+        let deltas = delta_block(ctx.global(), ctx.updates());
         let raw_rows = active
             .iter()
             .map(|&i| {
-                Matrix::row_vector(ctx.deltas().row(i))
+                Matrix::row_vector(deltas.row(i))
                     .matmul(projection)
                     .into_vec()
             })
@@ -136,6 +195,98 @@ impl DefenseStage for ReferenceLatent {
     }
 
     fn clone_stage(&self) -> Box<dyn DefenseStage> {
+        Box::new(self.clone())
+    }
+}
+
+/// The coordinate-wise combiners before columns arrived sorted: every
+/// active update's effective parameters gathered per coordinate, all `n`
+/// values, and handed to `fold` unsorted.
+fn gather_coordinate_wise(
+    ctx: &RoundContext<'_>,
+    verdicts: &mut Verdicts,
+    fold: impl Fn(&mut [f32]) -> f32 + Sync,
+) -> NamedParams {
+    let active = verdicts.active_indices();
+    let sources: Vec<Cow<'_, NamedParams>> =
+        active.iter().map(|&i| verdicts.effective(ctx, i)).collect();
+    let weight = 1.0 / active.len() as f32;
+    for &i in &active {
+        verdicts.set_weight(i, weight);
+    }
+    let names = ctx.global().names();
+    let per_tensor: Vec<(String, Matrix)> = names
+        .par_iter()
+        .map(|name| {
+            let gm = ctx.global().get(name).expect("same arch");
+            let rows: Vec<&[f32]> = sources
+                .iter()
+                .map(|p| p.get(name).expect("same arch").as_slice())
+                .collect();
+            let mut out = vec![0.0f32; gm.len()];
+            let mut buf = vec![0.0f32; rows.len()];
+            for (e, slot) in out.iter_mut().enumerate() {
+                for (b, row) in buf.iter_mut().zip(&rows) {
+                    *b = row[e];
+                }
+                *slot = fold(&mut buf);
+            }
+            let (r, c) = gm.shape();
+            (
+                name.to_string(),
+                Matrix::from_vec(r, c, out).expect("shape preserved"),
+            )
+        })
+        .collect();
+    per_tensor.into_iter().collect()
+}
+
+/// The trimmed mean that sorted all `n` values per coordinate.
+#[derive(Clone)]
+struct ReferenceTrimmedMean(f32);
+
+impl Combiner for ReferenceTrimmedMean {
+    fn name(&self) -> &'static str {
+        "trimmed-mean"
+    }
+
+    fn combine(&mut self, ctx: &RoundContext<'_>, verdicts: &mut Verdicts) -> NamedParams {
+        let n = verdicts.active_count();
+        let t = ((self.0.clamp(0.0, 0.5) * n as f32).floor() as usize).min(n.saturating_sub(1) / 2);
+        gather_coordinate_wise(ctx, verdicts, |values| {
+            values.sort_unstable_by(f32::total_cmp);
+            let kept = &values[t..values.len() - t];
+            kept.iter().sum::<f32>() / kept.len() as f32
+        })
+    }
+
+    fn clone_combiner(&self) -> Box<dyn Combiner> {
+        Box::new(self.clone())
+    }
+}
+
+/// The median that stable-sorted all `n` values by `partial_cmp`.
+#[derive(Clone)]
+struct ReferenceMedian;
+
+impl Combiner for ReferenceMedian {
+    fn name(&self) -> &'static str {
+        "coordinate-median"
+    }
+
+    fn combine(&mut self, ctx: &RoundContext<'_>, verdicts: &mut Verdicts) -> NamedParams {
+        gather_coordinate_wise(ctx, verdicts, |values| {
+            values.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+            let n = values.len();
+            if n % 2 == 1 {
+                values[n / 2]
+            } else {
+                0.5 * (values[n / 2 - 1] + values[n / 2])
+            }
+        })
+    }
+
+    fn clone_combiner(&self) -> Box<dyn Combiner> {
         Box::new(self.clone())
     }
 }
@@ -157,18 +308,19 @@ fn screening_pipeline() -> DefensePipeline {
     )
 }
 
+/// The same pipeline out of the dense references.
 fn reference_pipeline() -> DefensePipeline {
     DefensePipeline::new(
         "reference",
         vec![
-            Box::new(NonFiniteGuard),
-            Box::new(NormClip::default()),
+            Box::new(ReferenceGuard),
+            Box::new(ReferenceNormClip(NormClip::default())),
             Box::new(ReferenceCluster {
                 separation_threshold: ClusterAggregator::default().separation_threshold,
             }),
             Box::new(ReferenceLatent(LatentFilterAggregator::new(SEED))),
         ],
-        Box::new(TrimmedMean::new(TRIM)),
+        Box::new(ReferenceTrimmedMean(TRIM)),
     )
 }
 
@@ -223,14 +375,318 @@ fn fast_screening_matches_the_reference_implementations_bitwise() {
     }
 }
 
+const TOP_5_PERCENT: DeltaSpec = DeltaSpec::TopK { fraction: 0.05 };
+
+/// How many of the round's rows the view stores dense.
+fn dense_rows(g: &NamedParams, u: &[ClientUpdate]) -> usize {
+    let refs: Vec<&ClientUpdate> = u.iter().collect();
+    RoundContext::new(g, &refs).delta_rows().dense_rows()
+}
+
+/// The screening pipeline with the latent stage's threshold moved, and
+/// its dense reference. At the default 1.8 σ the latent stage rejects the
+/// loud-but-honest update 7; at a threshold nothing reaches it still
+/// projects and scores every row, and update 7 — clipped by then — goes on
+/// to the combiner.
+fn pipelines_at(z_threshold: f32) -> (DefensePipeline, DefensePipeline) {
+    let mut latent = LatentFilterAggregator::new(SEED);
+    latent.z_threshold = z_threshold;
+    let (mut fast, mut reference) = (screening_pipeline(), reference_pipeline());
+    fast.stages[3] = Box::new(latent.clone());
+    reference.stages[3] = Box::new(ReferenceLatent(latent));
+    (fast, reference)
+}
+
+/// Update `i`'s clip scale after the guard and `NormClip`.
+fn clip_scale(g: &NamedParams, u: &[ClientUpdate], i: usize) -> f32 {
+    let refs: Vec<&ClientUpdate> = u.iter().collect();
+    let ctx = RoundContext::new(g, &refs);
+    let mut verdicts = Verdicts::new(u.len());
+    NormClip::default().screen(&ctx, &mut verdicts);
+    verdicts.scale(i)
+}
+
+/// `round_screen`'s uploads: every row of the view is a support, and every
+/// stage must still say what it says over the dense block — with the
+/// latent stage rejecting update 7, and with update 7 surviving, clipped,
+/// into the trimmed mean among unclipped sparse rows.
+#[test]
+fn sparse_cohorts_screen_bit_for_bit_like_the_dense_block() {
+    for n in [96, 256] {
+        for z_threshold in [LatentFilterAggregator::new(SEED).z_threshold, f32::MAX] {
+            let (mut fast, mut reference) = pipelines_at(z_threshold);
+            for round in 0..3 {
+                let (g, u) = attacked_cohort(n, &WIDE_SHAPES, 40 + round);
+                let u = reencoded(&g, &u, TOP_5_PERCENT);
+                assert_eq!(dense_rows(&g, &u), 0, "a 5 % upload was stored dense");
+                let got = fast.aggregate(&g, &u);
+                let expected = reference.aggregate(&g, &u);
+                let case = format!("n {n}, z {z_threshold}, round {round}");
+                assert_eq!(bits(&got), bits(&expected), "{case} diverged");
+                assert_eq!(
+                    rejected_by(&got, "cluster").collect::<Vec<_>>(),
+                    (3..n).step_by(10).collect::<Vec<_>>(),
+                    "{case}"
+                );
+                assert!(clip_scale(&g, &u, 7) < 1.0, "{case}: update 7 unclipped");
+                assert_eq!(
+                    got.decisions[7].is_accepted(),
+                    z_threshold == f32::MAX,
+                    "{case}"
+                );
+            }
+        }
+    }
+}
+
+/// One `Dense` and one `QuantizedI8` upload among sparse ones are two
+/// dense rows; nobody else's row moves, and nothing changes a bit.
+#[test]
+fn mixed_cohorts_store_each_row_as_it_is() {
+    let n = 96;
+    let (g, dense) = attacked_cohort(n, &WIDE_SHAPES, 71);
+    let mut u = reencoded(&g, &dense, TOP_5_PERCENT);
+    u[5] = dense[5].clone();
+    u[11] = reencoded(&g, &dense[11..12], DeltaSpec::QuantizedI8).remove(0);
+    assert_eq!(dense_rows(&g, &u), 2);
+    // A full-width row among 5 % ones can be the latent stage's outlier;
+    // with its threshold out of reach both go on into the trimmed mean's
+    // columns, beside the supports.
+    for z_threshold in [LatentFilterAggregator::new(SEED).z_threshold, f32::MAX] {
+        let (mut fast, mut reference) = pipelines_at(z_threshold);
+        for round in 0..2 {
+            let got = fast.aggregate(&g, &u);
+            assert_eq!(
+                bits(&got),
+                bits(&reference.aggregate(&g, &u)),
+                "z {z_threshold}, round {round}"
+            );
+            assert!(
+                z_threshold < f32::MAX
+                    || (got.decisions[5].is_accepted() && got.decisions[11].is_accepted()),
+                "round {round}: a dense row never reached the combiner"
+            );
+        }
+    }
+}
+
+/// The repr is what the client says it sent. An update that says `TopK`
+/// while its parameters differ from the GM everywhere is a dense row, and
+/// is screened exactly as if it had said `Dense`.
+#[test]
+fn a_lying_repr_is_never_read() {
+    let n = 96;
+    let (g, dense) = attacked_cohort(n, &WIDE_SHAPES, 72);
+    let mut u = reencoded(&g, &dense, TOP_5_PERCENT);
+    let claimed = u[9].repr.clone();
+    assert!(matches!(claimed, DeltaRepr::TopK { .. }));
+    u[9] = ClientUpdate::with_repr(9, dense[9].params.clone(), 10, claimed);
+    assert_eq!(dense_rows(&g, &u), 1);
+    let lying = screening_pipeline().aggregate(&g, &u);
+    assert_eq!(
+        bits(&lying),
+        bits(&reference_pipeline().aggregate(&g, &u)),
+        "the view diverged from the dense block"
+    );
+    u[9].repr = DeltaRepr::Dense;
+    assert_eq!(
+        bits(&lying),
+        bits(&screening_pipeline().aggregate(&g, &u)),
+        "the repr was read"
+    );
+}
+
+/// A small model for hand-built rows: `d = 80`, so a row may differ from
+/// the GM in up to ten coordinates and still be stored as a support.
+const SMALL_SHAPES: [(usize, usize); 2] = [(4, 16), (1, 16)];
+
+/// The GM of [`attacked_cohort`] over [`SMALL_SHAPES`] with zeros of both
+/// signs planted in it, and `n` updates that are corner cases of the
+/// sorted column: one equal to the GM (empty support, norm 0); one that
+/// differs from it only in the sign of those zeros (`with_zero_flips`;
+/// `−0.0` and `+0.0` differ in bits, so they are in its support, with a
+/// delta of `±0.0`); one dense row that *equals* the GM on every third
+/// coordinate (full-row values tying with the run); the rest sparse, their
+/// supports overlapping on coordinates 0–2 with values that tie with each
+/// other and straddle the GM's.
+fn corner_cohort(n: usize, with_zero_flips: bool) -> (NamedParams, Vec<ClientUpdate>) {
+    let (g, dense) = attacked_cohort(n, &SMALL_SHAPES, 73);
+    let zeros = [(5, 0.0f32), (6, -0.0), (40, 0.0), (70, -0.0)];
+    let mut flat = g.flatten().into_vec();
+    for &(e, zero) in &zeros {
+        flat[e] = zero;
+    }
+    let d = flat.len();
+    // `g`'s architecture over other values, written tensor by tensor
+    // (`add_flat` onto zeros would lose a `-0.0`).
+    let shaped = |values: &[f32]| {
+        let mut params = g.clone();
+        let mut at = 0;
+        for (_, t) in params.iter_mut() {
+            let len = t.len();
+            t.as_mut_slice().copy_from_slice(&values[at..at + len]);
+            at += len;
+        }
+        params
+    };
+    let g = shaped(&flat);
+    let with_flat = |id: usize, lm: &[f32]| ClientUpdate::new(id, shaped(lm), 10);
+    let updates = (0..n)
+        .map(|i| {
+            let mut lm = flat.clone();
+            match i {
+                0 => {}
+                1 if with_zero_flips => {
+                    for &(e, zero) in &zeros {
+                        lm[e] = -zero;
+                    }
+                }
+                2 => {
+                    let own = dense[2].params.flatten().into_vec();
+                    for e in (0..d).filter(|e| e % 3 != 0) {
+                        lm[e] = own[e];
+                    }
+                }
+                _ => {
+                    // Ties across rows on coordinate 0, values either side
+                    // of the GM's on 1 and 2, one private coordinate each.
+                    lm[0] = flat[0] + 0.25;
+                    lm[1] = flat[1] + if i % 2 == 0 { 0.5 } else { -0.5 };
+                    lm[2] = flat[2] - 0.125 * i as f32;
+                    lm[8 + i] += 0.75;
+                }
+            }
+            with_flat(i, &lm)
+        })
+        .collect();
+    (g, updates)
+}
+
+/// The coordinate-wise combiners on the corner cases of a sorted column,
+/// at odd and even `n`, down to a single kept value (`n − 2t = 1`) — and
+/// behind the exact-path stages, which read the same view densified.
+#[test]
+fn sorted_columns_fold_like_the_gathered_ones() {
+    for n in [7, 8] {
+        let (g, u) = corner_cohort(n, true);
+        assert_eq!(dense_rows(&g, &u), 1, "only the tying row is dense");
+        for trim in [0.0, 0.1, 0.49] {
+            let (mut fast, mut reference) = (screening_pipeline(), reference_pipeline());
+            fast.combiner = Box::new(TrimmedMean::new(trim));
+            reference.combiner = Box::new(ReferenceTrimmedMean(trim));
+            assert_eq!(
+                bits(&fast.aggregate(&g, &u)),
+                bits(&reference.aggregate(&g, &u)),
+                "n {n}, trim {trim}"
+            );
+        }
+        // The median reads one or two order statistics; the old stable
+        // `partial_cmp` sort left `-0.0` and `+0.0` in arrival order where
+        // `total_cmp` puts `-0.0` first, so with zeros of both signs in a
+        // column only the value is pinned, without them the bits.
+        let median = |combiner: Box<dyn Combiner>, g: &NamedParams, u: &[ClientUpdate]| {
+            DefensePipeline::new("median", Vec::new(), combiner).aggregate(g, u)
+        };
+        assert_eq!(
+            median(Box::new(CoordinateMedian), &g, &u),
+            median(Box::new(ReferenceMedian), &g, &u),
+            "n {n}"
+        );
+        let (g, u) = corner_cohort(n, false);
+        assert_eq!(
+            bits(&median(Box::new(CoordinateMedian), &g, &u)),
+            bits(&median(Box::new(ReferenceMedian), &g, &u)),
+            "n {n}"
+        );
+    }
+}
+
+/// Driven through `aggregate_filtered` — past the entry-point guard — the
+/// stage must find a NaN or an infinity wherever it sits: inside a sparse
+/// row's support, in a dense row, or in the GM, where `x − x` is NaN and
+/// no row has a support at all.
+#[test]
+fn the_guard_stage_reads_non_finite_values_off_the_view() {
+    let n = 96;
+    let (g, dense) = attacked_cohort(n, &WIDE_SHAPES, 74);
+    let mut u = reencoded(&g, &dense, TOP_5_PERCENT);
+    let poison = |u: &mut ClientUpdate, bad: f32| {
+        let (_, t) = u.params.iter_mut().next().expect("a tensor");
+        let gm = g.iter().next().expect("a tensor").1.as_slice();
+        let at = (t.as_slice().iter().zip(gm))
+            .position(|(x, y)| x.to_bits() != y.to_bits())
+            .expect("the row differs from the GM somewhere in its first tensor");
+        t.as_mut_slice()[at] = bad;
+    };
+    poison(&mut u[4], f32::NAN);
+    poison(&mut u[5], f32::NEG_INFINITY);
+    u[6] = dense[6].clone();
+    poison(&mut u[6], f32::INFINITY);
+    assert_eq!(
+        dense_rows(&g, &u),
+        1,
+        "a poisoned support is still a support"
+    );
+    let refs: Vec<&ClientUpdate> = u.iter().collect();
+    let got = screening_pipeline().aggregate_filtered(&g, &refs);
+    assert_eq!(
+        rejected_by(&got, NON_FINITE_RULE).collect::<Vec<_>>(),
+        [4, 5, 6]
+    );
+    assert_eq!(
+        bits(&got),
+        bits(&reference_pipeline().aggregate_filtered(&g, &refs))
+    );
+
+    // A NaN in the GM reaches every re-materialized LM.
+    let mut bad_g = g.clone();
+    bad_g.iter_mut().next().expect("a tensor").1.as_mut_slice()[17] = f32::NAN;
+    let u = reencoded(&bad_g, &dense, TOP_5_PERCENT);
+    assert_eq!(dense_rows(&bad_g, &u), n);
+    let refs: Vec<&ClientUpdate> = u.iter().collect();
+    let got = screening_pipeline().aggregate_filtered(&bad_g, &refs);
+    assert_eq!(rejected_by(&got, NON_FINITE_RULE).count(), n);
+    assert_eq!(
+        bits(&got),
+        bits(&reference_pipeline().aggregate_filtered(&bad_g, &refs))
+    );
+}
+
+/// A finite LM value whose delta overflows would put an infinity into a
+/// 2-means centroid, where the `+0.0 · ∞` the dense sweep computes for
+/// every other row is NaN, not a skippable zero: such a round is stored
+/// dense, all of it.
+#[test]
+fn an_overflowing_delta_stores_the_round_dense() {
+    let n = 96;
+    let (mut g, dense) = attacked_cohort(n, &WIDE_SHAPES, 75);
+    g.iter_mut().next().expect("a tensor").1.as_mut_slice()[3] = 3e38;
+    let mut u = reencoded(&g, &dense, TOP_5_PERCENT);
+    assert_eq!(dense_rows(&g, &u), 0);
+    u[20]
+        .params
+        .iter_mut()
+        .next()
+        .expect("a tensor")
+        .1
+        .as_mut_slice()[3] = -3e38;
+    assert!(!u[20].params.has_non_finite());
+    assert_eq!(dense_rows(&g, &u), n);
+    assert_eq!(
+        bits(&screening_pipeline().aggregate(&g, &u)),
+        bits(&reference_pipeline().aggregate(&g, &u))
+    );
+}
+
 /// A narrower model for the width change: `d = 1950`, below the sample
 /// budget, so the sampled block is the whole delta.
 const NARROW_SHAPES: [(usize, usize); 3] = [(30, 50), (1, 50), (50, 8)];
 
-/// One pipeline through growing, shrinking and re-shaped rounds must give,
-/// round for round, what a pipeline with cold buffers gives: no stale
-/// delta rows, no stale triangle entries. The cold twin is a clone taken
-/// before the round — same rule state, and (asserted) an empty scratch.
+/// One pipeline through growing, shrinking, re-shaped, dense and sparse
+/// rounds must give, round for round, what a pipeline with cold buffers
+/// gives: no stale delta rows, no stale support regions, no stale triangle
+/// entries. The cold twin is a clone taken before the round — same rule
+/// state, and (asserted) an empty scratch.
 #[test]
 fn recycled_buffers_never_change_an_outcome() {
     let clipped_krum = DefensePipeline::new(
@@ -240,14 +696,23 @@ fn recycled_buffers_never_change_an_outcome() {
     );
     for mut warm in [screening_pipeline(), clipped_krum] {
         let rounds = [
-            (96, &WIDE_SHAPES[..]),
-            (70, &WIDE_SHAPES[..]),
-            (130, &WIDE_SHAPES[..]),
-            (96, &NARROW_SHAPES[..]),
-            (40, &WIDE_SHAPES[..]),
+            (96, &WIDE_SHAPES[..], false),
+            (70, &WIDE_SHAPES[..], true),
+            (130, &WIDE_SHAPES[..], true),
+            (130, &WIDE_SHAPES[..], false),
+            (96, &NARROW_SHAPES[..], true),
+            (40, &WIDE_SHAPES[..], true),
+            (100, &WIDE_SHAPES[..], true),
         ];
-        for (round, (n, shapes)) in rounds.into_iter().enumerate() {
-            let (g, u) = attacked_cohort(n, shapes, 60 + round as u64);
+        for (round, (n, shapes, sparse)) in rounds.into_iter().enumerate() {
+            let (g, mut u) = attacked_cohort(n, shapes, 60 + round as u64);
+            if sparse {
+                // One dense row among the supports, in a different place
+                // every round.
+                let keep = u[round].clone();
+                u = reencoded(&g, &u, TOP_5_PERCENT);
+                u[round] = keep;
+            }
             let mut cold = warm.clone();
             assert_eq!(
                 cold.scratch.capacity(),
@@ -262,7 +727,8 @@ fn recycled_buffers_never_change_an_outcome() {
                 "{}: round {round} ({n} updates) diverged",
                 warm.label()
             );
-            assert!(warm.scratch.capacity() >= n * g.num_params());
+            let dense_rows = if sparse { 1 } else { n };
+            assert!(warm.scratch.capacity() >= dense_rows * g.num_params());
         }
     }
 }

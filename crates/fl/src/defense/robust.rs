@@ -5,7 +5,6 @@
 use crate::defense::{Combiner, RoundContext, Verdicts};
 use rayon::prelude::*;
 use safeloc_nn::{Matrix, NamedParams};
-use std::borrow::Cow;
 
 /// Uniform mean of the surviving updates — the combiner the screened
 /// paper rules (FEDCC clustering, FEDLS latent filtering) terminate in.
@@ -36,41 +35,206 @@ impl Combiner for UniformMean {
     }
 }
 
-/// Materializes the active updates' effective parameters (clip scales
-/// applied), shared by the coordinate-wise combiners.
-fn effective_active<'c>(
-    ctx: &'c RoundContext<'_>,
-    verdicts: &Verdicts,
-    active: &[usize],
-) -> Vec<Cow<'c, NamedParams>> {
-    active.iter().map(|&i| verdicts.effective(ctx, i)).collect()
+/// One coordinate's values across the active updates as the ascending
+/// (`total_cmp`) sequence `lows ++ [gm; run] ++ highs`. `lows` and `highs`
+/// are the values that had to be looked at — every dense or clipped row's,
+/// and a sparse row's where it differs from the GM — split where the GM's
+/// own value falls; `run` counts the sparse rows that are equal to the GM
+/// here. (A value among `highs` may equal `gm` bit for bit; equal bits are
+/// interchangeable, so the sequence is sorted all the same.)
+///
+/// The two parts arrive partitioned and are sorted when first *read*: a
+/// part a trim removes whole, or that no order statistic falls in, never
+/// is — at 5 %-dense uploads that is nearly every part of every column.
+struct SortedColumn<'b> {
+    lows: Part<'b>,
+    gm: f32,
+    run: usize,
+    highs: Part<'b>,
 }
 
-/// Applies `fold` to every coordinate across the active updates: for each
-/// tensor (in global-model order, fanned out over threads) and each
-/// element, the update values are gathered into a scratch buffer and
-/// reduced to the output element.
+/// The values of a [`SortedColumn`] on one side of the GM's.
+struct Part<'b> {
+    values: &'b mut [f32],
+    sorted: bool,
+}
+
+impl<'b> Part<'b> {
+    fn unsorted(values: &'b mut [f32]) -> Self {
+        Self {
+            values,
+            sorted: false,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// The values, ascending. Unstable and total: see [`coordinate_wise`].
+    fn ascending(&mut self) -> &[f32] {
+        if !self.sorted {
+            self.values.sort_unstable_by(f32::total_cmp);
+            self.sorted = true;
+        }
+        self.values
+    }
+
+    /// The values, ascending, without the `front` smallest and the `back`
+    /// largest — unsorted still if none is left.
+    fn without(&mut self, front: usize, back: usize) -> &[f32] {
+        let end = self.len() - back;
+        if front == end {
+            return &[];
+        }
+        &self.ascending()[front..end]
+    }
+}
+
+impl SortedColumn<'_> {
+    fn len(&self) -> usize {
+        self.lows.len() + self.run + self.highs.len()
+    }
+
+    /// The values, ascending, without the `t` smallest and the `t`
+    /// largest (`2t < len`).
+    fn trimmed(&mut self, t: usize) -> impl Iterator<Item = f32> + '_ {
+        // What a cut of `t` values takes from the part it meets first, the
+        // run, and the part beyond.
+        let run = self.run;
+        let cut = |first: usize| {
+            let from_first = t.min(first);
+            let from_run = (t - from_first).min(run);
+            (from_first, from_run, t - from_first - from_run)
+        };
+        let (low_front, run_front, high_front) = cut(self.lows.len());
+        let (high_back, run_back, low_back) = cut(self.highs.len());
+        (self.lows.without(low_front, low_back).iter().copied())
+            .chain(std::iter::repeat_n(self.gm, run - run_front - run_back))
+            .chain(self.highs.without(high_front, high_back).iter().copied())
+    }
+
+    /// The `k`-th smallest value.
+    fn get(&mut self, k: usize) -> f32 {
+        match k.checked_sub(self.lows.len()) {
+            None => self.lows.ascending()[k],
+            Some(past) if past < self.run => self.gm,
+            Some(past) => self.highs.ascending()[past - self.run],
+        }
+    }
+}
+
+/// Support rows transposed: for every flat coordinate, the values of the
+/// rows that have it in their support.
+struct ByCoordinate {
+    /// Coordinate `e`'s values are `values[starts[e]..starts[e + 1]]`.
+    starts: Vec<usize>,
+    values: Vec<f32>,
+}
+
+impl ByCoordinate {
+    /// A counting sort by coordinate: two passes over the supports
+    /// (`(indices, values)`, indices `< dim`).
+    fn transpose(supports: &[(&[u32], &[f32])], dim: usize) -> Self {
+        let mut starts = vec![0usize; dim + 1];
+        for &e in supports.iter().flat_map(|(indices, _)| *indices) {
+            starts[e as usize + 1] += 1;
+        }
+        for e in 0..dim {
+            starts[e + 1] += starts[e];
+        }
+        let mut values = vec![0.0f32; starts[dim]];
+        let mut next = starts.clone();
+        for (indices, row) in supports {
+            for (&e, &v) in indices.iter().zip(*row) {
+                values[next[e as usize]] = v;
+                next[e as usize] += 1;
+            }
+        }
+        Self { starts, values }
+    }
+
+    fn at(&self, e: usize) -> &[f32] {
+        &self.values[self.starts[e]..self.starts[e + 1]]
+    }
+}
+
+/// Applies `fold` to every coordinate's [`SortedColumn`] across the
+/// active updates, tensor by tensor (in global-model order, fanned out
+/// over threads).
+///
+/// An unclipped update whose delta row is stored as a support *is* the GM
+/// outside that support, bit for bit: it enters a column through the
+/// transposed supports or as one more copy of the GM's value. Every other
+/// update — a dense row, or a clipped one, whose `GM + s·(LM − GM)` is
+/// computed over every coordinate and need not return the GM's bits where
+/// the delta is zero — is read in full, so a round whose rows are all
+/// dense gathers all `n` values per coordinate, as it always did.
+///
+/// The order is total and its sort unstable (`f32::total_cmp`): updates
+/// reaching a combiner are finite, and equal values are interchangeable in
+/// a sum or as an order statistic (`-0.0` sorts before `0.0`, which can
+/// only flip the sign of an all-zero sum or of a zero median).
 fn coordinate_wise(
     ctx: &RoundContext<'_>,
-    sources: &[Cow<'_, NamedParams>],
-    fold: impl Fn(&mut [f32]) -> f32 + Sync,
+    verdicts: &Verdicts,
+    active: &[usize],
+    fold: impl Fn(&mut SortedColumn<'_>) -> f32 + Sync,
 ) -> NamedParams {
-    let names = ctx.global().names();
-    let per_tensor: Vec<(String, Matrix)> = names
+    let rows = ctx.delta_rows();
+    let (mut full, mut supports) = (Vec::new(), Vec::new());
+    for &i in active {
+        match rows.lm_support(i) {
+            Some(support) if verdicts.scale(i) >= 1.0 => supports.push(support),
+            _ => full.push(verdicts.effective(ctx, i)),
+        }
+    }
+    let explicit = ByCoordinate::transpose(&supports, ctx.global().num_params());
+
+    let mut offset = 0;
+    let tensors: Vec<(&str, &Matrix, usize)> = (ctx.global().iter())
+        .map(|(name, gm)| {
+            offset += gm.len();
+            (name, gm, offset - gm.len())
+        })
+        .collect();
+    let per_tensor: Vec<(String, Matrix)> = tensors
         .par_iter()
-        .map(|name| {
-            let gm = ctx.global().get(name).expect("same arch");
-            let rows: Vec<&[f32]> = sources
+        .map(|&(name, gm, offset)| {
+            let full: Vec<&[f32]> = full
                 .iter()
                 .map(|p| p.get(name).expect("same arch").as_slice())
                 .collect();
             let mut out = vec![0.0f32; gm.len()];
-            let mut buf = vec![0.0f32; rows.len()];
-            for (e, slot) in out.iter_mut().enumerate() {
-                for (b, row) in buf.iter_mut().zip(&rows) {
-                    *b = row[e];
+            let (mut lows, mut highs) = (vec![0.0f32; active.len()], vec![0.0f32; active.len()]);
+            for (e, (slot, &g)) in out.iter_mut().zip(gm.as_slice()).enumerate() {
+                let explicit = explicit.at(offset + e);
+                let run = supports.len() - explicit.len();
+                let values = (full.iter().map(|row| row[e])).chain(explicit.iter().copied());
+                let (mut n_lows, mut n_highs) = (0, 0);
+                if run == 0 {
+                    // No run to split around (every dense round): the
+                    // column is just its values.
+                    for (slot, v) in lows.iter_mut().zip(values) {
+                        *slot = v;
+                        n_lows += 1;
+                    }
+                } else {
+                    // Split around `g` without a branch: written to both
+                    // sides, kept on one.
+                    for v in values {
+                        let low = v.total_cmp(&g).is_lt();
+                        (lows[n_lows], highs[n_highs]) = (v, v);
+                        n_lows += usize::from(low);
+                        n_highs += usize::from(!low);
+                    }
                 }
-                *slot = fold(&mut buf);
+                *slot = fold(&mut SortedColumn {
+                    lows: Part::unsorted(&mut lows[..n_lows]),
+                    gm: g,
+                    run,
+                    highs: Part::unsorted(&mut highs[..n_highs]),
+                });
             }
             let (r, c) = gm.shape();
             (
@@ -116,15 +280,9 @@ impl Combiner for TrimmedMean {
         let n = active.len();
         let t = ((self.trim_fraction.clamp(0.0, 0.5) * n as f32).floor() as usize)
             .min(n.saturating_sub(1) / 2);
-        let sources = effective_active(ctx, verdicts, &active);
-        let params = coordinate_wise(ctx, &sources, |values| {
-            // Unstable, total order: updates reaching a combiner are finite,
-            // and equal values are interchangeable in a sum (`-0.0` now
-            // sorts before `0.0`, which can only flip the sign of an
-            // all-zero sum).
-            values.sort_unstable_by(f32::total_cmp);
-            let kept = &values[t..values.len() - t];
-            kept.iter().sum::<f32>() / kept.len() as f32
+        let kept = n - 2 * t;
+        let params = coordinate_wise(ctx, verdicts, &active, |column| {
+            column.trimmed(t).sum::<f32>() / kept as f32
         });
         // Every survivor nominally contributes to (n - 2t) of n slots per
         // coordinate; the decision trail records the uniform share.
@@ -154,14 +312,12 @@ impl Combiner for CoordinateMedian {
 
     fn combine(&mut self, ctx: &RoundContext<'_>, verdicts: &mut Verdicts) -> NamedParams {
         let active = verdicts.active_indices();
-        let sources = effective_active(ctx, verdicts, &active);
-        let params = coordinate_wise(ctx, &sources, |values| {
-            values.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-            let n = values.len();
+        let params = coordinate_wise(ctx, verdicts, &active, |column| {
+            let n = column.len();
             if n % 2 == 1 {
-                values[n / 2]
+                column.get(n / 2)
             } else {
-                0.5 * (values[n / 2 - 1] + values[n / 2])
+                0.5 * (column.get(n / 2 - 1) + column.get(n / 2))
             }
         });
         let weight = 1.0 / active.len() as f32;
@@ -185,6 +341,56 @@ mod tests {
 
     fn pipeline(combiner: Box<dyn Combiner>) -> DefensePipeline {
         DefensePipeline::new("test", Vec::new(), combiner)
+    }
+
+    fn column<'b>(lows: &'b mut [f32], run: usize, highs: &'b mut [f32]) -> SortedColumn<'b> {
+        SortedColumn {
+            lows: Part::unsorted(lows),
+            gm: 0.5,
+            run,
+            highs: Part::unsorted(highs),
+        }
+    }
+
+    /// Every way `lows`, the run and `highs` can share a column of up to
+    /// seven values, at every trim that leaves something: trimming is
+    /// `skip(t).take(len − 2t)` of the sorted sequence, `get` indexes it,
+    /// and a part is sorted exactly when something of it is read.
+    #[test]
+    fn a_sorted_column_trims_and_indexes_like_the_sequence_it_stands_for() {
+        let (below, above) = ([-1.0, -3.0, -2.0], [3.0, 1.0, 4.0, 2.0]);
+        for (lows, highs) in (0..=3).flat_map(|lows| (0..=4).map(move |highs| (lows, highs))) {
+            for run in 0..=7 - lows - highs {
+                let mut sequence: Vec<f32> = (below[..lows].iter())
+                    .chain(&above[..highs])
+                    .chain(&vec![0.5; run])
+                    .copied()
+                    .collect();
+                sequence.sort_unstable_by(f32::total_cmp);
+                let (mut low, mut high) = (below, above);
+                assert_eq!(
+                    column(&mut low[..lows], run, &mut high[..highs]).len(),
+                    sequence.len()
+                );
+                for (k, &v) in sequence.iter().enumerate() {
+                    assert_eq!(column(&mut low[..lows], run, &mut high[..highs]).get(k), v);
+                }
+                for t in (0..).take_while(|t| 2 * t < sequence.len()) {
+                    let (mut low, mut high) = (below, above);
+                    let mut column = column(&mut low[..lows], run, &mut high[..highs]);
+                    assert_eq!(
+                        column.trimmed(t).collect::<Vec<_>>(),
+                        sequence[t..sequence.len() - t],
+                        "lows {lows}, run {run}, highs {highs}, t {t}"
+                    );
+                    assert_eq!(
+                        (column.lows.sorted, column.highs.sorted),
+                        (t < lows, t < highs),
+                        "a part is sorted iff the trim leaves some of it"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

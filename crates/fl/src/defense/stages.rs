@@ -8,8 +8,16 @@ use crate::defense::{DefenseStage, RoundContext, Verdicts};
 ///
 /// The [`Aggregator::aggregate`](crate::Aggregator::aggregate) entry point
 /// already applies this guard before any pipeline runs, so inside a
-/// framework the stage is a no-op; it exists so spec-built pipelines are
-/// self-contained when driven directly (tests, offline update audits).
+/// framework the stage rejects nothing; it exists so spec-built pipelines
+/// are self-contained when driven directly (tests, offline update audits).
+///
+/// It reads the round's delta view rather than sweeping every parameter a
+/// second time: a row stored as a support is non-finite iff one of its
+/// stored LM values is (everywhere else it *is* the GM, which the view
+/// checked once), a dense row is swept whole as before
+/// ([`DeltaRows::lm_has_non_finite`](crate::defense::DeltaRows::lm_has_non_finite)).
+/// As the first stage to ask for the view it usually pays for the
+/// discovery pass.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NonFiniteGuard;
 
@@ -19,8 +27,9 @@ impl DefenseStage for NonFiniteGuard {
     }
 
     fn screen(&mut self, ctx: &RoundContext<'_>, verdicts: &mut Verdicts) {
-        for (i, u) in ctx.updates().iter().enumerate() {
-            if verdicts.is_active(i) && u.params.has_non_finite() {
+        let rows = ctx.delta_rows();
+        for i in 0..rows.len() {
+            if verdicts.is_active(i) && rows.lm_has_non_finite(i) {
                 verdicts.reject(i, NON_FINITE_RULE, 1.0);
             }
         }
@@ -78,7 +87,18 @@ impl DefenseStage for NormClip {
             // against.
             return;
         }
-        let norms = ctx.raw_norms();
+        self.clip_to_norms(ctx.raw_norms(), &active, verdicts);
+    }
+
+    fn clone_stage(&self) -> Box<dyn DefenseStage> {
+        Box::new(*self)
+    }
+}
+
+impl NormClip {
+    /// The stage proper, past the norms: clips the `active` updates
+    /// against their lower-median `norms[i]`.
+    pub(crate) fn clip_to_norms(&self, norms: &[f32], active: &[usize], verdicts: &mut Verdicts) {
         let mut active_norms: Vec<f32> = active.iter().map(|&i| norms[i]).collect();
         active_norms.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         let reference = active_norms[(active_norms.len() - 1) / 2];
@@ -89,15 +109,11 @@ impl DefenseStage for NormClip {
             // decline to clip rather than zeroing every update.
             return;
         }
-        for &i in &active {
+        for &i in active {
             if norms[i] > cap {
                 verdicts.clip(i, cap / norms[i]);
             }
         }
-    }
-
-    fn clone_stage(&self) -> Box<dyn DefenseStage> {
-        Box::new(*self)
     }
 }
 

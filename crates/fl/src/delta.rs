@@ -38,8 +38,11 @@ use serde::{Deserialize, Serialize};
 /// wire and rides on [`ClientUpdate`](crate::ClientUpdate) for accounting.
 ///
 /// The update's `params` field always holds the full re-materialized
-/// model, whatever the repr — defenses and aggregation never special-case
-/// compressed updates. The repr records what *would* cross the wire.
+/// model, whatever the repr — defenses and aggregation never read the
+/// repr; they exploit the sparsity they observe (a `TopK` upload leaves
+/// `LM == GM` bit for bit on most coordinates, and the round's delta view
+/// finds that out from the parameters themselves). The repr records what
+/// *would* cross the wire.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub enum DeltaRepr {
     /// Full dense `f32` parameters — the exact, bitwise-pinned path.
@@ -79,29 +82,41 @@ impl DeltaRepr {
     }
 
     /// Decodes the repr into a flat dense delta of length `num_params`.
+    ///
     /// Returns `None` for [`DeltaRepr::Dense`] — a dense update carries no
-    /// separate delta payload (its `params` field *is* the exact model).
+    /// separate delta payload (its `params` field *is* the exact model) —
+    /// and for a repr that is not well-formed for a `num_params` model: a
+    /// `TopK` whose indices are not strictly ascending and `< num_params`
+    /// or whose `values` differ from them in length, a `QuantizedI8` that
+    /// is not exactly `num_params` words long. Such a payload is a
+    /// protocol violation, not something to repair: dropping an index,
+    /// letting a duplicate overwrite or padding a short vector would
+    /// re-materialize a model the client never held and account bytes
+    /// that were partly ignored. The checks are `O(k)`, and everything
+    /// [`DeltaCompressor`] emits passes them and decodes to the same bytes
+    /// as ever.
     pub fn decode(&self, num_params: usize) -> Option<Vec<f32>> {
         match self {
             DeltaRepr::Dense => None,
             DeltaRepr::TopK {
                 indices, values, ..
             } => {
+                // Folded, not short-circuited: the comparison vectorizes,
+                // and a well-formed payload never leaves early anyway.
+                let ascending =
+                    (indices.windows(2)).fold(true, |ok, pair| ok & (pair[0] < pair[1]));
+                let in_range = indices.last().is_none_or(|&i| (i as usize) < num_params);
+                if !(ascending && in_range && values.len() == indices.len()) {
+                    return None;
+                }
                 let mut out = vec![0.0; num_params];
                 for (&i, &v) in indices.iter().zip(values) {
-                    if let Some(slot) = out.get_mut(i as usize) {
-                        *slot = v;
-                    }
+                    out[i as usize] = v;
                 }
                 Some(out)
             }
-            DeltaRepr::QuantizedI8 { scale, values } => {
-                let mut out = vec![0.0; num_params];
-                for (slot, &q) in out.iter_mut().zip(values) {
-                    *slot = q as f32 * scale;
-                }
-                Some(out)
-            }
+            DeltaRepr::QuantizedI8 { scale, values } => (values.len() == num_params)
+                .then(|| values.iter().map(|&q| q as f32 * scale).collect()),
         }
     }
 
@@ -365,6 +380,40 @@ mod tests {
             DeltaCompressor::new(DeltaSpec::TopK { fraction: 0.5 }).compress(&zeros);
         assert_eq!(decoded.len(), 6);
         assert!(matches!(repr, DeltaRepr::TopK { k: 3, .. }));
+    }
+
+    /// Every way a compressed payload can disagree with the model it
+    /// claims to encode is refused — none is silently repaired — while the
+    /// same payload well-formed decodes.
+    #[test]
+    fn malformed_reprs_do_not_decode() {
+        let topk = |indices: &[u32], values: &[f32]| DeltaRepr::TopK {
+            indices: indices.to_vec(),
+            values: values.to_vec(),
+            k: indices.len(),
+        };
+        assert_eq!(
+            topk(&[1, 3], &[0.5, -2.0]).decode(4),
+            Some(vec![0.0, 0.5, 0.0, -2.0])
+        );
+        assert_eq!(topk(&[], &[]).decode(4), Some(vec![0.0; 4]));
+        for (malformed, why) in [
+            (topk(&[1, 4], &[0.5, -2.0]), "an index past the model"),
+            (topk(&[1, 1], &[0.5, -2.0]), "a duplicate index"),
+            (topk(&[3, 1], &[0.5, -2.0]), "descending indices"),
+            (topk(&[1, 3], &[0.5]), "fewer values than indices"),
+            (topk(&[1], &[0.5, -2.0]), "more values than indices"),
+        ] {
+            assert_eq!(malformed.decode(4), None, "{why} decoded");
+        }
+        assert_eq!(topk(&[0], &[0.5]).decode(0), None, "an empty model");
+        let q8 = |len: usize| DeltaRepr::QuantizedI8 {
+            scale: 0.5,
+            values: vec![2; len],
+        };
+        assert_eq!(q8(4).decode(4), Some(vec![1.0; 4]));
+        assert_eq!(q8(3).decode(4), None, "a short vector was zero-extended");
+        assert_eq!(q8(5).decode(4), None, "a long vector was truncated");
     }
 
     #[test]

@@ -26,6 +26,9 @@
 //! | `fl_delta_raw_bytes_total` | counter | — |
 //! | `fl_delta_wire_bytes_total` | counter | — |
 //! | `fl_streaming_materialized` | gauge | — |
+//! | `fl_screen_sparse_rows` | gauge | — |
+//! | `fl_screen_dense_rows` | gauge | — |
+//! | `fl_screen_row_density` | histogram (‰) | — |
 
 use crate::report::StageTelemetry;
 use safeloc_telemetry::{Counter, Gauge, HandleCache, Histogram, Registry};
@@ -48,6 +51,9 @@ pub struct FlMetrics {
     delta_raw_bytes: Arc<Counter>,
     delta_wire_bytes: Arc<Counter>,
     streaming_materialized: Arc<Gauge>,
+    screen_sparse_rows: Arc<Gauge>,
+    screen_dense_rows: Arc<Gauge>,
+    screen_row_density: Arc<Histogram>,
     stages: HandleCache<String, StageHandles>,
 }
 
@@ -62,6 +68,9 @@ impl FlMetrics {
             delta_raw_bytes: registry.counter("fl_delta_raw_bytes_total", &[]),
             delta_wire_bytes: registry.counter("fl_delta_wire_bytes_total", &[]),
             streaming_materialized: registry.gauge("fl_streaming_materialized", &[]),
+            screen_sparse_rows: registry.gauge("fl_screen_sparse_rows", &[]),
+            screen_dense_rows: registry.gauge("fl_screen_dense_rows", &[]),
+            screen_row_density: registry.histogram("fl_screen_row_density", &[]),
             stages: HandleCache::default(),
             registry,
         }
@@ -102,6 +111,22 @@ impl FlMetrics {
     pub fn on_delta(&self, raw_bytes: usize, wire_bytes: usize) {
         self.delta_raw_bytes.add(raw_bytes as u64);
         self.delta_wire_bytes.add(wire_bytes as u64);
+    }
+
+    /// Records how the latest round's delta view stored its rows: how
+    /// many dense, how many as a support, and each support row's density
+    /// (the fraction of coordinates where its LM differs from the GM,
+    /// recorded in ‰ — a dense row's density is not known, discovery gives
+    /// up on it early). Which path a round takes, and how dense uploads
+    /// really are, whatever their `repr` claims.
+    pub fn on_delta_view(&self, dense_rows: usize, support_densities: impl Iterator<Item = f64>) {
+        let mut sparse_rows = 0;
+        for density in support_densities {
+            sparse_rows += 1;
+            self.screen_row_density.record_f64(density * 1e3);
+        }
+        self.screen_sparse_rows.set(sparse_rows);
+        self.screen_dense_rows.set(dense_rows as i64);
     }
 
     /// Tracks how many fleet members a generating
@@ -146,6 +171,7 @@ mod tests {
         metrics.on_delta(4000, 320);
         metrics.on_streaming_materialized(8);
         metrics.on_streaming_materialized(-8);
+        metrics.on_delta_view(3, [0.05, 0.0].into_iter());
 
         let snap = metrics.registry.snapshot();
         let counter = |name: &str, labels: &[(&str, &str)]| {
@@ -180,5 +206,23 @@ mod tests {
             .find(|g| g.name == "fl_streaming_materialized")
             .unwrap();
         assert_eq!(materialized.value, 0, "every materialization reclaimed");
+        let gauge = |name: &str| snap.gauges.iter().find(|g| g.name == name).unwrap().value;
+        assert_eq!(
+            (
+                gauge("fl_screen_sparse_rows"),
+                gauge("fl_screen_dense_rows")
+            ),
+            (2, 3)
+        );
+        let density = snap
+            .histograms
+            .iter()
+            .find(|h| h.name == "fl_screen_row_density")
+            .unwrap();
+        assert_eq!(
+            (density.count, density.sum),
+            (2, 50.0),
+            "two rows, 50 ‰ + 0 ‰"
+        );
     }
 }

@@ -3,11 +3,13 @@
 //! These slice-level kernels are the only place in the workspace that
 //! multiplies matrices, reduces an `O(d)` vector to a scalar or applies
 //! the optimizer's update; [`Matrix`](crate::Matrix) methods, [`Adam`]
-//! and every layer above them route here. Six design rules, the first
+//! and every layer above them route here. Seven design rules, the first
 //! three driven by profiles of the paper-sized (203→128→89→62→60)
 //! training step on AVX2/AVX-512 hardware, the next two by the 256-client
-//! screening round (`46 953`-coordinate deltas), the last by the fused
-//! network's training step (`70 830` parameters, twelve tensors):
+//! screening round (`46 953`-coordinate deltas), the sixth by the fused
+//! network's training step (`70 830` parameters, twelve tensors), the
+//! last by the same screening round once its uploads are `TopK{0.05}`
+//! deltas (95 % of every row exactly `+0.0`):
 //!
 //! [`Adam`]: crate::Adam
 //!
@@ -78,6 +80,27 @@
 //!    zero) cost a microcode assist per divide, ×2.5–3 per step for this
 //!    kernel and the old loop alike; flushing them changes bits and is
 //!    not done here.
+//! 7. **A support kernel is its dense kernel with the `+0.0` terms left
+//!    out — nothing else moves.** [`support_sum_squares`],
+//!    [`support_dot`], [`support_axpy`] and [`support_matmul_into`] take a
+//!    vector as its *support*: strictly ascending indices plus the values
+//!    there, every other element being exactly `+0.0`. Each reproduces
+//!    the arithmetic of its dense twin over the densified vector bit for
+//!    bit: a support element still lands in lane `i mod LANES`, in index
+//!    order, and the lanes fold by the same halving; a projection still
+//!    adds whole `((a₀v₀ + a₁v₁) + a₂v₂) + a₃v₃` groups on the same
+//!    4-aligned boundaries, in ascending order, `KC`-blocked the same
+//!    way. What is skipped is a term `+0.0 · y = ±0.0` (or a group of
+//!    four of them) added to an accumulator that started at `+0.0`: in
+//!    round-to-nearest `x + y` is `−0.0` only when *both* operands are,
+//!    so such an accumulator is never `−0.0`, and adding `±0.0` to
+//!    anything else returns it unchanged — the skipped add was the
+//!    identity. (The one operand that breaks this is a non-finite `y`,
+//!    `0 · ∞ = NaN`; callers hand these kernels finite dense operands,
+//!    and `RoundContext` stores every row dense in the rounds where it
+//!    cannot promise that.) Pinned `to_bits` against the dense kernels
+//!    under proptest, including supports in the `d mod 32` and `d mod 4`
+//!    tails.
 //!
 //! The seed kernel's `a == 0.0` skip is deliberately gone: it helped only
 //! on artificially sparse inputs and costs a branch per multiply on the
@@ -470,6 +493,12 @@ fn lane_sum(a: &[f32], b: &[f32], term: impl Fn(f32, f32) -> f32) -> f32 {
     for (lane, (&x, &y)) in lanes.iter_mut().zip(a_tail.iter().zip(b_tail)) {
         *lane += term(x, y);
     }
+    fold_lanes(lanes)
+}
+
+/// The halving fold every fixed-lane reduction ends in.
+#[inline(always)]
+fn fold_lanes(mut lanes: [f32; LANES]) -> f32 {
     let mut width = LANES;
     while width > 1 {
         width /= 2;
@@ -511,6 +540,154 @@ pub fn squared_distance_scaled(a: &[f32], sa: f32, b: &[f32], sb: f32) -> f32 {
         let d = sa * x - sb * y;
         d * d
     })
+}
+
+/// `Σ term(i, v)` over a support, in [`lane_sum`]'s layout: the term of
+/// element `i` is added to lane `i mod LANES` — in index order, because
+/// the indices ascend — and the lanes fold by the same halving. The terms
+/// the dense kernel adds for the elements in between are `±0.0` and leave
+/// their lanes unchanged (design rule 7 in the module docs).
+#[inline(always)]
+fn support_lane_sum(indices: &[u32], values: &[f32], term: impl Fn(usize, f32) -> f32) -> f32 {
+    assert_eq!(
+        indices.len(),
+        values.len(),
+        "support indices and values differ in length"
+    );
+    debug_assert!(
+        indices.windows(2).all(|w| w[0] < w[1]),
+        "support indices must ascend strictly"
+    );
+    let mut lanes = [0.0f32; LANES];
+    for (&i, &v) in indices.iter().zip(values) {
+        let i = i as usize;
+        lanes[i % LANES] += term(i, v);
+    }
+    fold_lanes(lanes)
+}
+
+/// [`sum_squares`] of the vector whose elements are `values` at the
+/// strictly ascending `indices` and `+0.0` everywhere else — bit for bit,
+/// in time proportional to the support (design rule 7 in the module
+/// docs).
+///
+/// # Panics
+///
+/// Panics if `indices` and `values` differ in length (as do the support
+/// kernels below).
+pub fn support_sum_squares(indices: &[u32], values: &[f32]) -> f32 {
+    support_lane_sum(indices, values, |_, v| v * v)
+}
+
+/// [`dot`] of the support vector (see [`support_sum_squares`]) with the
+/// dense, finite `other` — bit for bit.
+///
+/// # Panics
+///
+/// Panics if an index is `≥ other.len()`.
+pub fn support_dot(indices: &[u32], values: &[f32], other: &[f32]) -> f32 {
+    support_lane_sum(indices, values, |i, v| v * other[i])
+}
+
+/// `acc[i] += weight · v` over the support: what the dense
+/// `acc[i] += weight · x[i]` sweep does to an accumulator that is never
+/// `−0.0` (one that started at `+0.0`), for a positive or negative finite
+/// `weight` — the elements in between would add `±0.0`.
+///
+/// # Panics
+///
+/// Panics if an index is `≥ acc.len()`.
+pub fn support_axpy(acc: &mut [f32], weight: f32, indices: &[u32], values: &[f32]) {
+    assert_eq!(
+        indices.len(),
+        values.len(),
+        "support indices and values differ in length"
+    );
+    for (&i, &v) in indices.iter().zip(values) {
+        acc[i as usize] += weight * v;
+    }
+}
+
+/// `out[m×n] = a[m×k] · b[k×n]` where row `r` of `a` is the support
+/// vector `rows[r] = (indices, values)` (see [`support_sum_squares`]) —
+/// bit for bit what [`matmul_into`] computes for the densified `a` and a
+/// finite `b`, in time proportional to the supports.
+///
+/// The dense kernel adds, per output element, one
+/// `((a₀v₀ + a₁v₁) + a₂v₂) + a₃v₃` group per four reduction steps
+/// (groups start at multiples of 4; the last `k mod 4` steps add singly),
+/// ascending. This kernel evaluates the *whole* group — zeros included,
+/// the same expression over the same operands — wherever a support
+/// element falls in it and skips the groups that are all `+0.0` (design
+/// rule 7 in the module docs). It walks `k` in the same `KC`-row blocks,
+/// outermost, so a block of a tall `b` is swept by every row while it is
+/// cache-resident.
+///
+/// # Panics
+///
+/// Panics if an index is `≥ k`, or (in debug builds) if the slice lengths
+/// do not match the shapes.
+pub fn support_matmul_into(
+    out: &mut [f32],
+    rows: &[(&[u32], &[f32])],
+    b: &[f32],
+    k: usize,
+    n: usize,
+) {
+    debug_assert_eq!(b.len(), k * n, "rhs size mismatch");
+    debug_assert_eq!(out.len(), rows.len() * n, "out size mismatch");
+    for (indices, values) in rows {
+        assert_eq!(
+            indices.len(),
+            values.len(),
+            "support indices and values differ in length"
+        );
+        debug_assert!(
+            indices.windows(2).all(|w| w[0] < w[1]),
+            "support indices must ascend strictly"
+        );
+    }
+    out.fill(0.0);
+    if n == 0 {
+        return;
+    }
+    // Steps below `grouped` belong to 4-step groups, the rest add singly.
+    let grouped = k - k % 4;
+    let mut cursors = vec![0usize; rows.len()];
+    for k_end in (0..k).step_by(KC).map(|k0| (k0 + KC).min(k)) {
+        for ((&(indices, values), cursor), o) in
+            rows.iter().zip(&mut cursors).zip(out.chunks_exact_mut(n))
+        {
+            let mut c = *cursor;
+            while c < indices.len() && (indices[c] as usize) < k_end {
+                let i = indices[c] as usize;
+                if i >= grouped {
+                    let (a0, b0) = (values[c], &b[i * n..(i + 1) * n]);
+                    for (o, v0) in o.iter_mut().zip(b0) {
+                        *o += a0 * v0;
+                    }
+                    c += 1;
+                    continue;
+                }
+                let g0 = i - i % 4;
+                let mut a = [0.0f32; 4];
+                while c < indices.len() && (indices[c] as usize) < g0 + 4 {
+                    a[indices[c] as usize - g0] = values[c];
+                    c += 1;
+                }
+                let [b0, b1, b2, b3] = [0, 1, 2, 3].map(|step| &b[(g0 + step) * n..][..n]);
+                for ((((o, v0), v1), v2), v3) in o.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
+                    *o += a[0] * v0 + a[1] * v1 + a[2] * v2 + a[3] * v3;
+                }
+            }
+            *cursor = c;
+        }
+    }
+    // A cursor stops short only at an index no block reaches.
+    assert!(
+        rows.iter().zip(&cursors).all(|(row, &c)| c == row.0.len()),
+        "support index out of range for a reduction of length {k}"
+    );
 }
 
 /// One Adam step's scalars, fixed for every element of every tensor:
@@ -874,6 +1051,133 @@ mod tests {
     #[should_panic(expected = "differ in length")]
     fn reductions_reject_mismatched_lengths() {
         dot(&[1.0, 2.0], &[1.0]);
+    }
+
+    /// The support `(indices, values)` of `dense`'s first `len` elements:
+    /// everything that is not `+0.0` bit for bit (an explicit `-0.0` is a
+    /// support element like any other).
+    fn support_of(dense: &[f32]) -> (Vec<u32>, Vec<f32>) {
+        dense
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| v.to_bits() != 0)
+            .map(|(i, &v)| (i as u32, v))
+            .unzip()
+    }
+
+    /// A row for the support-kernel tests: `values` where `keep[i] <
+    /// density`, `+0.0` elsewhere, with every seventh kept element an
+    /// explicit `-0.0`.
+    fn sparsify(values: &[f32], keep: &[f32], density: f32) -> Vec<f32> {
+        values
+            .iter()
+            .zip(keep)
+            .enumerate()
+            .map(|(i, (&v, &k))| match (k < density, i % 7) {
+                (false, _) => 0.0,
+                (true, 0) => -0.0,
+                (true, _) => v,
+            })
+            .collect()
+    }
+
+    /// Two k-blocks, four full lane sweeps and a ragged tail that is
+    /// ragged for the lanes (`% 32 = 3`) and for the projection's 4-step
+    /// groups (`% 4 = 3`) alike.
+    const SUPPORT_DIM: usize = 2 * KC + 4 * LANES + 3;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Design rule 7: each support kernel equals its dense twin over
+        /// the densified row, `to_bits`, at every density from empty to
+        /// full and at lengths that end in every kind of tail.
+        #[test]
+        fn support_kernels_match_the_dense_kernels_bitwise(
+            values in prop::collection::vec(-100.0f32..100.0, 3 * SUPPORT_DIM),
+            keep in prop::collection::vec(0.0f32..1.0, 3 * SUPPORT_DIM),
+            other in prop::collection::vec(-100.0f32..100.0, SUPPORT_DIM),
+            projection in prop::collection::vec(-1.0f32..1.0, SUPPORT_DIM * 9),
+            density in 0.0f32..0.3,
+            weight in -1.0f32..1.0,
+        ) {
+            for len in [0, 1, 3, 4, 5, LANES - 1, LANES, LANES + 1, KC + 1, SUPPORT_DIM - 3, SUPPORT_DIM] {
+                // Three rows per length: empty, random and full support.
+                let rows: Vec<Vec<f32>> = [0.0, density, 2.0]
+                    .iter()
+                    .zip(values.chunks(SUPPORT_DIM).zip(keep.chunks(SUPPORT_DIM)))
+                    .map(|(&density, (v, k))| sparsify(&v[..len], &k[..len], density))
+                    .collect();
+                let supports: Vec<(Vec<u32>, Vec<f32>)> = rows.iter().map(|r| support_of(r)).collect();
+                prop_assert!(supports[0].0.is_empty());
+                prop_assert!(len == 0 || supports[2].0.len() == len);
+                let other = &other[..len];
+                let mut dense_acc = vec![0.0f32; len];
+                let mut support_acc = vec![0.0f32; len];
+                for (row, (indices, vals)) in rows.iter().zip(&supports) {
+                    prop_assert_eq!(
+                        support_sum_squares(indices, vals).to_bits(),
+                        sum_squares(row).to_bits(),
+                        "sum_squares, len {}", len
+                    );
+                    prop_assert_eq!(
+                        support_dot(indices, vals, other).to_bits(),
+                        dot(row, other).to_bits(),
+                        "dot, len {}", len
+                    );
+                    // The 2-means recentre: members accumulate in order.
+                    for (c, v) in dense_acc.iter_mut().zip(row) {
+                        *c += weight * v;
+                    }
+                    support_axpy(&mut support_acc, weight, indices, vals);
+                    prop_assert!(same_bits(&support_acc, &dense_acc), "axpy, len {}", len);
+                }
+                for n in [1, 9] {
+                    let b: Vec<f32> = projection.chunks(9).take(len).flat_map(|r| &r[..n]).copied().collect();
+                    // Five rows: the dense kernel's 4-row block and its row tail.
+                    let picks = [1, 0, 2, 1, 1];
+                    let a: Vec<f32> = picks.iter().flat_map(|&r| rows[r].iter().copied()).collect();
+                    let mut dense_out = vec![f32::NAN; picks.len() * n];
+                    matmul_into(&mut dense_out, &a, &b, picks.len(), len, n);
+                    let support_rows: Vec<(&[u32], &[f32])> = picks
+                        .iter()
+                        .map(|&r| (supports[r].0.as_slice(), supports[r].1.as_slice()))
+                        .collect();
+                    let mut support_out = vec![f32::NAN; picks.len() * n];
+                    support_matmul_into(&mut support_out, &support_rows, &b, len, n);
+                    prop_assert!(
+                        same_bits(&support_out, &dense_out),
+                        "matmul, len {}, n {}", len, n
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn support_dot_rejects_an_index_past_the_operand() {
+        support_dot(&[1, 4], &[1.0, 2.0], &[0.0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn support_axpy_rejects_an_index_past_the_accumulator() {
+        support_axpy(&mut [0.0; 4], 0.5, &[4], &[1.0]);
+    }
+
+    /// Past `k` in the grouped range and in the `k mod 4` tail alike.
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn support_matmul_rejects_an_index_past_the_reduction() {
+        let mut out = [0.0; 2];
+        support_matmul_into(&mut out, &[(&[6], &[1.0])], &[1.0; 12], 6, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "differ in length")]
+    fn support_kernels_reject_mismatched_supports() {
+        support_sum_squares(&[0, 1], &[1.0]);
     }
 
     /// The parent's update loop, verbatim: one index into four separately

@@ -350,37 +350,35 @@ impl Framework for RemoteFlServer {
             // construction.
             let conn = fleet.conn_mut(i).expect("participating member has a conn");
             conn.set_read_timeout(Some(remaining)).ok();
-            match conn.recv() {
-                Ok(Frame::Update(update)) if update_matches(&update, i, round) => {
-                    conn.set_read_timeout(None).ok();
-                    updates.push(ClientUpdate::new(
-                        i,
-                        update.params,
-                        update.num_samples as usize,
-                    ));
-                }
-                Ok(Frame::UpdateDelta(update))
-                    if delta_update_matches(&update, i, round)
-                        && !matches!(update.repr, safeloc_fl::DeltaRepr::Dense) =>
-                {
-                    conn.set_read_timeout(None).ok();
-                    // Re-materialize exactly what crossed the wire:
-                    // `GM + decode(repr)` — the same parameters the
-                    // compressing client carries forward locally.
-                    // panic-ok: decode only fails for Dense reprs, and
-                    // this arm is reached only for non-dense ones.
-                    let decoded = update
-                        .repr
-                        .decode(gm_params.num_params())
-                        .expect("non-dense repr always decodes");
+            // What the frame is worth as an update, if anything. A
+            // compressed update is re-materialized as exactly what crossed
+            // the wire, `GM + decode(repr)` — the parameters the
+            // compressing client carries forward locally; a repr that does
+            // not decode for this model (`Dense`, which carries no
+            // coefficients, or a malformed payload — see
+            // `DeltaRepr::decode`) is a protocol violation like any wrong
+            // frame, never repaired.
+            let received = conn.recv().map(|frame| match frame {
+                Frame::Update(update) if update_matches(&update, i, round) => Some(
+                    ClientUpdate::new(i, update.params, update.num_samples as usize),
+                ),
+                Frame::UpdateDelta(update) if delta_update_matches(&update, i, round) => {
+                    let decoded = update.repr.decode(gm_params.num_params())?;
                     let mut params = gm_params.clone();
                     params.add_flat(&decoded);
-                    updates.push(ClientUpdate::with_repr(
+                    Some(ClientUpdate::with_repr(
                         i,
                         params,
                         update.num_samples as usize,
                         update.repr,
-                    ));
+                    ))
+                }
+                _ => None,
+            });
+            match received {
+                Ok(Some(update)) => {
+                    conn.set_read_timeout(None).ok();
+                    updates.push(update);
                 }
                 Err(WireError::Timeout) => {
                     // Hung or trickling past the deadline: a straggler.
@@ -390,8 +388,9 @@ impl Framework for RemoteFlServer {
                     fleet.kill(i);
                     entry.1 = Availability::Straggles;
                 }
-                _ => {
-                    // Disconnected, or answered with the wrong frame.
+                Ok(None) | Err(_) => {
+                    // Disconnected, or answered with the wrong frame or a
+                    // payload that is not an update for this model.
                     crate::metrics::wire_metrics().on_dropout();
                     fleet.kill(i);
                     entry.1 = Availability::DropsOut;

@@ -11,10 +11,12 @@
 use safeloc_dataset::{Building, BuildingDataset, DatasetConfig};
 use safeloc_fl::report::ClientOutcome;
 use safeloc_fl::{
-    Client, CohortSampler, DefensePipeline, FlSession, FleetProvider, Framework, RoundPlan,
-    SequentialFlServer, ServerConfig,
+    Client, CohortSampler, DefensePipeline, DeltaRepr, FlSession, FleetProvider, Framework,
+    RoundPlan, SequentialFlServer, ServerConfig,
 };
-use safeloc_wire::{FaultProfile, Frame, FrameConn, RemoteFlServer, RemoteFleet, UpdateFrame};
+use safeloc_wire::{
+    DeltaUpdateFrame, FaultProfile, Frame, FrameConn, RemoteFlServer, RemoteFleet, UpdateFrame,
+};
 use std::collections::BTreeSet;
 use std::net::SocketAddr;
 use std::process::{Child, Command};
@@ -395,6 +397,110 @@ fn lent_cohorts_invite_and_credit_the_sampled_fleet_members() {
         ever_sampled.iter().any(|&id| id >= 2),
         "every cohort was {{0, 1}}: slots and ids never differed"
     );
+
+    fleet.lock().unwrap().broadcast_bye();
+    for client in clients {
+        client.join().unwrap();
+    }
+}
+
+/// In-thread stand-in for a compressing `fl_client`: joins as `id` and
+/// answers each broadcast of a `d`-parameter GM with the `TopK` delta
+/// `indices(d)` (all values 0.25).
+fn top_k_client(
+    addr: SocketAddr,
+    id: usize,
+    indices: fn(u32) -> Vec<u32>,
+) -> std::thread::JoinHandle<()> {
+    std::thread::spawn(move || {
+        let mut conn = FrameConn::connect(addr).unwrap();
+        conn.client_handshake().unwrap();
+        conn.send(&Frame::Join {
+            client_index: id as u32,
+        })
+        .unwrap();
+        // Until the server says goodbye or hangs up on us.
+        while let Ok(frame) = conn.recv() {
+            let Frame::GmBroadcast { round, params, .. } = frame else {
+                continue;
+            };
+            let indices = indices(params.num_params() as u32);
+            let sent = conn.send(&Frame::UpdateDelta(DeltaUpdateFrame {
+                client_id: id as u64,
+                round,
+                building: 0,
+                device_class: "top-k".to_string(),
+                num_samples: 1,
+                repr: DeltaRepr::TopK {
+                    values: vec![0.25; indices.len()],
+                    k: indices.len(),
+                    indices,
+                },
+            }));
+            if sent.is_err() {
+                return;
+            }
+        }
+    })
+}
+
+/// A compressed upload that is not well-formed for the model — here an
+/// index one past its last parameter, which used to be dropped silently —
+/// is a protocol violation: the client is benched like one that answered
+/// with the wrong frame, and the round completes on the others' updates.
+#[test]
+fn a_malformed_compressed_upload_benches_the_client_and_the_round_completes() {
+    let data = dataset();
+    let n = 3;
+    let offender = 1;
+    let mut fleet = RemoteFleet::bind(n).unwrap();
+    let clients: Vec<_> = (0..n)
+        .map(|id| {
+            let indices = if id == offender {
+                |d: u32| vec![0, d]
+            } else {
+                |d: u32| vec![0, d - 1]
+            };
+            top_k_client(fleet.addr(), id, indices)
+        })
+        .collect();
+    fleet.accept_all(Duration::from_secs(60)).unwrap();
+    let fleet = Arc::new(Mutex::new(fleet));
+    let mut server = RemoteFlServer::new(
+        &dims(&data),
+        Box::new(DefensePipeline::fedavg()),
+        ServerConfig::tiny(),
+        Arc::clone(&fleet),
+        Duration::from_secs(60),
+    );
+    let mut mirror = Client::from_dataset(&data, FLEET_SEED);
+    mirror.truncate(n);
+    let plan = RoundPlan::full(n);
+
+    // Round 0 meets the malformed payload; round 1 finds the offender gone.
+    for round in 0..2 {
+        let before = server.global_params();
+        let report = server.run_round(&mut mirror, &plan);
+        for (id, client) in report.clients.iter().enumerate() {
+            if id == offender {
+                assert_eq!(client.outcome, ClientOutcome::DroppedOut, "round {round}");
+            } else {
+                assert!(
+                    matches!(client.outcome, ClientOutcome::Trained { .. }),
+                    "round {round}: client {id} was {:?}",
+                    client.outcome
+                );
+            }
+        }
+        // Exactly the well-formed deltas landed: `+0.25` on the first and
+        // the last parameter, nothing anywhere else.
+        let (before, after) = (before.flatten(), server.global_params().flatten());
+        let moved: Vec<usize> = (0..before.len())
+            .filter(|&e| after.as_slice()[e] != before.as_slice()[e])
+            .collect();
+        assert_eq!(moved, [0, before.len() - 1], "round {round}");
+        assert_eq!(after.as_slice()[0], before.as_slice()[0] + 0.25);
+    }
 
     fleet.lock().unwrap().broadcast_bye();
     for client in clients {

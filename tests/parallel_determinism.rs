@@ -245,3 +245,71 @@ fn subsampled_session_is_bitwise_deterministic_across_thread_counts() {
         "per-client outcomes diverged across thread counts"
     );
 }
+
+#[test]
+fn sparse_cohort_screening_is_bitwise_deterministic_across_thread_counts() {
+    // A city-scale round in miniature: 80 `TopK{0.05}` uploads (above the
+    // exact-screening threshold) with every tenth a ×10-boosted outlier,
+    // through the layered screening pipeline. The delta view discovers
+    // each row's support in parallel, the distance triangles and the
+    // trimmed mean fan out over threads — decisions, scores and GM must
+    // not depend on how many.
+    use safeloc_fl::defense::{NonFiniteGuard, NormClip, TrimmedMean};
+    use safeloc_fl::{ClusterAggregator, LatentFilterAggregator};
+    use safeloc_nn::Matrix;
+
+    let wave = |salt: usize, scale: f32| -> NamedParams {
+        let tensor = |rows: usize, cols: usize, salt: usize| {
+            Matrix::from_fn(rows, cols, |r, c| {
+                scale * ((r * 131 + c * 17 + salt * 7919) as f32 * 0.618).sin()
+            })
+        };
+        NamedParams::new(vec![
+            ("w".into(), tensor(60, 50, salt)),
+            ("b".into(), tensor(1, 50, salt + 1)),
+        ])
+    };
+    let gm = wave(0, 0.5);
+    let honest = wave(1, 0.05);
+    let updates: Vec<ClientUpdate> = (0..80)
+        .map(|i| {
+            let mut delta = wave(2 + i, 0.02);
+            delta.axpy(1.0, &honest);
+            let boost = if i % 10 == 3 { -10.0 } else { 1.0 };
+            let flat = delta.scale(boost).flatten().into_vec();
+            let (repr, decoded) =
+                DeltaCompressor::new(DeltaSpec::TopK { fraction: 0.05 }).compress(&flat);
+            let mut lm = gm.clone();
+            lm.add_flat(&decoded);
+            ClientUpdate::with_repr(i, lm, 10, repr)
+        })
+        .collect();
+    let run = |threads: usize| {
+        with_threads(threads, || {
+            let mut pipeline = DefensePipeline::new(
+                "screen",
+                vec![
+                    Box::new(NonFiniteGuard),
+                    Box::new(NormClip::default()),
+                    Box::new(ClusterAggregator::default()),
+                    Box::new(LatentFilterAggregator::new(9)),
+                ],
+                Box::new(TrimmedMean::new(0.1)),
+            );
+            // Twice: the second round runs on recycled buffers.
+            (0..2)
+                .map(|_| pipeline.aggregate(&gm, &updates))
+                .collect::<Vec<_>>()
+        })
+    };
+    let serial = run(1);
+    assert_eq!(serial, run(4), "sparse screening diverged at 4 threads");
+    assert!(
+        (3..80)
+            .step_by(10)
+            .all(|i| !serial[0].decisions[i].is_accepted()),
+        "a boosted outlier was not screened out: {:?}",
+        serial[0].decisions
+    );
+    assert!(serial[0].accepted() > 40, "the screen rejected the cohort");
+}
