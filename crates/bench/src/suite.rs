@@ -629,8 +629,9 @@ impl PipelineSpec {
 /// and the valid set) instead of silently running without the stage.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum StageSpec {
-    /// Reject NaN/Inf updates (redundant inside frameworks — the shared
-    /// guard already runs — but keeps spec-built pipelines self-contained).
+    /// Reject NaN/Inf updates. Stage zero of every pipeline whether a spec
+    /// lists it or not (a leading one is not doubled); listing it keeps a
+    /// spec's label self-describing.
     NonFinite,
     /// Cap update delta norms at `multiple ×` the round's lower-median
     /// norm ([`NormClip`]).

@@ -366,8 +366,8 @@ fn defense_axis_multiplies_the_grid_and_swaps_pipelines_in() {
     let names: Vec<&str> = stages.iter().map(|s| s.stage.as_str()).collect();
     assert_eq!(
         names,
-        vec!["norm-clip", "krum"],
-        "stage trail must list the composition in order"
+        vec!["non-finite", "norm-clip", "krum"],
+        "stage trail must list stage zero, then the composition in order"
     );
     let krum = stages.iter().find(|s| s.stage == "krum").unwrap();
     assert!(

@@ -327,6 +327,58 @@ mod tests {
         assert_eq!(out.rejected(), 1);
     }
 
+    /// Stage zero rejects in place what a filter in front of the pipeline
+    /// used to remove: rounds mixing NaN, ±∞ and finite updates give the
+    /// survivors' round bit for bit — the GM, and every survivor's weight
+    /// at its own position (the `safeloc-fl` oracles pin the same for the
+    /// six pipelines that live there).
+    #[test]
+    fn non_finite_updates_leave_the_survivors_round_bitwise() {
+        let d = 40;
+        let lm = |i: usize, salt: f32| -> Vec<f32> {
+            (0..d)
+                .map(|e| ((i * d + e) as f32 * 0.37 + salt).sin() * 0.1)
+                .collect()
+        };
+        for n in [4, 9, 64] {
+            for mode in [AggregationMode::Normalized, AggregationMode::Literal] {
+                let g = params(&lm(n, 0.5));
+                let mut u: Vec<ClientUpdate> = (0..n).map(|i| update(i, &lm(i, 0.0))).collect();
+                let bad = [
+                    (0, f32::NAN),
+                    (n / 2, f32::INFINITY),
+                    (n - 1, f32::NEG_INFINITY),
+                ];
+                for (slot, value) in bad {
+                    u[slot].params.iter_mut().next().unwrap().1.as_mut_slice()[slot % d] = value;
+                }
+                let survivors: Vec<ClientUpdate> = (u.iter())
+                    .filter(|u| !u.params.has_non_finite())
+                    .cloned()
+                    .collect();
+                assert_eq!(survivors.len(), n - bad.len());
+                let got = saliency(mode).aggregate(&g, &u);
+                let expected = saliency(mode).aggregate(&g, &survivors);
+                let bits = |p: &NamedParams| -> Vec<u32> {
+                    p.flatten().as_slice().iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(bits(&got.params), bits(&expected.params), "n {n}, {mode:?}");
+                let mut survivor = expected.decisions.iter();
+                for (u, decision) in u.iter().zip(&got.decisions) {
+                    if u.params.has_non_finite() {
+                        assert!(matches!(
+                            decision,
+                            UpdateDecision::Rejected { rule, .. }
+                                if rule == safeloc_fl::defense::NON_FINITE_RULE
+                        ));
+                    } else {
+                        assert_eq!(Some(decision), survivor.next(), "n {n}, {mode:?}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn decision_weights_expose_attacker_suppression() {
         let g = params(&[0.0, 0.0]);

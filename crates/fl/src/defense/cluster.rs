@@ -166,8 +166,8 @@ impl DefenseStage for ClusterAggregator {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::{params, update};
     use super::*;
+    use crate::defense::test_support::{params, update};
     use crate::defense::DefensePipeline;
     use crate::report::UpdateDecision;
     use crate::Aggregator;
@@ -254,7 +254,7 @@ mod tests {
     /// other.
     #[test]
     fn cluster_screen_composes_with_krum_selection() {
-        use crate::aggregate::Krum;
+        use crate::defense::Krum;
         let g = params(&[0.0, 0.0], &[0.0]);
         let u = vec![
             update(0, &[1.0, 0.1], &[0.0]),

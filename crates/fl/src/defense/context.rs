@@ -88,8 +88,8 @@
 //! before it is read, so warm-scratch rounds are bitwise-identical to cold
 //! ones whatever the previous round's size or model width.
 
-use crate::aggregate::DistanceMatrix;
 use crate::defense::rows::{DeltaRows, RowBuffers};
+use crate::defense::DistanceMatrix;
 use crate::update::ClientUpdate;
 use rayon::prelude::*;
 use safeloc_nn::{kernels, Matrix, NamedParams};
@@ -156,7 +156,9 @@ pub struct RoundContext<'a> {
 }
 
 impl<'a> RoundContext<'a> {
-    /// Wraps one round's global model and (guard-filtered) updates.
+    /// Wraps one round's global model and updates — everything that
+    /// arrived, finite or not: stage zero rejects, the context never
+    /// filters.
     pub fn new(global: &'a NamedParams, updates: &'a [&'a ClientUpdate]) -> Self {
         Self::with_scratch(global, updates, DistanceScratch::default())
     }
@@ -381,7 +383,7 @@ impl<'a> RoundContext<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::test_support::{
+    use crate::defense::test_support::{
         attacked_cohort, delta_block, params, reencoded, update, WIDE_SHAPES,
     };
     use crate::defense::DeltaRow;

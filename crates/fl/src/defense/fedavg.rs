@@ -42,9 +42,9 @@ impl Combiner for FedAvg {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::{params, update};
     #[allow(unused_imports)]
     use super::*;
+    use crate::defense::test_support::{params, update};
     use crate::defense::DefensePipeline;
     use crate::report::UpdateDecision;
     use crate::{Aggregator, ClientUpdate};

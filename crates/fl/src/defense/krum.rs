@@ -3,7 +3,7 @@
 //! paper cites as [22], now a selecting [`Combiner`] of the
 //! defense-pipeline API.
 
-use crate::aggregate::DistanceMatrix;
+use crate::defense::DistanceMatrix;
 use crate::defense::{Combiner, RoundContext, Verdicts};
 use safeloc_nn::NamedParams;
 
@@ -115,8 +115,8 @@ impl Combiner for Krum {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::{params, update};
     use super::*;
+    use crate::defense::test_support::{params, update};
     use crate::defense::DefensePipeline;
     use crate::report::UpdateDecision;
     use crate::Aggregator;
@@ -297,7 +297,7 @@ mod tests {
     /// select what the exact rule selects.
     #[test]
     fn clipped_large_rounds_select_what_the_exact_rule_selects() {
-        use crate::aggregate::test_support::{attacked_cohort, delta_block, WIDE_SHAPES};
+        use crate::defense::test_support::{attacked_cohort, delta_block, WIDE_SHAPES};
         use crate::defense::{DefenseStage, NormClip, EXACT_SCREEN_MAX};
         let n = 96;
         assert!(n > EXACT_SCREEN_MAX);

@@ -44,16 +44,10 @@ pub struct LatentFilterAggregator {
     pub z_threshold: f32,
     /// Seed for the projection and AE init.
     pub seed: u64,
-    projection: Option<Matrix>,
-    /// Feature rows of previously *accepted* updates: the AE is trained on
-    /// this benign history, not on the round under test — otherwise a small
-    /// round lets the AE memorize the outlier it is supposed to flag.
-    history: Vec<Vec<f32>>,
-    /// Raw (pre-normalization) feature norms of the accepted history rows,
-    /// aligned with `history`. Small cohorts have no trustworthy in-round
-    /// scale — the median norm of a two-update round is dominated by the
-    /// attacker — so they are rescaled against this benign record instead.
-    history_norms: Vec<f32>,
+    /// Previously *accepted* updates: the AE is trained on this benign
+    /// history, not on the round under test — otherwise a small round lets
+    /// the AE memorize the outlier it is supposed to flag.
+    record: BenignRecord,
 }
 
 impl LatentFilterAggregator {
@@ -65,9 +59,7 @@ impl LatentFilterAggregator {
             ae_epochs: 60,
             z_threshold: 1.8,
             seed,
-            projection: None,
-            history: Vec::new(),
-            history_norms: Vec::new(),
+            record: BenignRecord::new(0x9801_77CE),
         }
     }
 
@@ -83,68 +75,113 @@ impl LatentFilterAggregator {
     /// unscreened rounds for a model-replacement attacker to land in.
     const MIN_FALLBACK_HISTORY: usize = 2;
 
-    /// Number of accepted feature rows retained as benign history.
-    const HISTORY_CAP: usize = 60;
+    /// The stage's random projection for `d`-parameter models.
+    pub(crate) fn projection(&mut self, d: usize) -> &Matrix {
+        self.record.projection_for(self.seed, self.feature_dim, d)
+    }
+}
 
-    /// Builds (or rebuilds on dimension change) the random projection and
-    /// returns it.
-    pub(crate) fn projection_for(&mut self, d: usize) -> &Matrix {
+/// Accepted feature rows a [`BenignRecord`] retains.
+const HISTORY_CAP: usize = 60;
+
+/// The record of accepted feature rows a stage screens against — held by
+/// the FEDLS stage (for its autoencoder and its small-round fallback) and
+/// by the [`HistoryScreen`], each with its own projection stream.
+#[derive(Debug, Clone)]
+struct BenignRecord {
+    /// XORed into the owning stage's seed for the projection stream, so
+    /// composing both stages never correlates their feature spaces.
+    salt: u64,
+    projection: Option<Matrix>,
+    /// Feature rows of previously accepted updates, unit-scaled.
+    rows: Vec<Vec<f32>>,
+    /// Raw (pre-normalization) feature norms of `rows`, aligned with it.
+    /// Small cohorts have no trustworthy in-round scale — the median norm
+    /// of a two-update round is dominated by the attacker — so rounds are
+    /// rescaled against this benign record instead.
+    norms: Vec<f32>,
+}
+
+impl BenignRecord {
+    fn new(salt: u64) -> Self {
+        Self {
+            salt,
+            projection: None,
+            rows: Vec::new(),
+            norms: Vec::new(),
+        }
+    }
+
+    /// Builds (or rebuilds on dimension change) the random `d ×
+    /// feature_dim` projection and returns it.
+    fn projection_for(&mut self, seed: u64, feature_dim: usize, d: usize) -> &Matrix {
         if self
             .projection
             .as_ref()
             .map(|p| p.rows() != d)
             .unwrap_or(true)
         {
-            let mut rng = StdRng::seed_from_u64(self.seed ^ 0x9801_77CE);
-            let scale = (1.0 / self.feature_dim as f32).sqrt();
-            self.projection = Some(Init::Uniform(scale).matrix(d, self.feature_dim, &mut rng));
+            let mut rng = StdRng::seed_from_u64(seed ^ self.salt);
+            let scale = (1.0 / feature_dim as f32).sqrt();
+            self.projection = Some(Init::Uniform(scale).matrix(d, feature_dim, &mut rng));
         }
         self.projection.as_ref().expect("just built")
     }
 
-    /// Appends an accepted feature row (and its raw norm) to the benign
-    /// history, keeping both buffers bounded and aligned.
+    /// Appends an accepted feature row (and its raw norm), keeping both
+    /// buffers bounded and aligned.
     fn remember(&mut self, row: Vec<f32>, raw_norm: f32) {
-        self.history.push(row);
-        self.history_norms.push(raw_norm);
-        if self.history.len() > Self::HISTORY_CAP {
-            let excess = self.history.len() - Self::HISTORY_CAP;
-            self.history.drain(..excess);
-            self.history_norms.drain(..excess);
+        self.rows.push(row);
+        self.norms.push(raw_norm);
+        if self.rows.len() > HISTORY_CAP {
+            let excess = self.rows.len() - HISTORY_CAP;
+            self.rows.drain(..excess);
+            self.norms.drain(..excess);
         }
     }
 
-    /// Small-cohort path: the round cannot fit its own filter (an AE — or
-    /// even a within-round median — is meaningless on one or two updates),
-    /// which is exactly the regime where a boosted attacker used to pass
-    /// unchecked (the fig8 participation sweep's collapse). Instead, each
-    /// update is z-tested against the accumulated *benign* history: rows are
-    /// rescaled by the history's median raw norm (the in-round median norm
-    /// is attacker-dominated in a cohort of two) and scored by distance to
-    /// the history's coordinate-wise median; anything beyond
-    /// `mean + z_threshold·spread` of the history's own distance
-    /// distribution is rejected.
-    fn screen_small_round(
+    /// Screens the active updates (`raw_rows[slot]` for update
+    /// `active[slot]`) against the record. A round cannot always fit a
+    /// filter of its own — an AE, or even a within-round median, is
+    /// meaningless on one or two updates, exactly the regime where a
+    /// boosted attacker used to pass unchecked (the fig8 participation
+    /// sweep's collapse) — so each update is z-tested against the
+    /// accumulated *benign* rows instead: rescaled by the record's median
+    /// raw norm (the in-round median norm is attacker-dominated in a
+    /// cohort of two), scored by distance to the record's coordinate-wise
+    /// median, and rejected with `rule` beyond `mean + z·spread` of the
+    /// record's own distance distribution.
+    ///
+    /// While the record holds fewer than `min_rows` rows there is nothing
+    /// to test against: the round passes, but its plausible rows are
+    /// *recorded*, so a session running nothing but small cohorts still
+    /// bootstraps a record and starts screening within a couple of rounds.
+    /// Boost suspects are accepted then too, but never recorded as benign.
+    fn screen(
         &mut self,
         raw_rows: &[Vec<f32>],
         active: &[usize],
+        min_rows: usize,
+        rule: &str,
+        z_threshold: f32,
         verdicts: &mut Verdicts,
     ) {
         let raw_norms: Vec<f32> = raw_rows.iter().map(|r| row_norm(r)).collect();
-        let benign_scale = median_lower(&self.history_norms).max(1e-9);
-        let rows: Vec<Vec<f32>> = raw_rows
-            .iter()
-            .map(|r| r.iter().map(|v| v / benign_scale).collect())
-            .collect();
-
-        let (center, threshold) = history_threshold(&self.history, self.z_threshold);
-
-        for ((&i, row), &raw_norm) in active.iter().zip(&rows).zip(&raw_norms) {
-            let score = distance(row, &center);
+        if self.rows.len() < min_rows {
+            for (row, norm) in bootstrap_rows(raw_rows, &raw_norms, &self.norms) {
+                self.remember(row, norm);
+            }
+            return;
+        }
+        let benign_scale = median_lower(&self.norms).max(1e-9);
+        let (center, threshold) = history_threshold(&self.rows, z_threshold);
+        for ((&i, raw), &raw_norm) in active.iter().zip(raw_rows).zip(&raw_norms) {
+            let row: Vec<f32> = raw.iter().map(|v| v / benign_scale).collect();
+            let score = distance(&row, &center);
             if score <= threshold {
-                self.remember(row.clone(), raw_norm);
+                self.remember(row, raw_norm);
             } else {
-                verdicts.reject(i, "latent", score);
+                verdicts.reject(i, rule, score);
             }
         }
     }
@@ -274,7 +311,7 @@ impl DefenseStage for LatentFilterAggregator {
         if active.is_empty() {
             return;
         }
-        let projection = self.projection_for(ctx.global().num_params());
+        let projection = self.projection(ctx.global().num_params());
         let raw_rows = project_active(ctx, projection, &active);
         self.screen_features(raw_rows, &active, verdicts);
     }
@@ -295,25 +332,19 @@ impl LatentFilterAggregator {
         verdicts: &mut Verdicts,
     ) {
         if active.len() < Self::MIN_ROUND {
-            // The round is too small to fit the AE (or any within-round
-            // statistic). With accumulated benign history the updates are
-            // screened against it — a single boosted attacker in a cohort
-            // of two used to sail through here (the fig8 collapse). With
-            // no usable history yet there is genuinely nothing to test
-            // against: the round passes exactly as the seed did, but its
-            // rows are *recorded*, so a session running nothing but small
-            // cohorts still bootstraps a history and starts screening
-            // within a couple of rounds.
-            if self.history.len() < Self::MIN_FALLBACK_HISTORY {
-                let norms: Vec<f32> = raw_rows.iter().map(|r| row_norm(r)).collect();
-                // Boost suspects are still accepted (nothing to screen
-                // against yet) but never recorded as benign.
-                for (row, norm) in bootstrap_rows(&raw_rows, &norms, &self.history_norms) {
-                    self.remember(row, norm);
-                }
-                return;
-            }
-            self.screen_small_round(&raw_rows, active, verdicts);
+            // Too small to fit the AE (or any within-round statistic): a
+            // single boosted attacker in a cohort of two used to sail
+            // through here (the fig8 collapse). Screened against the
+            // benign record instead — or, while that is too thin,
+            // recorded into it and passed exactly as the seed did.
+            self.record.screen(
+                &raw_rows,
+                active,
+                Self::MIN_FALLBACK_HISTORY,
+                "latent",
+                self.z_threshold,
+                verdicts,
+            );
             return;
         }
 
@@ -332,7 +363,7 @@ impl LatentFilterAggregator {
         // robust distance to the round's coordinate-wise median; afterwards,
         // the reconstruction error of an AE trained on the accepted history
         // (FEDLS's latent-space detector proper).
-        let scores: Vec<f32> = if self.history.len() < 4 {
+        let scores: Vec<f32> = if self.record.rows.len() < 4 {
             let cols = features.cols();
             let mut median = vec![0.0f32; cols];
             for (c, m) in median.iter_mut().enumerate() {
@@ -352,7 +383,7 @@ impl LatentFilterAggregator {
                 })
                 .collect()
         } else {
-            let hist = Matrix::from_rows(&self.history);
+            let hist = Matrix::from_rows(&self.record.rows);
             let mut rng = StdRng::seed_from_u64(self.seed ^ 0xAE0);
             let f = self.feature_dim;
             let ae = vec![
@@ -381,7 +412,7 @@ impl LatentFilterAggregator {
             active.iter().zip(&rows).zip(scores.iter().zip(&raw_norms))
         {
             if score <= threshold {
-                self.remember(row.clone(), raw_norm);
+                self.record.remember(row.clone(), raw_norm);
             } else {
                 verdicts.reject(i, "latent", score);
             }
@@ -413,9 +444,7 @@ pub struct HistoryScreen {
     pub min_history: usize,
     /// Seed for the projection.
     pub seed: u64,
-    projection: Option<Matrix>,
-    history: Vec<Vec<f32>>,
-    history_norms: Vec<f32>,
+    record: BenignRecord,
 }
 
 impl HistoryScreen {
@@ -427,38 +456,7 @@ impl HistoryScreen {
             z_threshold: 1.8,
             min_history: 3,
             seed,
-            projection: None,
-            history: Vec::new(),
-            history_norms: Vec::new(),
-        }
-    }
-
-    /// Number of accepted feature rows retained.
-    const HISTORY_CAP: usize = 60;
-
-    fn projection_for(&mut self, d: usize) -> &Matrix {
-        if self
-            .projection
-            .as_ref()
-            .map(|p| p.rows() != d)
-            .unwrap_or(true)
-        {
-            // A different stream than the latent stage's projection, so
-            // composing both never correlates their feature spaces.
-            let mut rng = StdRng::seed_from_u64(self.seed ^ 0x415C_0FEE);
-            let scale = (1.0 / self.feature_dim as f32).sqrt();
-            self.projection = Some(Init::Uniform(scale).matrix(d, self.feature_dim, &mut rng));
-        }
-        self.projection.as_ref().expect("just built")
-    }
-
-    fn remember(&mut self, row: Vec<f32>, raw_norm: f32) {
-        self.history.push(row);
-        self.history_norms.push(raw_norm);
-        if self.history.len() > Self::HISTORY_CAP {
-            let excess = self.history.len() - Self::HISTORY_CAP;
-            self.history.drain(..excess);
-            self.history_norms.drain(..excess);
+            record: BenignRecord::new(0x415C_0FEE),
         }
     }
 }
@@ -473,31 +471,18 @@ impl DefenseStage for HistoryScreen {
         if active.is_empty() {
             return;
         }
-        let projection = self.projection_for(ctx.global().num_params());
+        let projection =
+            self.record
+                .projection_for(self.seed, self.feature_dim, ctx.global().num_params());
         let raw_rows = project_active(ctx, projection, &active);
-        let raw_norms: Vec<f32> = raw_rows.iter().map(|r| row_norm(r)).collect();
-
-        if self.history.len() < self.min_history {
-            // Bootstrap: record plausible rows, screen nothing (same
-            // shared logic as the latent stage's small-round bootstrap).
-            for (row, norm) in bootstrap_rows(&raw_rows, &raw_norms, &self.history_norms) {
-                self.remember(row, norm);
-            }
-            return;
-        }
-
-        let benign_scale = median_lower(&self.history_norms).max(1e-9);
-        let (center, threshold) = history_threshold(&self.history, self.z_threshold);
-
-        for ((&i, raw), &raw_norm) in active.iter().zip(&raw_rows).zip(&raw_norms) {
-            let row: Vec<f32> = raw.iter().map(|v| v / benign_scale).collect();
-            let score = distance(&row, &center);
-            if score <= threshold {
-                self.remember(row, raw_norm);
-            } else {
-                verdicts.reject(i, "history-screen", score);
-            }
-        }
+        self.record.screen(
+            &raw_rows,
+            &active,
+            self.min_history,
+            "history-screen",
+            self.z_threshold,
+            verdicts,
+        );
     }
 
     fn clone_stage(&self) -> Box<dyn DefenseStage> {
@@ -507,9 +492,9 @@ impl DefenseStage for HistoryScreen {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::{params, update};
     #[allow(unused_imports)]
     use super::*;
+    use crate::defense::test_support::{params, update};
     use crate::defense::DefensePipeline;
     use crate::report::UpdateDecision;
     use crate::{Aggregator, ClientUpdate};

@@ -1,25 +1,49 @@
-//! Composable defense pipelines: screening stages + a terminal combiner.
+//! The server-side defense: screening stages, a terminal combiner, and
+//! the one entry point outside updates go through.
 //!
 //! The paper's defenses — and the wider robust-aggregation literature
 //! (Krum, trimmed mean, coordinate-wise median, norm bounding) — all
-//! decompose into the same two phases:
+//! decompose into the same phases:
 //!
+//! 0. **Validate**: a [`NonFiniteGuard`] is *stage zero of every
+//!    pipeline* ([`DefensePipeline::new`] puts it at the head of the stage
+//!    list unless the caller's list already starts with it). An update
+//!    carrying a NaN or an infinity is rejected with rule
+//!    [`NON_FINITE_RULE`] before any other stage looks at the round — an
+//!    ordinary stage, timed and counted in [`StageTelemetry`] like the
+//!    rest, reading the round's delta view instead of sweeping every
+//!    parameter.
 //! 1. **Screen**: look at the round's updates (through a shared
 //!    [`RoundContext`]) and write per-update [`Verdicts`] — reject
 //!    outliers with a named rule and score, or cap their influence with a
-//!    clip scale.
+//!    clip scale. Stages only ever touch updates that are still active, so
+//!    a rejected update's NaNs never reach a statistic.
 //! 2. **Combine**: turn the surviving updates into the next global model
-//!    and assign each survivor its acceptance weight.
+//!    and assign each survivor its acceptance weight. A round nobody
+//!    survives — empty, or every update rejected — leaves the GM as it
+//!    was, bit for bit.
 //!
-//! A [`DefensePipeline`] is an ordered list of [`DefenseStage`]s followed
-//! by one [`Combiner`], and is itself an
-//! [`Aggregator`] — so `FlSession`, every framework,
-//! serve publishing and the scenario-suite engine keep their call sites
-//! while arbitrary compositions (`non-finite → norm-clip → Krum-select`,
-//! `latent-screen → history-screen → mean`, …) become values instead of
-//! new types. The six paper rules are canonical one-stage/one-combiner
-//! pipelines ([`DefensePipeline::fedavg`] and friends) that reproduce the
-//! monolithic aggregators they replaced bit for bit.
+//! A [`DefensePipeline`] is that ordered list of [`DefenseStage`]s
+//! followed by one [`Combiner`], so arbitrary compositions
+//! (`norm-clip → Krum-select`, `latent-screen → history-screen → mean`, …)
+//! are values instead of new types. The paper's rules are the building
+//! blocks, all in this module: [`FedAvg`], [`Krum`] and
+//! [`SelectiveAggregator`] (FEDHIL) are combiners; [`ClusterAggregator`]
+//! (FEDCC), [`LatentFilterAggregator`] (FEDLS) and the opt-in
+//! [`HistoryScreen`] are screening stages; [`NormClip`], [`TrimmedMean`]
+//! and [`CoordinateMedian`] open the robust-aggregation literature's
+//! compositions (SAFELOC's saliency combiner lives in the `safeloc`
+//! crate). The six paper rules are canonical pipelines
+//! ([`DefensePipeline::fedavg`] and friends) that reproduce the monolithic
+//! aggregators they replaced bit for bit.
+//!
+//! [`Aggregator`] is the object-safe face frameworks hold a pipeline
+//! behind (`Box<dyn Aggregator>`); [`DefensePipeline`] is its only
+//! implementor. The trait, and the `…Aggregator` names two of the stages
+//! and one combiner still carry from the days each was a monolithic
+//! aggregator, stay only because the frozen `benchmark/` crate imports
+//! them — they go when ROADMAP item 2 updates `benchmark/` in the same
+//! change.
 //!
 //! Fang et al. 2020 (arXiv:1911.11815) show single defenses fall to
 //! adaptive model poisoning; the point of this API is that layered
@@ -59,19 +83,63 @@ mod oracles;
 mod robust;
 mod rows;
 mod stages;
+#[cfg(test)]
+pub(crate) mod test_support;
 mod verdicts;
 
+pub use crate::aggregate::cluster::ClusterAggregator;
+pub use crate::aggregate::distance::DistanceMatrix;
+pub use crate::aggregate::fedavg::FedAvg;
+pub use crate::aggregate::krum::Krum;
+pub use crate::aggregate::latent::{HistoryScreen, LatentFilterAggregator};
+pub use crate::aggregate::selective::SelectiveAggregator;
 pub use context::{DistanceScratch, RoundContext, EXACT_SCREEN_MAX, SCREEN_SAMPLE_DIM};
 pub use robust::{CoordinateMedian, TrimmedMean, UniformMean};
 pub use rows::{DeltaRow, DeltaRows};
 pub use stages::{NonFiniteGuard, NormClip};
 pub use verdicts::Verdicts;
 
-use crate::aggregate::Aggregator;
 use crate::report::{AggregationOutcome, StageTelemetry};
 use crate::update::ClientUpdate;
 use safeloc_nn::NamedParams;
 use std::time::Instant;
+
+/// Rule name recorded on updates stage zero rejects for NaN/Inf weights.
+pub const NON_FINITE_RULE: &str = "non-finite";
+
+/// What a framework holds its defense behind: the current global model
+/// plus the round's updates in, an [`AggregationOutcome`] — the next
+/// global model *and* a per-update decision trail (accepted with what
+/// weight / rejected by which rule with what score) — out.
+/// [`DefensePipeline`] is the only implementor (see the module docs for
+/// why the trait is still here).
+pub trait Aggregator: Send {
+    /// Screens and combines one round. `updates` is whatever arrived —
+    /// possibly nothing, possibly NaN-ridden; the returned `decisions`
+    /// parallel it, and a round nobody survives returns `global.clone()`.
+    fn aggregate(&mut self, global: &NamedParams, updates: &[ClientUpdate]) -> AggregationOutcome;
+
+    /// Strategy name for reports (a pipeline's composition label).
+    fn name(&self) -> &str;
+
+    /// Boxed clone, so servers holding `Box<dyn Aggregator>` are clonable
+    /// (the bench harness clones pretrained frameworks across scenarios).
+    fn clone_box(&self) -> Box<dyn Aggregator>;
+
+    /// Drains the per-stage telemetry of the most recent
+    /// [`Aggregator::aggregate`] call — rejection counts and wall time by
+    /// stage name, stage zero first, combiner last. Engines fold it into
+    /// the round's [`RoundReport`](crate::RoundReport). Telemetry lives
+    /// outside [`AggregationOutcome`] so outcome equality stays meaningful
+    /// in determinism tests while wall clocks vary run to run.
+    fn take_stage_telemetry(&mut self) -> Vec<StageTelemetry>;
+}
+
+impl Clone for Box<dyn Aggregator> {
+    fn clone(&self) -> Self {
+        self.clone_box()
+    }
+}
 
 /// A screening stage of a [`DefensePipeline`]: reads the shared
 /// [`RoundContext`] and writes per-update [`Verdicts`] (rejections and
@@ -104,8 +172,9 @@ impl Clone for Box<dyn DefenseStage> {
 /// acceptance weight in the verdicts. A combiner may also reject
 /// (Krum-select accepts exactly one update and scores the rest out).
 ///
-/// Called only with at least one active verdict; an all-rejected round
-/// short-circuits to `GM.clone()` in the pipeline itself.
+/// Called only with at least one active verdict; an empty or
+/// all-rejected round short-circuits to `GM.clone()` in the pipeline
+/// itself.
 pub trait Combiner: Send {
     /// Combiner name, used for the telemetry trail.
     fn name(&self) -> &'static str;
@@ -165,12 +234,17 @@ impl std::fmt::Debug for DefensePipeline {
 
 impl DefensePipeline {
     /// Builds a pipeline with a display label (reports print it as the
-    /// rule name).
+    /// rule name). Stage zero is always the non-finite check: a
+    /// [`NonFiniteGuard`] is put at the head of `stages` unless the list
+    /// already starts with a stage of that name.
     pub fn new(
         label: impl Into<String>,
-        stages: Vec<Box<dyn DefenseStage>>,
+        mut stages: Vec<Box<dyn DefenseStage>>,
         combiner: Box<dyn Combiner>,
     ) -> Self {
+        if stages.first().map(|s| s.name()) != Some(NON_FINITE_RULE) {
+            stages.insert(0, Box::new(NonFiniteGuard));
+        }
         Self {
             label: label.into(),
             stages,
@@ -194,19 +268,20 @@ impl DefensePipeline {
 
     // ----------------------------------------------- canonical pipelines
     //
-    // The six paper rules as stage compositions. Each reproduces the
-    // monolithic aggregator it replaced bitwise (`tests/round_lifecycle.rs`
-    // pins the full-participation trajectories).
+    // The six paper rules as stage compositions (behind stage zero). Each
+    // reproduces the monolithic aggregator it replaced bitwise
+    // (`tests/round_lifecycle.rs` pins the full-participation
+    // trajectories).
 
     /// FEDLOC's rule: no screening, sample-weighted federated averaging.
     pub fn fedavg() -> Self {
-        Self::new("FedAvg", Vec::new(), Box::new(crate::aggregate::FedAvg))
+        Self::new("FedAvg", Vec::new(), Box::new(FedAvg))
     }
 
     /// The Krum baseline: no screening, Krum selection assuming `f`
     /// Byzantine clients.
     pub fn krum(f: usize) -> Self {
-        Self::new("Krum", Vec::new(), Box::new(crate::aggregate::Krum::new(f)))
+        Self::new("Krum", Vec::new(), Box::new(Krum::new(f)))
     }
 
     /// FEDCC's rule: majority-cluster screening, then a uniform mean of
@@ -214,9 +289,7 @@ impl DefensePipeline {
     pub fn cluster(separation_threshold: f32) -> Self {
         Self::new(
             "Cluster",
-            vec![Box::new(crate::aggregate::ClusterAggregator::new(
-                separation_threshold,
-            ))],
+            vec![Box::new(ClusterAggregator::new(separation_threshold))],
             Box::new(UniformMean),
         )
     }
@@ -226,9 +299,7 @@ impl DefensePipeline {
     pub fn latent(seed: u64) -> Self {
         Self::new(
             "LatentFilter",
-            vec![Box::new(crate::aggregate::LatentFilterAggregator::new(
-                seed,
-            ))],
+            vec![Box::new(LatentFilterAggregator::new(seed))],
             Box::new(UniformMean),
         )
     }
@@ -243,8 +314,8 @@ impl DefensePipeline {
         Self::new(
             "LatentFilter+History",
             vec![
-                Box::new(crate::aggregate::LatentFilterAggregator::new(seed)),
-                Box::new(crate::aggregate::HistoryScreen::new(seed)),
+                Box::new(LatentFilterAggregator::new(seed)),
+                Box::new(HistoryScreen::new(seed)),
             ],
             Box::new(UniformMean),
         )
@@ -255,20 +326,18 @@ impl DefensePipeline {
         Self::new(
             "Selective",
             Vec::new(),
-            Box::new(crate::aggregate::SelectiveAggregator::new(
-                aggregate_fraction,
-            )),
+            Box::new(SelectiveAggregator::new(aggregate_fraction)),
         )
     }
 }
 
 impl Aggregator for DefensePipeline {
-    fn aggregate_filtered(
-        &mut self,
-        global: &NamedParams,
-        updates: &[&ClientUpdate],
-    ) -> AggregationOutcome {
-        let ctx = RoundContext::with_scratch(global, updates, std::mem::take(&mut self.scratch));
+    /// The front door: the context is built over *everything* that
+    /// arrived, stage zero rejects what is not finite, and every later
+    /// stage and the combiner read only what is still active.
+    fn aggregate(&mut self, global: &NamedParams, updates: &[ClientUpdate]) -> AggregationOutcome {
+        let updates: Vec<&ClientUpdate> = updates.iter().collect();
+        let ctx = RoundContext::with_scratch(global, &updates, std::mem::take(&mut self.scratch));
         let mut verdicts = Verdicts::new(updates.len());
         let mut telemetry = Vec::with_capacity(self.stages.len() + 1);
         for stage in &mut self.stages {
@@ -287,8 +356,8 @@ impl Aggregator for DefensePipeline {
         // det: aggregation wall_ms is telemetry only, as above.
         let start = Instant::now();
         let params = if verdicts.active_count() == 0 {
-            // Every update screened out: the GM survives unchanged, the
-            // same invariant the shared empty-round guard enforces.
+            // Nothing arrived, or every update was screened out — all
+            // non-finite, say: the GM survives unchanged, bit for bit.
             global.clone()
         } else {
             self.combiner.combine(&ctx, &mut verdicts)
@@ -330,7 +399,7 @@ impl Aggregator for DefensePipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::test_support::{params, update};
+    use crate::defense::test_support::{params, update};
     use crate::report::UpdateDecision;
 
     #[test]
@@ -345,16 +414,16 @@ mod tests {
         let mut p = DefensePipeline::new(
             "guard+krum",
             vec![Box::new(NonFiniteGuard)],
-            Box::new(crate::aggregate::Krum::new(1)),
+            Box::new(Krum::new(1)),
         );
         let out = p.aggregate(&g, &u);
         assert_eq!(out.accepted(), 1);
         let telemetry = p.take_stage_telemetry();
-        // The outer guard already dropped the NaN update, so the stage
-        // trail is [non-finite: 0, Krum: 2] over the three survivors.
+        // Stage zero owns the NaN update's rejection; Krum scores the
+        // three survivors: [non-finite: 1, Krum: 2].
         assert_eq!(telemetry.len(), 2);
         assert_eq!(telemetry[0].stage, "non-finite");
-        assert_eq!(telemetry[0].rejections, 0);
+        assert_eq!(telemetry[0].rejections, 1);
         assert_eq!(telemetry[1].stage, "krum");
         assert_eq!(telemetry[1].rejections, 2);
         assert!(telemetry.iter().all(|t| t.wall_ms >= 0.0));
@@ -392,13 +461,74 @@ mod tests {
     #[test]
     fn canonical_labels_and_stage_names() {
         assert_eq!(DefensePipeline::fedavg().label(), "FedAvg");
-        assert_eq!(DefensePipeline::krum(1).stage_names(), vec!["krum"]);
+        assert_eq!(
+            DefensePipeline::krum(1).stage_names(),
+            vec!["non-finite", "krum"]
+        );
         assert_eq!(
             DefensePipeline::latent_with_history(0).stage_names(),
-            vec!["latent", "history-screen", "mean"]
+            vec!["non-finite", "latent", "history-screen", "mean"]
         );
         let dbg = format!("{:?}", DefensePipeline::cluster(0.15));
         assert!(dbg.contains("Cluster") && dbg.contains("cluster"));
+    }
+
+    /// Stage zero is there whether or not the caller wrote it down — once.
+    #[test]
+    fn every_pipeline_starts_with_one_non_finite_stage() {
+        let canonical = [
+            DefensePipeline::fedavg(),
+            DefensePipeline::krum(1),
+            DefensePipeline::cluster(0.15),
+            DefensePipeline::latent(0),
+            DefensePipeline::latent_with_history(0),
+            DefensePipeline::selective(0.5),
+        ];
+        let explicit = DefensePipeline::new(
+            "guard+clip+mean",
+            vec![Box::new(NonFiniteGuard), Box::new(NormClip::default())],
+            Box::new(UniformMean),
+        );
+        assert_eq!(
+            explicit.stage_names(),
+            vec!["non-finite", "norm-clip", "mean"]
+        );
+        for p in canonical.iter().chain([&explicit]) {
+            let names = p.stage_names();
+            assert_eq!(names[0], NON_FINITE_RULE, "{}", p.label());
+            let guards = names.iter().filter(|&&s| s == NON_FINITE_RULE).count();
+            assert_eq!(guards, 1, "{}", p.label());
+        }
+    }
+
+    #[test]
+    fn decisions_stay_at_input_positions_around_rejected_updates() {
+        let g = params(&[0.0], &[0.0]);
+        let u = vec![
+            update(0, &[f32::NAN], &[0.0]),
+            update(1, &[2.0], &[2.0]),
+            update(2, &[f32::INFINITY], &[0.0]),
+            update(3, &[4.0], &[4.0]),
+        ];
+        let out = DefensePipeline::fedavg().aggregate(&g, &u);
+        assert_eq!(out.decisions.len(), 4);
+        assert!(matches!(
+            &out.decisions[0],
+            UpdateDecision::Rejected { rule, .. } if rule == NON_FINITE_RULE
+        ));
+        assert!(out.decisions[1].is_accepted());
+        assert!(!out.decisions[2].is_accepted());
+        assert!(out.decisions[3].is_accepted());
+        assert_eq!(out.params.get("layer0.w").unwrap().get(0, 0), 3.0);
+    }
+
+    #[test]
+    fn an_all_non_finite_round_clones_the_global_model() {
+        let g = params(&[7.0], &[8.0]);
+        let u = vec![update(0, &[f32::NAN], &[0.0])];
+        let out = DefensePipeline::fedavg().aggregate(&g, &u);
+        assert_eq!(out.params, g);
+        assert_eq!(out.accepted(), 0);
     }
 
     #[test]

@@ -14,10 +14,17 @@
 //! must reach identical decisions — rule, accepted set, score bits — and a
 //! bit-identical GM either way. (The delta-pass reference for the sampled
 //! block sits next to it in `context.rs`.)
+//!
+//! The entry point has a reference too: before the non-finite check was
+//! stage zero of the pipeline, a guard *in front of* it filtered the
+//! non-finite updates out, ran the pipeline on the survivors and scattered
+//! its decisions back ([`aggregate_or_clone`]). Stage zero must decide
+//! what that filter decided, for every canonical pipeline, with one
+//! documented exception: the exact/sampled split reads the number of
+//! updates received, not the number that survived.
 
 use super::*;
-use crate::aggregate::test_support::{attacked_cohort, delta_block, reencoded, WIDE_SHAPES};
-use crate::aggregate::{ClusterAggregator, Krum, LatentFilterAggregator, NON_FINITE_RULE};
+use crate::defense::test_support::{attacked_cohort, delta_block, reencoded, WIDE_SHAPES};
 use crate::report::UpdateDecision;
 use crate::{DeltaRepr, DeltaSpec};
 use rayon::prelude::*;
@@ -43,6 +50,44 @@ impl DefenseStage for ReferenceGuard {
 
     fn clone_stage(&self) -> Box<dyn DefenseStage> {
         Box::new(self.clone())
+    }
+}
+
+/// The entry point before stage zero: updates with NaN/Inf weights are
+/// rejected up front, the pipeline runs on the survivors alone (if any),
+/// and its decisions are scattered back to input positions.
+fn aggregate_or_clone(
+    rule: &mut DefensePipeline,
+    global: &NamedParams,
+    updates: &[ClientUpdate],
+) -> AggregationOutcome {
+    let (finite, finite_slots): (Vec<ClientUpdate>, Vec<usize>) = updates
+        .iter()
+        .enumerate()
+        .filter(|(_, u)| !u.params.has_non_finite())
+        .map(|(slot, u)| (u.clone(), slot))
+        .unzip();
+    let mut decisions = vec![
+        UpdateDecision::Rejected {
+            rule: NON_FINITE_RULE.to_string(),
+            score: 1.0,
+        };
+        updates.len()
+    ];
+    if finite.is_empty() {
+        return AggregationOutcome {
+            params: global.clone(),
+            decisions,
+        };
+    }
+    let inner = rule.aggregate(global, &finite);
+    assert_eq!(inner.decisions.len(), finite.len());
+    for (slot, decision) in finite_slots.into_iter().zip(inner.decisions) {
+        decisions[slot] = decision;
+    }
+    AggregationOutcome {
+        params: inner.params,
+        decisions,
     }
 }
 
@@ -181,7 +226,7 @@ impl DefenseStage for ReferenceLatent {
         if active.is_empty() {
             return;
         }
-        let projection = self.0.projection_for(ctx.global().num_params());
+        let projection = self.0.projection(ctx.global().num_params());
         let deltas = delta_block(ctx.global(), ctx.updates());
         let raw_rows = active
             .iter()
@@ -601,54 +646,185 @@ fn sorted_columns_fold_like_the_gathered_ones() {
     }
 }
 
-/// Driven through `aggregate_filtered` — past the entry-point guard — the
-/// stage must find a NaN or an infinity wherever it sits: inside a sparse
-/// row's support, in a dense row, or in the GM, where `x − x` is NaN and
-/// no row has a support at all.
+/// Plants `bad` in `u`, at the first coordinate of its first tensor that
+/// differs from the GM's — inside the support, if the row has one.
+fn poison(g: &NamedParams, u: &mut ClientUpdate, bad: f32) {
+    let (_, t) = u.params.iter_mut().next().expect("a tensor");
+    let gm = g.iter().next().expect("a tensor").1.as_slice();
+    let at = (t.as_slice().iter().zip(gm))
+        .position(|(x, y)| x.to_bits() != y.to_bits())
+        .expect("the row differs from the GM somewhere in its first tensor");
+    t.as_mut_slice()[at] = bad;
+}
+
+/// Stage zero must find a NaN or an infinity wherever it sits: inside a
+/// sparse row's support, in a dense row, or in the GM, where `x − x` is
+/// NaN and no row has a support at all.
 #[test]
 fn the_guard_stage_reads_non_finite_values_off_the_view() {
     let n = 96;
     let (g, dense) = attacked_cohort(n, &WIDE_SHAPES, 74);
     let mut u = reencoded(&g, &dense, TOP_5_PERCENT);
-    let poison = |u: &mut ClientUpdate, bad: f32| {
-        let (_, t) = u.params.iter_mut().next().expect("a tensor");
-        let gm = g.iter().next().expect("a tensor").1.as_slice();
-        let at = (t.as_slice().iter().zip(gm))
-            .position(|(x, y)| x.to_bits() != y.to_bits())
-            .expect("the row differs from the GM somewhere in its first tensor");
-        t.as_mut_slice()[at] = bad;
-    };
-    poison(&mut u[4], f32::NAN);
-    poison(&mut u[5], f32::NEG_INFINITY);
+    poison(&g, &mut u[4], f32::NAN);
+    poison(&g, &mut u[5], f32::NEG_INFINITY);
     u[6] = dense[6].clone();
-    poison(&mut u[6], f32::INFINITY);
+    poison(&g, &mut u[6], f32::INFINITY);
     assert_eq!(
         dense_rows(&g, &u),
         1,
         "a poisoned support is still a support"
     );
-    let refs: Vec<&ClientUpdate> = u.iter().collect();
-    let got = screening_pipeline().aggregate_filtered(&g, &refs);
+    let got = screening_pipeline().aggregate(&g, &u);
     assert_eq!(
         rejected_by(&got, NON_FINITE_RULE).collect::<Vec<_>>(),
         [4, 5, 6]
     );
-    assert_eq!(
-        bits(&got),
-        bits(&reference_pipeline().aggregate_filtered(&g, &refs))
-    );
+    assert_eq!(bits(&got), bits(&reference_pipeline().aggregate(&g, &u)));
 
     // A NaN in the GM reaches every re-materialized LM.
     let mut bad_g = g.clone();
     bad_g.iter_mut().next().expect("a tensor").1.as_mut_slice()[17] = f32::NAN;
     let u = reencoded(&bad_g, &dense, TOP_5_PERCENT);
     assert_eq!(dense_rows(&bad_g, &u), n);
-    let refs: Vec<&ClientUpdate> = u.iter().collect();
-    let got = screening_pipeline().aggregate_filtered(&bad_g, &refs);
+    let got = screening_pipeline().aggregate(&bad_g, &u);
     assert_eq!(rejected_by(&got, NON_FINITE_RULE).count(), n);
     assert_eq!(
         bits(&got),
-        bits(&reference_pipeline().aggregate_filtered(&bad_g, &refs))
+        bits(&reference_pipeline().aggregate(&bad_g, &u))
+    );
+}
+
+/// The six canonical pipelines of this crate (`tests/failure_injection.rs`
+/// lists them as `all_aggregators`; the seventh, SAFELOC's saliency
+/// pipeline, has the same test next to it in `safeloc`) and
+/// `round_screen`'s composition.
+fn every_pipeline() -> Vec<DefensePipeline> {
+    vec![
+        DefensePipeline::fedavg(),
+        DefensePipeline::krum(1),
+        DefensePipeline::selective(0.5),
+        DefensePipeline::cluster(0.15),
+        DefensePipeline::latent(0),
+        DefensePipeline::latent_with_history(0),
+        screening_pipeline(),
+    ]
+}
+
+/// Rounds mixing NaN, ±∞ and finite updates — dense, and `TopK` with the
+/// bad value inside a support or in the round's one dense row — at sizes
+/// that exercise the small-round, median-distance and autoencoder paths
+/// of the stateful stages over three rounds: stage zero and the filter it
+/// replaced reach the same decisions and the same GM, and a warm pipeline
+/// what a cold one does.
+#[test]
+fn stage_zero_decides_what_the_filter_in_front_of_the_pipeline_decided() {
+    for n in [4, 9, EXACT_SCREEN_MAX] {
+        for sparse in [false, true] {
+            for (mut fast, mut reference) in every_pipeline().into_iter().zip(every_pipeline()) {
+                for round in 0..3 {
+                    let (g, dense) = attacked_cohort(n, &WIDE_SHAPES, 80 + round);
+                    let mut u = dense.clone();
+                    let mut bad = vec![(0, f32::NAN), (n / 2, f32::INFINITY)];
+                    if n > 4 {
+                        bad.push((n - 1, f32::NEG_INFINITY));
+                    }
+                    if sparse {
+                        u = reencoded(&g, &u, TOP_5_PERCENT);
+                        // The dense row holds the NaN one round, an
+                        // infinity the next.
+                        let (slot, _) = bad[round as usize % 2];
+                        u[slot] = dense[slot].clone();
+                    }
+                    for &(slot, value) in &bad {
+                        poison(&g, &mut u[slot], value);
+                    }
+                    let case = format!("{}, n {n}, sparse {sparse}, round {round}", fast.label());
+                    if sparse {
+                        assert_eq!(dense_rows(&g, &u), 1, "{case}");
+                    }
+                    let mut cold = fast.clone();
+                    let got = fast.aggregate(&g, &u);
+                    assert_eq!(
+                        rejected_by(&got, NON_FINITE_RULE).collect::<Vec<_>>(),
+                        bad.iter().map(|&(slot, _)| slot).collect::<Vec<_>>(),
+                        "{case}"
+                    );
+                    assert_eq!(fast.take_stage_telemetry()[0].rejections, bad.len());
+                    let expected = aggregate_or_clone(&mut reference, &g, &u);
+                    assert_eq!(bits(&got), bits(&expected), "{case} diverged");
+                    assert_eq!(
+                        bits(&got),
+                        bits(&cold.aggregate(&g, &u)),
+                        "{case}: warm buffers"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Records what the context it is shown holds: the round's size and the
+/// bits of one squared-L2 distance.
+#[derive(Clone)]
+struct DistanceProbe(std::sync::Arc<std::sync::Mutex<Vec<(usize, u32)>>>);
+
+impl DefenseStage for DistanceProbe {
+    fn name(&self) -> &'static str {
+        "probe"
+    }
+
+    fn screen(&mut self, ctx: &RoundContext<'_>, _: &mut Verdicts) {
+        let seen = (ctx.len(), ctx.squared_l2().get(1, 2).to_bits());
+        self.0.lock().expect("probe lock").push(seen);
+    }
+
+    fn clone_stage(&self) -> Box<dyn DefenseStage> {
+        Box::new(self.clone())
+    }
+}
+
+/// The one behavioural edge of moving the guard into the pipeline: the
+/// exact/sampled split reads the number of updates *received*. 65 updates
+/// of which one is NaN used to be filtered down to 64 and screened
+/// exactly; they now run, the NaN is rejected, and the other 64 are
+/// screened on the sampled path.
+#[test]
+fn sixty_five_updates_with_one_nan_screen_on_the_sampled_path() {
+    let n = EXACT_SCREEN_MAX + 1;
+    let (g, mut u) = attacked_cohort(n, &WIDE_SHAPES, 90);
+    poison(&g, &mut u[0], f32::NAN);
+    let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    let probed = || {
+        DefensePipeline::new(
+            "probe+krum",
+            vec![Box::new(DistanceProbe(seen.clone()))],
+            Box::new(Krum::new(6)),
+        )
+    };
+    let got = probed().aggregate(&g, &u);
+    assert_eq!(rejected_by(&got, NON_FINITE_RULE).collect::<Vec<_>>(), [0]);
+    assert_eq!(got.accepted(), 1, "Krum selected among the other 64");
+    let filtered = aggregate_or_clone(&mut probed(), &g, &u);
+    assert_eq!(filtered.accepted(), 1);
+
+    // What each context held: all 65 and the sampled estimate — the
+    // stride subsample of the two deltas, rescaled by d/d′ — against the
+    // 64 survivors and the exact distance.
+    let d = g.num_params();
+    assert!(d > SCREEN_SAMPLE_DIM);
+    let sample = |u: &ClientUpdate| -> Vec<f32> {
+        let flat = u.params.delta(&g).flatten().into_vec();
+        (0..SCREEN_SAMPLE_DIM)
+            .map(|j| flat[j * d / SCREEN_SAMPLE_DIM])
+            .collect()
+    };
+    let sampled = kernels::squared_distance(&sample(&u[1]), &sample(&u[2]))
+        * (d as f32 / SCREEN_SAMPLE_DIM as f32);
+    let exact = DistanceMatrix::squared_l2(&[&u[2], &u[3]]).get(0, 1);
+    assert_ne!(sampled.to_bits(), exact.to_bits());
+    assert_eq!(
+        *seen.lock().expect("probe lock"),
+        [(n, sampled.to_bits()), (n - 1, exact.to_bits())]
     );
 }
 

@@ -335,7 +335,7 @@ impl Combiner for CoordinateMedian {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::test_support::{params, update};
+    use crate::defense::test_support::{params, update};
     use crate::defense::DefensePipeline;
     use crate::Aggregator;
 

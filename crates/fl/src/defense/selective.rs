@@ -84,9 +84,9 @@ impl Combiner for SelectiveAggregator {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::{params, update};
     #[allow(unused_imports)]
     use super::*;
+    use crate::defense::test_support::{params, update};
     use crate::defense::DefensePipeline;
     use crate::Aggregator;
 

@@ -1,23 +1,27 @@
 //! Generic screening stages usable in any pipeline composition.
 
-use crate::aggregate::NON_FINITE_RULE;
+use crate::defense::NON_FINITE_RULE;
 use crate::defense::{DefenseStage, RoundContext, Verdicts};
 
-/// Rejects updates carrying NaN/Inf weights with the shared
-/// [`NON_FINITE_RULE`] name.
+/// Stage zero of every pipeline: rejects updates carrying NaN/Inf weights
+/// with rule [`NON_FINITE_RULE`], so one crashed or actively hostile
+/// client cannot poison the GM with non-finite arithmetic.
 ///
-/// The [`Aggregator::aggregate`](crate::Aggregator::aggregate) entry point
-/// already applies this guard before any pipeline runs, so inside a
-/// framework the stage rejects nothing; it exists so spec-built pipelines
-/// are self-contained when driven directly (tests, offline update audits).
+/// [`DefensePipeline::new`](crate::defense::DefensePipeline::new) puts it
+/// at the head of every stage list (a list that already starts with it is
+/// left alone), so this — not a filter in front of the pipeline — is where
+/// a non-finite update meets the defense: the rejection is a verdict like
+/// any other, the update stays in the round's [`RoundContext`] at its
+/// position, and every later stage and the combiner pass over it because
+/// they only read active updates. Its wall time and rejection count are
+/// the first entry of the pipeline's stage telemetry.
 ///
-/// It reads the round's delta view rather than sweeping every parameter a
-/// second time: a row stored as a support is non-finite iff one of its
-/// stored LM values is (everywhere else it *is* the GM, which the view
-/// checked once), a dense row is swept whole as before
+/// It reads the round's delta view rather than sweeping every parameter:
+/// a row stored as a support is non-finite iff one of its stored LM values
+/// is (everywhere else it *is* the GM, which the view checked once), a
+/// dense row is swept whole
 /// ([`DeltaRows::lm_has_non_finite`](crate::defense::DeltaRows::lm_has_non_finite)).
-/// As the first stage to ask for the view it usually pays for the
-/// discovery pass.
+/// As the first stage to ask for the view it pays for the discovery pass.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NonFiniteGuard;
 
@@ -120,7 +124,7 @@ impl NormClip {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::test_support::{params, update};
+    use crate::defense::test_support::{params, update};
     use crate::defense::{DefensePipeline, UniformMean};
     use crate::Aggregator;
 

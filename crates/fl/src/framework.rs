@@ -1,7 +1,7 @@
 //! The uniform interface the benchmark harness drives.
 
-use crate::aggregate::Aggregator;
 use crate::client::Client;
+use crate::defense::Aggregator;
 use crate::report::RoundReport;
 use crate::round::RoundPlan;
 use safeloc_dataset::FingerprintSet;

@@ -11,25 +11,29 @@
 //!   with the client-side training protocol in [`LocalTrainConfig`].
 //! * [`ClientUpdate`] — an LM come back to the server as
 //!   [`NamedParams`](safeloc_nn::NamedParams).
-//! * [`Aggregator`] — the server-side combination rule, returning an
-//!   [`AggregationOutcome`] (next GM + per-update accept/reject decisions).
-//!   Its production implementor is the composable
-//!   [`DefensePipeline`]: ordered
-//!   [`defense::DefenseStage`]s that screen updates through
-//!   a shared lazily-built [`defense::RoundContext`]
-//!   (deltas, norms, distance matrices — computed once per round), then
-//!   one terminal [`defense::Combiner`]. The paper's rules are
-//!   the building blocks: [`FedAvg`], [`Krum`] and [`SelectiveAggregator`]
+//! * [`defense`] — the one server-side screening module. A
+//!   [`DefensePipeline`] is an ordered list of
+//!   [`defense::DefenseStage`]s that screen the round's updates through a
+//!   shared lazily-built [`defense::RoundContext`] (deltas, norms, distance
+//!   matrices — computed once per round), then one terminal
+//!   [`defense::Combiner`], returning an [`AggregationOutcome`] (next GM +
+//!   per-update accept/reject decisions). *Stage zero of every pipeline*
+//!   is the non-finite check ([`defense::NonFiniteGuard`]): the pipeline's
+//!   [`Aggregator::aggregate`] is the one place outside updates meet the
+//!   defense, an empty or all-rejected round leaves the GM untouched, and
+//!   every stage — stage zero included — reports its rejections and wall
+//!   time through [`report::StageTelemetry`]. The paper's rules are the
+//!   building blocks: [`FedAvg`], [`Krum`] and [`SelectiveAggregator`]
 //!   (FEDHIL) are combiners; [`ClusterAggregator`] (FEDCC),
 //!   [`LatentFilterAggregator`] (FEDLS) and the opt-in [`HistoryScreen`]
 //!   are screening stages; generic [`defense::NormClip`],
 //!   [`defense::TrimmedMean`] and [`defense::CoordinateMedian`] open the
 //!   robust-aggregation literature's compositions. SAFELOC's saliency
 //!   combiner lives in the `safeloc` crate — it is the paper's
-//!   contribution. Every pipeline inherits the shared
-//!   empty-round/non-finite guard ([`aggregate::aggregate_or_clone`]) from
-//!   the trait's provided entry point, and reports per-stage rejections
-//!   and wall time through [`report::StageTelemetry`].
+//!   contribution. [`Aggregator`] is the boxed face frameworks hold a
+//!   pipeline behind; it has one implementor, and it and the
+//!   `…Aggregator` type names survive only because the frozen
+//!   `benchmark/` crate imports them (ROADMAP item 2).
 //! * **Round lifecycle** — a seeded [`CohortSampler`] draws one
 //!   [`RoundPlan`] per round (full, uniform-k or weighted cohorts —
 //!   including [`CohortSampler::weighted_by_data_volume`], which derives
@@ -80,7 +84,6 @@
 //! assert!(acc > 0.2, "accuracy {acc}");
 //! ```
 
-pub mod aggregate;
 pub mod client;
 pub mod defense;
 pub mod delta;
@@ -93,12 +96,27 @@ pub mod server;
 pub mod session;
 pub mod update;
 
-pub use aggregate::{
-    Aggregator, ClusterAggregator, FedAvg, HistoryScreen, Krum, LatentFilterAggregator,
-    SelectiveAggregator,
-};
+// The six rule files that moved from `aggregate/` into `defense/` are
+// mounted here, under the old private name, for one reason: a unit test's
+// id is its module path, the tier-1 floor pins 48 of theirs as
+// `aggregate::<file>::tests::*`, and a PR may rename only a few. Nothing
+// outside `defense/mod.rs` names this module — every item is re-exported
+// from `defense` — and it goes the day the floor is re-baselined.
+#[path = "defense"]
+mod aggregate {
+    pub(crate) mod cluster;
+    pub(crate) mod distance;
+    pub(crate) mod fedavg;
+    pub(crate) mod krum;
+    pub(crate) mod latent;
+    pub(crate) mod selective;
+}
+
 pub use client::{Client, LabelingMode, LocalTrainConfig};
-pub use defense::{Combiner, DefensePipeline, DefenseStage};
+pub use defense::{
+    Aggregator, ClusterAggregator, Combiner, DefensePipeline, DefenseStage, FedAvg, HistoryScreen,
+    Krum, LatentFilterAggregator, SelectiveAggregator,
+};
 pub use delta::{DeltaCompressor, DeltaRepr, DeltaSpec};
 pub use fleet::FleetProvider;
 pub use framework::Framework;

@@ -147,6 +147,31 @@ pub fn fl_metrics() -> &'static FlMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Aggregator;
+    use safeloc_telemetry::TelemetrySnapshot;
+
+    /// A counter's value in a snapshot (0 if absent).
+    fn counter(snap: &TelemetrySnapshot, name: &str, labels: &[(&str, &str)]) -> u64 {
+        snap.counters
+            .iter()
+            .find(|c| {
+                c.name == name
+                    && labels
+                        .iter()
+                        .all(|(k, v)| c.labels.contains(&((*k).into(), (*v).into())))
+            })
+            .map(|c| c.value)
+            .unwrap_or(0)
+    }
+
+    /// `fl_stage_rejections_total{stage="non-finite"}` in a snapshot.
+    fn non_finite_rejections(snap: &TelemetrySnapshot) -> u64 {
+        counter(
+            snap,
+            "fl_stage_rejections_total",
+            &[("stage", "non-finite")],
+        )
+    }
 
     #[test]
     fn stage_and_round_series_accumulate() {
@@ -168,29 +193,38 @@ mod tests {
             rejections: 2,
             wall_ms: 1.0,
         });
+        // A pipeline's own trail: FedAvg screens nothing, yet stage zero
+        // is there and owns the NaN update's rejection.
+        let update = |id, v| {
+            let w = safeloc_nn::Matrix::row_vector(&[v]);
+            crate::ClientUpdate::new(id, [("w".to_string(), w)].into_iter().collect(), 1)
+        };
+        let mut fedavg = crate::DefensePipeline::fedavg();
+        let gm = update(0, 0.0).params;
+        let global_before = non_finite_rejections(&safeloc_telemetry::global().snapshot());
+        fedavg.aggregate(&gm, &[update(0, 1.0), update(1, f32::NAN)]);
+        let trail = fedavg.take_stage_telemetry();
+        assert_eq!(
+            (trail[0].stage.as_str(), trail[0].rejections),
+            ("non-finite", 1)
+        );
+        trail.iter().for_each(|stage| metrics.on_stage(stage));
         metrics.on_delta(4000, 320);
         metrics.on_streaming_materialized(8);
         metrics.on_streaming_materialized(-8);
         metrics.on_delta_view(3, [0.05, 0.0].into_iter());
 
         let snap = metrics.registry.snapshot();
-        let counter = |name: &str, labels: &[(&str, &str)]| {
-            snap.counters
-                .iter()
-                .find(|c| {
-                    c.name == name
-                        && labels
-                            .iter()
-                            .all(|(k, v)| c.labels.contains(&((*k).into(), (*v).into())))
-                })
-                .map(|c| c.value)
-                .unwrap_or(0)
-        };
+        let counter = |name, labels| counter(&snap, name, labels);
         assert_eq!(counter("fl_rounds_total", &[]), 2);
         assert_eq!(
             counter("fl_stage_rejections_total", &[("stage", "krum")]),
             5
         );
+        assert_eq!(non_finite_rejections(&snap), 1);
+        // The pipeline fed the process-wide registry itself (other tests
+        // share it, so at least — not exactly — one more).
+        assert!(non_finite_rejections(&safeloc_telemetry::global().snapshot()) > global_before);
         assert_eq!(counter("fl_delta_raw_bytes_total", &[]), 4000);
         assert_eq!(counter("fl_delta_wire_bytes_total", &[]), 320);
         let wall = snap

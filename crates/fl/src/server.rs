@@ -4,8 +4,8 @@
 //! layer stack and aggregation rule; only SAFELOC replaces the model type
 //! (fused network) and the aggregation (saliency map).
 
-use crate::aggregate::Aggregator;
 use crate::client::{train_sequential_lm, Client, LocalTrainConfig};
+use crate::defense::Aggregator;
 use crate::framework::Framework;
 use crate::report::{RoundReport, RoundTimer};
 use crate::round::RoundPlan;
@@ -153,12 +153,6 @@ impl SequentialFlServer {
     /// Number of federated rounds run so far.
     pub fn rounds_run(&self) -> usize {
         self.rounds_run
-    }
-
-    /// The configured aggregation rule's name (a pipeline's composition
-    /// label).
-    pub fn aggregator_name(&self) -> &str {
-        self.aggregator.name()
     }
 
     /// Replaces the server-side defense, keeping the trained global model —

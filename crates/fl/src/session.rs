@@ -209,11 +209,6 @@ impl FlSession {
         self.framework.as_ref()
     }
 
-    /// Mutable framework access (e.g. for τ sweeps between rounds).
-    pub fn framework_mut(&mut self) -> &mut dyn Framework {
-        self.framework.as_mut()
-    }
-
     /// Fleet size — what the sampler draws cohorts from.
     pub fn fleet_len(&self) -> usize {
         self.fleet.len()

@@ -37,7 +37,7 @@
 //! in-process fleet whose clients carry the same compressor spec.
 
 use crate::conn::FrameConn;
-use crate::frame::{DeltaUpdateFrame, Frame, UpdateFrame, WireAvailability, WireError};
+use crate::frame::{Frame, WireAvailability, WireError};
 use safeloc_dataset::FingerprintSet;
 use safeloc_fl::report::{RoundSplit, RoundTimer};
 use safeloc_fl::{
@@ -350,31 +350,9 @@ impl Framework for RemoteFlServer {
             // construction.
             let conn = fleet.conn_mut(i).expect("participating member has a conn");
             conn.set_read_timeout(Some(remaining)).ok();
-            // What the frame is worth as an update, if anything. A
-            // compressed update is re-materialized as exactly what crossed
-            // the wire, `GM + decode(repr)` — the parameters the
-            // compressing client carries forward locally; a repr that does
-            // not decode for this model (`Dense`, which carries no
-            // coefficients, or a malformed payload — see
-            // `DeltaRepr::decode`) is a protocol violation like any wrong
-            // frame, never repaired.
-            let received = conn.recv().map(|frame| match frame {
-                Frame::Update(update) if update_matches(&update, i, round) => Some(
-                    ClientUpdate::new(i, update.params, update.num_samples as usize),
-                ),
-                Frame::UpdateDelta(update) if delta_update_matches(&update, i, round) => {
-                    let decoded = update.repr.decode(gm_params.num_params())?;
-                    let mut params = gm_params.clone();
-                    params.add_flat(&decoded);
-                    Some(ClientUpdate::with_repr(
-                        i,
-                        params,
-                        update.num_samples as usize,
-                        update.repr,
-                    ))
-                }
-                _ => None,
-            });
+            let received = conn
+                .recv()
+                .map(|frame| update_from_frame(frame, i, round, &gm_params));
             match received {
                 Ok(Some(update)) => {
                     conn.set_read_timeout(None).ok();
@@ -389,8 +367,8 @@ impl Framework for RemoteFlServer {
                     entry.1 = Availability::Straggles;
                 }
                 Ok(None) | Err(_) => {
-                    // Disconnected, or answered with the wrong frame or a
-                    // payload that is not an update for this model.
+                    // Disconnected, or answered with something that is not
+                    // an update for this client, round and model.
                     crate::metrics::wire_metrics().on_dropout();
                     fleet.kill(i);
                     entry.1 = Availability::DropsOut;
@@ -403,8 +381,10 @@ impl Framework for RemoteFlServer {
         let timer: RoundSplit = timer.split();
         let outcome = self.aggregator.aggregate(&gm_params, &updates);
         let stages = self.aggregator.take_stage_telemetry();
-        // panic-ok: aggregate() folds updates that were each validated
-        // against the GM architecture, so the outcome always loads back.
+        // panic-ok: `update_from_frame` admits only updates of the GM's
+        // architecture — dense uploads are checked against it, compressed
+        // ones are re-materialized from it — and the defense folds those
+        // (or returns the GM itself), so the outcome always loads back.
         self.gm
             .load(&outcome.params)
             .expect("aggregator preserves architecture");
@@ -442,12 +422,38 @@ impl Framework for RemoteFlServer {
     }
 }
 
-/// An update is only credited to the client and round it claims.
-fn update_matches(update: &UpdateFrame, client: usize, round: usize) -> bool {
-    update.client_id == client as u64 && update.round == round as u32
-}
-
-/// Same credit rule for compressed updates.
-fn delta_update_matches(update: &DeltaUpdateFrame, client: usize, round: usize) -> bool {
-    update.client_id == client as u64 && update.round == round as u32
+/// What a client's answer is worth as an update of `gm` — the one place a
+/// frame becomes a [`ClientUpdate`], so the one place outside bytes are
+/// checked before the defense reads them. `None` is a protocol violation
+/// (never repaired): any other frame; an update credited to another client
+/// or round; a dense upload whose tensors are not the GM's, name for name
+/// and shape for shape (the defense's delta pass asserts on those); a
+/// compressed upload whose repr does not decode for this model (`Dense`,
+/// which carries no coefficients, or a malformed payload — see
+/// `DeltaRepr::decode`). A compressed update is re-materialized as exactly
+/// what crossed the wire, `GM + decode(repr)` — the parameters the
+/// compressing client carries forward locally.
+fn update_from_frame(
+    frame: Frame,
+    client: usize,
+    round: usize,
+    gm: &NamedParams,
+) -> Option<ClientUpdate> {
+    let credited = |id: u64, r: u32| id == client as u64 && r == round as u32;
+    match frame {
+        Frame::Update(u) if credited(u.client_id, u.round) && u.params.same_arch(gm) => {
+            Some(ClientUpdate::new(client, u.params, u.num_samples as usize))
+        }
+        Frame::UpdateDelta(u) if credited(u.client_id, u.round) => {
+            let mut params = gm.clone();
+            params.add_flat(&u.repr.decode(gm.num_params())?);
+            Some(ClientUpdate::with_repr(
+                client,
+                params,
+                u.num_samples as usize,
+                u.repr,
+            ))
+        }
+        _ => None,
+    }
 }

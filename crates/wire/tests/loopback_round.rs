@@ -11,9 +11,10 @@
 use safeloc_dataset::{Building, BuildingDataset, DatasetConfig};
 use safeloc_fl::report::ClientOutcome;
 use safeloc_fl::{
-    Client, CohortSampler, DefensePipeline, DeltaRepr, FlSession, FleetProvider, Framework,
-    RoundPlan, SequentialFlServer, ServerConfig,
+    Aggregator, Client, ClientUpdate, CohortSampler, DefensePipeline, DeltaRepr, FlSession,
+    FleetProvider, Framework, RoundPlan, SequentialFlServer, ServerConfig,
 };
+use safeloc_nn::{Matrix, NamedParams};
 use safeloc_wire::{
     DeltaUpdateFrame, FaultProfile, Frame, FrameConn, RemoteFlServer, RemoteFleet, UpdateFrame,
 };
@@ -404,13 +405,13 @@ fn lent_cohorts_invite_and_credit_the_sampled_fleet_members() {
     }
 }
 
-/// In-thread stand-in for a compressing `fl_client`: joins as `id` and
-/// answers each broadcast of a `d`-parameter GM with the `TopK` delta
-/// `indices(d)` (all values 0.25).
-fn top_k_client(
+/// In-thread stand-in for an `fl_client` process that answers by script:
+/// joins as `id` and sends `answer(round, GM)` back for each broadcast,
+/// until the server says goodbye or hangs up on it.
+fn scripted_client(
     addr: SocketAddr,
     id: usize,
-    indices: fn(u32) -> Vec<u32>,
+    answer: impl Fn(u32, NamedParams) -> Frame + Send + 'static,
 ) -> std::thread::JoinHandle<()> {
     std::thread::spawn(move || {
         let mut conn = FrameConn::connect(addr).unwrap();
@@ -419,28 +420,38 @@ fn top_k_client(
             client_index: id as u32,
         })
         .unwrap();
-        // Until the server says goodbye or hangs up on us.
         while let Ok(frame) = conn.recv() {
             let Frame::GmBroadcast { round, params, .. } = frame else {
                 continue;
             };
-            let indices = indices(params.num_params() as u32);
-            let sent = conn.send(&Frame::UpdateDelta(DeltaUpdateFrame {
-                client_id: id as u64,
-                round,
-                building: 0,
-                device_class: "top-k".to_string(),
-                num_samples: 1,
-                repr: DeltaRepr::TopK {
-                    values: vec![0.25; indices.len()],
-                    k: indices.len(),
-                    indices,
-                },
-            }));
-            if sent.is_err() {
+            if conn.send(&answer(round, params)).is_err() {
                 return;
             }
         }
+    })
+}
+
+/// A compressing client: answers a `d`-parameter GM with the `TopK` delta
+/// `indices(d)` (all values 0.25).
+fn top_k_client(
+    addr: SocketAddr,
+    id: usize,
+    indices: fn(u32) -> Vec<u32>,
+) -> std::thread::JoinHandle<()> {
+    scripted_client(addr, id, move |round, params| {
+        let indices = indices(params.num_params() as u32);
+        Frame::UpdateDelta(DeltaUpdateFrame {
+            client_id: id as u64,
+            round,
+            building: 0,
+            device_class: "top-k".to_string(),
+            num_samples: 1,
+            repr: DeltaRepr::TopK {
+                values: vec![0.25; indices.len()],
+                k: indices.len(),
+                indices,
+            },
+        })
     })
 }
 
@@ -500,6 +511,104 @@ fn a_malformed_compressed_upload_benches_the_client_and_the_round_completes() {
             .collect();
         assert_eq!(moved, [0, before.len() - 1], "round {round}");
         assert_eq!(after.as_slice()[0], before.as_slice()[0] + 0.25);
+    }
+
+    fleet.lock().unwrap().broadcast_bye();
+    for client in clients {
+        client.join().unwrap();
+    }
+}
+
+/// A dense client: answers each broadcast with `answer(GM)` as a
+/// full-model `Update`.
+fn dense_client(
+    addr: SocketAddr,
+    id: usize,
+    answer: fn(NamedParams) -> NamedParams,
+) -> std::thread::JoinHandle<()> {
+    scripted_client(addr, id, move |round, params| {
+        Frame::Update(UpdateFrame {
+            client_id: id as u64,
+            round,
+            building: 0,
+            device_class: "dense".to_string(),
+            num_samples: 1,
+            params: answer(params),
+        })
+    })
+}
+
+/// The GM with every coordinate moved by a quarter: an honest answer.
+fn shifted(mut gm: NamedParams) -> NamedParams {
+    gm.add_flat(&vec![0.25; gm.num_params()]);
+    gm
+}
+
+/// A dense upload of another architecture — a tensor under another name,
+/// or the right names over transposed shapes — used to reach the defense,
+/// whose delta pass asserts on it: one stale or hostile client took the
+/// round server down for good. It is a protocol violation like a malformed
+/// compressed upload: the client is benched, and the round is the round
+/// without it, bit for bit.
+#[test]
+fn a_dense_upload_of_another_architecture_benches_the_client_and_the_round_completes() {
+    let data = dataset();
+    let n = 4;
+    let renamed = |gm: NamedParams| -> NamedParams {
+        shifted(gm)
+            .iter()
+            .map(|(name, t)| (format!("{name}.v2"), t.clone()))
+            .collect()
+    };
+    let reshaped = |gm: NamedParams| -> NamedParams {
+        shifted(gm)
+            .iter()
+            .map(|(name, t)| {
+                let (rows, cols) = t.shape();
+                let t = Matrix::from_vec(cols, rows, t.as_slice().to_vec()).unwrap();
+                (name.to_string(), t)
+            })
+            .collect()
+    };
+    let answers: [fn(NamedParams) -> NamedParams; 4] = [shifted, renamed, reshaped, shifted];
+    let offenders = [1, 2];
+    let mut fleet = RemoteFleet::bind(n).unwrap();
+    let clients: Vec<_> = (0..n)
+        .map(|id| dense_client(fleet.addr(), id, answers[id]))
+        .collect();
+    fleet.accept_all(Duration::from_secs(60)).unwrap();
+    let fleet = Arc::new(Mutex::new(fleet));
+    let mut server = RemoteFlServer::new(
+        &dims(&data),
+        Box::new(DefensePipeline::fedavg()),
+        ServerConfig::tiny(),
+        Arc::clone(&fleet),
+        Duration::from_secs(60),
+    );
+    let mut mirror = Client::from_dataset(&data, FLEET_SEED);
+    mirror.truncate(n);
+    let plan = RoundPlan::full(n);
+
+    // Round 0 meets the foreign uploads; round 1 finds the offenders gone.
+    for round in 0..2 {
+        let before = server.global_params();
+        let report = server.run_round(&mut mirror, &plan);
+        for (id, client) in report.clients.iter().enumerate() {
+            if offenders.contains(&id) {
+                assert_eq!(client.outcome, ClientOutcome::DroppedOut, "round {round}");
+            } else {
+                assert!(
+                    matches!(client.outcome, ClientOutcome::Trained { .. }),
+                    "round {round}: client {id} was {:?}",
+                    client.outcome
+                );
+            }
+        }
+        let honest: Vec<ClientUpdate> = [0, 3]
+            .map(|id| ClientUpdate::new(id, shifted(before.clone()), 1))
+            .into();
+        let without = DefensePipeline::fedavg().aggregate(&before, &honest);
+        assert_eq!(server.global_params(), without.params, "round {round}");
     }
 
     fleet.lock().unwrap().broadcast_bye();

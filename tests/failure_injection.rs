@@ -76,7 +76,7 @@ fn every_aggregator_rejects_all_nan_updates() {
         );
         match &out.decisions[0] {
             UpdateDecision::Rejected { rule, .. } => {
-                assert_eq!(rule, safeloc_fl::aggregate::NON_FINITE_RULE)
+                assert_eq!(rule, safeloc_fl::defense::NON_FINITE_RULE)
             }
             other => panic!("{} accepted a NaN update: {other:?}", agg.name()),
         }
