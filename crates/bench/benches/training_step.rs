@@ -26,14 +26,20 @@ fn batch() -> (Matrix, Vec<usize>) {
     (x, labels)
 }
 
-/// Learning rate of the timed steps: zero. A step costs the same at any
-/// rate, but at 1e-3 the one fixed batch is memorized within ~800 steps,
-/// units die, and the first moments of their weights decay to a few
-/// subnormal ulps where `0.9·m` rounds back to `m` — every later update
-/// then crawls through denormal divides (×2.5–3 per step, seed loop and
-/// kernel alike), so a reading depended on how many steps the harness
+/// Learning rate of the *seed* sides' timed steps: zero. A step costs the
+/// same at any rate, but at 1e-3 the one fixed batch is memorized within
+/// ~800 steps, units die, and the first moments of their weights decay to
+/// a few subnormal ulps where `0.9·m` rounds back to `m` — the seed loop
+/// then crawls through denormal divides for good (×2.5–3 per training
+/// step), so a reading would depend on how many steps the harness
 /// happened to run.
+/// Production `Adam` flushes those moments and steps at the paper's rate;
+/// `optimizer_step/*_late` shows the stall and its absence side by side.
 const STEP_LR: f32 = 0.0;
+
+/// The paper's server-side rate, for the production sides and for
+/// advancing both sides of the late-regime pair.
+const PAPER_LR: f32 = 1e-3;
 
 fn bench_training_step(c: &mut Criterion) {
     let (x, labels) = batch();
@@ -46,7 +52,7 @@ fn bench_training_step(c: &mut Criterion) {
     });
 
     let mut model = Sequential::mlp(&DIMS, Activation::Relu, 7);
-    let mut opt = Adam::new(STEP_LR);
+    let mut opt = Adam::new(PAPER_LR);
     let mut ws = Workspace::new();
     group.bench_function("workspace_blocked", |b| {
         b.iter(|| model.train_batch_with(&x, &labels, &mut opt, &mut ws))
@@ -54,32 +60,75 @@ fn bench_training_step(c: &mut Criterion) {
     group.finish();
 }
 
+/// Untimed steps both sides of the late-regime pair take first: a dead
+/// weight's first moment needs ~850 steps of `×0.9` to fall from gradient
+/// scale to under `MIN_POSITIVE`.
+const LATE_WARMUP_STEPS: usize = 1500;
+
+/// The step after which the dead share's gradient is exactly zero.
+const UNITS_DIE_AT: usize = 50;
+
 /// One Adam step over the paper's fused network (twelve tensors), as the
 /// fused local fit makes it: the seed's closure-borne indexed loop
 /// (`naive::SeedAdam`) vs the zipped-slice kernel behind `Adam`. Both
 /// sides see the same gradients and let their moments evolve, as in
 /// training.
+///
+/// The `*_late` pair is the same step deep into a long fit: a third of
+/// the gradient (the fixture's fused pretraining ends with 36 % of its
+/// first moments stuck) turned exactly zero at step 50, as a dead ReLU's
+/// does, and both optimizers then took 1 450 more untimed steps at 1e-3.
+/// The seed loop's moments there are stuck in subnormals and every one
+/// of them costs it ~140 ns of microcode assists per step (≈ 3.5 ms
+/// against ≈ 0.28 ms early); the kernel flushed them and runs flat.
 fn bench_optimizer_step(c: &mut Criterion) {
     let net = FusedNetwork::new(&FusedConfig::paper(DIMS[0], DIMS[4], 7));
-    let grads: Vec<Matrix> = net
-        .param_tensors()
-        .iter()
-        .map(|t| {
-            Matrix::from_fn(t.rows(), t.cols(), |r, c| {
-                ((r * 131 + c * 31) % 1000) as f32 / 5e4 - 0.01
+    let gradients = |dead_share_is_zero: bool| -> Vec<Matrix> {
+        net.param_tensors()
+            .iter()
+            .map(|t| {
+                Matrix::from_fn(t.rows(), t.cols(), |r, c| {
+                    if dead_share_is_zero && (r + c).is_multiple_of(3) {
+                        0.0
+                    } else {
+                        ((r * 131 + c * 31) % 1000) as f32 / 5e4 - 0.01
+                    }
+                })
             })
-        })
-        .collect();
-    let sides: [(&str, Box<dyn Optimizer>); 2] = [
-        ("seed_indexed", Box::new(naive::SeedAdam::new(STEP_LR))),
-        ("kernel", Box::new(Adam::new(STEP_LR))),
+            .collect()
+    };
+    let (grads, late_grads) = (gradients(false), gradients(true));
+    let sides: [(&str, Box<dyn Optimizer>, bool); 4] = [
+        (
+            "seed_indexed",
+            Box::new(naive::SeedAdam::new(STEP_LR)),
+            false,
+        ),
+        ("kernel", Box::new(Adam::new(PAPER_LR)), false),
+        (
+            "seed_indexed_late",
+            Box::new(naive::SeedAdam::new(PAPER_LR)),
+            true,
+        ),
+        ("kernel_late", Box::new(Adam::new(PAPER_LR)), true),
     ];
 
     let mut group = c.benchmark_group("optimizer_step");
-    for (name, mut opt) in sides {
+    for (name, mut opt, late) in sides {
         let mut model = net.clone();
+        if late {
+            for step in 0..LATE_WARMUP_STEPS {
+                let grads = if step < UNITS_DIE_AT {
+                    &grads
+                } else {
+                    &late_grads
+                };
+                opt.step_stream(&mut model, grads);
+            }
+        }
+        let grads = if late { &late_grads } else { &grads };
         group.bench_function(name, |b| {
-            b.iter(|| opt.step_stream(&mut model, black_box(&grads)))
+            b.iter(|| opt.step_stream(&mut model, black_box(grads)))
         });
     }
     group.finish();

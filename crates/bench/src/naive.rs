@@ -91,8 +91,12 @@ pub fn transposed_matmul(a: &Matrix, b: &Matrix) -> Matrix {
 /// moments are indexed through `&mut Vec<f32>` borrowed inside it (design
 /// rule 6 in the `safeloc_nn::kernels` module docs), and the same loop as
 /// a free function over slices vectorizes — it would not be a fixed
-/// baseline. Pinned bit for bit against production by
-/// `seed_adam_and_the_kernel_agree_bitwise`.
+/// baseline. Verbatim also means un-flushed: production stores first
+/// moments below `MIN_POSITIVE` as zero, this loop lets them sit in
+/// subnormals, which makes it the reference the flush is proved against
+/// (parameters and second moments bit for bit, first moments up to the
+/// flush: `seed_adam_and_the_kernel_agree_bitwise` per step, the
+/// `flushed_adam_trains_*` trajectory oracles over 2 000 steps).
 #[derive(Debug, Clone)]
 pub struct SeedAdam {
     lr: f32,
@@ -304,7 +308,7 @@ pub fn trimmed_mean(updates: &[ClientUpdate], trim: usize) -> NamedParams {
 mod tests {
     use super::*;
     use safeloc_fl::DefensePipeline;
-    use safeloc_nn::Adam;
+    use safeloc_nn::{Adam, TrainConfig};
 
     fn mat(rows: usize, cols: usize, salt: u64) -> Matrix {
         Matrix::from_fn(rows, cols, |r, c| {
@@ -353,12 +357,70 @@ mod tests {
         assert!(dist < 1e-3, "weights diverged: {dist}");
     }
 
-    /// The production kernel computes exactly what the seed loop did: the
-    /// two optimizers' parameters (whose trajectory carries both moments)
-    /// are equal bit for bit after every one of 60 consecutive steps.
+    /// The one thing production `Adam` does that the seed loop does not:
+    /// a new first moment below `MIN_POSITIVE` in magnitude is stored as
+    /// zero (design rule 6 in the `safeloc_nn::kernels` module docs).
+    fn flush(x: f32) -> f32 {
+        if x.abs() < f32::MIN_POSITIVE {
+            0.0
+        } else {
+            x
+        }
+    }
+
+    fn subnormals(moments: &[Vec<f32>]) -> usize {
+        moments
+            .iter()
+            .flatten()
+            .filter(|m| m.is_subnormal())
+            .count()
+    }
+
+    /// The contract between production `Adam` and the un-flushed seed
+    /// loop after both drove the same training: parameters and second
+    /// moments equal bit for bit, production's first moments equal the
+    /// seed's flushed. The first difference is reported by tensor, element
+    /// and gap.
+    fn assert_flush_is_the_only_difference(
+        what: &str,
+        (seed_params, seed_opt): (Vec<&Matrix>, &SeedAdam),
+        (kernel_params, kernel_opt): (Vec<&Matrix>, &Adam),
+    ) {
+        let (kernel_m, kernel_v) = kernel_opt.moments();
+        let seed_m_flushed: Vec<Vec<f32>> = (seed_opt.m.iter())
+            .map(|m| m.iter().copied().map(flush).collect())
+            .collect();
+        let values = |params: &[&Matrix]| -> Vec<Vec<f32>> {
+            params.iter().map(|t| t.as_slice().to_vec()).collect()
+        };
+        let (seed_p, kernel_p) = (values(&seed_params), values(&kernel_params));
+        for (name, seed, kernel) in [
+            ("p", &seed_p[..], &kernel_p[..]),
+            ("v", &seed_opt.v[..], kernel_v),
+            ("m", &seed_m_flushed[..], kernel_m),
+        ] {
+            assert_eq!(seed.len(), kernel.len(), "{what}: {name} tensor count");
+            for (tensor, (a, b)) in seed.iter().zip(kernel).enumerate() {
+                assert_eq!(a.len(), b.len(), "{what}: {name} tensor {tensor} length");
+                if let Some(i) = (0..a.len()).find(|&i| a[i].to_bits() != b[i].to_bits()) {
+                    panic!(
+                        "{what}: {name} moved in tensor {tensor} at element {i}: \
+                         seed {:e} vs production {:e} (gap {:e})",
+                        a[i],
+                        b[i],
+                        f64::from(a[i]) - f64::from(b[i])
+                    );
+                }
+            }
+        }
+    }
+
+    /// The production kernel computes what the seed loop did with first
+    /// moments flushed: after every one of 60 consecutive steps the two
+    /// optimizers' parameters and second moments are equal bit for bit
+    /// and production's first moments are the seed's flushed.
     #[test]
     fn seed_adam_and_the_kernel_agree_bitwise() {
-        let bits = |a: &Matrix| a.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let shapes = [(203, 128), (1, 128), (62, 60), (1, 60), (3, 5)];
         let tensors = |salt: u64| -> Vec<Matrix> {
             (shapes.iter().zip(salt..))
@@ -372,10 +434,95 @@ mod tests {
             let grads = tensors(100 * t);
             seed_opt.step(seed_params.iter_mut().collect(), &grads);
             kernel_opt.step(kernel_params.iter_mut().collect(), &grads);
-            for (a, b) in seed_params.iter().zip(&kernel_params) {
-                assert!(bits(a) == bits(b), "optimizers diverged at step {t}");
-            }
+            assert_flush_is_the_only_difference(
+                &format!("step {t}"),
+                (seed_params.iter().collect(), &seed_opt),
+                (kernel_params.iter().collect(), &kernel_opt),
+            );
         }
+    }
+
+    /// Epochs of the trajectory oracle: 200 × 10 batches of the survey
+    /// split = 2 000 steps, of which the last ~1 100 sit in the stuck
+    /// regime (a dead unit's first moment needs ~850 steps of `×0.9` to get
+    /// under `MIN_POSITIVE`).
+    const ORACLE_EPOCHS: usize = 200;
+
+    fn survey_split() -> safeloc_dataset::FingerprintSet {
+        use safeloc_dataset::{Building, BuildingDataset, DatasetConfig};
+        BuildingDataset::generate(Building::paper(1), &DatasetConfig::paper(), 1).server_train
+    }
+
+    /// The regime the flush exists for, on the real fixture, exercised and
+    /// not just intended: the seed optimizer ends the fit holding
+    /// subnormal first moments, production ends it holding none.
+    fn assert_the_stuck_regime_was_reached(what: &str, seed_opt: &SeedAdam, kernel_opt: &Adam) {
+        let stuck = subnormals(&seed_opt.m);
+        assert!(
+            stuck > 0,
+            "{what}: the seed side holds no subnormal first moment"
+        );
+        assert_eq!(subnormals(kernel_opt.moments().0), 0, "{what}: production");
+        eprintln!("{what}: {stuck} first moments stuck in subnormals on the seed side");
+    }
+
+    /// Trajectory oracle, paper-sized `Sequential`: pretraining as
+    /// `benchmark/`'s serving workloads run it (`fit_classifier`, Adam at
+    /// 1e-3, batch 32) on paper building 1's survey split, production
+    /// `Adam` against the un-flushed `SeedAdam`.
+    #[test]
+    fn flushed_adam_trains_the_paper_classifier_to_the_same_bits() {
+        let train = survey_split();
+        let dims = [train.x.cols(), 128, 89, 62, 60];
+        let cfg = TrainConfig::new(ORACLE_EPOCHS, 32, 7);
+        let mut seed_model = Sequential::mlp(&dims, Activation::Relu, 7);
+        let mut kernel_model = seed_model.clone();
+        let (mut seed_opt, mut kernel_opt) = (SeedAdam::new(1e-3), Adam::new(1e-3));
+        seed_model.fit_classifier(&train.x, &train.labels, &mut seed_opt, &cfg);
+        kernel_model.fit_classifier(&train.x, &train.labels, &mut kernel_opt, &cfg);
+        assert_eq!(kernel_opt.steps(), 2000, "steps taken");
+        assert_the_stuck_regime_was_reached("fit_classifier", &seed_opt, &kernel_opt);
+        assert_flush_is_the_only_difference(
+            "fit_classifier",
+            (seed_model.param_tensors(), &seed_opt),
+            (kernel_model.param_tensors(), &kernel_opt),
+        );
+    }
+
+    /// Trajectory oracle, fused network: `SafeLoc::pretrain`'s fit
+    /// (`fit_augmented` with the paper configuration's decoder detachment
+    /// and reconstruction weight) on the same split.
+    #[test]
+    fn flushed_adam_trains_the_fused_network_to_the_same_bits() {
+        use safeloc::{FusedConfig, FusedNetwork, SafeLocConfig};
+        let train = survey_split();
+        let paper = SafeLocConfig::paper(7);
+        let cfg = TrainConfig::new(ORACLE_EPOCHS, paper.batch_size, paper.seed);
+        let mut seed_net = FusedNetwork::new(&FusedConfig::paper(train.x.cols(), 60, paper.seed));
+        let mut kernel_net = seed_net.clone();
+        let mut seed_opt = SeedAdam::new(paper.pretrain_lr);
+        let mut kernel_opt = Adam::new(paper.pretrain_lr);
+        for (net, opt) in [
+            (&mut seed_net, &mut seed_opt as &mut dyn Optimizer),
+            (&mut kernel_net, &mut kernel_opt),
+        ] {
+            net.fit_augmented(
+                &train.x,
+                &train.labels,
+                opt,
+                &cfg,
+                paper.detach_decoder,
+                paper.recon_weight,
+                paper.augment.as_ref(),
+            );
+        }
+        assert_eq!(kernel_opt.steps(), 2000, "steps taken");
+        assert_the_stuck_regime_was_reached("fit_augmented", &seed_opt, &kernel_opt);
+        assert_flush_is_the_only_difference(
+            "fit_augmented",
+            (seed_net.param_tensors(), &seed_opt),
+            (kernel_net.param_tensors(), &kernel_opt),
+        );
     }
 
     #[test]

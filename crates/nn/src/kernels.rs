@@ -74,12 +74,35 @@
 //!    bit-identical (pinned by
 //!    `adam_update_is_bitwise_identical_to_the_indexed_loop`; the parent's
 //!    loop survives only as that test's oracle and as
-//!    `safeloc_bench::naive::SeedAdam`). Moments that decay into
-//!    subnormals (a weight whose gradient turned exactly zero: `0.9·m`
-//!    rounds back to `m` below five subnormal ulps, so it never reaches
-//!    zero) cost a microcode assist per divide, ×2.5–3 per step for this
-//!    kernel and the old loop alike; flushing them changes bits and is
-//!    not done here.
+//!    `safeloc_bench::naive::SeedAdam`) — with one exception, the
+//!    **flush**: a new first moment with `|m′| < f32::MIN_POSITIVE` is
+//!    stored as `+0.0` (one compare and one select, inside the same
+//!    vector loop; NaN compares false and passes through; `v` is never
+//!    flushed). A weight whose gradient turned exactly zero — a dead
+//!    ReLU's — decays `m ← 0.9·m` until `0.9·m` rounds back to `m` at
+//!    four subnormal ulps, never reaching zero, and from then on every
+//!    `β₁·m`, `m / bc1` and `lr·m̂` of that element takes a microcode
+//!    assist, at every step, for good: a third of the fused network's
+//!    moments end the paper's pretraining there and a training step costs
+//!    ×2.7. Flushing moves no parameter bit. *Lemma (one step, any
+//!    state with `v ≥ 0`, `0 < bc1`, `0 < eps`):* against the un-flushed
+//!    formulas, `v′` is equal bit for bit (it never reads `m`); `m′` is
+//!    the un-flushed `m′` flushed; and where that `m′` was flushed, the
+//!    update the un-flushed formulas subtract is at most
+//!    `U = (lr·(MIN_POSITIVE / bc1)) / eps` in magnitude — each of the
+//!    three operations is monotone and the denominator `√v̂ + eps` is at
+//!    least `eps` — which is under a quarter ulp of any `|p| > 2²⁵·U`, so
+//!    `p − u` rounds back to `p`, the value the flushed kernel stores
+//!    (`p − 0`): `p′` is equal bit for bit. At or below that bound
+//!    (`≈ 4e-26` at `lr = 1e-3`, `eps = 1e-8`, `bc1 → 1`; `×10` at the
+//!    first step) the two differ by at most `2U` (`≈ 2e-33`). Pinned by
+//!    `flushing_the_first_moment_moves_no_parameter_bit_above_the_bound`
+//!    under proptest with the bound computed from each step's own
+//!    scalars, and over whole trainings by `safeloc-bench`'s trajectory
+//!    oracles (2 000 steps of the paper's pretraining on both networks:
+//!    parameters and `v` equal `to_bits`, `m` equal to the seed's
+//!    flushed, the seed side holding thousands of subnormal moments and
+//!    this kernel none).
 //! 7. **A support kernel is its dense kernel with the `+0.0` terms left
 //!    out — nothing else moves.** [`support_sum_squares`],
 //!    [`support_dot`], [`support_axpy`] and [`support_matmul_into`] take a
@@ -713,7 +736,7 @@ pub struct AdamStep {
 /// `g` and moment estimates `m`, `v` (design rule 6 in the module docs):
 ///
 /// ```text
-/// m ← β₁·m + (1 − β₁)·g
+/// m ← flush(β₁·m + (1 − β₁)·g)     flush(x) = 0 if |x| < MIN_POSITIVE, else x
 /// v ← β₂·v + ((1 − β₂)·g)·g
 /// p ← p − (lr·(m / bc1)) / (√(v / bc2) + ε)
 /// ```
@@ -721,7 +744,9 @@ pub struct AdamStep {
 /// Every element goes through exactly these IEEE operations in exactly
 /// this order — two true divides by the bias corrections, a correctly
 /// rounded square root, a third divide — so the result does not depend on
-/// how many elements share a vector register.
+/// how many elements share a vector register. The flush is a compare and
+/// a select (NaN compares false and passes through); it moves no
+/// parameter bit above the bound design rule 6 states.
 ///
 /// # Panics
 ///
@@ -747,7 +772,12 @@ pub fn adam_update(p: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32], step:
         bc2,
     } = *step;
     for (((p, &g), m), v) in p.iter_mut().zip(g).zip(m.iter_mut()).zip(v.iter_mut()) {
-        *m = beta1 * *m + (1.0 - beta1) * g;
+        let m_new = beta1 * *m + (1.0 - beta1) * g;
+        *m = if m_new.abs() < f32::MIN_POSITIVE {
+            0.0
+        } else {
+            m_new
+        };
         *v = beta2 * *v + (1.0 - beta2) * g * g;
         let m_hat = *m / bc1;
         let v_hat = *v / bc2;
@@ -1237,10 +1267,58 @@ mod tests {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
     }
 
+    /// The rule [`adam_update`] applies to a new first moment.
+    fn flush(x: f32) -> f32 {
+        if x.abs() < f32::MIN_POSITIVE {
+            0.0
+        } else {
+            x
+        }
+    }
+
+    fn flushed(m: &[f32]) -> Vec<f32> {
+        m.iter().copied().map(flush).collect()
+    }
+
+    /// `steps` consecutive updates of the kernel and the indexed oracle on
+    /// one gradient stream, compared after every step: parameters and
+    /// second moments bit for bit, the kernel's first moments against the
+    /// oracle's flushed. From step 6 on the gradient of every element
+    /// `dead` selects is exactly `±0.0`. Returns both first-moment buffers
+    /// `(kernel, oracle)` as they stand at the end.
+    fn run_against_the_indexed_loop(
+        len: usize,
+        steps: usize,
+        dead: impl Fn(usize) -> bool,
+    ) -> (Vec<f32>, Vec<f32>) {
+        let mut p = fill(len, 41);
+        let (mut m, mut v) = (vec![0.0f32; len], vec![0.0f32; len]);
+        let (mut p_ref, mut m_ref, mut v_ref) = (p.clone(), m.clone(), v.clone());
+        for t in 1..=steps {
+            let mut g = edge_gradients(len, t);
+            if t > 5 {
+                for (i, x) in g.iter_mut().enumerate().filter(|(i, _)| dead(*i)) {
+                    *x = if (i + t).is_multiple_of(2) { 0.0 } else { -0.0 };
+                }
+            }
+            let step = adam_step(1e-3, t as i32);
+            adam_update(&mut p, &g, &mut m, &mut v, &step);
+            adam_update_indexed(&mut p_ref, &g, &mut m_ref, &mut v_ref, &step);
+            assert!(same_bits(&p, &p_ref), "p, len {len}, step {t}");
+            assert!(same_bits(&m, &flushed(&m_ref)), "m, len {len}, step {t}");
+            assert!(same_bits(&v, &v_ref), "v, len {len}, step {t}");
+        }
+        assert!(!has_non_finite(&p), "len {len}");
+        (m, m_ref)
+    }
+
     /// Each vector lane must compute exactly what the scalar loop did:
-    /// parameters and both moments equal the indexed oracle's bit for bit
-    /// after every step, at every length around the vector widths and at
-    /// the paper model's largest tensor and flat width.
+    /// parameters and second moments equal the indexed oracle's bit for
+    /// bit after every step, first moments equal the oracle's flushed, at
+    /// every length around the vector widths and at the paper model's
+    /// largest tensor and flat width — and through the stuck regime, where
+    /// the oracle's first moments *are* subnormal and the kernel's are
+    /// zero.
     #[test]
     fn adam_update_is_bitwise_identical_to_the_indexed_loop() {
         // The subnormal path is exercised, not just intended.
@@ -1248,20 +1326,191 @@ mod tests {
             .iter()
             .any(|g| ((1.0 - 0.999f32) * g * g).is_subnormal()));
         for len in (0..=67).chain([25_984, 46_953]) {
-            let mut p = fill(len, 41);
-            let (mut m, mut v) = (vec![0.0f32; len], vec![0.0f32; len]);
-            let (mut p_ref, mut m_ref, mut v_ref) = (p.clone(), m.clone(), v.clone());
-            for t in 1..=60 {
-                let g = edge_gradients(len, t);
-                let step = adam_step(1e-3, t as i32);
-                adam_update(&mut p, &g, &mut m, &mut v, &step);
-                adam_update_indexed(&mut p_ref, &g, &mut m_ref, &mut v_ref, &step);
-                assert!(same_bits(&p, &p_ref), "p, len {len}, step {t}");
-                assert!(same_bits(&m, &m_ref), "m, len {len}, step {t}");
-                assert!(same_bits(&v, &v_ref), "v, len {len}, step {t}");
-            }
-            assert!(!has_non_finite(&p), "len {len}");
+            run_against_the_indexed_loop(len, 60, |_| false);
         }
+        // A dead unit's weights: five live steps, then a gradient of
+        // exactly ±0.0. `0.9ᵗ` takes a `1e6`-scale moment below
+        // `MIN_POSITIVE` within ~960 steps, and it never leaves: `0.9·m`
+        // rounds back to `m` at four subnormal ulps.
+        let dead = |i: usize| i.is_multiple_of(3);
+        for len in [1, 8, 33, 67] {
+            let (m, m_ref) = run_against_the_indexed_loop(len, 1200, dead);
+            for i in (0..len).filter(|&i| dead(i)) {
+                assert!(m_ref[i].is_subnormal(), "oracle m[{i}] = {:e}", m_ref[i]);
+                assert_eq!(m[i].to_bits(), 0, "kernel m[{i}] = {:e}", m[i]);
+            }
+        }
+    }
+
+    /// Equal bit for bit, or both NaN (which payload a NaN carries out of
+    /// an addition of two is the compiler's operand order, not the
+    /// kernel's contract).
+    fn same_float(a: f32, b: f32) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// Design rule 6's one-step lemma, element by element, from the state
+    /// `(p, g, m, v)` with `v ≥ 0`: against the un-flushed parent formulas
+    /// (`adam_update_indexed`), `v′` is equal bit for bit, `m′` is the
+    /// parent's flushed, and `p′` is equal bit for bit unless the parent's
+    /// `m′` was flushed *and* `|p| ≤ 2²⁵·U`, where it is within `2U`.
+    /// `U = (lr·(MIN_POSITIVE / bc1)) / eps`, evaluated in `f32` as the
+    /// kernel would, bounds the update the parent subtracts there: each
+    /// of its operations is monotone and its denominator is at least
+    /// `eps`.
+    fn check_one_step_lemma(
+        step: &AdamStep,
+        p: &[f32],
+        g: &[f32],
+        m: &[f32],
+        v: &[f32],
+    ) -> Result<(), TestCaseError> {
+        let (mut p_got, mut m_got, mut v_got) = (p.to_vec(), m.to_vec(), v.to_vec());
+        adam_update(&mut p_got, g, &mut m_got, &mut v_got, step);
+        let (mut p_ref, mut m_ref, mut v_ref) = (p.to_vec(), m.to_vec(), v.to_vec());
+        adam_update_indexed(&mut p_ref, g, &mut m_ref, &mut v_ref, step);
+        let u_max = f64::from(step.lr * (f32::MIN_POSITIVE / step.bc1) / step.eps);
+        let bound = f64::from(1u32 << 25) * u_max;
+        for i in 0..p.len() {
+            let state = format!(
+                "[{i}] p {:e} g {:e} m {:e} v {:e}, {step:?}",
+                p[i], g[i], m[i], v[i]
+            );
+            prop_assert!(
+                same_float(v_got[i], v_ref[i]),
+                "v′ {:e} vs {:e} at {}",
+                v_got[i],
+                v_ref[i],
+                state
+            );
+            prop_assert!(
+                same_float(m_got[i], flush(m_ref[i])),
+                "m′ {:e} vs parent {:e} at {}",
+                m_got[i],
+                m_ref[i],
+                state
+            );
+            let was_flushed = m_ref[i].abs() < f32::MIN_POSITIVE;
+            if was_flushed && f64::from(p[i].abs()) <= bound {
+                let gap = (f64::from(p_got[i]) - f64::from(p_ref[i])).abs();
+                prop_assert!(
+                    gap <= 2.0 * u_max,
+                    "p′ {:e} vs {:e} (2U = {:e}) at {}",
+                    p_got[i],
+                    p_ref[i],
+                    2.0 * u_max,
+                    state
+                );
+            } else {
+                prop_assert!(
+                    same_float(p_got[i], p_ref[i]),
+                    "p′ {:e} vs {:e} (bound {:e}) at {}",
+                    p_got[i],
+                    p_ref[i],
+                    bound,
+                    state
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// Elements per lemma case: every first-moment class meets every
+    /// gradient class and every parameter class once.
+    const LEMMA_LEN: usize = 8 * 5 * 5;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The lemma over ordinary states with the edge classes laid over
+        /// them by position: first moments that are `±0.0`, subnormal,
+        /// NaN, or sit where `β₁·m` lands on either side of
+        /// `MIN_POSITIVE`; gradients that are `±0.0`, subnormal or
+        /// `1e6`-scale; parameters that are `±0.0` or straddle the bound
+        /// (`≈ 4e-27 … 8e-23` over these learning rates); second moments
+        /// that are zero or subnormal.
+        #[test]
+        fn flushing_the_first_moment_moves_no_parameter_bit_above_the_bound(
+            p in prop::collection::vec(-100.0f32..100.0, LEMMA_LEN),
+            g in prop::collection::vec(-100.0f32..100.0, LEMMA_LEN),
+            m in prop::collection::vec(-100.0f32..100.0, LEMMA_LEN),
+            v in prop::collection::vec(0.0f32..1e4, LEMMA_LEN),
+            lr in 1e-4f32..0.2,
+            t in 1i32..=2000,
+        ) {
+            let largest_subnormal = f32::from_bits(f32::MIN_POSITIVE.to_bits() - 1);
+            let m: Vec<f32> = m
+                .iter()
+                .enumerate()
+                .map(|(i, &x)| match i % 8 {
+                    0 => x,
+                    1 => 0.0,
+                    2 => -0.0,
+                    3 => f32::from_bits(1).copysign(x),
+                    4 => largest_subnormal.copysign(x),
+                    5 => f32::NAN,
+                    6 => x * 1e-37,
+                    _ => (f32::MIN_POSITIVE / 0.9).copysign(x),
+                })
+                .collect();
+            let g: Vec<f32> = g
+                .iter()
+                .enumerate()
+                .map(|(i, &x)| match i / 8 % 5 {
+                    0 => x,
+                    1 => 0.0,
+                    2 => -0.0,
+                    3 => x * 1e-40,
+                    _ => x * 1e6,
+                })
+                .collect();
+            let p: Vec<f32> = p
+                .iter()
+                .enumerate()
+                .map(|(i, &x)| match i / 40 % 5 {
+                    0 => x,
+                    1 => 0.0,
+                    2 => -0.0,
+                    3 => x * 1e-26,
+                    _ => x * 1e-23,
+                })
+                .collect();
+            let v: Vec<f32> = v
+                .iter()
+                .enumerate()
+                .map(|(i, &x)| match i % 7 {
+                    0 => 0.0,
+                    1 => x * 1e-44,
+                    _ => x,
+                })
+                .collect();
+            prop_assert!(m.iter().any(|x| x.is_subnormal()) && v.iter().any(|x| x.is_subnormal()));
+            check_one_step_lemma(&adam_step(lr, t), &p, &g, &m, &v)?;
+        }
+    }
+
+    /// The threshold is strict: a first moment landing exactly on
+    /// `MIN_POSITIVE` is a normal number and is kept; one ulp below is
+    /// flushed.
+    #[test]
+    fn a_first_moment_landing_on_min_positive_is_kept() {
+        let step = AdamStep {
+            beta1: 0.5,
+            ..adam_step(1e-3, 7)
+        };
+        let largest_subnormal = f32::from_bits(f32::MIN_POSITIVE.to_bits() - 1);
+        let m = [
+            2.0 * f32::MIN_POSITIVE,
+            -2.0 * f32::MIN_POSITIVE,
+            2.0 * largest_subnormal,
+        ];
+        let (p, g, v) = ([1.0f32, -1e-30, 0.0], [0.0f32, -0.0, 0.0], [0.5f32; 3]);
+        check_one_step_lemma(&step, &p, &g, &m, &v).expect("lemma");
+        let (mut p, mut m, mut v) = (p, m, v);
+        adam_update(&mut p, &g, &mut m, &mut v, &step);
+        assert_eq!(m[0].to_bits(), f32::MIN_POSITIVE.to_bits());
+        assert_eq!(m[1].to_bits(), (-f32::MIN_POSITIVE).to_bits());
+        assert_eq!(m[2].to_bits(), 0);
     }
 
     proptest! {

@@ -102,6 +102,15 @@ impl Optimizer for Sgd {
 /// The paper's configuration is `lr = 0.001` for server-side training and
 /// `lr = 0.0001` for lightweight client-side updates; betas and epsilon are
 /// the standard defaults.
+///
+/// First moments below `f32::MIN_POSITIVE` in magnitude are stored as
+/// zero: a weight whose gradient turned exactly zero (a dead ReLU) would
+/// otherwise keep a moment stuck a few subnormal ulps above zero and pay a
+/// microcode assist per operation on it at every later step. No parameter
+/// bit moves, because the update such a moment produces is at most
+/// `lr·MIN_POSITIVE / (bc1·eps)` — under a quarter ulp of any parameter
+/// larger than `2²⁵` times that (`≈ 4e-26` at the paper's settings; design
+/// rule 6 of [`crate::kernels`]).
 #[derive(Debug, Clone)]
 pub struct Adam {
     lr: f32,
@@ -137,6 +146,12 @@ impl Adam {
         self.t
     }
 
+    /// The moment estimates `(m, v)`, one buffer each per parameter tensor
+    /// in stream order (empty before the first step).
+    pub fn moments(&self) -> (&[Vec<f32>], &[Vec<f32>]) {
+        (&self.m, &self.v)
+    }
+
     /// Clears the moment estimates (e.g. when re-using the optimizer for a
     /// fresh model of the same shape).
     pub fn reset_state(&mut self) {
@@ -144,6 +159,14 @@ impl Adam {
         self.m.clear();
         self.v.clear();
     }
+}
+
+/// Step `t`'s bias corrections `(1 − β₁ᵗ, 1 − β₂ᵗ)`. The exponent
+/// saturates at `i32::MAX` — both powers are `0.0` long before it — where
+/// a wrapping cast would go negative and turn the corrections into `−inf`.
+fn bias_corrections(beta1: f32, beta2: f32, t: u64) -> (f32, f32) {
+    let t = i32::try_from(t).unwrap_or(i32::MAX);
+    (1.0 - beta1.powi(t), 1.0 - beta2.powi(t))
 }
 
 impl Optimizer for Adam {
@@ -154,13 +177,14 @@ impl Optimizer for Adam {
         }
         assert_eq!(self.m.len(), grads.len(), "parameter count changed");
         self.t += 1;
+        let (bc1, bc2) = bias_corrections(self.beta1, self.beta2, self.t);
         let step = AdamStep {
             lr: self.lr,
             beta1: self.beta1,
             beta2: self.beta2,
             eps: self.eps,
-            bc1: 1.0 - self.beta1.powi(self.t as i32),
-            bc2: 1.0 - self.beta2.powi(self.t as i32),
+            bc1,
+            bc2,
         };
         let (moments_m, moments_v) = (&mut self.m, &mut self.v);
         let mut idx = 0;
@@ -247,6 +271,49 @@ mod tests {
         let g = Matrix::row_vector(&[3.7]);
         opt.step(vec![&mut p], &[g]);
         assert!((p.get(0, 0) + 0.1).abs() < 1e-4, "got {}", p.get(0, 0));
+    }
+
+    /// `t as i32` wrapped negative one step past `i32::MAX`: `0.9⁻ⁿ = inf`,
+    /// both corrections `−inf`, every update `±0.0` — training silently
+    /// stopped.
+    #[test]
+    fn bias_corrections_saturate_instead_of_wrapping() {
+        let (bc1, bc2) = bias_corrections(0.9, 0.999, 1);
+        assert_eq!((bc1, bc2), (1.0 - 0.9, 1.0 - 0.999));
+        for t in [i32::MAX as u64, i32::MAX as u64 + 1, u64::MAX] {
+            assert_eq!(bias_corrections(0.9, 0.999, t), (1.0, 1.0), "t = {t}");
+        }
+    }
+
+    /// The stuck regime cannot come back unnoticed: through a 2 000-step
+    /// fit that kills units (their weights' gradients turn exactly zero
+    /// and `m ← 0.9·m` decays for good), no first moment is ever
+    /// subnormal. A count, not a timing.
+    #[test]
+    fn no_first_moment_is_ever_subnormal() {
+        use crate::{Activation, Sequential};
+        let x = Matrix::from_fn(32, 16, |r, c| ((r * 7 + c * 13) % 10) as f32 / 10.0);
+        let labels: Vec<usize> = (0..32).map(|r| r % 4).collect();
+        let mut model = Sequential::mlp(&[16, 24, 12, 4], Activation::Relu, 3);
+        let mut opt = Adam::new(1e-3);
+        let mut was_live = Vec::new();
+        for step in 1..=2000 {
+            model.train_batch(&x, &labels, &mut opt);
+            let (m, _) = opt.moments();
+            let subnormal = m.iter().flatten().filter(|m| m.is_subnormal()).count();
+            assert_eq!(subnormal, 0, "subnormal first moments after step {step}");
+            was_live.resize(m.iter().map(Vec::len).sum(), false);
+            for (live, &m) in was_live.iter_mut().zip(m.iter().flatten()) {
+                *live |= m != 0.0;
+            }
+        }
+        // The fit did reach the regime: moments that were live have
+        // decayed all the way to the flush.
+        let (m, _) = opt.moments();
+        let flushed = (was_live.iter().zip(m.iter().flatten()))
+            .filter(|(&live, &m)| live && m == 0.0)
+            .count();
+        assert!(flushed > 0, "no unit died; the guard guarded nothing");
     }
 
     #[test]
