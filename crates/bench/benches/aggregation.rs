@@ -15,7 +15,8 @@ use safeloc::SaliencyAggregator;
 use safeloc_bench::naive;
 use safeloc_dataset::{Building, BuildingDataset, DatasetConfig, DeviceCatalog};
 use safeloc_fl::defense::{
-    Combiner, NonFiniteGuard, NormClip, RoundContext, TrimmedMean, Verdicts,
+    sampled_delta_block, Combiner, DistanceMatrix, NonFiniteGuard, NormClip, RoundContext,
+    TrimmedMean, Verdicts,
 };
 use safeloc_fl::{
     Aggregator, ClientUpdate, ClusterAggregator, DefensePipeline, Krum, LatentFilterAggregator,
@@ -146,19 +147,20 @@ fn two_means_pass(
     }
 }
 
-/// The four things a screening round does with its `n × d` deltas — norms,
-/// a 2-means pass, the latent projection, the trimmed mean — over dense
-/// rows (`dense/*`: the kernels and the gather-and-sort combiner every
-/// round ran before rows could be stored as supports) and over supports
-/// (`view/*`: the support kernels, and the combiner through a
+/// The six things a screening round does with its `n × d` deltas — norms,
+/// a 2-means pass, the latent projection, the sampled block and its cosine
+/// matrix, the trimmed mean — over dense rows (`dense/*`: the kernels, the
+/// in-place sample and the gather-and-sort combiner every round ran before
+/// rows could be stored as supports) and over supports (`view/*`: the
+/// support kernels, and the sample and the combiner through a
 /// `RoundContext`), at 256 × 46 953 and five upload densities. Read each
 /// `view` line against the `dense` line above it; where the two curves
 /// cross is the density past which `RoundContext` stores a row dense
 /// (`SUPPORT_MAX_DENSITY_INV` in `fl/src/defense/rows.rs`). The support
 /// kernels are driven directly, so their lines run past that threshold;
-/// the trimmed mean goes through the context, so from 25 % up its `view`
-/// line *is* the dense arm and shows what a dense round pays for having
-/// been looked at.
+/// the sampled block and the trimmed mean go through the context, so from
+/// 25 % up their `view` lines *are* the dense arm and show what a dense
+/// round pays for having been looked at.
 fn bench_screening_sparse(c: &mut Criterion) {
     const N: usize = 256;
     let global = Sequential::mlp(&[203, 128, 89, 62, 60], Activation::Relu, 0).snapshot();
@@ -256,7 +258,6 @@ fn bench_screening_sparse(c: &mut Criterion) {
             })
         });
 
-        let [dense, view] = both("trimmed_mean");
         let updates: Vec<ClientUpdate> = (0..N)
             .map(|i| {
                 let mut lm = global.clone();
@@ -265,15 +266,51 @@ fn bench_screening_sparse(c: &mut Criterion) {
             })
             .collect();
         drop(block);
+        let refs: Vec<&ClientUpdate> = updates.iter().collect();
+        let ctx = RoundContext::new(&global, &refs);
+        // Discovered outside the clock, as stage zero leaves it to every
+        // stage after it.
+        ctx.delta_rows();
+
+        // The `n × 2 048` sampled block: every row's picks subtracted in
+        // place, against rows filled from the view's supports.
+        let [dense, view] = both("sampled_block");
+        let mut buffer = Vec::new();
+        for (name, rows) in [(dense, None), (view, Some(ctx.delta_rows()))] {
+            group.bench_function(name, |b| {
+                b.iter(|| {
+                    let recycled = std::mem::take(&mut buffer);
+                    buffer = sampled_delta_block(&global, &refs, rows, recycled).into_vec();
+                })
+            });
+        }
+
+        // Its cosine matrix: 32 640 dense dots, against dots gathered
+        // through the shorter support of each pair. Where the `view` line
+        // stops winning is `SUPPORT_DOT_MAX_DENSITY_INV` in
+        // `fl/src/defense/distance.rs`, past which it *is* the dense dot.
+        let [dense, view] = both("cosine_sampled");
+        let sampled = sampled_delta_block(&global, &refs, None, buffer);
+        let mut triangle = Vec::new();
+        group.bench_function(dense, |b| {
+            b.iter(|| {
+                let recycled = std::mem::take(&mut triangle);
+                triangle = DistanceMatrix::cosine_into(&sampled, recycled).into_values();
+            })
+        });
+        group.bench_function(view, |b| {
+            b.iter(|| {
+                let recycled = std::mem::take(&mut triangle);
+                triangle =
+                    DistanceMatrix::cosine_over_supports_into(&sampled, recycled).into_values();
+            })
+        });
+
+        let [dense, view] = both("trimmed_mean");
         let mut trim = TrimmedMean::new(0.1);
         group.bench_function(dense, |b| {
             b.iter(|| naive::trimmed_mean(&updates, (0.1 * N as f32) as usize))
         });
-        let refs: Vec<&ClientUpdate> = updates.iter().collect();
-        let ctx = RoundContext::new(&global, &refs);
-        // Discovered outside the clock, as the stages before the combiner
-        // leave it.
-        ctx.delta_rows();
         group.bench_function(view, |b| {
             b.iter(|| trim.combine(&ctx, &mut Verdicts::new(N)))
         });

@@ -125,7 +125,9 @@ impl DefenseStage for ClusterAggregator {
         let mut centroids = [ca, cb].map(|i| Centroid::at(deltas.row(i), deltas.dim()));
         let dist_to = |c: &Centroid, i: usize| c.cos_dist(deltas.row(i), norms[i]);
         let mut assignment = vec![0u8; n];
-        for _ in 0..10 {
+        let mut passes = 0;
+        for pass in 1..=10 {
+            passes = pass;
             let mut changed = false;
             for (slot, &i) in active.iter().enumerate() {
                 let nearer_a = dist_to(&centroids[0], i) <= dist_to(&centroids[1], i);
@@ -148,6 +150,8 @@ impl DefenseStage for ClusterAggregator {
                 break;
             }
         }
+        // det: telemetry only — nothing reads the gauge back.
+        crate::metrics::fl_metrics().on_cluster_passes(passes);
 
         let count_a = assignment.iter().filter(|&&a| a == 0).count();
         let majority: u8 = if count_a * 2 >= n { 0 } else { 1 };

@@ -23,14 +23,27 @@
 //! bitwise-identical for any thread count. This keeps Krum/Cluster-style
 //! screening `O(n²·d′)` instead of `O(n²·d)` at city-scale cohorts.
 //!
-//! The sampled block reads its coordinates *in place*: the stride is
-//! resolved to `(tensor, offset)` once and only those `d′` elements of each
-//! update are subtracted — no delta pass, and no dependence on
-//! [`RoundContext::delta_rows`], so a Krum-only city-scale round never
-//! materializes `n × d`. Clip-scaled distances
-//! ([`RoundContext::with_squared_l2_scaled`], what Krum ranks once a stage
-//! has clipped anything) obey the same split; an attacker who gets itself
-//! clipped cannot push the server back onto the `O(n²·d)` path.
+//! The sampled block reads its coordinates *in place or through the
+//! view*. The stride is resolved to `(tensor, offset)` once; a row whose
+//! support already sits in a built delta view (see below) is filled from
+//! there — each support entry that a pick samples written into a zeroed
+//! row, the stored `LM − GM` being the very subtraction the in-place read
+//! performs and every pick outside the support `x − x = +0.0` — and every
+//! other row subtracts only its `d′` picked elements where they lie,
+//! strided across the 188 KB LM. Either way there is no delta pass and
+//! the `n × d` block is never materialized. The block *uses* a view, it
+//! never *asks* for one: stage zero of every pipeline has built it before
+//! any stage can want a distance, so pipelines fill sparse rows at wire
+//! density (2–3 k contiguous support entries looked up instead of 2 048
+//! cache misses), while a bare context that is only ever asked for
+//! distances does not pay a discovery pass to save a gather. Clip-scaled
+//! distances ([`RoundContext::with_squared_l2_scaled`], what Krum ranks
+//! once a stage has clipped anything) obey the same exact / sampled split;
+//! an attacker who gets itself clipped cannot push the server back onto
+//! the `O(n²·d)` path. The sampled cosine matrix takes each pair's dot
+//! product over the block's own supports
+//! ([`DistanceMatrix::cosine_over_supports_into`]), bit for bit the dense
+//! one.
 //!
 //! # Dense vs. sparse rows
 //!
@@ -79,7 +92,8 @@
 //! # Buffer reuse
 //!
 //! The dense rows' delta block (48 MB at 256 dense paper-sized updates),
-//! the sparse rows' compact buffers and the
+//! the sparse rows' compact buffers, the `n × d′` sampled block (2 MB at
+//! 256 updates, 8 MB at 1 024) and the
 //! O(n²) distance triangles are the round's largest screening
 //! allocations; a [`DistanceScratch`] carries them across rounds
 //! ([`RoundContext::with_scratch`] → [`RoundContext::reclaim_scratch`]),
@@ -102,16 +116,22 @@ pub const EXACT_SCREEN_MAX: usize = 64;
 
 /// Coordinate budget per update for sampled screening distances.
 pub const SCREEN_SAMPLE_DIM: usize = 2048;
+const _: () = assert!(
+    SCREEN_SAMPLE_DIM < u16::MAX as usize,
+    "`sampled_delta_block` numbers the picks in a `u16`"
+);
 
 /// Reusable buffers for the per-round delta view (the dense rows' block
-/// and the sparse rows' compact `(index, LM − GM, LM)` buffers) and the
-/// O(n²) distance triangles, carried across rounds by the owning pipeline.
+/// and the sparse rows' compact `(index, LM − GM, LM)` buffers), the
+/// sampled block and the O(n²) distance triangles, carried across rounds
+/// by the owning pipeline.
 /// Deliberately not `Clone`: the buffers are a cache, and a cloned
 /// pipeline starts cold rather than copying tens of megabytes of recycled
 /// block.
 #[derive(Debug, Default)]
 pub struct DistanceScratch {
     delta_rows: RowBuffers,
+    sampled: Vec<f32>,
     squared_l2: Vec<f32>,
     squared_l2_scaled: Vec<f32>,
     cosine: Vec<f32>,
@@ -122,10 +142,15 @@ impl DistanceScratch {
     /// Total elements held across the recycled buffers (0 for a cold
     /// scratch).
     pub(crate) fn capacity(&self) -> usize {
-        [&self.squared_l2, &self.squared_l2_scaled, &self.cosine]
-            .iter()
-            .map(|b| b.capacity())
-            .sum::<usize>()
+        [
+            &self.sampled,
+            &self.squared_l2,
+            &self.squared_l2_scaled,
+            &self.cosine,
+        ]
+        .iter()
+        .map(|b| b.capacity())
+        .sum::<usize>()
             + self.delta_rows.capacity()
     }
 }
@@ -191,6 +216,9 @@ impl<'a> RoundContext<'a> {
             .unwrap_or_else(PoisonError::into_inner);
         if let Some(rows) = self.delta_rows.into_inner() {
             scratch.delta_rows = rows.into_buffers();
+        }
+        if let Some(sampled) = self.sampled.into_inner() {
+            scratch.sampled = sampled.block.into_vec();
         }
         if let Some(m) = self.squared_l2.into_inner() {
             scratch.squared_l2 = m.into_values();
@@ -302,7 +330,7 @@ impl<'a> RoundContext<'a> {
             if self.updates.len() <= EXACT_SCREEN_MAX {
                 DistanceMatrix::cosine_into(&self.delta_rows().to_block(), scratch)
             } else {
-                DistanceMatrix::cosine_into(&self.sampled().block, scratch)
+                DistanceMatrix::cosine_over_supports_into(&self.sampled().block, scratch)
             }
         })
     }
@@ -316,50 +344,17 @@ impl<'a> RoundContext<'a> {
         self.scratch.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The `n × d′` subsampled delta block (built once). Coordinates are a
-    /// deterministic stride `⌊j·d/d′⌋` over each flattened delta, so two
-    /// runs — at any thread count — sample identical coordinates. The
-    /// stride is resolved to `(tensor, offset)` once and each update
-    /// contributes only those `d′` subtractions (the values a full
-    /// `LM − GM` pass would produce at the sampled positions, without the
-    /// pass).
+    /// The `n × d′` subsampled delta block, built once into the recycled
+    /// buffer by [`sampled_delta_block`] — through the delta view if a
+    /// stage has built one, never asking for it.
     fn sampled(&self) -> &SampledDeltas {
         self.sampled.get_or_init(|| {
-            let num_params = self.global.num_params();
-            let d = num_params.max(1);
-            let d_prime = d.min(SCREEN_SAMPLE_DIM);
-            // The stride, resolved once to `(tensor, offset, GM value)`.
-            // Empty only for a zero-parameter model (`d` was clamped to 1),
-            // whose "delta" samples as zero.
-            let gm: Vec<&[f32]> = self.global.iter().map(|(_, t)| t.as_slice()).collect();
-            let (mut tensor, mut start) = (0, 0);
-            let picks: Vec<(usize, usize, f32)> = (0..d_prime.min(num_params))
-                .map(|j| {
-                    let flat = j * d / d_prime;
-                    while flat >= start + gm[tensor].len() {
-                        start += gm[tensor].len();
-                        tensor += 1;
-                    }
-                    (tensor, flat - start, gm[tensor][flat - start])
-                })
-                .collect();
-            let mut rows = vec![0.0f32; self.updates.len() * d_prime];
-            let mut per_update: Vec<(&mut [f32], &&ClientUpdate)> =
-                rows.chunks_mut(d_prime).zip(self.updates).collect();
-            per_update.par_iter_mut().for_each(|(row, u)| {
-                assert!(
-                    u.params.same_arch(self.global),
-                    "delta: architecture mismatch"
-                );
-                let lm: Vec<&[f32]> = u.params.iter().map(|(_, t)| t.as_slice()).collect();
-                for (slot, &(tensor, offset, gm_value)) in row.iter_mut().zip(&picks) {
-                    *slot = lm[tensor][offset] - gm_value;
-                }
-            });
+            let buffer = std::mem::take(&mut self.lock_scratch().sampled);
+            let view = self.delta_rows.get();
+            let block = sampled_delta_block(self.global, self.updates, view, buffer);
             SampledDeltas {
-                block: Matrix::from_vec(self.updates.len(), d_prime, rows)
-                    .expect("n·d′ elements by construction"),
-                scale: d as f32 / d_prime as f32,
+                scale: self.global.num_params().max(1) as f32 / block.cols() as f32,
+                block,
             }
         })
     }
@@ -380,11 +375,101 @@ impl<'a> RoundContext<'a> {
     }
 }
 
+/// The `n × d′` stride subsample of the round's deltas, row `i` holding
+/// `(LM_i − GM)[⌊j·d/d′⌋]` for `j < d′ = min(d, SCREEN_SAMPLE_DIM)` — a
+/// deterministic stride, so two runs, at any thread count, sample
+/// identical coordinates. The stride is resolved to `(tensor, offset)`
+/// once; no delta pass is made and no `n × d` block built.
+///
+/// A row that `view` stores as a support is filled from it: every support
+/// entry a pick samples writes its stored `LM − GM` — the subtraction the
+/// in-place read would perform — into a row of zeros, which is what
+/// `x − x` gives for a finite GM at every other pick. Any other row (no
+/// view, or a dense one) subtracts its `d′` picked elements in place.
+/// The two arms give the same bits; `view` — the delta view of this
+/// `global` and these `updates`, if one has been built — only says where a
+/// sparse row is cheaper to read. `buffer` is reused for the block.
+///
+/// # Panics
+///
+/// Panics if an update's architecture differs from the GM's, or if `view`
+/// has another shape than the round.
+pub fn sampled_delta_block(
+    global: &NamedParams,
+    updates: &[&ClientUpdate],
+    view: Option<&DeltaRows<'_>>,
+    buffer: Vec<f32>,
+) -> Matrix {
+    let num_params = global.num_params();
+    let d = num_params.max(1);
+    let d_prime = d.min(SCREEN_SAMPLE_DIM);
+    // The stride, resolved once to `(flat index, tensor, offset, GM
+    // value)`. Empty only for a zero-parameter model (`d` was clamped to
+    // 1), whose "delta" samples as zero.
+    let gm: Vec<&[f32]> = global.iter().map(|(_, t)| t.as_slice()).collect();
+    let (mut tensor, mut start) = (0, 0);
+    let picks: Vec<(usize, usize, usize, f32)> = (0..d_prime.min(num_params))
+        .map(|j| {
+            let flat = j * d / d_prime;
+            while flat >= start + gm[tensor].len() {
+                start += gm[tensor].len();
+                tensor += 1;
+            }
+            (flat, tensor, flat - start, gm[tensor][flat - start])
+        })
+        .collect();
+    assert!(
+        view.is_none_or(|rows| (rows.len(), rows.dim()) == (updates.len(), num_params)),
+        "the view is of another round"
+    );
+    let supports: Vec<Option<(&[u32], &[f32])>> = (0..updates.len())
+        .map(|i| view.and_then(|rows| rows.delta_support(i)))
+        .collect();
+    let from_view = supports.iter().flatten().count();
+    // det: telemetry only — which way the rows were read.
+    crate::metrics::fl_metrics().on_sampled_block(from_view, updates.len() - from_view);
+    // For the rows read off the view: flat index → 1 + the pick that
+    // samples it, 0 where none does. A support is looked up element by
+    // element — a load and a rarely-taken branch each, where a two-cursor
+    // merge against the stride mispredicts on most of them.
+    let mut pick_of = Vec::new();
+    if from_view > 0 {
+        pick_of = vec![0u16; num_params];
+        for (j, &(flat, ..)) in picks.iter().enumerate() {
+            pick_of[flat] = j as u16 + 1;
+        }
+    }
+    // Zeroed, not just sized: a row filled from its support writes only
+    // the picks it holds.
+    let mut rows = buffer;
+    rows.clear();
+    rows.resize(updates.len() * d_prime, 0.0);
+    let mut per_update: Vec<_> = (rows.chunks_mut(d_prime).zip(updates))
+        .zip(&supports)
+        .collect();
+    per_update.par_iter_mut().for_each(|((row, u), support)| {
+        assert!(u.params.same_arch(global), "delta: architecture mismatch");
+        if let Some((indices, deltas)) = support {
+            for (&e, &delta) in indices.iter().zip(*deltas) {
+                if let Some(j) = usize::from(pick_of[e as usize]).checked_sub(1) {
+                    row[j] = delta;
+                }
+            }
+        } else {
+            let lm: Vec<&[f32]> = u.params.iter().map(|(_, t)| t.as_slice()).collect();
+            for (slot, &(_, tensor, offset, gm_value)) in row.iter_mut().zip(&picks) {
+                *slot = lm[tensor][offset] - gm_value;
+            }
+        }
+    });
+    Matrix::from_vec(updates.len(), d_prime, rows).expect("n·d′ elements by construction")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::defense::test_support::{
-        attacked_cohort, delta_block, params, reencoded, update, WIDE_SHAPES,
+        attacked_cohort, delta_block, params, reencoded, shaped, update, WIDE_SHAPES,
     };
     use crate::defense::DeltaRow;
 
@@ -469,43 +554,56 @@ mod tests {
         }
     }
 
+    /// An exact round and a sampled one, each through buffers a previous
+    /// round left behind — the sampled block's among them.
     #[test]
     fn warm_scratch_rounds_are_bitwise_identical_to_cold_ones() {
-        let g = params(&[0.5, -0.5], &[0.1]);
-        let u: Vec<ClientUpdate> = (0..6)
+        let tiny_g = params(&[0.5, -0.5], &[0.1]);
+        let tiny: Vec<ClientUpdate> = (0..6)
             .map(|i| {
                 let v = i as f32 * 0.3 - 1.0;
                 update(i, &[v, -v], &[v * 0.5])
             })
             .collect();
-        let refs: Vec<&ClientUpdate> = u.iter().collect();
+        let n = EXACT_SCREEN_MAX + 6;
+        let (wide_g, wide) = attacked_cohort(n, &WIDE_SHAPES, 19);
+        for (g, u, sampled) in [(tiny_g, tiny, 0), (wide_g, wide, n * SCREEN_SAMPLE_DIM)] {
+            let refs: Vec<&ClientUpdate> = u.iter().collect();
+            let mut scales = vec![1.0; refs.len()];
+            (scales[1], scales[3]) = (0.5, 0.25);
 
-        let scales = [1.0, 0.5, 1.0, 0.25, 1.0, 1.0];
-
-        let cold = RoundContext::new(&g, &refs);
-        let cold_l2 = cold.squared_l2().clone();
-        let cold_cos = cold.cosine().clone();
-        let cold_deltas = delta_block(&g, &refs);
-        assert_eq!(*cold.delta_rows().to_block(), cold_deltas);
-        let cold_scaled = cold.with_squared_l2_scaled(&scales, DistanceMatrix::clone);
-        let scratch = cold.reclaim_scratch();
-        assert!(scratch.capacity() > 0, "nothing was handed back");
-
-        let warm = RoundContext::with_scratch(&g, &refs, scratch);
-        assert_eq!(*warm.squared_l2(), cold_l2, "warm L2 diverged");
-        assert_eq!(*warm.cosine(), cold_cos, "warm cosine diverged");
-        assert_eq!(
-            *warm.delta_rows().to_block(),
-            cold_deltas,
-            "warm delta block diverged"
-        );
-        // Twice: the second build reuses the buffer the first gave back.
-        for _ in 0..2 {
-            assert_eq!(
-                warm.with_squared_l2_scaled(&scales, DistanceMatrix::clone),
-                cold_scaled,
-                "warm scaled L2 diverged"
+            let cold = RoundContext::new(&g, &refs);
+            let cold_l2 = cold.squared_l2().to_bits();
+            let cold_cos = cold.cosine().to_bits();
+            let cold_deltas = delta_block(&g, &refs);
+            assert_eq!(*cold.delta_rows().to_block(), cold_deltas);
+            let cold_scaled = cold.with_squared_l2_scaled(&scales, DistanceMatrix::to_bits);
+            let scratch = cold.reclaim_scratch();
+            assert!(scratch.capacity() > 0, "nothing was handed back");
+            assert!(
+                scratch.sampled.capacity() >= sampled,
+                "the sampled block was dropped, not handed back"
             );
+            // What the block is rebuilt over must not matter.
+            let mut scratch = scratch;
+            scratch.sampled.fill(f32::NAN);
+
+            let warm = RoundContext::with_scratch(&g, &refs, scratch);
+            assert_eq!(warm.squared_l2().to_bits(), cold_l2, "warm L2 diverged");
+            assert_eq!(warm.cosine().to_bits(), cold_cos, "warm cosine diverged");
+            assert_eq!(
+                *warm.delta_rows().to_block(),
+                cold_deltas,
+                "warm delta block diverged"
+            );
+            // Twice: the second build reuses the buffer the first gave back.
+            for _ in 0..2 {
+                assert_eq!(
+                    warm.with_squared_l2_scaled(&scales, DistanceMatrix::to_bits),
+                    cold_scaled,
+                    "warm scaled L2 diverged"
+                );
+            }
         }
     }
 
@@ -580,6 +678,94 @@ mod tests {
             ctx.delta_rows.get().is_none(),
             "a sampled distance asked for the delta view"
         );
+    }
+
+    /// A narrower model: `d = 1950`, below the sample budget, so every
+    /// coordinate is a pick — each tensor's first and last among them.
+    const NARROW_SHAPES: [(usize, usize); 3] = [(30, 50), (1, 50), (50, 8)];
+
+    /// The sampled block filled from the view's supports against the one
+    /// subtracted in place, over a proper subsample and over the identity
+    /// one: sparse rows, a dense row, a row that moved nothing, and a row
+    /// of corner cases — a `−0.0` delta on a pick, a `+0.0` delta that is
+    /// in the support all the same, and an entry on the first and the last
+    /// coordinate of every tensor. Blocks, and all three distance matrices,
+    /// must agree bit for bit with each other and with the delta-pass
+    /// reference; neither arm may build the dense block, and a context
+    /// nobody asked for a view still must not build one.
+    #[test]
+    fn the_sampled_block_reads_the_same_through_the_view_as_in_place() {
+        for shapes in [&WIDE_SHAPES[..], &NARROW_SHAPES[..]] {
+            let n = EXACT_SCREEN_MAX + 6;
+            let (mut g, dense) = attacked_cohort(n, shapes, 29);
+            let d = g.num_params();
+            let d_prime = d.min(SCREEN_SAMPLE_DIM);
+            // Two picks whose GM value is a zero, one of each sign.
+            let (minus_pick, plus_pick) = (10 * d / d_prime, 11 * d / d_prime);
+            let mut flat = g.flatten().into_vec();
+            (flat[minus_pick], flat[plus_pick]) = (0.0, -0.0);
+            g = shaped(&g, &flat);
+            let mut u = reencoded(&g, &dense, crate::DeltaSpec::TopK { fraction: 0.05 });
+            u[2] = dense[2].clone();
+            u[4].params = g.clone();
+            // `−0.0 − 0.0 = −0.0` and `0.0 − −0.0 = +0.0`, both in the
+            // support; then every tensor's edges.
+            let mut corners = flat.clone();
+            (corners[minus_pick], corners[plus_pick]) = (-0.0, 0.0);
+            let mut edge = 0;
+            for (_, t) in g.iter() {
+                corners[edge] += 0.5;
+                corners[edge + t.len() - 1] -= 0.25;
+                edge += t.len();
+            }
+            u[6].params = shaped(&g, &corners);
+            let refs: Vec<&ClientUpdate> = u.iter().collect();
+
+            let with_view = RoundContext::new(&g, &refs);
+            let rows = with_view.delta_rows();
+            assert_eq!(rows.dense_rows(), 1);
+            assert!(rows.delta_support(2).is_none() && rows.delta_support(6).is_some());
+            let in_place = sampled_delta_block(&g, &refs, None, Vec::new());
+            // Into a dirty buffer: the view arm relies on its rows being zeroed.
+            let through_view =
+                sampled_delta_block(&g, &refs, Some(rows), vec![7.0; n * d_prime + 5]);
+            assert_eq!(in_place.shape(), (n, d_prime));
+            assert!(same_bits(through_view.as_slice(), in_place.as_slice()));
+            for (i, u) in u.iter().enumerate() {
+                assert!(
+                    same_bits(in_place.row(i), &delta_pass_sample(&g, u)),
+                    "row {i}"
+                );
+            }
+            assert_eq!(in_place.row(6)[10].to_bits(), (-0.0f32).to_bits());
+            assert_eq!(in_place.row(6)[11].to_bits(), 0.0f32.to_bits());
+            assert!(in_place.row(4).iter().all(|v| v.to_bits() == 0));
+
+            let plain = RoundContext::new(&g, &refs);
+            let mut scales = vec![1.0f32; n];
+            scales[3] = 0.3;
+            assert_eq!(
+                with_view.squared_l2().to_bits(),
+                plain.squared_l2().to_bits()
+            );
+            assert_eq!(with_view.cosine().to_bits(), plain.cosine().to_bits());
+            assert_eq!(
+                with_view.with_squared_l2_scaled(&scales, DistanceMatrix::to_bits),
+                plain.with_squared_l2_scaled(&scales, DistanceMatrix::to_bits)
+            );
+            assert!(same_bits(
+                with_view.sampled().block.as_slice(),
+                in_place.as_slice()
+            ));
+            assert!(
+                !rows.dense_block_is_built(),
+                "a sampled distance read a dense row of the view"
+            );
+            assert!(
+                plain.delta_rows.get().is_none(),
+                "a sampled distance asked for the delta view"
+            );
+        }
     }
 
     /// Up to the threshold the clip-scaled distances are the exact

@@ -19,6 +19,22 @@ use safeloc_nn::{kernels, Matrix};
 /// than the distance arithmetic for tiny client fleets.
 const PARALLEL_MIN_PAIRS: usize = 8;
 
+/// [`DistanceMatrix::cosine_over_supports_into`] gathers a pair's dot
+/// product through the shorter of its two supports while that support is
+/// at most `1 / SUPPORT_DOT_MAX_DENSITY_INV` of the row, and takes the
+/// dense [`kernels::dot`] past it.
+///
+/// ⅒ is the measured crossover (256 × 2 048 blocks of uniformly placed
+/// supports, one core, all 32 640 pairs, gathered time over dense time):
+/// ×0.22 at 1 %, ×0.56 at 5 %, ×0.67 at 6.25 %, ×0.79 at 8.3 %, ×0.88 at
+/// 10 %, **×1.08 at 12.5 %**, ×1.7 at 25 % — a gathered term costs ~3.7
+/// cycles (an indexed load and a lane read-modify-write) against a third of
+/// a cycle per element of the vectorized sweep, which is L2-bound at ~670
+/// cycles a pair. `cargo bench -p safeloc-bench --bench aggregation`
+/// prints the table at the group's five densities
+/// (`screening_sparse/{dense,view}/cosine_sampled/*`).
+const SUPPORT_DOT_MAX_DENSITY_INV: usize = 10;
+
 /// A symmetric `n x n` distance matrix stored as its upper triangle.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DistanceMatrix {
@@ -127,9 +143,7 @@ impl DistanceMatrix {
 
     /// [`cosine`](Self::cosine) into a reused buffer.
     pub fn cosine_into(deltas: &Matrix, scratch: Vec<f32>) -> Self {
-        let norms: Vec<f32> = (0..deltas.rows())
-            .map(|i| kernels::sum_squares(deltas.row(i)).sqrt())
-            .collect();
+        let norms = row_norms(deltas);
         Self::build_into(deltas.rows(), scratch, |i, j| {
             let denom = norms[i] * norms[j];
             if denom == 0.0 {
@@ -138,6 +152,69 @@ impl DistanceMatrix {
                 1.0 - kernels::dot(deltas.row(i), deltas.row(j)) / denom
             }
         })
+    }
+
+    /// [`cosine_into`](Self::cosine_into), bit for bit, for a block whose
+    /// rows are mostly `+0.0` — the sampled block of a round of sparse
+    /// uploads, 2 048 picks of which a 5 % row moves about a hundred. Each
+    /// row's support (the elements that are not `+0.0` bit for bit, so a
+    /// `−0.0` stays a member) is found once, and a pair's dot product is
+    /// [`kernels::support_dot`] through the shorter of its two supports
+    /// into the other row: the terms left out are `±0.0` added to lanes
+    /// that started at `+0.0`, and a product does not depend on which
+    /// operand is gathered (design rule 7 of `safeloc_nn::kernels`). Norms
+    /// are taken over the rows as they are.
+    ///
+    /// A pair goes through [`kernels::dot`] instead when either row holds
+    /// a non-finite value (`0 · ∞` is NaN, not a skippable zero) or when
+    /// its shorter support is past `1 / SUPPORT_DOT_MAX_DENSITY_INV` of
+    /// the row, where gathering has stopped paying — so a dense block
+    /// costs what [`cosine_into`](Self::cosine_into) costs plus one scan.
+    pub fn cosine_over_supports_into(deltas: &Matrix, scratch: Vec<f32>) -> Self {
+        let (n, d) = deltas.shape();
+        let norms = row_norms(deltas);
+        // Row `i`'s support is `lens[i]` entries of the two flat buffers
+        // from `starts[i]` on — stored only if a pair could gather through
+        // it.
+        let gatherable = |len: usize| len * SUPPORT_DOT_MAX_DENSITY_INV <= d;
+        let (mut indices, mut values) = (Vec::<u32>::new(), Vec::<f32>::new());
+        let (mut starts, mut lens, mut finite) = (vec![0; n], vec![0; n], vec![true; n]);
+        let (mut row_indices, mut row_values) = (vec![0u32; d], vec![0.0f32; d]);
+        for (i, row) in deltas.iter_rows().enumerate() {
+            // Compacted without a branch: always written, kept if a member.
+            let mut len = 0;
+            for (e, &v) in row.iter().enumerate() {
+                (row_indices[len], row_values[len]) = (e as u32, v);
+                len += usize::from(v.to_bits() != 0);
+            }
+            (starts[i], lens[i]) = (indices.len(), len);
+            finite[i] = !kernels::has_non_finite(&row_values[..len]);
+            if finite[i] && gatherable(len) {
+                indices.extend_from_slice(&row_indices[..len]);
+                values.extend_from_slice(&row_values[..len]);
+            }
+        }
+        Self::build_into(n, scratch, |i, j| {
+            let denom = norms[i] * norms[j];
+            if denom == 0.0 {
+                return 1.0;
+            }
+            let (short, long) = if lens[i] <= lens[j] { (i, j) } else { (j, i) };
+            let dot = if finite[i] && finite[j] && gatherable(lens[short]) {
+                let at = starts[short]..starts[short] + lens[short];
+                kernels::support_dot(&indices[at.clone()], &values[at], deltas.row(long))
+            } else {
+                kernels::dot(deltas.row(i), deltas.row(j))
+            };
+            1.0 - dot / denom
+        })
+    }
+
+    /// The entries as bit patterns: `PartialEq` calls `−0.0` and `+0.0`
+    /// equal and a NaN unequal to itself.
+    #[cfg(test)]
+    pub(crate) fn to_bits(&self) -> Vec<u32> {
+        self.values.iter().map(|v| v.to_bits()).collect()
     }
 
     /// Dismantles the matrix into its value buffer, for reuse as the
@@ -197,6 +274,14 @@ impl DistanceMatrix {
         }
         Some(best)
     }
+}
+
+/// The L2 norm of every row, as the cosine matrices divide by it.
+fn row_norms(deltas: &Matrix) -> Vec<f32> {
+    deltas
+        .iter_rows()
+        .map(|row| kernels::sum_squares(row).sqrt())
+        .collect()
 }
 
 /// Index of pair `(i, j)` with `i < j` in the condensed upper triangle.
@@ -291,6 +376,64 @@ mod tests {
         assert!(m.get(0, 1).abs() < 1e-6, "parallel vectors");
         assert!((m.get(0, 2) - 1.0).abs() < 1e-6, "orthogonal vectors");
         assert!((m.get(0, 3) - 1.0).abs() < 1e-6, "zero vector convention");
+    }
+
+    /// A `rows × d` block with roughly `density` of each row set, half of
+    /// it on columns every row shares (so pairs have common members) —
+    /// deterministically, magnitudes spread over six decades, every ninth
+    /// member an explicit `-0.0`.
+    fn sparse_block(rows: usize, d: usize, density: f64) -> Matrix {
+        let keep = (density * 1000.0) as usize;
+        Matrix::from_fn(rows, d, |r, c| {
+            let hash = (r * 7919 + c * 104_729 + r * c) % 1000;
+            let member = hash < keep / 2 || c * 7717 % 1000 < keep.div_ceil(2);
+            match (member, (r + c) % 9) {
+                (false, _) => 0.0,
+                (true, 0) => -0.0,
+                (true, k) => ((hash as f32 - 40.0) * 0.013).sin() * 10f32.powi(k as i32 - 4),
+            }
+        })
+    }
+
+    /// The cosine matrix over supports is the dense one, bit for bit: on a
+    /// sparse block (gathered pairs), a block past the crossover (dense
+    /// pairs), and a mixed one — a row past the crossover among sparse
+    /// ones, an all-zero row (`denom == 0 → 1.0`), a row of `-0.0`s only,
+    /// and rows holding an infinity and a NaN, whose pairs must go through
+    /// the dense kernel (`0 · ∞`). Bits, not `==`: NaN entries must match
+    /// too.
+    #[test]
+    fn cosine_over_supports_matches_the_dense_cosine_bitwise() {
+        let d = 700; // 21 full lane sweeps and a ragged tail
+        for density in [0.0, 0.01, 0.05, 0.09, 0.11, 0.3, 1.0] {
+            let block = sparse_block(12, d, density);
+            assert_eq!(
+                DistanceMatrix::cosine_over_supports_into(&block, vec![3.0; 7]).to_bits(),
+                DistanceMatrix::cosine(&block).to_bits(),
+                "density {density}"
+            );
+        }
+        let mut mixed = sparse_block(14, d, 0.04);
+        mixed
+            .row_mut(1)
+            .copy_from_slice(sparse_block(1, d, 0.6).row(0));
+        mixed.row_mut(3).fill(0.0);
+        mixed.row_mut(5).fill(0.0);
+        mixed.row_mut(5)[17] = -0.0;
+        mixed.row_mut(8)[40] = f32::INFINITY;
+        mixed.row_mut(9)[41] = f32::NAN;
+        mixed.row_mut(11)[40] = f32::NEG_INFINITY;
+        let expected = DistanceMatrix::cosine(&mixed);
+        let got = DistanceMatrix::cosine_over_supports_into(&mixed, Vec::new());
+        assert_eq!(got.to_bits(), expected.to_bits());
+        // Not vacuously: the corner rows produced what they should.
+        assert_eq!(expected.get(3, 0), 1.0, "a zero row is at distance 1");
+        assert_eq!(expected.get(5, 0), 1.0, "so is a row of -0.0");
+        assert!(expected.get(8, 0).is_nan() && expected.get(9, 2).is_nan());
+        let overlapping = (expected.values.iter())
+            .filter(|v| v.is_finite() && **v != 1.0)
+            .count();
+        assert!(overlapping >= 30, "{overlapping} pairs share a member");
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! The fast screening path (rows stored as supports and read through
 //! support kernels, cached norms in 2-means, one kernel call per
-//! projection, the sampled block read in place, recycled buffers, sorted
-//! columns that only gather what can differ from the GM) promises the
+//! projection, the sampled block read in place or off the view, recycled
+//! buffers, sorted columns that only gather what can differ from the GM
+//! and fold sixteen at a time) promises the
 //! *same bits* as the straightforward implementations it replaced. Those
 //! implementations live on here, test-only, as the references the promise
 //! is checked against — every one of them reads the dense `n × d` block of
@@ -13,7 +14,8 @@
 //! `NonFiniteGuard → NormClip → cluster → latent → TrimmedMean` pipeline
 //! must reach identical decisions — rule, accepted set, score bits — and a
 //! bit-identical GM either way. (The delta-pass reference for the sampled
-//! block sits next to it in `context.rs`.)
+//! block sits next to it in `context.rs`, the dense reference for its
+//! cosine matrix over supports in `distance.rs`.)
 //!
 //! The entry point has a reference too: before the non-finite check was
 //! stage zero of the pipeline, a guard *in front of* it filtered the
@@ -24,7 +26,7 @@
 //! updates received, not the number that survived.
 
 use super::*;
-use crate::defense::test_support::{attacked_cohort, delta_block, reencoded, WIDE_SHAPES};
+use crate::defense::test_support::{attacked_cohort, delta_block, reencoded, shaped, WIDE_SHAPES};
 use crate::report::UpdateDecision;
 use crate::{DeltaRepr, DeltaSpec};
 use rayon::prelude::*;
@@ -562,20 +564,8 @@ fn corner_cohort(n: usize, with_zero_flips: bool) -> (NamedParams, Vec<ClientUpd
         flat[e] = zero;
     }
     let d = flat.len();
-    // `g`'s architecture over other values, written tensor by tensor
-    // (`add_flat` onto zeros would lose a `-0.0`).
-    let shaped = |values: &[f32]| {
-        let mut params = g.clone();
-        let mut at = 0;
-        for (_, t) in params.iter_mut() {
-            let len = t.len();
-            t.as_mut_slice().copy_from_slice(&values[at..at + len]);
-            at += len;
-        }
-        params
-    };
-    let g = shaped(&flat);
-    let with_flat = |id: usize, lm: &[f32]| ClientUpdate::new(id, shaped(lm), 10);
+    let g = shaped(&g, &flat);
+    let with_flat = |id: usize, lm: &[f32]| ClientUpdate::new(id, shaped(&g, lm), 10);
     let updates = (0..n)
         .map(|i| {
             let mut lm = flat.clone();
@@ -642,6 +632,116 @@ fn sorted_columns_fold_like_the_gathered_ones() {
             bits(&median(Box::new(CoordinateMedian), &g, &u)),
             bits(&median(Box::new(ReferenceMedian), &g, &u)),
             "n {n}"
+        );
+    }
+}
+
+/// Tensor lengths 17, 31 and 32 — `≡ 1, 15, 0 (mod 16)`, so the column
+/// blocks of [`coordinate_wise`](super::robust) end in one lane, in fifteen
+/// and flush — and `d = 80`: a row may differ from the GM in ten
+/// coordinates and still be stored as a support.
+const BLOCK_SHAPES: [(usize, usize); 3] = [(1, 17), (1, 31), (2, 16)];
+
+/// Twelve updates over [`BLOCK_SHAPES`] whose columns hold a chosen number
+/// of explicit values each — at `t = 3` (a 25 % trim) exactly `t − 2`, `t`,
+/// `t + 1` and `2t` of them in the first four columns of every tensor (four
+/// lanes of one block, four different run lengths), `t + 1` in every
+/// tensor's last column and none anywhere else — on both sides of the GM's
+/// value, with the GM itself `−0.0` under one `t`-column and one
+/// `t + 1`-column.
+fn block_cohort() -> (NamedParams, Vec<ClientUpdate>) {
+    let n = 12;
+    let (g, _) = attacked_cohort(n, &BLOCK_SHAPES, 76);
+    let mut flat = g.flatten().into_vec();
+    let d = flat.len();
+    let mut lms = vec![Vec::new(); n];
+    let (mut start, mut next_row) = (0, 0);
+    for (tensor, (_, t)) in g.iter().enumerate() {
+        let columns = [(0, 1), (1, 3), (2, 4), (3, 6), (t.len() - 1, 4)];
+        if tensor > 0 {
+            flat[start + tensor] = -0.0;
+        }
+        for (column, explicit) in columns {
+            for k in 0..explicit {
+                let row = (next_row + k) % n;
+                let sign = if (row + column) % 2 == 0 { 1.0 } else { -1.0 };
+                lms[row].push((start + column, sign * (0.1 + 0.01 * row as f32)));
+            }
+            next_row += 5;
+        }
+        start += t.len();
+    }
+    assert_eq!(start, d);
+    let updates = (lms.iter().enumerate())
+        .map(|(i, moved)| {
+            let mut lm = flat.clone();
+            for &(e, by) in moved {
+                lm[e] += by;
+            }
+            ClientUpdate::new(i, shaped(&g, &lm), 10)
+        })
+        .collect();
+    (shaped(&g, &flat), updates)
+}
+
+/// The lockstep fold against the gather-and-sort references, straight
+/// through `combine`: all rows sparse; one row clipped and one dense (read
+/// in full beside the supports, so a column's looked-at count is its
+/// explicit values plus two); one update rejected; and the same cohort
+/// uploaded dense (`run == 0` in every column) — at no trim, at `t = 3`
+/// and at the widest trim, for the trimmed mean and the median alike.
+#[test]
+fn lockstep_columns_fold_like_the_gathered_ones() {
+    let (g, sparse) = block_cohort();
+    assert_eq!(
+        dense_rows(&g, &sparse),
+        0,
+        "a ten-coordinate row was stored dense"
+    );
+    let (_, noisy) = attacked_cohort(sparse.len(), &BLOCK_SHAPES, 77);
+    let mut mixed = sparse.clone();
+    mixed[7].params = g.clone();
+    mixed[7].params.axpy(0.01, &noisy[7].params);
+    let all_dense: Vec<ClientUpdate> = (sparse.iter().zip(&noisy))
+        .map(|(u, noise)| {
+            let mut lm = u.params.clone();
+            lm.axpy(0.01, &noise.params);
+            ClientUpdate::new(u.client_id, lm, 10)
+        })
+        .collect();
+    assert_eq!(
+        (dense_rows(&g, &mixed), dense_rows(&g, &all_dense)),
+        (1, 12)
+    );
+    type Verdict = fn(&mut Verdicts);
+    let cases: [(&str, &[ClientUpdate], Verdict); 4] = [
+        ("sparse", &sparse, |_| {}),
+        ("clipped + dense", &mixed, |v| v.clip(2, 0.5)),
+        ("rejected", &sparse, |v| v.reject(4, "test", 1.0)),
+        ("all dense", &all_dense, |v| v.clip(2, 0.5)),
+    ];
+    for (case, updates, decide) in cases {
+        let refs: Vec<&ClientUpdate> = updates.iter().collect();
+        let combined = |combiner: &mut dyn Combiner| -> Vec<u32> {
+            let ctx = RoundContext::new(&g, &refs);
+            let mut verdicts = Verdicts::new(refs.len());
+            decide(&mut verdicts);
+            let params = combiner.combine(&ctx, &mut verdicts);
+            (params.iter())
+                .flat_map(|(_, t)| t.as_slice().iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        for trim in [0.0, 0.25, 0.49] {
+            assert_eq!(
+                combined(&mut TrimmedMean::new(trim)),
+                combined(&mut ReferenceTrimmedMean(trim)),
+                "{case}, trim {trim}"
+            );
+        }
+        assert_eq!(
+            combined(&mut CoordinateMedian),
+            combined(&mut ReferenceMedian),
+            "{case}"
         );
     }
 }

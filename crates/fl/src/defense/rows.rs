@@ -21,7 +21,11 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 /// win while the **projection is level (×0.91–1.10)** — one in 2.4 of its
 /// 4-step groups holds a support element and is evaluated whole, through
 /// gathers; at 25 % the projection has lost (×1.6–1.8) and norms and
-/// 2-means are about level (×0.7–1.0). A support element also costs 12
+/// 2-means are about level (×0.7–1.0). (Since a group's lone member adds
+/// over one projection row instead of four — design rule 7 of
+/// `safeloc_nn::kernels` — the projection reads ×0.19 at 5 %, ×0.51 at
+/// 12.5 % and ×1.25 at 25 %: it no longer crosses first, and every
+/// operation now crosses between ⅛ and ¼.) A support element also costs 12
 /// bytes (index, delta, LM value) against a dense coordinate's 4, so at ⅛
 /// a support row is ⅜ of a dense one and at ⅓ nothing would be saved.
 const SUPPORT_MAX_DENSITY_INV: usize = 8;
@@ -317,6 +321,15 @@ impl<'a> DeltaRows<'a> {
         Some((&self.indices[at.clone()], &self.lms[at]))
     }
 
+    /// Update `i`'s delta where its LM differs from the GM — `(indices,
+    /// LM − GM)`, every other coordinate being exactly `+0.0` — when the
+    /// row is stored as a support, `None` when it is dense. Never builds
+    /// the dense block (which [`row`](Self::row) does for a dense row).
+    pub fn delta_support(&self, i: usize) -> Option<(&[u32], &[f32])> {
+        let at = self.support_range(i)?;
+        Some((&self.indices[at.clone()], &self.deltas[at]))
+    }
+
     /// `true` if update `i`'s LM carries a NaN or an infinity. A support
     /// row's LM equals the (finite — checked when the view was built) GM
     /// everywhere else, so its stored values are all there is to check; a
@@ -332,6 +345,12 @@ impl<'a> DeltaRows<'a> {
     /// Number of rows stored dense.
     pub fn dense_rows(&self) -> usize {
         self.dense_rows
+    }
+
+    /// `true` once a stage has read a dense row (tests pin who does not).
+    #[cfg(test)]
+    pub(super) fn dense_block_is_built(&self) -> bool {
+        self.dense.get().is_some()
     }
 
     /// The dense rows' block, built (rows in parallel, into the recycled
@@ -393,10 +412,7 @@ impl<'a> DeltaRows<'a> {
         let f = projection.cols();
         let dense = self.dense_block().matmul(projection);
         let supports: Vec<(&[u32], &[f32])> = (0..self.len())
-            .filter_map(|i| {
-                let at = self.support_range(i)?;
-                Some((&self.indices[at.clone()], &self.deltas[at]))
-            })
+            .filter_map(|i| self.delta_support(i))
             .collect();
         let mut sparse = vec![0.0f32; supports.len() * f];
         kernels::support_matmul_into(&mut sparse, &supports, projection.as_slice(), self.dim(), f);

@@ -34,6 +34,18 @@ pub fn delta_block(global: &NamedParams, updates: &[&ClientUpdate]) -> Matrix {
     Matrix::from_rows(&rows)
 }
 
+/// `like`'s architecture over `values`, written tensor by tensor
+/// (`add_flat` onto zeros would lose a `-0.0`).
+pub fn shaped(like: &NamedParams, values: &[f32]) -> NamedParams {
+    let (mut params, mut at) = (like.clone(), 0);
+    for (_, t) in params.iter_mut() {
+        let len = t.len();
+        t.as_mut_slice().copy_from_slice(&values[at..at + len]);
+        at += len;
+    }
+    params
+}
+
 /// `updates` as they reach the server when every client compresses
 /// with `spec`: `GM + decode(encode(LM − GM))`, carrying the repr.
 pub fn reencoded(

@@ -29,6 +29,9 @@
 //! | `fl_screen_sparse_rows` | gauge | — |
 //! | `fl_screen_dense_rows` | gauge | — |
 //! | `fl_screen_row_density` | histogram (‰) | — |
+//! | `fl_screen_sampled_view_rows` | gauge | — |
+//! | `fl_screen_sampled_in_place_rows` | gauge | — |
+//! | `fl_cluster_passes` | gauge | — |
 
 use crate::report::StageTelemetry;
 use safeloc_telemetry::{Counter, Gauge, HandleCache, Histogram, Registry};
@@ -54,6 +57,9 @@ pub struct FlMetrics {
     screen_sparse_rows: Arc<Gauge>,
     screen_dense_rows: Arc<Gauge>,
     screen_row_density: Arc<Histogram>,
+    screen_sampled_view_rows: Arc<Gauge>,
+    screen_sampled_in_place_rows: Arc<Gauge>,
+    cluster_passes: Arc<Gauge>,
     stages: HandleCache<String, StageHandles>,
 }
 
@@ -71,6 +77,9 @@ impl FlMetrics {
             screen_sparse_rows: registry.gauge("fl_screen_sparse_rows", &[]),
             screen_dense_rows: registry.gauge("fl_screen_dense_rows", &[]),
             screen_row_density: registry.histogram("fl_screen_row_density", &[]),
+            screen_sampled_view_rows: registry.gauge("fl_screen_sampled_view_rows", &[]),
+            screen_sampled_in_place_rows: registry.gauge("fl_screen_sampled_in_place_rows", &[]),
+            cluster_passes: registry.gauge("fl_cluster_passes", &[]),
             stages: HandleCache::default(),
             registry,
         }
@@ -127,6 +136,21 @@ impl FlMetrics {
         }
         self.screen_sparse_rows.set(sparse_rows);
         self.screen_dense_rows.set(dense_rows as i64);
+    }
+
+    /// Records how the latest round's sampled block read its rows: how
+    /// many were filled from a support of the delta view and how many
+    /// subtracted their picks in place (every row of a round nobody built a
+    /// view for, and the dense rows of one somebody did).
+    pub fn on_sampled_block(&self, view_rows: usize, in_place_rows: usize) {
+        self.screen_sampled_view_rows.set(view_rows as i64);
+        self.screen_sampled_in_place_rows.set(in_place_rows as i64);
+    }
+
+    /// Records how many 2-means passes the latest cluster stage ran (1–10:
+    /// the stage's cost swings with it, and nothing else reports why).
+    pub fn on_cluster_passes(&self, passes: usize) {
+        self.cluster_passes.set(passes as i64);
     }
 
     /// Tracks how many fleet members a generating
@@ -213,6 +237,8 @@ mod tests {
         metrics.on_streaming_materialized(8);
         metrics.on_streaming_materialized(-8);
         metrics.on_delta_view(3, [0.05, 0.0].into_iter());
+        metrics.on_sampled_block(2, 3);
+        metrics.on_cluster_passes(3);
 
         let snap = metrics.registry.snapshot();
         let counter = |name, labels| counter(&snap, name, labels);
@@ -247,6 +273,14 @@ mod tests {
                 gauge("fl_screen_dense_rows")
             ),
             (2, 3)
+        );
+        assert_eq!(
+            (
+                gauge("fl_screen_sampled_view_rows"),
+                gauge("fl_screen_sampled_in_place_rows"),
+                gauge("fl_cluster_passes")
+            ),
+            (2, 3, 3)
         );
         let density = snap
             .histograms

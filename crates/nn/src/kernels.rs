@@ -111,19 +111,39 @@
 //!    the arithmetic of its dense twin over the densified vector bit for
 //!    bit: a support element still lands in lane `i mod LANES`, in index
 //!    order, and the lanes fold by the same halving; a projection still
-//!    adds whole `((a₀v₀ + a₁v₁) + a₂v₂) + a₃v₃` groups on the same
-//!    4-aligned boundaries, in ascending order, `KC`-blocked the same
+//!    adds one left-associated `((a₀v₀ + a₁v₁) + a₂v₂) + a₃v₃` group sum
+//!    per 4-aligned group, in ascending order, `KC`-blocked the same
 //!    way. What is skipped is a term `+0.0 · y = ±0.0` (or a group of
 //!    four of them) added to an accumulator that started at `+0.0`: in
 //!    round-to-nearest `x + y` is `−0.0` only when *both* operands are,
 //!    so such an accumulator is never `−0.0`, and adding `±0.0` to
 //!    anything else returns it unchanged — the skipped add was the
-//!    identity. (The one operand that breaks this is a non-finite `y`,
-//!    `0 · ∞ = NaN`; callers hand these kernels finite dense operands,
-//!    and `RoundContext` stores every row dense in the rounds where it
-//!    cannot promise that.) Pinned `to_bits` against the dense kernels
-//!    under proptest, including supports in the `d mod 32` and `d mod 4`
-//!    tails.
+//!    identity. *Inside* a group the same fact is a lemma about partial
+//!    sums: leave the non-members' `±0.0` terms out of the group sum and
+//!    the two running sums are, after every term, either equal bit for
+//!    bit or both zeros — a `±0.0` term leaves a non-zero sum as it is
+//!    and a zero sum a zero, and a member's product added to two zeros
+//!    of either sign gives that product, or a zero if it is one. So a
+//!    member-only group sum `G′` and the dense `G` differ at most in the
+//!    sign of a zero, and `o += G′` lands on the bits of `o += G`
+//!    because `o` is never `−0.0`. [`support_matmul_into`] spends it on
+//!    the case that pays — a group's *lone* member adds `a·v` over one
+//!    `b` row instead of four: 92 % of the non-empty groups of a
+//!    uniformly 5 %-dense row, 75 % where a sixth of the columns hold
+//!    three quarters of the support, and ×0.56 on the 256-row projection
+//!    (8.9 → 5.0 ms). Member-only sums of two and three
+//!    (`a₁v₁ + a₃v₃`, one left-associated expression — adding members to
+//!    `o` one by one rounds differently) hold by the same lemma and
+//!    measured level, 4.3–4.9 against 4.1–5.0 ms, so those groups are
+//!    still evaluated whole. (The one operand that breaks all of this is
+//!    a non-finite `y`, `0 · ∞ = NaN`; callers hand these kernels finite
+//!    dense operands, and `RoundContext` stores every row dense in the
+//!    rounds where it cannot promise that.) Pinned `to_bits` against the
+//!    dense kernels under proptest, including supports in the `d mod 32`
+//!    and `d mod 4` tails, and — the products proptest never draws: `±0.0`
+//!    members, signed-zero and underflowing products, every member
+//!    pattern of a group — by
+//!    `support_groups_match_the_dense_groups_on_every_member_pattern`.
 //!
 //! The seed kernel's `a == 0.0` skip is deliberately gone: it helped only
 //! on artificially sparse inputs and costs a branch per multiply on the
@@ -639,12 +659,15 @@ pub fn support_axpy(acc: &mut [f32], weight: f32, indices: &[u32], values: &[f32
 /// The dense kernel adds, per output element, one
 /// `((a₀v₀ + a₁v₁) + a₂v₂) + a₃v₃` group per four reduction steps
 /// (groups start at multiples of 4; the last `k mod 4` steps add singly),
-/// ascending. This kernel evaluates the *whole* group — zeros included,
-/// the same expression over the same operands — wherever a support
-/// element falls in it and skips the groups that are all `+0.0` (design
-/// rule 7 in the module docs). It walks `k` in the same `KC`-row blocks,
-/// outermost, so a block of a tall `b` is swept by every row while it is
-/// cache-resident.
+/// ascending. This kernel skips the groups that are all `+0.0`, adds a
+/// group's *lone* member as its own product `a₁v₁` — where the dense kernel
+/// adds `((0·v₀ + a₁v₁) + 0·v₂) + 0·v₃`, which differs from it at most in
+/// the sign of a zero, and that the accumulator cannot see (the lemma of
+/// design rule 7 in the module docs) — over one `b` row instead of four,
+/// and evaluates a group of two or more members whole, zeros included, the
+/// same expression over the same operands. It walks `k` in the same
+/// `KC`-row blocks, outermost, so a block of a tall `b` is swept by every
+/// row while it is cache-resident.
 ///
 /// # Panics
 ///
@@ -684,7 +707,11 @@ pub fn support_matmul_into(
             let mut c = *cursor;
             while c < indices.len() && (indices[c] as usize) < k_end {
                 let i = indices[c] as usize;
-                if i >= grouped {
+                let g0 = i - i % 4;
+                // Alone in its group, a member adds its own product like a
+                // step of the `k mod 4` tail: one `b` row instead of four.
+                let alone = (indices.get(c + 1)).is_none_or(|&next| next as usize >= g0 + 4);
+                if i >= grouped || alone {
                     let (a0, b0) = (values[c], &b[i * n..(i + 1) * n]);
                     for (o, v0) in o.iter_mut().zip(b0) {
                         *o += a0 * v0;
@@ -692,7 +719,6 @@ pub fn support_matmul_into(
                     c += 1;
                     continue;
                 }
-                let g0 = i - i % 4;
                 let mut a = [0.0f32; 4];
                 while c < indices.len() && (indices[c] as usize) < g0 + 4 {
                     a[indices[c] as usize - g0] = values[c];
@@ -1179,6 +1205,77 @@ mod tests {
                         same_bits(&support_out, &dense_out),
                         "matmul, len {}, n {}", len, n
                     );
+                }
+            }
+        }
+    }
+
+    /// Design rule 7's lemma on the operands proptest never draws (its
+    /// values come from `−100..100` and `−1..1`, so no product is ever
+    /// `±0.0`): every non-empty member pattern of a 4-step group, with
+    /// members that are `−0.0`, `b` entries that are `+0.0`, `−0.0` and
+    /// negative, products that underflow to a zero of either sign, groups
+    /// arriving at an accumulator that is still `+0.0` (the first, and
+    /// every one after it when `quiet` makes the leading members `−0.0`),
+    /// a reduction of two `KC` blocks (so a group ends on the block edge
+    /// and the next starts on it) and a `k mod 4 = 3` tail carrying the
+    /// pattern's low bits.
+    ///
+    /// Mutation note: a kernel that adds the members of a two-member
+    /// group to `o` *one by one* (`*o += a0 * v0; *o += a1 * v1;`)
+    /// re-associates the group sum and must — and, tried, does — fail this
+    /// test; only a member that is alone in its group may add singly.
+    #[test]
+    fn support_groups_match_the_dense_groups_on_every_member_pattern() {
+        const TINY: f32 = 1e-30; // TINY · TINY underflows to ±0.0
+        let member_values = [
+            -0.0,
+            1.5,
+            TINY,
+            -2.25,
+            3.0e-3,
+            -TINY,
+            1.0,
+            4.470_348_4e-8,
+            7.0,
+            -0.0,
+            0.3,
+        ];
+        let b_values = [
+            0.75, -0.0, TINY, -1.25, 0.0, 1.0, -TINY, 0.1, -3.0, 1.0e-3, 0.0, 2.0, -0.0,
+        ];
+        let k = KC + 8 + 3;
+        let rows = 5; // the dense kernel's 4-row block and its row tail
+        for pattern in 1usize..16 {
+            for quiet in [0, 3] {
+                // Row `r`, step `i`: a member where the pattern has bit
+                // `i mod 4`, `-0.0` throughout the first `quiet` groups.
+                let a: Vec<f32> = (0..rows * k)
+                    .map(|at| match (at / k, at % k) {
+                        (_, i) if pattern >> (i % 4) & 1 == 0 => 0.0,
+                        (_, i) if i < 4 * quiet => -0.0,
+                        (r, i) => member_values[(3 * i + r) % member_values.len()],
+                    })
+                    .collect();
+                let supports: Vec<(Vec<u32>, Vec<f32>)> = a.chunks(k).map(support_of).collect();
+                let support_rows: Vec<(&[u32], &[f32])> = supports
+                    .iter()
+                    .map(|(indices, values)| (indices.as_slice(), values.as_slice()))
+                    .collect();
+                assert!(supports.iter().all(|(indices, _)| !indices.is_empty()));
+                for n in [1, 9, 32] {
+                    let b: Vec<f32> = (0..k * n)
+                        .map(|at| b_values[(5 * (at / n) + 7 * (at % n)) % b_values.len()])
+                        .collect();
+                    let mut dense_out = vec![f32::NAN; rows * n];
+                    matmul_into(&mut dense_out, &a, &b, rows, k, n);
+                    let mut support_out = vec![f32::NAN; rows * n];
+                    support_matmul_into(&mut support_out, &support_rows, &b, k, n);
+                    assert!(
+                        same_bits(&support_out, &dense_out),
+                        "pattern {pattern:04b}, quiet {quiet}, n {n}"
+                    );
+                    assert!(dense_out.iter().all(|v| v.is_finite()));
                 }
             }
         }
