@@ -45,7 +45,7 @@ impl PoisonInjector {
     /// *model-replacement* technique of Bagdasaryan et al. With
     /// `boost = n_clients` one compromised phone steers a plain FedAvg
     /// aggregate completely — this compresses the paper's long-running
-    /// poisoning deployment into a handful of rounds (see `DESIGN.md` §5).
+    /// poisoning deployment into a handful of rounds.
     pub fn with_boost(mut self, boost: f32) -> Self {
         self.boost = boost;
         self

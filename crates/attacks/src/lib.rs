@@ -15,9 +15,9 @@
 //! attacked (both the baselines' `Sequential` DNNs and SAFELOC's fused
 //! network implement it).
 //!
-//! ε semantics follow `DESIGN.md` §5: perturbation magnitude in normalized
-//! RSS units for the gradient attacks, fraction of poisoned samples for
-//! label flipping.
+//! ε is the perturbation magnitude in normalized RSS units for the
+//! gradient attacks and the fraction of poisoned samples for label
+//! flipping, so one ε axis (Fig. 5) sweeps both families.
 //!
 //! # Example
 //!

@@ -53,7 +53,7 @@ pub fn fedloc(input_dim: usize, n_classes: usize, cfg: ServerConfig) -> Sequenti
     SequentialFlServer::named(
         "FEDLOC",
         &arch::fedloc_dims(input_dim, n_classes),
-        Box::new(DefensePipeline::fedavg()),
+        DefensePipeline::fedavg(),
         cfg,
     )
 }
@@ -69,9 +69,7 @@ pub fn fedhil(input_dim: usize, n_classes: usize, cfg: ServerConfig) -> Sequenti
     SequentialFlServer::named(
         "FEDHIL",
         &arch::fedhil_dims(input_dim, n_classes),
-        Box::new(DefensePipeline::selective(
-            SelectiveAggregator::default().aggregate_fraction,
-        )),
+        DefensePipeline::selective(SelectiveAggregator::default().aggregate_fraction),
         cfg,
     )
 }
@@ -87,9 +85,7 @@ pub fn fedcc(input_dim: usize, n_classes: usize, cfg: ServerConfig) -> Sequentia
     SequentialFlServer::named(
         "FEDCC",
         &arch::fedcc_dims(input_dim, n_classes),
-        Box::new(DefensePipeline::cluster(
-            ClusterAggregator::default().separation_threshold,
-        )),
+        DefensePipeline::cluster(ClusterAggregator::default().separation_threshold),
         cfg,
     )
 }
@@ -106,7 +102,7 @@ pub fn fedls(input_dim: usize, n_classes: usize, cfg: ServerConfig) -> Sequentia
     SequentialFlServer::named(
         "FEDLS",
         &arch::fedls_dims(input_dim, n_classes),
-        Box::new(DefensePipeline::latent(cfg.seed)),
+        DefensePipeline::latent(cfg.seed),
         cfg,
     )
 }
@@ -119,7 +115,7 @@ pub fn krum(input_dim: usize, n_classes: usize, cfg: ServerConfig) -> Sequential
     SequentialFlServer::named(
         "KRUM",
         &arch::krum_dims(input_dim, n_classes),
-        Box::new(DefensePipeline::krum(1)),
+        DefensePipeline::krum(1),
         cfg,
     )
 }

@@ -5,10 +5,9 @@ use crate::arch::{onlad_detector_dims, onlad_localizer_dims};
 use rayon::prelude::*;
 use safeloc_dataset::FingerprintSet;
 use safeloc_fl::client::train_sequential_lm;
-use safeloc_fl::report::RoundTimer;
 use safeloc_fl::{
-    active_clients, Aggregator, Client, ClientUpdate, DefensePipeline, Framework, RoundPlan,
-    RoundReport, ServerConfig,
+    active_clients, Client, ClientUpdate, DefensePipeline, Framework, RoundPlan, RoundReport,
+    ServerConfig, ServerRound,
 };
 use safeloc_nn::{Activation, Adam, HasParams, Matrix, NamedParams, Sequential, TrainConfig};
 
@@ -21,15 +20,14 @@ use safeloc_nn::{Activation, Adam, HasParams, Matrix, NamedParams, Sequential, T
 /// label-flipped training (labels are invisible to the detector). The
 /// original uses an OS-ELM autoencoder updated online; here the detector is
 /// a gradient-trained AE calibrated server-side and kept fixed on device
-/// (see `DESIGN.md` §5).
+/// (`safeloc-nn` trains by gradient descent only).
 #[derive(Clone)]
 pub struct Onlad {
     localizer: Sequential,
     detector: Sequential,
     threshold: f32,
-    aggregator: Box<dyn Aggregator>,
+    round: ServerRound,
     cfg: ServerConfig,
-    rounds_run: usize,
 }
 
 impl std::fmt::Debug for Onlad {
@@ -37,7 +35,7 @@ impl std::fmt::Debug for Onlad {
         f.debug_struct("Onlad")
             .field("params", &self.num_params())
             .field("threshold", &self.threshold)
-            .field("rounds_run", &self.rounds_run)
+            .field("round", &self.round)
             .finish()
     }
 }
@@ -57,9 +55,8 @@ impl Onlad {
                 cfg.seed ^ 0xDE7EC7,
             ),
             threshold: f32::INFINITY, // calibrated during pretrain
-            aggregator: Box::new(DefensePipeline::fedavg()),
+            round: ServerRound::new("ONLAD", DefensePipeline::fedavg()),
             cfg,
-            rounds_run: 0,
         }
     }
 
@@ -100,7 +97,7 @@ fn keep_indices(detector: &Sequential, threshold: f32, x: &Matrix) -> Vec<usize>
 
 impl Framework for Onlad {
     fn name(&self) -> &'static str {
-        "ONLAD"
+        self.round.name()
     }
 
     fn pretrain(&mut self, train: &FingerprintSet) {
@@ -131,65 +128,49 @@ impl Framework for Onlad {
     }
 
     fn run_round(&mut self, clients: &mut [Client], plan: &RoundPlan) -> RoundReport {
-        let n_classes = self.localizer.out_dim();
-        let round_salt = (self.rounds_run as u64 + 1) << 16;
-        // One snapshot shared across the fleet; clients are independent,
-        // so detection + local retraining runs in parallel over the
-        // participating cohort.
-        let gm_snapshot = self.localizer.snapshot();
-        let localizer = &self.localizer;
         let detector = &self.detector;
         let threshold = self.threshold;
         let local = &self.cfg.local;
-        let timer = RoundTimer::start();
-        let updates: Vec<ClientUpdate> = active_clients(clients, plan)
-            .into_par_iter()
-            .map(|c| {
-                // Backdoor attackers perturb the RSS feed first.
-                let base = c.base_labels(localizer, local);
-                let x = c.round_rss(localizer, &base, n_classes);
-                // On-device detection: drop anomalous samples.
-                let keep = keep_indices(detector, threshold, &x);
-                if keep.is_empty() {
-                    // Everything flagged: the client sits this round out by
-                    // returning the GM unchanged.
-                    return ClientUpdate::new(c.id, gm_snapshot.clone(), 0);
-                }
-                let x = safeloc_nn::gather_rows(&x, &keep);
-                // Labeling per protocol on the surviving rows.
-                let labels = match local.labeling {
-                    safeloc_fl::LabelingMode::SelfTrain => localizer.predict(&x),
-                    safeloc_fl::LabelingMode::Surveyed => {
-                        keep.iter().map(|&i| c.local.labels[i]).collect()
-                    }
-                };
-                // Label-flipping attackers corrupt the final labels.
-                let labels = c.round_labels(labels, n_classes);
-                let filtered = FingerprintSet::new(x, labels);
-                let params = train_sequential_lm(localizer, &filtered, local, c.seed ^ round_salt);
-                let params = c.finalize_params(&gm_snapshot, params);
-                c.build_update(&gm_snapshot, params, filtered.len())
-            })
-            .collect();
-        let timer = timer.split();
-        let outcome = self
-            .aggregator
-            .aggregate(&self.localizer.snapshot(), &updates);
-        let stages = self.aggregator.take_stage_telemetry();
-        self.localizer
-            .load(&outcome.params)
-            .expect("aggregation preserves architecture");
-        let report = timer.finish(
-            self.rounds_run,
-            self.name(),
+        self.round.run(
+            &mut self.localizer,
             clients,
-            plan,
-            &updates,
-            &outcome,
-            stages,
-        );
-        self.rounds_run += 1;
-        report
+            |localizer, clients, gm_snapshot, round_salt| {
+                let n_classes = localizer.out_dim();
+                // Clients are independent, so detection + local retraining
+                // runs in parallel over the participating cohort.
+                let updates = active_clients(clients, plan)
+                    .into_par_iter()
+                    .map(|c| {
+                        // Backdoor attackers perturb the RSS feed first.
+                        let base = c.base_labels(localizer, local);
+                        let x = c.round_rss(localizer, &base, n_classes);
+                        // On-device detection: drop anomalous samples.
+                        let keep = keep_indices(detector, threshold, &x);
+                        if keep.is_empty() {
+                            // Everything flagged: the client sits this round
+                            // out by returning the GM unchanged.
+                            return ClientUpdate::new(c.id, gm_snapshot.clone(), 0);
+                        }
+                        let x = safeloc_nn::gather_rows(&x, &keep);
+                        // Labeling per protocol on the surviving rows.
+                        let labels = match local.labeling {
+                            safeloc_fl::LabelingMode::SelfTrain => localizer.predict(&x),
+                            safeloc_fl::LabelingMode::Surveyed => {
+                                keep.iter().map(|&i| c.local.labels[i]).collect()
+                            }
+                        };
+                        // Label-flipping attackers corrupt the final labels.
+                        let labels = c.round_labels(labels, n_classes);
+                        let filtered = FingerprintSet::new(x, labels);
+                        let params =
+                            train_sequential_lm(localizer, &filtered, local, c.seed ^ round_salt);
+                        let params = c.finalize_params(gm_snapshot, params);
+                        c.build_update(gm_snapshot, params, filtered.len())
+                    })
+                    .collect();
+                (updates, plan.clone())
+            },
+        )
     }
 
     fn predict(&self, x: &Matrix) -> Vec<usize> {
@@ -210,10 +191,10 @@ impl Framework for Onlad {
         Box::new(self.clone())
     }
 
-    fn set_aggregator(&mut self, aggregator: Box<dyn Aggregator>) {
+    fn set_defense(&mut self, defense: DefensePipeline) {
         // Only the server-side combination rule is swapped; the on-device
         // detector keeps screening samples in front of whatever runs here.
-        self.aggregator = aggregator;
+        self.round.set_defense(defense);
     }
 }
 

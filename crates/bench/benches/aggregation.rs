@@ -41,17 +41,17 @@ fn updates(n_clients: usize) -> (NamedParams, Vec<ClientUpdate>) {
 fn bench_aggregation(c: &mut Criterion) {
     let (global, ups) = updates(6);
     let mut group = c.benchmark_group("aggregation_strategies");
-    let mut strategies: Vec<Box<dyn Aggregator>> = vec![
-        Box::new(DefensePipeline::fedavg()),
-        Box::new(DefensePipeline::krum(1)),
-        Box::new(DefensePipeline::selective(0.5)),
-        Box::new(DefensePipeline::cluster(0.15)),
-        Box::new(DefensePipeline::latent(0)),
-        Box::new(SaliencyAggregator::default().into_pipeline()),
+    let mut strategies: Vec<DefensePipeline> = vec![
+        DefensePipeline::fedavg(),
+        DefensePipeline::krum(1),
+        DefensePipeline::selective(0.5),
+        DefensePipeline::cluster(0.15),
+        DefensePipeline::latent(0),
+        SaliencyAggregator::default().into_pipeline(),
     ];
     for strategy in &mut strategies {
         group.bench_with_input(
-            BenchmarkId::from_parameter(strategy.name()),
+            BenchmarkId::from_parameter(strategy.label()),
             &(&global, &ups),
             |b, (g, u)| b.iter(|| strategy.aggregate(g, u)),
         );

@@ -151,7 +151,7 @@ fn bench_federated_round(c: &mut Criterion) {
             62,
             data.building.num_rps(),
         ],
-        Box::new(DefensePipeline::fedavg()),
+        DefensePipeline::fedavg(),
         cfg,
     );
     server.pretrain(&data.server_train);

@@ -1,5 +1,5 @@
 //! Ablation — attribution of SAFELOC's robustness to its parts (ours, not a
-//! paper figure; DESIGN.md §3 calls out the design choices under test).
+//! paper figure; each variant below changes one design choice).
 //!
 //! Variants (the suite engine's `SafelocVariant` axis):
 //! * **full** — detection + de-noising + saliency (Normalized Eq. 9)

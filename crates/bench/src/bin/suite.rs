@@ -85,7 +85,8 @@ fn parse_args() -> Args {
 }
 
 /// Validates one spec file without running any cell: parse, expand the
-/// grid, and build every spec-defined defense pipeline. Returns the cell
+/// grid, check every network's fault parameters, and build every
+/// spec-defined defense pipeline. Returns the cell
 /// count or a readable error.
 fn check_spec(path: &Path, cfg: HarnessConfig) -> Result<usize, String> {
     let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
@@ -99,6 +100,9 @@ fn check_spec(path: &Path, cfg: HarnessConfig) -> Result<usize, String> {
         );
     }
     for cell in &cells {
+        cell.network
+            .validate()
+            .map_err(|e| format!("network {}: {e}", cell.network.label()))?;
         // Defense pipelines are built exactly as a run would build them,
         // so a spec naming an unbuildable composition fails here.
         if let DefenseSpec::Pipeline(p) = &cell.defense {

@@ -2,8 +2,8 @@
 //!
 //! The paper reports SAFELOC with the fewest parameters (41,094) and the
 //! lowest inference latency (64 ms on a phone), 1.04–2.1× faster than the
-//! rest. Our latency is host-CPU microseconds; the comparison is relative
-//! (see `DESIGN.md` §5). A Criterion version lives in
+//! rest. Our latency is host-CPU microseconds with no phone in the loop,
+//! so only the ordering compares with the paper. A Criterion version lives in
 //! `benches/inference_latency.rs`.
 //!
 //! The framework axis comes from the scenario-suite engine (one cell per

@@ -239,7 +239,7 @@ mod tests {
             };
             let server = SequentialFlServer::new(
                 &[16, 8, 4],
-                Box::new(DefensePipeline::fedavg()),
+                DefensePipeline::fedavg(),
                 ServerConfig::tiny(),
             );
             let mut session = FlSession::builder(Box::new(server))

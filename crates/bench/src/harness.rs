@@ -13,7 +13,9 @@ use safeloc_wire::FaultProfile;
 pub enum Scale {
     /// Smoke-test: one small building, short training, coarse grids.
     Quick,
-    /// Scaled-down-but-converged defaults (see `DESIGN.md` §5).
+    /// Scaled-down-but-converged defaults: fewer pretraining epochs, and a
+    /// client learning rate raised so a few rounds drift as far as the
+    /// paper's long deployment (`ServerConfig::default_scale`).
     Default,
     /// The paper's §V.A configuration (700 epochs, 10 rounds) — hours.
     Full,

@@ -1,8 +1,7 @@
 //! Benchmark harness regenerating every table and figure of the SAFELOC
 //! paper.
 //!
-//! Each binary in `src/bin/` reproduces one experiment (see `DESIGN.md` §3
-//! for the full index):
+//! Each binary in `src/bin/` reproduces one experiment:
 //!
 //! | Binary | Paper artifact |
 //! |---|---|
@@ -34,7 +33,8 @@
 //!
 //! Every binary accepts `--quick` (smoke-test scale), `--full` (the paper's
 //! 700-epoch configuration) and `--seed N`; the default is a
-//! scaled-down-but-converged configuration (`DESIGN.md` §5).
+//! scaled-down-but-converged configuration (`ServerConfig::default_scale`
+//! and `SafeLocConfig::default_scale` say what is scaled and why).
 
 pub mod fleet;
 pub mod harness;

@@ -521,6 +521,22 @@ impl NetworkSpec {
         self.fault(0).is_ideal()
     }
 
+    /// Checks a spec-file network: `deadline_ms` finite and `>= 0`, the
+    /// rest as [`FaultProfile::validate`] checks it.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first offending field and its value.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(self.deadline_ms.is_finite() && self.deadline_ms >= 0.0) {
+            return Err(format!(
+                "deadline_ms must be finite and >= 0, got {}",
+                self.deadline_ms
+            ));
+        }
+        self.fault(0).validate()
+    }
+
     /// The seeded fault profile this spec describes; `seed` comes from the
     /// cell ([`ScenarioCell::network_seed`]) so distinct repetitions draw
     /// independent fault streams.
@@ -573,7 +589,7 @@ pub enum DefenseSpec {
     /// The framework's built-in rule (the paper's configuration).
     Builtin,
     /// A composed defense pipeline replacing the built-in rule via
-    /// [`Framework::set_aggregator`].
+    /// [`Framework::set_defense`].
     Pipeline(PipelineSpec),
 }
 
@@ -1200,7 +1216,7 @@ impl SuiteRunner {
         let mut framework = self.templates[&key].instantiate(&cell.framework);
         if let DefenseSpec::Pipeline(spec) = &cell.defense {
             let pipeline = spec.build(cell.defense_seed(self.cfg.seed));
-            framework.set_aggregator(Box::new(pipeline));
+            framework.set_defense(pipeline);
         }
         framework
     }
@@ -1281,6 +1297,15 @@ fn run_prepared_cell(
     let data = datasets
         .get(&(cell.building, cell.fleet.total))
         .expect("prepare ensured the dataset");
+    if let Err(e) = cell.network.validate() {
+        return CellRun {
+            cell,
+            fleet_size: data.num_clients(),
+            errors: Vec::new(),
+            reports: Vec::new(),
+            error: Some(format!("network: {e}")),
+        };
+    }
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let scenario = Scenario {
             attack: cell.attack.attack.clone(),
@@ -2005,6 +2030,28 @@ mod tests {
         assert_eq!(fault.latency_ms_mean, 40.0);
         assert_eq!(fault.drop_probability, 0.1);
         assert_eq!(fault.seed, 9);
+    }
+
+    /// A spec-file network that would panic `degrade_plan` (an infinite
+    /// std) or bench nobody sensibly (a negative deadline) is refused,
+    /// naming the field; the checked-in shapes pass.
+    #[test]
+    fn network_specs_are_validated_field_by_field() {
+        let inf_std: NetworkSpec =
+            serde_json::from_str(r#"{"latency_ms_mean": 5, "latency_ms_std": 1e999}"#).unwrap();
+        let err = inf_std.validate().unwrap_err();
+        assert!(err.contains("latency_ms_std"), "{err}");
+        let early = NetworkSpec {
+            deadline_ms: -1.0,
+            ..NetworkSpec::ideal()
+        };
+        assert!(early.validate().unwrap_err().contains("deadline_ms"));
+        let lossy = NetworkSpec {
+            drop_probability: 2.0,
+            ..NetworkSpec::ideal()
+        };
+        assert!(lossy.validate().unwrap_err().contains("drop_probability"));
+        assert_eq!(NetworkSpec::ideal().validate(), Ok(()));
     }
 
     #[test]

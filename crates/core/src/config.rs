@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 
 /// How the per-sample reconstruction error is computed.
 ///
-/// See `DESIGN.md` §5: the paper sweeps τ over `[0, 0.5]` and calls τ = 0.1
+/// The paper sweeps τ over `[0, 0.5]` and calls τ = 0.1
 /// "10% variance", which only types as a *relative* error; a raw MSE on
 /// `[0,1]` inputs lives orders of magnitude lower. Relative mode is the
 /// default; raw-MSE mode is kept for comparison.
@@ -90,7 +90,7 @@ impl SafeLocConfig {
 
     /// Scaled-down defaults that converge on the synthetic data (benches).
     /// Client learning rate is raised to 3e-3 to compress the paper's
-    /// long-running deployment into 5 rounds (see `DESIGN.md` §5).
+    /// long-running deployment into 5 rounds.
     pub fn default_scale(seed: u64) -> Self {
         Self {
             pretrain_epochs: 150,

@@ -7,9 +7,9 @@ use crate::fused::{FusedConfig, FusedNetwork};
 use crate::saliency::SaliencyAggregator;
 use rayon::prelude::*;
 use safeloc_dataset::FingerprintSet;
-use safeloc_fl::report::RoundTimer;
 use safeloc_fl::{
-    active_clients, Aggregator, Client, ClientUpdate, Framework, RoundPlan, RoundReport,
+    active_clients, Client, ClientUpdate, DefensePipeline, Framework, RoundPlan, RoundReport,
+    ServerRound,
 };
 use safeloc_nn::{Adam, HasParams, Matrix, NamedParams, TrainConfig};
 
@@ -28,7 +28,7 @@ use safeloc_nn::{Adam, HasParams, Matrix, NamedParams, TrainConfig};
 ///    ([`SaliencyAggregator::into_pipeline`]), which suppresses the weight
 ///    deviations that label-flipped training produces; the returned
 ///    [`RoundReport`] records each update's mean
-///    saliency as its acceptance weight. [`Framework::set_aggregator`]
+///    saliency as its acceptance weight. [`Framework::set_defense`]
 ///    swaps in any other composed pipeline (scenario-spec defense
 ///    ablations) without touching the client-side protocol.
 /// 3. [`Framework::predict`] — detection-aware inference: flagged inputs
@@ -39,12 +39,11 @@ pub struct SafeLoc {
     /// The saliency configuration the default pipeline is built from
     /// (kept so sharpness/mode tweaks rebuild it).
     saliency: SaliencyAggregator,
-    aggregator: Box<dyn Aggregator>,
+    round: ServerRound,
     cfg: SafeLocConfig,
     /// p95 of the clean training data's RCE, calibrated at pretraining;
-    /// τ is read relative to this baseline (`DESIGN.md` §5).
+    /// τ is read relative to this baseline (`RceMode` says why).
     rce_baseline: f32,
-    rounds_run: usize,
 }
 
 impl std::fmt::Debug for SafeLoc {
@@ -52,8 +51,7 @@ impl std::fmt::Debug for SafeLoc {
         f.debug_struct("SafeLoc")
             .field("params", &self.net.num_params())
             .field("tau", &self.cfg.tau)
-            .field("aggregation", &self.aggregator.name().to_string())
-            .field("rounds_run", &self.rounds_run)
+            .field("round", &self.round)
             .finish()
     }
 }
@@ -73,10 +71,9 @@ impl SafeLoc {
         Self {
             net,
             saliency,
-            aggregator: Box::new(saliency.into_pipeline()),
+            round: ServerRound::new("SAFELOC", saliency.into_pipeline()),
             cfg,
             rce_baseline: f32::INFINITY, // calibrated during pretrain
-            rounds_run: 0,
         }
     }
 
@@ -109,80 +106,21 @@ impl SafeLoc {
     /// Overrides the saliency sharpness (0 makes S ≡ 1, i.e. plain delta
     /// averaging — the ablation's "no saliency" variant). Rebuilds the
     /// canonical saliency pipeline, replacing any pipeline previously
-    /// installed through [`Framework::set_aggregator`].
+    /// installed through [`Framework::set_defense`].
     pub fn set_saliency_sharpness(&mut self, sharpness: f32) {
         self.saliency.sharpness = sharpness;
-        self.aggregator = Box::new(self.saliency.into_pipeline());
+        self.round.set_defense(self.saliency.into_pipeline());
     }
 
     /// The framework configuration.
     pub fn config(&self) -> &SafeLocConfig {
         &self.cfg
     }
-
-    /// Collects one round of updates from the plan's participating clients
-    /// (exposed for tests/ablations).
-    ///
-    /// Clients are independent — each de-noises and retrains its own clone
-    /// of the fused GM — so the participating cohort runs in parallel.
-    /// Per-client seed streams and order-preserving collection keep the
-    /// round bitwise-identical across thread counts.
-    pub fn collect_updates(&self, clients: &mut [Client], plan: &RoundPlan) -> Vec<ClientUpdate> {
-        let n_classes = self.net.n_classes();
-        let round_salt = (self.rounds_run as u64 + 1) << 16;
-        // One snapshot shared across the fleet (the seed re-snapshotted the
-        // full fused model once per client). The fields the fleet reads are
-        // hoisted so the parallel closure does not capture `self` (whose
-        // boxed defense pipeline is Send, not Sync — it is only ever run
-        // from the server thread).
-        let gm_snapshot = self.net.snapshot();
-        let net = &self.net;
-        let cfg = &self.cfg;
-        let threshold = self.effective_threshold();
-        active_clients(clients, plan)
-            .into_par_iter()
-            .map(|c| {
-                // 1. A backdoor attacker perturbs the RSS feed before the
-                //    pipeline sees it (Fig. 2).
-                let base = c.base_labels(net, &cfg.local);
-                let x = c.round_rss(net, &base, n_classes);
-                // 2. Client-side poison detection + de-noising (§IV.A):
-                //    rows whose RCE exceeds τ are replaced by their
-                //    reconstructions, neutralizing the perturbation.
-                let (den_x, _) = net.denoise_matrix(&x, threshold, cfg.rce_mode);
-                // 3. Labeling per protocol — under self-training the labels
-                //    come from the *de-noised* input, which is what defeats
-                //    the backdoor payload.
-                let labels = match cfg.local.labeling {
-                    safeloc_fl::LabelingMode::SelfTrain => net.predict(&den_x),
-                    safeloc_fl::LabelingMode::Surveyed => c.local.labels.clone(),
-                };
-                // 4. A label-flipping attacker corrupts the final labels —
-                //    invisible to the client-side defense by construction.
-                let labels = c.round_labels(labels, n_classes);
-                // 5. Lightweight local retraining of the fused LM.
-                let mut lm = net.clone();
-                let mut opt = Adam::new(cfg.local.learning_rate);
-                let n = den_x.rows();
-                lm.fit_augmented(
-                    &den_x,
-                    &labels,
-                    &mut opt,
-                    &TrainConfig::new(cfg.local.epochs, cfg.local.batch_size, c.seed ^ round_salt),
-                    cfg.detach_decoder,
-                    cfg.recon_weight,
-                    cfg.augment.as_ref(),
-                );
-                let params = c.finalize_params(&gm_snapshot, lm.snapshot());
-                c.build_update(&gm_snapshot, params, n)
-            })
-            .collect()
-    }
 }
 
 impl Framework for SafeLoc {
     fn name(&self) -> &'static str {
-        "SAFELOC"
+        self.round.name()
     }
 
     fn pretrain(&mut self, train: &FingerprintSet) {
@@ -211,26 +149,65 @@ impl Framework for SafeLoc {
         self.rce_baseline = calibrate_tau(&self.net, &calib_x, self.cfg.rce_mode, 0.95, 1.0);
     }
 
+    /// Clients are independent — each de-noises and retrains its own clone
+    /// of the fused GM — so the participating cohort runs in parallel.
+    /// Per-client seed streams and order-preserving collection keep the
+    /// round bitwise-identical across thread counts.
     fn run_round(&mut self, clients: &mut [Client], plan: &RoundPlan) -> RoundReport {
-        let timer = RoundTimer::start();
-        let updates = self.collect_updates(clients, plan);
-        let timer = timer.split();
-        let outcome = self.aggregator.aggregate(&self.net.snapshot(), &updates);
-        let stages = self.aggregator.take_stage_telemetry();
-        self.net
-            .load(&outcome.params)
-            .expect("aggregation preserves architecture");
-        let report = timer.finish(
-            self.rounds_run,
-            self.name(),
+        let cfg = &self.cfg;
+        let threshold = self.effective_threshold();
+        self.round.run(
+            &mut self.net,
             clients,
-            plan,
-            &updates,
-            &outcome,
-            stages,
-        );
-        self.rounds_run += 1;
-        report
+            |net, clients, gm_snapshot, round_salt| {
+                let n_classes = net.n_classes();
+                let updates = active_clients(clients, plan)
+                    .into_par_iter()
+                    .map(|c| {
+                        // 1. A backdoor attacker perturbs the RSS feed before
+                        //    the pipeline sees it (Fig. 2).
+                        let base = c.base_labels(net, &cfg.local);
+                        let x = c.round_rss(net, &base, n_classes);
+                        // 2. Client-side poison detection + de-noising
+                        //    (§IV.A): rows whose RCE exceeds τ are replaced
+                        //    by their reconstructions, neutralizing the
+                        //    perturbation.
+                        let (den_x, _) = net.denoise_matrix(&x, threshold, cfg.rce_mode);
+                        // 3. Labeling per protocol — under self-training the
+                        //    labels come from the *de-noised* input, which is
+                        //    what defeats the backdoor payload.
+                        let labels = match cfg.local.labeling {
+                            safeloc_fl::LabelingMode::SelfTrain => net.predict(&den_x),
+                            safeloc_fl::LabelingMode::Surveyed => c.local.labels.clone(),
+                        };
+                        // 4. A label-flipping attacker corrupts the final
+                        //    labels — invisible to the client-side defense by
+                        //    construction.
+                        let labels = c.round_labels(labels, n_classes);
+                        // 5. Lightweight local retraining of the fused LM.
+                        let mut lm = net.clone();
+                        let mut opt = Adam::new(cfg.local.learning_rate);
+                        let n = den_x.rows();
+                        lm.fit_augmented(
+                            &den_x,
+                            &labels,
+                            &mut opt,
+                            &TrainConfig::new(
+                                cfg.local.epochs,
+                                cfg.local.batch_size,
+                                c.seed ^ round_salt,
+                            ),
+                            cfg.detach_decoder,
+                            cfg.recon_weight,
+                            cfg.augment.as_ref(),
+                        );
+                        let params = c.finalize_params(gm_snapshot, lm.snapshot());
+                        c.build_update(gm_snapshot, params, n)
+                    })
+                    .collect::<Vec<ClientUpdate>>();
+                (updates, plan.clone())
+            },
+        )
     }
 
     fn predict(&self, x: &Matrix) -> Vec<usize> {
@@ -251,11 +228,11 @@ impl Framework for SafeLoc {
         Box::new(self.clone())
     }
 
-    fn set_aggregator(&mut self, aggregator: Box<dyn Aggregator>) {
+    fn set_defense(&mut self, defense: DefensePipeline) {
         // The client-side detector/de-noiser is untouched: only the
         // server-side combination rule is swapped, which is exactly the
         // ablation axis ("SAFELOC's pipeline with X instead of saliency").
-        self.aggregator = aggregator;
+        self.round.set_defense(defense);
     }
 }
 

@@ -8,8 +8,7 @@
 //! deviating weights before aggregation (Eqs. 8–9).
 //!
 //! Eq. 9 as printed (`W'_GM = W_GM + W_Adj`) has no fixed point — with
-//! identical models it doubles the weights — so two readings are provided
-//! (see `DESIGN.md` §5):
+//! identical models it doubles the weights — so two readings are provided:
 //!
 //! * [`AggregationMode::Normalized`] (default):
 //!   `W'_GM = W_GM + mean_i(S_i ∘ (W_LM,i − W_GM))`. The saliency gates the

@@ -40,7 +40,8 @@ pub struct AccessPoint {
 /// granularity, and APs placed uniformly over the floor.
 ///
 /// [`Building::paper`] reproduces the five buildings of the paper's §V.A
-/// with the exact RP/AP counts; geometry is synthetic (see `DESIGN.md` §5).
+/// with the exact RP/AP counts; geometry is synthetic, because the paper's
+/// floorplans and fingerprints are not public (see the crate docs).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Building {
     /// Identifier (1-based for the paper buildings).

@@ -3,7 +3,7 @@
 //! The paper evaluates on a proprietary dataset: RSS fingerprints collected
 //! in five university buildings with six heterogeneous smartphones. That data
 //! is not public, so this crate builds the closest synthetic equivalent that
-//! exercises the same code paths (see `DESIGN.md` §5):
+//! exercises the same code paths:
 //!
 //! * [`Building`] — a floorplan with reference points (RPs) laid out on a
 //!   1 m-granularity walking path and Wi-Fi access points (APs) scattered

@@ -207,6 +207,27 @@ impl Client {
         let labels = self.round_labels(labels, n_classes);
         FingerprintSet::new(x, labels)
     }
+
+    /// The whole client side of a round for a [`Sequential`] GM, written
+    /// once for every engine that reaches its clients in process
+    /// ([`SequentialFlServer`](crate::SequentialFlServer)) or over the wire
+    /// (`safeloc_wire::run_remote_client`): [`Client::prepare_round_data`],
+    /// local training seeded `self.seed ^ round_salt`
+    /// ([`train_sequential_lm`]), [`Client::finalize_params`] and
+    /// [`Client::build_update`]. `gm_params` is `gm`'s snapshot, taken once
+    /// per round by the caller.
+    pub fn sequential_update(
+        &mut self,
+        gm: &Sequential,
+        gm_params: &NamedParams,
+        cfg: &LocalTrainConfig,
+        round_salt: u64,
+    ) -> ClientUpdate {
+        let set = self.prepare_round_data(gm, gm.out_dim(), cfg);
+        let lm = train_sequential_lm(gm, &set, cfg, self.seed ^ round_salt);
+        let lm = self.finalize_params(gm_params, lm);
+        self.build_update(gm_params, lm, set.len())
+    }
 }
 
 /// Label prediction, implemented by every global model type so clients can

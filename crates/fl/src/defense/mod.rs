@@ -37,13 +37,14 @@
 //! ([`DefensePipeline::fedavg`] and friends) that reproduce the monolithic
 //! aggregators they replaced bit for bit.
 //!
-//! [`Aggregator`] is the object-safe face frameworks hold a pipeline
-//! behind (`Box<dyn Aggregator>`); [`DefensePipeline`] is its only
-//! implementor. The trait, and the `…Aggregator` names two of the stages
-//! and one combiner still carry from the days each was a monolithic
-//! aggregator, stay only because the frozen `benchmark/` crate imports
-//! them — they go when ROADMAP item 2 updates `benchmark/` in the same
-//! change.
+//! Every engine holds a concrete [`DefensePipeline`] (through
+//! [`ServerRound`](crate::ServerRound)). [`Aggregator`] is a leftover with
+//! one implementor and two methods, [`Aggregator::aggregate`] and
+//! [`Aggregator::take_stage_telemetry`]: the frozen `benchmark/` crate
+//! calls exactly those through it. The trait, and the `…Aggregator` names
+//! two of the stages and one combiner still carry from the days each was
+//! a monolithic aggregator, go when ROADMAP item 2 updates `benchmark/`
+//! in the same change.
 //!
 //! Fang et al. 2020 (arXiv:1911.11815) show single defenses fall to
 //! adaptive model poisoning; the point of this API is that layered
@@ -109,24 +110,17 @@ use std::time::Instant;
 /// Rule name recorded on updates stage zero rejects for NaN/Inf weights.
 pub const NON_FINITE_RULE: &str = "non-finite";
 
-/// What a framework holds its defense behind: the current global model
-/// plus the round's updates in, an [`AggregationOutcome`] — the next
-/// global model *and* a per-update decision trail (accepted with what
-/// weight / rejected by which rule with what score) — out.
-/// [`DefensePipeline`] is the only implementor (see the module docs for
-/// why the trait is still here).
-pub trait Aggregator: Send {
+/// A round's defense as the frozen `benchmark/` crate calls it: the
+/// current global model plus the round's updates in, an
+/// [`AggregationOutcome`] — the next global model *and* a per-update
+/// decision trail (accepted with what weight / rejected by which rule with
+/// what score) — out. [`DefensePipeline`] is the only implementor (see the
+/// module docs for why the trait is still here).
+pub trait Aggregator {
     /// Screens and combines one round. `updates` is whatever arrived —
     /// possibly nothing, possibly NaN-ridden; the returned `decisions`
     /// parallel it, and a round nobody survives returns `global.clone()`.
     fn aggregate(&mut self, global: &NamedParams, updates: &[ClientUpdate]) -> AggregationOutcome;
-
-    /// Strategy name for reports (a pipeline's composition label).
-    fn name(&self) -> &str;
-
-    /// Boxed clone, so servers holding `Box<dyn Aggregator>` are clonable
-    /// (the bench harness clones pretrained frameworks across scenarios).
-    fn clone_box(&self) -> Box<dyn Aggregator>;
 
     /// Drains the per-stage telemetry of the most recent
     /// [`Aggregator::aggregate`] call — rejection counts and wall time by
@@ -135,12 +129,6 @@ pub trait Aggregator: Send {
     /// outside [`AggregationOutcome`] so outcome equality stays meaningful
     /// in determinism tests while wall clocks vary run to run.
     fn take_stage_telemetry(&mut self) -> Vec<StageTelemetry>;
-}
-
-impl Clone for Box<dyn Aggregator> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
 }
 
 /// A screening stage of a [`DefensePipeline`]: reads the shared
@@ -385,16 +373,8 @@ impl Aggregator for DefensePipeline {
         }
     }
 
-    fn name(&self) -> &str {
-        &self.label
-    }
-
     fn take_stage_telemetry(&mut self) -> Vec<StageTelemetry> {
         std::mem::take(&mut self.last_telemetry)
-    }
-
-    fn clone_box(&self) -> Box<dyn Aggregator> {
-        Box::new(self.clone())
     }
 }
 
@@ -551,12 +531,12 @@ mod tests {
     }
 
     #[test]
-    fn pipelines_clone_through_the_aggregator_box() {
+    fn pipelines_clone_with_their_rules() {
         let g = params(&[0.0], &[0.0]);
         let u = vec![update(0, &[2.0], &[2.0]), update(1, &[4.0], &[4.0])];
-        let mut a: Box<dyn Aggregator> = Box::new(DefensePipeline::fedavg());
+        let mut a = DefensePipeline::fedavg();
         let mut b = a.clone();
         assert_eq!(a.aggregate(&g, &u), b.aggregate(&g, &u));
-        assert_eq!(a.name(), "FedAvg");
+        assert_eq!(b.label(), "FedAvg");
     }
 }

@@ -179,7 +179,7 @@ mod tests {
     fn pretrained(data: &BuildingDataset) -> SequentialFlServer {
         let mut s = SequentialFlServer::new(
             &[data.building.num_aps(), 24, data.building.num_rps()],
-            Box::new(DefensePipeline::fedavg()),
+            DefensePipeline::fedavg(),
             ServerConfig::tiny(),
         );
         s.pretrain(&data.server_train);

@@ -1,7 +1,7 @@
 //! The uniform interface the benchmark harness drives.
 
 use crate::client::Client;
-use crate::defense::Aggregator;
+use crate::defense::DefensePipeline;
 use crate::report::RoundReport;
 use crate::round::RoundPlan;
 use safeloc_dataset::FingerprintSet;
@@ -54,12 +54,11 @@ pub trait Framework: Send {
     fn clone_box(&self) -> Box<dyn Framework>;
 
     /// Replaces the framework's server-side defense with another
-    /// [`Aggregator`] — in practice a composed
-    /// [`DefensePipeline`](crate::defense::DefensePipeline) — keeping the
-    /// trained global model and the client-side protocol. This is how a
-    /// scenario spec sweeps defense compositions over one pretrained
-    /// framework (the `DefenseSpec` axis in `safeloc-bench`).
-    fn set_aggregator(&mut self, aggregator: Box<dyn Aggregator>);
+    /// [`DefensePipeline`], keeping the trained global model, the round
+    /// counter and the client-side protocol. This is how a scenario spec
+    /// sweeps defense compositions over one pretrained framework (the
+    /// `DefenseSpec` axis in `safeloc-bench`).
+    fn set_defense(&mut self, defense: DefensePipeline);
 
     /// Classification accuracy helper.
     fn accuracy(&self, x: &Matrix, labels: &[usize]) -> f32 {

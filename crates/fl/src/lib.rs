@@ -30,10 +30,11 @@
 //!   [`defense::TrimmedMean`] and [`defense::CoordinateMedian`] open the
 //!   robust-aggregation literature's compositions. SAFELOC's saliency
 //!   combiner lives in the `safeloc` crate — it is the paper's
-//!   contribution. [`Aggregator`] is the boxed face frameworks hold a
-//!   pipeline behind; it has one implementor, and it and the
-//!   `…Aggregator` type names survive only because the frozen
-//!   `benchmark/` crate imports them (ROADMAP item 2).
+//!   contribution. Frameworks hold a concrete [`DefensePipeline`];
+//!   [`Aggregator`] survives, with one implementor and only the
+//!   `aggregate` / `take_stage_telemetry` pair, because the frozen
+//!   `benchmark/` crate calls those through it — it and the `…Aggregator`
+//!   type names go with ROADMAP item 2.
 //! * **Round lifecycle** — a seeded [`CohortSampler`] draws one
 //!   [`RoundPlan`] per round (full, uniform-k or weighted cohorts —
 //!   including [`CohortSampler::weighted_by_data_volume`], which derives
@@ -48,9 +49,15 @@
 //!   generates each round's cohort on demand so city-scale fleets stay
 //!   cohort-bounded in memory); the harness and examples drive every
 //!   round through [`FlSession::next_round`].
+//! * [`ServerRound`] — the server half of a round, written once: snapshot
+//!   the GM, derive the round's training-seed salt, hand both to the
+//!   engine's client collector, defend, load, report. Every engine runs
+//!   its rounds through one, and the client half of a sequential round is
+//!   one method too, [`Client::sequential_update`], whether the client sits
+//!   in this process or behind `safeloc-wire`'s sockets.
 //! * [`SequentialFlServer`] — a complete FL server around a
 //!   [`Sequential`](safeloc_nn::Sequential) DNN global model; every baseline
-//!   framework is this server with a different architecture + aggregator.
+//!   framework is this server with a different architecture + defense.
 //! * [`Framework`] — the uniform interface the benchmark harness drives:
 //!   pretrain → federated rounds → predict.
 //!
@@ -69,7 +76,7 @@
 //! let data = BuildingDataset::generate(Building::tiny(3), &DatasetConfig::tiny(), 3);
 //! let mut server = SequentialFlServer::new(
 //!     &[data.building.num_aps(), 32, data.building.num_rps()],
-//!     Box::new(DefensePipeline::fedavg()),
+//!     DefensePipeline::fedavg(),
 //!     ServerConfig::tiny(),
 //! );
 //! server.pretrain(&data.server_train);
@@ -126,6 +133,6 @@ pub use report::{
     RoundReport, StageTelemetry, UpdateDecision,
 };
 pub use round::{Availability, CohortSampler, CohortStrategy, RoundPlan};
-pub use server::{active_clients, SequentialFlServer, ServerConfig};
+pub use server::{active_clients, SequentialFlServer, ServerConfig, ServerRound};
 pub use session::{FlSession, FlSessionBuilder, ModelPublisher, PlanTransform};
 pub use update::ClientUpdate;

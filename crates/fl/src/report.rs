@@ -4,8 +4,9 @@
 //! *which* updates Krum/FEDCC/FEDLS rejected or measure attacker-rejection
 //! rates. Two types fix that:
 //!
-//! * [`AggregationOutcome`] — what an [`Aggregator`](crate::Aggregator)
-//!   decided: the next GM plus one [`UpdateDecision`] per input update.
+//! * [`AggregationOutcome`] — what a
+//!   [`DefensePipeline`](crate::DefensePipeline) decided: the next GM plus
+//!   one [`UpdateDecision`] per input update.
 //! * [`RoundReport`] — what a whole round did: one [`ClientReport`] per
 //!   cohort member (trained / dropped / straggled / rejected, with the
 //!   rejecting rule's name and score) plus wall-clock timings.
@@ -16,7 +17,6 @@ use crate::update::ClientUpdate;
 use safeloc_nn::NamedParams;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::time::Instant;
 
 /// One defense stage's footprint on a round: how many updates it
 /// rejected and how long it ran. A
@@ -61,8 +61,8 @@ impl UpdateDecision {
     }
 }
 
-/// The result of one [`Aggregator::aggregate`](crate::Aggregator::aggregate)
-/// call: the next global model plus a per-update decision trail.
+/// What one [`DefensePipeline`](crate::DefensePipeline) round decided:
+/// the next global model plus a per-update decision trail.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AggregationOutcome {
     /// The next global model.
@@ -152,7 +152,8 @@ impl RoundReport {
     ///
     /// `updates` must be the participant updates in cohort order (the order
     /// [`RoundPlan::active_indices`] yields) and `outcome.decisions` must
-    /// parallel `updates` — which is exactly what the engine produces.
+    /// parallel `updates` — which is exactly what
+    /// [`ServerRound::run`](crate::ServerRound::run) produces.
     ///
     /// # Panics
     ///
@@ -304,90 +305,6 @@ impl RoundReport {
         } else {
             Some(weights.iter().sum::<f32>() / weights.len() as f32)
         }
-    }
-}
-
-/// Two-phase wall clock for one round, shared by every engine so the
-/// timing/assemble boilerplate lives once: start it before client
-/// training, [`RoundTimer::split`] between training and aggregation, and
-/// [`RoundSplit::finish`] after the new GM is loaded.
-///
-/// ```ignore
-/// let timer = RoundTimer::start();
-/// let updates = self.collect_updates(clients, plan);
-/// let timer = timer.split();
-/// let outcome = self.aggregator.aggregate(&gm.snapshot(), &updates);
-/// let stages = self.aggregator.take_stage_telemetry();
-/// gm.load(&outcome.params)?;
-/// let report =
-///     timer.finish(self.rounds_run, self.name(), clients, plan, &updates, &outcome, stages);
-/// ```
-#[derive(Debug)]
-pub struct RoundTimer {
-    train_start: Instant,
-}
-
-/// The second phase of a [`RoundTimer`]: training time is banked,
-/// aggregation is being timed.
-#[derive(Debug)]
-pub struct RoundSplit {
-    train_ms: f64,
-    aggregate_start: Instant,
-}
-
-impl RoundTimer {
-    /// Starts timing client-side training.
-    #[allow(clippy::new_without_default)]
-    pub fn start() -> Self {
-        Self {
-            // det: round timers feed *_ms report fields only; nothing
-            // model-visible reads wall time, trajectories stay bitwise.
-            train_start: Instant::now(),
-        }
-    }
-
-    /// Ends the training phase and starts timing aggregation.
-    pub fn split(self) -> RoundSplit {
-        RoundSplit {
-            train_ms: self.train_start.elapsed().as_secs_f64() * 1e3,
-            // det: report-only timing, as in RoundTimer::start.
-            aggregate_start: Instant::now(),
-        }
-    }
-}
-
-impl RoundSplit {
-    /// Ends the aggregation phase and assembles the round's report (see
-    /// [`RoundReport::assemble`] for the contract on `updates` and
-    /// `outcome`; `stages` is the aggregator's drained
-    /// [`Aggregator::take_stage_telemetry`](crate::Aggregator::take_stage_telemetry)).
-    #[allow(clippy::too_many_arguments)]
-    pub fn finish(
-        self,
-        round: usize,
-        framework: &str,
-        clients: &[Client],
-        plan: &RoundPlan,
-        updates: &[ClientUpdate],
-        outcome: &AggregationOutcome,
-        stages: Vec<StageTelemetry>,
-    ) -> RoundReport {
-        let aggregate_ms = self.aggregate_start.elapsed().as_secs_f64() * 1e3;
-        // Every engine funnels through this assembly point, so recording
-        // round wall time and cohort size here covers sequential and
-        // remote rounds over any fleet provider.
-        crate::metrics::fl_metrics().on_round(self.train_ms, aggregate_ms, plan.cohort().len());
-        RoundReport::assemble(
-            round,
-            framework,
-            clients,
-            plan,
-            updates,
-            outcome,
-            stages,
-            self.train_ms,
-            aggregate_ms,
-        )
     }
 }
 

@@ -4,15 +4,16 @@
 //! layer stack and aggregation rule; only SAFELOC replaces the model type
 //! (fused network) and the aggregation (saliency map).
 
-use crate::client::{train_sequential_lm, Client, LocalTrainConfig};
-use crate::defense::Aggregator;
+use crate::client::{Client, LocalTrainConfig};
+use crate::defense::{Aggregator, DefensePipeline};
 use crate::framework::Framework;
-use crate::report::{RoundReport, RoundTimer};
+use crate::report::RoundReport;
 use crate::round::RoundPlan;
 use crate::update::ClientUpdate;
 use rayon::prelude::*;
 use safeloc_dataset::FingerprintSet;
 use safeloc_nn::{Activation, Adam, HasParams, Matrix, NamedParams, Sequential, TrainConfig};
+use std::time::Instant;
 
 /// Gathers mutable references to the plan's participating clients, in
 /// fleet order — the shape the parallel trainers fan out over. Shared by
@@ -62,8 +63,7 @@ impl ServerConfig {
     /// Scaled-down configuration that still trains to convergence on the
     /// synthetic data — the default for benches. The client learning rate is
     /// raised to 3e-3 so that a few default-scale rounds produce the same LM
-    /// drift as the paper's long-running deployment at 1e-4 (see
-    /// `DESIGN.md` §5).
+    /// drift as the paper's long-running deployment at 1e-4.
     pub fn default_scale(seed: u64) -> Self {
         Self {
             pretrain_epochs: 120,
@@ -94,55 +94,135 @@ impl ServerConfig {
     }
 }
 
+/// The server half of a federated round, written once for every engine:
+/// snapshot the GM, derive the round's training-seed salt
+/// (`(round + 1) << 16`, here and nowhere else), hand both to the engine's
+/// client *collector* — an in-process fan-out, or
+/// `safeloc_wire::RemoteFlServer`'s sockets — then defend, load and
+/// report. `train_ms` ends when the collector returns, `aggregate_ms`
+/// after the load.
+#[derive(Debug, Clone)]
+pub struct ServerRound {
+    name: &'static str,
+    defense: DefensePipeline,
+    rounds_run: usize,
+}
+
+impl ServerRound {
+    /// A round runner for the engine `name` (the report's framework name)
+    /// defended by `defense`.
+    pub fn new(name: &'static str, defense: DefensePipeline) -> Self {
+        Self {
+            name,
+            defense,
+            rounds_run: 0,
+        }
+    }
+
+    /// The engine name reports carry.
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// Replaces the defense; the round counter and the GM are untouched.
+    pub fn set_defense(&mut self, defense: DefensePipeline) {
+        self.defense = defense;
+    }
+
+    /// Rounds run so far (the next round's index).
+    pub fn rounds_run(&self) -> usize {
+        self.rounds_run
+    }
+
+    /// Runs one round over `gm`. `collect` receives the GM, the clients,
+    /// the GM's snapshot and the round salt, and returns the delivered
+    /// updates in cohort order plus the plan that actually ran (see
+    /// [`RoundReport::assemble`] for the contract between the two).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the defense's outcome does not load back into `gm`: every
+    /// update must have `gm`'s architecture (the wire layer checks
+    /// uploads before they get here).
+    pub fn run<M: HasParams>(
+        &mut self,
+        gm: &mut M,
+        clients: &mut [Client],
+        collect: impl FnOnce(&M, &mut [Client], &NamedParams, u64) -> (Vec<ClientUpdate>, RoundPlan),
+    ) -> RoundReport {
+        // det: round timers feed *_ms report fields only; nothing
+        // model-visible reads wall time, trajectories stay bitwise.
+        let train_start = Instant::now();
+        let gm_params = gm.snapshot();
+        let round_salt = (self.rounds_run as u64 + 1) << 16;
+        let (updates, plan) = collect(gm, clients, &gm_params, round_salt);
+        let train_ms = train_start.elapsed().as_secs_f64() * 1e3;
+        // det: report-only timing, as above.
+        let aggregate_start = Instant::now();
+        let outcome = self.defense.aggregate(&gm_params, &updates);
+        let stages = self.defense.take_stage_telemetry();
+        gm.load(&outcome.params)
+            .expect("the defense preserves the GM's architecture");
+        let aggregate_ms = aggregate_start.elapsed().as_secs_f64() * 1e3;
+        // Every engine's round ends here, sequential or remote.
+        crate::metrics::fl_metrics().on_round(train_ms, aggregate_ms, plan.cohort().len());
+        let report = RoundReport::assemble(
+            self.rounds_run,
+            self.name,
+            clients,
+            &plan,
+            &updates,
+            &outcome,
+            stages,
+            train_ms,
+            aggregate_ms,
+        );
+        self.rounds_run += 1;
+        report
+    }
+}
+
 /// FL server whose global model is a [`Sequential`] classifier.
 #[derive(Clone)]
 pub struct SequentialFlServer {
-    name: &'static str,
     gm: Sequential,
-    aggregator: Box<dyn Aggregator>,
+    round: ServerRound,
     cfg: ServerConfig,
-    rounds_run: usize,
 }
 
 impl std::fmt::Debug for SequentialFlServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SequentialFlServer")
-            .field("name", &self.name)
-            .field("aggregator", &self.aggregator.name())
+            .field("round", &self.round)
             .field("params", &self.gm.num_params())
-            .field("rounds_run", &self.rounds_run)
             .finish()
     }
 }
 
 impl SequentialFlServer {
     /// Creates a server with an MLP of layer widths `dims` and the given
-    /// aggregation rule.
+    /// defense.
     ///
     /// # Panics
     ///
     /// Panics if `dims.len() < 2`.
-    pub fn new(dims: &[usize], aggregator: Box<dyn Aggregator>, cfg: ServerConfig) -> Self {
-        Self {
-            name: "SequentialFL",
-            gm: Sequential::mlp(dims, Activation::Relu, cfg.seed),
-            aggregator,
-            cfg,
-            rounds_run: 0,
-        }
+    pub fn new(dims: &[usize], defense: DefensePipeline, cfg: ServerConfig) -> Self {
+        Self::named("SequentialFL", dims, defense, cfg)
     }
 
     /// Same as [`SequentialFlServer::new`] with an explicit display name
-    /// (used by the named baselines).
+    /// (used by the named baselines and by `RemoteFlServer`).
     pub fn named(
         name: &'static str,
         dims: &[usize],
-        aggregator: Box<dyn Aggregator>,
+        defense: DefensePipeline,
         cfg: ServerConfig,
     ) -> Self {
-        let mut s = Self::new(dims, aggregator, cfg);
-        s.name = name;
-        s
+        Self {
+            gm: Sequential::mlp(dims, Activation::Relu, cfg.seed),
+            round: ServerRound::new(name, defense),
+            cfg,
+        }
     }
 
     /// The current global model.
@@ -152,50 +232,28 @@ impl SequentialFlServer {
 
     /// Number of federated rounds run so far.
     pub fn rounds_run(&self) -> usize {
-        self.rounds_run
+        self.round.rounds_run()
     }
 
-    /// Replaces the server-side defense, keeping the trained global model —
-    /// how the scenario-suite engine swaps composed
-    /// [`DefensePipeline`](crate::defense::DefensePipeline)s into a
-    /// pretrained framework.
-    pub fn set_aggregator(&mut self, aggregator: Box<dyn Aggregator>) {
-        self.aggregator = aggregator;
-    }
-
-    /// Collects updates from the plan's participating clients (shared with
-    /// tests).
-    ///
-    /// Clients are independent by construction — each trains its own clone
-    /// of the distributed GM on its own local data — so the participating
-    /// cohort trains in parallel. Results come back in fleet order and
-    /// every client draws from its own seed stream, so the round is
-    /// bitwise-identical for any thread count (asserted by
-    /// `tests/parallel_determinism.rs`), and cohort membership never
-    /// perturbs another client's training stream.
-    fn collect_updates(&mut self, clients: &mut [Client], plan: &RoundPlan) -> Vec<ClientUpdate> {
-        let n_classes = self.gm.out_dim();
-        let round_salt = (self.rounds_run as u64 + 1) << 16;
-        let gm = &self.gm;
-        let local = &self.cfg.local;
-        // One snapshot shared across the fleet (the seed re-snapshotted the
-        // full GM once per client).
-        let gm_snapshot = gm.snapshot();
-        active_clients(clients, plan)
-            .into_par_iter()
-            .map(|c| {
-                let set = c.prepare_round_data(gm, n_classes, local);
-                let params = train_sequential_lm(gm, &set, local, c.seed ^ round_salt);
-                let params = c.finalize_params(&gm_snapshot, params);
-                c.build_update(&gm_snapshot, params, set.len())
-            })
-            .collect()
+    /// Runs one round whose clients `collect` reaches (see
+    /// [`ServerRound::run`]): `RemoteFlServer`'s sockets.
+    pub fn run_round_with(
+        &mut self,
+        clients: &mut [Client],
+        collect: impl FnOnce(
+            &Sequential,
+            &mut [Client],
+            &NamedParams,
+            u64,
+        ) -> (Vec<ClientUpdate>, RoundPlan),
+    ) -> RoundReport {
+        self.round.run(&mut self.gm, clients, collect)
     }
 }
 
 impl Framework for SequentialFlServer {
     fn name(&self) -> &'static str {
-        self.name
+        self.round.name()
     }
 
     fn pretrain(&mut self, train: &FingerprintSet) {
@@ -208,26 +266,22 @@ impl Framework for SequentialFlServer {
         );
     }
 
+    /// Clients are independent by construction — each trains its own
+    /// clone of the distributed GM on its own local data — so the
+    /// participating cohort trains in parallel. Results come back in fleet
+    /// order and every client draws from its own seed stream, so the round
+    /// is bitwise-identical for any thread count (asserted by
+    /// `tests/parallel_determinism.rs`), and cohort membership never
+    /// perturbs another client's training stream.
     fn run_round(&mut self, clients: &mut [Client], plan: &RoundPlan) -> RoundReport {
-        let timer = RoundTimer::start();
-        let updates = self.collect_updates(clients, plan);
-        let timer = timer.split();
-        let outcome = self.aggregator.aggregate(&self.gm.snapshot(), &updates);
-        let stages = self.aggregator.take_stage_telemetry();
-        self.gm
-            .load(&outcome.params)
-            .expect("aggregator preserves architecture");
-        let report = timer.finish(
-            self.rounds_run,
-            self.name,
-            clients,
-            plan,
-            &updates,
-            &outcome,
-            stages,
-        );
-        self.rounds_run += 1;
-        report
+        let local = self.cfg.local;
+        self.run_round_with(clients, |gm, clients, gm_params, round_salt| {
+            let updates = active_clients(clients, plan)
+                .into_par_iter()
+                .map(|c| c.sequential_update(gm, gm_params, &local, round_salt))
+                .collect();
+            (updates, plan.clone())
+        })
     }
 
     fn predict(&self, x: &Matrix) -> Vec<usize> {
@@ -246,22 +300,21 @@ impl Framework for SequentialFlServer {
         Box::new(self.clone())
     }
 
-    fn set_aggregator(&mut self, aggregator: Box<dyn Aggregator>) {
-        SequentialFlServer::set_aggregator(self, aggregator);
+    fn set_defense(&mut self, defense: DefensePipeline) {
+        self.round.set_defense(defense);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::defense::DefensePipeline;
     use crate::report::ClientOutcome;
     use crate::round::Availability;
     use safeloc_attacks::{Attack, PoisonInjector};
     use safeloc_dataset::{Building, BuildingDataset, DatasetConfig};
 
-    fn fedavg() -> Box<dyn Aggregator> {
-        Box::new(DefensePipeline::fedavg())
+    fn fedavg() -> DefensePipeline {
+        DefensePipeline::fedavg()
     }
 
     fn run_full_rounds(s: &mut SequentialFlServer, clients: &mut [Client], n: usize) {
@@ -274,7 +327,7 @@ mod tests {
         BuildingDataset::generate(Building::tiny(4), &DatasetConfig::tiny(), 4)
     }
 
-    fn server(data: &BuildingDataset, agg: Box<dyn Aggregator>) -> SequentialFlServer {
+    fn server(data: &BuildingDataset, agg: DefensePipeline) -> SequentialFlServer {
         SequentialFlServer::new(
             &[data.building.num_aps(), 24, data.building.num_rps()],
             agg,
@@ -313,7 +366,7 @@ mod tests {
         let n_rps = data.building.num_rps();
         let eval = &data.client_test[0];
 
-        let run = |agg: Box<dyn Aggregator>| -> f32 {
+        let run = |agg: DefensePipeline| -> f32 {
             let mut s = server(&data, agg);
             s.pretrain(&data.server_train);
             let mut clients = Client::from_dataset(&data, 0);
@@ -325,7 +378,7 @@ mod tests {
         };
 
         let fedavg_acc = run(fedavg());
-        let krum_acc = run(Box::new(DefensePipeline::krum(1)));
+        let krum_acc = run(DefensePipeline::krum(1));
         // Krum should be no worse than FedAvg under poisoning (usually much
         // better); allow slack for the tiny dataset.
         assert!(

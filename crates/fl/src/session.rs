@@ -21,7 +21,7 @@
 //! let data = BuildingDataset::generate(Building::tiny(3), &DatasetConfig::tiny(), 3);
 //! let mut server = SequentialFlServer::new(
 //!     &[data.building.num_aps(), 32, data.building.num_rps()],
-//!     Box::new(DefensePipeline::fedavg()),
+//!     DefensePipeline::fedavg(),
 //!     ServerConfig::tiny(),
 //! );
 //! server.pretrain(&data.server_train);
@@ -245,7 +245,7 @@ mod tests {
         BuildingDataset::generate(Building::tiny(4), &DatasetConfig::tiny(), 4)
     }
 
-    fn pretrained(data: &BuildingDataset, agg: Box<dyn crate::Aggregator>) -> SequentialFlServer {
+    fn pretrained(data: &BuildingDataset, agg: DefensePipeline) -> SequentialFlServer {
         let mut s = SequentialFlServer::new(
             &[data.building.num_aps(), 24, data.building.num_rps()],
             agg,
@@ -258,7 +258,7 @@ mod tests {
     #[test]
     fn full_session_matches_manual_run_round_bitwise() {
         let data = dataset();
-        let server = pretrained(&data, Box::new(DefensePipeline::fedavg()));
+        let server = pretrained(&data, DefensePipeline::fedavg());
 
         let mut manual = server.clone();
         let mut clients = Client::from_dataset(&data, 0);
@@ -287,7 +287,7 @@ mod tests {
     #[test]
     fn partial_sessions_report_smaller_cohorts() {
         let data = dataset();
-        let server = pretrained(&data, Box::new(DefensePipeline::fedavg()));
+        let server = pretrained(&data, DefensePipeline::fedavg());
         let mut session = FlSession::builder(Box::new(server))
             .clients(Client::from_dataset(&data, 0))
             .sampler(CohortSampler::uniform(2, 5))
@@ -299,7 +299,7 @@ mod tests {
     #[test]
     fn krum_session_surfaces_attacker_rejections() {
         let data = dataset();
-        let server = pretrained(&data, Box::new(DefensePipeline::krum(1)));
+        let server = pretrained(&data, DefensePipeline::krum(1));
         let mut clients = Client::from_dataset(&data, 0);
         let last = clients.len() - 1;
         clients[last].injector =
@@ -325,7 +325,7 @@ mod tests {
     #[should_panic(expected = "one weight per client")]
     fn weighted_sampler_with_wrong_length_is_rejected_at_build() {
         let data = dataset();
-        let server = pretrained(&data, Box::new(DefensePipeline::fedavg()));
+        let server = pretrained(&data, DefensePipeline::fedavg());
         let clients = Client::from_dataset(&data, 0);
         // One weight short: the last client would silently never be drawn.
         let weights = vec![1.0; clients.len() - 1];
@@ -338,7 +338,7 @@ mod tests {
     #[test]
     fn data_volume_weighted_sampler_builds_and_runs() {
         let data = dataset();
-        let server = pretrained(&data, Box::new(DefensePipeline::fedavg()));
+        let server = pretrained(&data, DefensePipeline::fedavg());
         let clients = Client::from_dataset(&data, 0);
         let sampler = CohortSampler::weighted_by_data_volume(2, &clients, 9);
         let mut session = FlSession::builder(Box::new(server))
@@ -352,7 +352,7 @@ mod tests {
     #[test]
     fn all_zero_weights_yield_empty_rounds_and_keep_the_gm() {
         let data = dataset();
-        let server = pretrained(&data, Box::new(DefensePipeline::fedavg()));
+        let server = pretrained(&data, DefensePipeline::fedavg());
         let clients = Client::from_dataset(&data, 0);
         let before = server.global_model().snapshot();
         let n = clients.len();
@@ -389,7 +389,7 @@ mod tests {
         }
 
         let data = dataset();
-        let server = pretrained(&data, Box::new(DefensePipeline::fedavg()));
+        let server = pretrained(&data, DefensePipeline::fedavg());
         let log = Arc::new(Mutex::new(Vec::new()));
         let mut session = FlSession::builder(Box::new(server))
             .clients(Client::from_dataset(&data, 0))
@@ -419,7 +419,7 @@ mod tests {
     fn session_is_deterministic_given_seeds() {
         let data = dataset();
         let run = || {
-            let server = pretrained(&data, Box::new(DefensePipeline::fedavg()));
+            let server = pretrained(&data, DefensePipeline::fedavg());
             let mut session = FlSession::builder(Box::new(server))
                 .clients(Client::from_dataset(&data, 0))
                 .sampler(

@@ -79,7 +79,7 @@ mod tests {
         let data = BuildingDataset::generate(Building::tiny(3), &DatasetConfig::tiny(), 3);
         let mut server = SequentialFlServer::new(
             &[data.building.num_aps(), 16, data.building.num_rps()],
-            Box::new(DefensePipeline::fedavg()),
+            DefensePipeline::fedavg(),
             ServerConfig::tiny(),
         );
         server.pretrain(&data.server_train);
@@ -124,7 +124,7 @@ mod tests {
         let data = BuildingDataset::generate(Building::tiny(4), &DatasetConfig::tiny(), 4);
         let mut server = SequentialFlServer::new(
             &[data.building.num_aps(), 16, data.building.num_rps()],
-            Box::new(DefensePipeline::fedavg()),
+            DefensePipeline::fedavg(),
             ServerConfig::tiny(),
         );
         server.pretrain(&data.server_train);

@@ -1,27 +1,16 @@
 //! A federated client as its own OS process.
 //!
 //! Rebuilds one fleet member deterministically from CLI arguments (the
-//! same dataset/fleet seeds the server's mirror fleet uses), joins the
-//! round server, and then follows the round protocol: receive the GM
-//! broadcast, run the *identical* client-side training path the
-//! in-process engine runs (`prepare_round_data` →
-//! `train_sequential_lm` with seed `client.seed ^ round_salt` →
-//! `finalize_params`), and upload the full local model. With an ideal
+//! same dataset/fleet seeds the server's mirror fleet uses) and hands it
+//! to [`run_remote_client`], the one client loop: join the round server,
+//! answer every GM broadcast with the in-process engine's own client step,
+//! apply the `--fault` profile's draws to the real socket. With an ideal
 //! [`FaultProfile`] the uploaded update is bitwise the in-process one.
-//!
-//! Transport faults are applied client-side from the shared profile: a
-//! drawn drop closes the connection (crash-stop — the client is gone for
-//! later rounds too), drawn latency sleeps before the upload, and a drawn
-//! slow-reader trickles the update in tiny chunks until the server's
-//! round deadline gives up on it.
 
 use safeloc_attacks::{Attack, PoisonInjector};
 use safeloc_dataset::{Building, BuildingDataset, DatasetConfig};
-use safeloc_fl::client::train_sequential_lm;
 use safeloc_fl::{Client, DeltaCompressor, DeltaSpec, LocalTrainConfig, ServerConfig};
-use safeloc_nn::{Activation, HasParams, Sequential};
-use safeloc_wire::{DeltaUpdateFrame, FaultProfile, Frame, FrameConn, UpdateFrame, WireError};
-use std::time::Duration;
+use safeloc_wire::{run_remote_client, FaultProfile};
 
 struct Args {
     addr: String,
@@ -128,7 +117,8 @@ impl Args {
                 }
                 "--fault" => {
                     args.fault = serde_json::from_str(&value("--fault")?)
-                        .map_err(|e| format!("--fault: {e:?}"))?
+                        .map_err(|e| format!("--fault: {e:?}"))?;
+                    args.fault.validate().map_err(|e| format!("--fault: {e}"))?;
                 }
                 "--delta" => args.delta = parse_delta(&value("--delta")?)?,
                 other => return Err(format!("unknown flag {other}")),
@@ -195,75 +185,13 @@ fn run() -> Result<(), String> {
         me.compressor = Some(DeltaCompressor::new(args.delta));
     }
 
-    let mut conn = FrameConn::connect(args.addr.as_str()).map_err(|e| e.to_string())?;
-    conn.client_handshake().map_err(|e| e.to_string())?;
-    conn.send(&Frame::Join {
-        client_index: me.id as u32,
-    })
-    .map_err(|e| e.to_string())?;
-
-    loop {
-        match conn.recv() {
-            // Round preamble — the broadcast is what starts training.
-            Ok(Frame::CohortInvite { .. }) | Ok(Frame::RoundPlan { .. }) => continue,
-            Ok(Frame::GmBroadcast {
-                round,
-                round_salt,
-                params,
-            }) => {
-                let draw = args.fault.draw(round as u64, me.id as u64);
-                if draw.drop {
-                    safeloc_wire::wire_metrics().on_fault("drop");
-                    conn.shutdown();
-                    return Ok(());
-                }
-                let mut gm = Sequential::mlp(&args.dims, Activation::Relu, 0);
-                gm.load(&params)
-                    .map_err(|e| format!("GM broadcast does not fit --dims: {e}"))?;
-                let n_classes = gm.out_dim();
-                let set = me.prepare_round_data(&gm, n_classes, &local);
-                let lm = train_sequential_lm(&gm, &set, &local, me.seed ^ round_salt);
-                let lm = me.finalize_params(&params, lm);
-                // With `--delta`, the compressor turns the trained LM into
-                // a compressed delta frame; the default path stays the
-                // byte-identical dense upload.
-                let built = me.build_update(&params, lm, set.len());
-                let update = match built.repr {
-                    safeloc_fl::DeltaRepr::Dense => Frame::Update(UpdateFrame {
-                        client_id: me.id as u64,
-                        round,
-                        building: data.building.id as u32,
-                        device_class: me.device_name.clone(),
-                        num_samples: set.len() as u64,
-                        params: built.params,
-                    }),
-                    repr => Frame::UpdateDelta(DeltaUpdateFrame {
-                        client_id: me.id as u64,
-                        round,
-                        building: data.building.id as u32,
-                        device_class: me.device_name.clone(),
-                        num_samples: set.len() as u64,
-                        repr,
-                    }),
-                };
-                if draw.latency_ms > 0.0 {
-                    safeloc_wire::wire_metrics().on_fault("latency");
-                    std::thread::sleep(Duration::from_secs_f64(draw.latency_ms / 1e3));
-                }
-                if draw.slow_reader {
-                    safeloc_wire::wire_metrics().on_fault("slow_reader");
-                    // Trickle until the server's deadline gives up on us;
-                    // the resulting write error just ends the trickle.
-                    let _ = conn.send_slowly(&update, 64, Duration::from_millis(25));
-                } else {
-                    conn.send(&update).map_err(|e| e.to_string())?;
-                }
-            }
-            Ok(Frame::Bye) => return Ok(()),
-            Ok(other) => return Err(format!("unexpected {} from the round server", other.kind())),
-            // The server closing the fleet is an orderly end of session.
-            Err(WireError::Io(_)) => return Ok(()),
-            Err(e) => return Err(e.to_string()),
-        }
-    }
+    run_remote_client(
+        args.addr.as_str(),
+        &mut me,
+        &args.dims,
+        &local,
+        &args.fault,
+        data.building.id as u32,
+    )
+    .map_err(|e| e.to_string())
 }

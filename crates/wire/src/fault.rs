@@ -1,17 +1,22 @@
 //! Deterministic transport-fault injection: latency, drops and slow
 //! readers drawn from a seeded profile.
 //!
-//! One [`FaultProfile`] serves two consumers. The `fl_client` process
-//! applies its draws to the *real* transport — sleeping before an update,
-//! closing the socket, or trickling bytes below the server's deadline —
-//! turning simulated churn into measured churn. The scenario-suite engine
-//! applies the same draws through [`FaultProfile::degrade_plan`], mapping
-//! each would-be fault onto the in-process [`Availability`] it would have
+//! One [`FaultProfile`] serves two consumers. The client loop
+//! ([`run_remote_client`](crate::remote::run_remote_client), which the
+//! `fl_client` bin and the examples' child processes run) applies its
+//! draws to the *real* transport — sleeping before an update, closing the
+//! socket, or trickling bytes below the server's deadline — turning
+//! simulated churn into measured churn. The scenario-suite engine applies
+//! the same draws through [`FaultProfile::degrade_plan`], mapping each
+//! would-be fault onto the in-process [`Availability`] it would have
 //! produced, so network conditions sweep like any other scenario axis
 //! without paying per-cell process spawns.
 //!
 //! Draws are a pure function of `(seed, round, client)` — the profile can
 //! be consulted out of order, from any process, and reproduce bit for bit.
+//! A profile is outside input (a `--fault` flag, a spec file), so every
+//! entry point checks it with [`FaultProfile::validate`]; a draw never
+//! panics even on a profile that check would reject.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -99,10 +104,37 @@ impl FaultProfile {
             && self.slow_reader_probability <= 0.0
     }
 
+    /// Checks a profile from outside (a `--fault` flag, a spec file):
+    /// latencies finite and `>= 0`, probabilities in `[0, 1]`.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first offending field and its value.
+    pub fn validate(&self) -> Result<(), String> {
+        for (field, value) in [
+            ("latency_ms_mean", self.latency_ms_mean),
+            ("latency_ms_std", self.latency_ms_std),
+        ] {
+            if !(value.is_finite() && value >= 0.0) {
+                return Err(format!("{field} must be finite and >= 0, got {value}"));
+            }
+        }
+        for (field, value) in [
+            ("drop_probability", self.drop_probability),
+            ("slow_reader_probability", self.slow_reader_probability),
+        ] {
+            if !(0.0..=1.0).contains(&value) {
+                return Err(format!("{field} must lie in [0, 1], got {value}"));
+            }
+        }
+        Ok(())
+    }
+
     /// The faults hitting `client` in `round`. Deterministic in
     /// `(seed, round, client)`; the word-consumption order (drop, slow
     /// reader, latency) is fixed, so adding a fault kind later cannot
-    /// silently reshuffle existing draws.
+    /// silently reshuffle existing draws. A latency that is not finite
+    /// comes out as `f64::INFINITY` — an upload that never arrives.
     pub fn draw(&self, round: u64, client: u64) -> FaultDraw {
         if self.is_ideal() {
             return FaultDraw {
@@ -118,13 +150,11 @@ impl FaultProfile {
         let drop = rng.gen_range(0.0..1.0f64) < self.drop_probability;
         let slow_reader = rng.gen_range(0.0..1.0f64) < self.slow_reader_probability;
         let latency_ms = if self.latency_ms_std > 0.0 {
-            // panic-ok: Normal::new fails only on non-finite std, and
-            // this branch requires latency_ms_std > 0.0 (NaN compares
-            // false), so the parameters are always finite here.
+            // `Normal::new` refuses a non-finite mean or std — `+inf`
+            // passes the `> 0.0` test above — which only a profile
+            // `validate` rejects can carry: no latency is drawn for it.
             Normal::<f64>::new(self.latency_ms_mean, self.latency_ms_std)
-                .expect("finite latency parameters")
-                .sample(&mut rng)
-                .max(0.0)
+                .map_or(f64::INFINITY, |normal| normal.sample(&mut rng).max(0.0))
         } else {
             self.latency_ms_mean.max(0.0)
         };
@@ -250,6 +280,49 @@ mod tests {
         let degraded = p.degrade_plan(&plan, 0, 0.0);
         assert_eq!(degraded.cohort()[0], (0, Availability::Straggles));
         assert_eq!(degraded.cohort()[1], (1, Availability::DropsOut));
+    }
+
+    /// Two outside profiles that used to panic their consumer: an
+    /// infinite std (`1e999` parses to `+inf`) panicked `draw`, and a
+    /// finite latency no `Duration` holds panicked the client's sleep.
+    #[test]
+    fn outside_profiles_are_checked_and_never_panic_a_draw() {
+        let inf_std: FaultProfile =
+            serde_json::from_str("{\"latency_ms_mean\": 5, \"latency_ms_std\": 1e999}").unwrap();
+        assert_eq!(inf_std.latency_ms_std, f64::INFINITY);
+        let err = inf_std.validate().unwrap_err();
+        assert!(err.contains("latency_ms_std"), "{err}");
+        assert_eq!(inf_std.draw(0, 0).latency_ms, f64::INFINITY);
+
+        let huge: FaultProfile = serde_json::from_str("{\"latency_ms_mean\": 1e300}").unwrap();
+        assert_eq!(huge.validate(), Ok(()));
+        let latency_ms = huge.draw(0, 0).latency_ms;
+        assert_eq!(latency_ms, 1e300);
+        assert!(std::time::Duration::try_from_secs_f64(latency_ms / 1e3).is_err());
+
+        for (profile, field) in [
+            (FaultProfile::latency(-1.0, 0.0, 0), "latency_ms_mean"),
+            (FaultProfile::latency(f64::NAN, 0.0, 0), "latency_ms_mean"),
+            (FaultProfile::latency(1.0, -2.0, 0), "latency_ms_std"),
+            (FaultProfile::ideal().with_drops(1.5), "drop_probability"),
+            (
+                FaultProfile::ideal().with_drops(f64::NAN),
+                "drop_probability",
+            ),
+            (
+                FaultProfile::ideal().with_slow_readers(-0.1),
+                "slow_reader_probability",
+            ),
+        ] {
+            let err = profile.validate().unwrap_err();
+            assert!(err.contains(field), "{err}");
+        }
+        assert_eq!(
+            FaultProfile::latency(20.0, 5.0, 1)
+                .with_drops(1.0)
+                .validate(),
+            Ok(())
+        );
     }
 
     #[test]

@@ -16,12 +16,15 @@
 //!   requests into `safeloc-serve`'s micro-batch [`Service`], keeping
 //!   served predictions bitwise identical to offline `predict`;
 //!   [`WireClient`] and [`run_tcp_load`] are the matching client side.
-//! * [`remote`] — cross-process FL: [`RemoteFleet`] +
-//!   [`RemoteFlServer`] run federated rounds against `fl_client`
-//!   processes under a server-side deadline, reproducing the in-process
-//!   GM trajectory bitwise when fault injection is off.
+//! * [`remote`] — cross-process FL, both halves: [`RemoteFleet`] +
+//!   [`RemoteFlServer`] run federated rounds against client processes
+//!   under a server-side deadline, and [`run_remote_client`] is the one
+//!   client loop those processes run (the `fl_client` bin is argument
+//!   parsing around it). The server's round and the client's training
+//!   step are the in-process engine's own code, so the GM trajectory is
+//!   bitwise the in-process one when fault injection is off.
 //! * [`fault`] — [`FaultProfile`]: seeded latency / drop / slow-reader
-//!   injection, shared between the real transport (the `fl_client` bin
+//!   injection, shared between the real transport (the client loop
 //!   applies draws to its socket) and the scenario-suite engine (which
 //!   replays the same draws onto in-process round plans).
 //!
@@ -41,5 +44,5 @@ pub use frame::{
     ERR_SCHEMA, ERR_SERVE, MAX_FRAME_LEN, WIRE_SCHEMA,
 };
 pub use metrics::{wire_metrics, WireMetrics};
-pub use remote::{RemoteFlServer, RemoteFleet};
+pub use remote::{run_remote_client, RemoteFlServer, RemoteFleet};
 pub use tcp::{run_tcp_load, WireClient, WireServer};

@@ -1,14 +1,17 @@
 //! Cross-process federated rounds: a [`Framework`] whose clients live in
 //! other OS processes and speak the wire protocol.
 //!
-//! The server side is two pieces. A [`RemoteFleet`] owns one framed
-//! connection per registered client process (each opens with the
-//! handshake and a [`Frame::Join`] carrying its fleet index). A
+//! Both halves live here. On the server, a [`RemoteFleet`] owns one
+//! framed connection per registered client process (each opens with the
+//! handshake and a [`Frame::Join`] carrying its fleet index), and a
 //! [`RemoteFlServer`] implements [`Framework`], so a stock
 //! [`FlSession`](safeloc_fl::FlSession) drives remote rounds exactly like
 //! in-process ones: per round it sends every active cohort member an
 //! invitation, the plan and the GM broadcast (so all clients train
-//! concurrently), then collects updates under a server-side deadline.
+//! concurrently), then collects updates under a server-side deadline. On
+//! the client, [`run_remote_client`] is the whole loop a fleet member
+//! runs — the `fl_client` bin and the examples' child processes are
+//! argument parsing around it.
 //!
 //! # Deadline semantics
 //!
@@ -27,24 +30,29 @@
 //! # Bitwise parity
 //!
 //! With fault injection off, a wire round reproduces the in-process GM
-//! trajectory bit for bit: updates carry full `f32` parameters (lossless
-//! on the wire), the broadcast carries the round salt so remote clients
-//! derive the identical training seed, and collection preserves fleet
-//! order. Pinned end to end by `tests/loopback_round.rs`. Clients that
+//! trajectory bit for bit, largely by construction: both sides of the
+//! round are the in-process code — the server is a
+//! [`SequentialFlServer`] round ([`safeloc_fl::ServerRound`]) with
+//! sockets for a collector, the client runs
+//! [`Client::sequential_update`] — updates carry full `f32` parameters
+//! (lossless on the wire), the broadcast carries the round salt so remote
+//! clients derive the identical training seed, and collection preserves
+//! fleet order. Pinned end to end by `tests/loopback_round.rs`. Clients that
 //! opted into delta compression upload [`Frame::UpdateDelta`] instead;
 //! the server re-materializes `GM + decode(repr)` — bitwise what the
 //! compressing client carries forward — and parity then holds against an
 //! in-process fleet whose clients carry the same compressor spec.
 
 use crate::conn::FrameConn;
-use crate::frame::{Frame, WireAvailability, WireError};
+use crate::fault::FaultProfile;
+use crate::frame::{DeltaUpdateFrame, Frame, UpdateFrame, WireAvailability, WireError};
 use safeloc_dataset::FingerprintSet;
-use safeloc_fl::report::{RoundSplit, RoundTimer};
 use safeloc_fl::{
-    Aggregator, Availability, Client, ClientUpdate, Framework, RoundPlan, RoundReport, ServerConfig,
+    Availability, Client, ClientUpdate, DefensePipeline, DeltaRepr, Framework, LocalTrainConfig,
+    RoundPlan, RoundReport, SequentialFlServer, ServerConfig,
 };
-use safeloc_nn::{Activation, Adam, HasParams, Matrix, NamedParams, Sequential, TrainConfig};
-use std::net::{SocketAddr, TcpListener};
+use safeloc_nn::{Activation, HasParams, Matrix, NamedParams, Sequential};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -188,19 +196,17 @@ impl Drop for RemoteFleet {
 }
 
 /// A [`Framework`] running rounds against client *processes* over the
-/// wire protocol. Construction mirrors
-/// [`SequentialFlServer::new`](safeloc_fl::SequentialFlServer::new) —
-/// same MLP, same config, same pretraining code path — so an in-process
-/// twin built from the same arguments starts from a bitwise-identical GM.
+/// wire protocol. It is a [`SequentialFlServer`] named
+/// `"RemoteFL"` whose round reaches its clients through sockets instead
+/// of an in-process fan-out — same MLP, same config, same pretraining and
+/// same server half of the round by construction, so an in-process twin
+/// built from the same arguments starts from, and stays on, a
+/// bitwise-identical GM.
 #[derive(Clone)]
 pub struct RemoteFlServer {
-    name: &'static str,
-    gm: Sequential,
-    aggregator: Box<dyn Aggregator>,
-    cfg: ServerConfig,
+    server: SequentialFlServer,
     fleet: Arc<Mutex<RemoteFleet>>,
     deadline: Duration,
-    rounds_run: usize,
 }
 
 impl RemoteFlServer {
@@ -212,213 +218,297 @@ impl RemoteFlServer {
     /// server).
     pub fn new(
         dims: &[usize],
-        aggregator: Box<dyn Aggregator>,
+        defense: DefensePipeline,
         cfg: ServerConfig,
         fleet: Arc<Mutex<RemoteFleet>>,
         deadline: Duration,
     ) -> Self {
         Self {
-            name: "RemoteFL",
-            gm: Sequential::mlp(dims, Activation::Relu, cfg.seed),
-            aggregator,
-            cfg,
+            server: SequentialFlServer::named("RemoteFL", dims, defense, cfg),
             fleet,
             deadline,
-            rounds_run: 0,
         }
-    }
-
-    /// The current global model.
-    pub fn global_model(&self) -> &Sequential {
-        &self.gm
     }
 
     /// Rounds run so far.
     pub fn rounds_run(&self) -> usize {
-        self.rounds_run
-    }
-
-    /// The server-side round deadline.
-    pub fn deadline(&self) -> Duration {
-        self.deadline
+        self.server.rounds_run()
     }
 }
 
 impl Framework for RemoteFlServer {
     fn name(&self) -> &'static str {
-        self.name
+        self.server.name()
     }
 
     fn pretrain(&mut self, train: &FingerprintSet) {
-        // Byte-for-byte the in-process pretraining path.
-        let mut opt = Adam::new(self.cfg.pretrain_lr);
-        self.gm.fit_classifier(
-            &train.x,
-            &train.labels,
-            &mut opt,
-            &TrainConfig::new(self.cfg.pretrain_epochs, self.cfg.batch_size, self.cfg.seed),
-        );
+        self.server.pretrain(train);
     }
 
     fn run_round(&mut self, clients: &mut [Client], plan: &RoundPlan) -> RoundReport {
-        let timer = RoundTimer::start();
-        let round = self.rounds_run;
-        let round_salt = (round as u64 + 1) << 16;
-        let deadline_ms = self.deadline.as_millis().min(u32::MAX as u128) as u32;
-        let gm_params = self.gm.snapshot();
-        // Plan slots index `clients`; connections, invitations and updates
-        // are keyed by the fleet identity each process joined under
-        // (`Client::id`). The two differ whenever the session lends a
-        // cohort slice (slots 0..k, ids arbitrary).
-        let id_of = |slot: usize| clients[slot].id;
-        // What actually happened to each cohort member, seeded from the
-        // plan (out-of-range slots ignored, as in-process) and downgraded
-        // by transport reality.
-        let mut effective: Vec<(usize, Availability)> = plan
-            .cohort()
-            .iter()
-            .copied()
-            .filter(|&(slot, _)| slot < clients.len())
-            .collect();
-        let wire_cohort: Vec<(u32, WireAvailability)> = effective
-            .iter()
-            .map(|&(slot, a)| (id_of(slot) as u32, wire_availability(a)))
-            .collect();
-
-        // Poison recovery: rounds run one at a time; a previous round
-        // that panicked left connections in whatever state the transport
-        // did, which the per-member error handling below already absorbs.
-        let mut fleet = self.fleet.lock().unwrap_or_else(PoisonError::into_inner);
-
-        // Phase 1 — broadcast, so every remote client trains concurrently.
-        for entry in effective.iter_mut() {
-            let (slot, availability) = *entry;
-            if availability != Availability::Participates {
-                continue;
-            }
-            let i = id_of(slot);
-            let sent = match fleet.conn_mut(i) {
-                Some(conn) => conn
-                    .send(&Frame::CohortInvite {
-                        round: round as u32,
-                        client_index: i as u32,
-                        deadline_ms,
-                    })
-                    .and_then(|()| {
-                        conn.send(&Frame::RoundPlan {
-                            round: round as u32,
-                            cohort: wire_cohort.clone(),
-                        })
-                    })
-                    .and_then(|()| {
-                        conn.send(&Frame::GmBroadcast {
-                            round: round as u32,
-                            round_salt,
-                            params: gm_params.clone(),
-                        })
-                    })
-                    .is_ok(),
-                None => false,
-            };
-            if !sent {
-                crate::metrics::wire_metrics().on_dropout();
-                fleet.kill(i);
-                entry.1 = Availability::DropsOut;
-            }
-        }
-
-        // Phase 2 — collect under one shared deadline, in fleet order (the
-        // order in-process collection returns updates in).
-        let deadline_at = Instant::now() + self.deadline;
-        let mut updates: Vec<ClientUpdate> = Vec::new();
-        for entry in effective.iter_mut() {
-            let (slot, availability) = *entry;
-            if availability != Availability::Participates {
-                continue;
-            }
-            let i = id_of(slot);
-            // A hung earlier client may have consumed the whole deadline,
-            // but updates that already crossed the wire are sitting in
-            // this socket's buffer — a short grace read drains them rather
-            // than discarding delivered work. Only clients that still have
-            // not produced a frame become stragglers.
-            let remaining = deadline_at
-                .saturating_duration_since(Instant::now())
-                .max(DRAIN_GRACE);
-            // panic-ok: `effective` is seeded from the fleet's own cohort
-            // plan, so every participating index has a connection by
-            // construction.
-            let conn = fleet.conn_mut(i).expect("participating member has a conn");
-            conn.set_read_timeout(Some(remaining)).ok();
-            let received = conn
-                .recv()
-                .map(|frame| update_from_frame(frame, i, round, &gm_params));
-            match received {
-                Ok(Some(update)) => {
-                    conn.set_read_timeout(None).ok();
-                    updates.push(update);
-                }
-                Err(WireError::Timeout) => {
-                    // Hung or trickling past the deadline: a straggler.
-                    // The stream may sit mid-frame, so the connection is
-                    // unusable from here on.
-                    crate::metrics::wire_metrics().on_straggler();
-                    fleet.kill(i);
-                    entry.1 = Availability::Straggles;
-                }
-                Ok(None) | Err(_) => {
-                    // Disconnected, or answered with something that is not
-                    // an update for this client, round and model.
-                    crate::metrics::wire_metrics().on_dropout();
-                    fleet.kill(i);
-                    entry.1 = Availability::DropsOut;
-                }
-            }
-        }
-        drop(fleet);
-
-        let effective_plan = RoundPlan::new(effective);
-        let timer: RoundSplit = timer.split();
-        let outcome = self.aggregator.aggregate(&gm_params, &updates);
-        let stages = self.aggregator.take_stage_telemetry();
-        // panic-ok: `update_from_frame` admits only updates of the GM's
-        // architecture — dense uploads are checked against it, compressed
-        // ones are re-materialized from it — and the defense folds those
-        // (or returns the GM itself), so the outcome always loads back.
-        self.gm
-            .load(&outcome.params)
-            .expect("aggregator preserves architecture");
-        let report = timer.finish(
-            round,
-            self.name,
-            clients,
-            &effective_plan,
-            &updates,
-            &outcome,
-            stages,
-        );
-        self.rounds_run += 1;
-        report
+        let round = self.server.rounds_run();
+        let (fleet, deadline) = (&self.fleet, self.deadline);
+        self.server
+            .run_round_with(clients, |_, clients, gm_params, round_salt| {
+                collect_remote(fleet, deadline, round, round_salt, clients, plan, gm_params)
+            })
     }
 
     fn predict(&self, x: &Matrix) -> Vec<usize> {
-        self.gm.predict(x)
+        self.server.predict(x)
     }
 
     fn num_params(&self) -> usize {
-        self.gm.num_params()
+        self.server.num_params()
     }
 
     fn global_params(&self) -> NamedParams {
-        self.gm.snapshot()
+        self.server.global_params()
     }
 
     fn clone_box(&self) -> Box<dyn Framework> {
         Box::new(self.clone())
     }
 
-    fn set_aggregator(&mut self, aggregator: Box<dyn Aggregator>) {
-        self.aggregator = aggregator;
+    fn set_defense(&mut self, defense: DefensePipeline) {
+        self.server.set_defense(defense);
+    }
+}
+
+/// The remote round's collector: invite, plan and broadcast to every
+/// participating cohort member, then collect updates in fleet order under
+/// one shared deadline. Returns the delivered updates and the plan as
+/// transport reality left it (see the module docs).
+fn collect_remote(
+    fleet: &Mutex<RemoteFleet>,
+    deadline: Duration,
+    round: usize,
+    round_salt: u64,
+    clients: &mut [Client],
+    plan: &RoundPlan,
+    gm_params: &NamedParams,
+) -> (Vec<ClientUpdate>, RoundPlan) {
+    let deadline_ms = deadline.as_millis().min(u32::MAX as u128) as u32;
+    // Plan slots index `clients`; connections, invitations and updates
+    // are keyed by the fleet identity each process joined under
+    // (`Client::id`). The two differ whenever the session lends a cohort
+    // slice (slots 0..k, ids arbitrary).
+    let id_of = |slot: usize| clients[slot].id;
+    // What actually happened to each cohort member, seeded from the plan
+    // (out-of-range slots ignored, as in-process) and downgraded by
+    // transport reality.
+    let mut effective: Vec<(usize, Availability)> = plan
+        .cohort()
+        .iter()
+        .copied()
+        .filter(|&(slot, _)| slot < clients.len())
+        .collect();
+    let wire_cohort: Vec<(u32, WireAvailability)> = effective
+        .iter()
+        .map(|&(slot, a)| (id_of(slot) as u32, wire_availability(a)))
+        .collect();
+
+    // Poison recovery: rounds run one at a time; a previous round that
+    // panicked left connections in whatever state the transport did,
+    // which the per-member error handling below already absorbs.
+    let mut fleet = fleet.lock().unwrap_or_else(PoisonError::into_inner);
+
+    // Phase 1 — broadcast, so every remote client trains concurrently.
+    for entry in effective.iter_mut() {
+        let (slot, availability) = *entry;
+        if availability != Availability::Participates {
+            continue;
+        }
+        let i = id_of(slot);
+        let sent = match fleet.conn_mut(i) {
+            Some(conn) => conn
+                .send(&Frame::CohortInvite {
+                    round: round as u32,
+                    client_index: i as u32,
+                    deadline_ms,
+                })
+                .and_then(|()| {
+                    conn.send(&Frame::RoundPlan {
+                        round: round as u32,
+                        cohort: wire_cohort.clone(),
+                    })
+                })
+                .and_then(|()| {
+                    conn.send(&Frame::GmBroadcast {
+                        round: round as u32,
+                        round_salt,
+                        params: gm_params.clone(),
+                    })
+                })
+                .is_ok(),
+            None => false,
+        };
+        if !sent {
+            crate::metrics::wire_metrics().on_dropout();
+            fleet.kill(i);
+            entry.1 = Availability::DropsOut;
+        }
+    }
+
+    // Phase 2 — collect under one shared deadline, in fleet order (the
+    // order in-process collection returns updates in).
+    let deadline_at = Instant::now() + deadline;
+    let mut updates: Vec<ClientUpdate> = Vec::new();
+    for entry in effective.iter_mut() {
+        let (slot, availability) = *entry;
+        if availability != Availability::Participates {
+            continue;
+        }
+        let i = id_of(slot);
+        // A hung earlier client may have consumed the whole deadline, but
+        // updates that already crossed the wire are sitting in this
+        // socket's buffer — a short grace read drains them rather than
+        // discarding delivered work. Only clients that still have not
+        // produced a frame become stragglers.
+        let remaining = deadline_at
+            .saturating_duration_since(Instant::now())
+            .max(DRAIN_GRACE);
+        // panic-ok: `effective` is seeded from the fleet's own cohort
+        // plan, so every participating index has a connection by
+        // construction.
+        let conn = fleet.conn_mut(i).expect("participating member has a conn");
+        conn.set_read_timeout(Some(remaining)).ok();
+        // `update_from_frame` admits only updates of the GM's
+        // architecture — dense uploads are checked against it, compressed
+        // ones are re-materialized from it — so the defense's outcome
+        // always loads back into the GM.
+        let received = conn
+            .recv()
+            .map(|frame| update_from_frame(frame, i, round, gm_params));
+        match received {
+            Ok(Some(update)) => {
+                conn.set_read_timeout(None).ok();
+                updates.push(update);
+            }
+            Err(WireError::Timeout) => {
+                // Hung or trickling past the deadline: a straggler. The
+                // stream may sit mid-frame, so the connection is unusable
+                // from here on.
+                crate::metrics::wire_metrics().on_straggler();
+                fleet.kill(i);
+                entry.1 = Availability::Straggles;
+            }
+            Ok(None) | Err(_) => {
+                // Disconnected, or answered with something that is not an
+                // update for this client, round and model.
+                crate::metrics::wire_metrics().on_dropout();
+                fleet.kill(i);
+                entry.1 = Availability::DropsOut;
+            }
+        }
+    }
+    (updates, RoundPlan::new(effective))
+}
+
+/// One fleet member's whole side of the round protocol — the only client
+/// loop there is (the `fl_client` bin and the examples' children call it).
+///
+/// Joins `addr` as `me.id`, then answers every [`Frame::GmBroadcast`]
+/// with [`Client::sequential_update`] on an MLP of widths `dims` — the
+/// in-process engine's own client step, with the broadcast's round salt —
+/// framed by `frame_from_update`. Faults drawn from `fault` per
+/// `(round, me.id)` hit the real socket: a drop closes it for good, a
+/// latency sleeps before the upload (one no [`Duration`] holds is an
+/// upload that never arrives, so the server's deadline benches it), a
+/// slow reader trickles the upload past the deadline.
+///
+/// # Errors
+///
+/// `Ok(())` ends the session in order: [`Frame::Bye`], the server hanging
+/// up, or a drawn drop. [`WireError::Protocol`] for a frame the server
+/// never sends a client or a broadcast that does not fit `dims`; any
+/// other transport [`WireError`].
+pub fn run_remote_client(
+    addr: impl ToSocketAddrs,
+    me: &mut Client,
+    dims: &[usize],
+    local: &LocalTrainConfig,
+    fault: &FaultProfile,
+    building: u32,
+) -> Result<(), WireError> {
+    let mut conn = FrameConn::connect(addr)?;
+    conn.client_handshake()?;
+    conn.send(&Frame::Join {
+        client_index: me.id as u32,
+    })?;
+    loop {
+        let (round, round_salt, params) = match conn.recv() {
+            // Round preamble — the broadcast is what starts training.
+            Ok(Frame::CohortInvite { .. } | Frame::RoundPlan { .. }) => continue,
+            Ok(Frame::GmBroadcast {
+                round,
+                round_salt,
+                params,
+            }) => (round, round_salt, params),
+            // The server closing the fleet is an orderly end of session.
+            Ok(Frame::Bye) | Err(WireError::Io(_)) => return Ok(()),
+            Ok(other) => {
+                return Err(WireError::Protocol(format!(
+                    "unexpected {} from the round server",
+                    other.kind()
+                )))
+            }
+            Err(e) => return Err(e),
+        };
+        let draw = fault.draw(u64::from(round), me.id as u64);
+        if draw.drop {
+            crate::metrics::wire_metrics().on_fault("drop");
+            conn.shutdown();
+            return Ok(());
+        }
+        let mut gm = Sequential::mlp(dims, Activation::Relu, 0);
+        gm.load(&params).map_err(|e| {
+            WireError::Protocol(format!("GM broadcast does not fit the client model: {e}"))
+        })?;
+        let update = me.sequential_update(&gm, &params, local, round_salt);
+        let frame = frame_from_update(update, round, building, &me.device_name);
+        if draw.latency_ms > 0.0 {
+            crate::metrics::wire_metrics().on_fault("latency");
+            match Duration::try_from_secs_f64(draw.latency_ms / 1e3) {
+                Ok(latency) => std::thread::sleep(latency),
+                Err(_) => continue,
+            }
+        }
+        if draw.slow_reader {
+            crate::metrics::wire_metrics().on_fault("slow_reader");
+            // Trickle until the server's deadline gives up on us; the
+            // resulting write error just ends the trickle.
+            let _ = conn.send_slowly(&frame, 64, Duration::from_millis(25));
+        } else {
+            conn.send(&frame)?;
+        }
+    }
+}
+
+/// The inverse of [`update_from_frame`]: the one place a [`ClientUpdate`]
+/// becomes a frame — a full-model [`Frame::Update`] when dense, its repr
+/// in a [`Frame::UpdateDelta`] when compressed.
+fn frame_from_update(update: ClientUpdate, round: u32, building: u32, device_class: &str) -> Frame {
+    let client_id = update.client_id as u64;
+    let num_samples = update.num_samples as u64;
+    let device_class = device_class.to_string();
+    match update.repr {
+        DeltaRepr::Dense => Frame::Update(UpdateFrame {
+            client_id,
+            round,
+            building,
+            device_class,
+            num_samples,
+            params: update.params,
+        }),
+        repr => Frame::UpdateDelta(DeltaUpdateFrame {
+            client_id,
+            round,
+            building,
+            device_class,
+            num_samples,
+            repr,
+        }),
     }
 }
 

@@ -6,20 +6,24 @@
 //! round after round. Then the failure half: a transport drop surfaces as
 //! `DroppedOut`, a latency spike past the server deadline surfaces as
 //! `Straggled`, and in both cases aggregation proceeds with the survivors
-//! instead of stalling.
+//! instead of stalling. The last three tests drive the one client loop,
+//! `run_remote_client`, on threads instead of processes.
 
 use safeloc_dataset::{Building, BuildingDataset, DatasetConfig};
+use safeloc_fl::defense::{RoundContext, Verdicts};
 use safeloc_fl::report::ClientOutcome;
 use safeloc_fl::{
-    Aggregator, Client, ClientUpdate, CohortSampler, DefensePipeline, DeltaRepr, FlSession,
-    FleetProvider, Framework, RoundPlan, SequentialFlServer, ServerConfig,
+    Aggregator, Client, ClientUpdate, CohortSampler, Combiner, DefensePipeline, DeltaRepr,
+    DeltaSpec, FedAvg, FlSession, FleetProvider, Framework, RoundPlan, SequentialFlServer,
+    ServerConfig,
 };
 use safeloc_nn::{Matrix, NamedParams};
 use safeloc_wire::{
-    DeltaUpdateFrame, FaultProfile, Frame, FrameConn, RemoteFlServer, RemoteFleet, UpdateFrame,
+    run_remote_client, DeltaUpdateFrame, FaultProfile, Frame, FrameConn, RemoteFlServer,
+    RemoteFleet, UpdateFrame, WireError,
 };
 use std::collections::BTreeSet;
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpListener};
 use std::process::{Child, Command};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
@@ -101,7 +105,7 @@ fn remote_harness_with_delta(
     let fleet = Arc::new(Mutex::new(fleet));
     let mut server = RemoteFlServer::new(
         &dims,
-        Box::new(DefensePipeline::fedavg()),
+        DefensePipeline::fedavg(),
         ServerConfig::tiny(),
         Arc::clone(&fleet),
         deadline,
@@ -135,11 +139,8 @@ fn loopback_round_is_bitwise_identical_to_in_process() {
     let data = dataset();
     let dims = dims(&data);
 
-    let mut inproc = SequentialFlServer::new(
-        &dims,
-        Box::new(DefensePipeline::fedavg()),
-        ServerConfig::tiny(),
-    );
+    let mut inproc =
+        SequentialFlServer::new(&dims, DefensePipeline::fedavg(), ServerConfig::tiny());
     inproc.pretrain(&data.server_train);
     let mut local_fleet = Client::from_dataset(&data, FLEET_SEED);
 
@@ -169,12 +170,8 @@ fn loopback_round_is_bitwise_identical_to_in_process() {
     // The transported trajectory actually moved (the pin is not vacuous).
     assert_ne!(
         remote.server.global_params(),
-        SequentialFlServer::new(
-            &dims,
-            Box::new(DefensePipeline::fedavg()),
-            ServerConfig::tiny()
-        )
-        .global_params()
+        SequentialFlServer::new(&dims, DefensePipeline::fedavg(), ServerConfig::tiny())
+            .global_params()
     );
     remote.teardown();
 }
@@ -192,11 +189,8 @@ fn compressed_loopback_round_matches_the_in_process_compressed_fleet() {
     let dims = dims(&data);
     let spec = DeltaSpec::TopK { fraction: 0.25 };
 
-    let mut inproc = SequentialFlServer::new(
-        &dims,
-        Box::new(DefensePipeline::fedavg()),
-        ServerConfig::tiny(),
-    );
+    let mut inproc =
+        SequentialFlServer::new(&dims, DefensePipeline::fedavg(), ServerConfig::tiny());
     inproc.pretrain(&data.server_train);
     let mut local_fleet = Client::from_dataset(&data, FLEET_SEED);
     for client in &mut local_fleet {
@@ -350,7 +344,7 @@ fn lent_cohorts_invite_and_credit_the_sampled_fleet_members() {
     let fleet = Arc::new(Mutex::new(fleet));
     let server = RemoteFlServer::new(
         &dims(&data),
-        Box::new(DefensePipeline::fedavg()),
+        DefensePipeline::fedavg(),
         ServerConfig::tiny(),
         Arc::clone(&fleet),
         Duration::from_secs(60),
@@ -479,7 +473,7 @@ fn a_malformed_compressed_upload_benches_the_client_and_the_round_completes() {
     let fleet = Arc::new(Mutex::new(fleet));
     let mut server = RemoteFlServer::new(
         &dims(&data),
-        Box::new(DefensePipeline::fedavg()),
+        DefensePipeline::fedavg(),
         ServerConfig::tiny(),
         Arc::clone(&fleet),
         Duration::from_secs(60),
@@ -580,7 +574,7 @@ fn a_dense_upload_of_another_architecture_benches_the_client_and_the_round_compl
     let fleet = Arc::new(Mutex::new(fleet));
     let mut server = RemoteFlServer::new(
         &dims(&data),
-        Box::new(DefensePipeline::fedavg()),
+        DefensePipeline::fedavg(),
         ServerConfig::tiny(),
         Arc::clone(&fleet),
         Duration::from_secs(60),
@@ -615,4 +609,197 @@ fn a_dense_upload_of_another_architecture_benches_the_client_and_the_round_compl
     for client in clients {
         client.join().unwrap();
     }
+}
+
+/// FedAvg that keeps a copy of every update it combines — what the server
+/// actually received, re-materialized and all.
+#[derive(Clone)]
+struct Recording(Arc<Mutex<Vec<ClientUpdate>>>);
+
+impl Combiner for Recording {
+    fn name(&self) -> &'static str {
+        "recording-mean"
+    }
+
+    fn combine(&mut self, ctx: &RoundContext<'_>, verdicts: &mut Verdicts) -> NamedParams {
+        let seen = ctx.updates().iter().map(|&u| u.clone());
+        self.0.lock().unwrap().extend(seen);
+        FedAvg.combine(ctx, verdicts)
+    }
+
+    fn clone_combiner(&self) -> Box<dyn Combiner> {
+        Box::new(self.clone())
+    }
+}
+
+fn recording(seen: &Arc<Mutex<Vec<ClientUpdate>>>) -> DefensePipeline {
+    DefensePipeline::new(
+        "recording",
+        Vec::new(),
+        Box::new(Recording(Arc::clone(seen))),
+    )
+}
+
+/// Fleet member `id` running the client loop on a thread.
+fn loop_client(
+    addr: SocketAddr,
+    data: &BuildingDataset,
+    id: usize,
+    spec: DeltaSpec,
+    fault: FaultProfile,
+) -> std::thread::JoinHandle<Result<(), WireError>> {
+    let mut me = Client::single_from_dataset(data, FLEET_SEED, id);
+    me.compressor = spec.compressor();
+    let (dims, building) = (dims(data), data.building.id as u32);
+    std::thread::spawn(move || {
+        let local = ServerConfig::tiny().local;
+        run_remote_client(addr, &mut me, &dims, &local, &fault, building)
+    })
+}
+
+fn bits(params: &NamedParams) -> Vec<u32> {
+    params
+        .flatten()
+        .as_slice()
+        .iter()
+        .map(|v| v.to_bits())
+        .collect()
+}
+
+/// A clean client loop on a thread uploads, round after round, exactly
+/// the update its in-process twin hands the in-process engine — dense and
+/// compressed — because both run `Client::sequential_update`.
+#[test]
+fn the_client_loop_uploads_the_in_process_update_bitwise() {
+    let data = dataset();
+    let dims = dims(&data);
+    let n = 2;
+    for spec in [DeltaSpec::Dense, DeltaSpec::TopK { fraction: 0.25 }] {
+        let (wire_seen, twin_seen) = (Arc::default(), Arc::default());
+        let mut fleet = RemoteFleet::bind(n).unwrap();
+        let clients: Vec<_> = (0..n)
+            .map(|id| loop_client(fleet.addr(), &data, id, spec, FaultProfile::ideal()))
+            .collect();
+        fleet.accept_all(Duration::from_secs(60)).unwrap();
+        let fleet = Arc::new(Mutex::new(fleet));
+        let cfg = ServerConfig::tiny();
+        let deadline = Duration::from_secs(120);
+        let mut wire =
+            RemoteFlServer::new(&dims, recording(&wire_seen), cfg, fleet.clone(), deadline);
+        let mut twin = SequentialFlServer::new(&dims, recording(&twin_seen), cfg);
+        wire.pretrain(&data.server_train);
+        twin.pretrain(&data.server_train);
+        let mut mirror: Vec<Client> = Client::from_dataset(&data, FLEET_SEED);
+        mirror.truncate(n);
+        let mut twins = mirror.clone();
+        for twin_client in &mut twins {
+            twin_client.compressor = spec.compressor();
+        }
+        for _ in 0..2 {
+            wire.run_round(&mut mirror, &RoundPlan::full(n));
+            twin.run_round(&mut twins, &RoundPlan::full(n));
+        }
+        let (wire_seen, twin_seen) = (wire_seen.lock().unwrap(), twin_seen.lock().unwrap());
+        assert_eq!(wire_seen.len(), 2 * n, "{spec:?}");
+        assert_eq!(twin_seen.len(), 2 * n, "{spec:?}");
+        for (u, t) in wire_seen.iter().zip(twin_seen.iter()) {
+            assert_eq!(
+                (u.client_id, u.num_samples, &u.repr),
+                (t.client_id, t.num_samples, &t.repr)
+            );
+            assert_eq!(bits(&u.params), bits(&t.params), "{spec:?}");
+        }
+        assert_eq!(wire.global_params(), twin.global_params(), "{spec:?}");
+        fleet.lock().unwrap().broadcast_bye();
+        for client in clients {
+            assert_eq!(client.join().unwrap(), Ok(()), "{spec:?}");
+        }
+    }
+}
+
+/// A drop draw ends the loop in order; the server benches the client as a
+/// dropout and the round completes on the others.
+#[test]
+fn a_drop_draw_ends_the_client_loop_and_the_server_reports_a_dropout() {
+    let data = dataset();
+    let (n, victim) = (3, 1);
+    let mut fleet = RemoteFleet::bind(n).unwrap();
+    let clients: Vec<_> = (0..n)
+        .map(|id| {
+            let drops = if id == victim { 1.0 } else { 0.0 };
+            let fault = FaultProfile::ideal().with_drops(drops);
+            loop_client(fleet.addr(), &data, id, DeltaSpec::Dense, fault)
+        })
+        .collect();
+    fleet.accept_all(Duration::from_secs(60)).unwrap();
+    let fleet = Arc::new(Mutex::new(fleet));
+    let mut server = RemoteFlServer::new(
+        &dims(&data),
+        DefensePipeline::fedavg(),
+        ServerConfig::tiny(),
+        Arc::clone(&fleet),
+        Duration::from_secs(120),
+    );
+    let mut mirror = Client::from_dataset(&data, FLEET_SEED);
+    mirror.truncate(n);
+    let report = server.run_round(&mut mirror, &RoundPlan::full(n));
+    for (id, client) in report.clients.iter().enumerate() {
+        if id == victim {
+            assert_eq!(client.outcome, ClientOutcome::DroppedOut);
+        } else {
+            assert!(matches!(client.outcome, ClientOutcome::Trained { .. }));
+        }
+    }
+    fleet.lock().unwrap().broadcast_bye();
+    for client in clients {
+        assert_eq!(client.join().unwrap(), Ok(()));
+    }
+}
+
+/// A server frame the round protocol never sends a client ends the loop
+/// with a protocol error — returned, not panicked.
+#[test]
+fn an_out_of_protocol_server_frame_ends_the_client_loop_with_a_protocol_error() {
+    let data = dataset();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let client = loop_client(
+        listener.local_addr().unwrap(),
+        &data,
+        0,
+        DeltaSpec::Dense,
+        FaultProfile::ideal(),
+    );
+    let mut conn = FrameConn::new(listener.accept().unwrap().0);
+    conn.server_handshake().unwrap();
+    assert_eq!(conn.recv().unwrap(), Frame::Join { client_index: 0 });
+    conn.send(&Frame::LocalizeResp {
+        id: 7,
+        label: 3,
+        position: None,
+        device_class: "stray".to_string(),
+        model_version: 1,
+    })
+    .unwrap();
+    match client.join().expect("the client loop must not panic") {
+        Err(WireError::Protocol(msg)) => assert!(msg.contains("LocalizeResp"), "{msg}"),
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+}
+
+/// A `--fault` profile no draw should see — an infinite std (`1e999`) —
+/// stops `fl_client` before it connects, with exit code 1 and the field
+/// named.
+#[test]
+fn fl_client_refuses_a_fault_profile_naming_the_field() {
+    let out = Command::new(env!("CARGO_BIN_EXE_fl_client"))
+        .args(["--addr", "127.0.0.1:9", "--client", "0", "--dims", "4,2"])
+        .args([
+            "--fault",
+            r#"{"latency_ms_mean": 5, "latency_ms_std": 1e999}"#,
+        ])
+        .output()
+        .expect("run fl_client");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("latency_ms_std"), "{stderr}");
 }

@@ -27,13 +27,11 @@
 
 use safeloc_bench::{record_peak_rss_gauge, TelemetryDump};
 use safeloc_dataset::{Building, BuildingDataset, DatasetConfig, DeviceCatalog};
-use safeloc_fl::client::train_sequential_lm;
 use safeloc_fl::{Client, ClientOutcome, DefensePipeline, Framework, RoundPlan, ServerConfig};
 use safeloc_nn::{Activation, HasParams, Sequential};
 use safeloc_serve::{LocalizeRequest, ModelKey, ModelRegistry, ServeConfig, Service};
 use safeloc_wire::{
-    FaultProfile, Frame, FrameConn, RemoteFlServer, RemoteFleet, UpdateFrame, WireClient,
-    WireServer,
+    run_remote_client, FaultProfile, RemoteFlServer, RemoteFleet, WireClient, WireServer,
 };
 use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex};
@@ -121,7 +119,7 @@ fn parent(argv: &[String]) {
 
     let mut server = RemoteFlServer::new(
         &dims,
-        Box::new(DefensePipeline::krum(1)),
+        DefensePipeline::krum(1),
         ServerConfig::tiny(),
         Arc::clone(&fleet),
         Duration::from_secs(5),
@@ -231,65 +229,30 @@ fn parent(argv: &[String]) {
 
 // ------------------------------------------------------------- the client
 
-/// One fleet member as its own process — the `remote_round` child,
-/// trimmed: rebuild deterministically, train on every broadcast, apply
-/// the injected fault, upload.
+/// One fleet member as its own process — the `remote_round` child: the
+/// deterministic rebuild, then the one client loop `fl_client` runs too.
 fn child(argv: &[String]) {
     let addr = flag_value(argv, "--addr").expect("--addr");
     let client: usize = flag_value(argv, "--client")
-        .expect("--client")
-        .parse()
-        .expect("client index");
+        .and_then(|v| v.parse().ok())
+        .expect("--client takes a fleet index");
     let fault: FaultProfile =
         serde_json::from_str(&flag_value(argv, "--fault").unwrap_or_else(|| "{}".to_string()))
             .expect("--fault parses");
 
     let data = dataset();
-    let dims = dims(&data);
+    let mut me = Client::from_dataset(&data, FLEET_SEED).swap_remove(client);
     let local = ServerConfig::tiny().local;
-    let mut clients = Client::from_dataset(&data, FLEET_SEED);
-    let mut me = clients.swap_remove(client);
-
-    let mut conn = FrameConn::connect(addr.as_str()).expect("connect to the round server");
-    conn.client_handshake().expect("schema handshake");
-    conn.send(&Frame::Join {
-        client_index: me.id as u32,
-    })
-    .expect("join");
-
-    loop {
-        match conn.recv() {
-            Ok(Frame::CohortInvite { .. }) | Ok(Frame::RoundPlan { .. }) => continue,
-            Ok(Frame::GmBroadcast {
-                round,
-                round_salt,
-                params,
-            }) => {
-                let draw = fault.draw(round as u64, me.id as u64);
-                if draw.drop {
-                    conn.shutdown();
-                    return;
-                }
-                let mut gm = Sequential::mlp(&dims, Activation::Relu, 0);
-                gm.load(&params).expect("GM fits the shared dims");
-                let set = me.prepare_round_data(&gm, gm.out_dim(), &local);
-                let lm = train_sequential_lm(&gm, &set, &local, me.seed ^ round_salt);
-                let lm = me.finalize_params(&params, lm);
-                if draw.latency_ms > 0.0 {
-                    std::thread::sleep(Duration::from_secs_f64(draw.latency_ms / 1e3));
-                }
-                conn.send(&Frame::Update(UpdateFrame {
-                    client_id: me.id as u64,
-                    round,
-                    building: data.building.id as u32,
-                    device_class: me.device_name.clone(),
-                    num_samples: set.len() as u64,
-                    params: lm,
-                }))
-                .expect("upload update");
-            }
-            Ok(Frame::Bye) | Err(_) => return,
-            Ok(other) => panic!("unexpected {} from the round server", other.kind()),
-        }
+    let building = data.building.id as u32;
+    if let Err(e) = run_remote_client(
+        addr.as_str(),
+        &mut me,
+        &dims(&data),
+        &local,
+        &fault,
+        building,
+    ) {
+        eprintln!("client {client}: {e}");
+        std::process::exit(1);
     }
 }

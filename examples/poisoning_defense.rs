@@ -6,7 +6,7 @@
 //! The middle contender is the point of the defense-pipeline API: a
 //! layered robust-aggregation strategy is a value built from stages and a
 //! combiner (`DefensePipeline`), swapped into a server with
-//! `set_aggregator` — no new framework type required. The round reports
+//! `set_defense` — no new framework type required. The round reports
 //! then attribute rejections to the stage that made them.
 //!
 //! ```text
@@ -69,11 +69,11 @@ fn main() {
     // by a composed pipeline: clip update norms at 3x the round median,
     // then Krum-select among the bounded survivors.
     let mut composed = fedloc(aps, rps, ServerConfig::default_scale(11));
-    composed.set_aggregator(Box::new(DefensePipeline::new(
+    composed.set_defense(DefensePipeline::new(
         "norm-clip+krum",
         vec![Box::new(NormClip::new(3.0))],
         Box::new(Krum::new(1)),
-    )));
+    ));
     let composed_mean = attacked_mean(Box::new(composed), &data, rounds);
     println!("FEDLOC + norm-clip→Krum pipeline: mean error {composed_mean:.2} m\n");
 

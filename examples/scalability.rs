@@ -71,11 +71,7 @@ fn main() {
     let num_params: usize = dims.windows(2).map(|w| w[0] * w[1] + w[1]).sum();
     let fleet = SyntheticFleet::new(FLEET, dims[0], dims[2], 128, 9, delta);
     let materialized_mib = fleet.materialized_bytes() as f64 / (1024.0 * 1024.0);
-    let server = SequentialFlServer::new(
-        &dims,
-        Box::new(DefensePipeline::fedavg()),
-        ServerConfig::tiny(),
-    );
+    let server = SequentialFlServer::new(&dims, DefensePipeline::fedavg(), ServerConfig::tiny());
     let mut session = FlSession::builder(Box::new(server))
         .fleet(Box::new(fleet))
         .sampler(CohortSampler::uniform(COHORT, 9))

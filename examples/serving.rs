@@ -18,7 +18,7 @@ fn main() {
     let data = BuildingDataset::generate(Building::tiny(7), &DatasetConfig::tiny(), 7);
     let mut server = SequentialFlServer::new(
         &[data.building.num_aps(), 24, data.building.num_rps()],
-        Box::new(DefensePipeline::fedavg()),
+        DefensePipeline::fedavg(),
         ServerConfig::tiny(),
     );
     println!("pretraining the global model...");

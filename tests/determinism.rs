@@ -43,7 +43,7 @@ fn sequential_server_rounds_reproduce() {
     let run = || {
         let mut s = SequentialFlServer::new(
             &[data.building.num_aps(), 16, data.building.num_rps()],
-            Box::new(DefensePipeline::fedavg()),
+            DefensePipeline::fedavg(),
             ServerConfig::tiny(),
         );
         s.pretrain(&data.server_train);

@@ -15,15 +15,15 @@ fn dataset() -> BuildingDataset {
 
 /// The six paper rules as their canonical pipeline compositions — the
 /// shared guard contract must hold for every one of them.
-fn all_aggregators() -> Vec<Box<dyn Aggregator>> {
+fn all_aggregators() -> Vec<DefensePipeline> {
     vec![
-        Box::new(DefensePipeline::fedavg()),
-        Box::new(DefensePipeline::krum(1)),
-        Box::new(DefensePipeline::selective(0.5)),
-        Box::new(DefensePipeline::cluster(0.15)),
-        Box::new(DefensePipeline::latent(0)),
-        Box::new(SaliencyAggregator::default().into_pipeline()),
-        Box::new(DefensePipeline::latent_with_history(0)),
+        DefensePipeline::fedavg(),
+        DefensePipeline::krum(1),
+        DefensePipeline::selective(0.5),
+        DefensePipeline::cluster(0.15),
+        DefensePipeline::latent(0),
+        SaliencyAggregator::default().into_pipeline(),
+        DefensePipeline::latent_with_history(0),
     ]
 }
 
@@ -39,7 +39,7 @@ fn every_aggregator_survives_an_empty_round() {
             out.params,
             gm,
             "{} corrupted the GM on an empty round",
-            agg.name()
+            agg.label()
         );
         assert!(out.decisions.is_empty());
     }
@@ -64,7 +64,7 @@ fn every_aggregator_rejects_all_nan_updates() {
         assert!(
             !out.params.has_non_finite(),
             "{} let NaN weights into the GM",
-            agg.name()
+            agg.label()
         );
         // The shared guard owns this rule: the GM is untouched and the
         // decision trail names the rejection, for every aggregator alike.
@@ -72,13 +72,13 @@ fn every_aggregator_rejects_all_nan_updates() {
             out.params,
             gm,
             "{} rewrote the GM from a fully non-finite round",
-            agg.name()
+            agg.label()
         );
         match &out.decisions[0] {
             UpdateDecision::Rejected { rule, .. } => {
                 assert_eq!(rule, safeloc_fl::defense::NON_FINITE_RULE)
             }
-            other => panic!("{} accepted a NaN update: {other:?}", agg.name()),
+            other => panic!("{} accepted a NaN update: {other:?}", agg.label()),
         }
     }
 }
@@ -88,7 +88,7 @@ fn rounds_with_a_subset_of_clients_work() {
     let data = dataset();
     let mut server = SequentialFlServer::new(
         &[data.building.num_aps(), 12, data.building.num_rps()],
-        Box::new(DefensePipeline::fedavg()),
+        DefensePipeline::fedavg(),
         ServerConfig::tiny(),
     );
     server.pretrain(&data.server_train);
@@ -161,7 +161,7 @@ fn stale_plans_referencing_departed_clients_are_harmless() {
     let data = dataset();
     let mut server = SequentialFlServer::new(
         &[data.building.num_aps(), 12, data.building.num_rps()],
-        Box::new(DefensePipeline::fedavg()),
+        DefensePipeline::fedavg(),
         ServerConfig::tiny(),
     );
     server.pretrain(&data.server_train);

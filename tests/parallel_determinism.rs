@@ -37,7 +37,7 @@ fn sequential_server_round_is_bitwise_deterministic_across_thread_counts() {
         with_threads(threads, || {
             let mut s = SequentialFlServer::new(
                 &[data.building.num_aps(), 16, data.building.num_rps()],
-                Box::new(safeloc_fl::DefensePipeline::fedavg()),
+                safeloc_fl::DefensePipeline::fedavg(),
                 ServerConfig::tiny(),
             );
             s.pretrain(&data.server_train);
@@ -168,7 +168,7 @@ fn compressed_rounds_are_bitwise_deterministic_across_thread_counts() {
         with_threads(threads, || {
             let mut s = SequentialFlServer::new(
                 &[data.building.num_aps(), 16, data.building.num_rps()],
-                Box::new(safeloc_fl::DefensePipeline::fedavg()),
+                safeloc_fl::DefensePipeline::fedavg(),
                 ServerConfig::tiny(),
             );
             s.pretrain(&data.server_train);
@@ -212,7 +212,7 @@ fn subsampled_session_is_bitwise_deterministic_across_thread_counts() {
         with_threads(threads, || {
             let mut s = SequentialFlServer::new(
                 &[data.building.num_aps(), 16, data.building.num_rps()],
-                Box::new(safeloc_fl::DefensePipeline::fedavg()),
+                safeloc_fl::DefensePipeline::fedavg(),
                 ServerConfig::tiny(),
             );
             s.pretrain(&data.server_train);

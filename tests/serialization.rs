@@ -119,7 +119,7 @@ fn round_reports_round_trip() {
     let data = BuildingDataset::generate(Building::tiny(2), &DatasetConfig::tiny(), 2);
     let mut s = SequentialFlServer::new(
         &[data.building.num_aps(), 8, data.building.num_rps()],
-        Box::new(DefensePipeline::fedavg()),
+        DefensePipeline::fedavg(),
         ServerConfig::tiny(),
     );
     s.pretrain(&data.server_train);
