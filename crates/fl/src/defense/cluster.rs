@@ -60,13 +60,14 @@ impl Centroid {
         Self { values, norm }
     }
 
-    /// Cosine distance in `[0, 2]` to a delta whose L2 norm the caller
-    /// already holds (0 similarity when either norm is 0).
-    fn cos_dist(&self, row: DeltaRow<'_>, row_norm: f32) -> f32 {
+    /// Cosine distance in `[0, 2]` to a delta whose L2 norm and dot
+    /// product with the centroid the caller already holds (0 similarity
+    /// when either norm is 0).
+    fn cos_dist(&self, dot: f32, row_norm: f32) -> f32 {
         if row_norm == 0.0 || self.norm == 0.0 {
             1.0
         } else {
-            1.0 - row.dot(&self.values) / (row_norm * self.norm)
+            1.0 - dot / (row_norm * self.norm)
         }
     }
 
@@ -118,24 +119,33 @@ impl DefenseStage for ClusterAggregator {
             return;
         }
 
-        // Each pass sweeps every delta twice (one dot per centroid): the
+        // Each pass sweeps every delta once, for both centroids' dots: the
         // delta norms are the round's cached `raw_norms`, the centroid
-        // norms are taken once per pass.
+        // norms are taken once per re-centring.
         let (deltas, norms) = (ctx.delta_rows(), ctx.raw_norms());
         let mut centroids = [ca, cb].map(|i| Centroid::at(deltas.row(i), deltas.dim()));
-        let dist_to = |c: &Centroid, i: usize| c.cos_dist(deltas.row(i), norms[i]);
         let mut assignment = vec![0u8; n];
         let mut passes = 0;
         for pass in 1..=10 {
             passes = pass;
             let mut changed = false;
+            let [a, b] = &centroids;
             for (slot, &i) in active.iter().enumerate() {
-                let nearer_a = dist_to(&centroids[0], i) <= dist_to(&centroids[1], i);
+                let (dot_a, dot_b) = deltas.row(i).dot_pair(&a.values, &b.values);
+                let nearer_a = a.cos_dist(dot_a, norms[i]) <= b.cos_dist(dot_b, norms[i]);
                 let side = if nearer_a { 0 } else { 1 };
                 if assignment[slot] != side {
                     assignment[slot] = side;
                     changed = true;
                 }
+            }
+            // A settled split is not re-centred: the same members, in the
+            // same order and at the same weight, would rebuild the very
+            // centroids it holds, bit for bit. (Settled in pass 1, the split
+            // is everyone on side `a` — nobody is rejected, so the seeds it
+            // still holds are never read.)
+            if !changed {
+                break;
             }
             for (side, centroid) in centroids.iter_mut().enumerate() {
                 let members: Vec<DeltaRow<'_>> = active
@@ -146,9 +156,6 @@ impl DefenseStage for ClusterAggregator {
                     .collect();
                 centroid.recenter(&members);
             }
-            if !changed {
-                break;
-            }
         }
         // det: telemetry only — nothing reads the gauge back.
         crate::metrics::fl_metrics().on_cluster_passes(passes);
@@ -158,7 +165,8 @@ impl DefenseStage for ClusterAggregator {
         let kept = &centroids[usize::from(majority)];
         for (&i, &a) in active.iter().zip(&assignment) {
             if a != majority {
-                verdicts.reject(i, "cluster", dist_to(kept, i));
+                let score = kept.cos_dist(deltas.row(i).dot(&kept.values), norms[i]);
+                verdicts.reject(i, "cluster", score);
             }
         }
     }

@@ -471,7 +471,7 @@ mod tests {
     use crate::defense::test_support::{
         attacked_cohort, delta_block, params, reencoded, shaped, update, WIDE_SHAPES,
     };
-    use crate::defense::DeltaRow;
+    use crate::defense::{ClusterAggregator, DeltaRow};
 
     /// Row `i` of the view, densified.
     fn dense_row(ctx: &RoundContext<'_>, i: usize) -> Vec<f32> {
@@ -543,13 +543,52 @@ mod tests {
             assert_eq!(ctx.raw_norms()[4], 0.0);
             let projection =
                 Matrix::from_fn(g.num_params(), 7, |r, c| ((r * 7 + c) as f32 * 0.37).sin());
+            let every: Vec<usize> = (0..n).collect();
             assert!(same_bits(
-                rows.project(&projection).as_slice(),
+                rows.project(&projection, &every).as_slice(),
                 block.matmul(&projection).as_slice()
             ));
             // The exact paths read the view densified.
             if n <= EXACT_SCREEN_MAX {
                 assert_eq!(*ctx.cosine(), DistanceMatrix::cosine(&block));
+            }
+        }
+    }
+
+    /// Projecting only some rows gives each of them the bits the full
+    /// projection gives it: every row, the active rows of a screened round
+    /// (some of both kinds left out), sparse rows alone, one of two dense
+    /// rows, both dense rows without the sparse ones, rows out of order,
+    /// and none.
+    #[test]
+    fn projecting_some_rows_gives_them_the_full_projections_bits() {
+        let n = EXACT_SCREEN_MAX + 6;
+        let (g, dense) = attacked_cohort(n, &WIDE_SHAPES, 37);
+        let mut u = reencoded(&g, &dense, crate::DeltaSpec::TopK { fraction: 0.05 });
+        (u[2], u[9]) = (dense[2].clone(), dense[9].clone());
+        u[4].params = g.clone();
+        let refs: Vec<&ClientUpdate> = u.iter().collect();
+        let ctx = RoundContext::new(&g, &refs);
+        let rows = ctx.delta_rows();
+        assert_eq!(rows.dense_rows(), 2);
+        let projection =
+            Matrix::from_fn(g.num_params(), 9, |r, c| ((r * 9 + c) as f32 * 0.23).cos());
+        let every: Vec<usize> = (0..n).collect();
+        let full = rows.project(&projection, &every);
+        let subsets: [Vec<usize>; 7] = [
+            every.clone(),
+            (0..n).filter(|i| i % 10 != 3 && *i != 7).collect(),
+            (0..n).filter(|&i| i != 2 && i != 9).collect(),
+            vec![0, 9, 11],
+            vec![2, 9],
+            vec![40, 9, 4, 2, 1],
+            Vec::new(),
+        ];
+        for picked in subsets {
+            let some = rows.project(&projection, &picked);
+            assert_eq!(some.shape(), (picked.len(), 9));
+            for (r, &i) in picked.iter().enumerate() {
+                assert!(same_bits(some.row(r), full.row(i)), "row {i} of {picked:?}");
             }
         }
     }
@@ -853,5 +892,119 @@ mod tests {
         let half = ctx.effective_params(0, 0.5);
         assert_eq!(half.get("layer0.w").unwrap().get(0, 0), 2.0);
         assert_eq!(half.get("layer0.b").unwrap().get(0, 0), 4.0);
+    }
+
+    /// The 2-means seed pair the cluster stage picks from `pairwise`: the
+    /// most distant pair over every row (the stage runs after
+    /// `NonFiniteGuard` and `NormClip`, which reject nobody here), the
+    /// first one found on a tie.
+    fn seed_pair(pairwise: &DistanceMatrix, n: usize) -> (usize, usize, f32) {
+        let mut best = (0, 1, f32::NEG_INFINITY);
+        for i in 0..n {
+            for j in i + 1..n {
+                if pairwise.get(i, j) > best.2 {
+                    best = (i, j, pairwise.get(i, j));
+                }
+            }
+        }
+        best
+    }
+
+    /// One row of [`the_sampled_seeding_splits_where_the_exact_one_does`]'s
+    /// table: the cohort, both seed pairs with their distances, the exact
+    /// distance of the sampled pair and the largest sampled-vs-exact gap.
+    struct Seeding {
+        n: usize,
+        seed: u64,
+        sampled: (usize, usize, f32),
+        exact: (usize, usize, f32),
+        exact_at_sampled: f32,
+        largest_gap: f32,
+    }
+
+    /// `round_screen`'s cohort in miniature, `TopK{0.05}` as it reaches
+    /// the server, seeded by the sampled cosine matrix (the public
+    /// 2 048-pick stride) and by the exact one over every coordinate.
+    fn seedings() -> Vec<Seeding> {
+        let mut rows = Vec::new();
+        for n in [128, 256] {
+            for seed in 40..44 {
+                let (g, dense) = attacked_cohort(n, &WIDE_SHAPES, seed);
+                let u = reencoded(&g, &dense, crate::DeltaSpec::TopK { fraction: 0.05 });
+                let refs: Vec<&ClientUpdate> = u.iter().collect();
+                let ctx = RoundContext::new(&g, &refs);
+                let exact = DistanceMatrix::cosine(&ctx.delta_rows().to_block());
+                let sampled = ctx.cosine();
+                let largest_gap = (0..n)
+                    .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+                    .map(|(i, j)| (sampled.get(i, j) - exact.get(i, j)).abs())
+                    .fold(0.0f32, f32::max);
+                let (i, j, d) = seed_pair(sampled, n);
+                rows.push(Seeding {
+                    n,
+                    seed,
+                    sampled: (i, j, d),
+                    exact: seed_pair(&exact, n),
+                    exact_at_sampled: exact.get(i, j),
+                    largest_gap,
+                });
+            }
+        }
+        println!("| n | seed | sampled pair (d) | exact pair (d) | exact d of sampled pair | largest gap | sampled ≥ τ | exact ≥ τ |");
+        let threshold = ClusterAggregator::default().separation_threshold;
+        for r in &rows {
+            let ((si, sj, sd), (ei, ej, ed)) = (r.sampled, r.exact);
+            println!(
+                "| {} | {} | ({si}, {sj}) {sd:.4} | ({ei}, {ej}) {ed:.4} | {:.4} | {:.4} | {} | {} |",
+                r.n,
+                r.seed,
+                r.exact_at_sampled,
+                r.largest_gap,
+                sd >= threshold,
+                ed >= threshold
+            );
+        }
+        rows
+    }
+
+    /// ROADMAP item 2(a), first step: how far the sampled seeding of
+    /// 2-means is from the exact one. Whether to split at all — the seed
+    /// pair's distance against the separation threshold — must agree.
+    #[test]
+    fn the_sampled_seeding_splits_where_the_exact_one_does() {
+        let threshold = ClusterAggregator::default().separation_threshold;
+        for r in seedings() {
+            assert_eq!(
+                r.sampled.2 >= threshold,
+                r.exact.2 >= threshold,
+                "n {}, seed {}: the sampled and the exact seeding disagree on splitting",
+                r.n,
+                r.seed
+            );
+        }
+    }
+
+    /// ROADMAP item 2's finding, kept as the assertion it fails: the
+    /// sampled seeding does *not* pick the exact seed pair. Measured (PR
+    /// 26; `cargo test -p safeloc-fl --lib seeding -- --ignored
+    /// --nocapture` prints the table): it agrees on 1 of 8 cohorts (n 128,
+    /// seed 41). Every pair either picks is one boosted attacker against
+    /// one honest row; the exact distance of the sampled pair sits
+    /// 0.008–0.059 below the exact maximum (1.2895–1.3483 against
+    /// 1.3320–1.3589), the largest sampled-vs-exact entry is off by
+    /// 0.085–0.135, and both clear the 0.15 separation threshold by a factor
+    /// of ~9 — the split, and so every verdict, is the same.
+    #[test]
+    #[ignore = "ROADMAP item 2: the sampled stride picks another seed pair than the exact path"]
+    fn the_sampled_seeding_picks_the_exact_seed_pair() {
+        for r in seedings() {
+            assert_eq!(
+                (r.sampled.0, r.sampled.1),
+                (r.exact.0, r.exact.1),
+                "n {}, seed {}",
+                r.n,
+                r.seed
+            );
+        }
     }
 }

@@ -187,17 +187,18 @@ impl BenignRecord {
     }
 }
 
-/// Feature rows of the active updates: the round's shared delta rows,
-/// random-projected by **one** kernel call per storage kind
-/// ([`DeltaRows::project`](crate::defense::DeltaRows::project)), active
-/// rows picked out. The tall `d × feature_dim` projection is thereby
-/// streamed from memory once per round (the kernels block over `d`)
-/// instead of once per update; a row's features depend on that row alone,
-/// so projecting the already-rejected rows along changes nothing but a
-/// little arithmetic.
+/// Feature rows of the active updates: their rows of the round's shared
+/// delta view, random-projected by **one** kernel call per storage kind
+/// ([`DeltaRows::project`](crate::defense::DeltaRows::project)). The tall
+/// `d × feature_dim` projection is thereby streamed from memory once per
+/// round (the kernels block over `d`) instead of once per update; a row's
+/// features depend on that row alone, so the rows earlier stages rejected
+/// are simply not projected.
 fn project_active(ctx: &RoundContext<'_>, projection: &Matrix, active: &[usize]) -> Vec<Vec<f32>> {
-    let features = ctx.delta_rows().project(projection);
-    active.iter().map(|&i| features.row(i).to_vec()).collect()
+    let features = ctx.delta_rows().project(projection, active);
+    (0..active.len())
+        .map(|r| features.row(r).to_vec())
+        .collect()
 }
 
 /// Norm ratio past which an unscreened bootstrap row is kept *out* of a

@@ -4,7 +4,9 @@
 //! support kernels, cached norms in 2-means, one kernel call per
 //! projection, the sampled block read in place or off the view, recycled
 //! buffers, sorted columns that only gather what can differ from the GM
-//! and fold sixteen at a time) promises the
+//! and fold sixty-four at a time, integer sort keys, block-transposed
+//! supports, a 2-means that stops re-centring a settled split, a projection
+//! of the live rows only) promises the
 //! *same bits* as the straightforward implementations it replaced. Those
 //! implementations live on here, test-only, as the references the promise
 //! is checked against — every one of them reads the dense `n × d` block of
@@ -121,10 +123,21 @@ impl DefenseStage for ReferenceNormClip {
 
 /// The cluster stage before norms were cached: every cosine distance
 /// recomputes both operands' norms (six sweeps per update per pass), over
-/// per-update row copies.
+/// per-update row copies, and every pass re-centres — the one that finds
+/// the split settled too. `passes` records how many passes each round ran.
 #[derive(Clone)]
 struct ReferenceCluster {
     separation_threshold: f32,
+    passes: std::sync::Arc<std::sync::Mutex<Vec<usize>>>,
+}
+
+impl ReferenceCluster {
+    fn new(separation_threshold: f32) -> Self {
+        Self {
+            separation_threshold,
+            passes: Default::default(),
+        }
+    }
 }
 
 fn cos_dist(a: &Matrix, b: &Matrix) -> f32 {
@@ -167,7 +180,9 @@ impl DefenseStage for ReferenceCluster {
         }
         let mut centroids = [deltas[ca].clone(), deltas[cb].clone()];
         let mut assignment = vec![0usize; n];
+        let mut passes = 0;
         for _ in 0..10 {
+            passes += 1;
             let mut changed = false;
             for (slot, &i) in active.iter().enumerate() {
                 let d = &deltas[i];
@@ -199,6 +214,7 @@ impl DefenseStage for ReferenceCluster {
                 break;
             }
         }
+        self.passes.lock().expect("passes lock").push(passes);
         let count_a = assignment.iter().filter(|&&a| a == 0).count();
         let majority = usize::from(count_a * 2 < n);
         for (&i, &a) in active.iter().zip(&assignment) {
@@ -362,9 +378,9 @@ fn reference_pipeline() -> DefensePipeline {
         vec![
             Box::new(ReferenceGuard),
             Box::new(ReferenceNormClip(NormClip::default())),
-            Box::new(ReferenceCluster {
-                separation_threshold: ClusterAggregator::default().separation_threshold,
-            }),
+            Box::new(ReferenceCluster::new(
+                ClusterAggregator::default().separation_threshold,
+            )),
             Box::new(ReferenceLatent(LatentFilterAggregator::new(SEED))),
         ],
         Box::new(ReferenceTrimmedMean(TRIM)),
@@ -636,22 +652,27 @@ fn sorted_columns_fold_like_the_gathered_ones() {
     }
 }
 
-/// Tensor lengths 17, 31 and 32 — `≡ 1, 15, 0 (mod 16)`, so the column
-/// blocks of [`coordinate_wise`](super::robust) end in one lane, in fifteen
-/// and flush — and `d = 80`: a row may differ from the GM in ten
-/// coordinates and still be stored as a support.
+/// Tensor lengths 17, 31 and 32 — each shorter than one column block of
+/// [`coordinate_wise`](super::robust), so a tensor is one partial block —
+/// and `d = 80`: a row may differ from the GM in ten coordinates and still
+/// be stored as a support.
 const BLOCK_SHAPES: [(usize, usize); 3] = [(1, 17), (1, 31), (2, 16)];
 
-/// Twelve updates over [`BLOCK_SHAPES`] whose columns hold a chosen number
-/// of explicit values each — at `t = 3` (a 25 % trim) exactly `t − 2`, `t`,
+/// Tensor lengths 65, 127 and 128 — `≡ 1, 63, 0 (mod 64)`, so the column
+/// blocks of [`coordinate_wise`](super::robust) end in one lane, in
+/// sixty-three and flush — and `d = 320`.
+const LANE_EDGE_SHAPES: [(usize, usize); 3] = [(1, 65), (1, 127), (2, 64)];
+
+/// Twelve updates over `shapes` whose columns hold a chosen number of
+/// explicit values each — at `t = 3` (a 25 % trim) exactly `t − 2`, `t`,
 /// `t + 1` and `2t` of them in the first four columns of every tensor (four
 /// lanes of one block, four different run lengths), `t + 1` in every
 /// tensor's last column and none anywhere else — on both sides of the GM's
 /// value, with the GM itself `−0.0` under one `t`-column and one
 /// `t + 1`-column.
-fn block_cohort() -> (NamedParams, Vec<ClientUpdate>) {
+fn block_cohort(shapes: &[(usize, usize)]) -> (NamedParams, Vec<ClientUpdate>) {
     let n = 12;
-    let (g, _) = attacked_cohort(n, &BLOCK_SHAPES, 76);
+    let (g, _) = attacked_cohort(n, shapes, 76);
     let mut flat = g.flatten().into_vec();
     let d = flat.len();
     let mut lms = vec![Vec::new(); n];
@@ -689,60 +710,63 @@ fn block_cohort() -> (NamedParams, Vec<ClientUpdate>) {
 /// in full beside the supports, so a column's looked-at count is its
 /// explicit values plus two); one update rejected; and the same cohort
 /// uploaded dense (`run == 0` in every column) — at no trim, at `t = 3`
-/// and at the widest trim, for the trimmed mean and the median alike.
+/// and at the widest trim, for the trimmed mean and the median alike; over
+/// [`BLOCK_SHAPES`] and [`LANE_EDGE_SHAPES`].
 #[test]
 fn lockstep_columns_fold_like_the_gathered_ones() {
-    let (g, sparse) = block_cohort();
-    assert_eq!(
-        dense_rows(&g, &sparse),
-        0,
-        "a ten-coordinate row was stored dense"
-    );
-    let (_, noisy) = attacked_cohort(sparse.len(), &BLOCK_SHAPES, 77);
-    let mut mixed = sparse.clone();
-    mixed[7].params = g.clone();
-    mixed[7].params.axpy(0.01, &noisy[7].params);
-    let all_dense: Vec<ClientUpdate> = (sparse.iter().zip(&noisy))
-        .map(|(u, noise)| {
-            let mut lm = u.params.clone();
-            lm.axpy(0.01, &noise.params);
-            ClientUpdate::new(u.client_id, lm, 10)
-        })
-        .collect();
-    assert_eq!(
-        (dense_rows(&g, &mixed), dense_rows(&g, &all_dense)),
-        (1, 12)
-    );
-    type Verdict = fn(&mut Verdicts);
-    let cases: [(&str, &[ClientUpdate], Verdict); 4] = [
-        ("sparse", &sparse, |_| {}),
-        ("clipped + dense", &mixed, |v| v.clip(2, 0.5)),
-        ("rejected", &sparse, |v| v.reject(4, "test", 1.0)),
-        ("all dense", &all_dense, |v| v.clip(2, 0.5)),
-    ];
-    for (case, updates, decide) in cases {
-        let refs: Vec<&ClientUpdate> = updates.iter().collect();
-        let combined = |combiner: &mut dyn Combiner| -> Vec<u32> {
-            let ctx = RoundContext::new(&g, &refs);
-            let mut verdicts = Verdicts::new(refs.len());
-            decide(&mut verdicts);
-            let params = combiner.combine(&ctx, &mut verdicts);
-            (params.iter())
-                .flat_map(|(_, t)| t.as_slice().iter().map(|v| v.to_bits()))
-                .collect()
-        };
-        for trim in [0.0, 0.25, 0.49] {
+    for shapes in [&BLOCK_SHAPES, &LANE_EDGE_SHAPES] {
+        let (g, sparse) = block_cohort(shapes);
+        assert_eq!(
+            dense_rows(&g, &sparse),
+            0,
+            "a ten-coordinate row was stored dense"
+        );
+        let (_, noisy) = attacked_cohort(sparse.len(), shapes, 77);
+        let mut mixed = sparse.clone();
+        mixed[7].params = g.clone();
+        mixed[7].params.axpy(0.01, &noisy[7].params);
+        let all_dense: Vec<ClientUpdate> = (sparse.iter().zip(&noisy))
+            .map(|(u, noise)| {
+                let mut lm = u.params.clone();
+                lm.axpy(0.01, &noise.params);
+                ClientUpdate::new(u.client_id, lm, 10)
+            })
+            .collect();
+        assert_eq!(
+            (dense_rows(&g, &mixed), dense_rows(&g, &all_dense)),
+            (1, 12)
+        );
+        type Verdict = fn(&mut Verdicts);
+        let cases: [(&str, &[ClientUpdate], Verdict); 4] = [
+            ("sparse", &sparse, |_| {}),
+            ("clipped + dense", &mixed, |v| v.clip(2, 0.5)),
+            ("rejected", &sparse, |v| v.reject(4, "test", 1.0)),
+            ("all dense", &all_dense, |v| v.clip(2, 0.5)),
+        ];
+        for (case, updates, decide) in cases {
+            let refs: Vec<&ClientUpdate> = updates.iter().collect();
+            let combined = |combiner: &mut dyn Combiner| -> Vec<u32> {
+                let ctx = RoundContext::new(&g, &refs);
+                let mut verdicts = Verdicts::new(refs.len());
+                decide(&mut verdicts);
+                let params = combiner.combine(&ctx, &mut verdicts);
+                (params.iter())
+                    .flat_map(|(_, t)| t.as_slice().iter().map(|v| v.to_bits()))
+                    .collect()
+            };
+            for trim in [0.0, 0.25, 0.49] {
+                assert_eq!(
+                    combined(&mut TrimmedMean::new(trim)),
+                    combined(&mut ReferenceTrimmedMean(trim)),
+                    "{shapes:?}, {case}, trim {trim}"
+                );
+            }
             assert_eq!(
-                combined(&mut TrimmedMean::new(trim)),
-                combined(&mut ReferenceTrimmedMean(trim)),
-                "{case}, trim {trim}"
+                combined(&mut CoordinateMedian),
+                combined(&mut ReferenceMedian),
+                "{shapes:?}, {case}"
             );
         }
-        assert_eq!(
-            combined(&mut CoordinateMedian),
-            combined(&mut ReferenceMedian),
-            "{case}"
-        );
     }
 }
 
@@ -1005,6 +1029,94 @@ fn recycled_buffers_never_change_an_outcome() {
             );
             let dense_rows = if sparse { 1 } else { n };
             assert!(warm.scratch.capacity() >= dense_rows * g.num_params());
+        }
+    }
+}
+
+/// `n` updates over [`SMALL_SHAPES`], each the GM plus uniform noise in
+/// `±1` on every coordinate: no direction is shared, so 2-means wanders.
+/// At `n = 96` and seed 32 it runs all ten passes.
+fn noise_cohort(n: usize, seed: u64) -> (NamedParams, Vec<ClientUpdate>) {
+    use rand::{Rng, SeedableRng};
+    let (g, _) = attacked_cohort(n, &SMALL_SHAPES, seed);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let flat = g.flatten().into_vec();
+    let updates = (0..n)
+        .map(|i| {
+            let lm: Vec<f32> = (flat.iter())
+                .map(|v| v + rng.gen_range(-1.0f32..1.0))
+                .collect();
+            ClientUpdate::new(i, shaped(&g, &lm), 10)
+        })
+        .collect();
+    (g, updates)
+}
+
+/// [`attacked_cohort`] with its boosted attackers replaced by honest
+/// copies and update 5 equal to the GM. Every delta points the honest way
+/// but update 5's, whose norm is 0: the most distant pair is `(0, 5)` at
+/// exactly 1, so 2-means seeds on a zero centroid — the distance to it is
+/// 1 for every row, and every row's distance to update 0 is below that.
+/// Pass 1 puts everyone on side `a`, where they started: the split is
+/// settled at once.
+fn settling_cohort(n: usize) -> (NamedParams, Vec<ClientUpdate>) {
+    let (g, mut u) = attacked_cohort(n, &WIDE_SHAPES, 78);
+    for i in (3..n).step_by(10) {
+        u[i].params = u[i - 1].params.clone();
+    }
+    u[5].params = g.clone();
+    (g, u)
+}
+
+/// The cluster stage — behind stage zero and `NormClip`, as in
+/// `round_screen` — against [`ReferenceCluster`], which re-centres in
+/// every pass: a split settled in pass 1 (nobody rejected, the seeds never
+/// read), one that runs all ten passes (never settled, so every pass
+/// re-centres on both sides), and the attacked cohorts of the other
+/// oracles, dense and `TopK`. Decisions, score bits and the GM agree, and
+/// the reference ran the pass count each case is chosen for.
+#[test]
+fn a_settled_split_is_not_recentred_and_decides_the_same() {
+    let threshold = ClusterAggregator::default().separation_threshold;
+    let (attacked_g, attacked) = attacked_cohort(96, &WIDE_SHAPES, 40);
+    let sparse = reencoded(&attacked_g, &attacked, TOP_5_PERCENT);
+    let (noise_g, noise) = noise_cohort(96, 32);
+    let (settling_g, settling) = settling_cohort(96);
+    let cases = [
+        ("settles in pass 1", &settling_g, &settling, 1),
+        ("runs all ten passes", &noise_g, &noise, 10),
+        ("attacked, dense", &attacked_g, &attacked, 2),
+        ("attacked, TopK", &attacked_g, &sparse, 2),
+    ];
+    for (case, g, u, passes) in cases {
+        let reference = ReferenceCluster::new(threshold);
+        let mut fast = DefensePipeline::new(
+            "fast",
+            vec![
+                Box::new(NormClip::default()),
+                Box::new(ClusterAggregator::new(threshold)),
+            ],
+            Box::new(UniformMean),
+        );
+        let mut slow = DefensePipeline::new(
+            "reference",
+            vec![
+                Box::new(ReferenceNormClip(NormClip::default())),
+                Box::new(reference.clone()),
+            ],
+            Box::new(UniformMean),
+        );
+        let got = fast.aggregate(g, u);
+        assert_eq!(bits(&got), bits(&slow.aggregate(g, u)), "{case} diverged");
+        assert_eq!(
+            *reference.passes.lock().expect("passes lock"),
+            [passes],
+            "{case}"
+        );
+        let rejected = rejected_by(&got, "cluster").count();
+        match passes {
+            1 => assert_eq!(rejected, 0, "{case}: a settled first pass rejects nobody"),
+            _ => assert!(rejected > 0, "{case}: nobody rejected"),
         }
     }
 }

@@ -121,6 +121,17 @@ impl DeltaRow<'_> {
         }
     }
 
+    /// `(self.dot(a), self.dot(b))` — bit for bit — reading a support row
+    /// once for both ([`kernels::support_dot_pair`]).
+    pub fn dot_pair(&self, a: &[f32], b: &[f32]) -> (f32, f32) {
+        match *self {
+            DeltaRow::Dense(row) => (kernels::dot(row, a), kernels::dot(row, b)),
+            DeltaRow::Support {
+                indices, deltas, ..
+            } => kernels::support_dot_pair(indices, deltas, a, b),
+        }
+    }
+
     /// `acc[e] += weight · δ[e]`, for an accumulator that started at
     /// `+0.0` (a 2-means centroid being re-averaged).
     pub fn add_scaled_to(&self, acc: &mut [f32], weight: f32) {
@@ -397,35 +408,38 @@ impl<'a> DeltaRows<'a> {
         Cow::Owned(Matrix::from_vec(self.len(), d, block).expect("n·d elements by construction"))
     }
 
-    /// Every row times `projection` (`d × f`), as an `n × f` matrix: the
-    /// dense rows through one [`Matrix::matmul`] call, the support rows
-    /// through one [`kernels::support_matmul_into`] call, each sweeping
-    /// the tall projection from memory once. A row's features depend on
-    /// that row alone, and either kernel gives a row the bits the other
-    /// would.
+    /// Rows `rows` times `projection` (`d × f`), as a `rows.len() × f`
+    /// matrix, row `r` for update `rows[r]`: the whole dense block through
+    /// one [`Matrix::matmul`] call, the asked-for support rows through one
+    /// [`kernels::support_matmul_into`] call, each sweeping the tall
+    /// projection from memory once. A row's features depend on that row
+    /// alone, and either kernel gives a row the bits the other would — so a
+    /// support row left out changes no other row's features, and a stage
+    /// projects only the sparse rows it still screens.
     ///
     /// # Panics
     ///
-    /// Panics unless `projection` has one row per coordinate.
-    pub fn project(&self, projection: &Matrix) -> Matrix {
+    /// Panics unless `projection` has one row per coordinate, or if a row
+    /// is out of range.
+    pub fn project(&self, projection: &Matrix, rows: &[usize]) -> Matrix {
         assert_eq!(projection.rows(), self.dim(), "projection height");
         let f = projection.cols();
         let dense = self.dense_block().matmul(projection);
-        let supports: Vec<(&[u32], &[f32])> = (0..self.len())
-            .filter_map(|i| self.delta_support(i))
+        let supports: Vec<(&[u32], &[f32])> = (rows.iter())
+            .filter_map(|&i| self.delta_support(i))
             .collect();
         let mut sparse = vec![0.0f32; supports.len() * f];
         kernels::support_matmul_into(&mut sparse, &supports, projection.as_slice(), self.dim(), f);
-        // Back into update order.
-        let mut features = Vec::with_capacity(self.len() * f);
+        // Back into the order asked for.
+        let mut features = Vec::with_capacity(rows.len() * f);
         let mut sparse_rows = sparse.chunks(f.max(1));
-        for slot in &self.slots {
-            features.extend_from_slice(match *slot {
+        for &i in rows {
+            features.extend_from_slice(match self.slots[i] {
                 Slot::Dense(slot) => dense.row(slot),
                 Slot::Support(_) => sparse_rows.next().unwrap_or_default(),
             });
         }
-        Matrix::from_vec(self.len(), f, features).expect("n·f elements by construction")
+        Matrix::from_vec(rows.len(), f, features).expect("rows·f elements by construction")
     }
 }
 

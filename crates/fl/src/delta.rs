@@ -54,8 +54,8 @@ pub enum DeltaRepr {
         indices: Vec<u32>,
         /// The kept delta values, parallel to `indices`.
         values: Vec<f32>,
-        /// The selection size (`indices.len()`, kept explicit for
-        /// reports).
+        /// The selection size, kept explicit for reports: `indices.len()`,
+        /// or the repr does not [`decode`](DeltaRepr::decode).
         k: usize,
     },
     /// The whole delta quantized to `i8` words under one per-update scale.
@@ -86,10 +86,11 @@ impl DeltaRepr {
     /// Returns `None` for [`DeltaRepr::Dense`] — a dense update carries no
     /// separate delta payload (its `params` field *is* the exact model) —
     /// and for a repr that is not well-formed for a `num_params` model: a
-    /// `TopK` whose indices are not strictly ascending and `< num_params`
-    /// or whose `values` differ from them in length, a `QuantizedI8` that
-    /// is not exactly `num_params` words long. Such a payload is a
-    /// protocol violation, not something to repair: dropping an index,
+    /// `TopK` whose indices are not strictly ascending and `< num_params`,
+    /// whose `values` differ from them in length, or whose `k` is not
+    /// their count, a `QuantizedI8` that is not exactly `num_params` words
+    /// long. Such a payload is a protocol violation, not something to
+    /// repair: dropping an index,
     /// letting a duplicate overwrite or padding a short vector would
     /// re-materialize a model the client never held and account bytes
     /// that were partly ignored. The checks are `O(k)`, and everything
@@ -98,15 +99,14 @@ impl DeltaRepr {
     pub fn decode(&self, num_params: usize) -> Option<Vec<f32>> {
         match self {
             DeltaRepr::Dense => None,
-            DeltaRepr::TopK {
-                indices, values, ..
-            } => {
+            DeltaRepr::TopK { indices, values, k } => {
                 // Folded, not short-circuited: the comparison vectorizes,
                 // and a well-formed payload never leaves early anyway.
                 let ascending =
                     (indices.windows(2)).fold(true, |ok, pair| ok & (pair[0] < pair[1]));
                 let in_range = indices.last().is_none_or(|&i| (i as usize) < num_params);
-                if !(ascending && in_range && values.len() == indices.len()) {
+                let counted = values.len() == indices.len() && *k == indices.len();
+                if !(ascending && in_range && counted) {
                     return None;
                 }
                 let mut out = vec![0.0; num_params];
@@ -403,6 +403,14 @@ mod tests {
             (topk(&[3, 1], &[0.5, -2.0]), "descending indices"),
             (topk(&[1, 3], &[0.5]), "fewer values than indices"),
             (topk(&[1], &[0.5, -2.0]), "more values than indices"),
+            (
+                DeltaRepr::TopK {
+                    indices: vec![1, 3],
+                    values: vec![0.5, -2.0],
+                    k: u32::MAX as usize,
+                },
+                "a k that is not the coefficient count",
+            ),
         ] {
             assert_eq!(malformed.decode(4), None, "{why} decoded");
         }

@@ -105,12 +105,14 @@
 //!    this kernel none).
 //! 7. **A support kernel is its dense kernel with the `+0.0` terms left
 //!    out — nothing else moves.** [`support_sum_squares`],
-//!    [`support_dot`], [`support_axpy`] and [`support_matmul_into`] take a
-//!    vector as its *support*: strictly ascending indices plus the values
-//!    there, every other element being exactly `+0.0`. Each reproduces
-//!    the arithmetic of its dense twin over the densified vector bit for
-//!    bit: a support element still lands in lane `i mod LANES`, in index
-//!    order, and the lanes fold by the same halving; a projection still
+//!    [`support_dot`], [`support_dot_pair`], [`support_axpy`] and
+//!    [`support_matmul_into`] take a vector as its *support*: strictly
+//!    ascending indices plus the values there, every other element being
+//!    exactly `+0.0`. Each reproduces the arithmetic of its dense twin over
+//!    the densified vector bit for bit: a support element still lands in
+//!    lane `i mod LANES`, in index order, and the lanes fold by the same
+//!    halving ([`support_dot_pair`] is two [`support_dot`]s sharing one
+//!    walk of the support, each sum in lanes of its own); a projection still
 //!    adds one left-associated `((a₀v₀ + a₁v₁) + a₂v₂) + a₃v₃` group sum
 //!    per 4-aligned group, in ascending order, `KC`-blocked the same
 //!    way. What is skipped is a term `+0.0 · y = ±0.0` (or a group of
@@ -630,6 +632,35 @@ pub fn support_sum_squares(indices: &[u32], values: &[f32]) -> f32 {
 /// Panics if an index is `≥ other.len()`.
 pub fn support_dot(indices: &[u32], values: &[f32], other: &[f32]) -> f32 {
     support_lane_sum(indices, values, |i, v| v * other[i])
+}
+
+/// `(support_dot(indices, values, a), support_dot(indices, values, b))`
+/// in one walk of the support — bit for bit: each of the two sums keeps
+/// [`support_dot`]'s lanes, in the same layout and the same order, so a
+/// 2-means pass reads a row once for both centroids (design rule 7 in the
+/// module docs).
+///
+/// # Panics
+///
+/// Panics if `a` and `b` differ in length, or if an index is `≥` it.
+pub fn support_dot_pair(indices: &[u32], values: &[f32], a: &[f32], b: &[f32]) -> (f32, f32) {
+    assert_eq!(
+        indices.len(),
+        values.len(),
+        "support indices and values differ in length"
+    );
+    assert_eq!(a.len(), b.len(), "dot-pair operands differ in length");
+    debug_assert!(
+        indices.windows(2).all(|w| w[0] < w[1]),
+        "support indices must ascend strictly"
+    );
+    let (mut lanes_a, mut lanes_b) = ([0.0f32; LANES], [0.0f32; LANES]);
+    for (&i, &v) in indices.iter().zip(values) {
+        let i = i as usize;
+        lanes_a[i % LANES] += v * a[i];
+        lanes_b[i % LANES] += v * b[i];
+    }
+    (fold_lanes(lanes_a), fold_lanes(lanes_b))
 }
 
 /// `acc[i] += weight · v` over the support: what the dense
@@ -1168,6 +1199,7 @@ mod tests {
                 prop_assert!(supports[0].0.is_empty());
                 prop_assert!(len == 0 || supports[2].0.len() == len);
                 let other = &other[..len];
+                let other_reversed: Vec<f32> = other.iter().rev().copied().collect();
                 let mut dense_acc = vec![0.0f32; len];
                 let mut support_acc = vec![0.0f32; len];
                 for (row, (indices, vals)) in rows.iter().zip(&supports) {
@@ -1180,6 +1212,16 @@ mod tests {
                         support_dot(indices, vals, other).to_bits(),
                         dot(row, other).to_bits(),
                         "dot, len {}", len
+                    );
+                    // The 2-means pass: both centroids in one walk.
+                    let (x, y) = support_dot_pair(indices, vals, other, &other_reversed);
+                    prop_assert_eq!(
+                        (x.to_bits(), y.to_bits()),
+                        (
+                            support_dot(indices, vals, other).to_bits(),
+                            support_dot(indices, vals, &other_reversed).to_bits()
+                        ),
+                        "dot pair, len {}", len
                     );
                     // The 2-means recentre: members accumulate in order.
                     for (c, v) in dense_acc.iter_mut().zip(row) {
@@ -1285,6 +1327,12 @@ mod tests {
     #[should_panic(expected = "index out of bounds")]
     fn support_dot_rejects_an_index_past_the_operand() {
         support_dot(&[1, 4], &[1.0, 2.0], &[0.0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn support_dot_pair_rejects_an_index_past_the_operands() {
+        support_dot_pair(&[1, 4], &[1.0, 2.0], &[0.0; 4], &[0.0; 4]);
     }
 
     #[test]

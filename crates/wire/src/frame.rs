@@ -822,17 +822,20 @@ impl<'a> Reader<'a> {
                 // Each kept coefficient costs 8 bytes on the wire.
                 self.check_capacity(count, 8)?;
                 // One bounds check for the run of (index, value) pairs,
-                // not two per coefficient.
-                let (indices, values) = self
-                    .take(count * 8)?
-                    .chunks_exact(8)
-                    .map(|b| {
-                        (
-                            u32::from_le_bytes([b[0], b[1], b[2], b[3]]),
-                            f32::from_le_bytes([b[4], b[5], b[6], b[7]]),
-                        )
-                    })
-                    .unzip();
+                // not two per coefficient; then two straight collects of
+                // known length, not one pair-by-pair `unzip`.
+                let pairs = self.take(count * 8)?;
+                if k != count {
+                    return Err(WireError::BadPayload(format!(
+                        "top-k announces k = {k} but carries {count} coefficients"
+                    )));
+                }
+                let indices = (pairs.chunks_exact(8))
+                    .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+                    .collect();
+                let values = (pairs.chunks_exact(8))
+                    .map(|b| f32::from_le_bytes([b[4], b[5], b[6], b[7]]))
+                    .collect();
                 Ok(DeltaRepr::TopK { indices, values, k })
             }
             REPR_Q8 => {
@@ -1057,6 +1060,39 @@ mod tests {
             Frame::decode_body(&body),
             Err(WireError::Truncated { .. })
         ));
+    }
+
+    /// Every compressor emits `k == indices.len()`; a top-k announcing
+    /// another `k` than the pairs it carries — here three pairs and
+    /// `k = u32::MAX`, which used to be accepted and reported as
+    /// `topk(4294967295)` — is a malformed payload, either way round.
+    #[test]
+    fn a_top_k_whose_k_is_not_its_coefficient_count_is_rejected() {
+        let frame = |k: usize| {
+            Frame::UpdateDelta(DeltaUpdateFrame {
+                client_id: 0,
+                round: 0,
+                building: 0,
+                device_class: String::new(),
+                num_samples: 1,
+                repr: DeltaRepr::TopK {
+                    indices: vec![0, 7, 31],
+                    values: vec![0.5, -0.25, 1.0],
+                    k,
+                },
+            })
+            .encode()
+        };
+        assert!(Frame::decode(&frame(3)).is_ok());
+        for k in [u32::MAX as usize, 4, 2, 0] {
+            assert!(
+                matches!(
+                    Frame::decode(&frame(k)),
+                    Err(WireError::BadPayload(msg)) if msg.contains("k =")
+                ),
+                "k = {k} decoded"
+            );
+        }
     }
 
     #[test]
