@@ -12,8 +12,8 @@
 //!   exhaustively explores thread schedules of modeled concurrent
 //!   structures under sequential consistency, with [`models`] restating
 //!   the workspace's real lock-free/lock-light structures (telemetry
-//!   registry interning, histogram CAS sums, flight-recorder ring,
-//!   serve hot-swap) as checkable state machines.
+//!   registry interning, histogram CAS sums, serve hot-swap, the serve
+//!   batch queue) as checkable state machines.
 //!
 //! The linter is lexical by design: no `syn`, no rustc internals, no
 //! dependencies — it blanks comments/strings/char literals and masks

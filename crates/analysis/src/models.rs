@@ -10,7 +10,6 @@
 //! |---|---|---|
 //! | [`RegistryInterning`] | `safeloc_telemetry::Registry::register` double-checked registration | racing registrants all get the *same* series; no duplicate entry |
 //! | [`HistogramCasSum`] | `safeloc_telemetry::Histogram` f64-bits CAS sum | no lost update: final sum is the exact total, count matches |
-//! | [`RingWraparound`] | `safeloc_telemetry::FlightRecorder` mutex ring | retained events are exactly the most recent `capacity` pushes, every snapshot is consistent |
 //! | [`HotSwapMonotonic`] | `safeloc_serve::ModelRegistry` publish/resolve | readers never see torn (version, weights) pairs; per-key versions are monotone per reader |
 //! | [`BatchQueue`] | `safeloc_serve`'s serve queue (`queue.rs`): mutex + condvar, batch drains, bounded fill wait, close | every accepted job is delivered exactly once, no job is queued beside a sleeping un-notified worker with nobody on the way, every worker terminates after close |
 //!
@@ -247,230 +246,7 @@ impl Model for HistogramCasSum {
 }
 
 // ---------------------------------------------------------------------
-// 3. Flight-recorder ring wraparound.
-// ---------------------------------------------------------------------
-
-/// Writers push event ids through `FlightRecorder::push` (fill, then
-/// wrap at `capacity`) while a reader snapshots `events()`; everything
-/// under the ring mutex, exactly like the real recorder. A shared
-/// append-only `log` linearizes push completion order, so every
-/// snapshot has one right answer: the last `min(capacity, pushes)`
-/// entries of the log, oldest first.
-#[derive(Debug, Clone)]
-pub struct RingWraparound {
-    /// `true` splits each push across two lock sections (slot write
-    /// released before the index/recorded update) — the torn-state bug
-    /// holding the mutex across the whole push prevents.
-    torn_push: bool,
-    capacity: usize,
-    lock: VMutex,
-    buf: Vec<u64>,
-    next: usize,
-    recorded: u64,
-    /// Linearized push order (updated atomically with the push).
-    log: Vec<u64>,
-    /// First verification failure observed by the reader.
-    error: Option<String>,
-    /// Per-thread plan: writers carry the ids they push; readers `None`.
-    plans: Vec<Option<Vec<u64>>>,
-    /// Per-thread progress through the plan (writers) or reads left.
-    progress: Vec<usize>,
-    pc: Vec<u8>,
-    reads_per_reader: usize,
-}
-
-impl RingWraparound {
-    /// `capacity`-slot ring, one writer per id list, `readers` snapshot
-    /// threads doing `reads_per_reader` reads each.
-    pub fn new(
-        capacity: usize,
-        writers: &[&[u64]],
-        readers: usize,
-        reads_per_reader: usize,
-    ) -> Self {
-        let mut plans: Vec<Option<Vec<u64>>> =
-            writers.iter().map(|ids| Some(ids.to_vec())).collect();
-        plans.extend(std::iter::repeat_n(None, readers));
-        let threads = plans.len();
-        Self {
-            torn_push: false,
-            capacity,
-            lock: VMutex::default(),
-            buf: Vec::new(),
-            next: 0,
-            recorded: 0,
-            log: Vec::new(),
-            error: None,
-            plans,
-            progress: vec![0; threads],
-            pc: vec![0; threads],
-            reads_per_reader,
-        }
-    }
-
-    /// The torn-push buggy variant.
-    pub fn buggy(capacity: usize, writers: &[&[u64]], readers: usize, reads: usize) -> Self {
-        Self {
-            torn_push: true,
-            ..Self::new(capacity, writers, readers, reads)
-        }
-    }
-
-    /// What `events()` returns right now (oldest first).
-    fn view(&self) -> Vec<u64> {
-        if self.buf.len() < self.capacity {
-            self.buf.clone()
-        } else {
-            let mut out = Vec::with_capacity(self.capacity);
-            out.extend_from_slice(&self.buf[self.next..]);
-            out.extend_from_slice(&self.buf[..self.next]);
-            out
-        }
-    }
-
-    /// The one right answer for a snapshot taken now.
-    fn expected_view(&self) -> Vec<u64> {
-        let keep = self.log.len().min(self.capacity);
-        self.log[self.log.len() - keep..].to_vec()
-    }
-
-    fn verify_snapshot(&mut self) {
-        if self.error.is_none() {
-            let (got, want) = (self.view(), self.expected_view());
-            if got != want {
-                self.error = Some(format!("snapshot {got:?} != most recent pushes {want:?}"));
-            }
-        }
-    }
-}
-
-impl Model for RingWraparound {
-    fn threads(&self) -> usize {
-        self.pc.len()
-    }
-
-    fn step(&mut self, tid: usize) -> Step {
-        let is_writer = self.plans[tid].is_some();
-        if is_writer {
-            let planned = self.plans[tid].as_ref().map_or(0, Vec::len);
-            if self.progress[tid] >= planned {
-                return Step::Done;
-            }
-            match self.pc[tid] {
-                // Compose the event outside the lock (free step — this is
-                // where real writers interleave).
-                0 => {
-                    self.pc[tid] = 1;
-                    Step::Ran
-                }
-                1 => {
-                    if self.lock.try_acquire(tid) {
-                        self.pc[tid] = 2;
-                        Step::Ran
-                    } else {
-                        Step::Blocked
-                    }
-                }
-                2 => {
-                    // Slot write.
-                    let id =
-                        self.plans[tid].as_ref().expect("writer has a plan")[self.progress[tid]];
-                    if self.buf.len() < self.capacity {
-                        self.buf.push(id);
-                    } else {
-                        let slot = self.next;
-                        self.buf[slot] = id;
-                    }
-                    if self.torn_push {
-                        // Bug: release between the slot write and the
-                        // index/recorded update.
-                        self.lock.release(tid);
-                    }
-                    self.pc[tid] = 3;
-                    Step::Ran
-                }
-                3 => {
-                    if self.torn_push && !self.lock.try_acquire(tid) {
-                        return Step::Blocked;
-                    }
-                    // Index/recorded update + linearization point.
-                    let id =
-                        self.plans[tid].as_ref().expect("writer has a plan")[self.progress[tid]];
-                    self.next = (self.next + 1) % self.capacity;
-                    self.recorded += 1;
-                    self.log.push(id);
-                    self.pc[tid] = 4;
-                    Step::Ran
-                }
-                4 => {
-                    self.lock.release(tid);
-                    self.progress[tid] += 1;
-                    self.pc[tid] = 0;
-                    if self.progress[tid] >= self.plans[tid].as_ref().map_or(0, Vec::len) {
-                        Step::Done
-                    } else {
-                        Step::Ran
-                    }
-                }
-                _ => Step::Done,
-            }
-        } else {
-            if self.progress[tid] >= self.reads_per_reader {
-                return Step::Done;
-            }
-            match self.pc[tid] {
-                0 => {
-                    if self.lock.try_acquire(tid) {
-                        self.pc[tid] = 1;
-                        Step::Ran
-                    } else {
-                        Step::Blocked
-                    }
-                }
-                1 => {
-                    self.verify_snapshot();
-                    self.pc[tid] = 2;
-                    Step::Ran
-                }
-                2 => {
-                    self.lock.release(tid);
-                    self.progress[tid] += 1;
-                    self.pc[tid] = 0;
-                    if self.progress[tid] >= self.reads_per_reader {
-                        Step::Done
-                    } else {
-                        Step::Ran
-                    }
-                }
-                _ => Step::Done,
-            }
-        }
-    }
-
-    fn check_step(&self) -> Result<(), String> {
-        match &self.error {
-            Some(e) => Err(e.clone()),
-            None => Ok(()),
-        }
-    }
-
-    fn check_final(&self) -> Result<(), String> {
-        let pushed: usize = self.plans.iter().flatten().map(Vec::len).sum();
-        if self.recorded != pushed as u64 {
-            return Err(format!("recorded {} != pushed {pushed}", self.recorded));
-        }
-        let (got, want) = (self.view(), self.expected_view());
-        if got != want {
-            return Err(format!(
-                "final retained {got:?} != most recent pushes {want:?}"
-            ));
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
-// 4. Model-registry hot swap: torn reads + per-key version monotonicity.
+// 3. Model-registry hot swap: torn reads + per-key version monotonicity.
 // ---------------------------------------------------------------------
 
 /// Weights are modeled as `version * 17`: a consistent snapshot always
@@ -647,7 +423,7 @@ impl Model for HotSwapMonotonic {
 }
 
 // ---------------------------------------------------------------------
-// 5. Serve batch queue: mutex + condvar, work-conserving drains, close.
+// 4. Serve batch queue: mutex + condvar, work-conserving drains, close.
 // ---------------------------------------------------------------------
 
 /// Producers `push`, workers loop on `next_batch` and then execute what

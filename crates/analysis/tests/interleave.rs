@@ -8,9 +8,7 @@
 //! `cargo test -q` like any other test.
 
 use safeloc_analysis::interleave::{explore, Limits, Model, Violation};
-use safeloc_analysis::models::{
-    BatchQueue, HistogramCasSum, HotSwapMonotonic, RegistryInterning, RingWraparound,
-};
+use safeloc_analysis::models::{BatchQueue, HistogramCasSum, HotSwapMonotonic, RegistryInterning};
 
 /// Explores `model` expecting zero violations and ≥1k schedules.
 fn assert_clean<M: Model>(name: &str, model: M) {
@@ -56,28 +54,6 @@ fn histogram_cas_sum_never_loses_updates() {
 fn histogram_plain_store_loses_updates() {
     let v = assert_buggy("histogram-cas-sum-buggy", HistogramCasSum::buggy(3));
     assert!(v.message.contains("lost update"), "{v}");
-}
-
-#[test]
-fn flight_recorder_ring_snapshots_are_consistent() {
-    // Capacity 2 with 3 pushes exercises both the fill and wrap arms;
-    // the reader snapshots concurrently with the wraparound.
-    assert_clean(
-        "ring-wraparound",
-        RingWraparound::new(2, &[&[1, 2], &[3]], 1, 2),
-    );
-}
-
-#[test]
-fn flight_recorder_torn_push_is_caught() {
-    let v = assert_buggy(
-        "ring-wraparound-buggy",
-        RingWraparound::buggy(2, &[&[1, 2], &[3]], 1, 2),
-    );
-    assert!(
-        v.message.contains("snapshot") || v.message.contains("retained"),
-        "{v}"
-    );
 }
 
 #[test]
@@ -151,14 +127,6 @@ fn every_model_clears_the_thousand_schedule_bar() {
         (
             "histogram-cas-sum",
             explore(&HistogramCasSum::new(3), Limits::default()).unwrap(),
-        ),
-        (
-            "ring-wraparound",
-            explore(
-                &RingWraparound::new(2, &[&[1, 2], &[3]], 1, 2),
-                Limits::default(),
-            )
-            .unwrap(),
         ),
         (
             "hot-swap-monotonic",

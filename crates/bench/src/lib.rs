@@ -28,8 +28,8 @@
 //! This crate reproduces figures; it does not record performance. The
 //! perf record is the standalone `benchmark/` crate at the repo root, and
 //! the criterion benches under `benches/` are the kernel-level companions
-//! (with [`naive`]'s seed kernels as their baselines). `telemetry_dump`
-//! cross-validates the three views of a telemetry snapshot ([`telem`]).
+//! (with [`naive`]'s seed kernels as their baselines). [`telem`] is the
+//! `TELEM_*.json` dump `examples/observability.rs` writes and checks.
 //!
 //! Every binary accepts `--quick` (smoke-test scale), `--full` (the paper's
 //! 700-epoch configuration) and `--seed N`; the default is a
@@ -54,4 +54,4 @@ pub use suite::{
     ParticipationMode, ParticipationSpec, PipelineSpec, SafelocVariant, ScenarioCell, ScenarioSpec,
     StageSpec, StageSuiteStats, SuiteCellReport, SuiteReport, SuiteRun, SuiteRunner,
 };
-pub use telem::{ChromeEvent, TelemetryDump};
+pub use telem::TelemetryDump;

@@ -1,13 +1,13 @@
 //! The process's peak RSS as a telemetry gauge.
 //!
-//! `telemetry_dump` and `examples/observability.rs` publish the kernel's
-//! own high-water mark (`VmHWM` in `/proc/self/status` on Linux) next to
-//! the throughput series, so a scrape carries memory without an
-//! in-process estimate. Elsewhere the call reports `None`.
+//! `examples/observability.rs` publishes the kernel's own high-water mark
+//! (`VmHWM` in `/proc/self/status` on Linux) next to the throughput
+//! series, so a scrape carries memory without an in-process estimate.
+//! Elsewhere the call reports `None`.
 
 /// Publishes the current peak RSS as the `process_peak_rss_bytes` gauge
 /// in the global telemetry registry, so a live scrape (or a
-/// `telemetry_dump` snapshot) carries the memory high-water mark next to
+/// `TELEM_*.json` snapshot) carries the memory high-water mark next to
 /// the throughput series. Returns the recorded value, `None` where the
 /// platform has no watermark (the gauge is then left untouched — absent,
 /// not zero).
@@ -49,7 +49,7 @@ mod tests {
     #[test]
     fn vm_hwm_parses_out_of_a_status_dump() {
         let status =
-            "Name:\ttelemetry_dump\nVmPeak:\t  200000 kB\nVmHWM:\t   81920 kB\nVmRSS:\t   40960 kB\n";
+            "Name:\tobservability\nVmPeak:\t  200000 kB\nVmHWM:\t   81920 kB\nVmRSS:\t   40960 kB\n";
         assert_eq!(parse_vm_hwm(status), Some(81920 * 1024));
     }
 

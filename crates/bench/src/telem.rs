@@ -1,19 +1,18 @@
-//! The `TELEM_*.json` dump format shared by the `telemetry_dump` binary
-//! and `examples/observability.rs`.
+//! The `TELEM_*.json` dump format `examples/observability.rs` writes.
 //!
-//! One file carries everything the telemetry side channel can export:
-//! the frozen [`TelemetrySnapshot`] of a registry, the Prometheus text
-//! rendering of the same registry, and the flight recorder's
-//! chrome://tracing JSON. [`TelemetryDump::validate`] cross-checks the
-//! three views against each other — CI's `telemetry-smoke` job runs
-//! `telemetry_dump --check` over the file the observability example
-//! writes, so a drifting exposition format fails the build rather than
-//! silently producing unscrapable output.
+//! One file carries what the telemetry side channel exports: the frozen
+//! [`TelemetrySnapshot`] of a registry and the Prometheus text rendering
+//! of the same registry. [`TelemetryDump::validate`] cross-checks the two
+//! views against each other — the observability example asserts it on
+//! the dump it captures and again on the copy it reads back from disk
+//! (CI's `telemetry-smoke` job runs the example), so a drifting exposition
+//! format fails the build rather than silently producing unscrapable
+//! output.
 
-use safeloc_telemetry::{flight_recorder, parse_prometheus, Registry, TelemetrySnapshot};
+use safeloc_telemetry::{parse_prometheus, Registry, TelemetrySnapshot};
 use serde::{Deserialize, Serialize};
 
-/// A full telemetry export: snapshot + Prometheus text + chrome trace.
+/// A full telemetry export: snapshot + Prometheus text.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TelemetryDump {
     /// Dump format version.
@@ -22,52 +21,29 @@ pub struct TelemetryDump {
     pub snapshot: TelemetrySnapshot,
     /// The same registry rendered as Prometheus exposition text.
     pub prometheus: String,
-    /// The process flight recorder as chrome://tracing JSON (embedded as
-    /// a string: save it to a file and load it in `chrome://tracing` or
-    /// Perfetto).
-    pub chrome_trace: String,
-}
-
-/// One chrome://tracing complete event. Typed rather than dynamic
-/// because the vendored `serde_json::Value` does not implement
-/// `Deserialize`.
-#[derive(Debug, Clone, Deserialize)]
-pub struct ChromeEvent {
-    /// Span name.
-    pub name: String,
-    /// Span category.
-    pub cat: String,
-    /// Event phase; the flight recorder only emits `"X"` (complete).
-    pub ph: String,
-    /// Start, microseconds since recorder start.
-    pub ts: f64,
-    /// Duration in microseconds.
-    pub dur: f64,
 }
 
 pub(crate) fn dump_schema() -> String {
-    "safeloc-bench/telemetry-dump/v1".to_string()
+    "safeloc-bench/telemetry-dump/v2".to_string()
 }
 
 impl TelemetryDump {
-    /// Freezes `registry` and the global flight recorder into one dump.
+    /// Freezes `registry` into one dump.
     pub fn capture(registry: &Registry) -> Self {
         TelemetryDump {
             schema: dump_schema(),
             snapshot: registry.snapshot(),
             prometheus: safeloc_telemetry::render_prometheus(registry),
-            chrome_trace: flight_recorder().chrome_trace_json(),
         }
     }
 
-    /// Cross-checks the three views. Returns the list of problems
-    /// (empty = valid):
+    /// Cross-checks the two views. Returns the list of problems (empty =
+    /// valid):
     ///
     /// * the snapshot passes its own structural validation and is
     ///   non-empty,
-    /// * the Prometheus text parses back and names every snapshot series,
-    /// * the chrome trace is valid JSON made of complete (`"X"`) events
-    ///   with non-negative timestamps.
+    /// * the Prometheus text parses back and holds every snapshot series
+    ///   under its own labels — a histogram as its `{name}_count` sample.
     pub fn validate(&self) -> Vec<String> {
         let mut problems = self.snapshot.validate();
         if self.snapshot.is_empty() {
@@ -76,37 +52,25 @@ impl TelemetryDump {
         match parse_prometheus(&self.prometheus) {
             Err(e) => problems.push(format!("prometheus text does not parse back: {e}")),
             Ok(samples) => {
-                let names: Vec<String> = self
-                    .snapshot
+                let snap = &self.snapshot;
+                let series = snap
                     .counters
                     .iter()
-                    .map(|c| c.name.clone())
-                    .chain(self.snapshot.gauges.iter().map(|g| g.name.clone()))
-                    .collect();
-                for name in names {
-                    if !samples.iter().any(|s| s.name == name) {
+                    .map(|c| (c.name.clone(), &c.labels))
+                    .chain(snap.gauges.iter().map(|g| (g.name.clone(), &g.labels)))
+                    .chain(
+                        snap.histograms
+                            .iter()
+                            .map(|h| (format!("{}_count", h.name), &h.labels)),
+                    );
+                for (name, labels) in series {
+                    if !samples
+                        .iter()
+                        .any(|s| s.name == name && s.labels == *labels)
+                    {
                         problems.push(format!(
-                            "series {name} is in the snapshot but missing from the \
+                            "series {name}{labels:?} is in the snapshot but missing from the \
                              prometheus text"
-                        ));
-                    }
-                }
-            }
-        }
-        match serde_json::from_str::<Vec<ChromeEvent>>(&self.chrome_trace) {
-            Err(e) => problems.push(format!("chrome trace is not valid event JSON: {e:?}")),
-            Ok(events) => {
-                for event in &events {
-                    if event.ph != "X" {
-                        problems.push(format!(
-                            "trace event {} has phase {:?}, expected complete (\"X\")",
-                            event.name, event.ph
-                        ));
-                    }
-                    if event.ts < 0.0 || event.dur < 0.0 {
-                        problems.push(format!(
-                            "trace event {} has negative ts/dur ({}, {})",
-                            event.name, event.ts, event.dur
                         ));
                     }
                 }
@@ -123,14 +87,16 @@ mod tests {
     fn populated_dump() -> TelemetryDump {
         let registry = Registry::new();
         registry.counter("demo_total", &[("building", "1")]).add(3);
+        registry.counter("demo_total", &[("building", "2")]).add(1);
         registry.gauge("demo_depth", &[]).set(2);
         registry.histogram("demo_us", &[]).record_f64(42.0);
-        {
-            let recorder = flight_recorder();
-            recorder.clear();
-            let _span = recorder.span("demo", "test");
-        }
         TelemetryDump::capture(&registry)
+    }
+
+    fn reports_missing(dump: &TelemetryDump, series: &str) -> bool {
+        dump.validate()
+            .iter()
+            .any(|p| p.contains(series) && p.contains("missing from the prometheus text"))
     }
 
     #[test]
@@ -154,16 +120,24 @@ mod tests {
 
         let mut missing = populated_dump();
         missing.prometheus = "other_total 1\n".to_string();
-        assert!(missing
-            .validate()
-            .iter()
-            .any(|p| p.contains("missing from the prometheus text")));
+        assert!(reports_missing(&missing, "demo_total"));
 
-        let mut garbled = populated_dump();
-        garbled.chrome_trace = "[{\"name\":".to_string();
-        assert!(garbled
-            .validate()
-            .iter()
-            .any(|p| p.contains("not valid event JSON")));
+        // A histogram dropped from the text is reported by its `_count`.
+        let mut no_histogram = populated_dump();
+        no_histogram.prometheus = no_histogram
+            .prometheus
+            .lines()
+            .filter(|l| !l.starts_with("demo_us"))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert!(reports_missing(&no_histogram, "demo_us_count"));
+
+        // One label set of a counter dropped while the other stays.
+        let mut one_label_set = populated_dump();
+        one_label_set.prometheus = one_label_set
+            .prometheus
+            .replace("demo_total{building=\"2\"} 1\n", "");
+        assert!(reports_missing(&one_label_set, "\"2\""));
+        assert!(!reports_missing(&one_label_set, "\"1\""));
     }
 }

@@ -1,7 +1,8 @@
 //! Prometheus-text exposition: render a registry, and parse the text
 //! back. The parser exists because exposition that only *looks* right is
-//! worthless — the round-trip test and `telemetry_dump --check` both
-//! re-parse what the renderer produced.
+//! worthless — the round-trip test, `safeloc_bench::TelemetryDump::validate`
+//! and the `observability` example's live scrape all re-parse what the
+//! renderer produced.
 
 use crate::metric::Histogram;
 use crate::registry::{MetricHandle, Registry};

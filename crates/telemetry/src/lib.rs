@@ -1,8 +1,10 @@
 //! Lock-light observability for the SAFELOC stack: atomics-based
-//! counters/gauges/histograms in a [`Registry`], a [`Span`] API over a
-//! bounded [`FlightRecorder`] ring buffer, and exposition as
-//! Prometheus-style text, a serde JSON snapshot, or chrome://tracing
-//! JSON.
+//! counters/gauges/histograms in a [`Registry`], exposed as
+//! Prometheus-style text or a serde JSON snapshot.
+//!
+//! "Where did the latency go" is answered by the per-layer histograms
+//! the instrumented crates register (`serve_*`, `fl_*`, `wire_*`), read
+//! live over the wire's `MetricsRequest` frame.
 //!
 //! # Design
 //!
@@ -11,10 +13,8 @@
 //! [`Histogram`] is a handful of relaxed atomic operations (pinned by
 //! the counting-allocator test in `tests/alloc_free.rs`, the same idiom
 //! `safeloc-nn`'s `Workspace` uses). Locks exist only at the edges:
-//! metric *registration* takes a write lock once per metric, label-set
-//! lookup in instrumented subsystems is a read-mostly [`HandleCache`], and the
-//! flight recorder holds a short mutex over a pre-allocated ring (spans
-//! fire per batch/round, not per sample).
+//! metric *registration* takes a write lock once per metric, and label-set
+//! lookup in instrumented subsystems is a read-mostly [`HandleCache`].
 //!
 //! # Pure side channel
 //!
@@ -31,11 +31,10 @@
 //!
 //! [`render_prometheus`] renders a registry as Prometheus text (escaped
 //! label values, cumulative `_bucket`/`_sum`/`_count` histogram series);
-//! [`parse_prometheus`] parses it back (the round-trip test and
-//! `telemetry_dump --check` share it). [`Registry::snapshot`] produces a
-//! serde-serializable [`TelemetrySnapshot`] for headless JSON dumps, and
-//! [`FlightRecorder::chrome_trace_json`] exports the span ring in the
-//! chrome://tracing array format.
+//! [`parse_prometheus`] parses it back (the round-trip test and the
+//! `observability` example's live scrape share it). [`Registry::snapshot`]
+//! produces a serde-serializable [`TelemetrySnapshot`] for headless JSON
+//! dumps.
 
 #![warn(missing_docs)]
 
@@ -44,14 +43,12 @@ mod expose;
 mod metric;
 mod registry;
 mod snapshot;
-mod trace;
 
 pub use cache::HandleCache;
 pub use expose::{parse_prometheus, render_prometheus, PromSample};
 pub use metric::{Counter, Gauge, Histogram, HISTOGRAM_BUCKETS};
 pub use registry::{MetricEntry, MetricHandle, Registry};
 pub use snapshot::{CounterSample, GaugeSample, HistogramSample, TelemetrySnapshot};
-pub use trace::{flight_recorder, FlightRecorder, Span, TraceEvent};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};

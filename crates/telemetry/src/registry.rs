@@ -9,6 +9,7 @@
 use crate::metric::{Counter, Gauge, Histogram};
 use crate::snapshot::{CounterSample, GaugeSample, HistogramSample, TelemetrySnapshot};
 use std::collections::HashMap;
+use std::mem::discriminant;
 use std::sync::{Arc, RwLock};
 
 /// The handle a registered metric hands out.
@@ -67,11 +68,12 @@ impl Registry {
             MetricHandle::Counter(Arc::new(Counter::new()))
         }) {
             MetricHandle::Counter(c) => c,
-            // Same series name registered under another kind: hand out a
-            // detached counter rather than panic — the caller's records
-            // are dropped, the process lives, and exposition stays
-            // type-consistent. Instrumentation owns its namespace, so
-            // this is a programming error surfaced by a missing series.
+            // Same name already registered under another kind (under
+            // these labels or any others): hand out a detached counter
+            // rather than panic — the caller's records are dropped, the
+            // process lives, and exposition stays type-consistent.
+            // Instrumentation owns its namespace, so this is a
+            // programming error surfaced by a missing series.
             _ => Arc::new(Counter::new()),
         }
     }
@@ -119,6 +121,16 @@ impl Registry {
             return inner.metrics[i].handle.clone();
         }
         let handle = make();
+        // One name, one kind, one `# TYPE` line: a name taken by another
+        // kind under other labels gets this handle detached, as a
+        // same-key clash does. A linear scan, on the cold path only.
+        if inner
+            .metrics
+            .iter()
+            .any(|e| e.name == key.0 && discriminant(&e.handle) != discriminant(&handle))
+        {
+            return handle;
+        }
         let entry = MetricEntry {
             name: key.0.clone(),
             labels: key.1.clone(),
@@ -209,6 +221,20 @@ mod tests {
         gauge.set(99);
         assert_eq!(counter.get(), 1);
         assert_eq!(r.len(), 1, "the clashing registration is not recorded");
+        let snap = r.snapshot();
+        assert_eq!(snap.counters.len(), 1);
+        assert!(snap.gauges.is_empty());
+
+        // Under other labels the name still carries one kind.
+        let r = Registry::new();
+        r.counter("x", &[("k", "1")]).inc();
+        let detached = r.gauge("x", &[("k", "2")]);
+        detached.set(7);
+        assert_eq!(detached.get(), 7, "the detached handle still records");
+        assert_eq!(r.len(), 1, "the cross-label clash is not recorded");
+        let text = crate::render_prometheus(&r);
+        assert_eq!(text.matches("# TYPE x").count(), 1, "{text}");
+        assert!(text.contains("# TYPE x counter"), "{text}");
         let snap = r.snapshot();
         assert_eq!(snap.counters.len(), 1);
         assert!(snap.gauges.is_empty());

@@ -1,5 +1,5 @@
 //! Serde-serializable point-in-time snapshots, for headless JSON dumps
-//! (`telemetry_dump`) and the CI artifact.
+//! (the `observability` example's `TELEM_ci.json`, CI's artifact).
 
 use serde::{Deserialize, Serialize};
 

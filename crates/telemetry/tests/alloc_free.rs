@@ -1,11 +1,10 @@
 //! Pins the telemetry hot path allocation-free under a counting global
 //! allocator — the same idiom `safeloc-nn` uses for its `Workspace`.
-//! Recording into a pre-registered counter/gauge/histogram and recording
-//! a span into a warmed flight recorder must not allocate: a serving hot
-//! path records per request, and a single allocation there would show up
-//! at city scale.
+//! Recording into a pre-registered counter/gauge/histogram must not
+//! allocate: a serving hot path records per request, and a single
+//! allocation there would show up at city scale.
 
-use safeloc_telemetry::{FlightRecorder, Registry};
+use safeloc_telemetry::Registry;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -55,17 +54,14 @@ fn record_hot_path_is_allocation_free() {
     let counter = registry.counter("hot_requests_total", &[("building", "0")]);
     let gauge = registry.gauge("hot_queue_depth", &[]);
     let histogram = registry.histogram("hot_latency_ns", &[]);
-    let recorder = FlightRecorder::new(64);
 
-    // Warm every path once: lazy thread-id assignment, first bucket
-    // touch, ring growth up to length.
+    // Warm every path once: first bucket touch.
     for i in 0..80u64 {
         counter.inc();
         gauge.set(i as i64);
         gauge.add(-1);
         histogram.record(i * 1_000);
         histogram.record_f64(i as f64 * 0.5);
-        drop(recorder.span("warm", "alloc"));
     }
 
     let before = allocations();
@@ -76,7 +72,6 @@ fn record_hot_path_is_allocation_free() {
         gauge.add(1);
         histogram.record(i);
         histogram.record_f64(i as f64);
-        drop(recorder.span("hot", "alloc"));
     }
     let after = allocations();
     assert_eq!(

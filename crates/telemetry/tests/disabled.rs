@@ -2,7 +2,7 @@
 //! primitive. Its own test binary (= its own process) because flipping
 //! the flag would race with parallel tests that record.
 
-use safeloc_telemetry::{FlightRecorder, Registry};
+use safeloc_telemetry::Registry;
 
 #[test]
 fn disabled_recording_moves_nothing() {
@@ -10,7 +10,6 @@ fn disabled_recording_moves_nothing() {
     let counter = registry.counter("c_total", &[]);
     let gauge = registry.gauge("g", &[]);
     let histogram = registry.histogram("h", &[]);
-    let recorder = FlightRecorder::new(8);
 
     safeloc_telemetry::set_enabled(false);
     assert!(!safeloc_telemetry::enabled());
@@ -20,22 +19,17 @@ fn disabled_recording_moves_nothing() {
     gauge.add(2);
     histogram.record(1);
     histogram.record_f64(2.0);
-    drop(recorder.span("quiet", "t"));
     safeloc_telemetry::set_enabled(true);
 
     assert_eq!(counter.get(), 0);
     assert_eq!(gauge.get(), 0);
     assert_eq!(histogram.count(), 0);
-    assert!(recorder.events().is_empty());
-    assert_eq!(recorder.recorded(), 0);
 
     // Re-enabled: everything moves again, same handles.
     counter.inc();
     gauge.set(1);
     histogram.record(1);
-    drop(recorder.span("loud", "t"));
     assert_eq!(counter.get(), 1);
     assert_eq!(gauge.get(), 1);
     assert_eq!(histogram.count(), 1);
-    assert_eq!(recorder.events().len(), 1);
 }

@@ -126,7 +126,7 @@ fn snapshot_covers_the_same_series_as_the_text() {
     assert_eq!(snap.counters[0].value, 2);
     assert_eq!(snap.gauges[0].value, -5);
     assert_eq!(snap.histograms[0].count, 1);
-    // And it serializes — the telemetry_dump path.
+    // And it serializes — the `TELEM_*.json` dump path.
     let json = serde_json::to_string_pretty(&snap).unwrap();
     let back: safeloc_telemetry::TelemetrySnapshot = serde_json::from_str(&json).unwrap();
     assert_eq!(back, snap);

@@ -1,6 +1,6 @@
 //! The telemetry side channel end to end: a faulty remote federated
 //! round, live serving traffic, a Prometheus scrape over loopback TCP,
-//! and a chrome-trace dump — all from one process tree.
+//! and a JSON dump — all from one process tree.
 //!
 //! The parent re-executes itself once per fleet member (`--child`, the
 //! `remote_round` pattern) and injects transport faults: every child
@@ -11,18 +11,18 @@
 //! fronts it over TCP, and after a burst of localization traffic a
 //! [`WireClient`] scrapes the live process over the same socket with the
 //! v3 `MetricsRequest` frame — the text it gets back is parsed and
-//! cross-checked against served-request counts.
+//! cross-checked against served-request counts. Where the time went is
+//! in the per-layer histograms of the same scrape: `fl_round_wall_ms`
+//! for the remote rounds, `serve_latency_us` for the serving burst.
 //!
-//! Everything ends up in three artifacts: `TELEM_ci.json` (the full
-//! [`TelemetryDump`]: snapshot + Prometheus text + chrome trace),
-//! `TRACE_ci.json` (the chrome trace alone — load it in
-//! `chrome://tracing` or Perfetto), and stdout. CI's `telemetry-smoke`
-//! job runs this example and then gates on `telemetry_dump --check
-//! TELEM_ci.json`.
+//! Everything ends up on stdout and in `TELEM_ci.json` (the
+//! [`TelemetryDump`]: snapshot and Prometheus text), which is read back
+//! and must equal and validate like the dump captured in process. CI's
+//! `telemetry-smoke` job runs this example as its gate.
 //!
 //! ```text
 //! cargo run --example observability
-//! cargo run --example observability -- --out TELEM.json --trace TRACE.json
+//! cargo run --example observability -- --out TELEM.json
 //! ```
 
 use safeloc_bench::{record_peak_rss_gauge, TelemetryDump};
@@ -73,9 +73,6 @@ fn main() {
 
 fn parent(argv: &[String]) {
     let out = flag_value(argv, "--out").unwrap_or_else(|| "TELEM_ci.json".to_string());
-    let trace_out = flag_value(argv, "--trace").unwrap_or_else(|| "TRACE_ci.json".to_string());
-    let recorder = safeloc_telemetry::flight_recorder();
-    recorder.clear();
 
     // Phase 1: a federated round split across OS processes, with faults.
     let data = dataset();
@@ -124,13 +121,9 @@ fn parent(argv: &[String]) {
         Arc::clone(&fleet),
         Duration::from_secs(5),
     );
-    {
-        let _span = recorder.span("pretrain", "fl");
-        server.pretrain(&data.server_train);
-    }
+    server.pretrain(&data.server_train);
     let mut mirror = Client::from_dataset(&data, FLEET_SEED);
     for round in 0..2 {
-        let _span = recorder.span("remote_round", "fl");
         let report = server.run_round(&mut mirror, &RoundPlan::full(n));
         let dropped = report
             .clients
@@ -172,58 +165,73 @@ fn parent(argv: &[String]) {
     let wire = WireServer::serve(Arc::clone(&service)).expect("bind wire front");
     let mut client = WireClient::connect(wire.addr()).expect("connect");
     let burst = 40usize;
-    {
-        let _span = recorder.span("serving_burst", "serve");
-        for i in 0..burst {
-            let request = LocalizeRequest::new(
-                data.building.id,
-                &data.devices[i % data.devices.len()].name,
-                vec![-60.0 - (i % 7) as f32; data.building.num_aps()],
-            );
-            client.localize(&request).expect("served over the wire");
-        }
+    for i in 0..burst {
+        let request = LocalizeRequest::new(
+            data.building.id,
+            &data.devices[i % data.devices.len()].name,
+            vec![-60.0 - (i % 7) as f32; data.building.num_aps()],
+        );
+        client.localize(&request).expect("served over the wire");
     }
 
     // The live scrape: a v3 MetricsRequest frame over the same loopback
     // connection the localization traffic used.
     let scraped = client.scrape_metrics().expect("live scrape");
     let samples = safeloc_telemetry::parse_prometheus(&scraped).expect("scrape parses back");
-    let served: f64 = samples
-        .iter()
-        .filter(|s| s.name == "serve_requests_total")
-        .map(|s| s.value)
-        .sum();
+    let total = |name: &str| -> f64 {
+        samples
+            .iter()
+            .filter(|s| s.name == name)
+            .map(|s| s.value)
+            .sum()
+    };
+    let served = total("serve_requests_total");
     assert!(
         served >= burst as f64,
         "scrape reports {served} served requests, burst sent {burst}"
     );
-    let dropouts: f64 = samples
-        .iter()
-        .filter(|s| s.name == "wire_round_dropouts_total")
-        .map(|s| s.value)
-        .sum();
+    let dropouts = total("wire_round_dropouts_total");
     assert!(dropouts >= 1.0, "the dropout must be visible in the scrape");
+    // The histograms that say where the time went: both remote rounds and
+    // every request of the burst.
+    let rounds_timed = total("fl_round_wall_ms_count");
+    assert!(
+        rounds_timed >= 2.0,
+        "scrape times {rounds_timed} rounds, two remote rounds ran"
+    );
+    let requests_timed = total("serve_latency_us_count");
+    assert!(
+        requests_timed >= burst as f64,
+        "scrape times {requests_timed} requests, burst sent {burst}"
+    );
     println!(
         "  live scrape over {}: {} samples, serve_requests_total = {served}, \
-         wire_round_dropouts_total = {dropouts}",
+         wire_round_dropouts_total = {dropouts}, fl_round_wall_ms_count = {rounds_timed}, \
+         serve_latency_us_count = {requests_timed}",
         wire.addr(),
         samples.len()
     );
     client.bye();
     service.shutdown();
 
-    // Phase 3: freeze everything into the dump artifacts.
+    // Phase 3: freeze everything into the dump and validate what landed
+    // on disk, not just what was captured. The file is written first so
+    // a failing dump still leaves its artifact behind.
     record_peak_rss_gauge();
     let dump = TelemetryDump::capture(&safeloc_telemetry::global());
-    let problems = dump.validate();
-    assert!(problems.is_empty(), "dump must validate: {problems:?}");
-    std::fs::write(&trace_out, &dump.chrome_trace)
-        .unwrap_or_else(|e| panic!("cannot write {trace_out}: {e}"));
     let json = serde_json::to_string_pretty(&dump).expect("dump serializes");
     std::fs::write(&out, json).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
+    let read_back =
+        std::fs::read_to_string(&out).unwrap_or_else(|e| panic!("cannot read {out}: {e}"));
+    let back: TelemetryDump =
+        serde_json::from_str(&read_back).unwrap_or_else(|e| panic!("cannot parse {out}: {e:?}"));
+    assert!(back == dump, "{out} must read back as the dump written");
+    let problems = back.validate();
+    assert!(problems.is_empty(), "{out} must validate: {problems:?}");
     println!(
-        "phase 3: wrote {out} ({} series) and {trace_out} (load in chrome://tracing)",
-        dump.snapshot.len()
+        "phase 3: wrote {out} ({} series, {} B of prometheus text), read back and validated",
+        back.snapshot.len(),
+        back.prometheus.len()
     );
 }
 

@@ -16,7 +16,7 @@
 //! | [`metrics`] | localization-error statistics and report rendering |
 //! | [`serve`] | online serving: model registry, micro-batched inference, load harness |
 //! | [`wire`] | binary wire protocol: TCP serving front, remote federated rounds |
-//! | [`telemetry`] | lock-light metrics, flight-recorder tracing, Prometheus exposition |
+//! | [`telemetry`] | lock-light metrics, Prometheus exposition, JSON snapshots |
 //! | [`bench`](mod@bench) | paper-figure harness: scenario suites, figure bins, criterion kernel benches |
 
 pub use safeloc as core;
