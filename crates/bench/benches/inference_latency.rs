@@ -1,4 +1,7 @@
-//! Table I (latency column): single-fingerprint inference per framework.
+//! Table I: single-fingerprint inference per framework on paper building 1,
+//! each benchmark id carrying the framework's parameter count. Latency is
+//! architecture-bound, so untrained paper-shaped models time like
+//! pretrained ones.
 //!
 //! Run with `cargo bench -p safeloc-bench --bench inference_latency`.
 
@@ -16,11 +19,8 @@ fn data() -> BuildingDataset {
 fn frameworks(d: &BuildingDataset) -> Vec<Box<dyn Framework>> {
     let (aps, rps) = (d.building.num_aps(), d.building.num_rps());
     let cfg = ServerConfig::tiny();
-    let mut sl = SafeLocConfig::tiny();
-    sl.encoder_dims = vec![128, 89, 62];
-    sl.decoder_hidden = vec![89];
     vec![
-        Box::new(SafeLoc::new(aps, rps, sl)),
+        Box::new(SafeLoc::new(aps, rps, SafeLocConfig::paper(cfg.seed))),
         Box::new(Onlad::new(aps, rps, cfg)),
         Box::new(fedls(aps, rps, cfg)),
         Box::new(fedcc(aps, rps, cfg)),
@@ -34,9 +34,8 @@ fn bench_inference(c: &mut Criterion) {
     let sample = Matrix::from_rows(&[d.client_test[0].x.row(0).to_vec()]);
     let mut group = c.benchmark_group("table1_inference_latency");
     for f in frameworks(&d) {
-        group.bench_with_input(BenchmarkId::from_parameter(f.name()), &sample, |b, s| {
-            b.iter(|| f.predict(s))
-        });
+        let id = BenchmarkId::new(f.name(), format!("params={}", f.num_params()));
+        group.bench_with_input(id, &sample, |b, s| b.iter(|| f.predict(s)));
     }
     group.finish();
 }

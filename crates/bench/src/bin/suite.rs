@@ -103,6 +103,9 @@ fn check_spec(path: &Path, cfg: HarnessConfig) -> Result<usize, String> {
         cell.network
             .validate()
             .map_err(|e| format!("network {}: {e}", cell.network.label()))?;
+        cell.participation
+            .validate()
+            .map_err(|e| format!("participation {}: {e}", cell.participation.label(0)))?;
         // Defense pipelines are built exactly as a run would build them,
         // so a spec naming an unbuildable composition fails here.
         if let DefenseSpec::Pipeline(p) = &cell.defense {

@@ -272,16 +272,20 @@ impl FleetSpec {
     }
 
     /// The compromised client indices: the HTC U11 first (the paper's
-    /// attacker device), topped up from the back of the fleet, skipping the
-    /// training device (Fig. 7's assignment). If the fleet cannot host the
-    /// requested count (everything but the training device is already
-    /// compromised), the shortfall is reported rather than silently run
-    /// with a weaker attack.
+    /// attacker device) when the fleet has one, topped up from the back of
+    /// the fleet, skipping the training device (Fig. 7's assignment). If the
+    /// fleet cannot host the requested count (everything but the training
+    /// device is already compromised), the shortfall is reported rather
+    /// than silently run with a weaker attack.
     pub fn attacker_ids(&self, data: &BuildingDataset) -> Vec<usize> {
-        if self.attackers == 0 || data.num_clients() == 0 {
+        if self.attackers == 0 {
             return Vec::new();
         }
-        let mut ids = vec![DeviceProfile::ATTACKER_DEVICE.min(data.num_clients() - 1)];
+        let htc = DeviceProfile::ATTACKER_DEVICE;
+        let mut ids = Vec::new();
+        if htc < data.num_clients() && htc != data.train_device {
+            ids.push(htc);
+        }
         let mut next = data.num_clients();
         while ids.len() < self.attackers && next > 0 {
             next -= 1;
@@ -409,6 +413,28 @@ impl ParticipationSpec {
         self.dropout = dropout;
         self.straggle = straggle;
         self
+    }
+
+    /// Checks a spec-file participation: `dropout` and `straggle` in
+    /// `[0, 1]`, a `Fraction` finite and in `(0, 1]`.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first offending field and its value.
+    pub fn validate(&self) -> Result<(), String> {
+        if let ParticipationMode::Fraction { fraction } = self.mode {
+            if !(fraction.is_finite() && fraction > 0.0 && fraction <= 1.0) {
+                return Err(format!(
+                    "fraction must be finite and in (0, 1], got {fraction}"
+                ));
+            }
+        }
+        for (field, rate) in [("dropout", self.dropout), ("straggle", self.straggle)] {
+            if !(0.0..=1.0).contains(&rate) {
+                return Err(format!("{field} must be in [0, 1], got {rate}"));
+            }
+        }
+        Ok(())
     }
 
     /// The cohort size this spec draws from a fleet of `n` clients.
@@ -875,21 +901,6 @@ fn default_networks() -> Vec<NetworkSpec> {
 fn default_deltas() -> Vec<DeltaSpec> {
     vec![DeltaSpec::Dense]
 }
-fn dense_delta() -> DeltaSpec {
-    DeltaSpec::Dense
-}
-fn ideal_network() -> NetworkSpec {
-    NetworkSpec::ideal()
-}
-fn ideal_network_label() -> String {
-    "ideal".to_string()
-}
-fn dense_delta_label() -> String {
-    "dense".to_string()
-}
-fn builtin_defense() -> DefenseSpec {
-    DefenseSpec::Builtin
-}
 
 impl ScenarioSpec {
     /// A minimal spec over one framework and the clean scenario; builders
@@ -921,8 +932,7 @@ impl ScenarioSpec {
 pub struct CellIndex {
     /// Index into [`ScenarioSpec::frameworks`].
     pub framework: usize,
-    /// Index into [`ScenarioSpec::defenses`] (0 for pre-axis reports).
-    #[serde(default = "usize_zero")]
+    /// Index into [`ScenarioSpec::defenses`].
     pub defense: usize,
     /// Index into the effective building list.
     pub building: usize,
@@ -932,11 +942,9 @@ pub struct CellIndex {
     pub attack: usize,
     /// Index into [`ScenarioSpec::participation`].
     pub participation: usize,
-    /// Index into [`ScenarioSpec::networks`] (0 for pre-axis reports).
-    #[serde(default = "usize_zero")]
+    /// Index into [`ScenarioSpec::networks`].
     pub network: usize,
-    /// Index into [`ScenarioSpec::deltas`] (0 for pre-axis reports).
-    #[serde(default = "usize_zero")]
+    /// Index into [`ScenarioSpec::deltas`].
     pub delta: usize,
     /// Index into [`ScenarioSpec::seed_salts`].
     pub seed: usize,
@@ -947,8 +955,7 @@ pub struct CellIndex {
 pub struct ScenarioCell {
     /// Framework under test.
     pub framework: FrameworkSpec,
-    /// Defense composition (builtin for pre-axis cells).
-    #[serde(default = "builtin_defense")]
+    /// Defense composition.
     pub defense: DefenseSpec,
     /// Paper building id.
     pub building: usize,
@@ -958,12 +965,9 @@ pub struct ScenarioCell {
     pub attack: AttackSpec,
     /// Cohort strategy + churn.
     pub participation: ParticipationSpec,
-    /// Network conditions (ideal for pre-axis cells).
-    #[serde(default = "ideal_network")]
+    /// Network conditions.
     pub network: NetworkSpec,
-    /// Update representation every client uploads under (dense for
-    /// pre-axis cells).
-    #[serde(default = "dense_delta")]
+    /// Update representation every client uploads under.
     pub delta: DeltaSpec,
     /// Seed salt from the spec's seed axis.
     pub seed_salt: u64,
@@ -1297,13 +1301,15 @@ fn run_prepared_cell(
     let data = datasets
         .get(&(cell.building, cell.fleet.total))
         .expect("prepare ensured the dataset");
-    if let Err(e) = cell.network.validate() {
+    let invalid = (cell.network.validate().map_err(|e| format!("network: {e}")))
+        .and_then(|()| (cell.participation.validate()).map_err(|e| format!("participation: {e}")));
+    if let Err(e) = invalid {
         return CellRun {
             cell,
             fleet_size: data.num_clients(),
             errors: Vec::new(),
             reports: Vec::new(),
-            error: Some(format!("network: {e}")),
+            error: Some(e),
         };
     }
     let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -1651,7 +1657,7 @@ impl SuiteRun {
 }
 
 /// Schema tag of serialized suite reports.
-pub const SUITE_SCHEMA: &str = "safeloc-bench/suite-report/v1";
+pub const SUITE_SCHEMA: &str = "safeloc-bench/suite-report/v2";
 
 /// Per-rule rejection statistics of one cell.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -1688,7 +1694,6 @@ pub struct SuiteCellReport {
     pub framework: String,
     /// Defense composition label (`"builtin"` for the framework's own
     /// rule).
-    #[serde(default = "String::new")]
     pub defense: String,
     /// Paper building id.
     pub building: usize,
@@ -1698,11 +1703,9 @@ pub struct SuiteCellReport {
     pub attack: String,
     /// Participation label.
     pub participation: String,
-    /// Network-conditions label (`"ideal"` for pre-axis reports).
-    #[serde(default = "ideal_network_label")]
+    /// Network-conditions label.
     pub network: String,
-    /// Delta-representation label (`"dense"` for pre-axis reports).
-    #[serde(default = "dense_delta_label")]
+    /// Delta-representation label.
     pub delta: String,
     /// Federated rounds run.
     pub rounds: usize,
@@ -1901,6 +1904,43 @@ mod tests {
         assert_eq!(ids.len(), small.num_clients() - 1);
         assert!(ids.contains(&0));
         assert!(!ids.contains(&small.train_device));
+
+        // Three phones: no HTC U11, and the last client is the training
+        // device, so the back-fill alone picks the attacker.
+        let three = BuildingDataset::generate(
+            Building::tiny(3),
+            &DatasetConfig::paper().with_fleet(3, 3),
+            3,
+        );
+        let ids = FleetSpec::grown(3, 1).attacker_ids(&three);
+        assert_eq!(ids, vec![1]);
+        assert!(!ids.contains(&three.train_device));
+    }
+
+    /// A spec-file participation that would panic `CohortSampler` (a rate
+    /// outside `[0, 1]`) or be silently clamped (a fraction outside
+    /// `(0, 1]`) is refused, naming the field; the checked-in shapes pass.
+    #[test]
+    fn participation_specs_are_validated_field_by_field() {
+        let churny = ParticipationSpec::full().with_churn(1.5, 0.0);
+        assert!(churny.validate().unwrap_err().contains("dropout"));
+        let late = ParticipationSpec::full().with_churn(0.0, -0.1);
+        assert!(late.validate().unwrap_err().contains("straggle"));
+        let nan = ParticipationSpec::full().with_churn(f64::NAN, 0.0);
+        assert!(nan.validate().unwrap_err().contains("dropout"));
+        for fraction in [0.0, 1.5, f32::NAN, f32::INFINITY] {
+            let err = ParticipationSpec::fraction(fraction)
+                .validate()
+                .unwrap_err();
+            assert!(err.contains("fraction"), "{err}");
+        }
+        assert_eq!(ParticipationSpec::full().validate(), Ok(()));
+        assert_eq!(
+            ParticipationSpec::fraction(0.33)
+                .with_churn(0.15, 0.1)
+                .validate(),
+            Ok(())
+        );
     }
 
     #[test]

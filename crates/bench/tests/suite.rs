@@ -35,8 +35,9 @@ fn tiny_spec() -> ScenarioSpec {
     );
     spec.buildings = vec![4];
     spec.rounds = 2;
-    // Attack the last tiny-fleet client (the tiny dataset has 3 devices and
-    // the paper's HTC U11 index does not exist there).
+    // The tiny dataset has 3 devices: the paper's HTC U11 index does not
+    // exist there and client 2 is the training device, so the attacked
+    // cells compromise client 1.
     spec.participation = vec![
         ParticipationSpec::full(),
         ParticipationSpec {
