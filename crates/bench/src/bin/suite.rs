@@ -1,16 +1,16 @@
-//! Runs a named scenario-suite spec file end to end: expand the grid,
-//! execute every cell through seeded `FlSession`s, print the markdown
-//! summary and write the machine-readable `SuiteReport` JSON.
+//! Runs a scenario-suite spec file end to end: expand the grid, execute
+//! every cell through seeded `FlSession`s, print the table the spec's
+//! `view` asks for and write the machine-readable `SuiteReport` JSON.
 //!
-//! Spec files live in `scenarios/` at the repo root (see the
-//! `safeloc_bench::suite` module docs for the format). CI runs the
-//! checked-in specs with `--quick` and uploads the reports, and gates on
-//! `--check-specs` so a malformed spec fails fast without running
-//! anything.
+//! Spec files live in `scenarios/` at the repo root, one per paper figure
+//! plus the stress suites (see the `safeloc_bench::suite` module docs for
+//! the format). CI runs some of them with `--quick` and uploads the
+//! reports, and gates on `--check-specs` so a malformed spec fails fast
+//! without running anything.
 //!
 //! ```text
 //! cargo run -p safeloc-bench --release --bin suite -- \
-//!     --spec scenarios/small_cohort.json [--quick|--full] [--seed N] [--out PATH]
+//!     --spec scenarios/fig6_comparison.json [--quick|--full] [--seed N] [--out PATH]
 //! cargo run -p safeloc-bench --release --bin suite -- --check-specs scenarios
 //! ```
 
@@ -85,8 +85,8 @@ fn parse_args() -> Args {
 }
 
 /// Validates one spec file without running any cell: parse, expand the
-/// grid, check every network's fault parameters, and build every
-/// spec-defined defense pipeline. Returns the cell
+/// grid, check every network's fault parameters and every participation's
+/// rates, and build every spec-defined defense pipeline. Returns the cell
 /// count or a readable error.
 fn check_spec(path: &Path, cfg: HarnessConfig) -> Result<usize, String> {
     let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
@@ -105,7 +105,7 @@ fn check_spec(path: &Path, cfg: HarnessConfig) -> Result<usize, String> {
             .map_err(|e| format!("network {}: {e}", cell.network.label()))?;
         cell.participation
             .validate()
-            .map_err(|e| format!("participation {}: {e}", cell.participation.label(0)))?;
+            .map_err(|e| format!("participation: {e}"))?;
         // Defense pipelines are built exactly as a run would build them,
         // so a spec naming an unbuildable composition fails here.
         if let DefenseSpec::Pipeline(p) = &cell.defense {
@@ -184,7 +184,7 @@ fn main() {
     );
 
     let run = runner.run();
-    println!("{}", run.markdown());
+    println!("{}", runner.spec().view.render(&run));
 
     let report = run.report();
     let out_path = args

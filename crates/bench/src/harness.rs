@@ -21,7 +21,8 @@ pub enum Scale {
     Full,
 }
 
-/// Command-line configuration shared by every bench binary.
+/// Scale and master seed of a suite run (the `suite` binary's `--quick`,
+/// `--full` and `--seed N`).
 #[derive(Debug, Clone, Copy)]
 pub struct HarnessConfig {
     /// Selected scale.
@@ -31,30 +32,6 @@ pub struct HarnessConfig {
 }
 
 impl HarnessConfig {
-    /// Parses `--quick`, `--full` and `--seed N` from `std::env::args`.
-    pub fn from_args() -> Self {
-        let mut scale = Scale::Default;
-        let mut seed = 42;
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--quick" => scale = Scale::Quick,
-                "--full" => scale = Scale::Full,
-                "--seed" => {
-                    i += 1;
-                    seed = args
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| panic!("--seed requires an integer"));
-                }
-                other => panic!("unknown argument {other:?} (expected --quick/--full/--seed N)"),
-            }
-            i += 1;
-        }
-        Self { scale, seed }
-    }
-
     /// Server configuration for the baselines at this scale.
     pub fn server_config(&self) -> ServerConfig {
         match self.scale {
@@ -86,11 +63,6 @@ impl HarnessConfig {
             Scale::Default => 8,
             Scale::Full => 10,
         }
-    }
-
-    /// The buildings evaluated at this scale.
-    pub fn buildings(&self) -> Vec<Building> {
-        default_buildings(self.scale)
     }
 }
 

@@ -1,22 +1,24 @@
 //! Benchmark harness regenerating every table and figure of the SAFELOC
 //! paper.
 //!
-//! Each binary in `src/bin/` reproduces one experiment:
+//! Each figure is a scenario file in `scenarios/` at the repo root, run by
+//! the one `suite` binary and rendered by the file's [`ReportView`]:
 //!
-//! | Binary | Paper artifact |
-//! |---|---|
-//! | `fig1_motivation` | Fig. 1 — FEDLOC/FEDHIL degradation under attack |
-//! | `fig4_threshold` | Fig. 4 — τ sweep |
-//! | `fig5_heatmap` | Fig. 5 — attack × ε heatmap |
-//! | `fig6_comparison` | Fig. 6 — SAFELOC vs. state-of-the-art |
-//! | `fig7_scalability` | Fig. 7 — client-count scaling |
-//! | `fig8_participation` | (ours) accuracy + attacker-rejection rate vs participation fraction |
-//! | `table1_overhead` | Table I — parameters + inference latency |
-//! | `ablation` | (ours) design-choice attribution |
+//! | Spec file | View | Paper artifact |
+//! |---|---|---|
+//! | `fig1_motivation.json` | `Stats`, baseline `Attack` | Fig. 1 — FEDLOC/FEDHIL degradation under attack |
+//! | `fig4_threshold.json` | `Pivot`, framework × building | Fig. 4 — τ sweep |
+//! | `fig5_heatmap.json` | `Pivot`, attack kind × ε | Fig. 5 — attack × ε heatmap |
+//! | `fig6_comparison.json` | `Stats`, baseline `Framework` | Fig. 6 — SAFELOC vs. state-of-the-art |
+//! | `fig7_scalability.json` | `Pivot`, fleet × framework | Fig. 7 — client-count scaling |
+//! | `fig8_participation.json` | `Cells` | (ours) accuracy + attacker-rejection rate vs participation fraction |
+//! | `ablation.json` | `Pivot`, framework × attack | (ours) design-choice attribution |
 //!
-//! The figure binaries are specs plus formatters over the scenario-suite
-//! engine ([`suite`]; the `suite` binary runs a checked-in
-//! `scenarios/*.json` spec directly). Every cell runs through one
+//! Table I (parameters + inference latency) is the criterion bench
+//! `benches/inference_latency.rs`: each benchmark id carries the
+//! framework's parameter count.
+//!
+//! The engine is [`suite`]. Every cell runs through one
 //! [`safeloc_fl::FlSession`]: [`run_fleet_with_network`] takes any
 //! [`CohortSampler`](safeloc_fl::CohortSampler), installs the suite's
 //! network axis as the session's per-round plan transform and returns the
@@ -31,10 +33,11 @@
 //! (with [`naive`]'s seed kernels as their baselines). [`telem`] is the
 //! `TELEM_*.json` dump `examples/observability.rs` writes and checks.
 //!
-//! Every binary accepts `--quick` (smoke-test scale), `--full` (the paper's
-//! 700-epoch configuration) and `--seed N`; the default is a
+//! The `suite` binary accepts `--quick` (smoke-test scale), `--full` (the
+//! paper's 700-epoch configuration) and `--seed N`; the default is a
 //! scaled-down-but-converged configuration (`ServerConfig::default_scale`
-//! and `SafeLocConfig::default_scale` say what is scaled and why).
+//! and `SafeLocConfig::default_scale` say what is scaled and why). A spec's
+//! grid is the same at every scale: a thinner grid is a thinner file.
 
 pub mod fleet;
 pub mod harness;
@@ -50,8 +53,8 @@ pub use harness::{
 };
 pub use rss::record_peak_rss_gauge;
 pub use suite::{
-    AttackSpec, CellRun, CombinerSpec, DefenseSpec, FleetSpec, FrameworkSpec, NetworkSpec,
-    ParticipationMode, ParticipationSpec, PipelineSpec, SafelocVariant, ScenarioCell, ScenarioSpec,
-    StageSpec, StageSuiteStats, SuiteCellReport, SuiteReport, SuiteRun, SuiteRunner,
+    AttackSpec, CellRun, CombinerSpec, DefenseSpec, FleetSpec, FrameworkSpec, Key, NetworkSpec,
+    ParticipationMode, ParticipationSpec, PipelineSpec, ReportView, SafelocVariant, ScenarioCell,
+    ScenarioSpec, StageSpec, StageSuiteStats, SuiteCellReport, SuiteReport, SuiteRun, SuiteRunner,
 };
 pub use telem::TelemetryDump;

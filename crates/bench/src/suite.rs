@@ -4,23 +4,21 @@
 //!
 //! Every paper figure is a sweep over the same axes — framework, defense,
 //! building, fleet shape, attack, participation, network conditions and
-//! seed — and each
-//! `fig*`/`table*` binary used to hand-roll its own nested loops over them.
-//! A [`ScenarioSpec`] names the axes declaratively; a [`SuiteRunner`]
+//! seed. A [`ScenarioSpec`] names the axes declaratively; a [`SuiteRunner`]
 //! expands the cartesian grid into [`ScenarioCell`]s, pretrains one
-//! template per `(framework, building, fleet)` and clones it across cells
-//! (exactly the reuse the hand-rolled bins implemented by hand), and runs
-//! each cell through a seeded session. The outcome of a suite is a
+//! template per `(framework, building, fleet)` and clones it across cells,
+//! and runs each cell through a seeded session. The outcome of a suite is a
 //! [`SuiteRun`] holding per-sample errors and the full
 //! [`RoundReport`] trail per cell, from which a
 //! serializable [`SuiteReport`] (accuracy, per-rule rejection and
-//! false-positive rates, train/aggregate wall times) is derived.
+//! false-positive rates, train/aggregate wall times) is derived. The
+//! spec's [`ReportView`] renders the run as the figure's table.
 //!
-//! Specs serialize to JSON; named suites live in `scenarios/` at the repo
-//! root and run end to end through the `suite` binary:
+//! Specs serialize to JSON; every figure is a file in `scenarios/` at the
+//! repo root and runs end to end through the `suite` binary:
 //!
 //! ```text
-//! cargo run --release -p safeloc-bench --bin suite -- --spec scenarios/small_cohort.json --quick
+//! cargo run --release -p safeloc-bench --bin suite -- --spec scenarios/fig6_comparison.json --quick
 //! ```
 
 use crate::harness::{
@@ -40,7 +38,7 @@ use safeloc_fl::{
     Client, ClientOutcome, ClusterAggregator, CohortSampler, DeltaSpec, FedAvg, Framework,
     HistoryScreen, Krum, LatentFilterAggregator, RoundReport, SelectiveAggregator,
 };
-use safeloc_metrics::{markdown_table, ErrorStats};
+use safeloc_metrics::{heatmap, markdown_table, ErrorStats};
 use safeloc_wire::FaultProfile;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
@@ -81,7 +79,7 @@ pub enum FrameworkSpec {
     Krum,
 }
 
-/// SAFELOC ablation variants (see the `ablation` binary).
+/// SAFELOC ablation variants (`scenarios/ablation.json`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SafelocVariant {
     /// The full framework: detection + de-noising + saliency.
@@ -111,20 +109,10 @@ impl SafelocVariant {
             SafelocVariant::JointDecoder => "joint-decoder",
         }
     }
-
-    /// All six variants in ablation-table order.
-    pub const ALL: [SafelocVariant; 6] = [
-        SafelocVariant::Full,
-        SafelocVariant::NoDenoise,
-        SafelocVariant::NoSaliency,
-        SafelocVariant::LiteralEq9,
-        SafelocVariant::WithAugment,
-        SafelocVariant::JointDecoder,
-    ];
 }
 
 /// A pretrained framework template the runner clones across cells.
-pub enum Template {
+enum Template {
     /// SAFELOC kept concrete so per-cell τ overrides can be applied.
     Safeloc(Box<SafeLoc>),
     /// Any other framework behind the uniform trait.
@@ -133,7 +121,7 @@ pub enum Template {
 
 impl Template {
     /// Server-side pretraining on the survey split.
-    pub fn pretrain(&mut self, train: &FingerprintSet) {
+    fn pretrain(&mut self, train: &FingerprintSet) {
         match self {
             Template::Safeloc(f) => f.pretrain(train),
             Template::Boxed(f) => f.pretrain(train),
@@ -142,7 +130,7 @@ impl Template {
 
     /// A fresh framework for one cell: clones the template and applies the
     /// cell's post-pretraining overrides (currently: τ).
-    pub fn instantiate(&self, spec: &FrameworkSpec) -> Box<dyn Framework> {
+    fn instantiate(&self, spec: &FrameworkSpec) -> Box<dyn Framework> {
         match self {
             Template::Safeloc(f) => {
                 let mut clone = (**f).clone();
@@ -185,7 +173,7 @@ impl FrameworkSpec {
     }
 
     /// Builds the (untrained) template for a building geometry.
-    pub fn build(&self, input_dim: usize, n_classes: usize, cfg: &HarnessConfig) -> Template {
+    fn build(&self, input_dim: usize, n_classes: usize, cfg: &HarnessConfig) -> Template {
         match self {
             FrameworkSpec::Safeloc | FrameworkSpec::SafelocTau { .. } => Template::Safeloc(
                 Box::new(SafeLoc::new(input_dim, n_classes, cfg.safeloc_config())),
@@ -869,6 +857,10 @@ pub struct ScenarioSpec {
     /// Colluding attackers share one poison stream (Fig. 7).
     #[serde(default = "bool_false")]
     pub coherent: bool,
+    /// How the `suite` binary renders the run; defaults to one row per
+    /// cell.
+    #[serde(default = "default_view")]
+    pub view: ReportView,
 }
 
 fn usize_zero() -> usize {
@@ -901,6 +893,9 @@ fn default_networks() -> Vec<NetworkSpec> {
 fn default_deltas() -> Vec<DeltaSpec> {
     vec![DeltaSpec::Dense]
 }
+fn default_view() -> ReportView {
+    ReportView::Cells
+}
 
 impl ScenarioSpec {
     /// A minimal spec over one framework and the clean scenario; builders
@@ -921,13 +916,14 @@ impl ScenarioSpec {
             seed_salts: default_seed_salts(),
             boost: None,
             coherent: false,
+            view: default_view(),
         }
     }
 }
 
 // ------------------------------------------------------------- expansion
 
-/// Position of a cell along each spec axis — formatters group by these.
+/// Position of a cell along each spec axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CellIndex {
     /// Index into [`ScenarioSpec::frameworks`].
@@ -1089,11 +1085,6 @@ impl SuiteRunner {
         self
     }
 
-    /// The harness configuration driving the suite.
-    pub fn cfg(&self) -> &HarnessConfig {
-        &self.cfg
-    }
-
     /// The spec being expanded.
     pub fn spec(&self) -> &ScenarioSpec {
         &self.spec
@@ -1175,7 +1166,7 @@ impl SuiteRunner {
     }
 
     /// The (cached) dataset for a cell's `(building, fleet)` pair.
-    pub fn dataset(&mut self, cell: &ScenarioCell) -> &BuildingDataset {
+    fn dataset(&mut self, cell: &ScenarioCell) -> &BuildingDataset {
         let key = (cell.building, cell.fleet.total);
         if !self.datasets.contains_key(&key) {
             let data = (self.dataset_builder)(cell.building, &cell.fleet, self.cfg.seed);
@@ -1301,8 +1292,15 @@ fn run_prepared_cell(
     let data = datasets
         .get(&(cell.building, cell.fleet.total))
         .expect("prepare ensured the dataset");
-    let invalid = (cell.network.validate().map_err(|e| format!("network: {e}")))
-        .and_then(|()| (cell.participation.validate()).map_err(|e| format!("participation: {e}")));
+    let invalid = cell
+        .network
+        .validate()
+        .map_err(|e| format!("network: {e}"))
+        .and_then(|()| {
+            cell.participation
+                .validate()
+                .map_err(|e| format!("participation: {e}"))
+        });
     if let Err(e) = invalid {
         return CellRun {
             cell,
@@ -1561,11 +1559,6 @@ pub struct SuiteRun {
 }
 
 impl SuiteRun {
-    /// Cells matching a predicate.
-    pub fn select(&self, pred: impl Fn(&CellRun) -> bool) -> Vec<&CellRun> {
-        self.cells.iter().filter(|c| pred(c)).collect()
-    }
-
     /// Per-sample errors pooled over every cell matching the predicate —
     /// the pooling the paper's figures apply across buildings and attacks.
     pub fn pooled_errors(&self, pred: impl Fn(&CellRun) -> bool) -> Vec<f32> {
@@ -1654,6 +1647,156 @@ impl SuiteRun {
             &rows,
         )
     }
+}
+
+// ----------------------------------------------------------------- views
+
+/// A cell attribute a [`ReportView`] groups by. Cells with the same label
+/// along a key share a row (or column).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Key {
+    /// Framework label.
+    Framework,
+    /// Paper building id.
+    Building,
+    /// Fleet shape, from the cell's actual fleet size.
+    Fleet,
+    /// One entry of the attack axis.
+    Attack,
+    /// The attack's kind (`Clean` for the clean baseline).
+    AttackKind,
+    /// The attack's perturbation magnitude ε.
+    Epsilon,
+}
+
+impl Key {
+    fn name(self) -> &'static str {
+        match self {
+            Key::Framework => "framework",
+            Key::Building => "building",
+            Key::Fleet => "fleet",
+            Key::Attack => "attack",
+            Key::AttackKind => "attack kind",
+            Key::Epsilon => "eps",
+        }
+    }
+
+    /// The cell's label along this key.
+    fn of(self, c: &CellRun) -> String {
+        let attack = c.cell.attack.attack.as_ref();
+        match self {
+            Key::Framework => c.cell.framework.label(),
+            Key::Building => format!("B{}", c.cell.building),
+            Key::Fleet => c.fleet_label(),
+            Key::Attack => c.cell.attack.label(),
+            Key::AttackKind => attack.map_or("Clean".to_string(), |a| a.kind().label().to_string()),
+            Key::Epsilon => attack.map_or("—".to_string(), |a| format!("{:.2}", a.epsilon())),
+        }
+    }
+
+    /// The distinct labels along this key, in grid order.
+    fn labels(self, run: &SuiteRun) -> Vec<String> {
+        let mut out: Vec<String> = Vec::new();
+        for c in &run.cells {
+            let label = self.of(c);
+            if !out.contains(&label) {
+                out.push(label);
+            }
+        }
+        out
+    }
+}
+
+/// How the `suite` binary renders a run — the spec's `view` field.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum ReportView {
+    /// One row per cell ([`SuiteRun::markdown`]).
+    Cells,
+    /// Mean error per `rows` × `cols` label, pooled over every other axis.
+    Pivot {
+        /// Key of the table rows.
+        rows: Key,
+        /// Key of the table columns.
+        cols: Key,
+    },
+    /// Best/mean/worst error per framework × attack, pooled over every
+    /// other axis, and the mean over the baseline mean: the cells at the
+    /// first label along `baseline` that share the row's framework and
+    /// attack, except on `baseline` itself. "—" when that baseline mean is
+    /// under 0.05 m.
+    Stats {
+        /// Key whose first label is the ratio's denominator.
+        baseline: Key,
+    },
+}
+
+impl ReportView {
+    /// Renders the run as a markdown table.
+    pub fn render(&self, run: &SuiteRun) -> String {
+        match *self {
+            ReportView::Cells => run.markdown(),
+            ReportView::Pivot { rows, cols } => pivot(run, rows, cols),
+            ReportView::Stats { baseline } => stats(run, baseline),
+        }
+    }
+}
+
+fn pivot(run: &SuiteRun, rows: Key, cols: Key) -> String {
+    let (row_labels, col_labels) = (rows.labels(run), cols.labels(run));
+    let mean = |r: &String, col: &String| {
+        ErrorStats::from_errors(&run.pooled_errors(|c| rows.of(c) == *r && cols.of(c) == *col)).mean
+    };
+    let values: Vec<Vec<f32>> = row_labels
+        .iter()
+        .map(|r| col_labels.iter().map(|col| mean(r, col)).collect())
+        .collect();
+    let corner = format!("{} \\ {}", rows.name(), cols.name());
+    heatmap(&corner, &col_labels, &row_labels, &values)
+}
+
+fn stats(run: &SuiteRun, baseline: Key) -> String {
+    let Some(first) = run.cells.first() else {
+        return String::new();
+    };
+    let base = baseline.of(first);
+    let mut rows = Vec::new();
+    for f in Key::Framework.labels(run) {
+        for a in Key::Attack.labels(run) {
+            let row = |c: &CellRun| Key::Framework.of(c) == f && Key::Attack.of(c) == a;
+            let s = ErrorStats::from_errors(&run.pooled_errors(row));
+            let base_mean = ErrorStats::from_errors(&run.pooled_errors(|c| {
+                baseline.of(c) == base
+                    && (baseline == Key::Framework || Key::Framework.of(c) == f)
+                    && (baseline == Key::Attack || Key::Attack.of(c) == a)
+            }))
+            .mean;
+            // Synthetic clean errors can be ~0 m; a ratio against ~0 is
+            // meaningless.
+            let ratio = if base_mean >= 0.05 {
+                format!("{:.2}x", s.mean / base_mean)
+            } else {
+                "—".to_string()
+            };
+            rows.push(vec![
+                f.clone(),
+                a,
+                format!("{:.2}", s.best),
+                format!("{:.2}", s.mean),
+                format!("{:.2}", s.worst),
+                ratio,
+            ]);
+        }
+    }
+    let vs = format!("mean vs {base}");
+    let header = [
+        "framework",
+        "attack",
+        "best (m)",
+        "mean (m)",
+        "worst (m)",
+        &vs,
+    ];
+    markdown_table(&header, &rows)
 }
 
 /// Schema tag of serialized suite reports.
@@ -1848,6 +1991,85 @@ mod tests {
         assert_eq!(s.rounds, 0);
         assert!(!s.coherent);
         assert!(s.buildings.is_empty());
+        assert_eq!(s.view, ReportView::Cells);
+    }
+
+    /// FEDLOC and KRUM × clean and label flip, with chosen errors: FEDLOC's
+    /// clean mean (0.02 m) is under the 0.05 m floor, KRUM's (2 m) is not.
+    fn stats_run() -> SuiteRun {
+        let mut s = spec();
+        s.participation = vec![ParticipationSpec::full()];
+        s.seed_salts = vec![0];
+        let runner = SuiteRunner::new(
+            HarnessConfig {
+                scale: Scale::Quick,
+                seed: 7,
+            },
+            s,
+        );
+        let errors = [
+            vec![0.01, 0.03],
+            vec![2.0, 4.0],
+            vec![1.0, 3.0],
+            vec![5.0, 7.0],
+        ];
+        SuiteRun {
+            name: "stats".into(),
+            description: String::new(),
+            scale: "Quick".into(),
+            seed: 7,
+            cells: runner
+                .cells()
+                .into_iter()
+                .zip(errors)
+                .map(|(cell, errors)| CellRun {
+                    cell,
+                    fleet_size: 6,
+                    errors,
+                    reports: Vec::new(),
+                    error: None,
+                })
+                .collect(),
+        }
+    }
+
+    /// The rendered row for `framework` × `attack`.
+    fn row<'a>(table: &'a str, framework: &str, attack: &str) -> Vec<&'a str> {
+        let prefix = format!("| {framework} | {attack} |");
+        let line = table
+            .lines()
+            .find(|l| l.starts_with(&prefix))
+            .unwrap_or_else(|| panic!("no row {prefix} in\n{table}"));
+        line.trim_matches('|').split('|').map(str::trim).collect()
+    }
+
+    #[test]
+    fn stats_ratios_divide_by_the_baseline_mean_or_print_a_dash() {
+        let run = stats_run();
+        let flip = "Label Flip eps=0.80";
+
+        let vs_clean = ReportView::Stats {
+            baseline: Key::Attack,
+        }
+        .render(&run);
+        assert!(vs_clean.lines().next().unwrap().contains("mean vs Clean"));
+        assert_eq!(
+            row(&vs_clean, "KRUM", flip),
+            ["KRUM", flip, "5.00", "6.00", "7.00", "3.00x"]
+        );
+        assert_eq!(row(&vs_clean, "KRUM", "Clean")[5], "1.00x");
+        // FEDLOC's clean mean is 0.02 m: no ratio against ~0.
+        assert_eq!(row(&vs_clean, "FEDLOC", flip)[5], "—");
+        assert_eq!(row(&vs_clean, "FEDLOC", "Clean")[5], "—");
+
+        let vs_fedloc = ReportView::Stats {
+            baseline: Key::Framework,
+        }
+        .render(&run);
+        assert!(vs_fedloc.lines().next().unwrap().contains("mean vs FEDLOC"));
+        assert_eq!(row(&vs_fedloc, "KRUM", flip)[5], "2.00x");
+        assert_eq!(row(&vs_fedloc, "FEDLOC", flip)[5], "1.00x");
+        assert_eq!(row(&vs_fedloc, "KRUM", "Clean")[5], "—");
     }
 
     #[test]

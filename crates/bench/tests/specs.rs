@@ -3,13 +3,96 @@
 //! defense-pipeline axis (`DefenseSpec`/`StageSpec`/`CombinerSpec`).
 //! These types *are* the `scenarios/*.json` interface — a shape change
 //! that breaks checked-in specs, or an unknown stage name that silently
-//! parses, must fail here rather than in a CI suite run.
+//! parses, must fail here rather than in a CI suite run. The paper-figure
+//! files are pinned to the paper's grids here too.
 
-use safeloc_attacks::Attack;
+use safeloc_attacks::{paper_epsilon_grid, paper_tau_grid, Attack, ALL_ATTACK_KINDS};
 use safeloc_bench::{
-    AttackSpec, CombinerSpec, DefenseSpec, ParticipationMode, ParticipationSpec, PipelineSpec,
-    ScenarioSpec, StageSpec,
+    AttackSpec, CombinerSpec, DefenseSpec, FrameworkSpec, HarnessConfig, ParticipationMode,
+    ParticipationSpec, PipelineSpec, Scale, ScenarioSpec, StageSpec, SuiteRunner,
 };
+use std::path::PathBuf;
+
+/// The paper-figure spec files, one per figure the suite renders.
+const FIGURES: [&str; 7] = [
+    "fig1_motivation",
+    "fig4_threshold",
+    "fig5_heatmap",
+    "fig6_comparison",
+    "fig7_scalability",
+    "fig8_participation",
+    "ablation",
+];
+
+fn scenarios_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
+}
+
+fn load(name: &str) -> ScenarioSpec {
+    let path = scenarios_dir().join(format!("{name}.json"));
+    let json = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{name}.json: {e}"));
+    serde_json::from_str(&json).unwrap_or_else(|e| panic!("{name}.json does not parse: {e:?}"))
+}
+
+#[test]
+fn every_checked_in_scenario_parses_and_expands() {
+    let mut names = Vec::new();
+    for entry in std::fs::read_dir(scenarios_dir()).expect("scenarios/ exists") {
+        let path = entry.expect("directory entry").path();
+        if path.extension().is_some_and(|e| e == "json") {
+            let name = path.file_stem().unwrap().to_string_lossy().into_owned();
+            let spec = load(&name);
+            assert_eq!(spec.name, name, "a spec is named after its file");
+            let runner = SuiteRunner::new(
+                HarnessConfig {
+                    scale: Scale::Quick,
+                    seed: 42,
+                },
+                spec,
+            );
+            assert!(!runner.cells().is_empty(), "{name} expands to no cells");
+            names.push(name);
+        }
+    }
+    for figure in FIGURES {
+        assert!(names.iter().any(|n| n == figure), "scenarios/{figure}.json");
+        // Every figure leaves the round count to the scale.
+        assert_eq!(load(figure).rounds, 0, "{figure}");
+    }
+}
+
+#[test]
+fn fig4_sweeps_the_paper_tau_grid() {
+    let taus: Vec<f32> = load("fig4_threshold")
+        .frameworks
+        .iter()
+        .map(|f| match f {
+            FrameworkSpec::SafelocTau { tau } => *tau,
+            other => panic!("fig4 sweeps tau only, found {other:?}"),
+        })
+        .collect();
+    assert_eq!(taus, paper_tau_grid());
+}
+
+#[test]
+fn fig5_sweeps_the_paper_epsilon_grid_for_every_attack_kind() {
+    let spec = load("fig5_heatmap");
+    assert_eq!(spec.buildings, vec![1, 5]);
+    assert_eq!(
+        spec.attacks.len(),
+        ALL_ATTACK_KINDS.len() * paper_epsilon_grid().len()
+    );
+    for kind in ALL_ATTACK_KINDS {
+        let epsilons: Vec<f32> = spec
+            .attacks
+            .iter()
+            .filter_map(|a| a.attack.as_ref())
+            .filter(|a| a.kind() == kind)
+            .map(Attack::epsilon)
+            .collect();
+        assert_eq!(epsilons, paper_epsilon_grid(), "{kind:?}");
+    }
+}
 
 fn round_trip<T>(value: &T) -> T
 where

@@ -1,14 +1,15 @@
 //! Integration tests for the scenario-suite engine: end-to-end cell
 //! execution on tiny datasets, thread-count invariance of a suite cell,
-//! report assembly, and the checked-in `scenarios/` spec files.
+//! report assembly and views, and the checked-in `scenarios/` spec files.
 
 use rayon::ThreadPoolBuilder;
 use safeloc_attacks::Attack;
 use safeloc_bench::{
-    AttackSpec, FrameworkSpec, HarnessConfig, NetworkSpec, ParticipationMode, ParticipationSpec,
-    Scale, ScenarioSpec, SuiteReport, SuiteRunner,
+    AttackSpec, CellRun, FrameworkSpec, HarnessConfig, Key, NetworkSpec, ParticipationMode,
+    ParticipationSpec, ReportView, Scale, ScenarioSpec, SuiteReport, SuiteRunner,
 };
 use safeloc_dataset::{Building, BuildingDataset, DatasetConfig, FingerprintSet};
+use safeloc_metrics::ErrorStats;
 use safeloc_nn::Matrix;
 
 /// A runner over tiny synthetic buildings so tests stay fast; the builder
@@ -74,6 +75,46 @@ fn suite_runs_every_cell_and_reports_metrics() {
     // Markdown renders one row per cell.
     let md = run.markdown();
     assert_eq!(md.lines().count(), expected + 2);
+}
+
+#[test]
+fn pivot_entries_are_the_mean_of_their_pooled_cells() {
+    let mut runner = tiny_runner(tiny_spec());
+    let run = runner.run();
+    let table = ReportView::Pivot {
+        rows: Key::Framework,
+        cols: Key::Attack,
+    }
+    .render(&run);
+    let split = |line: &str| -> Vec<String> {
+        line.trim_matches('|')
+            .split('|')
+            .map(|c| c.trim().to_string())
+            .collect()
+    };
+    let lines: Vec<&str> = table.lines().collect();
+    assert_eq!(
+        lines.len(),
+        2 + 2,
+        "a header, a rule and one row per framework"
+    );
+    let header = split(lines[0]);
+    assert_eq!(
+        header,
+        ["framework \\ attack", "Clean", "Label Flip eps=1.00"]
+    );
+    for line in &lines[2..] {
+        let row = split(line);
+        for (attack, value) in header[1..].iter().zip(&row[1..]) {
+            let matches = |c: &CellRun| {
+                c.cell.framework.label() == row[0] && c.cell.attack.label() == *attack
+            };
+            // Each entry pools the two participation cells.
+            assert_eq!(run.cells.iter().filter(|c| matches(c)).count(), 2);
+            let mean = ErrorStats::from_errors(&run.pooled_errors(matches)).mean;
+            assert_eq!(*value, format!("{mean:.2}"), "{} × {attack}", row[0]);
+        }
+    }
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Scenario-suite engine walkthrough: declare a grid, run it, read the
-//! per-cell defense telemetry — the same machinery behind every `fig*` and
-//! `table*` binary and the checked-in `scenarios/` specs.
+//! per-cell defense telemetry — the same machinery the `suite` binary runs
+//! every paper figure in `scenarios/` through.
 //!
 //! Runs on tiny synthetic buildings so it finishes in seconds:
 //!

@@ -17,7 +17,7 @@
 //! | [`serve`] | online serving: model registry, micro-batched inference, load harness |
 //! | [`wire`] | binary wire protocol: TCP serving front, remote federated rounds |
 //! | [`telemetry`] | lock-light metrics, Prometheus exposition, JSON snapshots |
-//! | [`bench`](mod@bench) | paper-figure harness: scenario suites, figure bins, criterion kernel benches |
+//! | [`bench`](mod@bench) | paper-figure harness: scenario suites and their views, criterion kernel benches |
 
 pub use safeloc as core;
 pub use safeloc_attacks as attacks;
