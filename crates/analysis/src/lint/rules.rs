@@ -116,8 +116,7 @@ pub const RULES: &[RuleInfo] = &[
         id: "wire-tag-dense",
         scope: "crates/wire/src/frame.rs",
         rationale: "Gaps in the tag table are where silent tag typos hide (0x0D vs 0x0E). The \
-                    table should be dense from its first tag; a historical gap is baselined, \
-                    not silently grown.",
+                    table must be dense from its first tag.",
         justify: None,
     },
     RuleInfo {

@@ -208,8 +208,7 @@ fn workspace_lint_exactly_reproduces_the_committed_baseline() {
         diff.stale,
         diff.schema_conflict,
     );
-    // The committed baseline is not an empty formality: it pins the two
-    // intentional wire records (the historical 0x0D gap and the
-    // tag-table ↔ WIRE_SCHEMA coupling).
-    assert_eq!(baseline.accepted(), 2);
+    // The committed baseline is not an empty formality: it pins the
+    // tag-table ↔ WIRE_SCHEMA coupling record, and nothing else.
+    assert_eq!(baseline.accepted(), 1);
 }

@@ -25,9 +25,9 @@
 //!   (`tests/alloc_free.rs`).
 //! * [`NamedParams`] / [`HasParams`] — the named-tensor views that the
 //!   federated-learning layer (`safeloc-fl`) aggregates over.
-//! * [`snapshot`] — schema-tagged parameter/network file snapshots (the
-//!   serving registry's persistence primitive); architecture mismatches
-//!   surface through [`ParamError`].
+//! * [`snapshot`] — schema-tagged JSON files (the serving registry's
+//!   persistence primitive): a wrong tag or a malformed file is a typed
+//!   [`SnapshotError`].
 //!
 //! Everything is deterministic given a seed; there is no global RNG, and
 //! the only threading is the row-chunked parallel [`Sequential::predict`],
@@ -75,7 +75,5 @@ pub use loss::{MseLoss, SparseCrossEntropyLoss};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use params::{HasParams, NamedParams, ParamError};
 pub use sequential::{Sequential, TrainConfig, Workspace};
-pub use snapshot::{
-    load_network, load_params, load_params_into, save_network, save_params, SnapshotError,
-};
+pub use snapshot::SnapshotError;
 pub use tensor::{Matrix, ShapeError};

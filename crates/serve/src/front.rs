@@ -11,7 +11,7 @@
 //! gracefully for phones the survey never saw.
 
 use crate::registry::{ModelRegistry, ServedModel, DEFAULT_CLASS};
-use safeloc_dataset::{dbm_to_unit, DeviceCatalog};
+use safeloc_dataset::{dbm_to_unit, unit_to_dbm, BuildingDataset, DeviceCatalog};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -37,6 +37,25 @@ impl LocalizeRequest {
             rss_dbm,
         }
     }
+}
+
+/// Builds a request-prototype pool from a dataset's held-out test splits:
+/// one [`LocalizeRequest`] per test fingerprint, carrying the collecting
+/// device's model name and the fingerprint denormalized back to raw dBm
+/// (the wire format phones actually send).
+pub fn request_pool(data: &BuildingDataset) -> Vec<LocalizeRequest> {
+    let mut pool = Vec::new();
+    for (device, set) in data.devices.iter().zip(&data.client_test) {
+        for r in 0..set.x.rows() {
+            let rss_dbm: Vec<f32> = set.x.row(r).iter().map(|&u| unit_to_dbm(u)).collect();
+            pool.push(LocalizeRequest::new(
+                data.building.id,
+                &device.name,
+                rss_dbm,
+            ));
+        }
+    }
+    pool
 }
 
 /// The service's answer to one request.

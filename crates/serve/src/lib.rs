@@ -20,12 +20,14 @@
 //!   rayon-parallel batch-inference hot path. Served predictions are bitwise identical
 //!   to offline `predict` on the same snapshot for any batching schedule
 //!   (`tests/service.rs`).
-//! * [`RegistryPublisher`] + [`run_load`] — the closed loop: an
+//! * [`RegistryPublisher`] — the closed loop: an
 //!   [`FlSession`](safeloc_fl::FlSession) hook that hot-swaps each
-//!   round's aggregated model into the registry, and a closed-loop
-//!   synthetic client population measuring throughput and p50/p95/p99
-//!   latency against the live service (`examples/serving.rs` drives both
-//!   concurrently).
+//!   round's aggregated model into the registry while the service keeps
+//!   answering (`examples/serving.rs` drives both concurrently).
+//!
+//! [`request_pool`] turns a dataset's held-out fingerprints into the raw
+//! dBm requests phones send. Load is driven from outside the library:
+//! the `benchmark/` workspace owns every latency and throughput figure.
 //!
 //! # Example
 //!
@@ -65,15 +67,15 @@
 //! ```
 
 pub mod front;
-pub mod loadgen;
 pub mod metrics;
 pub mod publisher;
 mod queue;
 pub mod registry;
 pub mod service;
 
-pub use front::{AdmittedRequest, LocalizeRequest, LocalizeResponse, RequestFront, ServeError};
-pub use loadgen::{request_pool, run_load, LoadOutcome, LoadPlan, ServingStats};
+pub use front::{
+    request_pool, AdmittedRequest, LocalizeRequest, LocalizeResponse, RequestFront, ServeError,
+};
 pub use metrics::ServeMetrics;
 pub use publisher::RegistryPublisher;
 pub use registry::{

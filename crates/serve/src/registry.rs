@@ -131,7 +131,6 @@ impl From<safeloc_nn::SnapshotError> for RegistryError {
         match e {
             safeloc_nn::SnapshotError::Io(msg) => RegistryError::Io(msg),
             safeloc_nn::SnapshotError::Parse(msg) => RegistryError::Parse(msg),
-            safeloc_nn::SnapshotError::Arch(e) => RegistryError::Arch(e),
         }
     }
 }

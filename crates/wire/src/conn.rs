@@ -47,7 +47,7 @@ pub struct FrameConn {
 
 impl FrameConn {
     /// Wraps an accepted or connected stream. Disables Nagle so small
-    /// control frames (invitations, localize requests) are not delayed
+    /// control frames (joins, localize requests) are not delayed
     /// behind a 40 ms coalescing window.
     pub fn new(stream: TcpStream) -> Self {
         stream.set_nodelay(true).ok();

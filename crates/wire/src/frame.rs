@@ -49,8 +49,10 @@ use safeloc_nn::{Matrix, NamedParams};
 /// Wire schema version spoken by this build, and the only one a handshake
 /// accepts. v2 added the compressed [`Frame::UpdateDelta`] frame; v3 added
 /// the telemetry-exposition [`Frame::MetricsRequest`] /
-/// [`Frame::MetricsResponse`] pair.
-pub const WIRE_SCHEMA: u32 = 3;
+/// [`Frame::MetricsResponse`] pair; v4 dropped the round preamble (a round
+/// is [`Frame::GmBroadcast`] out, an update back) and renumbered the tags
+/// densely.
+pub const WIRE_SCHEMA: u32 = 4;
 
 /// Hard cap on `tag + payload` length (16 MiB). Large enough for a
 /// paper-scale model update (~100k parameters ≈ 400 KiB), small enough
@@ -199,39 +201,6 @@ pub struct DeltaUpdateFrame {
     pub repr: DeltaRepr,
 }
 
-/// Availability a round plan assigns a cohort member, as sent on the wire.
-/// Mirrors `safeloc_fl::Availability` (codes 0/1/2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireAvailability {
-    /// Trains and delivers an update.
-    Participates,
-    /// Invited but silent this round.
-    DropsOut,
-    /// Delivers after the round deadline.
-    Straggles,
-}
-
-impl WireAvailability {
-    fn code(self) -> u8 {
-        match self {
-            WireAvailability::Participates => 0,
-            WireAvailability::DropsOut => 1,
-            WireAvailability::Straggles => 2,
-        }
-    }
-
-    fn from_code(code: u8) -> Result<Self, WireError> {
-        match code {
-            0 => Ok(WireAvailability::Participates),
-            1 => Ok(WireAvailability::DropsOut),
-            2 => Ok(WireAvailability::Straggles),
-            other => Err(WireError::BadPayload(format!(
-                "unknown availability code {other}"
-            ))),
-        }
-    }
-}
-
 /// Every message the protocol speaks.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
@@ -249,22 +218,6 @@ pub enum Frame {
     Join {
         /// The client's fleet index.
         client_index: u32,
-    },
-    /// Invitation into a round's cohort, with the server's deadline.
-    CohortInvite {
-        /// Round number.
-        round: u32,
-        /// The invited client's fleet index.
-        client_index: u32,
-        /// Server-side round deadline in milliseconds.
-        deadline_ms: u32,
-    },
-    /// The full round plan: every cohort member and its availability.
-    RoundPlan {
-        /// Round number.
-        round: u32,
-        /// `(client_index, availability)` pairs, ascending by index.
-        cohort: Vec<(u32, WireAvailability)>,
     },
     /// The global model pushed to a training client.
     GmBroadcast {
@@ -330,17 +283,15 @@ pub enum Frame {
 const TAG_HELLO: u8 = 0x01;
 const TAG_HELLO_ACK: u8 = 0x02;
 const TAG_JOIN: u8 = 0x03;
-const TAG_COHORT_INVITE: u8 = 0x04;
-const TAG_ROUND_PLAN: u8 = 0x05;
-const TAG_GM_BROADCAST: u8 = 0x06;
-const TAG_UPDATE: u8 = 0x07;
-const TAG_LOCALIZE_REQ: u8 = 0x08;
-const TAG_LOCALIZE_RESP: u8 = 0x09;
-const TAG_UPDATE_DELTA: u8 = 0x0A;
-const TAG_METRICS_REQ: u8 = 0x0B;
-const TAG_METRICS_RESP: u8 = 0x0C;
-const TAG_ERROR: u8 = 0x0E;
-const TAG_BYE: u8 = 0x0F;
+const TAG_GM_BROADCAST: u8 = 0x04;
+const TAG_UPDATE: u8 = 0x05;
+const TAG_LOCALIZE_REQ: u8 = 0x06;
+const TAG_LOCALIZE_RESP: u8 = 0x07;
+const TAG_UPDATE_DELTA: u8 = 0x08;
+const TAG_METRICS_REQ: u8 = 0x09;
+const TAG_METRICS_RESP: u8 = 0x0A;
+const TAG_ERROR: u8 = 0x0B;
+const TAG_BYE: u8 = 0x0C;
 
 impl Frame {
     /// Short name of the frame type, for protocol-violation messages.
@@ -349,8 +300,6 @@ impl Frame {
             Frame::Hello { .. } => "Hello",
             Frame::HelloAck { .. } => "HelloAck",
             Frame::Join { .. } => "Join",
-            Frame::CohortInvite { .. } => "CohortInvite",
-            Frame::RoundPlan { .. } => "RoundPlan",
             Frame::GmBroadcast { .. } => "GmBroadcast",
             Frame::Update(_) => "Update",
             Frame::UpdateDelta(_) => "UpdateDelta",
@@ -397,25 +346,6 @@ impl Frame {
             Frame::Join { client_index } => {
                 out.push(TAG_JOIN);
                 put_u32(out, *client_index);
-            }
-            Frame::CohortInvite {
-                round,
-                client_index,
-                deadline_ms,
-            } => {
-                out.push(TAG_COHORT_INVITE);
-                put_u32(out, *round);
-                put_u32(out, *client_index);
-                put_u32(out, *deadline_ms);
-            }
-            Frame::RoundPlan { round, cohort } => {
-                out.push(TAG_ROUND_PLAN);
-                put_u32(out, *round);
-                put_u32(out, cohort.len() as u32);
-                for (index, availability) in cohort {
-                    put_u32(out, *index);
-                    out.push(availability.code());
-                }
             }
             Frame::GmBroadcast {
                 round,
@@ -539,25 +469,6 @@ impl Frame {
             TAG_JOIN => Frame::Join {
                 client_index: r.u32()?,
             },
-            TAG_COHORT_INVITE => Frame::CohortInvite {
-                round: r.u32()?,
-                client_index: r.u32()?,
-                deadline_ms: r.u32()?,
-            },
-            TAG_ROUND_PLAN => {
-                let round = r.u32()?;
-                let n = r.u32()? as usize;
-                // Each member costs 5 bytes; reject counts the remaining
-                // payload cannot possibly hold before allocating.
-                r.check_capacity(n, 5)?;
-                let mut cohort = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let index = r.u32()?;
-                    let availability = WireAvailability::from_code(r.u8()?)?;
-                    cohort.push((index, availability));
-                }
-                Frame::RoundPlan { round, cohort }
-            }
             TAG_GM_BROADCAST => Frame::GmBroadcast {
                 round: r.u32()?,
                 round_salt: r.u64()?,
@@ -883,19 +794,6 @@ mod tests {
         });
         round_trip(Frame::HelloAck { schema: 7 });
         round_trip(Frame::Join { client_index: 3 });
-        round_trip(Frame::CohortInvite {
-            round: 2,
-            client_index: 5,
-            deadline_ms: 1500,
-        });
-        round_trip(Frame::RoundPlan {
-            round: 1,
-            cohort: vec![
-                (0, WireAvailability::Participates),
-                (1, WireAvailability::DropsOut),
-                (2, WireAvailability::Straggles),
-            ],
-        });
         round_trip(Frame::GmBroadcast {
             round: 4,
             round_salt: 5 << 16,
@@ -1038,10 +936,12 @@ mod tests {
 
     #[test]
     fn hostile_counts_cannot_preallocate() {
-        // A RoundPlan claiming u32::MAX members in a 10-byte payload.
-        let mut body = vec![TAG_ROUND_PLAN];
-        body.extend_from_slice(&1u32.to_le_bytes());
-        body.extend_from_slice(&u32::MAX.to_le_bytes());
+        // A LocalizeReq claiming u32::MAX RSS floats in an 18-byte payload.
+        let mut body = vec![TAG_LOCALIZE_REQ];
+        body.extend_from_slice(&0u64.to_le_bytes()); // id
+        body.extend_from_slice(&0u32.to_le_bytes()); // building
+        body.extend_from_slice(&0u16.to_le_bytes()); // empty device name
+        body.extend_from_slice(&u32::MAX.to_le_bytes()); // hostile count
         assert!(matches!(
             Frame::decode_body(&body),
             Err(WireError::Truncated { .. })

@@ -4,7 +4,7 @@
 //!
 //! Everything else in the workspace runs in one process; this crate puts
 //! the SAFELOC threat-model boundary where it actually sits — poisoned
-//! updates arrive over a wire, not via `&mut [Client]`. Four pieces:
+//! updates arrive over a wire, not via `&mut [Client]`. Five pieces:
 //!
 //! * [`frame`] — the wire format: length-prefixed, tagged binary frames
 //!   ([`Frame`]) with an explicit schema check ([`WIRE_SCHEMA`]) and
@@ -15,7 +15,7 @@
 //! * [`tcp`] — the serving front: [`WireServer`] decodes localization
 //!   requests into `safeloc-serve`'s micro-batch [`Service`], keeping
 //!   served predictions bitwise identical to offline `predict`;
-//!   [`WireClient`] and [`run_tcp_load`] are the matching client side.
+//!   [`WireClient`] is the matching client side.
 //! * [`remote`] — cross-process FL, both halves: [`RemoteFleet`] +
 //!   [`RemoteFlServer`] run federated rounds against client processes
 //!   under a server-side deadline, and [`run_remote_client`] is the one
@@ -40,9 +40,9 @@ pub mod tcp;
 pub use conn::FrameConn;
 pub use fault::{FaultDraw, FaultProfile};
 pub use frame::{
-    DeltaUpdateFrame, Frame, UpdateFrame, WireAvailability, WireError, ERR_MALFORMED, ERR_PROTOCOL,
-    ERR_SCHEMA, ERR_SERVE, MAX_FRAME_LEN, WIRE_SCHEMA,
+    DeltaUpdateFrame, Frame, UpdateFrame, WireError, ERR_MALFORMED, ERR_PROTOCOL, ERR_SCHEMA,
+    ERR_SERVE, MAX_FRAME_LEN, WIRE_SCHEMA,
 };
 pub use metrics::{wire_metrics, WireMetrics};
 pub use remote::{run_remote_client, RemoteFlServer, RemoteFleet};
-pub use tcp::{run_tcp_load, WireClient, WireServer};
+pub use tcp::{WireClient, WireServer};

@@ -6,9 +6,9 @@
 //! handshake and a [`Frame::Join`] carrying its fleet index), and a
 //! [`RemoteFlServer`] implements [`Framework`], so a stock
 //! [`FlSession`](safeloc_fl::FlSession) drives remote rounds exactly like
-//! in-process ones: per round it sends every active cohort member an
-//! invitation, the plan and the GM broadcast (so all clients train
-//! concurrently), then collects updates under a server-side deadline. On
+//! in-process ones: per round it sends every active cohort member the GM
+//! broadcast (so all clients train concurrently), then collects one
+//! update per member under a server-side deadline. On
 //! the client, [`run_remote_client`] is the whole loop a fleet member
 //! runs — the `fl_client` bin and the examples' child processes are
 //! argument parsing around it.
@@ -45,7 +45,7 @@
 
 use crate::conn::FrameConn;
 use crate::fault::FaultProfile;
-use crate::frame::{DeltaUpdateFrame, Frame, UpdateFrame, WireAvailability, WireError};
+use crate::frame::{DeltaUpdateFrame, Frame, UpdateFrame, WireError};
 use safeloc_dataset::FingerprintSet;
 use safeloc_fl::{
     Availability, Client, ClientUpdate, DefensePipeline, DeltaRepr, Framework, LocalTrainConfig,
@@ -60,15 +60,6 @@ use std::time::{Duration, Instant};
 /// drain an update that is already buffered locally, far too short for a
 /// straggler to sneak real work through.
 pub const DRAIN_GRACE: Duration = Duration::from_millis(50);
-
-/// Converts the in-process availability to its wire form.
-fn wire_availability(a: Availability) -> WireAvailability {
-    match a {
-        Availability::Participates => WireAvailability::Participates,
-        Availability::DropsOut => WireAvailability::DropsOut,
-        Availability::Straggles => WireAvailability::Straggles,
-    }
-}
 
 /// The server's view of a fleet of client processes: one slot per fleet
 /// index, filled as clients join.
@@ -119,7 +110,9 @@ impl RemoteFleet {
 
     /// Accepts joins until every slot is filled or `timeout` elapses.
     /// A connection that fails its handshake or join is discarded; the
-    /// slot stays open for a retry.
+    /// slot stays open for a retry. The handshake and the `Join` are read
+    /// under the time left, so a peer that connects and stays silent
+    /// cannot hold setup past `timeout`.
     ///
     /// # Errors
     ///
@@ -137,13 +130,19 @@ impl RemoteFleet {
                         .set_nonblocking(false)
                         .map_err(|e| WireError::Io(e.to_string()))?;
                     let mut conn = FrameConn::new(stream);
-                    if conn.server_handshake().is_err() {
+                    if !read_until(&conn, deadline)
+                        || conn.server_handshake().is_err()
+                        || !read_until(&conn, deadline)
+                    {
                         continue;
                     }
                     match conn.recv() {
                         Ok(Frame::Join { client_index }) => {
                             let i = client_index as usize;
-                            if i < self.conns.len() && self.conns[i].is_none() {
+                            if i < self.conns.len()
+                                && self.conns[i].is_none()
+                                && conn.set_read_timeout(None).is_ok()
+                            {
                                 self.conns[i] = Some(conn);
                             }
                         }
@@ -187,6 +186,13 @@ impl RemoteFleet {
             *slot = None;
         }
     }
+}
+
+/// Sets `conn`'s read deadline to the time left before `deadline`;
+/// `false` once none is left (a zero timeout is not a socket option).
+fn read_until(conn: &FrameConn, deadline: Instant) -> bool {
+    let left = deadline.saturating_duration_since(Instant::now());
+    !left.is_zero() && conn.set_read_timeout(Some(left)).is_ok()
 }
 
 impl Drop for RemoteFleet {
@@ -275,8 +281,8 @@ impl Framework for RemoteFlServer {
     }
 }
 
-/// The remote round's collector: invite, plan and broadcast to every
-/// participating cohort member, then collect updates in fleet order under
+/// The remote round's collector: broadcast the GM to every participating
+/// cohort member, then collect updates in fleet order under
 /// one shared deadline. Returns the delivered updates and the plan as
 /// transport reality left it (see the module docs).
 fn collect_remote(
@@ -288,8 +294,7 @@ fn collect_remote(
     plan: &RoundPlan,
     gm_params: &NamedParams,
 ) -> (Vec<ClientUpdate>, RoundPlan) {
-    let deadline_ms = deadline.as_millis().min(u32::MAX as u128) as u32;
-    // Plan slots index `clients`; connections, invitations and updates
+    // Plan slots index `clients`; connections, broadcasts and updates
     // are keyed by the fleet identity each process joined under
     // (`Client::id`). The two differ whenever the session lends a cohort
     // slice (slots 0..k, ids arbitrary).
@@ -303,10 +308,6 @@ fn collect_remote(
         .copied()
         .filter(|&(slot, _)| slot < clients.len())
         .collect();
-    let wire_cohort: Vec<(u32, WireAvailability)> = effective
-        .iter()
-        .map(|&(slot, a)| (id_of(slot) as u32, wire_availability(a)))
-        .collect();
 
     // Poison recovery: rounds run one at a time; a previous round that
     // panicked left connections in whatever state the transport did,
@@ -314,35 +315,20 @@ fn collect_remote(
     let mut fleet = fleet.lock().unwrap_or_else(PoisonError::into_inner);
 
     // Phase 1 — broadcast, so every remote client trains concurrently.
+    let broadcast = Frame::GmBroadcast {
+        round: round as u32,
+        round_salt,
+        params: gm_params.clone(),
+    };
     for entry in effective.iter_mut() {
         let (slot, availability) = *entry;
         if availability != Availability::Participates {
             continue;
         }
         let i = id_of(slot);
-        let sent = match fleet.conn_mut(i) {
-            Some(conn) => conn
-                .send(&Frame::CohortInvite {
-                    round: round as u32,
-                    client_index: i as u32,
-                    deadline_ms,
-                })
-                .and_then(|()| {
-                    conn.send(&Frame::RoundPlan {
-                        round: round as u32,
-                        cohort: wire_cohort.clone(),
-                    })
-                })
-                .and_then(|()| {
-                    conn.send(&Frame::GmBroadcast {
-                        round: round as u32,
-                        round_salt,
-                        params: gm_params.clone(),
-                    })
-                })
-                .is_ok(),
-            None => false,
-        };
+        let sent = fleet
+            .conn_mut(i)
+            .is_some_and(|conn| conn.send(&broadcast).is_ok());
         if !sent {
             crate::metrics::wire_metrics().on_dropout();
             fleet.kill(i);
@@ -438,8 +424,6 @@ pub fn run_remote_client(
     })?;
     loop {
         let (round, round_salt, params) = match conn.recv() {
-            // Round preamble — the broadcast is what starts training.
-            Ok(Frame::CohortInvite { .. } | Frame::RoundPlan { .. }) => continue,
             Ok(Frame::GmBroadcast {
                 round,
                 round_salt,

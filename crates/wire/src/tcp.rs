@@ -1,7 +1,6 @@
 //! The TCP serving front: a localhost listener that decodes
 //! [`Frame::LocalizeReq`]s, feeds them to the in-process micro-batch
-//! [`Service`], and encodes the responses — plus the matching client and
-//! a closed-loop TCP load generator.
+//! [`Service`], and encodes the responses — plus the matching client.
 //!
 //! # Request path
 //!
@@ -23,15 +22,12 @@
 //! valid request.
 
 use crate::conn::FrameConn;
-use crate::fault::FaultProfile;
 use crate::frame::{Frame, WireError, ERR_MALFORMED, ERR_PROTOCOL, ERR_SERVE};
-use crate::metrics::wire_metrics;
-use safeloc_serve::{LoadOutcome, LoadPlan, LocalizeRequest, LocalizeResponse, Service};
+use safeloc_serve::{LocalizeRequest, LocalizeResponse, Service};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 /// A running TCP front over a shared [`Service`].
 ///
@@ -266,91 +262,4 @@ impl WireClient {
         let _ = self.conn.send(&Frame::Bye);
         self.conn.shutdown();
     }
-}
-
-/// Runs one closed-loop load plan against a TCP front, mirroring
-/// `safeloc_serve::run_load` end to end: per-client seeded request mixes
-/// (same streams — `plan.seed ^ ((client + 1) << 20)`), one connection
-/// per closed-loop client, latencies measured end to end — the injected
-/// link latency plus the full wire round trip. `fault` injects a
-/// pre-request sleep per draw, modelling link latency; drops and slow
-/// readers are round-transport faults and do not apply to serving
-/// requests.
-///
-/// What one closed-loop load client brings home: latencies in ns,
-/// responses in arrival order, and its failed-request count.
-type ClientLoadResult = Result<(Vec<u64>, Vec<LocalizeResponse>, usize), WireError>;
-
-/// # Panics
-///
-/// Panics if `pool` is empty or a load client thread panics.
-pub fn run_tcp_load(
-    addr: SocketAddr,
-    pool: &[LocalizeRequest],
-    plan: &LoadPlan,
-    fault: &FaultProfile,
-) -> Result<LoadOutcome, WireError> {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    assert!(!pool.is_empty(), "load generation needs a request pool");
-    let start = Instant::now();
-    let per_client: Vec<ClientLoadResult> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..plan.population)
-            .map(|client| {
-                let plan = *plan;
-                let fault = *fault;
-                scope.spawn(move || {
-                    let mut wire = WireClient::connect(addr)?;
-                    let mut rng = StdRng::seed_from_u64(plan.seed ^ ((client as u64 + 1) << 20));
-                    let mut latencies = Vec::with_capacity(plan.requests_per_client);
-                    let mut responses = Vec::with_capacity(plan.requests_per_client);
-                    let mut failures = 0;
-                    for request_idx in 0..plan.requests_per_client {
-                        let request = &pool[rng.gen_range(0..pool.len())];
-                        let draw = fault.draw(request_idx as u64, client as u64);
-                        let sent = Instant::now();
-                        if draw.latency_ms > 0.0 {
-                            wire_metrics().on_fault("latency");
-                            std::thread::sleep(Duration::from_secs_f64(draw.latency_ms / 1e3));
-                        }
-                        match wire.localize(request) {
-                            Ok(response) => {
-                                latencies.push(sent.elapsed().as_nanos() as u64);
-                                responses.push(response);
-                            }
-                            Err(WireError::Peer { .. }) => failures += 1,
-                            Err(e) => return Err(e),
-                        }
-                    }
-                    wire.bye();
-                    Ok((latencies, responses, failures))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // panic-ok: the client closure above returns transport
-            // failures as WireError instead of panicking; a panic here is
-            // a harness bug and must surface, not skew the measurement.
-            .map(|h| h.join().expect("load client panicked"))
-            .collect()
-    });
-    let wall_ns = start.elapsed().as_nanos() as u64;
-    let mut latencies_ns = Vec::with_capacity(per_client.len());
-    let mut responses = Vec::with_capacity(per_client.len());
-    let mut failures = 0;
-    for result in per_client {
-        let (lat, resp, fail) = result?;
-        latencies_ns.push(lat);
-        responses.push(resp);
-        failures += fail;
-    }
-    Ok(LoadOutcome {
-        plan: *plan,
-        wall_ns,
-        latencies_ns,
-        responses,
-        failures,
-    })
 }

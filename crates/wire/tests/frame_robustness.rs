@@ -6,8 +6,7 @@
 use proptest::prelude::*;
 use safeloc_nn::{Activation, HasParams, Sequential};
 use safeloc_wire::{
-    Frame, FrameConn, UpdateFrame, WireAvailability, WireError, ERR_SCHEMA, MAX_FRAME_LEN,
-    WIRE_SCHEMA,
+    Frame, FrameConn, UpdateFrame, WireError, ERR_SCHEMA, MAX_FRAME_LEN, WIRE_SCHEMA,
 };
 
 /// Lowercase identifier from generated letter indices.
@@ -54,33 +53,8 @@ proptest! {
     }
 
     #[test]
-    fn join_and_invite_round_trip(
-        round in 0u32..10_000,
-        client in 0u32..10_000,
-        deadline_ms in 0u32..600_000,
-    ) {
+    fn join_round_trips(client in 0u32..10_000) {
         assert_round_trip(&Frame::Join { client_index: client })?;
-        assert_round_trip(&Frame::CohortInvite { round, client_index: client, deadline_ms })?;
-    }
-
-    #[test]
-    fn round_plan_round_trips(
-        round in 0u32..1_000,
-        members in prop::collection::vec(0usize..3, 9),
-    ) {
-        let cohort = members
-            .iter()
-            .enumerate()
-            .map(|(i, &a)| {
-                let availability = match a {
-                    0 => WireAvailability::Participates,
-                    1 => WireAvailability::DropsOut,
-                    _ => WireAvailability::Straggles,
-                };
-                (i as u32, availability)
-            })
-            .collect();
-        assert_round_trip(&Frame::RoundPlan { round, cohort })?;
     }
 
     #[test]
@@ -219,20 +193,7 @@ fn oversized_length_prefix_is_rejected() {
 }
 
 #[test]
-fn bad_availability_code_and_position_flag_are_typed() {
-    // RoundPlan with availability code 9.
-    let good = Frame::RoundPlan {
-        round: 0,
-        cohort: vec![(0, WireAvailability::Participates)],
-    };
-    let mut bytes = good.encode();
-    let last = bytes.len() - 1;
-    bytes[last] = 9;
-    assert!(matches!(
-        Frame::decode(&bytes),
-        Err(WireError::BadPayload(_))
-    ));
-
+fn bad_position_flag_is_typed() {
     let resp = Frame::LocalizeResp {
         id: 0,
         label: 0,

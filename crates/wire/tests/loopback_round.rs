@@ -6,7 +6,8 @@
 //! round after round. Then the failure half: a transport drop surfaces as
 //! `DroppedOut`, a latency spike past the server deadline surfaces as
 //! `Straggled`, and in both cases aggregation proceeds with the survivors
-//! instead of stalling. The last three tests drive the one client loop,
+//! instead of stalling; a peer that joins silently cannot stall fleet
+//! setup either. The last three tests drive the one client loop,
 //! `run_remote_client`, on threads instead of processes.
 
 use safeloc_dataset::{Building, BuildingDataset, DatasetConfig};
@@ -272,6 +273,24 @@ fn deadline_turns_a_hung_client_into_a_straggler() {
     remote.teardown();
 }
 
+/// A peer that connects and never speaks cannot hold fleet setup past
+/// `accept_all`'s timeout. `accept_all` runs on its own thread so a
+/// regression fails the test instead of hanging it.
+#[test]
+fn a_silent_peer_cannot_stall_accept_all_past_its_timeout() {
+    let mut fleet = RemoteFleet::bind(1).unwrap();
+    let _silent = std::net::TcpStream::connect(fleet.addr()).unwrap();
+    let (tx, accepted) = mpsc::channel();
+    let setup = std::thread::spawn(move || {
+        tx.send(fleet.accept_all(Duration::from_millis(200))).ok();
+    });
+    let result = accepted
+        .recv_timeout(Duration::from_secs(5))
+        .expect("accept_all still blocked 5 s into a 200 ms timeout");
+    assert_eq!(result, Err(WireError::Timeout));
+    setup.join().unwrap();
+}
+
 /// A generating provider over a five-phone dataset: every round's cohort
 /// reaches the framework as a rebuilt slice (slots `0..k`, ids arbitrary).
 struct Rebuilt(BuildingDataset);
@@ -289,12 +308,12 @@ impl FleetProvider for Rebuilt {
 }
 
 /// In-thread stand-in for an `fl_client` process: joins as `id`, logs
-/// every invitation it receives as `(round, own id, invited index)` and
-/// answers each broadcast with the GM itself under its own id.
+/// every broadcast it receives as `(round, own id)` and answers it with
+/// the GM itself under its own id.
 fn echo_client(
     addr: SocketAddr,
     id: usize,
-    invitations: mpsc::Sender<(u32, usize, u32)>,
+    reached: mpsc::Sender<(u32, usize)>,
 ) -> std::thread::JoinHandle<()> {
     std::thread::spawn(move || {
         let mut conn = FrameConn::connect(addr).unwrap();
@@ -304,39 +323,33 @@ fn echo_client(
         })
         .unwrap();
         loop {
-            match conn.recv() {
-                Ok(Frame::CohortInvite {
-                    round,
-                    client_index,
-                    ..
-                }) => invitations.send((round, id, client_index)).unwrap(),
-                Ok(Frame::RoundPlan { .. }) => {}
-                Ok(Frame::GmBroadcast { round, params, .. }) => conn
-                    .send(&Frame::Update(UpdateFrame {
-                        client_id: id as u64,
-                        round,
-                        building: 0,
-                        device_class: "echo".to_string(),
-                        num_samples: 1,
-                        params,
-                    }))
-                    .unwrap(),
-                _ => return,
-            }
+            let Ok(Frame::GmBroadcast { round, params, .. }) = conn.recv() else {
+                return;
+            };
+            reached.send((round, id)).unwrap();
+            conn.send(&Frame::Update(UpdateFrame {
+                client_id: id as u64,
+                round,
+                building: 0,
+                device_class: "echo".to_string(),
+                num_samples: 1,
+                params,
+            }))
+            .unwrap();
         }
     })
 }
 
 /// Under a lent cohort slice the plan's slots are not fleet ids: the
-/// processes invited, the ids their updates are credited to and the ids
-/// the report names must all be the sampled fleet members.
+/// processes the broadcast reaches, the ids their updates are credited to
+/// and the ids the report names must all be the sampled fleet members.
 #[test]
 fn lent_cohorts_invite_and_credit_the_sampled_fleet_members() {
     let cfg = DatasetConfig::tiny().with_fleet(5, DATA_SEED);
     let data = BuildingDataset::generate(Building::tiny(DATA_SEED), &cfg, DATA_SEED);
     let n = data.num_clients();
     let mut fleet = RemoteFleet::bind(n).unwrap();
-    let (tx, invitations) = mpsc::channel();
+    let (tx, broadcasts) = mpsc::channel();
     let clients: Vec<_> = (0..n)
         .map(|id| echo_client(fleet.addr(), id, tx.clone()))
         .collect();
@@ -373,18 +386,14 @@ fn lent_cohorts_invite_and_credit_the_sampled_fleet_members() {
             .filter(|c| matches!(c.outcome, ClientOutcome::Trained { .. }))
             .map(|c| c.client_id)
             .collect();
-        let mut invited = BTreeSet::new();
-        for (invited_round, me, client_index) in invitations.try_iter() {
-            assert_eq!(invited_round as usize, round);
-            assert_eq!(
-                client_index as usize, me,
-                "invitation reached another process"
-            );
-            invited.insert(me);
+        let mut reached = BTreeSet::new();
+        for (reached_round, me) in broadcasts.try_iter() {
+            assert_eq!(reached_round as usize, round);
+            reached.insert(me);
         }
         assert_eq!(sampled.len(), 2);
         assert_eq!(reported, sampled);
-        assert_eq!(invited, sampled);
+        assert_eq!(reached, sampled);
         assert_eq!(credited, sampled);
         ever_sampled.extend(sampled);
     }

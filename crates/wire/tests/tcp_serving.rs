@@ -5,12 +5,13 @@
 
 use safeloc_dataset::{dbm_to_unit, Building, BuildingDataset, DatasetConfig, DeviceCatalog};
 use safeloc_nn::{Activation, Matrix, Sequential};
-use safeloc_serve::{LoadPlan, LocalizeRequest, ModelKey, ModelRegistry, ServeConfig, Service};
-use safeloc_wire::{
-    run_tcp_load, FaultProfile, Frame, FrameConn, WireClient, WireError, WireServer, ERR_MALFORMED,
-    ERR_PROTOCOL, ERR_SERVE,
+use safeloc_serve::{
+    LocalizeRequest, LocalizeResponse, ModelKey, ModelRegistry, ServeConfig, Service,
 };
-use std::sync::Arc;
+use safeloc_wire::{
+    Frame, FrameConn, WireClient, WireError, WireServer, ERR_MALFORMED, ERR_PROTOCOL, ERR_SERVE,
+};
+use std::sync::{Arc, Barrier};
 
 fn fixture() -> (BuildingDataset, Sequential, Arc<Service>) {
     let data = BuildingDataset::generate(Building::tiny(6), &DatasetConfig::tiny(), 6);
@@ -36,6 +37,16 @@ fn fixture() -> (BuildingDataset, Sequential, Arc<Service>) {
     (data, model, service)
 }
 
+/// Offline `predict` over `pool`, each request renormalized exactly as
+/// the service does.
+fn offline_labels(model: &Sequential, n_aps: usize, pool: &[LocalizeRequest]) -> Vec<usize> {
+    let mut flat = Vec::with_capacity(pool.len() * n_aps);
+    for req in pool {
+        flat.extend(req.rss_dbm.iter().map(|&d| dbm_to_unit(d)));
+    }
+    model.predict(&Matrix::from_vec(pool.len(), n_aps, flat).unwrap())
+}
+
 /// Served labels over TCP == in-process service == offline `predict`,
 /// bitwise, for the whole request pool.
 #[test]
@@ -45,13 +56,7 @@ fn tcp_predictions_match_offline_predict_bitwise() {
     let pool = safeloc_serve::request_pool(&data);
     assert!(!pool.is_empty());
 
-    // Offline path: renormalize each request exactly as the service does.
-    let n_aps = data.building.num_aps();
-    let mut flat = Vec::with_capacity(pool.len() * n_aps);
-    for req in &pool {
-        flat.extend(req.rss_dbm.iter().map(|&d| dbm_to_unit(d)));
-    }
-    let offline = model.predict(&Matrix::from_vec(pool.len(), n_aps, flat).unwrap());
+    let offline = offline_labels(&model, data.building.num_aps(), &pool);
 
     let mut client = WireClient::connect(server.addr()).unwrap();
     for (req, &expected) in pool.iter().zip(&offline) {
@@ -133,39 +138,52 @@ fn garbage_frames_poison_nothing() {
     service.shutdown();
 }
 
-/// The closed-loop TCP load generator completes every request with the
-/// same per-client request sequence as the in-process generator, and
-/// injected latency only slows things down — it never changes answers.
+/// Phones at the same time: four `WireClient`s on their own threads send
+/// the whole pool at once, each from another starting offset, so their
+/// requests share micro-batches. Every answer still equals the in-process
+/// service and offline `predict` — label, position, device class and
+/// model version.
 #[test]
-fn tcp_load_matches_in_process_load() {
-    let (data, _, service) = fixture();
+fn concurrent_tcp_clients_match_in_process_and_offline_predict() {
+    const CLIENTS: usize = 4;
+    let (data, model, service) = fixture();
     let server = WireServer::serve(Arc::clone(&service)).unwrap();
     let pool = safeloc_serve::request_pool(&data);
-    let plan = LoadPlan::new(3, 8, 42);
+    let offline = offline_labels(&model, data.building.num_aps(), &pool);
+    let direct: Vec<LocalizeResponse> = pool
+        .iter()
+        .map(|req| service.localize(req).unwrap())
+        .collect();
 
-    let local = safeloc_serve::run_load(&service, &pool, &plan);
-    let wired = run_tcp_load(server.addr(), &pool, &plan, &FaultProfile::ideal()).unwrap();
-    assert_eq!(wired.failures, 0);
-    assert_eq!(wired.stats().requests, plan.total_requests());
-    // Same seeded request choices → same labels, client by client.
-    for (a, b) in local.responses.iter().zip(&wired.responses) {
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b) {
-            assert_eq!(x.label, y.label);
-            assert_eq!(x.position, y.position);
+    let start = Barrier::new(CLIENTS);
+    let served: Vec<Vec<(usize, LocalizeResponse)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let (addr, pool, start) = (server.addr(), &pool, &start);
+                scope.spawn(move || {
+                    let mut client = WireClient::connect(addr).unwrap();
+                    start.wait();
+                    let offset = c * pool.len() / CLIENTS;
+                    let answers = (0..pool.len())
+                        .map(|k| {
+                            let i = (offset + k) % pool.len();
+                            (i, client.localize(&pool[i]).unwrap())
+                        })
+                        .collect();
+                    client.bye();
+                    answers
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+
+    for answers in &served {
+        assert_eq!(answers.len(), pool.len(), "a request went unanswered");
+        for (i, wired) in answers {
+            assert_eq!(wired, &direct[*i], "TCP answer diverged from in-process");
+            assert_eq!(wired.label, offline[*i], "TCP label diverged from offline");
         }
-    }
-
-    let slow = run_tcp_load(
-        server.addr(),
-        &pool,
-        &LoadPlan::new(2, 3, 42),
-        &FaultProfile::latency(5.0, 1.0, 7),
-    )
-    .unwrap();
-    assert_eq!(slow.failures, 0);
-    for latencies in &slow.latencies_ns {
-        assert!(latencies.iter().all(|&ns| ns >= 1_000_000));
     }
     service.shutdown();
 }

@@ -1,17 +1,24 @@
 //! The training→publish→serve loop end to end: pretrain a global model,
 //! publish it (plus a per-device HetNN variant) into the hot-swappable
 //! registry, serve micro-batched traffic, and hot-swap the model from a
-//! live FL session while requests keep flowing.
+//! live FL session while requests keep flowing. It prints the span of
+//! model versions the requests saw; latency and throughput figures are
+//! the `benchmark/` workspace's (`serve_tcp`, `serve_surge`).
 //!
-//! Run with `cargo run --example serving`.
+//! Run with `cargo run --release --example serving`. Exits non-zero if a
+//! request goes unanswered or is served by a version the registry never
+//! published.
 
 use safeloc_dataset::{Building, BuildingDataset, DatasetConfig, DeviceCatalog};
 use safeloc_fl::{Client, DefensePipeline, FlSession, Framework, SequentialFlServer, ServerConfig};
 use safeloc_serve::{
-    request_pool, run_load, LoadPlan, LocalizeRequest, ModelKey, ModelRegistry, RegistryPublisher,
-    ServeConfig, Service,
+    request_pool, LocalizeRequest, ModelKey, ModelRegistry, RegistryPublisher, ServeConfig, Service,
 };
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+
+/// Phone threads sending requests while the session publishes.
+const PHONES: usize = 4;
 
 fn main() {
     // A small building with the six-phone fleet.
@@ -63,9 +70,9 @@ fn main() {
         response.label, response.position, response.device_class, response.model_version
     );
 
-    // Closed-loop load while an FL session hot-swaps the default model
+    // Phones keep sending while an FL session hot-swaps the default model
     // every round through the publisher hook.
-    println!("running closed-loop load under live FL publishing...");
+    println!("serving {PHONES} phones under live FL publishing...");
     let mut session = FlSession::builder(Box::new(server))
         .clients(Client::from_dataset(&data, 7))
         .publisher(Box::new(RegistryPublisher::new(
@@ -74,22 +81,49 @@ fn main() {
         )))
         .build();
     let pool = request_pool(&data);
-    let stats = std::thread::scope(|scope| {
-        let trainer = scope.spawn(move || session.run(3).len());
-        let stats = run_load(&service, &pool, &LoadPlan::new(4, 25, 7)).stats();
-        let rounds = trainer.join().expect("trainer panicked");
-        println!("FL session published {rounds} rounds while serving");
-        stats
+    let training = AtomicBool::new(true);
+    let (rounds, phones) = std::thread::scope(|scope| {
+        let phones: Vec<_> = (0..PHONES)
+            .map(|phone| {
+                let (service, pool, training) = (&service, &pool, &training);
+                scope.spawn(move || {
+                    // One pass over the pool from this phone's own offset,
+                    // then more until the session stops publishing.
+                    let start = phone * pool.len() / PHONES;
+                    let (mut sent, mut versions) = (0, Vec::new());
+                    // relaxed: a stop flag; it publishes no other data.
+                    while sent < pool.len() || training.load(Ordering::Relaxed) {
+                        let request = &pool[(start + sent) % pool.len()];
+                        sent += 1;
+                        if let Ok(response) = service.localize(request) {
+                            versions.push(response.model_version);
+                        }
+                    }
+                    (sent, versions)
+                })
+            })
+            .collect();
+        let rounds = session.run(3).len();
+        training.store(false, Ordering::Relaxed);
+        let phones: Vec<(usize, Vec<u64>)> = phones
+            .into_iter()
+            .map(|h| h.join().expect("phone thread panicked"))
+            .collect();
+        (rounds, phones)
     });
-    println!(
-        "{} requests at {:.0} req/s — p50 {:.2} ms, p95 {:.2} ms, p99 {:.2} ms",
-        stats.requests, stats.throughput_rps, stats.p50_ms, stats.p95_ms, stats.p99_ms
+    let sent: usize = phones.iter().map(|(sent, _)| sent).sum();
+    let versions: Vec<u64> = phones.into_iter().flat_map(|(_, v)| v).collect();
+    let latest = registry.get(&key).expect("published").version;
+    let (lo, hi) = (
+        versions.iter().min().copied().unwrap_or(0),
+        versions.iter().max().copied().unwrap_or(0),
     );
-    println!(
-        "model versions observed in-flight: v{}..v{} (registry now at v{})",
-        stats.min_version,
-        stats.max_version,
-        registry.get(&key).expect("published").version
+    println!("FL session published {rounds} rounds while the phones sent {sent} requests");
+    println!("model versions observed in-flight: v{lo}..v{hi} (registry now at v{latest})");
+    assert_eq!(versions.len(), sent, "every request is answered");
+    assert!(
+        versions.iter().all(|v| (1..=latest).contains(v)),
+        "a response carried a version outside v1..v{latest}"
     );
     service.shutdown();
 }

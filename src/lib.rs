@@ -14,7 +14,7 @@
 //! | [`core`] | SAFELOC itself: fused network + saliency aggregation |
 //! | [`baselines`] | FEDLOC / FEDHIL / KRUM / FEDCC / FEDLS / ONLAD |
 //! | [`metrics`] | localization-error statistics and report rendering |
-//! | [`serve`] | online serving: model registry, micro-batched inference, load harness |
+//! | [`serve`] | online serving: model registry, micro-batched inference, FL hot-swap publisher |
 //! | [`wire`] | binary wire protocol: TCP serving front, remote federated rounds |
 //! | [`telemetry`] | lock-light metrics, Prometheus exposition, JSON snapshots |
 //! | [`bench`](mod@bench) | paper-figure harness: scenario suites and their views, criterion kernel benches |
