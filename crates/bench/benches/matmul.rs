@@ -1,6 +1,7 @@
 //! Blocked kernels vs the preserved seed scalar kernels, on the paper's
-//! layer shapes (203→128→89→62→60 at batch 32), and the fixed-lane
-//! reduction kernels at the screening path's two row widths.
+//! layer shapes (203→128→89→62→60 at batch 32), every product of one fused
+//! SAFELOC training step on its own line, and the fixed-lane reduction
+//! kernels at the screening path's two row widths.
 //!
 //! Run with `cargo bench -p safeloc-bench --bench matmul`.
 
@@ -62,6 +63,45 @@ fn bench_transposed_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+/// The fused network's six layers as `(name, in, out)`: encoder
+/// 203→128→89→62, decoder 62→89→203, classifier head 62→60.
+const FUSED_LAYERS: [(&str, usize, usize); 6] = [
+    ("enc0", 203, 128),
+    ("enc1", 128, 89),
+    ("enc2", 89, 62),
+    ("dec0", 62, 89),
+    ("dec1", 89, 203),
+    ("cls", 62, 60),
+];
+
+/// One line per batch-32 product of a fused training step, through the
+/// `Matrix` methods the step calls: forward `x·W`, `dW = xᵀ·g` and
+/// `dX = g·Wᵀ`. `enc0` and `dec0` have no `dX` line because the step skips
+/// it there (the input gradient and the detached decoder's bottleneck
+/// gradient are discarded).
+fn bench_fused_step(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fused_step");
+    for (salt, &(name, k, n)) in (10..).zip(FUSED_LAYERS.iter()) {
+        let x = fill(BATCH, k, salt);
+        let w = fill(k, n, salt + 100);
+        let g = fill(BATCH, n, salt + 200);
+        let layer = format!("{name}_{k}x{n}");
+        let mut out = Matrix::zeros(0, 0);
+        group.bench_function(format!("{layer}/forward"), |b| {
+            b.iter(|| x.matmul_into(&w, &mut out))
+        });
+        group.bench_function(format!("{layer}/dW"), |b| {
+            b.iter(|| x.transposed_matmul_into(&g, &mut out))
+        });
+        if name != "enc0" && name != "dec0" {
+            group.bench_function(format!("{layer}/dX"), |b| {
+                b.iter(|| g.matmul_transposed_into(&w, &mut out))
+            });
+        }
+    }
+    group.finish();
+}
+
 /// The screening path's `O(d)` reductions at its two row widths: the
 /// sampled block's `d′ = 2048` (L1-resident pairs, compute-bound) and the
 /// paper model's full `d = 46 953` delta row (streamed, memory-bound).
@@ -87,6 +127,7 @@ criterion_group!(
     benches,
     bench_matmul,
     bench_transposed_kernels,
+    bench_fused_step,
     bench_reductions
 );
 criterion_main!(benches);

@@ -3,13 +3,14 @@
 //! These slice-level kernels are the only place in the workspace that
 //! multiplies matrices, reduces an `O(d)` vector to a scalar or applies
 //! the optimizer's update; [`Matrix`](crate::Matrix) methods, [`Adam`]
-//! and every layer above them route here. Seven design rules, the first
+//! and every layer above them route here. Eight design rules, the first
 //! three driven by profiles of the paper-sized (203→128→89→62→60)
 //! training step on AVX2/AVX-512 hardware, the next two by the 256-client
 //! screening round (`46 953`-coordinate deltas), the sixth by the fused
 //! network's training step (`70 830` parameters, twelve tensors), the
-//! last by the same screening round once its uploads are `TopK{0.05}`
-//! deltas (95 % of every row exactly `+0.0`):
+//! seventh by the same screening round once its uploads are `TopK{0.05}`
+//! deltas (95 % of every row exactly `+0.0`), the last by two packed
+//! matmul paths that lost to the loop they copied for:
 //!
 //! [`Adam`]: crate::Adam
 //!
@@ -146,36 +147,39 @@
 //!    members, signed-zero and underflowing products, every member
 //!    pattern of a group — by
 //!    `support_groups_match_the_dense_groups_on_every_member_pattern`.
+//! 8. **A hot loop reads its operands only through slice arguments.** An
+//!    operand the kernel reaches through a thread-local `RefCell` — a
+//!    packing slab borrowed inside the call — costs the loop its no-alias
+//!    proof: nothing tells the compiler that a store to `out` leaves the
+//!    slab alone. Measured twice on packed copies of `b`, each running the
+//!    same multiply-adds in the same order as the direct loop (so the bits
+//!    were never in question): a `KC`-blocked packed path ran 7.6 MAC/ns
+//!    against the direct loop's 19.6 at the latent projection's `n = 32`,
+//!    and the packed path [`matmul_into`] used to take for `m ≥ 16`,
+//!    `k·n ≥ 4096` — every batch-32 training layer — ran those shapes at
+//!    12.5–21.8 GFLOP/s where the direct loop runs 15.9–30.0; deleting it
+//!    took `nn.matmul_l1_us` ×0.50 (99 → 50 µs). Scratch is fine when it
+//!    is handed to the kernel as a slice argument, as the transposing
+//!    wrappers hand theirs to [`matmul_into`]; a packed variant taking its
+//!    slab that way got the proof back and measured mixed to level against
+//!    the direct loop (×0.6–1.7 and ×0.90–1.08 by shape in two sets of
+//!    runs), so `b` is read in place.
 //!
 //! The seed kernel's `a == 0.0` skip is deliberately gone: it helped only
 //! on artificially sparse inputs and costs a branch per multiply on the
 //! dense activations real training produces.
 //!
 //! Measured against the preserved seed loops (`safeloc_bench::naive`) at
-//! batch 32 on the paper shapes, these kernels run 1.8–2.6× faster;
-//! `cargo bench -p safeloc-bench --bench matmul` prints both sides, and
+//! batch 32 on the paper shapes, [`matmul_into`] runs 2.1–3.0× faster,
+//! [`transposed_matmul_into`] ~2.2× and [`matmul_transposed_into`] ~7×
+//! (medians of six runs on one pinned core);
+//! `cargo bench -p safeloc-bench --bench matmul` prints both sides, its
+//! `fused_step/*` group every product of one fused training step, and
 //! `benchmark/`'s `nn.matmul_l1_us` / `nn.tmatmul_l1_us` track them per PR.
 
 /// Column block size (floats). Four `b` row blocks (4 × 128 × 4 B = 2 KiB)
 /// plus four output row blocks stay comfortably L1-resident.
 const NC: usize = 128;
-
-/// Minimum row count for the packed-`b` path: with fewer output row
-/// blocks, a packed column block is reused too few times to pay for the
-/// copy.
-const PACK_MIN_ROWS: usize = 16;
-
-/// Minimum `b` element count for the packed-`b` path: small `b` operands
-/// are L1-resident as-is and packing is pure overhead.
-const PACK_MIN_B: usize = 4096;
-
-thread_local! {
-    /// Reusable packing scratch for [`matmul_into`]'s large-shape path.
-    /// Distinct from [`TRANSPOSE_SCRATCH`], which is still borrowed when
-    /// the transposed wrappers call back into `matmul_into`.
-    static PACK_SCRATCH: std::cell::RefCell<Vec<f32>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
 
 /// Reduction block size for [`matmul_into`]. A multiple of 4, so block
 /// edges coincide with the kernel's 4-step reduction groups and blocking
@@ -189,21 +193,10 @@ const _: () = assert!(
 
 /// `out[m×n] = a[m×k] · b[k×n]`, accumulating from zero.
 ///
-/// Single-block shapes (`k ≤ KC = 256`) that are large (`m ≥ 16` rows and
-/// `k·n ≥ 4096` `b` elements) take a packed path: each `NC`-column block
-/// of `b` is copied once into a contiguous thread-local scratch and
-/// reused across every output row block, turning the inner loop's four
-/// `n`-strided `b` row reads into sequential ones. The packed path reads
-/// the same values and runs the same per-element multiply-add order as the
-/// direct path, so results are bitwise identical (pinned by
-/// `packed_path_is_bitwise_identical`).
-///
-/// Longer reductions are walked in `KC`-row blocks, outermost (design
-/// rule 5 in the module docs), each block through the direct kernel: the
-/// packed kernel reaches its slab through the thread-local `Vec`, which
-/// costs the compiler its no-alias proof (7.6 vs 19.6 MAC/ns at the
-/// projection's `n = 32`), and a `KC`-row block of `b` is cache-resident
-/// as it is.
+/// The reduction is walked in `KC`-row blocks, outermost (design rule 5
+/// in the module docs), each block through the direct kernel, which reads
+/// `b` in place: a `KC`-row block of `b` is cache-resident as it is, and
+/// every operand reaches the loop as a slice argument (design rule 8).
 ///
 /// # Panics
 ///
@@ -216,10 +209,6 @@ pub fn matmul_into(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n:
     if m == 0 || k == 0 || n == 0 {
         return;
     }
-    if k <= KC && m >= PACK_MIN_ROWS && k * n >= PACK_MIN_B {
-        PACK_SCRATCH.with(|cell| matmul_into_packed(out, a, b, m, k, n, &mut cell.borrow_mut()));
-        return;
-    }
     for k0 in (0..k).step_by(KC) {
         let kb = KC.min(k - k0);
         accumulate_direct(out, &a[k0..], k, &b[k0 * n..(k0 + kb) * n], m, kb, n);
@@ -227,7 +216,7 @@ pub fn matmul_into(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n:
 }
 
 /// The un-blocked direct kernel over the whole reduction — the oracle the
-/// packed and k-blocked paths are pinned against.
+/// k-blocked path is pinned against.
 #[cfg(test)]
 fn matmul_into_direct(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     accumulate_direct(out, a, k, b, m, k, n);
@@ -328,103 +317,6 @@ fn accumulate_direct(
     }
 }
 
-/// The packed kernel: column blocks outermost, each `k × jlen` slab of
-/// `b` copied contiguous (`scratch[kk·jlen + j]`) once and then swept by
-/// every output row block. Same loads, same multiply-add expressions,
-/// same per-element accumulation order as [`accumulate_direct`] — only
-/// the `b` addressing changes — so the two are bitwise interchangeable.
-fn matmul_into_packed(
-    out: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    scratch: &mut Vec<f32>,
-) {
-    for j0 in (0..n).step_by(NC) {
-        let jlen = NC.min(n - j0);
-        scratch.resize(k * jlen, 0.0);
-        for kk in 0..k {
-            scratch[kk * jlen..(kk + 1) * jlen]
-                .copy_from_slice(&b[kk * n + j0..kk * n + j0 + jlen]);
-        }
-        let bp: &[f32] = scratch;
-        let mut i = 0;
-        // Main loop: 4 output rows × 4 reduction steps per pass.
-        while i + 4 <= m {
-            let (ar0, ar1) = (&a[i * k..(i + 1) * k], &a[(i + 1) * k..(i + 2) * k]);
-            let (ar2, ar3) = (&a[(i + 2) * k..(i + 3) * k], &a[(i + 3) * k..(i + 4) * k]);
-            // Split the four output rows into disjoint mutable windows.
-            let (head01, tail23) = out.split_at_mut((i + 2) * n);
-            let (head0, tail1) = head01.split_at_mut((i + 1) * n);
-            let (head2, tail3) = tail23.split_at_mut(n);
-            let o0 = &mut head0[i * n + j0..i * n + j0 + jlen];
-            let o1 = &mut tail1[j0..j0 + jlen];
-            let o2 = &mut head2[j0..j0 + jlen];
-            let o3 = &mut tail3[j0..j0 + jlen];
-            let mut kk = 0;
-            while kk + 4 <= k {
-                let b0 = &bp[kk * jlen..(kk + 1) * jlen];
-                let b1 = &bp[(kk + 1) * jlen..(kk + 2) * jlen];
-                let b2 = &bp[(kk + 2) * jlen..(kk + 3) * jlen];
-                let b3 = &bp[(kk + 3) * jlen..(kk + 4) * jlen];
-                for j in 0..jlen {
-                    let (v0, v1, v2, v3) = (b0[j], b1[j], b2[j], b3[j]);
-                    o0[j] += ar0[kk] * v0 + ar0[kk + 1] * v1 + ar0[kk + 2] * v2 + ar0[kk + 3] * v3;
-                    o1[j] += ar1[kk] * v0 + ar1[kk + 1] * v1 + ar1[kk + 2] * v2 + ar1[kk + 3] * v3;
-                    o2[j] += ar2[kk] * v0 + ar2[kk + 1] * v1 + ar2[kk + 2] * v2 + ar2[kk + 3] * v3;
-                    o3[j] += ar3[kk] * v0 + ar3[kk + 1] * v1 + ar3[kk + 2] * v2 + ar3[kk + 3] * v3;
-                }
-                kk += 4;
-            }
-            while kk < k {
-                let b0 = &bp[kk * jlen..(kk + 1) * jlen];
-                for j in 0..jlen {
-                    let v = b0[j];
-                    o0[j] += ar0[kk] * v;
-                    o1[j] += ar1[kk] * v;
-                    o2[j] += ar2[kk] * v;
-                    o3[j] += ar3[kk] * v;
-                }
-                kk += 1;
-            }
-            i += 4;
-        }
-        // Row tail (< 4 rows): one output row, 4-wide reduction unroll.
-        while i < m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let o_row = &mut out[i * n + j0..i * n + j0 + jlen];
-            let mut kk = 0;
-            while kk + 4 <= k {
-                let (a0, a1, a2, a3) = (a_row[kk], a_row[kk + 1], a_row[kk + 2], a_row[kk + 3]);
-                let b0 = &bp[kk * jlen..(kk + 1) * jlen];
-                let b1 = &bp[(kk + 1) * jlen..(kk + 2) * jlen];
-                let b2 = &bp[(kk + 2) * jlen..(kk + 3) * jlen];
-                let b3 = &bp[(kk + 3) * jlen..(kk + 4) * jlen];
-                for j in 0..jlen {
-                    o_row[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
-                }
-                kk += 4;
-            }
-            while kk < k {
-                let av = a_row[kk];
-                let b_row = &bp[kk * jlen..(kk + 1) * jlen];
-                for j in 0..jlen {
-                    o_row[j] += av * b_row[j];
-                }
-                kk += 1;
-            }
-            i += 1;
-        }
-    }
-}
-
-/// Tile edge for the blocked transpose in [`matmul_transposed_into`]:
-/// a 32×32 f32 tile (4 KiB) keeps both the source rows and the destination
-/// columns cache-resident while swapping.
-const TRANSPOSE_TILE: usize = 32;
-
 thread_local! {
     /// Reusable transpose scratch for [`matmul_transposed_into`]. Held per
     /// thread so parallel client training never contends, and retained
@@ -439,7 +331,7 @@ thread_local! {
 /// latency-bound: every output element walks a full row pair with one
 /// accumulator chain, and profiles put them ~6× behind the register-blocked
 /// [`matmul_into`] at equal FLOPs. So this kernel materializes `bᵀ` once
-/// into a thread-local tile-transposed scratch — an `O(r·k)` cost that is
+/// into a thread-local scratch (`transpose_into`) — an `O(r·k)` cost that is
 /// `batch`× smaller than the `O(m·k·r)` product — and runs the fast kernel.
 ///
 /// # Panics
@@ -456,18 +348,7 @@ pub fn matmul_transposed_into(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k
     TRANSPOSE_SCRATCH.with(|cell| {
         let mut scratch = cell.borrow_mut();
         scratch.resize(k * r, 0.0);
-        // Blocked transpose: b (r×k) -> scratch (k×r).
-        for i0 in (0..r).step_by(TRANSPOSE_TILE) {
-            let i_end = (i0 + TRANSPOSE_TILE).min(r);
-            for j0 in (0..k).step_by(TRANSPOSE_TILE) {
-                let j_end = (j0 + TRANSPOSE_TILE).min(k);
-                for i in i0..i_end {
-                    for j in j0..j_end {
-                        scratch[j * r + i] = b[i * k + j];
-                    }
-                }
-            }
-        }
+        transpose_into(&mut scratch, b, r, k);
         matmul_into(out, a, &scratch, m, k, r);
     });
 }
@@ -477,10 +358,10 @@ pub fn matmul_transposed_into(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k
 /// The shared `m` dimension is the *batch* at the weight-gradient call
 /// sites (`dW = xᵀ·grad`), so a direct rank-`m` accumulation rewrites the
 /// whole `k×n` output `m/4` times — punishing at small batches. Instead
-/// `aᵀ` is materialized once into the thread-local tile-transposed scratch
-/// (`O(m·k)`, batch-independent per element of `out`) and the
-/// register-blocked [`matmul_into`] runs with the output written exactly
-/// once.
+/// `aᵀ` is materialized once into the thread-local scratch
+/// (`transpose_into`, `O(m·k)`, batch-independent per element of `out`)
+/// and the register-blocked [`matmul_into`] runs with the output written
+/// exactly once.
 ///
 /// # Panics
 ///
@@ -496,20 +377,58 @@ pub fn transposed_matmul_into(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k
     TRANSPOSE_SCRATCH.with(|cell| {
         let mut scratch = cell.borrow_mut();
         scratch.resize(k * m, 0.0);
-        // Blocked transpose: a (m×k) -> scratch (k×m).
-        for i0 in (0..m).step_by(TRANSPOSE_TILE) {
-            let i_end = (i0 + TRANSPOSE_TILE).min(m);
-            for j0 in (0..k).step_by(TRANSPOSE_TILE) {
-                let j_end = (j0 + TRANSPOSE_TILE).min(k);
-                for i in i0..i_end {
-                    for j in j0..j_end {
-                        scratch[j * m + i] = a[i * k + j];
-                    }
+        transpose_into(&mut scratch, a, m, k);
+        matmul_into(out, &scratch, b, k, m, n);
+    });
+}
+
+/// Tile edge of [`transpose_into`]: an 8×8 `f32` tile is eight 256-bit
+/// rows, 256 bytes.
+const TILE: usize = 8;
+
+/// `dst[cols×rows] = src[rows×cols]ᵀ` — the one transpose in the crate.
+///
+/// Full 8×8 tiles are copied through a fixed `[[f32; 8]; 8]`: eight
+/// contiguous source row reads, then eight contiguous destination row
+/// writes, so both sides move whole tile rows and the element swap stays
+/// inside the fixed-size tile. The 32×32 element-by-element tiling this
+/// replaced took ~1.3–1.6× as long on the paper's weight shapes (128×89:
+/// ~11–14 → ~9–11 µs, 89×203: ~22–27 → ~16 µs on one pinned core). The
+/// ragged right and bottom edges (fewer than eight columns or rows) are
+/// scalar loops. A transpose only moves values, so no bit of any product
+/// that reads it depends on how it is tiled.
+///
+/// # Panics
+///
+/// Panics if either slice is not `rows · cols` long.
+pub(crate) fn transpose_into(dst: &mut [f32], src: &[f32], rows: usize, cols: usize) {
+    assert_eq!(src.len(), rows * cols, "source size mismatch");
+    assert_eq!(dst.len(), src.len(), "destination size mismatch");
+    let (full_rows, full_cols) = (rows - rows % TILE, cols - cols % TILE);
+    for r0 in (0..full_rows).step_by(TILE) {
+        for c0 in (0..full_cols).step_by(TILE) {
+            let mut tile = [[0.0f32; TILE]; TILE];
+            for (i, row) in tile.iter_mut().enumerate() {
+                row.copy_from_slice(&src[(r0 + i) * cols + c0..][..TILE]);
+            }
+            for j in 0..TILE {
+                let out = &mut dst[(c0 + j) * rows + r0..][..TILE];
+                for (i, o) in out.iter_mut().enumerate() {
+                    *o = tile[i][j];
                 }
             }
         }
-        matmul_into(out, &scratch, b, k, m, n);
-    });
+        for r in r0..r0 + TILE {
+            for c in full_cols..cols {
+                dst[c * rows + r] = src[r * cols + c];
+            }
+        }
+    }
+    for r in full_rows..rows {
+        for c in 0..cols {
+            dst[c * rows + r] = src[r * cols + c];
+        }
+    }
 }
 
 /// Independent accumulators per fixed-lane reduction. A constant of the
@@ -957,34 +876,53 @@ mod tests {
         }
     }
 
-    /// The packed-`b` path must be a pure addressing change: for every
-    /// shape above (and straddling) its thresholds, its output is bitwise
-    /// identical to the direct kernel's — not merely close.
+    /// `t[c·rows + r] = x[r·cols + c]`, one element at a time.
+    fn plain_transpose(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+        let mut t = vec![0.0f32; rows * cols];
+        for r in 0..rows {
+            for c in 0..cols {
+                t[c * rows + r] = x[r * cols + c];
+            }
+        }
+        t
+    }
+
+    /// The transposing wrappers only move values before the one product
+    /// kernel runs, so each must equal that kernel on the plainly
+    /// transposed operand bit for bit — on shapes straddling the 8-tile
+    /// edges and on the paper layers.
     #[test]
-    fn packed_path_is_bitwise_identical() {
+    fn transposing_wrappers_are_bitwise_their_matmul() {
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for &(m, k, n) in &[
-            (16, 32, 128),  // exactly at both thresholds
-            (16, 33, 130),  // crosses the NC boundary with a k tail
-            (17, 64, 64),   // row tail inside the packed path
-            (32, 203, 128), // paper layer 1
-            (32, 128, 89),  // paper layer 2
-            (64, 89, 62),   // paper layer 3, taller batch
-            (19, 100, 257), // three column blocks, both tails
+            (1, 1, 1),
+            (7, 9, 5),
+            (8, 8, 8),
+            (9, 17, 3),
+            (32, 62, 60),
+            (32, 89, 203),
+            (32, 203, 128),
+            (203, 32, 128),
         ] {
-            assert!(
-                m >= PACK_MIN_ROWS && k * n >= PACK_MIN_B,
-                "shape below thresholds"
-            );
-            let a = fill(m * k, 9);
-            let b = fill(k * n, 10);
-            let mut packed = vec![f32::NAN; m * n];
-            matmul_into(&mut packed, &a, &b, m, k, n);
-            let mut direct = vec![0.0f32; m * n];
-            matmul_into_direct(&mut direct, &a, &b, m, k, n);
-            assert!(
-                packed == direct,
-                "packed and direct kernels diverged bitwise at {m}x{k}x{n}"
-            );
+            let a = fill(m * k, 13);
+            let b_rows = fill(n * k, 14);
+            let mut wrapped = vec![f32::NAN; m * n];
+            matmul_transposed_into(&mut wrapped, &a, &b_rows, m, k, n);
+            let mut direct = vec![f32::NAN; m * n];
+            matmul_into(&mut direct, &a, &plain_transpose(&b_rows, n, k), m, k, n);
+            assert_eq!(bits(&wrapped), bits(&direct), "a·bᵀ at {m}x{k}x{n}");
+
+            let b = fill(m * n, 15);
+            let mut wrapped = vec![f32::NAN; k * n];
+            transposed_matmul_into(&mut wrapped, &a, &b, m, k, n);
+            let mut direct = vec![f32::NAN; k * n];
+            matmul_into(&mut direct, &plain_transpose(&a, m, k), &b, k, m, n);
+            assert_eq!(bits(&wrapped), bits(&direct), "aᵀ·b at {m}x{k}x{n}");
+
+            let mut t = vec![f32::NAN; m * k];
+            transpose_into(&mut t, &a, m, k);
+            let plain = plain_transpose(&a, m, k);
+            assert_eq!(bits(&t), bits(&plain), "transpose of {m}x{k}");
         }
     }
 

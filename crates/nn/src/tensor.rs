@@ -376,11 +376,7 @@ impl Matrix {
     /// Returns the transpose.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
-            }
-        }
+        kernels::transpose_into(&mut out.data, &self.data, self.rows, self.cols);
         out
     }
 
