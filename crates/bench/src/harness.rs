@@ -164,10 +164,9 @@ pub fn run_fleet_with_network(
             fault.degrade_plan(&plan, round as u64, deadline_ms)
         }))
         .build();
-    session.run(rounds);
-    let (framework, reports) = session.into_parts();
+    let reports = session.run(rounds);
     ScenarioOutcome {
-        errors: evaluate_errors(framework.as_ref(), data),
+        errors: evaluate_errors(session.framework(), data),
         reports,
     }
 }
@@ -298,7 +297,7 @@ mod tests {
             }))
             .publisher(Box::new(Recorder(published.clone())))
             .build();
-        session.run(rounds);
+        let reports = session.run(rounds);
 
         // Wall-clock fields aside, report for report and GM bit for bit.
         let outcomes = |reports: &[RoundReport]| -> Vec<_> {
@@ -307,14 +306,14 @@ mod tests {
                 .map(|r| (r.round, r.clients.clone()))
                 .collect()
         };
-        assert_eq!(outcomes(session.reports()), outcomes(&expected));
+        assert_eq!(outcomes(&reports), outcomes(&expected));
         assert_eq!(
             session.framework().global_params(),
             reference.global_params()
         );
         let published = published.lock().unwrap();
         let seen: Vec<RoundReport> = published.iter().map(|(r, _)| r.clone()).collect();
-        assert_eq!(seen, session.reports(), "publisher missed a degraded round");
+        assert_eq!(seen, reports, "publisher missed a degraded round");
         assert_eq!(published.last().unwrap().1, reference.global_params());
 
         let harness = run_fleet_with_network(

@@ -33,15 +33,14 @@ use safeloc_fl::defense::{
     Combiner, CoordinateMedian, DefensePipeline, DefenseStage, NonFiniteGuard, NormClip,
     TrimmedMean, UniformMean,
 };
-use safeloc_fl::report::pooled_rate;
 use safeloc_fl::{
-    Client, ClientOutcome, ClusterAggregator, CohortSampler, DeltaSpec, FedAvg, Framework,
-    HistoryScreen, Krum, LatentFilterAggregator, RoundReport, SelectiveAggregator,
+    Client, ClusterAggregator, CohortSampler, DeltaSpec, FedAvg, Framework, HistoryScreen, Krum,
+    LatentFilterAggregator, RoundReport, RoundTally, SelectiveAggregator,
 };
 use safeloc_metrics::{heatmap, markdown_table, ErrorStats};
 use safeloc_wire::FaultProfile;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -1411,92 +1410,11 @@ impl CellRun {
         self.errors.iter().filter(|e| **e < 1e-6).count() as f32 / self.errors.len() as f32
     }
 
-    /// Pooled attacker-rejection rate over the cell's rounds.
-    pub fn attacker_rejection_rate(&self) -> Option<f32> {
-        pooled_rate(self.reports.iter(), RoundReport::attacker_rejection_rate)
-    }
-
-    /// Pooled honest-rejection (false-positive) rate over the cell's rounds.
-    pub fn honest_rejection_rate(&self) -> Option<f32> {
-        pooled_rate(self.reports.iter(), RoundReport::honest_rejection_rate)
-    }
-
-    /// Pooled mean attacker aggregation weight (soft defenses).
-    pub fn mean_attacker_weight(&self) -> Option<f32> {
-        pooled_rate(self.reports.iter(), RoundReport::mean_attacker_weight)
-    }
-
-    /// Mean client-training wall time per round, milliseconds.
-    pub fn mean_train_ms(&self) -> f64 {
-        mean_ms(self.reports.iter().map(|r| r.train_ms))
-    }
-
-    /// Mean aggregation wall time per round, milliseconds.
-    pub fn mean_aggregate_ms(&self) -> f64 {
-        mean_ms(self.reports.iter().map(|r| r.aggregate_ms))
-    }
-
-    /// Per-rule rejection statistics over the cell's rounds: how many
-    /// malicious and honest deliveries each named rule rejected, as counts
-    /// and as rates over the respective delivered populations.
-    pub fn rule_stats(&self) -> Vec<RuleStats> {
-        let mut delivered_malicious = 0usize;
-        let mut delivered_honest = 0usize;
-        let mut per_rule: BTreeMap<String, (usize, usize)> = BTreeMap::new();
-        for report in &self.reports {
-            for c in &report.clients {
-                match &c.outcome {
-                    ClientOutcome::Trained { .. } => {
-                        if c.malicious {
-                            delivered_malicious += 1;
-                        } else {
-                            delivered_honest += 1;
-                        }
-                    }
-                    ClientOutcome::Rejected { rule, .. } => {
-                        let entry = per_rule.entry(rule.clone()).or_insert((0, 0));
-                        if c.malicious {
-                            delivered_malicious += 1;
-                            entry.0 += 1;
-                        } else {
-                            delivered_honest += 1;
-                            entry.1 += 1;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        per_rule
-            .into_iter()
-            .map(|(rule, (attacker, honest))| RuleStats {
-                rule,
-                attacker_rejections: attacker,
-                honest_rejections: honest,
-                attacker_rejection_rate: rate(attacker, delivered_malicious),
-                false_positive_rate: rate(honest, delivered_honest),
-            })
-            .collect()
-    }
-
-    /// Per-stage defense telemetry pooled over the cell's rounds: total
-    /// rejections and mean wall time by stage name, in pipeline order
-    /// (order of first appearance). Empty for frameworks predating the
-    /// stage trail.
-    pub fn stage_stats(&self) -> Vec<StageSuiteStats> {
-        safeloc_fl::pooled_stage_telemetry(self.reports.iter())
-            .into_iter()
-            .map(|s| StageSuiteStats {
-                stage: s.stage,
-                rejections: s.rejections,
-                mean_wall_ms: s.wall_ms,
-            })
-            .collect()
-    }
-
     /// The serializable per-cell report.
     pub fn report(&self) -> SuiteCellReport {
         let stats = self.stats();
+        let tally = RoundTally::of(&self.reports);
+        let delivered = tally.delivered();
         SuiteCellReport {
             framework: self.cell.framework.label(),
             defense: self.cell.defense.label(),
@@ -1512,33 +1430,35 @@ impl CellRun {
             mean_m: stats.mean,
             worst_m: stats.worst,
             accuracy: self.accuracy(),
-            attacker_rejection_rate: self.attacker_rejection_rate(),
-            honest_rejection_rate: self.honest_rejection_rate(),
-            mean_attacker_weight: self.mean_attacker_weight(),
-            rules: self.rule_stats(),
-            stage_stats: self.stage_stats(),
-            mean_train_ms: self.mean_train_ms(),
-            mean_aggregate_ms: self.mean_aggregate_ms(),
+            attacker_rejection_rate: tally.attacker_rejection_rate(),
+            honest_rejection_rate: tally.honest_rejection_rate(),
+            mean_attacker_weight: tally.mean_attacker_weight(),
+            rules: tally
+                .rule_rejections()
+                .map(|(rule, r)| RuleStats {
+                    rule: rule.to_string(),
+                    attacker_rejections: r.malicious,
+                    honest_rejections: r.honest,
+                    attacker_rejection_rate: (delivered.malicious > 0)
+                        .then(|| r.malicious as f32 / delivered.malicious as f32),
+                    false_positive_rate: (delivered.honest > 0)
+                        .then(|| r.honest as f32 / delivered.honest as f32),
+                })
+                .collect(),
+            stage_stats: tally
+                .stages()
+                .into_iter()
+                .map(|s| StageSuiteStats {
+                    stage: s.stage,
+                    rejections: s.rejections,
+                    mean_wall_ms: s.wall_ms,
+                })
+                .collect(),
+            mean_train_ms: tally.mean_train_ms(),
+            mean_aggregate_ms: tally.mean_aggregate_ms(),
             error: self.error.clone(),
             cell: self.cell.clone(),
         }
-    }
-}
-
-fn mean_ms(values: impl Iterator<Item = f64>) -> f64 {
-    let collected: Vec<f64> = values.collect();
-    if collected.is_empty() {
-        0.0
-    } else {
-        collected.iter().sum::<f64>() / collected.len() as f64
-    }
-}
-
-fn rate(count: usize, total: usize) -> Option<f32> {
-    if total == 0 {
-        None
-    } else {
-        Some(count as f32 / total as f32)
     }
 }
 
@@ -1591,38 +1511,34 @@ impl SuiteRun {
             .cells
             .iter()
             .map(|c| {
-                let stats = c.stats();
-                let stage_rejections = {
-                    let parts: Vec<String> = c
-                        .stage_stats()
-                        .iter()
-                        .filter(|s| s.rejections > 0)
-                        .map(|s| format!("{}:{}", s.stage, s.rejections))
-                        .collect();
-                    if parts.is_empty() {
-                        "—".to_string()
-                    } else {
-                        parts.join(" ")
-                    }
-                };
+                let r = c.report();
+                let mut stages: Vec<String> = r
+                    .stage_stats
+                    .iter()
+                    .filter(|s| s.rejections > 0)
+                    .map(|s| format!("{}:{}", s.stage, s.rejections))
+                    .collect();
+                if stages.is_empty() {
+                    stages.push("—".into());
+                }
                 vec![
-                    c.cell.framework.label(),
-                    c.cell.defense.label(),
-                    format!("B{}", c.cell.building),
-                    c.fleet_label(),
-                    c.cell.attack.label(),
-                    c.cell.participation.label(c.fleet_size),
-                    c.cell.network.label(),
-                    format!("{:.2}", stats.mean),
-                    format!("{:.1}%", c.accuracy() * 100.0),
-                    fmt_rate(c.attacker_rejection_rate()),
-                    fmt_rate(c.honest_rejection_rate()),
-                    c.mean_attacker_weight()
+                    r.framework,
+                    r.defense,
+                    format!("B{}", r.building),
+                    r.fleet,
+                    r.attack,
+                    r.participation,
+                    r.network,
+                    format!("{:.2}", r.mean_m),
+                    format!("{:.1}%", r.accuracy * 100.0),
+                    fmt_rate(r.attacker_rejection_rate),
+                    fmt_rate(r.honest_rejection_rate),
+                    r.mean_attacker_weight
                         .map(|w| format!("{w:.3}"))
                         .unwrap_or_else(|| "—".to_string()),
-                    stage_rejections,
-                    format!("{:.1}", c.mean_train_ms()),
-                    format!("{:.2}", c.mean_aggregate_ms()),
+                    stages.join(" "),
+                    format!("{:.1}", r.mean_train_ms),
+                    format!("{:.2}", r.mean_aggregate_ms),
                 ]
             })
             .collect();
@@ -1811,11 +1727,13 @@ pub struct RuleStats {
     pub attacker_rejections: usize,
     /// Honest deliveries this rule rejected (collateral damage).
     pub honest_rejections: usize,
-    /// `attacker_rejections` over all delivered malicious updates, or
-    /// `None` when no malicious client delivered.
+    /// `attacker_rejections` over all malicious updates delivered in the
+    /// cell's rounds — a count ratio, so each delivery weighs the same —
+    /// or `None` when no malicious client delivered.
     pub attacker_rejection_rate: Option<f32>,
-    /// `honest_rejections` over all delivered honest updates (the rule's
-    /// false-positive rate), or `None` when no honest client delivered.
+    /// `honest_rejections` over all honest updates delivered in the cell's
+    /// rounds (the rule's false-positive rate, a count ratio), or `None`
+    /// when no honest client delivered.
     pub false_positive_rate: Option<f32>,
 }
 
@@ -1862,16 +1780,15 @@ pub struct SuiteCellReport {
     pub worst_m: f32,
     /// Exact-hit accuracy.
     pub accuracy: f32,
-    /// Pooled attacker-rejection rate.
+    /// Mean over rounds of each round's attacker-rejection rate ([`RoundTally`]).
     pub attacker_rejection_rate: Option<f32>,
-    /// Pooled honest-rejection rate.
+    /// Mean over rounds of each round's honest-rejection rate.
     pub honest_rejection_rate: Option<f32>,
-    /// Pooled mean attacker weight (soft defenses).
+    /// Mean over rounds of each round's mean attacker weight (soft defenses).
     pub mean_attacker_weight: Option<f32>,
-    /// Per-rule rejection/false-positive statistics.
+    /// Per-rule rejections; their rates are count ratios over the cell.
     pub rules: Vec<RuleStats>,
     /// Per-stage rejections and wall time, in pipeline order.
-    #[serde(default = "Vec::new")]
     pub stage_stats: Vec<StageSuiteStats>,
     /// Mean client-training wall time per round, ms.
     pub mean_train_ms: f64,

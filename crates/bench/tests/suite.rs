@@ -63,8 +63,8 @@ fn suite_runs_every_cell_and_reports_metrics() {
         assert!(!cell.errors.is_empty(), "errors evaluated per cell");
         assert!(cell.stats().mean.is_finite());
         assert!((0.0..=1.0).contains(&cell.accuracy()));
-        assert!(cell.mean_train_ms() >= 0.0);
-        assert!(cell.mean_aggregate_ms() >= 0.0);
+        assert!(cell.report().mean_train_ms >= 0.0);
+        assert!(cell.report().mean_aggregate_ms >= 0.0);
     }
     // The clean cells have no attacker statistics; the report serializes.
     let report = run.report();
@@ -131,7 +131,7 @@ fn krum_cells_expose_per_rule_rejections() {
         .iter()
         .find(|c| c.cell.index.attack == 1)
         .expect("attacked cell present");
-    let rules = attacked.rule_stats();
+    let rules = attacked.report().rules;
     assert!(
         rules.iter().any(|r| r.rule == "krum"),
         "no krum rule stats: {rules:?}"
@@ -398,13 +398,13 @@ fn defense_axis_multiplies_the_grid_and_swaps_pipelines_in() {
     // update accepted, no rejections anywhere in the stage trail.
     let builtin = &run.cells[0];
     assert_eq!(builtin.cell.defense, DefenseSpec::Builtin);
-    assert_eq!(builtin.attacker_rejection_rate(), Some(0.0));
+    assert_eq!(builtin.report().attacker_rejection_rate, Some(0.0));
 
     // The composed cell rejects through the spec-built pipeline, and the
     // per-stage trail in the report shows which stage did it.
     let composed = &run.cells[1];
     assert_eq!(composed.cell.defense.label(), "norm-clip+krum");
-    let stages = composed.stage_stats();
+    let stages = composed.report().stage_stats;
     let names: Vec<&str> = stages.iter().map(|s| s.stage.as_str()).collect();
     assert_eq!(
         names,

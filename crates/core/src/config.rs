@@ -78,7 +78,7 @@ impl SafeLocConfig {
             // augmentation (DaeAugment) is this repository's optional
             // extension: it roughly quarters SAFELOC's clean error but also
             // hardens the classifier enough to mask the de-noising path's
-            // contribution (see EXPERIMENTS.md, ablation).
+            // contribution (`scenarios/ablation.json`, `WithAugment`).
             augment: None,
             pretrain_epochs: 700,
             pretrain_lr: 1e-3,

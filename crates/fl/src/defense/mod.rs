@@ -43,7 +43,7 @@
 //! [`Aggregator::take_stage_telemetry`]: the frozen `benchmark/` crate
 //! calls exactly those through it. The trait, and the `…Aggregator` names
 //! two of the stages and one combiner still carry from the days each was
-//! a monolithic aggregator, go when ROADMAP item 2 updates `benchmark/`
+//! a monolithic aggregator, go when ROADMAP item 7(c) updates `benchmark/`
 //! in the same change.
 //!
 //! Fang et al. 2020 (arXiv:1911.11815) show single defenses fall to

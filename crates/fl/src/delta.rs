@@ -43,10 +43,9 @@ use serde::{Deserialize, Serialize};
 /// `LM == GM` bit for bit on most coordinates, and the round's delta view
 /// finds that out from the parameters themselves). The repr records what
 /// *would* cross the wire.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum DeltaRepr {
     /// Full dense `f32` parameters — the exact, bitwise-pinned path.
-    #[default]
     Dense,
     /// The `k` largest-magnitude delta coordinates, indices ascending.
     TopK {

@@ -275,31 +275,30 @@ mod tests {
             .clients(fleet(&data))
             .sampler(sampler())
             .build();
-        dense.run(8);
+        let dense_reports = dense.run(8);
 
         let (provider, retained) = Rebuilding::new(&data);
         let mut streaming = FlSession::builder(Box::new(pretrained(&data)))
             .fleet(Box::new(provider))
             .sampler(sampler())
             .build();
-        streaming.run(8);
+        let streaming_reports = streaming.run(8);
 
         assert_eq!(
             streaming.framework().global_params(),
             dense.framework().global_params(),
             "rebuilt cohorts diverged from the in-memory fleet"
         );
-        let per_round = |s: &FlSession| -> Vec<Vec<ClientReport>> {
-            s.reports().iter().map(|r| r.clients.clone()).collect()
+        let per_round = |reports: &[RoundReport]| -> Vec<Vec<ClientReport>> {
+            reports.iter().map(|r| r.clients.clone()).collect()
         };
         assert_eq!(
-            per_round(&streaming),
-            per_round(&dense),
+            per_round(&streaming_reports),
+            per_round(&dense_reports),
             "per-round outcomes diverged"
         );
         // Uniform 3-of-6 rounds name fleet ids, not cohort slots 0..3.
-        let ids: BTreeSet<usize> = streaming
-            .reports()
+        let ids: BTreeSet<usize> = streaming_reports
             .iter()
             .flat_map(|r| r.clients.iter().map(|c| c.client_id))
             .collect();
@@ -308,8 +307,7 @@ mod tests {
         // above already mean the injector stream and the residual survived
         // reclaim; the retained map shows it directly.
         for stateful in [1, 2] {
-            let delivered = streaming
-                .reports()
+            let delivered = streaming_reports
                 .iter()
                 .flat_map(|r| &r.clients)
                 .filter(|c| c.client_id == stateful && c.samples > 0)

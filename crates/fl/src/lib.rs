@@ -34,7 +34,7 @@
 //!   [`Aggregator`] survives, with one implementor and only the
 //!   `aggregate` / `take_stage_telemetry` pair, because the frozen
 //!   `benchmark/` crate calls those through it — it and the `…Aggregator`
-//!   type names go with ROADMAP item 2.
+//!   type names go with ROADMAP item 7(c).
 //! * **Round lifecycle** — a seeded [`CohortSampler`] draws one
 //!   [`RoundPlan`] per round (full, uniform-k or weighted cohorts —
 //!   including [`CohortSampler::weighted_by_data_volume`], which derives
@@ -129,8 +129,8 @@ pub use fleet::FleetProvider;
 pub use framework::Framework;
 pub use metrics::{fl_metrics, FlMetrics};
 pub use report::{
-    pooled_rate, pooled_stage_telemetry, AggregationOutcome, ClientOutcome, ClientReport,
-    RoundReport, StageTelemetry, UpdateDecision,
+    AggregationOutcome, ByRole, ClientOutcome, ClientReport, RoundReport, RoundTally,
+    StageTelemetry, UpdateDecision,
 };
 pub use round::{Availability, CohortSampler, CohortStrategy, RoundPlan};
 pub use server::{active_clients, SequentialFlServer, ServerConfig, ServerRound};

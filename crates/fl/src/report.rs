@@ -16,7 +16,9 @@ use crate::round::{Availability, RoundPlan};
 use crate::update::ClientUpdate;
 use safeloc_nn::NamedParams;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Add;
 
 /// One defense stage's footprint on a round: how many updates it
 /// rejected and how long it ran. A
@@ -141,9 +143,7 @@ pub struct RoundReport {
     /// Wall-clock time of server-side aggregation, milliseconds.
     pub aggregate_ms: f64,
     /// Per-stage defense telemetry, in pipeline order (combiner last).
-    /// Empty for aggregators without internal stages and for reports
-    /// serialized before the pipeline redesign.
-    #[serde(default = "Vec::new")]
+    /// Empty for aggregators without internal stages.
     pub stages: Vec<StageTelemetry>,
 }
 
@@ -226,50 +226,34 @@ impl RoundReport {
         }
     }
 
+    fn count(&self, outcome: impl Fn(&ClientOutcome) -> bool) -> usize {
+        self.clients.iter().filter(|c| outcome(&c.outcome)).count()
+    }
+
     /// Cohort members that trained and delivered in time (accepted or
     /// rejected).
     pub fn participants(&self) -> usize {
-        self.clients
-            .iter()
-            .filter(|c| {
-                matches!(
-                    c.outcome,
-                    ClientOutcome::Trained { .. } | ClientOutcome::Rejected { .. }
-                )
-            })
-            .count()
+        self.accepted() + self.rejected()
     }
 
     /// Accepted updates this round.
     pub fn accepted(&self) -> usize {
-        self.clients
-            .iter()
-            .filter(|c| matches!(c.outcome, ClientOutcome::Trained { .. }))
-            .count()
+        self.count(|o| matches!(o, ClientOutcome::Trained { .. }))
     }
 
     /// Updates rejected by a defense rule this round.
     pub fn rejected(&self) -> usize {
-        self.clients
-            .iter()
-            .filter(|c| matches!(c.outcome, ClientOutcome::Rejected { .. }))
-            .count()
+        self.count(|o| matches!(o, ClientOutcome::Rejected { .. }))
     }
 
     /// Cohort members that dropped out.
     pub fn dropped(&self) -> usize {
-        self.clients
-            .iter()
-            .filter(|c| c.outcome == ClientOutcome::DroppedOut)
-            .count()
+        self.count(|o| *o == ClientOutcome::DroppedOut)
     }
 
     /// Cohort members that straggled past the deadline.
     pub fn straggled(&self) -> usize {
-        self.clients
-            .iter()
-            .filter(|c| c.outcome == ClientOutcome::Straggled)
-            .count()
+        self.count(|o| *o == ClientOutcome::Straggled)
     }
 
     /// Fraction of *malicious participants* whose update was rejected, or
@@ -290,75 +274,186 @@ impl RoundReport {
     /// saliency aggregation — which never rejects outright — this is the
     /// statistic that shows suppression.
     pub fn mean_attacker_weight(&self) -> Option<f32> {
-        let weights: Vec<f32> = self
-            .clients
-            .iter()
-            .filter(|c| c.malicious)
-            .filter_map(|c| match c.outcome {
+        let mut weights = RoundMean::default();
+        for c in self.clients.iter().filter(|c| c.malicious) {
+            weights.add(match c.outcome {
                 ClientOutcome::Trained { weight } => Some(weight),
                 ClientOutcome::Rejected { .. } => Some(0.0),
                 _ => None,
-            })
-            .collect();
-        if weights.is_empty() {
-            None
+            });
+        }
+        weights.get()
+    }
+}
+
+/// Running totals over a stream of [`RoundReport`]s, in memory that does
+/// not grow with the rounds. Two kinds of rate come out of it:
+///
+/// * **means over rounds** — the three `Option<f32>` rates average each
+///   round's own rate over the rounds where that population delivered;
+/// * **count ratios** — [`rule_rejections`](Self::rule_rejections) over
+///   [`delivered`](Self::delivered), every delivery weighing the same.
+///
+/// Floats are summed in round order and divided once, so each number has
+/// the bits of summing the collected per-round values.
+#[derive(Debug, Clone, Default)]
+pub struct RoundTally {
+    attacker_rejection: RoundMean<f32>,
+    honest_rejection: RoundMean<f32>,
+    attacker_weight: RoundMean<f32>,
+    train_ms: RoundMean<f64>,
+    aggregate_ms: RoundMean<f64>,
+    delivered: ByRole,
+    rules: BTreeMap<String, ByRole>,
+    /// Summed telemetry and rounds run, per stage name in first-seen order.
+    stages: Vec<(StageTelemetry, usize)>,
+}
+
+/// A count of clients, split by whether they were malicious.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ByRole {
+    /// Malicious clients.
+    pub malicious: usize,
+    /// Honest clients.
+    pub honest: usize,
+}
+
+impl ByRole {
+    fn count(&mut self, malicious: bool) {
+        if malicious {
+            self.malicious += 1;
         } else {
-            Some(weights.iter().sum::<f32>() / weights.len() as f32)
+            self.honest += 1;
         }
     }
 }
 
-/// Pools a per-round statistic over a report history: the mean of the
-/// rounds where the statistic exists (rounds where the relevant population
-/// delivered no update are skipped, exactly like the per-round helpers).
-/// Shared by [`FlSession`](crate::FlSession) and the bench harness so the
-/// pooling semantics cannot drift apart.
-pub fn pooled_rate<'a>(
-    reports: impl Iterator<Item = &'a RoundReport>,
-    stat: impl Fn(&RoundReport) -> Option<f32>,
-) -> Option<f32> {
-    let present: Vec<f32> = reports.filter_map(stat).collect();
-    if present.is_empty() {
-        None
-    } else {
-        Some(present.iter().sum::<f32>() / present.len() as f32)
+/// Sum and count of the values that exist, for their mean.
+#[derive(Debug, Clone, Copy)]
+struct RoundMean<T>(T, usize);
+
+impl<T: From<f32>> Default for RoundMean<T> {
+    /// Sums start at -0.0, where `Iterator::sum` starts.
+    fn default() -> Self {
+        Self(T::from(-0.0), 0)
     }
 }
 
-/// Pools per-round stage telemetry over a report history into one entry
-/// per stage name, in order of first appearance (= pipeline order):
-/// `rejections` totalled, `wall_ms` averaged over the rounds the stage
-/// appeared in. This is the single fold behind the suite's per-cell
-/// `stage_stats` and any ad-hoc report consumer — so the pooling
-/// semantics cannot drift between them.
-pub fn pooled_stage_telemetry<'a>(
-    reports: impl Iterator<Item = &'a RoundReport>,
-) -> Vec<StageTelemetry> {
-    let mut pooled: Vec<StageTelemetry> = Vec::new();
-    let mut rounds_seen: Vec<usize> = Vec::new();
-    for report in reports {
+impl<T: Copy + Add<Output = T>> RoundMean<T> {
+    fn add(&mut self, value: Option<T>) {
+        if let Some(v) = value {
+            *self = Self(self.0 + v, self.1 + 1);
+        }
+    }
+}
+
+impl RoundMean<f32> {
+    fn get(self) -> Option<f32> {
+        (self.1 > 0).then(|| self.0 / self.1 as f32)
+    }
+}
+
+impl RoundMean<f64> {
+    fn get(self) -> Option<f64> {
+        (self.1 > 0).then(|| self.0 / self.1 as f64)
+    }
+}
+
+impl RoundTally {
+    /// The tally of `reports`, in order.
+    pub fn of<'a>(reports: impl IntoIterator<Item = &'a RoundReport>) -> Self {
+        let mut tally = Self::default();
+        reports.into_iter().for_each(|r| tally.add(r));
+        tally
+    }
+
+    /// Folds one more round in.
+    pub fn add(&mut self, report: &RoundReport) {
+        self.attacker_rejection
+            .add(report.attacker_rejection_rate());
+        self.honest_rejection.add(report.honest_rejection_rate());
+        self.attacker_weight.add(report.mean_attacker_weight());
+        self.train_ms.add(Some(report.train_ms));
+        self.aggregate_ms.add(Some(report.aggregate_ms));
+        for c in &report.clients {
+            if let ClientOutcome::Trained { .. } | ClientOutcome::Rejected { .. } = c.outcome {
+                self.delivered.count(c.malicious);
+            }
+            if let ClientOutcome::Rejected { rule, .. } = &c.outcome {
+                self.rules
+                    .entry(rule.clone())
+                    .or_default()
+                    .count(c.malicious);
+            }
+        }
         for stage in &report.stages {
-            let slot = match pooled.iter().position(|s| s.stage == stage.stage) {
-                Some(slot) => slot,
-                None => {
-                    pooled.push(StageTelemetry {
-                        stage: stage.stage.clone(),
-                        rejections: 0,
-                        wall_ms: 0.0,
-                    });
-                    rounds_seen.push(0);
-                    pooled.len() - 1
+            match self.stages.iter_mut().find(|(s, _)| s.stage == stage.stage) {
+                Some((sum, rounds)) => {
+                    sum.rejections += stage.rejections;
+                    sum.wall_ms += stage.wall_ms;
+                    *rounds += 1;
                 }
-            };
-            pooled[slot].rejections += stage.rejections;
-            pooled[slot].wall_ms += stage.wall_ms;
-            rounds_seen[slot] += 1;
+                // Stage sums have always started from +0.0.
+                None => self.stages.push((
+                    StageTelemetry {
+                        wall_ms: 0.0 + stage.wall_ms,
+                        ..stage.clone()
+                    },
+                    1,
+                )),
+            }
         }
     }
-    for (s, rounds) in pooled.iter_mut().zip(rounds_seen) {
-        s.wall_ms /= rounds.max(1) as f64;
+
+    /// Rounds folded in so far.
+    pub fn rounds(&self) -> usize {
+        self.train_ms.1 // every round adds one training time
     }
-    pooled
+
+    /// Mean over rounds of [`RoundReport::attacker_rejection_rate`].
+    pub fn attacker_rejection_rate(&self) -> Option<f32> {
+        self.attacker_rejection.get()
+    }
+
+    /// Mean over rounds of [`RoundReport::honest_rejection_rate`].
+    pub fn honest_rejection_rate(&self) -> Option<f32> {
+        self.honest_rejection.get()
+    }
+
+    /// Mean over rounds of [`RoundReport::mean_attacker_weight`].
+    pub fn mean_attacker_weight(&self) -> Option<f32> {
+        self.attacker_weight.get()
+    }
+
+    /// Mean client-training wall time per round, ms (0 before any round).
+    pub fn mean_train_ms(&self) -> f64 {
+        self.train_ms.get().unwrap_or(0.0)
+    }
+
+    /// Mean aggregation wall time per round, ms (0 before any round).
+    pub fn mean_aggregate_ms(&self) -> f64 {
+        self.aggregate_ms.get().unwrap_or(0.0)
+    }
+
+    /// Updates delivered in time (accepted or rejected), over every round.
+    pub fn delivered(&self) -> ByRole {
+        self.delivered
+    }
+
+    /// Rejections per rule name, in name order.
+    pub fn rule_rejections(&self) -> impl Iterator<Item = (&str, ByRole)> {
+        self.rules.iter().map(|(rule, n)| (rule.as_str(), *n))
+    }
+
+    /// One entry per stage name, in first-seen (= pipeline) order:
+    /// `rejections` totalled, `wall_ms` averaged over the rounds it ran in.
+    pub fn stages(&self) -> Vec<StageTelemetry> {
+        let mean = |(sum, rounds): &(StageTelemetry, usize)| StageTelemetry {
+            wall_ms: sum.wall_ms / *rounds as f64,
+            ..sum.clone()
+        };
+        self.stages.iter().map(mean).collect()
+    }
 }
 
 fn rejection_rate<'a>(clients: impl Iterator<Item = &'a ClientReport>) -> Option<f32> {
@@ -403,6 +498,9 @@ impl fmt::Display for RoundReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
 
     fn report_with(outcomes: Vec<(bool, ClientOutcome)>) -> RoundReport {
         RoundReport {
@@ -507,16 +605,234 @@ mod tests {
         assert_eq!(r, back);
     }
 
+    // The folds the tally replaced, kept verbatim as its oracle.
+    fn reference_pooled_rate<'a>(
+        reports: impl Iterator<Item = &'a RoundReport>,
+        stat: impl Fn(&RoundReport) -> Option<f32>,
+    ) -> Option<f32> {
+        let present: Vec<f32> = reports.filter_map(stat).collect();
+        if present.is_empty() {
+            None
+        } else {
+            Some(present.iter().sum::<f32>() / present.len() as f32)
+        }
+    }
+
+    fn reference_mean_ms(values: impl Iterator<Item = f64>) -> f64 {
+        let collected: Vec<f64> = values.collect();
+        if collected.is_empty() {
+            0.0
+        } else {
+            collected.iter().sum::<f64>() / collected.len() as f64
+        }
+    }
+
+    fn reference_stage_telemetry<'a>(
+        reports: impl Iterator<Item = &'a RoundReport>,
+    ) -> Vec<StageTelemetry> {
+        let mut pooled: Vec<StageTelemetry> = Vec::new();
+        let mut rounds_seen: Vec<usize> = Vec::new();
+        for report in reports {
+            for stage in &report.stages {
+                let slot = match pooled.iter().position(|s| s.stage == stage.stage) {
+                    Some(slot) => slot,
+                    None => {
+                        pooled.push(StageTelemetry {
+                            stage: stage.stage.clone(),
+                            rejections: 0,
+                            wall_ms: 0.0,
+                        });
+                        rounds_seen.push(0);
+                        pooled.len() - 1
+                    }
+                };
+                pooled[slot].rejections += stage.rejections;
+                pooled[slot].wall_ms += stage.wall_ms;
+                rounds_seen[slot] += 1;
+            }
+        }
+        for (s, rounds) in pooled.iter_mut().zip(rounds_seen) {
+            s.wall_ms /= rounds.max(1) as f64;
+        }
+        pooled
+    }
+
+    /// `(delivered malicious, delivered honest, rule -> (attackers, honest))`.
+    type RuleFold = (usize, usize, BTreeMap<String, (usize, usize)>);
+
+    fn reference_rule_fold(reports: &[RoundReport]) -> RuleFold {
+        let mut delivered_malicious = 0usize;
+        let mut delivered_honest = 0usize;
+        let mut per_rule: BTreeMap<String, (usize, usize)> = BTreeMap::new();
+        for report in reports {
+            for c in &report.clients {
+                match &c.outcome {
+                    ClientOutcome::Trained { .. } => {
+                        if c.malicious {
+                            delivered_malicious += 1;
+                        } else {
+                            delivered_honest += 1;
+                        }
+                    }
+                    ClientOutcome::Rejected { rule, .. } => {
+                        let entry = per_rule.entry(rule.clone()).or_insert((0, 0));
+                        if c.malicious {
+                            delivered_malicious += 1;
+                            entry.0 += 1;
+                        } else {
+                            delivered_honest += 1;
+                            entry.1 += 1;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+        (delivered_malicious, delivered_honest, per_rule)
+    }
+
+    /// A float that is sometimes a signed zero, so the sums' start values
+    /// are pinned too.
+    fn synthetic_value(rng: &mut StdRng, scale: f64) -> f64 {
+        match rng.gen_range(0..8usize) {
+            0 => -0.0,
+            1 => 0.0,
+            _ => rng.gen_range(0.0..scale),
+        }
+    }
+
+    fn synthetic_report(rng: &mut StdRng, round: usize) -> RoundReport {
+        const RULES: [&str; 3] = ["krum", "latent", "cluster"];
+        const STAGES: [&str; 5] = ["non-finite", "norm-clip", "cluster", "latent", "krum"];
+        let clients = (0..rng.gen_range(0..=8usize))
+            .map(|i| ClientReport {
+                client_id: i,
+                malicious: rng.gen_bool(0.3),
+                samples: 10,
+                outcome: match rng.gen_range(0..4usize) {
+                    0 => ClientOutcome::Trained {
+                        weight: synthetic_value(rng, 1.0) as f32,
+                    },
+                    1 => ClientOutcome::DroppedOut,
+                    2 => ClientOutcome::Straggled,
+                    _ => ClientOutcome::Rejected {
+                        rule: RULES[rng.gen_range(0..RULES.len())].into(),
+                        score: 1.0,
+                    },
+                },
+            })
+            .collect();
+        let mut names = STAGES.to_vec();
+        names.shuffle(rng);
+        names.truncate(rng.gen_range(0..=4usize));
+        let stages = names
+            .into_iter()
+            .map(|stage| StageTelemetry {
+                stage: stage.into(),
+                rejections: rng.gen_range(0..3usize),
+                wall_ms: synthetic_value(rng, 5.0),
+            })
+            .collect();
+        RoundReport {
+            round,
+            framework: "TEST".into(),
+            clients,
+            train_ms: synthetic_value(rng, 100.0),
+            aggregate_ms: synthetic_value(rng, 10.0),
+            stages,
+        }
+    }
+
+    fn assert_tally_matches_reference(tally: &RoundTally, reports: &[RoundReport]) {
+        let bits = |r: Option<f32>| r.map(f32::to_bits);
+        let n = reports.len();
+        assert_eq!(tally.rounds(), n);
+        for (got, stat) in [
+            (
+                tally.attacker_rejection_rate(),
+                RoundReport::attacker_rejection_rate as fn(&RoundReport) -> Option<f32>,
+            ),
+            (
+                tally.honest_rejection_rate(),
+                RoundReport::honest_rejection_rate,
+            ),
+            (
+                tally.mean_attacker_weight(),
+                RoundReport::mean_attacker_weight,
+            ),
+        ] {
+            let want = reference_pooled_rate(reports.iter(), stat);
+            assert_eq!(bits(got), bits(want), "rate after {n} rounds");
+        }
+        let train = reference_mean_ms(reports.iter().map(|r| r.train_ms));
+        let aggregate = reference_mean_ms(reports.iter().map(|r| r.aggregate_ms));
+        assert_eq!(tally.mean_train_ms().to_bits(), train.to_bits());
+        assert_eq!(tally.mean_aggregate_ms().to_bits(), aggregate.to_bits());
+
+        let (malicious, honest, per_rule) = reference_rule_fold(reports);
+        assert_eq!(tally.delivered(), ByRole { malicious, honest });
+        let rules: Vec<(String, usize, usize)> = tally
+            .rule_rejections()
+            .map(|(rule, r)| (rule.to_string(), r.malicious, r.honest))
+            .collect();
+        let want: Vec<(String, usize, usize)> = per_rule
+            .into_iter()
+            .map(|(rule, (a, h))| (rule, a, h))
+            .collect();
+        assert_eq!(rules, want);
+
+        let stages = tally.stages();
+        let want = reference_stage_telemetry(reports.iter());
+        assert_eq!(stages.len(), want.len());
+        for (got, want) in stages.iter().zip(&want) {
+            assert_eq!(got.stage, want.stage);
+            assert_eq!(got.rejections, want.rejections);
+            assert_eq!(
+                got.wall_ms.to_bits(),
+                want.wall_ms.to_bits(),
+                "{}",
+                got.stage
+            );
+        }
+    }
+
     #[test]
-    fn reports_without_a_stages_field_still_deserialize() {
-        // Reports persisted before the pipeline redesign carry no stage
-        // telemetry; the field defaults to empty.
-        let r = report_with(vec![(false, ClientOutcome::Trained { weight: 1.0 })]);
-        let json = serde_json::to_string(&r).unwrap();
-        let without = json.replace(",\"stages\":[]", "");
-        assert_ne!(json, without, "fixture no longer serializes the field");
-        let back: RoundReport = serde_json::from_str(&without).unwrap();
-        assert!(back.stages.is_empty());
-        assert_eq!(back.clients, r.clients);
+    fn the_tally_is_the_old_folds_bitwise() {
+        let mut rng = StdRng::seed_from_u64(32);
+        let reports: Vec<RoundReport> = (0..1_000).map(|r| synthetic_report(&mut rng, r)).collect();
+        let no_attacker = reports
+            .iter()
+            .filter(|r| r.attacker_rejection_rate().is_none())
+            .count();
+        let no_honest = reports
+            .iter()
+            .filter(|r| r.honest_rejection_rate().is_none())
+            .count();
+        assert!(
+            no_attacker > 0 && no_honest > 0,
+            "{no_attacker} / {no_honest}"
+        );
+
+        let mut tally = RoundTally::default();
+        for (n, report) in reports.iter().enumerate() {
+            if n % 97 == 0 {
+                assert_tally_matches_reference(&tally, &reports[..n]);
+            }
+            tally.add(report);
+        }
+        assert_tally_matches_reference(&tally, &reports);
+        assert_tally_matches_reference(&RoundTally::of(&reports), &reports);
+
+        // Signed zeros alone: only where each sum starts decides these bits.
+        let mut zeros = report_with(vec![(true, ClientOutcome::Trained { weight: -0.0 })]);
+        zeros.train_ms = -0.0;
+        zeros.aggregate_ms = -0.0;
+        zeros.stages = vec![StageTelemetry {
+            stage: "krum".into(),
+            rejections: 0,
+            wall_ms: -0.0,
+        }];
+        let zeros = [zeros];
+        assert_tally_matches_reference(&RoundTally::of(&zeros), &zeros);
     }
 }

@@ -7,8 +7,8 @@
 //! driver: paper-scale in-memory fleets ([`FlSessionBuilder::clients`]),
 //! city-scale generating providers ([`FlSessionBuilder::fleet`]) and
 //! network-degraded rounds ([`FlSessionBuilder::plan_transform`]) all go
-//! through [`FlSession::next_round`]. The benchmark harness, the
-//! paper-figure binaries and the examples drive rounds through a session;
+//! through [`FlSession::next_round`]. The benchmark harness, the `suite`
+//! scenario driver and the examples drive rounds through a session;
 //! calling [`Framework::run_round`] by hand is for engines and tests.
 //!
 //! ```
@@ -38,7 +38,7 @@
 use crate::client::Client;
 use crate::fleet::FleetProvider;
 use crate::framework::Framework;
-use crate::report::{pooled_rate, RoundReport};
+use crate::report::{RoundReport, RoundTally};
 use crate::round::{CohortSampler, RoundPlan};
 use safeloc_nn::NamedParams;
 
@@ -132,7 +132,8 @@ impl FlSessionBuilder {
             sampler: self.sampler,
             plan_transform: self.plan_transform,
             publisher: self.publisher,
-            history: Vec::new(),
+            tally: RoundTally::default(),
+            last: None,
         }
     }
 }
@@ -148,7 +149,8 @@ pub struct FlSession {
     sampler: CohortSampler,
     plan_transform: Option<PlanTransform>,
     publisher: Option<Box<dyn ModelPublisher>>,
-    history: Vec<RoundReport>,
+    tally: RoundTally,
+    last: Option<RoundReport>,
 }
 
 impl FlSession {
@@ -166,10 +168,10 @@ impl FlSession {
 
     /// Executes the next round: draws the plan over the fleet, applies the
     /// plan transform (if any), borrows the plan's clients from the
-    /// provider for the framework to run, records the report, notifies the
+    /// provider for the framework to run, tallies the report, notifies the
     /// publisher (if any) and returns the report.
     pub fn next_round(&mut self) -> &RoundReport {
-        let round = self.history.len();
+        let round = self.tally.rounds();
         let mut plan = self.sampler.plan(round, self.fleet.len());
         if let Some(transform) = &mut self.plan_transform {
             plan = transform(round, plan);
@@ -181,27 +183,23 @@ impl FlSession {
         if let Some(publisher) = &mut self.publisher {
             publisher.publish_round(&report, &self.framework.global_params());
         }
-        self.history.push(report);
-        self.history.last().expect("just pushed")
+        self.tally.add(&report);
+        self.last.insert(report)
     }
 
-    /// Runs `n` more rounds and returns their reports.
-    pub fn run(&mut self, n: usize) -> &[RoundReport] {
-        let start = self.history.len();
-        for _ in 0..n {
-            self.next_round();
-        }
-        &self.history[start..]
+    /// Runs `n` more rounds and returns their reports, in round order.
+    pub fn run(&mut self, n: usize) -> Vec<RoundReport> {
+        (0..n).map(|_| self.next_round().clone()).collect()
     }
 
     /// Rounds executed by this session.
     pub fn rounds_run(&self) -> usize {
-        self.history.len()
+        self.tally.rounds()
     }
 
-    /// Every report so far, in round order.
-    pub fn reports(&self) -> &[RoundReport] {
-        &self.history
+    /// Running totals over every round run so far.
+    pub fn tally(&self) -> &RoundTally {
+        &self.tally
     }
 
     /// The framework under the session.
@@ -214,20 +212,16 @@ impl FlSession {
         self.fleet.len()
     }
 
-    /// Pooled attacker-rejection rate over every round run so far, or
-    /// `None` if no malicious client ever delivered an update.
+    /// Mean over the rounds run so far of each round's attacker-rejection
+    /// rate ([`RoundTally::attacker_rejection_rate`]).
     pub fn attacker_rejection_rate(&self) -> Option<f32> {
-        pooled_rate(self.history.iter(), RoundReport::attacker_rejection_rate)
+        self.tally.attacker_rejection_rate()
     }
 
-    /// Pooled honest-rejection rate over every round run so far.
+    /// Mean over the rounds run so far of each round's honest-rejection
+    /// rate ([`RoundTally::honest_rejection_rate`]).
     pub fn honest_rejection_rate(&self) -> Option<f32> {
-        pooled_rate(self.history.iter(), RoundReport::honest_rejection_rate)
-    }
-
-    /// Dismantles the session into framework and report history.
-    pub fn into_parts(self) -> (Box<dyn Framework>, Vec<RoundReport>) {
-        (self.framework, self.history)
+        self.tally.honest_rejection_rate()
     }
 }
 
@@ -270,7 +264,7 @@ mod tests {
         let mut session = FlSession::builder(Box::new(server))
             .clients(Client::from_dataset(&data, 0))
             .build();
-        session.run(3);
+        let reports = session.run(3);
 
         assert_eq!(
             session.framework().global_params(),
@@ -278,10 +272,7 @@ mod tests {
             "session with the default sampler diverged from manual full rounds"
         );
         assert_eq!(session.rounds_run(), 3);
-        assert!(session
-            .reports()
-            .iter()
-            .all(|r| r.accepted() == session.fleet_len()));
+        assert!(reports.iter().all(|r| r.accepted() == session.fleet_len()));
     }
 
     #[test]
@@ -292,8 +283,8 @@ mod tests {
             .clients(Client::from_dataset(&data, 0))
             .sampler(CohortSampler::uniform(2, 5))
             .build();
-        session.run(4);
-        assert!(session.reports().iter().all(|r| r.clients.len() == 2));
+        let reports = session.run(4);
+        assert!(reports.iter().all(|r| r.clients.len() == 2));
     }
 
     #[test]
@@ -345,8 +336,8 @@ mod tests {
             .clients(clients)
             .sampler(sampler)
             .build();
-        session.run(3);
-        assert!(session.reports().iter().all(|r| r.clients.len() == 2));
+        let reports = session.run(3);
+        assert!(reports.iter().all(|r| r.clients.len() == 2));
     }
 
     #[test]
@@ -360,8 +351,8 @@ mod tests {
             .clients(clients)
             .sampler(CohortSampler::weighted(3, vec![0.0; n], 5))
             .build();
-        session.run(2);
-        assert!(session.reports().iter().all(|r| r.clients.is_empty()));
+        let reports = session.run(2);
+        assert!(reports.iter().all(|r| r.clients.is_empty()));
         assert_eq!(
             session.framework().global_params(),
             before,
@@ -395,7 +386,7 @@ mod tests {
             .clients(Client::from_dataset(&data, 0))
             .publisher(Box::new(Recorder { log: log.clone() }))
             .build();
-        session.run(3);
+        let reports = session.run(3);
 
         let log = log.lock().unwrap();
         assert_eq!(log.len(), 3, "one publish per executed round");
@@ -403,9 +394,39 @@ mod tests {
         // final published GM is the session's final GM, bitwise.
         for (i, (seq, report, _)) in log.iter().enumerate() {
             assert_eq!(*seq, i);
-            assert_eq!(report.round, session.reports()[i].round);
+            assert_eq!(report.round, reports[i].round);
         }
         assert_eq!(log.last().unwrap().2, session.framework().global_params());
+    }
+
+    #[test]
+    fn a_thousand_round_session_tallies_what_it_returned() {
+        let data = dataset();
+        let server = pretrained(&data, DefensePipeline::krum(1));
+        let mut clients = Client::from_dataset(&data, 0);
+        let last = clients.len() - 1;
+        clients[last].injector =
+            Some(PoisonInjector::new(Attack::label_flip(1.0), 3).with_boost(6.0));
+        let mut session = FlSession::builder(Box::new(server))
+            .clients(clients)
+            .sampler(CohortSampler::uniform(2, 7).with_dropout(0.1))
+            .build();
+        let reports = session.run(1_000);
+        assert_eq!(session.rounds_run(), 1_000);
+
+        // The fold the session used to run over its whole history.
+        let reference = |stat: fn(&RoundReport) -> Option<f32>| {
+            let present: Vec<f32> = reports.iter().filter_map(stat).collect();
+            (!present.is_empty()).then(|| present.iter().sum::<f32>() / present.len() as f32)
+        };
+        let bits = |r: Option<f32>| r.map(f32::to_bits);
+        let attacker = reference(RoundReport::attacker_rejection_rate);
+        assert!(attacker.is_some(), "the attacker never delivered");
+        assert_eq!(bits(session.attacker_rejection_rate()), bits(attacker));
+        assert_eq!(
+            bits(session.honest_rejection_rate()),
+            bits(reference(RoundReport::honest_rejection_rate))
+        );
     }
 
     #[test]
@@ -428,10 +449,9 @@ mod tests {
                         .with_straggle(0.2),
                 )
                 .build();
-            session.run(4);
-            let (framework, reports) = session.into_parts();
+            let reports = session.run(4);
             (
-                framework.global_params(),
+                session.framework().global_params(),
                 reports.into_iter().map(|r| r.clients).collect::<Vec<_>>(),
             )
         };

@@ -17,9 +17,7 @@ pub struct ClientUpdate {
     /// Number of local samples trained on (FedAvg weighting).
     pub num_samples: usize,
     /// The representation this update travels in (dense for the exact,
-    /// bitwise-pinned path; updates serialized before the delta refactor
-    /// default to dense).
-    #[serde(default = "DeltaRepr::default")]
+    /// bitwise-pinned path).
     pub repr: DeltaRepr,
 }
 
@@ -70,16 +68,5 @@ mod tests {
         assert_eq!(u.params, p);
         assert_eq!(u.repr, DeltaRepr::Dense);
         assert_eq!(u.wire_bytes(), 4 * 4);
-    }
-
-    #[test]
-    fn updates_serialized_before_the_delta_refactor_still_parse() {
-        let p = NamedParams::new(vec![("w".into(), Matrix::zeros(1, 2))]);
-        let u = ClientUpdate::new(1, p, 8);
-        let json = serde_json::to_string(&u).unwrap();
-        let without = json.replace(",\"repr\":\"Dense\"", "");
-        assert_ne!(json, without, "fixture no longer serializes the field");
-        let back: ClientUpdate = serde_json::from_str(&without).unwrap();
-        assert_eq!(back, u);
     }
 }

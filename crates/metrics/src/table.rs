@@ -1,8 +1,8 @@
-//! Plain-text table rendering for the bench binaries.
+//! Plain-text table rendering for the `suite` bin.
 //!
-//! The harness prints the same rows/series the paper's figures show;
-//! everything renders as GitHub-flavoured markdown so the output can be
-//! pasted straight into `EXPERIMENTS.md`.
+//! The `suite` bin prints the rows/series the paper's figures show, one
+//! `scenarios/*.json` spec (e.g. `scenarios/ablation.json`) at a time;
+//! everything renders as GitHub-flavoured markdown.
 
 /// Renders a markdown table from a header and rows of cells.
 ///

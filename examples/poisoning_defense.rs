@@ -18,7 +18,7 @@ use safeloc_attacks::{Attack, PoisonInjector};
 use safeloc_baselines::fedloc;
 use safeloc_dataset::{Building, BuildingDataset, DatasetConfig, DeviceProfile};
 use safeloc_fl::defense::{DefensePipeline, NormClip};
-use safeloc_fl::{pooled_stage_telemetry, Client, FlSession, Framework, Krum, ServerConfig};
+use safeloc_fl::{Client, FlSession, Framework, Krum, ServerConfig};
 use safeloc_metrics::{localization_errors, ErrorStats};
 
 fn attacked_mean(mut framework: Box<dyn Framework>, data: &BuildingDataset, rounds: usize) -> f32 {
@@ -35,9 +35,9 @@ fn attacked_mean(mut framework: Box<dyn Framework>, data: &BuildingDataset, roun
             rate * 100.0
         );
     }
-    // Per-stage attribution from the round reports: which stage of the
+    // Per-stage attribution from the session's tally: which stage of the
     // defense pipeline did the rejecting, and what it cost per round.
-    for stage in pooled_stage_telemetry(session.reports().iter()) {
+    for stage in session.tally().stages() {
         println!(
             "  (stage {}: {} rejections, {:.2} ms/round)",
             stage.stage, stage.rejections, stage.wall_ms

@@ -61,9 +61,11 @@ fn main() {
     //    Saliency aggregation never rejects outright — it *weights* — so
     //    the attacker shows up with a collapsed acceptance weight.
     println!("\nround-by-round telemetry:");
+    let mut attacker_weight = None;
     for _ in 0..4 {
         let report = session.next_round();
         println!("  {report}");
+        attacker_weight = report.mean_attacker_weight().or(attacker_weight);
         for c in &report.clients {
             let tag = if c.malicious { " <- attacker" } else { "" };
             match &c.outcome {
@@ -86,12 +88,7 @@ fn main() {
             }
         }
     }
-    if let Some(w) = session
-        .reports()
-        .iter()
-        .filter_map(|r| r.mean_attacker_weight())
-        .next_back()
-    {
+    if let Some(w) = attacker_weight {
         println!("\nattacker mean saliency weight (last round it appeared): {w:.3}");
     }
 

@@ -58,7 +58,7 @@ fn main() {
     // Per-rule rejection statistics answer "which rule caught the attacker,
     // and what did it cost the honest clients?"
     for cell in &run.cells {
-        for rule in cell.rule_stats() {
+        for rule in cell.report().rules {
             println!(
                 "{} / {}: rule {:?} rejected {} attacker + {} honest deliveries",
                 cell.cell.framework.label(),

@@ -181,9 +181,8 @@ fn compressed_rounds_are_bitwise_deterministic_across_thread_counts() {
                 .clients(clients)
                 .sampler(CohortSampler::uniform(3, 13))
                 .build();
-            session.run(3);
-            let (framework, reports) = session.into_parts();
-            (framework.global_params(), reports)
+            let reports = session.run(3);
+            (session.framework().global_params(), reports)
         })
     };
     let (gm_serial, reports_serial) = run(1);
@@ -224,9 +223,8 @@ fn subsampled_session_is_bitwise_deterministic_across_thread_counts() {
                         .with_straggle(0.25),
                 )
                 .build();
-            session.run(3);
-            let (framework, reports) = session.into_parts();
-            (framework.global_params(), reports)
+            let reports = session.run(3);
+            (session.framework().global_params(), reports)
         })
     };
     let (gm_serial, reports_serial) = run(1);

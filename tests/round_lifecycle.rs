@@ -64,7 +64,7 @@ fn full_participation_session_reproduces_manual_rounds_bitwise_for_all_seven() {
         let mut session = FlSession::builder(template.clone_box())
             .clients(attacked_fleet(&data))
             .build();
-        session.run(rounds);
+        let reports = session.run(rounds);
 
         assert_eq!(
             session.framework().global_params(),
@@ -74,7 +74,7 @@ fn full_participation_session_reproduces_manual_rounds_bitwise_for_all_seven() {
         );
         // Full participation: every client appears in every report and
         // every update is either accepted or rejected by a named rule.
-        for report in session.reports() {
+        for report in &reports {
             assert_eq!(report.clients.len(), session.fleet_len());
             assert_eq!(report.participants(), report.clients.len());
             assert_eq!(report.dropped() + report.straggled(), 0);
@@ -90,8 +90,8 @@ fn reports_expose_defense_decisions_per_framework() {
         let mut session = FlSession::builder(template.clone_box())
             .clients(attacked_fleet(&data))
             .build();
-        session.run(2);
-        for report in session.reports() {
+        let reports = session.run(2);
+        for report in &reports {
             for c in &report.clients {
                 match &c.outcome {
                     ClientOutcome::Trained { weight } => {
@@ -113,8 +113,7 @@ fn reports_expose_defense_decisions_per_framework() {
             }
         }
         // Exactly one malicious client participated each round.
-        let attacker_rounds = session
-            .reports()
+        let attacker_rounds = reports
             .iter()
             .filter(|r| r.clients.iter().any(|c| c.malicious))
             .count();
@@ -150,8 +149,8 @@ fn partial_participation_trains_exactly_the_sampled_cohort() {
             .clients(Client::from_dataset(&data, 31))
             .sampler(CohortSampler::uniform(2, 5))
             .build();
-        session.run(2);
-        for report in session.reports() {
+        let reports = session.run(2);
+        for report in &reports {
             assert_eq!(
                 report.clients.len(),
                 2,
