@@ -81,6 +81,17 @@ pub const RULES: &[RuleInfo] = &[
         justify: Some("det:"),
     },
     RuleInfo {
+        id: "det-fused-arith",
+        scope: "non-test code of every workspace crate except crates/nn/src/kernels.rs",
+        rationale: "`mul_add` rounds a·b + c once where `a * b + c` rounds twice, so it moves \
+                    output bits. The matrix kernels' group sums are the one place that \
+                    contracts, under safeloc-bench's tolerance contract (tolerance.rs); a \
+                    `mul_add` anywhere else changes results the contract never checked. Route \
+                    the arithmetic through safeloc_nn::kernels or write the multiply and the \
+                    add apart.",
+        justify: None,
+    },
+    RuleInfo {
         id: "panic-path",
         scope: "request-handling crates (serve, wire), non-test code",
         rationale: "unwrap/expect/panic! on the serving and wire paths turn attacker-controlled \
@@ -208,6 +219,9 @@ pub fn lint_file(file: &SourceFile) -> Vec<Finding> {
         );
         det_par_float_reduce(file, &mut findings);
     }
+    if !file.path.ends_with(FUSED_ARITH_HOME) {
+        det_fused_arith(file, &mut findings);
+    }
     if panic_free {
         panic_path(file, &mut findings);
     }
@@ -245,6 +259,28 @@ fn det_pattern_rule(
                 findings.push(Finding::new(rule, file, i, format!("{what} ({pat})")));
                 break;
             }
+        }
+    }
+}
+
+/// The one file allowed to contract a multiply and an add.
+const FUSED_ARITH_HOME: &str = "crates/nn/src/kernels.rs";
+
+fn det_fused_arith(file: &SourceFile, findings: &mut Vec<Finding>) {
+    for (i, line) in prod_lines(file) {
+        let called = line.match_indices("mul_add(").any(|(pos, _)| {
+            line[..pos]
+                .chars()
+                .next_back()
+                .is_none_or(|c| !c.is_alphanumeric() && c != '_')
+        });
+        if called {
+            findings.push(Finding::new(
+                "det-fused-arith",
+                file,
+                i,
+                format!("`mul_add` outside {FUSED_ARITH_HOME}, the one place the tolerance contract covers"),
+            ));
         }
     }
 }

@@ -67,6 +67,43 @@ fn determinism_rules_do_not_apply_outside_pinned_crates() {
     assert!(findings.is_empty(), "{findings:#?}");
 }
 
+/// `mul_add` is a finding on a production line of any crate — a call in
+/// method or path form, not a comment, a string, a longer name or test
+/// code — except in the one kernel file the tolerance contract covers.
+#[test]
+fn fused_arithmetic_is_flagged_outside_the_matrix_kernels() {
+    let text = r#"
+fn group(a: f32, b: f32, c: f32) -> f32 {
+    a.mul_add(b, c)
+}
+fn path_form(a: f32, b: f32, c: f32) -> f32 {
+    f32::mul_add(a, b, c)
+}
+fn lookalikes(x: Normal) -> f32 {
+    // a.mul_add(b, c) in a comment
+    let _ = "mul_add(";
+    x.mul_add_val(1.0, 2.0) + fused_mul_add(1.0)
+}
+#[cfg(test)]
+mod tests {
+    fn oracle(a: f32) -> f32 {
+        a.mul_add(2.0, 1.0)
+    }
+}
+"#;
+    let fused = |path: &str, krate: &str| -> Vec<usize> {
+        lint_text(path, krate, text)
+            .iter()
+            .filter(|f| f.rule == "det-fused-arith")
+            .map(|f| f.line)
+            .collect()
+    };
+    assert_eq!(fused("crates/fl/src/fixture.rs", "fl"), [3, 6]);
+    assert_eq!(fused("crates/bench/src/fixture.rs", "bench"), [3, 6]);
+    assert_eq!(fused("crates/nn/src/tensor.rs", "nn"), [3, 6]);
+    assert!(fused("crates/nn/src/kernels.rs", "nn").is_empty());
+}
+
 #[test]
 fn panic_fixture_flags_each_panic_form_once() {
     let findings = lint_text(

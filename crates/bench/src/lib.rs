@@ -45,6 +45,8 @@ pub mod naive;
 pub mod rss;
 pub mod suite;
 pub mod telem;
+#[cfg(test)]
+mod tolerance;
 
 pub use fleet::SyntheticFleet;
 pub use harness::{

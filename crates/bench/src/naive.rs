@@ -316,26 +316,37 @@ mod tests {
         })
     }
 
+    /// The seed loops, the parent's group loop and the production
+    /// kernels all compute every product of a fused training step within
+    /// the tolerance contract's `γ_k·Σ|a||b|` of the exact product
+    /// (`tolerance::bound_use`), each seed kernel next to the production
+    /// kernel it was replaced by.
     #[test]
     fn naive_kernels_agree_with_blocked_kernels() {
-        let a = mat(5, 37, 1);
-        let b = mat(37, 11, 2);
-        let fast = a.matmul(&b);
-        let slow = matmul(&a, &b);
-        for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
-            assert!((x - y).abs() < 1e-4, "{x} vs {y}");
-        }
-        let bt = mat(11, 37, 3);
-        let fast = a.matmul_transposed(&bt);
-        let slow = matmul_transposed(&a, &bt);
-        for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
-            assert!((x - y).abs() < 1e-4);
-        }
-        let c = mat(5, 11, 4);
-        let fast = a.transposed_matmul(&c);
-        let slow = transposed_matmul(&a, &c);
-        for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
-            assert!((x - y).abs() < 1e-4);
+        use crate::tolerance::{bound_use, parent_matmul_into, FUSED_STEP_SHAPES};
+        for (salt, &(m, k, n)) in (0..).zip(FUSED_STEP_SHAPES.iter()) {
+            let (a, b) = (mat(m, k, 3 * salt), mat(k, n, 3 * salt + 1));
+            let (at, bt) = (a.transpose(), b.transpose());
+            let mut parent = vec![f32::NAN; m * n];
+            parent_matmul_into(&mut parent, a.as_slice(), b.as_slice(), m, k, n);
+            for (what, out) in [
+                ("seed matmul", matmul(&a, &b).into_vec()),
+                (
+                    "seed matmul_transposed",
+                    matmul_transposed(&a, &bt).into_vec(),
+                ),
+                (
+                    "seed transposed_matmul",
+                    transposed_matmul(&at, &b).into_vec(),
+                ),
+                ("parent loop", parent),
+                ("matmul", a.matmul(&b).into_vec()),
+                ("matmul_transposed", a.matmul_transposed(&bt).into_vec()),
+                ("transposed_matmul", at.transposed_matmul(&b).into_vec()),
+            ] {
+                let used = bound_use(&out, a.as_slice(), b.as_slice(), m, k, n);
+                assert!(used.max <= 1.0, "{what} at {m}×{k}×{n}: {used:?}");
+            }
         }
     }
 

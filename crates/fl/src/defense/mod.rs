@@ -84,8 +84,10 @@ mod oracles;
 mod robust;
 mod rows;
 mod stages;
-#[cfg(test)]
-pub(crate) mod test_support;
+// Public but hidden: `safeloc-bench`'s tolerance contract screens the
+// same cohorts the defense's own tests do.
+#[doc(hidden)]
+pub mod test_support;
 mod verdicts;
 
 pub use crate::aggregate::cluster::ClusterAggregator;

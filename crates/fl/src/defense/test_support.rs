@@ -1,6 +1,8 @@
 //! Fixtures shared by the defense module's unit tests: tiny hand-built
 //! updates, the dense delta block the view is pinned against, the
-//! `round_screen` cohort in miniature.
+//! `round_screen` cohort in miniature. Also read by `safeloc-bench`'s
+//! tolerance contract, whose golden verdict table is taken on
+//! [`attacked_cohort`].
 
 use crate::update::ClientUpdate;
 use safeloc_nn::{Matrix, NamedParams};

@@ -18,15 +18,36 @@
 //!    allocated (and zeroed) a fresh output for every product; at batch 32
 //!    that is three allocations per layer per step. Every kernel here takes
 //!    `out: &mut [f32]` so the training loop can run allocation-free.
-//! 2. **Register-block the output.** [`matmul_into`] computes a 4-row ×
-//!    4-k block per pass: four loaded `b` rows meet four output rows in 16
-//!    independent multiplies feeding four separate add chains, which
-//!    amortizes loads across rows (the seed's one-row-at-a-time loop was
-//!    load-port bound) and breaks the add latency chain. The products and
-//!    sums are separate multiplies and adds — nothing here asks for fused
-//!    multiply-add, and the compiler never contracts on its own — which
-//!    is precisely why a result is bit-stable across CPUs with and
-//!    without FMA units.
+//! 2. **Register-block the output; contract each group sum.**
+//!    [`matmul_into`] computes a 4-row × 4-k block per pass: four loaded
+//!    `b` rows meet four output rows in 16 independent products feeding
+//!    four separate chains, which amortizes loads across rows (the seed's
+//!    one-row-at-a-time loop was load-port bound) and breaks the add
+//!    latency chain. Each group of four reduction steps is summed as one
+//!    multiply and three fused multiply-adds,
+//!    `a₃·v₃ + (a₂·v₂ + (a₁·v₁ + a₀·v₀))` (`group_sum`; each `mul_add`
+//!    rounds `a·v + s` once), and the group sum is added to the output with
+//!    one plain add; the `k mod 4` tail adds `a·v` singly. `f32::mul_add`
+//!    is correctly rounded on every target, so a result is the same bit
+//!    for bit on every CPU, with or without an FMA unit — only the speed
+//!    depends on one (a `vfmadd` per lane where `target-cpu` has FMA, a
+//!    library call where it has not). The compiler still never contracts
+//!    on its own: the three fused steps are the only ones, and
+//!    `safeloc_lint`'s `det-fused-arith` rule keeps `mul_add` out of every
+//!    other production file. Contracting changed output bits, so it landed
+//!    under `safeloc-bench`'s tolerance contract (`tolerance.rs`: within
+//!    `γ_k·Σ|a||b|` of an f64 product and no further from it than the
+//!    parent's separately rounded groups; training drift from the seed
+//!    path below the parent's; the golden defense verdicts unchanged).
+//!    It took `benchmark/`'s `nn.matmul_l1_us` 23.2 → 19.9 µs,
+//!    `nn.tmatmul_l1_us` 26.1 → 20.6 and a fused training step
+//!    (`core.train_step_us`) 292 → 249 (medians of five traced pairs on
+//!    one pinned core). The fully sequential form, `o = a.mul_add(v, o)`
+//!    per step, is ruled out: an underflowing negative product can leave
+//!    `o` at `−0.0`, which breaks rule 7's lemma (an accumulator that is
+//!    never `−0.0`; pinned by
+//!    `an_underflowing_negative_product_leaves_no_negative_zero`), and it
+//!    measured no faster end to end.
 //!    [`matmul_transposed_into`] and [`transposed_matmul_into`] transpose
 //!    once and run the same kernel.
 //! 3. **Block columns for L1.** Column ranges are walked in `NC`-sized
@@ -114,8 +135,8 @@
 //!    lane `i mod LANES`, in index order, and the lanes fold by the same
 //!    halving ([`support_dot_pair`] is two [`support_dot`]s sharing one
 //!    walk of the support, each sum in lanes of its own); a projection still
-//!    adds one left-associated `((a₀v₀ + a₁v₁) + a₂v₂) + a₃v₃` group sum
-//!    per 4-aligned group, in ascending order, `KC`-blocked the same
+//!    adds one contracted `a₃v₃ + (a₂v₂ + (a₁v₁ + a₀v₀))` group sum (rule
+//!    2) per 4-aligned group, in ascending order, `KC`-blocked the same
 //!    way. What is skipped is a term `+0.0 · y = ±0.0` (or a group of
 //!    four of them) added to an accumulator that started at `+0.0`: in
 //!    round-to-nearest `x + y` is `−0.0` only when *both* operands are,
@@ -123,20 +144,26 @@
 //!    anything else returns it unchanged — the skipped add was the
 //!    identity. *Inside* a group the same fact is a lemma about partial
 //!    sums: leave the non-members' `±0.0` terms out of the group sum and
-//!    the two running sums are, after every term, either equal bit for
-//!    bit or both zeros — a `±0.0` term leaves a non-zero sum as it is
-//!    and a zero sum a zero, and a member's product added to two zeros
-//!    of either sign gives that product, or a zero if it is one. So a
-//!    member-only group sum `G′` and the dense `G` differ at most in the
-//!    sign of a zero, and `o += G′` lands on the bits of `o += G`
-//!    because `o` is never `−0.0`. [`support_matmul_into`] spends it on
+//!    the two running sums are, after every step, either equal bit for
+//!    bit or both zeros. A fused step `a.mul_add(v, s)` rounds the exact
+//!    `a·v + s` once. A non-member's (`a = +0.0`, `v` finite) exact value
+//!    is `s` itself: a non-zero sum stays as it is and a zero sum a zero.
+//!    A member's step on two zeros of either sign rounds the exact `a·v`
+//!    alone — the bits `a * v` rounds to, an underflowing product
+//!    included (it rounds to a zero of its own sign either way) — so both
+//!    sums become that product, or a zero if it is one; on two equal sums
+//!    it gives equal results. The group's leading `a₀ * v₀` is the same
+//!    step on a zero. So a member-only group sum `G′` and the dense `G`
+//!    differ at most in the sign of a zero, and `o += G′` lands on the
+//!    bits of `o += G` because `o` is never `−0.0` (it is only ever
+//!    touched by a plain add). [`support_matmul_into`] spends it on
 //!    the case that pays — a group's *lone* member adds `a·v` over one
 //!    `b` row instead of four: 92 % of the non-empty groups of a
 //!    uniformly 5 %-dense row, 75 % where a sixth of the columns hold
 //!    three quarters of the support, and ×0.56 on the 256-row projection
 //!    (8.9 → 5.0 ms). Member-only sums of two and three
-//!    (`a₁v₁ + a₃v₃`, one left-associated expression — adding members to
-//!    `o` one by one rounds differently) hold by the same lemma and
+//!    (`a₃v₃ + a₁v₁`, one expression — adding members to `o` one by one
+//!    rounds differently) hold by the same lemma and
 //!    measured level, 4.3–4.9 against 4.1–5.0 ms, so those groups are
 //!    still evaluated whole. (The one operand that breaks all of this is
 //!    a non-finite `y`, `0 · ∞ = NaN`; callers hand these kernels finite
@@ -263,12 +290,14 @@ fn accumulate_direct(
                 let b1 = &b[(kk + 1) * n + j0..(kk + 1) * n + j0 + jlen];
                 let b2 = &b[(kk + 2) * n + j0..(kk + 2) * n + j0 + jlen];
                 let b3 = &b[(kk + 3) * n + j0..(kk + 3) * n + j0 + jlen];
+                let [a0, a1, a2, a3] =
+                    [ar0, ar1, ar2, ar3].map(|ar| [ar[kk], ar[kk + 1], ar[kk + 2], ar[kk + 3]]);
                 for j in 0..jlen {
-                    let (v0, v1, v2, v3) = (b0[j], b1[j], b2[j], b3[j]);
-                    o0[j] += ar0[kk] * v0 + ar0[kk + 1] * v1 + ar0[kk + 2] * v2 + ar0[kk + 3] * v3;
-                    o1[j] += ar1[kk] * v0 + ar1[kk + 1] * v1 + ar1[kk + 2] * v2 + ar1[kk + 3] * v3;
-                    o2[j] += ar2[kk] * v0 + ar2[kk + 1] * v1 + ar2[kk + 2] * v2 + ar2[kk + 3] * v3;
-                    o3[j] += ar3[kk] * v0 + ar3[kk + 1] * v1 + ar3[kk + 2] * v2 + ar3[kk + 3] * v3;
+                    let v = [b0[j], b1[j], b2[j], b3[j]];
+                    o0[j] += group_sum(a0, v);
+                    o1[j] += group_sum(a1, v);
+                    o2[j] += group_sum(a2, v);
+                    o3[j] += group_sum(a3, v);
                 }
                 kk += 4;
             }
@@ -294,13 +323,13 @@ fn accumulate_direct(
             let o_row = &mut out[i * n + j0..i * n + j0 + jlen];
             let mut kk = 0;
             while kk + 4 <= k {
-                let (a0, a1, a2, a3) = (a_row[kk], a_row[kk + 1], a_row[kk + 2], a_row[kk + 3]);
+                let a_group = [a_row[kk], a_row[kk + 1], a_row[kk + 2], a_row[kk + 3]];
                 let b0 = &b[kk * n + j0..kk * n + j0 + jlen];
                 let b1 = &b[(kk + 1) * n + j0..(kk + 1) * n + j0 + jlen];
                 let b2 = &b[(kk + 2) * n + j0..(kk + 2) * n + j0 + jlen];
                 let b3 = &b[(kk + 3) * n + j0..(kk + 3) * n + j0 + jlen];
                 for j in 0..jlen {
-                    o_row[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
+                    o_row[j] += group_sum(a_group, [b0[j], b1[j], b2[j], b3[j]]);
                 }
                 kk += 4;
             }
@@ -315,6 +344,17 @@ fn accumulate_direct(
         }
         i += 1;
     }
+}
+
+/// One 4-step reduction group, `a₀v₀ + a₁v₁ + a₂v₂ + a₃v₃`, contracted:
+/// one multiply and three fused multiply-adds,
+/// `a₃·v₃ + (a₂·v₂ + (a₁·v₁ + a₀·v₀))` with each step rounded once (design
+/// rule 2 in the module docs). Every product kernel adds its groups
+/// through this one expression, so the dense rows, the row tail and the
+/// support kernel's whole groups agree bit for bit.
+#[inline(always)]
+fn group_sum(a: [f32; 4], v: [f32; 4]) -> f32 {
+    a[3].mul_add(v[3], a[2].mul_add(v[2], a[1].mul_add(v[1], a[0] * v[0])))
 }
 
 thread_local! {
@@ -606,12 +646,12 @@ pub fn support_axpy(acc: &mut [f32], weight: f32, indices: &[u32], values: &[f32
 /// bit for bit what [`matmul_into`] computes for the densified `a` and a
 /// finite `b`, in time proportional to the supports.
 ///
-/// The dense kernel adds, per output element, one
-/// `((a₀v₀ + a₁v₁) + a₂v₂) + a₃v₃` group per four reduction steps
+/// The dense kernel adds, per output element, one contracted
+/// `a₃v₃ + (a₂v₂ + (a₁v₁ + a₀v₀))` group per four reduction steps
 /// (groups start at multiples of 4; the last `k mod 4` steps add singly),
 /// ascending. This kernel skips the groups that are all `+0.0`, adds a
 /// group's *lone* member as its own product `a₁v₁` — where the dense kernel
-/// adds `((0·v₀ + a₁v₁) + 0·v₂) + 0·v₃`, which differs from it at most in
+/// adds `0·v₃ + (0·v₂ + (a₁v₁ + 0·v₀))`, which differs from it at most in
 /// the sign of a zero, and that the accumulator cannot see (the lemma of
 /// design rule 7 in the module docs) — over one `b` row instead of four,
 /// and evaluates a group of two or more members whole, zeros included, the
@@ -641,6 +681,12 @@ pub fn support_matmul_into(
         debug_assert!(
             indices.windows(2).all(|w| w[0] < w[1]),
             "support indices must ascend strictly"
+        );
+        // Checked here, before any early return: an `n = 0` product reads
+        // no `b` row that would catch a stray index.
+        assert!(
+            indices.iter().all(|&i| (i as usize) < k),
+            "support index out of range for a reduction of length {k}"
         );
     }
     out.fill(0.0);
@@ -676,17 +722,12 @@ pub fn support_matmul_into(
                 }
                 let [b0, b1, b2, b3] = [0, 1, 2, 3].map(|step| &b[(g0 + step) * n..][..n]);
                 for ((((o, v0), v1), v2), v3) in o.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
-                    *o += a[0] * v0 + a[1] * v1 + a[2] * v2 + a[3] * v3;
+                    *o += group_sum(a, [*v0, *v1, *v2, *v3]);
                 }
             }
             *cursor = c;
         }
     }
-    // A cursor stops short only at an index no block reaches.
-    assert!(
-        rows.iter().zip(&cursors).all(|(row, &c)| c == row.0.len()),
-        "support index out of range for a reduction of length {k}"
-    );
 }
 
 /// One Adam step's scalars, fixed for every element of every tensor:
@@ -1261,6 +1302,41 @@ mod tests {
         }
     }
 
+    /// The invariant rule 7's lemma stands on — an output element is never
+    /// `−0.0` — against the one product that could break it: a lone
+    /// member whose product underflows to `−0.0`, at every position of a
+    /// group and in the `k mod 4` tail, as the element's first and only
+    /// contribution. The group sum may be `−0.0`; the plain `o += G`
+    /// turns it into `+0.0`, in both kernels. (Accumulating straight into
+    /// `o` with `o = a.mul_add(v, o)` leaves `o` at `−0.0` here, and a
+    /// later non-member step of the dense kernel, `+0·v + −0.0 = +0.0`,
+    /// makes the two kernels disagree.)
+    #[test]
+    fn an_underflowing_negative_product_leaves_no_negative_zero() {
+        const TINY: f32 = 1e-30;
+        for k in [4, 8, 7] {
+            for member in 0..k {
+                let mut a = vec![0.0f32; k];
+                a[member] = -TINY;
+                let n = 3;
+                let b: Vec<f32> = (0..k * n)
+                    .map(|at| if at / n == member { TINY } else { 1.0 })
+                    .collect();
+                let mut dense = vec![f32::NAN; n];
+                matmul_into(&mut dense, &a, &b, 1, k, n);
+                let (indices, values) = support_of(&a);
+                let mut support = vec![f32::NAN; n];
+                support_matmul_into(&mut support, &[(&indices, &values)], &b, k, n);
+                for (kernel, out) in [("dense", &dense), ("support", &support)] {
+                    assert!(
+                        out.iter().all(|v| v.to_bits() == 0),
+                        "{kernel}, k {k}, member {member}: {out:?} is not +0.0"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "index out of bounds")]
     fn support_dot_rejects_an_index_past_the_operand() {
@@ -1285,6 +1361,14 @@ mod tests {
     fn support_matmul_rejects_an_index_past_the_reduction() {
         let mut out = [0.0; 2];
         support_matmul_into(&mut out, &[(&[6], &[1.0])], &[1.0; 12], 6, 2);
+    }
+
+    /// An empty output (`n = 0`) reads no `b` row, and the index is
+    /// rejected all the same.
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn support_matmul_rejects_an_index_past_the_reduction_when_n_is_zero() {
+        support_matmul_into(&mut [], &[(&[6], &[1.0])], &[], 6, 0);
     }
 
     #[test]
