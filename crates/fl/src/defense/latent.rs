@@ -724,6 +724,54 @@ mod tests {
         assert!((0.9..=1.1).contains(&w), "GM dragged: {w}");
     }
 
+    /// Pinned on the hand-rolled autoencoder loop the stage trained with
+    /// before it went through `Sequential::train_batch_autoencoder_with`.
+    const LATENT_DIGEST: u64 = 0x0246_644b_5764_f0a5;
+
+    /// Golden bit pin of the FEDLS stage: three rounds of `attacked_cohort`
+    /// per cohort, every decision's weight (or rule and score) and every
+    /// resulting GM folded into one FNV-1a digest of their bits. Round one
+    /// scores by distance to the round median; rounds two and three fit
+    /// the autoencoder on the accepted history.
+    #[test]
+    fn latent_stage_bits_match_the_golden_digest() {
+        use crate::defense::test_support::{attacked_cohort, WIDE_SHAPES};
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |bytes: &[u8]| {
+            for &b in bytes {
+                digest ^= u64::from(b);
+                digest = digest.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for n in [40, 128] {
+            for seed in 40..44 {
+                let (g, updates) = attacked_cohort(n, &WIDE_SHAPES, seed);
+                let mut pipeline = latent(seed);
+                for _ in 0..3 {
+                    let out = pipeline.aggregate(&g, &updates);
+                    for decision in &out.decisions {
+                        match decision {
+                            UpdateDecision::Accepted { weight } => {
+                                fold(&weight.to_bits().to_le_bytes())
+                            }
+                            UpdateDecision::Rejected { rule, score } => {
+                                fold(rule.as_bytes());
+                                fold(&score.to_bits().to_le_bytes());
+                            }
+                        }
+                    }
+                    for (_, t) in out.params.iter() {
+                        for v in t.as_slice() {
+                            fold(&v.to_bits().to_le_bytes());
+                        }
+                    }
+                }
+            }
+        }
+        println!("latent digest: {digest:#018x}");
+        assert_eq!(digest, LATENT_DIGEST, "a latent-stage bit moved");
+    }
+
     /// The history screen must not blanket-reject once active: honest
     /// full-size rounds keep flowing through the composed variant.
     #[test]
