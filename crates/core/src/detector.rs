@@ -102,7 +102,15 @@ mod tests {
             seed: 3,
         });
         let mut opt = Adam::new(5e-3);
-        net.fit(&x, &labels, &mut opt, &TrainConfig::new(300, 0, 3), true);
+        net.fit_augmented(
+            &x,
+            &labels,
+            &mut opt,
+            &TrainConfig::new(300, 0, 3),
+            true,
+            1.0,
+            None,
+        );
         (net, x, labels)
     }
 

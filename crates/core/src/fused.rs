@@ -12,6 +12,13 @@
 //!                                 └───────────────────┘
 //! ```
 //!
+//! Each part is a [`Sequential`] stack — the encoder with ReLU after every
+//! layer, the decoder with ReLU on its hidden layers and an identity
+//! reconstruction layer, the head one identity layer — so the fused model
+//! trains through `Sequential`'s one backward pass
+//! ([`Sequential::backward_into`]), called once per stack into one flat
+//! gradient list.
+//!
 //! The reconstruction error between `x` and `x̂` drives backdoor *detection*
 //! (RCE > τ ⇒ flagged); flagged fingerprints are *de-noised* by re-encoding
 //! their reconstruction and classifying the new latent vector. Following the
@@ -25,8 +32,9 @@ use rand::{Rng, SeedableRng};
 use safeloc_attacks::GradientSource;
 use safeloc_fl::client::PredictLabels;
 use safeloc_nn::{
-    gather_labels_into, gather_rows, gather_rows_into, shuffled_batches, Activation, Dense,
-    HasParams, Init, Matrix, MseLoss, Optimizer, SparseCrossEntropyLoss, TrainConfig,
+    gather_labels_into, gather_rows, gather_rows_into, relative_error_per_row, shuffled_batches,
+    Activation, Dense, ForwardTrace, HasParams, Init, Matrix, MseLoss, Optimizer, Sequential,
+    SparseCrossEntropyLoss, TrainConfig,
 };
 use serde::{Deserialize, Serialize};
 
@@ -59,37 +67,48 @@ impl FusedConfig {
     }
 }
 
-/// The fused autoencoder + classifier model.
+/// The fused autoencoder + classifier model: three stacks over one
+/// bottleneck.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FusedNetwork {
-    enc: Vec<Dense>,
-    dec: Vec<Dense>,
-    cls: Dense,
+    enc: Sequential,
+    dec: Sequential,
+    cls: Sequential,
 }
 
-/// Cached forward state for one batch.
+/// Cached forward state for one batch: one [`ForwardTrace`] per stack.
 ///
 /// Reusable: [`FusedNetwork::forward_trace_into`] reshapes the cached
 /// matrices in place, so a trace that has seen a batch shape once never
 /// allocates for it again.
 #[derive(Debug, Clone, Default)]
 pub struct FusedTrace {
-    enc_in: Vec<Matrix>,
-    enc_pre: Vec<Matrix>,
+    enc: ForwardTrace,
+    dec: ForwardTrace,
+    cls: ForwardTrace,
+}
+
+impl FusedTrace {
     /// Bottleneck activations.
-    pub z: Matrix,
-    dec_in: Vec<Matrix>,
-    dec_pre: Vec<Matrix>,
+    pub fn z(&self) -> &Matrix {
+        self.enc.output()
+    }
+
     /// Reconstruction of the input.
-    pub recon: Matrix,
+    pub fn recon(&self) -> &Matrix {
+        self.dec.output()
+    }
+
     /// Classification logits.
-    pub logits: Matrix,
+    pub fn logits(&self) -> &Matrix {
+        self.cls.output()
+    }
 }
 
 /// Reusable scratch buffers for one fused-network training stream — the
 /// `Workspace` pattern of `safeloc-nn`, extended to the two-headed model:
-/// the forward trace, the flat gradient list, the two loss-head gradients
-/// and the ping-pong matrices the joint backward pass streams through.
+/// the forward trace, the flat gradient list, the logits gradient and the
+/// ping-pong matrices the three stacks' backward passes stream through.
 /// After one warmup step on a batch shape, a full
 /// [`FusedNetwork::train_batch_weighted_with`] step performs **zero heap
 /// allocations** — pinned by `crates/core/tests/alloc_free.rs`.
@@ -101,9 +120,8 @@ pub struct FusedWorkspace {
     grads: Vec<Matrix>,
     /// `dL/d logits`.
     d_logits: Matrix,
-    /// `recon_weight · dL/d recon`.
-    d_recon: Matrix,
-    /// Gradient flowing backwards through the current stack.
+    /// Gradient flowing backwards through the decoder, then the encoder;
+    /// starts as `recon_weight · dL/d recon`.
     grad_cur: Matrix,
     /// Scratch for the layer-below gradient; swapped with `grad_cur`.
     grad_next: Matrix,
@@ -126,21 +144,6 @@ impl FusedWorkspace {
     /// The flat gradient tensors produced by the last backward pass.
     pub fn gradients(&self) -> &[Matrix] {
         &self.grads
-    }
-}
-
-/// Gradients for every tensor plus the input.
-#[derive(Debug, Clone)]
-pub struct FusedGrads {
-    flat: Vec<Matrix>,
-    /// `dL/dx`.
-    pub input: Matrix,
-}
-
-impl FusedGrads {
-    /// Gradients in [`HasParams`] tensor order.
-    pub fn into_flat(self) -> Vec<Matrix> {
-        self.flat
     }
 }
 
@@ -210,68 +213,50 @@ impl FusedNetwork {
             cfg.input_dim > 0 && cfg.n_classes > 0,
             "degenerate dimensions"
         );
+        // One RNG stream in a fixed order — encoder, decoder, head — keeps
+        // every seed's initial weights.
         let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut layer = |from: usize, to: usize| {
+            assert!(to > 0, "zero-width layer");
+            Dense::new(from, to, Init::HeUniform, &mut rng)
+        };
         let mut enc = Vec::with_capacity(cfg.encoder_dims.len());
         let mut prev = cfg.input_dim;
         for &d in &cfg.encoder_dims {
-            assert!(d > 0, "zero-width encoder layer");
-            enc.push(Dense::new(prev, d, Init::HeUniform, &mut rng));
+            enc.push(layer(prev, d));
             prev = d;
         }
         let bottleneck = prev;
         let mut dec = Vec::with_capacity(cfg.decoder_hidden.len() + 1);
         for &d in &cfg.decoder_hidden {
-            assert!(d > 0, "zero-width decoder layer");
-            dec.push(Dense::new(prev, d, Init::HeUniform, &mut rng));
+            dec.push(layer(prev, d));
             prev = d;
         }
-        dec.push(Dense::new(prev, cfg.input_dim, Init::HeUniform, &mut rng));
-        let cls = Dense::new(bottleneck, cfg.n_classes, Init::HeUniform, &mut rng);
-        Self { enc, dec, cls }
+        dec.push(layer(prev, cfg.input_dim));
+        let cls = layer(bottleneck, cfg.n_classes);
+        let enc_acts = vec![Activation::Relu; enc.len()];
+        let mut dec_acts = vec![Activation::Relu; dec.len()];
+        *dec_acts.last_mut().expect("reconstruction layer") = Activation::Identity;
+        Self {
+            enc: Sequential::from_layers(enc, enc_acts),
+            dec: Sequential::from_layers(dec, dec_acts),
+            cls: Sequential::from_layers(vec![cls], vec![Activation::Identity]),
+        }
     }
 
     /// Input width.
     pub fn input_dim(&self) -> usize {
-        self.enc[0].in_dim()
+        self.enc.in_dim()
     }
 
     /// Bottleneck width.
     pub fn bottleneck_dim(&self) -> usize {
-        self.enc.last().expect("non-empty").out_dim()
+        self.enc.out_dim()
     }
 
     /// Number of reference-point classes.
     pub fn n_classes(&self) -> usize {
         self.cls.out_dim()
-    }
-
-    /// Encodes a batch to bottleneck activations.
-    pub fn encode(&self, x: &Matrix) -> Matrix {
-        let mut h = x.clone();
-        for layer in &self.enc {
-            h = Activation::Relu.forward(&layer.forward(&h));
-        }
-        h
-    }
-
-    /// Decodes bottleneck activations to a reconstruction.
-    pub fn decode(&self, z: &Matrix) -> Matrix {
-        let mut h = z.clone();
-        let last = self.dec.len() - 1;
-        for (i, layer) in self.dec.iter().enumerate() {
-            let pre = layer.forward(&h);
-            h = if i == last {
-                pre
-            } else {
-                Activation::Relu.forward(&pre)
-            };
-        }
-        h
-    }
-
-    /// Classification logits from bottleneck activations.
-    pub fn classify_latent(&self, z: &Matrix) -> Matrix {
-        self.cls.forward(z)
     }
 
     /// Full forward pass with cached intermediates.
@@ -283,45 +268,21 @@ impl FusedNetwork {
 
     /// Forward pass into a reusable trace (allocation-free once warm).
     pub fn forward_trace_into(&self, x: &Matrix, trace: &mut FusedTrace) {
-        let ne = self.enc.len();
-        let nd = self.dec.len();
-        trace.enc_in.resize_with(ne, || Matrix::zeros(0, 0));
-        trace.enc_pre.resize_with(ne, || Matrix::zeros(0, 0));
-        trace.dec_in.resize_with(nd, || Matrix::zeros(0, 0));
-        trace.dec_pre.resize_with(nd, || Matrix::zeros(0, 0));
-        trace.enc_in[0].copy_from(x);
-        for i in 0..ne {
-            self.enc[i].forward_into(&trace.enc_in[i], &mut trace.enc_pre[i]);
-            let post = if i + 1 < ne {
-                &mut trace.enc_in[i + 1]
-            } else {
-                &mut trace.z
-            };
-            post.copy_from(&trace.enc_pre[i]);
-            Activation::Relu.forward_assign(post);
-        }
-        trace.dec_in[0].copy_from(&trace.z);
-        for i in 0..nd {
-            self.dec[i].forward_into(&trace.dec_in[i], &mut trace.dec_pre[i]);
-            if i + 1 < nd {
-                trace.dec_in[i + 1].copy_from(&trace.dec_pre[i]);
-                Activation::Relu.forward_assign(&mut trace.dec_in[i + 1]);
-            } else {
-                // Identity output activation on the reconstruction head.
-                trace.recon.copy_from(&trace.dec_pre[i]);
-            }
-        }
-        self.cls.forward_into(&trace.z, &mut trace.logits);
+        self.enc.forward_trace_into(x, &mut trace.enc);
+        self.dec
+            .forward_trace_into(trace.enc.output(), &mut trace.dec);
+        self.cls
+            .forward_trace_into(trace.enc.output(), &mut trace.cls);
     }
 
     /// Plain classification (no detection): encode → classify → argmax.
     pub fn predict(&self, x: &Matrix) -> Vec<usize> {
-        self.classify_latent(&self.encode(x)).argmax_rows()
+        self.cls.forward(&self.enc.forward(x)).argmax_rows()
     }
 
     /// Per-row reconstruction error under `mode`.
     pub fn rce(&self, x: &Matrix, mode: RceMode) -> Vec<f32> {
-        let recon = self.decode(&self.encode(x));
+        let recon = self.dec.forward(&self.enc.forward(x));
         rce_rows(x, &recon, mode)
     }
 
@@ -330,11 +291,10 @@ impl FusedNetwork {
     /// their *reconstruction* is re-encoded and that latent vector is
     /// classified instead.
     pub fn predict_with_detection(&self, x: &Matrix, tau: f32, mode: RceMode) -> DetectionOutcome {
-        let z = self.encode(x);
-        let recon = self.decode(&z);
+        let z = self.enc.forward(x);
+        let recon = self.dec.forward(&z);
         let rce = rce_rows(x, &recon, mode);
-        let logits = self.classify_latent(&z);
-        let mut labels = logits.argmax_rows();
+        let mut labels = self.cls.forward(&z).argmax_rows();
         let flagged: Vec<bool> = rce.iter().map(|&r| r > tau).collect();
         let flagged_rows: Vec<usize> = flagged
             .iter()
@@ -344,8 +304,7 @@ impl FusedNetwork {
             .collect();
         if !flagged_rows.is_empty() {
             let sub = gather_rows(&recon, &flagged_rows);
-            let z2 = self.encode(&sub);
-            let relabeled = self.classify_latent(&z2).argmax_rows();
+            let relabeled = self.predict(&sub);
             for (slot, &row) in flagged_rows.iter().enumerate() {
                 labels[row] = relabeled[slot];
             }
@@ -360,7 +319,7 @@ impl FusedNetwork {
     /// Replaces rows whose RCE exceeds τ with their reconstructions — the
     /// de-noising step applied to a client's local data before retraining.
     pub fn denoise_matrix(&self, x: &Matrix, tau: f32, mode: RceMode) -> (Matrix, Vec<bool>) {
-        let recon = self.decode(&self.encode(x));
+        let recon = self.dec.forward(&self.enc.forward(x));
         let rce = rce_rows(x, &recon, mode);
         let mut out = x.clone();
         let mut flagged = vec![false; x.rows()];
@@ -376,132 +335,10 @@ impl FusedNetwork {
         (out, flagged)
     }
 
-    /// Backward pass. `d_logits` and `d_recon` are the loss gradients at the
-    /// two heads (either may be `None`); with `detach_decoder` the
-    /// reconstruction gradient stops at the bottleneck.
-    pub fn backward(
-        &self,
-        trace: &FusedTrace,
-        d_logits: Option<&Matrix>,
-        d_recon: Option<&Matrix>,
-        detach_decoder: bool,
-    ) -> FusedGrads {
-        let batch_z = &trace.z;
-        // Classifier head.
-        let (cls_gw, cls_gb, dz_cls) = match d_logits {
-            Some(g) => {
-                let grads = self.cls.backward(batch_z, g);
-                (grads.w, grads.b, Some(grads.x))
-            }
-            None => (
-                Matrix::zeros(self.cls.in_dim(), self.cls.out_dim()),
-                Matrix::zeros(1, self.cls.out_dim()),
-                None,
-            ),
-        };
-        // Decoder stack.
-        let mut dec_grads: Vec<(Matrix, Matrix)> = self
-            .dec
-            .iter()
-            .map(|l| {
-                (
-                    Matrix::zeros(l.in_dim(), l.out_dim()),
-                    Matrix::zeros(1, l.out_dim()),
-                )
-            })
-            .collect();
-        let mut dz_dec: Option<Matrix> = None;
-        if let Some(g) = d_recon {
-            let mut grad = g.clone();
-            let last = self.dec.len() - 1;
-            for i in (0..self.dec.len()).rev() {
-                let grad_pre = if i == last {
-                    grad.clone() // identity output activation
-                } else {
-                    Activation::Relu.backward(&trace.dec_pre[i], &grad)
-                };
-                let g = self.dec[i].backward(&trace.dec_in[i], &grad_pre);
-                dec_grads[i] = (g.w, g.b);
-                grad = g.x;
-            }
-            dz_dec = Some(grad);
-        }
-        // Combine bottleneck gradients.
-        let mut dz = match (dz_cls, dz_dec) {
-            (Some(a), Some(b)) if !detach_decoder => {
-                let mut s = a;
-                s.add_assign(&b);
-                s
-            }
-            (Some(a), _) => a,
-            (None, Some(b)) if !detach_decoder => b,
-            _ => Matrix::zeros(batch_z.rows(), batch_z.cols()),
-        };
-        // Encoder stack.
-        let mut enc_grads: Vec<(Matrix, Matrix)> = self
-            .enc
-            .iter()
-            .map(|l| {
-                (
-                    Matrix::zeros(l.in_dim(), l.out_dim()),
-                    Matrix::zeros(1, l.out_dim()),
-                )
-            })
-            .collect();
-        for i in (0..self.enc.len()).rev() {
-            let grad_pre = Activation::Relu.backward(&trace.enc_pre[i], &dz);
-            let g = self.enc[i].backward(&trace.enc_in[i], &grad_pre);
-            enc_grads[i] = (g.w, g.b);
-            dz = g.x;
-        }
-        let input = dz;
-
-        let mut flat = Vec::with_capacity((self.enc.len() + self.dec.len() + 1) * 2);
-        for (w, b) in enc_grads {
-            flat.push(w);
-            flat.push(b);
-        }
-        for (w, b) in dec_grads {
-            flat.push(w);
-            flat.push(b);
-        }
-        flat.push(cls_gw);
-        flat.push(cls_gb);
-        FusedGrads { flat, input }
-    }
-
     /// One optimizer step on a batch with the joint loss
-    /// `CE(logits, labels) + recon_weight · MSE(recon, x)`; returns
-    /// `(ce, mse)`.
-    pub fn train_batch(
-        &mut self,
-        x: &Matrix,
-        labels: &[usize],
-        opt: &mut dyn Optimizer,
-        detach_decoder: bool,
-    ) -> (f32, f32) {
-        self.train_batch_weighted(x, labels, opt, detach_decoder, 1.0)
-    }
-
-    /// [`FusedNetwork::train_batch`] with an explicit reconstruction-loss
-    /// weight.
-    ///
-    /// Allocates a fresh [`FusedWorkspace`] per call; loops should hold one
-    /// and use [`FusedNetwork::train_batch_weighted_with`].
-    pub fn train_batch_weighted(
-        &mut self,
-        x: &Matrix,
-        labels: &[usize],
-        opt: &mut dyn Optimizer,
-        detach_decoder: bool,
-        recon_weight: f32,
-    ) -> (f32, f32) {
-        let mut ws = FusedWorkspace::new();
-        self.train_batch_weighted_with(x, labels, opt, detach_decoder, recon_weight, &mut ws)
-    }
-
-    /// One optimizer step on a batch with the joint loss through a reusable
-    /// workspace; returns `(ce, mse)`.
+    /// `CE(logits, labels) + recon_weight · MSE(recon, x)` through a
+    /// reusable workspace; returns `(ce, mse)`. With `detach_decoder` the
+    /// reconstruction gradient stops at the bottleneck.
     ///
     /// Zero heap allocations once `ws` has seen the batch shape (the
     /// optimizer's state warms up on its first step the same way) —
@@ -515,146 +352,51 @@ impl FusedNetwork {
         recon_weight: f32,
         ws: &mut FusedWorkspace,
     ) -> (f32, f32) {
-        self.forward_trace_into(x, &mut ws.trace);
-        let ce =
-            SparseCrossEntropyLoss.loss_and_grad_into(&ws.trace.logits, labels, &mut ws.d_logits);
-        let mse = MseLoss.loss(&ws.trace.recon, x);
-        MseLoss.grad_into(&ws.trace.recon, x, &mut ws.d_recon);
-        ws.d_recon.scale_assign(recon_weight);
-        self.backward_joint_with(ws, detach_decoder);
-        opt.step_stream(self, &ws.grads);
-        (ce, mse)
-    }
-
-    /// The joint backward pass through workspace buffers: on entry
-    /// `ws.d_logits` / `ws.d_recon` hold the two head gradients for
-    /// `ws.trace`; on exit `ws.grads` holds the flat parameter gradients in
-    /// [`HasParams`] order. Training never needs `dL/dx`, so the encoder's
-    /// layer-0 input gradient is skipped (the gradient-based attacks go
-    /// through [`FusedNetwork::backward`], which still computes it).
-    fn backward_joint_with(&self, ws: &mut FusedWorkspace, detach_decoder: bool) {
-        let ne = self.enc.len();
-        let nd = self.dec.len();
         let FusedWorkspace {
             trace,
             grads,
             d_logits,
-            d_recon,
             grad_cur,
             grad_next,
             dz_cls,
         } = ws;
-        grads.resize_with((ne + nd + 1) * 2, || Matrix::zeros(0, 0));
+        self.forward_trace_into(x, trace);
+        let ce = SparseCrossEntropyLoss.loss_and_grad_into(trace.logits(), labels, d_logits);
+        let mse = MseLoss.loss(trace.recon(), x);
+        MseLoss.grad_into(trace.recon(), x, grad_cur);
+        grad_cur.scale_assign(recon_weight);
 
-        // Classifier head: parameter gradients plus its bottleneck
-        // gradient.
-        {
-            let (dw_part, db_part) = grads.split_at_mut(2 * (ne + nd) + 1);
-            self.cls.backward_into(
-                &trace.z,
-                d_logits,
-                &mut dw_part[2 * (ne + nd)],
-                &mut db_part[0],
-                dz_cls,
-            );
-        }
+        // One flat gradient list in `HasParams` order, one slice per stack.
+        let (ne, nd) = (2 * self.enc.depth(), 2 * self.dec.depth());
+        grads.resize_with(ne + nd + 2, || Matrix::zeros(0, 0));
+        let (enc_grads, rest) = grads.split_at_mut(ne);
+        let (dec_grads, cls_grads) = rest.split_at_mut(nd);
 
-        // Decoder stack, from the reconstruction head down to the
-        // bottleneck.
-        grad_cur.copy_from(d_recon);
-        let last = nd - 1;
-        for i in (0..nd).rev() {
-            if i != last {
-                Activation::Relu.backward_assign(&trace.dec_pre[i], grad_cur);
-            }
-            let (dw_part, db_part) = grads.split_at_mut(2 * (ne + i) + 1);
-            if i == 0 && detach_decoder {
-                // The decoder's bottleneck gradient is about to be
-                // discarded — skip the widest backward matmul.
-                self.dec[0].param_grads_into(
-                    &trace.dec_in[0],
-                    grad_cur,
-                    &mut dw_part[2 * ne],
-                    &mut db_part[0],
-                );
-            } else {
-                self.dec[i].backward_into(
-                    &trace.dec_in[i],
-                    grad_cur,
-                    &mut dw_part[2 * (ne + i)],
-                    &mut db_part[0],
-                    grad_next,
-                );
-                std::mem::swap(grad_cur, grad_next);
-            }
-        }
-
-        // Combine the two bottleneck gradients ("freeze the gradients from
-        // the encoder": detached mode drops the decoder's).
+        // The head leaves its bottleneck gradient in `d_logits`; swapping
+        // it back into `dz_cls` keeps every buffer in the same role, and so
+        // at the same capacity, from step to step.
+        self.cls
+            .backward_into(&trace.cls, cls_grads, d_logits, dz_cls, true);
+        std::mem::swap(d_logits, dz_cls);
+        // A detached decoder's bottleneck gradient would be discarded, so
+        // its widest backward product is skipped.
+        self.dec
+            .backward_into(&trace.dec, dec_grads, grad_cur, grad_next, !detach_decoder);
+        // Merge at the bottleneck ("freeze the gradients from the encoder":
+        // detached mode drops the decoder's).
         if detach_decoder {
             grad_cur.copy_from(dz_cls);
         } else {
             grad_cur.add_assign(dz_cls);
         }
-
-        // Encoder stack; layer 0 stops at its parameter gradients.
-        for i in (0..ne).rev() {
-            Activation::Relu.backward_assign(&trace.enc_pre[i], grad_cur);
-            let (dw_part, db_part) = grads.split_at_mut(2 * i + 1);
-            if i == 0 {
-                self.enc[0].param_grads_into(
-                    &trace.enc_in[0],
-                    grad_cur,
-                    &mut dw_part[0],
-                    &mut db_part[0],
-                );
-            } else {
-                self.enc[i].backward_into(
-                    &trace.enc_in[i],
-                    grad_cur,
-                    &mut dw_part[2 * i],
-                    &mut db_part[0],
-                    grad_next,
-                );
-                std::mem::swap(grad_cur, grad_next);
-            }
-        }
+        self.enc
+            .backward_into(&trace.enc, enc_grads, grad_cur, grad_next, false);
+        opt.step_stream(self, grads);
+        (ce, mse)
     }
 
-    /// Joint training loop; returns `(mean_ce, mean_mse)` per epoch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `labels.len() != x.rows()`.
-    pub fn fit(
-        &mut self,
-        x: &Matrix,
-        labels: &[usize],
-        opt: &mut dyn Optimizer,
-        cfg: &TrainConfig,
-        detach_decoder: bool,
-    ) -> Vec<(f32, f32)> {
-        self.fit_weighted(x, labels, opt, cfg, detach_decoder, 1.0)
-    }
-
-    /// [`FusedNetwork::fit`] with an explicit reconstruction-loss weight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `labels.len() != x.rows()`.
-    pub fn fit_weighted(
-        &mut self,
-        x: &Matrix,
-        labels: &[usize],
-        opt: &mut dyn Optimizer,
-        cfg: &TrainConfig,
-        detach_decoder: bool,
-        recon_weight: f32,
-    ) -> Vec<(f32, f32)> {
-        self.fit_augmented(x, labels, opt, cfg, detach_decoder, recon_weight, None)
-    }
-
-    /// Full training loop with optional device-heterogeneity augmentation.
+    /// Full training loop with optional device-heterogeneity augmentation;
+    /// returns `(mean_ce, mean_mse)` per epoch.
     ///
     /// With `augment`, a fraction of batches are replaced by augmented
     /// copies (per-row dB-offset plus Gaussian jitter, i.e. the shape of
@@ -732,86 +474,45 @@ impl FusedNetwork {
 fn rce_rows(x: &Matrix, recon: &Matrix, mode: RceMode) -> Vec<f32> {
     match mode {
         RceMode::MeanSquared => MseLoss.per_row(recon, x),
-        RceMode::Relative => (0..x.rows())
-            .map(|r| {
-                let xr = x.row(r);
-                let rr = recon.row(r);
-                let num: f32 = xr
-                    .iter()
-                    .zip(rr)
-                    .map(|(a, b)| (a - b) * (a - b))
-                    .sum::<f32>()
-                    .sqrt();
-                let den: f32 = xr.iter().map(|v| v * v).sum::<f32>().sqrt();
-                num / (den + 1e-9)
-            })
-            .collect(),
+        RceMode::Relative => relative_error_per_row(recon, x),
     }
 }
 
+/// The stacks' own tensor lists, chained encoder → decoder → head and
+/// named `enc{i}.*`, `dec{i}.*`, `cls.*`.
 impl HasParams for FusedNetwork {
     fn param_names(&self) -> Vec<String> {
-        let mut names = Vec::new();
-        for i in 0..self.enc.len() {
-            names.push(format!("enc{i}.w"));
-            names.push(format!("enc{i}.b"));
-        }
-        for i in 0..self.dec.len() {
-            names.push(format!("dec{i}.w"));
-            names.push(format!("dec{i}.b"));
-        }
-        names.push("cls.w".to_string());
-        names.push("cls.b".to_string());
+        let renamed = |stack: &Sequential, from: &str, to: &str| {
+            stack
+                .param_names()
+                .into_iter()
+                .map(|n| n.replacen(from, to, 1))
+                .collect::<Vec<_>>()
+        };
+        let mut names = renamed(&self.enc, "layer", "enc");
+        names.extend(renamed(&self.dec, "layer", "dec"));
+        names.extend(renamed(&self.cls, "layer0", "cls"));
         names
     }
 
     fn param_tensors(&self) -> Vec<&Matrix> {
-        let mut out = Vec::new();
-        for l in &self.enc {
-            out.push(l.weights());
-            out.push(l.bias());
-        }
-        for l in &self.dec {
-            out.push(l.weights());
-            out.push(l.bias());
-        }
-        out.push(self.cls.weights());
-        out.push(self.cls.bias());
+        let mut out = self.enc.param_tensors();
+        out.extend(self.dec.param_tensors());
+        out.extend(self.cls.param_tensors());
         out
     }
 
     fn param_tensors_mut(&mut self) -> Vec<&mut Matrix> {
-        let mut out = Vec::new();
-        for l in &mut self.enc {
-            let (w, b) = l.parts_mut();
-            out.push(w);
-            out.push(b);
-        }
-        for l in &mut self.dec {
-            let (w, b) = l.parts_mut();
-            out.push(w);
-            out.push(b);
-        }
-        let (w, b) = self.cls.parts_mut();
-        out.push(w);
-        out.push(b);
+        let mut out = self.enc.param_tensors_mut();
+        out.extend(self.dec.param_tensors_mut());
+        out.extend(self.cls.param_tensors_mut());
         out
     }
 
     fn visit_param_tensors_mut(&mut self, f: &mut dyn FnMut(&mut Matrix)) {
-        for l in &mut self.enc {
-            let (w, b) = l.parts_mut();
-            f(w);
-            f(b);
-        }
-        for l in &mut self.dec {
-            let (w, b) = l.parts_mut();
-            f(w);
-            f(b);
-        }
-        let (w, b) = self.cls.parts_mut();
-        f(w);
-        f(b);
+        self.enc.visit_param_tensors_mut(f);
+        self.dec.visit_param_tensors_mut(f);
+        self.cls.visit_param_tensors_mut(f);
     }
 }
 
@@ -822,17 +523,28 @@ impl PredictLabels for FusedNetwork {
 }
 
 impl GradientSource for FusedNetwork {
+    /// The decoder does not feed the logits, so only the encoder and the
+    /// head run, forward and back.
     fn loss_input_gradient(&self, x: &Matrix, labels: &[usize]) -> Matrix {
-        let trace = self.forward_trace(x);
-        let d_logits = SparseCrossEntropyLoss.grad(&trace.logits, labels);
-        self.backward(&trace, Some(&d_logits), None, true).input
+        let (mut enc, mut cls) = (ForwardTrace::new(), ForwardTrace::new());
+        self.enc.forward_trace_into(x, &mut enc);
+        self.cls.forward_trace_into(enc.output(), &mut cls);
+        let mut grad = SparseCrossEntropyLoss.grad(cls.output(), labels);
+        let mut scratch = Matrix::zeros(0, 0);
+        let mut cls_grads = vec![Matrix::zeros(0, 0); 2];
+        let mut enc_grads = vec![Matrix::zeros(0, 0); 2 * self.enc.depth()];
+        self.cls
+            .backward_into(&cls, &mut cls_grads, &mut grad, &mut scratch, true);
+        self.enc
+            .backward_into(&enc, &mut enc_grads, &mut grad, &mut scratch, true);
+        grad
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use safeloc_nn::Adam;
+    use safeloc_nn::{Adam, Sgd};
 
     fn cfg() -> FusedConfig {
         FusedConfig {
@@ -900,9 +612,9 @@ mod tests {
         let net = FusedNetwork::new(&cfg());
         let x = Matrix::zeros(3, 10);
         let t = net.forward_trace(&x);
-        assert_eq!(t.z.shape(), (3, 6));
-        assert_eq!(t.recon.shape(), (3, 10));
-        assert_eq!(t.logits.shape(), (3, 4));
+        assert_eq!(t.z().shape(), (3, 6));
+        assert_eq!(t.recon().shape(), (3, 10));
+        assert_eq!(t.logits().shape(), (3, 4));
     }
 
     #[test]
@@ -910,7 +622,15 @@ mod tests {
         let (x, y) = toy_data();
         let mut net = FusedNetwork::new(&cfg());
         let mut opt = Adam::new(5e-3);
-        let hist = net.fit(&x, &y, &mut opt, &TrainConfig::new(300, 0, 1), true);
+        let hist = net.fit_augmented(
+            &x,
+            &y,
+            &mut opt,
+            &TrainConfig::new(300, 0, 1),
+            true,
+            1.0,
+            None,
+        );
         let (ce0, mse0) = hist[0];
         let (ce1, mse1) = *hist.last().unwrap();
         assert!(ce1 < ce0 * 0.5, "CE did not drop: {ce0} -> {ce1}");
@@ -922,6 +642,27 @@ mod tests {
         assert!(mean < 0.2, "clean relative RCE too high: {mean}");
     }
 
+    /// The flat gradients of one training step of a copy of `net` (the
+    /// copy's parameters move; `net`'s do not).
+    fn step_gradients(
+        net: &FusedNetwork,
+        x: &Matrix,
+        y: &[usize],
+        detach: bool,
+        recon_weight: f32,
+    ) -> Vec<Matrix> {
+        let mut ws = FusedWorkspace::new();
+        net.clone().train_batch_weighted_with(
+            x,
+            y,
+            &mut Sgd::new(0.0),
+            detach,
+            recon_weight,
+            &mut ws,
+        );
+        ws.gradients().to_vec()
+    }
+
     #[test]
     fn weight_gradients_match_finite_differences_joint() {
         let net = FusedNetwork::new(&cfg());
@@ -929,14 +670,9 @@ mod tests {
         let y = [1usize, 2];
         let loss = |n: &FusedNetwork| {
             let t = n.forward_trace(&x);
-            SparseCrossEntropyLoss.loss(&t.logits, &y) + MseLoss.loss(&t.recon, &x)
+            SparseCrossEntropyLoss.loss(t.logits(), &y) + MseLoss.loss(t.recon(), &x)
         };
-        let trace = net.forward_trace(&x);
-        let d_logits = SparseCrossEntropyLoss.grad(&trace.logits, &y);
-        let d_recon = MseLoss.grad(&trace.recon, &x);
-        let grads = net
-            .backward(&trace, Some(&d_logits), Some(&d_recon), false)
-            .into_flat();
+        let grads = step_gradients(&net, &x, &y, false, 1.0);
         let h = 1e-3;
         let names = net.param_names();
         for (ti, tensor) in net.param_tensors().iter().enumerate() {
@@ -968,22 +704,18 @@ mod tests {
     #[test]
     fn detached_mode_zeroes_encoder_recon_gradient() {
         let net = FusedNetwork::new(&cfg());
-        let x = Matrix::from_rows(&[vec![0.4; 10]]);
-        let trace = net.forward_trace(&x);
-        let d_recon = MseLoss.grad(&trace.recon, &x.scale(0.5));
-        // Reconstruction-only gradients, detached: encoder grads must be 0.
-        let grads = net.backward(&trace, None, Some(&d_recon), true).into_flat();
-        // First 4 tensors are the two encoder layers.
-        for g in &grads[..4] {
-            assert!(g.l2_norm() == 0.0, "encoder leaked recon gradient");
-        }
-        // Decoder tensors must be non-zero.
-        assert!(grads[4].l2_norm() > 0.0);
-        // Joint mode: encoder grads become non-zero.
-        let joint = net
-            .backward(&trace, None, Some(&d_recon), false)
-            .into_flat();
-        assert!(joint[0].l2_norm() > 0.0);
+        let x = Matrix::from_rows(&[vec![0.4; 10], vec![0.6; 10]]);
+        let y = [0usize, 3];
+        // The first 4 tensors are the two encoder layers, the next 4 the
+        // decoder's. Detached, the reconstruction weight reaches the
+        // decoder only.
+        let light = step_gradients(&net, &x, &y, true, 1.0);
+        let heavy = step_gradients(&net, &x, &y, true, 3.0);
+        assert_eq!(light[..4], heavy[..4], "encoder leaked recon gradient");
+        assert_ne!(light[4], heavy[4]);
+        // Joint mode: it reaches the encoder too.
+        let joint = step_gradients(&net, &x, &y, false, 3.0);
+        assert_ne!(light[0], joint[0]);
     }
 
     #[test]
@@ -998,8 +730,8 @@ mod tests {
             let mut xm = x.clone();
             xp.set(0, c, x.get(0, c) + h);
             xm.set(0, c, x.get(0, c) - h);
-            let lp = SparseCrossEntropyLoss.loss(&net.forward_trace(&xp).logits, &y);
-            let lm = SparseCrossEntropyLoss.loss(&net.forward_trace(&xm).logits, &y);
+            let lp = SparseCrossEntropyLoss.loss(net.forward_trace(&xp).logits(), &y);
+            let lm = SparseCrossEntropyLoss.loss(net.forward_trace(&xm).logits(), &y);
             let num = (lp - lm) / (2.0 * h);
             assert!(
                 (num - g.get(0, c)).abs() < 1e-3,
@@ -1014,7 +746,15 @@ mod tests {
         let (x, y) = toy_data();
         let mut net = FusedNetwork::new(&cfg());
         let mut opt = Adam::new(5e-3);
-        net.fit(&x, &y, &mut opt, &TrainConfig::new(400, 0, 1), true);
+        net.fit_augmented(
+            &x,
+            &y,
+            &mut opt,
+            &TrainConfig::new(400, 0, 1),
+            true,
+            1.0,
+            None,
+        );
 
         // Clean rows: RCE small. Perturbed rows: RCE larger.
         let clean_rce = net.rce(&x, RceMode::Relative);
@@ -1050,7 +790,15 @@ mod tests {
         let (x, y) = toy_data();
         let mut net = FusedNetwork::new(&cfg());
         let mut opt = Adam::new(5e-3);
-        net.fit(&x, &y, &mut opt, &TrainConfig::new(300, 0, 1), true);
+        net.fit_augmented(
+            &x,
+            &y,
+            &mut opt,
+            &TrainConfig::new(300, 0, 1),
+            true,
+            1.0,
+            None,
+        );
         let mut mixed = x.clone();
         // Corrupt row 0 heavily.
         for c in 0..mixed.cols() {
@@ -1078,7 +826,10 @@ mod tests {
         let mut other = FusedNetwork::new(&FusedConfig { seed: 99, ..cfg() });
         other.load(&snap).unwrap();
         let x = Matrix::from_rows(&[vec![0.3; 10]]);
-        assert_eq!(net.forward_trace(&x).logits, other.forward_trace(&x).logits);
+        assert_eq!(
+            net.forward_trace(&x).logits(),
+            other.forward_trace(&x).logits()
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use crate::defense::{DefenseStage, RoundContext, Verdicts};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use safeloc_nn::{Activation, Adam, Dense, Init, Matrix, MseLoss, Optimizer, Sequential};
+use safeloc_nn::{Activation, Adam, Dense, Init, Matrix, MseLoss, Sequential, Workspace};
 
 /// Latent-space update screening, following the paper's §II summary of
 /// FEDLS: "autoencoder-based latent space representations to detect
@@ -393,12 +393,9 @@ impl LatentFilterAggregator {
             ];
             let mut ae = Sequential::from_layers(ae, vec![Activation::Relu, Activation::Identity]);
             let mut opt = Adam::new(5e-3);
+            let mut ws = Workspace::new();
             for _ in 0..self.ae_epochs {
-                let trace = ae.forward_trace(&hist);
-                let grad = MseLoss.grad(trace.output(), &hist);
-                let grads = ae.backward(&trace, &grad).into_flat();
-                use safeloc_nn::HasParams;
-                opt.step(ae.param_tensors_mut(), &grads);
+                ae.train_batch_autoencoder_with(&hist, &mut opt, &mut ws);
             }
             let recon = ae.forward(&features);
             MseLoss.per_row(&recon, &features)
@@ -724,8 +721,9 @@ mod tests {
         assert!((0.9..=1.1).contains(&w), "GM dragged: {w}");
     }
 
-    /// Pinned on the hand-rolled autoencoder loop the stage trained with
-    /// before it went through `Sequential::train_batch_autoencoder_with`.
+    /// Taken before the autoencoder was routed through
+    /// `Sequential::train_batch_autoencoder_with`; a restructuring must
+    /// leave it unchanged.
     const LATENT_DIGEST: u64 = 0x0246_644b_5764_f0a5;
 
     /// Golden bit pin of the FEDLS stage: three rounds of `attacked_cohort`

@@ -19,7 +19,12 @@
 //!   updates through [`optim::ParamStream`] without per-step allocation.
 //! * [`Sequential`] — an MLP assembled from the above, with mini-batch
 //!   training, prediction and **input gradients** (required by the
-//!   gradient-based poisoning attacks in `safeloc-attacks`).
+//!   gradient-based poisoning attacks in `safeloc-attacks`). It is the
+//!   workspace's one backprop engine: a model built from several stacks
+//!   (SAFELOC's fused encoder / decoder / head) traces each with
+//!   [`Sequential::forward_trace_into`] and runs
+//!   [`Sequential::backward_into`] once per stack into one flat gradient
+//!   list.
 //! * [`Workspace`] — reusable forward/backward scratch; a warm
 //!   `train_batch_with` step performs zero heap allocations
 //!   (`tests/alloc_free.rs`).
@@ -71,9 +76,9 @@ pub use data::{
 };
 pub use dense::{Dense, DenseGrads};
 pub use init::Init;
-pub use loss::{MseLoss, SparseCrossEntropyLoss};
+pub use loss::{relative_error_per_row, MseLoss, SparseCrossEntropyLoss};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use params::{HasParams, NamedParams, ParamError};
-pub use sequential::{Sequential, TrainConfig, Workspace};
+pub use sequential::{ForwardTrace, Sequential, TrainConfig, Workspace};
 pub use snapshot::SnapshotError;
 pub use tensor::{Matrix, ShapeError};

@@ -80,6 +80,31 @@ impl MseLoss {
     }
 }
 
+/// Per-row reconstruction error relative to the input's L2 norm,
+/// `‖x − x̂‖ / (‖x‖ + 1e-9)` — the detection statistic of SAFELOC's
+/// `RceMode::Relative` and of the autoencoder baselines.
+///
+/// # Panics
+///
+/// Panics if `recon` and `x` have different shapes.
+pub fn relative_error_per_row(recon: &Matrix, x: &Matrix) -> Vec<f32> {
+    assert_eq!(recon.shape(), x.shape(), "relative error shape mismatch");
+    (0..x.rows())
+        .map(|r| {
+            let xr = x.row(r);
+            let rr = recon.row(r);
+            let num: f32 = xr
+                .iter()
+                .zip(rr)
+                .map(|(a, b)| (a - b) * (a - b))
+                .sum::<f32>()
+                .sqrt();
+            let den: f32 = xr.iter().map(|v| v * v).sum::<f32>().sqrt();
+            num / (den + 1e-9)
+        })
+        .collect()
+}
+
 /// Sparse categorical cross-entropy over logits, fused with softmax.
 ///
 /// Labels are class indices. The loss is the mean negative log-likelihood

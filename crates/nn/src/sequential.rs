@@ -5,7 +5,7 @@ use crate::activation::Activation;
 use crate::data::{gather_labels_into, gather_rows_into, shuffled_batches};
 use crate::dense::Dense;
 use crate::init::Init;
-use crate::loss::{MseLoss, SparseCrossEntropyLoss};
+use crate::loss::{relative_error_per_row, MseLoss, SparseCrossEntropyLoss};
 use crate::optim::Optimizer;
 use crate::params::HasParams;
 use crate::tensor::Matrix;
@@ -105,10 +105,6 @@ pub struct Workspace {
     grad_cur: Matrix,
     /// Scratch for the layer-below gradient; swapped with `grad_cur`.
     grad_next: Matrix,
-    /// Whether the last backward pass propagated through to `dL/dx` (the
-    /// training steps stop at the layer-0 parameter gradients, leaving
-    /// `grad_cur` holding the layer-0 pre-activation gradient instead).
-    has_input_grad: bool,
 }
 
 impl Workspace {
@@ -122,35 +118,18 @@ impl Workspace {
         &self.grads
     }
 
-    /// The input gradient (`dL/dx`) left by the last backward pass, or
-    /// `None` if that pass skipped it — training steps
-    /// ([`Sequential::train_batch_with`] and friends) stop at the layer-0
-    /// parameter gradients; only [`Sequential::backward_with`] propagates
-    /// through to the input.
-    pub fn input_gradient(&self) -> Option<&Matrix> {
-        self.has_input_grad.then_some(&self.grad_cur)
-    }
-}
-
-/// Full gradient set for a [`Sequential`] model.
-#[derive(Debug, Clone)]
-pub struct SequentialGrads {
-    /// Per-layer `(dW, db)` in layer order.
-    pub layers: Vec<(Matrix, Matrix)>,
-    /// Gradient with respect to the network input.
-    pub input: Matrix,
-}
-
-impl SequentialGrads {
-    /// Flattens into the tensor order used by [`HasParams`]
-    /// (`layer0.w, layer0.b, layer1.w, …`).
-    pub fn into_flat(self) -> Vec<Matrix> {
-        let mut out = Vec::with_capacity(self.layers.len() * 2);
-        for (w, b) in self.layers {
-            out.push(w);
-            out.push(b);
-        }
-        out
+    /// Backward pass of `model` over this workspace's trace, from the
+    /// output gradient held in `grad_cur`.
+    fn backward(&mut self, model: &Sequential, need_input_grad: bool) {
+        self.grads
+            .resize_with(2 * model.depth(), || Matrix::zeros(0, 0));
+        model.backward_into(
+            &self.trace,
+            &mut self.grads,
+            &mut self.grad_cur,
+            &mut self.grad_next,
+            need_input_grad,
+        );
     }
 }
 
@@ -260,48 +239,41 @@ impl Sequential {
         }
     }
 
-    /// Backward pass from `dL/d(output)` through the whole stack.
-    pub fn backward(&self, trace: &ForwardTrace, grad_output: &Matrix) -> SequentialGrads {
-        let mut ws = Workspace::new();
-        ws.grad_cur.copy_from(grad_output);
-        self.backward_with(trace, &mut ws);
-        let mut layers = Vec::with_capacity(self.layers.len());
-        for pair in ws.grads.chunks_exact(2) {
-            layers.push((pair[0].clone(), pair[1].clone()));
-        }
-        SequentialGrads {
-            layers,
-            input: ws.grad_cur.clone(),
-        }
-    }
-
-    /// Backward pass through workspace buffers (allocation-free once warm).
+    /// The backward pass, through caller-owned buffers (allocation-free
+    /// once warm) — the one backprop engine every model trains through. A
+    /// model built from several stacks (SAFELOC's fused network) calls it
+    /// once per stack, each writing its slice of one flat gradient list.
     ///
-    /// On entry `ws.grad_cur` must hold `dL/d(output)` for `trace`; on exit
-    /// `ws.grads` holds the flat parameter gradients and, when
-    /// `need_input_grad` is set, `ws.grad_cur` the input gradient. Training
-    /// steps pass `false`: the layer-0 input gradient multiplies against
-    /// the widest weight matrix in the network and no optimizer reads it —
-    /// only the gradient-based poisoning attacks do. The trace is borrowed
-    /// separately from the workspace so [`Sequential::train_batch_with`]
-    /// can split the borrows.
-    fn backward_buffers(
+    /// On entry `grad` holds `dL/d(output)` for `trace`; on exit
+    /// `grads[2i]` / `grads[2i + 1]` hold layer `i`'s `dW` / `db` and, when
+    /// `need_input_grad` is set, `grad` holds `dL/dx`. `scratch` is
+    /// ping-pong space whose contents are left unspecified; the two
+    /// matrices may trade buffers. Training steps pass `false`: the layer-0
+    /// input gradient multiplies against the widest weight matrix in the
+    /// stack and no optimizer reads it — only the gradient-based poisoning
+    /// attacks, or a stack below this one, do.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `grads.len()` is twice the depth, or on shape
+    /// mismatch between `grad` and the trace's output.
+    pub fn backward_into(
         &self,
         trace: &ForwardTrace,
-        grads: &mut Vec<Matrix>,
-        grad_cur: &mut Matrix,
-        grad_next: &mut Matrix,
+        grads: &mut [Matrix],
+        grad: &mut Matrix,
+        scratch: &mut Matrix,
         need_input_grad: bool,
     ) {
         let depth = self.layers.len();
-        grads.resize_with(depth * 2, || Matrix::zeros(0, 0));
+        assert_eq!(grads.len(), 2 * depth, "one (dW, db) pair per layer");
         for i in (0..depth).rev() {
-            self.activations[i].backward_assign(&trace.pre[i], grad_cur);
+            self.activations[i].backward_assign(&trace.pre[i], grad);
             let (dw_part, db_part) = grads.split_at_mut(2 * i + 1);
             if i == 0 && !need_input_grad {
                 self.layers[0].param_grads_into(
                     &trace.inputs[0],
-                    grad_cur,
+                    grad,
                     &mut dw_part[0],
                     &mut db_part[0],
                 );
@@ -309,27 +281,13 @@ impl Sequential {
             }
             self.layers[i].backward_into(
                 &trace.inputs[i],
-                grad_cur,
+                grad,
                 &mut dw_part[2 * i],
                 &mut db_part[0],
-                grad_next,
+                scratch,
             );
-            std::mem::swap(grad_cur, grad_next);
+            std::mem::swap(grad, scratch);
         }
-    }
-
-    /// Backward pass driven by a [`Workspace`]: on entry `ws.grad_cur`
-    /// must hold `dL/d(output)` for `trace`; on exit `ws.grads` holds the
-    /// flat parameter gradients and `ws.grad_cur` the input gradient.
-    pub fn backward_with(&self, trace: &ForwardTrace, ws: &mut Workspace) {
-        let Workspace {
-            grads,
-            grad_cur,
-            grad_next,
-            ..
-        } = ws;
-        self.backward_buffers(trace, grads, grad_cur, grad_next, true);
-        ws.has_input_grad = true;
     }
 
     /// Predicted class index per row (argmax over logits).
@@ -385,15 +343,8 @@ impl Sequential {
     pub fn input_gradient(&self, x: &Matrix, labels: &[usize]) -> Matrix {
         let mut ws = Workspace::new();
         self.forward_trace_into(x, &mut ws.trace);
-        let Workspace {
-            trace,
-            grads,
-            grad_cur,
-            grad_next,
-            ..
-        } = &mut ws;
-        SparseCrossEntropyLoss.loss_and_grad_into(trace.output(), labels, grad_cur);
-        self.backward_buffers(trace, grads, grad_cur, grad_next, true);
+        SparseCrossEntropyLoss.loss_and_grad_into(ws.trace.output(), labels, &mut ws.grad_cur);
+        ws.backward(self, true);
         ws.grad_cur
     }
 
@@ -417,50 +368,29 @@ impl Sequential {
         opt: &mut dyn Optimizer,
         ws: &mut Workspace,
     ) -> f32 {
-        let Workspace {
-            trace,
-            grads,
-            grad_cur,
-            grad_next,
-            has_input_grad,
-        } = ws;
-        *has_input_grad = false;
-        self.forward_trace_into(x, trace);
-        let loss = SparseCrossEntropyLoss.loss_and_grad_into(trace.output(), labels, grad_cur);
-        self.backward_buffers(trace, grads, grad_cur, grad_next, false);
-        opt.step_stream(self, grads);
+        self.forward_trace_into(x, &mut ws.trace);
+        let loss =
+            SparseCrossEntropyLoss.loss_and_grad_into(ws.trace.output(), labels, &mut ws.grad_cur);
+        ws.backward(self, false);
+        opt.step_stream(self, &ws.grads);
         loss
     }
 
-    /// One optimizer step training the network to reconstruct `x` (MSE);
-    /// returns the batch loss. Used by the autoencoder-based baselines
-    /// (ONLAD's on-device detector, FEDLS's latent-space detector).
-    pub fn train_batch_autoencoder(&mut self, x: &Matrix, opt: &mut dyn Optimizer) -> f32 {
-        let mut ws = Workspace::new();
-        self.train_batch_autoencoder_with(x, opt, &mut ws)
-    }
-
-    /// [`Sequential::train_batch_autoencoder`] through a reusable
-    /// workspace (allocation-free once warm).
+    /// One optimizer step training the network to reconstruct `x` (MSE)
+    /// through a reusable workspace (allocation-free once warm); returns
+    /// the batch loss. Used by the autoencoder-based baselines (ONLAD's
+    /// on-device detector, FEDLS's latent-space detector).
     pub fn train_batch_autoencoder_with(
         &mut self,
         x: &Matrix,
         opt: &mut dyn Optimizer,
         ws: &mut Workspace,
     ) -> f32 {
-        let Workspace {
-            trace,
-            grads,
-            grad_cur,
-            grad_next,
-            has_input_grad,
-        } = ws;
-        *has_input_grad = false;
-        self.forward_trace_into(x, trace);
-        let loss = MseLoss.loss(trace.output(), x);
-        MseLoss.grad_into(trace.output(), x, grad_cur);
-        self.backward_buffers(trace, grads, grad_cur, grad_next, false);
-        opt.step_stream(self, grads);
+        self.forward_trace_into(x, &mut ws.trace);
+        let loss = MseLoss.loss(ws.trace.output(), x);
+        MseLoss.grad_into(ws.trace.output(), x, &mut ws.grad_cur);
+        ws.backward(self, false);
+        opt.step_stream(self, &ws.grads);
         loss
     }
 
@@ -507,21 +437,7 @@ impl Sequential {
             self.in_dim(),
             self.out_dim()
         );
-        let recon = self.forward(x);
-        (0..x.rows())
-            .map(|r| {
-                let xr = x.row(r);
-                let rr = recon.row(r);
-                let num: f32 = xr
-                    .iter()
-                    .zip(rr)
-                    .map(|(a, b)| (a - b) * (a - b))
-                    .sum::<f32>()
-                    .sqrt();
-                let den: f32 = xr.iter().map(|v| v * v).sum::<f32>().sqrt();
-                num / (den + 1e-9)
-            })
-            .collect()
+        relative_error_per_row(&self.forward(x), x)
     }
 
     /// Trains as a classifier; returns the mean loss per epoch.
@@ -670,8 +586,15 @@ mod tests {
         let labels = [1usize, 3];
 
         let trace = m.forward_trace(&x);
-        let grad_out = SparseCrossEntropyLoss.grad(trace.output(), &labels);
-        let grads = m.backward(&trace, &grad_out).into_flat();
+        let mut grad = SparseCrossEntropyLoss.grad(trace.output(), &labels);
+        let mut grads = vec![Matrix::zeros(0, 0); 2 * m.depth()];
+        m.backward_into(
+            &trace,
+            &mut grads,
+            &mut grad,
+            &mut Matrix::zeros(0, 0),
+            false,
+        );
 
         let loss = |m: &Sequential| SparseCrossEntropyLoss.loss(&m.forward(&x), &labels);
         let h = 1e-3;

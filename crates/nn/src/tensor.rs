@@ -419,18 +419,6 @@ impl Matrix {
         }
     }
 
-    /// In-place `self -= rhs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn sub_assign(&mut self, rhs: &Matrix) {
-        self.assert_same_shape(rhs, "sub_assign");
-        for (a, b) in self.data.iter_mut().zip(&rhs.data) {
-            *a -= b;
-        }
-    }
-
     /// In-place `self += alpha * rhs` (axpy).
     ///
     /// # Panics

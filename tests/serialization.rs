@@ -12,7 +12,10 @@ fn fused_network_weights_round_trip() {
     let json = serde_json::to_string(&net).unwrap();
     let back: FusedNetwork = serde_json::from_str(&json).unwrap();
     let x = Matrix::from_rows(&[vec![0.4; 30]]);
-    assert_eq!(net.forward_trace(&x).logits, back.forward_trace(&x).logits);
+    assert_eq!(
+        net.forward_trace(&x).logits(),
+        back.forward_trace(&x).logits()
+    );
 }
 
 #[test]
