@@ -1,18 +1,30 @@
-//! Golden bit pin of the fused network: training steps in both decoder
-//! modes, the input gradient, detection, de-noising, plain prediction and
-//! an augmented fit, folded into one digest of their `f32::to_bits`.
+//! Golden bit pins of SAFELOC.
 //!
-//! The constant was taken on the code before the network was rebuilt from
-//! `Sequential` stacks; a restructuring must leave it unchanged. A change
-//! that moves bits on purpose is held to the tolerance contract in
-//! `safeloc-bench` instead, and re-pins here with the reason in CHANGES.md.
+//! * The fused network: training steps in both decoder modes, the input
+//!   gradient, detection, de-noising, plain prediction and an augmented
+//!   fit, folded into one digest of their `f32::to_bits`. Taken on the
+//!   code before the network was rebuilt from `Sequential` stacks.
+//! * SAFELOC's federated rounds: every report decision and the GM after
+//!   each of three rounds over a mixed fleet, under both labeling modes.
+//!   Taken on the code before the client step was shared across engines.
+//!
+//! A restructuring must leave both unchanged. A change that moves bits on
+//! purpose is held to the tolerance contract in `safeloc-bench` instead,
+//! and re-pins here with the reason in CHANGES.md.
 //! `cargo test -q -p safeloc --test golden -- --nocapture` prints the
-//! digest.
+//! digests.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use safeloc::{DaeAugment, FusedConfig, FusedNetwork, FusedWorkspace, RceMode};
-use safeloc_attacks::GradientSource;
+use safeloc::{
+    DaeAugment, FusedConfig, FusedNetwork, FusedWorkspace, RceMode, SafeLoc, SafeLocConfig,
+};
+use safeloc_attacks::{Attack, GradientSource, PoisonInjector};
+use safeloc_dataset::{Building, BuildingDataset, DatasetConfig};
+use safeloc_fl::{
+    Client, ClientOutcome, CohortSampler, DeltaCompressor, DeltaSpec, Framework, LabelingMode,
+    RoundReport,
+};
 use safeloc_nn::{Adam, HasParams, Matrix, TrainConfig};
 
 /// FNV-1a over the bit patterns fed to it.
@@ -45,6 +57,32 @@ impl Digest {
     fn params(&mut self, net: &FusedNetwork) {
         for t in net.param_tensors() {
             self.f32s(t.as_slice());
+        }
+    }
+
+    fn bytes(&mut self, s: &str) {
+        self.usizes(&[s.len()]);
+        for byte in s.bytes() {
+            self.word(u32::from(byte));
+        }
+    }
+
+    fn report(&mut self, report: &RoundReport) {
+        for c in &report.clients {
+            self.usizes(&[c.client_id, usize::from(c.malicious), c.samples]);
+            match &c.outcome {
+                ClientOutcome::Trained { weight } => {
+                    self.word(0);
+                    self.f32s(&[*weight]);
+                }
+                ClientOutcome::DroppedOut => self.word(1),
+                ClientOutcome::Straggled => self.word(2),
+                ClientOutcome::Rejected { rule, score } => {
+                    self.word(3);
+                    self.bytes(rule);
+                    self.f32s(&[*score]);
+                }
+            }
         }
     }
 }
@@ -152,4 +190,56 @@ fn fused_network_bits_match_the_golden_digest() {
     let digest = fused_digest();
     println!("fused digest: {digest:#018x}");
     assert_eq!(digest, FUSED_DIGEST, "a fused-network bit moved");
+}
+
+/// Six phones: honest clients 0, 1 (a `TopK` uploader), 2 and 5, a
+/// boosted label flipper (3) and an FGSM backdoor attacker (4).
+fn mixed_fleet(data: &BuildingDataset) -> Vec<Client> {
+    let mut clients = Client::from_dataset(data, 3);
+    clients[1].compressor = Some(DeltaCompressor::new(DeltaSpec::TopK { fraction: 0.1 }));
+    clients[3].injector = Some(PoisonInjector::new(Attack::label_flip(1.0), 11).with_boost(4.0));
+    clients[4].injector = Some(PoisonInjector::new(Attack::fgsm(0.4), 12));
+    clients
+}
+
+fn safeloc_round_digest() -> u64 {
+    let data = BuildingDataset::generate(
+        Building::tiny(8),
+        &DatasetConfig::tiny().with_fleet(6, 8),
+        8,
+    );
+    let sampler = CohortSampler::uniform(5, 21).with_dropout(0.2);
+    let mut digest = Digest::new();
+    let mut trained = [false; 6];
+    for labeling in [LabelingMode::SelfTrain, LabelingMode::Surveyed] {
+        let mut cfg = SafeLocConfig::tiny();
+        cfg.local.labeling = labeling;
+        let mut f = SafeLoc::new(data.building.num_aps(), data.building.num_rps(), cfg);
+        f.pretrain(&data.server_train);
+        let mut clients = mixed_fleet(&data);
+        for round in 0..3 {
+            let plan = sampler.plan(round, clients.len());
+            let report = f.run_round(&mut clients, &plan);
+            for c in report.clients.iter().filter(|c| c.samples > 0) {
+                trained[c.client_id] = true;
+            }
+            digest.report(&report);
+            digest.f32s(f.global_params().flatten().as_slice());
+        }
+    }
+    assert!(
+        trained[1] && trained[3] && trained[4],
+        "the plans must train every special client: {trained:?}"
+    );
+    digest.0
+}
+
+/// Pinned on the per-engine client closures (`SafeLoc::run_round`).
+const SAFELOC_ROUND_DIGEST: u64 = 0x07d9_cb41_fbf4_b824;
+
+#[test]
+fn safeloc_rounds_match_the_golden_digest() {
+    let digest = safeloc_round_digest();
+    println!("SAFELOC round digest: {digest:#018x}");
+    assert_eq!(digest, SAFELOC_ROUND_DIGEST, "a SAFELOC round bit moved");
 }
