@@ -2,12 +2,10 @@
 //! detection + separate localization DNN, aggregated with FedAvg.
 
 use crate::arch::{onlad_detector_dims, onlad_localizer_dims};
-use rayon::prelude::*;
 use safeloc_dataset::FingerprintSet;
 use safeloc_fl::client::train_sequential_lm;
 use safeloc_fl::{
-    active_clients, Client, ClientUpdate, DefensePipeline, Framework, RoundPlan, RoundReport,
-    ServerConfig, ServerRound,
+    Client, DefensePipeline, Framework, RoundPlan, RoundReport, ServerConfig, ServerRound,
 };
 use safeloc_nn::{Activation, Adam, HasParams, Matrix, NamedParams, Sequential, TrainConfig};
 
@@ -83,7 +81,7 @@ impl Onlad {
 }
 
 /// Indices of the rows the on-device detector keeps (RCE within the
-/// calibrated threshold) — free-standing so the parallel client loop can
+/// calibrated threshold) — free-standing so the parallel client step can
 /// borrow just the detector model, not the whole (non-`Sync`) framework.
 fn keep_indices(detector: &Sequential, threshold: f32, x: &Matrix) -> Vec<usize> {
     detector
@@ -127,48 +125,28 @@ impl Framework for Onlad {
         self.threshold = rce[idx] * 1.3;
     }
 
+    /// A client whose every row the detector flags sits the round out.
     fn run_round(&mut self, clients: &mut [Client], plan: &RoundPlan) -> RoundReport {
         let detector = &self.detector;
         let threshold = self.threshold;
         let local = &self.cfg.local;
-        self.round.run(
+        self.round.run_in_process(
             &mut self.localizer,
             clients,
-            |localizer, clients, gm_snapshot, round_salt| {
-                let n_classes = localizer.out_dim();
-                // Clients are independent, so detection + local retraining
-                // runs in parallel over the participating cohort.
-                let updates = active_clients(clients, plan)
-                    .into_par_iter()
-                    .map(|c| {
-                        // Backdoor attackers perturb the RSS feed first.
-                        let base = c.base_labels(localizer, local);
-                        let x = c.round_rss(localizer, &base, n_classes);
-                        // On-device detection: drop anomalous samples.
+            plan,
+            |c, localizer, gm_params, round_salt| {
+                c.round_update(
+                    localizer,
+                    gm_params,
+                    localizer.out_dim(),
+                    local,
+                    round_salt,
+                    |x| {
                         let keep = keep_indices(detector, threshold, &x);
-                        if keep.is_empty() {
-                            // Everything flagged: the client sits this round
-                            // out by returning the GM unchanged.
-                            return ClientUpdate::new(c.id, gm_snapshot.clone(), 0);
-                        }
-                        let x = safeloc_nn::gather_rows(&x, &keep);
-                        // Labeling per protocol on the surviving rows.
-                        let labels = match local.labeling {
-                            safeloc_fl::LabelingMode::SelfTrain => localizer.predict(&x),
-                            safeloc_fl::LabelingMode::Surveyed => {
-                                keep.iter().map(|&i| c.local.labels[i]).collect()
-                            }
-                        };
-                        // Label-flipping attackers corrupt the final labels.
-                        let labels = c.round_labels(labels, n_classes);
-                        let filtered = FingerprintSet::new(x, labels);
-                        let params =
-                            train_sequential_lm(localizer, &filtered, local, c.seed ^ round_salt);
-                        let params = c.finalize_params(gm_snapshot, params);
-                        c.build_update(gm_snapshot, params, filtered.len())
-                    })
-                    .collect();
-                (updates, plan.clone())
+                        (safeloc_nn::gather_rows(&x, &keep), Some(keep))
+                    },
+                    |set, seed| train_sequential_lm(localizer, set, local, seed),
+                )
             },
         )
     }

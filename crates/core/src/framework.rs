@@ -5,12 +5,8 @@ use crate::config::SafeLocConfig;
 use crate::detector::calibrate_tau;
 use crate::fused::{FusedConfig, FusedNetwork};
 use crate::saliency::SaliencyAggregator;
-use rayon::prelude::*;
 use safeloc_dataset::FingerprintSet;
-use safeloc_fl::{
-    active_clients, Client, ClientUpdate, DefensePipeline, Framework, RoundPlan, RoundReport,
-    ServerRound,
-};
+use safeloc_fl::{Client, DefensePipeline, Framework, RoundPlan, RoundReport, ServerRound};
 use safeloc_nn::{Adam, HasParams, Matrix, NamedParams, TrainConfig};
 
 /// The SAFELOC framework (paper §IV).
@@ -149,63 +145,36 @@ impl Framework for SafeLoc {
         self.rce_baseline = calibrate_tau(&self.net, &calib_x, self.cfg.rce_mode, 0.95, 1.0);
     }
 
-    /// Clients are independent — each de-noises and retrains its own clone
-    /// of the fused GM — so the participating cohort runs in parallel.
-    /// Per-client seed streams and order-preserving collection keep the
-    /// round bitwise-identical across thread counts.
+    /// Clients label the *de-noised* RSS, which defeats a backdoor's payload.
     fn run_round(&mut self, clients: &mut [Client], plan: &RoundPlan) -> RoundReport {
         let cfg = &self.cfg;
         let threshold = self.effective_threshold();
-        self.round.run(
+        self.round.run_in_process(
             &mut self.net,
             clients,
-            |net, clients, gm_snapshot, round_salt| {
-                let n_classes = net.n_classes();
-                let updates = active_clients(clients, plan)
-                    .into_par_iter()
-                    .map(|c| {
-                        // 1. A backdoor attacker perturbs the RSS feed before
-                        //    the pipeline sees it (Fig. 2).
-                        let base = c.base_labels(net, &cfg.local);
-                        let x = c.round_rss(net, &base, n_classes);
-                        // 2. Client-side poison detection + de-noising
-                        //    (§IV.A): rows whose RCE exceeds τ are replaced
-                        //    by their reconstructions, neutralizing the
-                        //    perturbation.
-                        let (den_x, _) = net.denoise_matrix(&x, threshold, cfg.rce_mode);
-                        // 3. Labeling per protocol — under self-training the
-                        //    labels come from the *de-noised* input, which is
-                        //    what defeats the backdoor payload.
-                        let labels = match cfg.local.labeling {
-                            safeloc_fl::LabelingMode::SelfTrain => net.predict(&den_x),
-                            safeloc_fl::LabelingMode::Surveyed => c.local.labels.clone(),
-                        };
-                        // 4. A label-flipping attacker corrupts the final
-                        //    labels — invisible to the client-side defense by
-                        //    construction.
-                        let labels = c.round_labels(labels, n_classes);
-                        // 5. Lightweight local retraining of the fused LM.
+            plan,
+            |c, net, gm_params, round_salt| {
+                c.round_update(
+                    net,
+                    gm_params,
+                    net.n_classes(),
+                    &cfg.local,
+                    round_salt,
+                    |x| (net.denoise_matrix(&x, threshold, cfg.rce_mode).0, None),
+                    |set, seed| {
                         let mut lm = net.clone();
-                        let mut opt = Adam::new(cfg.local.learning_rate);
-                        let n = den_x.rows();
                         lm.fit_augmented(
-                            &den_x,
-                            &labels,
-                            &mut opt,
-                            &TrainConfig::new(
-                                cfg.local.epochs,
-                                cfg.local.batch_size,
-                                c.seed ^ round_salt,
-                            ),
+                            &set.x,
+                            &set.labels,
+                            &mut Adam::new(cfg.local.learning_rate),
+                            &TrainConfig::new(cfg.local.epochs, cfg.local.batch_size, seed),
                             cfg.detach_decoder,
                             cfg.recon_weight,
                             cfg.augment.as_ref(),
                         );
-                        let params = c.finalize_params(gm_snapshot, lm.snapshot());
-                        c.build_update(gm_snapshot, params, n)
-                    })
-                    .collect::<Vec<ClientUpdate>>();
-                (updates, plan.clone())
+                        lm.snapshot()
+                    },
+                )
             },
         )
     }

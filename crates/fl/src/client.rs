@@ -103,40 +103,6 @@ impl Client {
         self.injector.is_some()
     }
 
-    /// The RSS rows entering the client pipeline this round.
-    ///
-    /// A backdoor attacker manipulates the sensor feed *before* any
-    /// framework logic runs (paper Fig. 2): the RSS is perturbed using
-    /// gradients of the distributed model `gm` against `base_labels`.
-    /// Honest clients and label-flipping attackers return the raw RSS.
-    pub fn round_rss(
-        &mut self,
-        gm: &dyn GradientSource,
-        base_labels: &[usize],
-        n_classes: usize,
-    ) -> Matrix {
-        match &mut self.injector {
-            Some(inj) if inj.attack().kind().is_backdoor() => {
-                let set = FingerprintSet::new(self.local.x.clone(), base_labels.to_vec());
-                inj.poison_set(&set, gm, n_classes).x
-            }
-            _ => self.local.x.clone(),
-        }
-    }
-
-    /// The final training labels for this round.
-    ///
-    /// A label-flipping attacker flips the labels *after* the framework's
-    /// own labeling/de-noising steps — "the attacker flips the predicted
-    /// location coordinates before updating the LM" (§IV) — so no
-    /// client-side defense can see the flip.
-    pub fn round_labels(&mut self, labels: Vec<usize>, n_classes: usize) -> Vec<usize> {
-        match &mut self.injector {
-            Some(inj) => inj.poison_labels(&labels, n_classes),
-            None => labels,
-        }
-    }
-
     /// The update this client actually uploads: honest clients return the
     /// trained LM as-is; a malicious client amplifies its delta from the GM
     /// by its injector's boost factor (model replacement — see
@@ -173,49 +139,96 @@ impl Client {
         ClientUpdate::with_repr(self.id, out, num_samples, repr)
     }
 
-    /// Labels for the client's raw RSS under `cfg.labeling`, before any
-    /// attack is applied.
-    pub fn base_labels(&self, gm: &impl PredictLabels, cfg: &LocalTrainConfig) -> Vec<usize> {
-        match cfg.labeling {
-            LabelingMode::Surveyed => self.local.labels.clone(),
-            LabelingMode::SelfTrain => gm.predict_labels(&self.local.x),
+    /// The client's training set this round, `None` when `screen` kept no
+    /// row:
+    ///
+    /// 1. label the raw RSS;
+    /// 2. a backdoor attacker perturbs the sensor feed *before* any
+    ///    framework logic runs (paper Fig. 2), using gradients of `gm`
+    ///    against those labels;
+    /// 3. the engine's on-device `screen`;
+    /// 4. re-label the screened rows (under self-training a perturbed row
+    ///    the screen let through yields a *wrong* prediction — the
+    ///    backdoor's payload); survey labels follow the rows `screen` kept;
+    /// 5. a label flipper flips the final labels *after* the framework's
+    ///    own steps (§IV), so no client-side defense can see the flip.
+    fn round_data(
+        &mut self,
+        gm: &(impl GradientSource + PredictLabels),
+        n_classes: usize,
+        cfg: &LocalTrainConfig,
+        screen: impl FnOnce(Matrix) -> (Matrix, Option<Vec<usize>>),
+    ) -> Option<FingerprintSet> {
+        let label = |x: &Matrix, kept: Option<&[usize]>| match (cfg.labeling, kept) {
+            (LabelingMode::SelfTrain, _) => gm.predict_labels(x),
+            (LabelingMode::Surveyed, None) => self.local.labels.clone(),
+            (LabelingMode::Surveyed, Some(kept)) => {
+                kept.iter().map(|&i| self.local.labels[i]).collect()
+            }
+        };
+        let base = label(&self.local.x, None);
+        let x = match &mut self.injector {
+            Some(inj) if inj.attack().kind().is_backdoor() => {
+                let set = FingerprintSet::new(self.local.x.clone(), base);
+                inj.poison_set(&set, gm, n_classes).x
+            }
+            _ => self.local.x.clone(),
+        };
+        let (x, kept) = screen(x);
+        if kept.as_ref().is_some_and(|kept| kept.is_empty()) {
+            return None;
         }
+        let labels = label(&x, kept.as_deref());
+        let labels = match &mut self.injector {
+            Some(inj) => inj.poison_labels(&labels, n_classes),
+            None => labels,
+        };
+        Some(FingerprintSet::new(x, labels))
     }
 
-    /// The complete basic client protocol (no de-noising), used by every
-    /// baseline framework:
-    ///
-    /// 1. label the raw RSS (`base_labels`),
-    /// 2. a backdoor attacker perturbs the RSS feed (`round_rss`),
-    /// 3. re-label the pipeline input per the protocol (under self-training
-    ///    the perturbed RSS now yields *wrong* predictions — the backdoor's
-    ///    payload),
-    /// 4. a label-flipping attacker flips the final labels
-    ///    (`round_labels`).
+    /// The client's training set this round with no on-device screen.
     pub fn prepare_round_data(
         &mut self,
         gm: &(impl GradientSource + PredictLabels),
         n_classes: usize,
         cfg: &LocalTrainConfig,
     ) -> FingerprintSet {
-        let base = self.base_labels(gm, cfg);
-        let x = self.round_rss(gm, &base, n_classes);
-        let labels = match cfg.labeling {
-            LabelingMode::Surveyed => self.local.labels.clone(),
-            LabelingMode::SelfTrain => gm.predict_labels(&x),
-        };
-        let labels = self.round_labels(labels, n_classes);
-        FingerprintSet::new(x, labels)
+        self.round_data(gm, n_classes, cfg, |x| (x, None))
+            .expect("an identity screen keeps every row")
     }
 
-    /// The whole client side of a round for a [`Sequential`] GM, written
-    /// once for every engine that reaches its clients in process
-    /// ([`SequentialFlServer`](crate::SequentialFlServer)) or over the wire
-    /// (`safeloc_wire::run_remote_client`): [`Client::prepare_round_data`],
-    /// local training seeded `self.seed ^ round_salt`
-    /// ([`train_sequential_lm`]), [`Client::finalize_params`] and
-    /// [`Client::build_update`]. `gm_params` is `gm`'s snapshot, taken once
-    /// per round by the caller.
+    /// The whole client side of a round, written once for every engine and
+    /// transport: the training set under the engine's on-device `screen`,
+    /// `train(set, self.seed ^ round_salt)`, [`Client::finalize_params`]
+    /// and [`Client::build_update`]. `gm_params` is `gm`'s snapshot.
+    ///
+    /// `screen` returns the rows to train on and, if it dropped any, the
+    /// indices of the local rows it kept: the identity for the `Sequential`
+    /// engines, de-noising for SAFELOC, the detector's row filter for
+    /// ONLAD. A client whose screen keeps no row sits the round out: it
+    /// uploads the GM unchanged with zero samples.
+    #[allow(clippy::too_many_arguments)]
+    pub fn round_update(
+        &mut self,
+        gm: &(impl GradientSource + PredictLabels),
+        gm_params: &NamedParams,
+        n_classes: usize,
+        cfg: &LocalTrainConfig,
+        round_salt: u64,
+        screen: impl FnOnce(Matrix) -> (Matrix, Option<Vec<usize>>),
+        train: impl FnOnce(&FingerprintSet, u64) -> NamedParams,
+    ) -> ClientUpdate {
+        let Some(set) = self.round_data(gm, n_classes, cfg, screen) else {
+            return ClientUpdate::new(self.id, gm_params.clone(), 0);
+        };
+        let lm = train(&set, self.seed ^ round_salt);
+        let lm = self.finalize_params(gm_params, lm);
+        self.build_update(gm_params, lm, set.len())
+    }
+
+    /// [`Client::round_update`] for a [`Sequential`] GM with no screen:
+    /// the client step of [`SequentialFlServer`](crate::SequentialFlServer)
+    /// and `safeloc_wire::run_remote_client`.
     pub fn sequential_update(
         &mut self,
         gm: &Sequential,
@@ -223,10 +236,15 @@ impl Client {
         cfg: &LocalTrainConfig,
         round_salt: u64,
     ) -> ClientUpdate {
-        let set = self.prepare_round_data(gm, gm.out_dim(), cfg);
-        let lm = train_sequential_lm(gm, &set, cfg, self.seed ^ round_salt);
-        let lm = self.finalize_params(gm_params, lm);
-        self.build_update(gm_params, lm, set.len())
+        self.round_update(
+            gm,
+            gm_params,
+            gm.out_dim(),
+            cfg,
+            round_salt,
+            |x| (x, None),
+            |set, seed| train_sequential_lm(gm, set, cfg, seed),
+        )
     }
 }
 

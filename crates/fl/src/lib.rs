@@ -52,9 +52,11 @@
 //! * [`ServerRound`] — the server half of a round, written once: snapshot
 //!   the GM, derive the round's training-seed salt, hand both to the
 //!   engine's client collector, defend, load, report. Every engine runs
-//!   its rounds through one, and the client half of a sequential round is
-//!   one method too, [`Client::sequential_update`], whether the client sits
-//!   in this process or behind `safeloc-wire`'s sockets.
+//!   its rounds through one, in process through one fan-out,
+//!   [`ServerRound::run_in_process`]. The client half is one method too,
+//!   [`Client::round_update`], whose engines differ only in their
+//!   on-device screen and trainer, whether the client sits in this
+//!   process or behind `safeloc-wire`'s sockets.
 //! * [`SequentialFlServer`] — a complete FL server around a
 //!   [`Sequential`](safeloc_nn::Sequential) DNN global model; every baseline
 //!   framework is this server with a different architecture + defense.
@@ -133,6 +135,6 @@ pub use report::{
     StageTelemetry, UpdateDecision,
 };
 pub use round::{Availability, CohortSampler, CohortStrategy, RoundPlan};
-pub use server::{active_clients, SequentialFlServer, ServerConfig, ServerRound};
+pub use server::{SequentialFlServer, ServerConfig, ServerRound};
 pub use session::{FlSession, FlSessionBuilder, ModelPublisher, PlanTransform};
 pub use update::ClientUpdate;

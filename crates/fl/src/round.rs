@@ -109,7 +109,8 @@ pub enum CohortStrategy {
         /// fleet-sized: a shorter list would silently make the tail of the
         /// fleet unsampleable (missing entries read as weight zero), so
         /// [`FlSession`](crate::FlSession) rejects any length mismatch at
-        /// build time (see [`CohortSampler::validate_for_fleet`]).
+        /// build time, as it does a non-finite weight or weight total (see
+        /// [`CohortSampler::validate_for_fleet`]).
         weights: Vec<f32>,
     },
 }
@@ -199,11 +200,13 @@ impl CohortSampler {
     /// Checks the sampler is usable over a fleet of `n_clients`: a
     /// [`CohortStrategy::Weighted`] weight vector must be exactly
     /// fleet-sized, since missing entries read as weight zero and silently
-    /// make the tail of the fleet unsampleable.
+    /// make the tail of the fleet unsampleable, and its weights and their
+    /// sum must be finite, since an infinite total fails every draw's
+    /// comparison and silently always picks the last remaining client.
     ///
     /// # Errors
     ///
-    /// Returns a message describing the mismatch.
+    /// Returns a message describing the problem.
     pub fn validate_for_fleet(&self, n_clients: usize) -> Result<(), String> {
         if let CohortStrategy::Weighted { weights, .. } = &self.strategy {
             if weights.len() != n_clients {
@@ -212,6 +215,12 @@ impl CohortSampler {
                      got {} weights for a fleet of {n_clients}",
                     weights.len()
                 ));
+            }
+            let total: f32 = weights.iter().map(|w| w.max(0.0)).sum();
+            if !total.is_finite() || weights.iter().any(|w| !w.is_finite()) {
+                return Err(
+                    "weighted cohort sampling needs finite weights with a finite sum".into(),
+                );
             }
         }
         Ok(())
@@ -431,6 +440,19 @@ mod tests {
         assert!(long.validate_for_fleet(4).is_err());
         assert!(CohortSampler::uniform(2, 3).validate_for_fleet(99).is_ok());
         assert!(CohortSampler::full().validate_for_fleet(0).is_ok());
+    }
+
+    #[test]
+    fn fleet_validation_flags_non_finite_weights_and_totals() {
+        // Either would make every draw pick the last remaining client.
+        let infinite = CohortSampler::weighted(1, vec![1.0, f32::INFINITY, 1.0], 3);
+        assert!(infinite.validate_for_fleet(3).is_err());
+        let overflowing = CohortSampler::weighted(1, vec![1.0, 3e38, 3e38], 3);
+        assert!(overflowing.validate_for_fleet(3).is_err());
+        let nan = CohortSampler::weighted(1, vec![1.0, f32::NAN, 1.0], 3);
+        assert!(nan.validate_for_fleet(3).is_err());
+        let large = CohortSampler::weighted(1, vec![1.0, 3e38, -3e38], 3);
+        assert!(large.validate_for_fleet(3).is_ok());
     }
 
     #[test]

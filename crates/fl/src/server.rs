@@ -15,24 +15,6 @@ use safeloc_dataset::FingerprintSet;
 use safeloc_nn::{Activation, Adam, HasParams, Matrix, NamedParams, Sequential, TrainConfig};
 use std::time::Instant;
 
-/// Gathers mutable references to the plan's participating clients, in
-/// fleet order — the shape the parallel trainers fan out over. Shared by
-/// every engine (`SequentialFlServer`, ONLAD, SAFELOC).
-pub fn active_clients<'a>(clients: &'a mut [Client], plan: &RoundPlan) -> Vec<&'a mut Client> {
-    let mut mask = vec![false; clients.len()];
-    for i in plan.active_indices() {
-        if i < clients.len() {
-            mask[i] = true;
-        }
-    }
-    clients
-        .iter_mut()
-        .zip(mask)
-        .filter(|(_, active)| *active)
-        .map(|(c, _)| c)
-        .collect()
-}
-
 /// Server-side configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerConfig {
@@ -180,6 +162,37 @@ impl ServerRound {
         self.rounds_run += 1;
         report
     }
+
+    /// Runs one round whose clients live in this process: `step` (normally
+    /// one [`Client::round_update`] call) maps over the plan's
+    /// participants in parallel, receiving each client, the GM, its
+    /// snapshot and the round salt. Clients are independent by
+    /// construction and draw from their own seed streams, and updates come
+    /// back in fleet order, so the round is bitwise-identical for any
+    /// thread count (`tests/parallel_determinism.rs`) and cohort membership
+    /// never perturbs another client's training stream.
+    pub fn run_in_process<M: HasParams + Sync>(
+        &mut self,
+        gm: &mut M,
+        clients: &mut [Client],
+        plan: &RoundPlan,
+        step: impl Fn(&mut Client, &M, &NamedParams, u64) -> ClientUpdate + Sync,
+    ) -> RoundReport {
+        self.run(gm, clients, |gm, clients, gm_params, round_salt| {
+            let active = plan.active_indices();
+            let cohort: Vec<&mut Client> = clients
+                .iter_mut()
+                .enumerate()
+                .filter(|(i, _)| active.binary_search(i).is_ok())
+                .map(|(_, c)| c)
+                .collect();
+            let updates = cohort
+                .into_par_iter()
+                .map(|c| step(c, gm, gm_params, round_salt))
+                .collect();
+            (updates, plan.clone())
+        })
+    }
 }
 
 /// FL server whose global model is a [`Sequential`] classifier.
@@ -266,22 +279,14 @@ impl Framework for SequentialFlServer {
         );
     }
 
-    /// Clients are independent by construction — each trains its own
-    /// clone of the distributed GM on its own local data — so the
-    /// participating cohort trains in parallel. Results come back in fleet
-    /// order and every client draws from its own seed stream, so the round
-    /// is bitwise-identical for any thread count (asserted by
-    /// `tests/parallel_determinism.rs`), and cohort membership never
-    /// perturbs another client's training stream.
     fn run_round(&mut self, clients: &mut [Client], plan: &RoundPlan) -> RoundReport {
         let local = self.cfg.local;
-        self.run_round_with(clients, |gm, clients, gm_params, round_salt| {
-            let updates = active_clients(clients, plan)
-                .into_par_iter()
-                .map(|c| c.sequential_update(gm, gm_params, &local, round_salt))
-                .collect();
-            (updates, plan.clone())
-        })
+        self.round.run_in_process(
+            &mut self.gm,
+            clients,
+            plan,
+            |c, gm, gm_params, round_salt| c.sequential_update(gm, gm_params, &local, round_salt),
+        )
     }
 
     fn predict(&self, x: &Matrix) -> Vec<usize> {

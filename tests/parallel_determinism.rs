@@ -11,6 +11,8 @@
 
 use rayon::ThreadPoolBuilder;
 use safeloc::{SafeLoc, SafeLocConfig};
+use safeloc_attacks::{Attack, PoisonInjector};
+use safeloc_baselines::Onlad;
 use safeloc_dataset::{Building, BuildingDataset, DatasetConfig};
 use safeloc_fl::{
     Aggregator, Client, ClientUpdate, CohortSampler, DefensePipeline, DeltaCompressor, DeltaSpec,
@@ -77,6 +79,50 @@ fn safeloc_round_is_bitwise_deterministic_across_thread_counts() {
         run(3),
         "SAFELOC round diverged across thread counts"
     );
+}
+
+#[test]
+fn onlad_round_is_bitwise_deterministic_across_thread_counts() {
+    // An FGSM attacker perturbs its feed before the detector screens it
+    // (some of its rows survive),
+    // and a client whose every row the detector flags sits the round out.
+    let data = dataset();
+    let run = |threads: usize| -> (NamedParams, Vec<RoundReport>) {
+        with_threads(threads, || {
+            let mut f = Onlad::new(
+                data.building.num_aps(),
+                data.building.num_rps(),
+                ServerConfig::tiny(),
+            );
+            f.pretrain(&data.server_train);
+            let mut clients = Client::from_dataset(&data, 0);
+            clients[0].local.x = clients[0].local.x.map(|_| 1.0);
+            clients[1].injector = Some(PoisonInjector::new(Attack::fgsm(0.05), 5));
+            let plan = RoundPlan::full(clients.len());
+            let reports = (0..2).map(|_| f.run_round(&mut clients, &plan)).collect();
+            (f.global_params(), reports)
+        })
+    };
+    let (gm_serial, reports_serial) = run(1);
+    assert_eq!(
+        reports_serial[0].clients[0].samples, 0,
+        "client 0 must sit out"
+    );
+    assert!(
+        reports_serial[0].clients[1].samples > 0,
+        "client 1 must train"
+    );
+    let outcomes =
+        |reports: &[RoundReport]| -> Vec<_> { reports.iter().map(|r| r.clients.clone()).collect() };
+    for threads in [2, 4] {
+        let (gm, reports) = run(threads);
+        assert_eq!(gm_serial, gm, "ONLAD GM diverged at {threads} threads");
+        assert_eq!(
+            outcomes(&reports_serial),
+            outcomes(&reports),
+            "ONLAD outcomes diverged at {threads} threads"
+        );
+    }
 }
 
 #[test]
