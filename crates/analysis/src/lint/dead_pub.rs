@@ -31,7 +31,7 @@ use std::collections::BTreeSet;
 /// Runs the rule: `defs` are the workspace's `crates/*/src` files (where
 /// candidates are looked for and which can also use each other), `others`
 /// every other Rust source that can call into them (integration tests,
-/// benches, examples, the facade, `benchmark/`).
+/// examples, the facade, `benchmark/`).
 pub fn dead_pub(defs: &[SourceFile], others: &[SourceFile]) -> Vec<Finding> {
     let scanned: Vec<Scan<'_>> = defs.iter().map(scan).collect();
     let elsewhere: Vec<Scan<'_>> = others.iter().map(scan).collect();

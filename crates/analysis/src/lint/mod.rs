@@ -24,15 +24,14 @@ use std::path::{Path, PathBuf};
 const SKIP_CRATES: &[&str] = &["vendor"];
 
 /// Where Rust code that can call into `crates/*/src` lives, besides those
-/// sources themselves: per-crate and repo-root test / bench / example
+/// sources themselves: per-crate and repo-root test / example
 /// directories, the facade, and the standalone `benchmark/` crate.
 /// `dead-pub` reads these for uses only.
-const CALLER_DIRS_PER_CRATE: &[&str] = &["tests", "benches", "examples"];
+const CALLER_DIRS_PER_CRATE: &[&str] = &["tests", "examples"];
 const CALLER_DIRS_AT_ROOT: &[&str] = &[
     "src",
     "tests",
     "examples",
-    "benches",
     "benchmark/src",
     "benchmark/tests",
 ];

@@ -14,9 +14,11 @@
 //! | `fig8_participation.json` | `Cells` | (ours) accuracy + attacker-rejection rate vs participation fraction |
 //! | `ablation.json` | `Pivot`, framework × attack | (ours) design-choice attribution |
 //!
-//! Table I (parameters + inference latency) is the criterion bench
-//! `benches/inference_latency.rs`: each benchmark id carries the
-//! framework's parameter count.
+//! Table I's parameter column is pinned by the `suite` integration test
+//! `table1_parameter_counts_are_pinned_on_paper_building_1`. Its latency
+//! column is architecture-bound and not reproduced per framework: the
+//! deployed models' single-fingerprint latency is `benchmark/`'s
+//! `core.infer_b1_us` and `nn.predict_b1_us`.
 //!
 //! The engine is [`suite`]. Every cell runs through one
 //! [`safeloc_fl::FlSession`]: [`run_fleet_with_network`] takes any
@@ -28,10 +30,9 @@
 //! hold in memory (`examples/scalability.rs`).
 //!
 //! This crate reproduces figures; it does not record performance. The
-//! perf record is the standalone `benchmark/` crate at the repo root, and
-//! the criterion benches under `benches/` are the kernel-level companions
-//! (with [`naive`]'s seed kernels as their baselines). [`telem`] is the
-//! `TELEM_*.json` dump `examples/observability.rs` writes and checks.
+//! perf record is the standalone `benchmark/` crate at the repo root.
+//! [`telem`] is the `TELEM_*.json` dump `examples/observability.rs`
+//! writes and checks.
 //!
 //! The `suite` binary accepts `--quick` (smoke-test scale), `--full` (the
 //! paper's 700-epoch configuration) and `--seed N`; the default is a
@@ -41,7 +42,8 @@
 
 pub mod fleet;
 pub mod harness;
-pub mod naive;
+#[cfg(test)]
+mod naive;
 pub mod rss;
 pub mod suite;
 pub mod telem;

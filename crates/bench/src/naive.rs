@@ -1,22 +1,14 @@
-//! The seed generation's scalar, allocation-per-op numeric paths, preserved
-//! verbatim-in-spirit as a permanent performance baseline.
+//! The seed generation's scalar, allocation-per-op numeric paths, kept
+//! verbatim-in-spirit as the reference the tolerance contract
+//! ([`crate::tolerance`]) and the tests below hold production to.
 //!
-//! Everything here is intentionally *not* used by the production code: the
-//! tensor layer now routes through the blocked kernels in
-//! `safeloc_nn::kernels` and the training loop through the reusable
-//! [`Workspace`](safeloc_nn::Workspace). The criterion benches call these
-//! functions to measure how far the hot path has moved — giving every
-//! future PR a stable "seed" reference instead of comparing against a
-//! moving target.
+//! Nothing here is used by the production code: the tensor layer routes
+//! through the blocked kernels in `safeloc_nn::kernels` and the training
+//! loop through the reusable [`Workspace`](safeloc_nn::Workspace). The
+//! module is compiled for tests only.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use safeloc_fl::{Aggregator, Client, ClientUpdate, DefensePipeline, LocalTrainConfig};
 use safeloc_nn::optim::ParamStream;
-use safeloc_nn::{
-    gather_labels, gather_rows, shuffled_batches, Activation, HasParams, Matrix, NamedParams,
-    Optimizer, Sequential, SparseCrossEntropyLoss,
-};
+use safeloc_nn::{Activation, HasParams, Matrix, Optimizer, Sequential, SparseCrossEntropyLoss};
 
 /// The seed's `Matrix::matmul`: scalar i-k-j loops, fresh output
 /// allocation, and the `a == 0.0` skip in the reduction.
@@ -84,8 +76,8 @@ pub fn transposed_matmul(a: &Matrix, b: &Matrix) -> Matrix {
 }
 
 /// The seed's Adam (standard betas and epsilon), `step_stream` verbatim,
-/// so the seed side of the benches stays where the seed was while the
-/// production optimizer (`safeloc_nn::kernels::adam_update`) gets faster.
+/// so the reference stays where the seed was while the production
+/// optimizer (`safeloc_nn::kernels::adam_update`) moves on.
 ///
 /// Verbatim includes the visitor closure: the loop is slow because the
 /// moments are indexed through `&mut Vec<f32>` borrowed inside it (design
@@ -210,105 +202,11 @@ pub fn train_step(model: &mut Sequential, x: &Matrix, labels: &[usize], opt: &mu
     loss
 }
 
-/// The seed's federated round: every client sequentially (no parallelism)
-/// trains a clone of the GM through the allocation-per-op scalar path
-/// above, the full GM is re-snapshotted once per client, and the updates
-/// are FedAvg-aggregated. This is the wall-clock baseline the rebuilt
-/// round is measured against (`benches/training_step.rs`).
-pub fn seed_round(gm: &mut Sequential, clients: &mut [Client], local: &LocalTrainConfig) {
-    let n_classes = gm.out_dim();
-    let round_salt = 1u64 << 16;
-    let updates: Vec<ClientUpdate> = clients
-        .iter_mut()
-        .map(|c| {
-            let set = c.prepare_round_data(&*gm, n_classes, local);
-            // Seed-style local training: allocation per batch, scalar
-            // kernels per step.
-            let mut lm = gm.clone();
-            let mut opt = SeedAdam::new(local.learning_rate);
-            let mut rng = StdRng::seed_from_u64(c.seed ^ round_salt);
-            for _ in 0..local.epochs {
-                for batch in shuffled_batches(set.x.rows(), local.batch_size, &mut rng) {
-                    let bx = gather_rows(&set.x, &batch);
-                    let by = gather_labels(&set.labels, &batch);
-                    train_step(&mut lm, &bx, &by, &mut opt);
-                }
-            }
-            let params = c.finalize_params(&gm.snapshot(), lm.snapshot());
-            ClientUpdate::new(c.id, params, set.len())
-        })
-        .collect();
-    let mut agg = DefensePipeline::fedavg();
-    let next = agg.aggregate(&gm.snapshot(), &updates);
-    gm.load(&next.params)
-        .expect("FedAvg preserves architecture");
-}
-
-/// The seed's Krum: recomputes the full pairwise squared-distance set for
-/// every candidate — `O(n²·d)` per candidate, `O(n³·d)` per round.
-pub fn krum_select(updates: &[ClientUpdate], assumed_byzantine: usize) -> Option<NamedParams> {
-    if updates.is_empty() {
-        return None;
-    }
-    if updates.len() == 1 {
-        return Some(updates[0].params.clone());
-    }
-    let n = updates.len();
-    let k = n.saturating_sub(assumed_byzantine + 2).max(1);
-    let mut best = (f32::INFINITY, 0usize);
-    for i in 0..n {
-        let mut dists: Vec<f32> = (0..n)
-            .filter(|&j| j != i)
-            .map(|j| {
-                let d = updates[i].params.l2_distance(&updates[j].params);
-                d * d
-            })
-            .collect();
-        dists.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let score: f32 = dists.iter().take(k).sum();
-        if score < best.0 {
-            best = (score, i);
-        }
-    }
-    Some(updates[best.1].params.clone())
-}
-
-/// The coordinate-wise trimmed mean before columns arrived sorted around
-/// the GM's value: all `n` values of every coordinate gathered, sorted
-/// whole and summed between the trims — `O(n log n)` per coordinate
-/// however few of the values differ from the GM's.
-pub fn trimmed_mean(updates: &[ClientUpdate], trim: usize) -> NamedParams {
-    let first = &updates[0].params;
-    first
-        .iter()
-        .map(|(name, tensor)| {
-            let rows: Vec<&[f32]> = updates
-                .iter()
-                .map(|u| u.params.get(name).expect("same arch").as_slice())
-                .collect();
-            let mut values = vec![0.0f32; rows.len()];
-            let out = (0..tensor.len())
-                .map(|e| {
-                    for (v, row) in values.iter_mut().zip(&rows) {
-                        *v = row[e];
-                    }
-                    values.sort_unstable_by(f32::total_cmp);
-                    let kept = &values[trim..values.len() - trim];
-                    kept.iter().sum::<f32>() / kept.len() as f32
-                })
-                .collect();
-            let (r, c) = tensor.shape();
-            let averaged = Matrix::from_vec(r, c, out).expect("shape preserved");
-            (name.to_string(), averaged)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use safeloc_fl::DefensePipeline;
-    use safeloc_nn::{Adam, TrainConfig};
+    use safeloc_fl::{Aggregator, ClientUpdate, DefensePipeline};
+    use safeloc_nn::{Adam, NamedParams, TrainConfig};
 
     fn mat(rows: usize, cols: usize, salt: u64) -> Matrix {
         Matrix::from_fn(rows, cols, |r, c| {
@@ -534,6 +432,35 @@ mod tests {
             (seed_net.param_tensors(), &seed_opt),
             (kernel_net.param_tensors(), &kernel_opt),
         );
+    }
+
+    /// The seed's Krum: recomputes the full pairwise squared-distance set for
+    /// every candidate — `O(n²·d)` per candidate, `O(n³·d)` per round.
+    fn krum_select(updates: &[ClientUpdate], assumed_byzantine: usize) -> Option<NamedParams> {
+        if updates.is_empty() {
+            return None;
+        }
+        if updates.len() == 1 {
+            return Some(updates[0].params.clone());
+        }
+        let n = updates.len();
+        let k = n.saturating_sub(assumed_byzantine + 2).max(1);
+        let mut best = (f32::INFINITY, 0usize);
+        for i in 0..n {
+            let mut dists: Vec<f32> = (0..n)
+                .filter(|&j| j != i)
+                .map(|j| {
+                    let d = updates[i].params.l2_distance(&updates[j].params);
+                    d * d
+                })
+                .collect();
+            dists.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+            let score: f32 = dists.iter().take(k).sum();
+            if score < best.0 {
+                best = (score, i);
+            }
+        }
+        Some(updates[best.1].params.clone())
     }
 
     #[test]

@@ -56,8 +56,7 @@ pub(crate) fn gamma(k: usize) -> f64 {
 /// forward `x·W`, weight gradient `xᵀ·g` and input gradient `g·Wᵀ` of the
 /// encoder (203→128→89→62), decoder (62→89→203) and classifier head
 /// (62→60), with no input gradient for the two layers that read the
-/// network's input or the latent code first (`enc0`, `dec0`) — the same
-/// sixteen products as the `fused_step` criterion group.
+/// network's input or the latent code first (`enc0`, `dec0`).
 pub(crate) const FUSED_STEP_SHAPES: [(usize, usize, usize); 16] = [
     (32, 203, 128),
     (203, 32, 128),

@@ -1,6 +1,7 @@
 //! Integration tests for the scenario-suite engine: end-to-end cell
 //! execution on tiny datasets, thread-count invariance of a suite cell,
-//! report assembly and views, and the checked-in `scenarios/` spec files.
+//! report assembly and views, the checked-in `scenarios/` spec files, and
+//! Table I's parameter counts.
 
 use rayon::ThreadPoolBuilder;
 use safeloc_attacks::Attack;
@@ -461,5 +462,41 @@ fn defense_variants_share_one_pretrained_template() {
         a.global_params(),
         b.global_params(),
         "defense variants must fork the same pretrained weights"
+    );
+}
+
+#[test]
+fn table1_parameter_counts_are_pinned_on_paper_building_1() {
+    use safeloc::{SafeLoc, SafeLocConfig};
+    use safeloc_baselines::{fedcc, fedhil, fedloc, fedls, Onlad};
+    use safeloc_fl::{Framework, ServerConfig};
+
+    // Table I's parameter column: architecture-only, so untrained models
+    // on the paper building's geometry carry the deployed counts.
+    let building = Building::paper(1);
+    let (aps, rps) = (building.num_aps(), building.num_rps());
+    let cfg = ServerConfig::tiny();
+    let frameworks: Vec<Box<dyn Framework>> = vec![
+        Box::new(SafeLoc::new(aps, rps, SafeLocConfig::paper(cfg.seed))),
+        Box::new(Onlad::new(aps, rps, cfg)),
+        Box::new(fedls(aps, rps, cfg)),
+        Box::new(fedcc(aps, rps, cfg)),
+        Box::new(fedhil(aps, rps, cfg)),
+        Box::new(fedloc(aps, rps, cfg)),
+    ];
+    let counts: Vec<(&str, usize)> = frameworks
+        .iter()
+        .map(|f| (f.name(), f.num_params()))
+        .collect();
+    assert_eq!(
+        counts,
+        vec![
+            ("SAFELOC", 70_830),
+            ("ONLAD", 223_660),
+            ("FEDLS", 251_196),
+            ("FEDCC", 72_932),
+            ("FEDHIL", 167_228),
+            ("FEDLOC", 241_836),
+        ]
     );
 }

@@ -427,7 +427,7 @@ impl<'a> RoundContext<'a> {
 ///
 /// Panics if an update's architecture differs from the GM's, or if `view`
 /// has another shape than the round.
-pub fn sampled_delta_block(
+fn sampled_delta_block(
     global: &NamedParams,
     updates: &[&ClientUpdate],
     view: Option<&DeltaRows<'_>>,

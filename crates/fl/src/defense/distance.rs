@@ -142,7 +142,7 @@ impl DistanceMatrix {
     }
 
     /// [`cosine`](Self::cosine) into a reused buffer.
-    pub fn cosine_into(deltas: &Matrix, scratch: Vec<f32>) -> Self {
+    pub(crate) fn cosine_into(deltas: &Matrix, scratch: Vec<f32>) -> Self {
         let norms = row_norms(deltas);
         Self::build_into(deltas.rows(), scratch, |i, j| {
             let denom = norms[i] * norms[j];
@@ -170,7 +170,7 @@ impl DistanceMatrix {
     /// its shorter support is past `1 / SUPPORT_DOT_MAX_DENSITY_INV` of
     /// the row, where gathering has stopped paying — so a dense block
     /// costs what [`cosine_into`](Self::cosine_into) costs plus one scan.
-    pub fn cosine_over_supports_into(deltas: &Matrix, scratch: Vec<f32>) -> Self {
+    pub(crate) fn cosine_over_supports_into(deltas: &Matrix, scratch: Vec<f32>) -> Self {
         let (n, d) = deltas.shape();
         let norms = row_norms(deltas);
         // Row `i`'s support is `lens[i]` entries of the two flat buffers

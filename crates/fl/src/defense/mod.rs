@@ -96,9 +96,7 @@ pub use crate::aggregate::fedavg::FedAvg;
 pub use crate::aggregate::krum::Krum;
 pub use crate::aggregate::latent::{HistoryScreen, LatentFilterAggregator};
 pub use crate::aggregate::selective::SelectiveAggregator;
-pub use context::{
-    sampled_delta_block, DistanceScratch, RoundContext, EXACT_SCREEN_MAX, SCREEN_SAMPLE_DIM,
-};
+pub use context::{DistanceScratch, RoundContext, EXACT_SCREEN_MAX, SCREEN_SAMPLE_DIM};
 pub use robust::{CoordinateMedian, TrimmedMean, UniformMean};
 pub use rows::{DeltaRow, DeltaRows};
 pub use stages::{NonFiniteGuard, NormClip};

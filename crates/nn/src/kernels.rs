@@ -95,9 +95,9 @@
 //!    exactly what the scalar loop did and trained models are
 //!    bit-identical (pinned by
 //!    `adam_update_is_bitwise_identical_to_the_indexed_loop`; the parent's
-//!    loop survives only as that test's oracle and as
-//!    `safeloc_bench::naive::SeedAdam`) — with one exception, the
-//!    **flush**: a new first moment with `|m′| < f32::MIN_POSITIVE` is
+//!    loop survives only as that test's oracle and as `SeedAdam` in
+//!    `safeloc_bench`'s test-only `naive` module) — with one exception,
+//!    the **flush**: a new first moment with `|m′| < f32::MIN_POSITIVE` is
 //!    stored as `+0.0` (one compare and one select, inside the same
 //!    vector loop; NaN compares false and passes through; `v` is never
 //!    flushed). A weight whose gradient turned exactly zero — a dead
@@ -196,13 +196,12 @@
 //! on artificially sparse inputs and costs a branch per multiply on the
 //! dense activations real training produces.
 //!
-//! Measured against the preserved seed loops (`safeloc_bench::naive`) at
-//! batch 32 on the paper shapes, [`matmul_into`] runs 2.1–3.0× faster,
-//! [`transposed_matmul_into`] ~2.2× and [`matmul_transposed_into`] ~7×
-//! (medians of six runs on one pinned core);
-//! `cargo bench -p safeloc-bench --bench matmul` prints both sides, its
-//! `fused_step/*` group every product of one fused training step, and
-//! `benchmark/`'s `nn.matmul_l1_us` / `nn.tmatmul_l1_us` track them per PR.
+//! Measured against the seed loops (kept as test references in
+//! `safeloc_bench`'s test-only `naive` module) at batch 32 on the paper
+//! shapes, [`matmul_into`] ran 2.1–3.0× faster, [`transposed_matmul_into`]
+//! ~2.2× and [`matmul_transposed_into`] ~7× (medians of six runs on one
+//! pinned core). `benchmark/`'s `nn.matmul_l1_us` / `nn.tmatmul_l1_us`
+//! are the kernels' perf record.
 
 /// Column block size (floats). Four `b` row blocks (4 × 128 × 4 B = 2 KiB)
 /// plus four output row blocks stay comfortably L1-resident.

@@ -21,11 +21,7 @@
 //! Telemetry observes; it never participates. No RNG is consumed, no
 //! ordering is introduced, no value is fed back into computation — so
 //! every bitwise-pinned trajectory (round lifecycle, loopback rounds,
-//! thread invariance) is unchanged with telemetry enabled. A process-wide
-//! kill switch ([`set_enabled`]) turns every record into a single relaxed
-//! load, which is what the `telemetry_on_off` criterion group
-//! (`safeloc-bench`, `benches/aggregation.rs`) flips to compare the
-//! instrumented and uninstrumented hot paths.
+//! thread invariance) is unchanged by recording.
 //!
 //! # Exposition
 //!
@@ -50,29 +46,7 @@ pub use metric::{Counter, Gauge, Histogram, HISTOGRAM_BUCKETS};
 pub use registry::{MetricEntry, MetricHandle, Registry};
 pub use snapshot::{CounterSample, GaugeSample, HistogramSample, TelemetrySnapshot};
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
-
-/// Process-wide kill switch consulted by every record path. Defaults to
-/// enabled; benches flip it off to measure the uninstrumented baseline.
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables all recording process-wide. Registration and
-/// exposition are unaffected — a disabled registry still renders, it just
-/// stops moving.
-pub fn set_enabled(enabled: bool) {
-    // relaxed: a standalone on/off flag — record paths may observe the
-    // flip slightly late, which only delays when counting stops/starts.
-    ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether recording is currently enabled (one relaxed load — this is the
-/// entire cost of a disabled record).
-#[inline]
-pub fn enabled() -> bool {
-    // relaxed: see set_enabled — no data is guarded by this flag.
-    ENABLED.load(Ordering::Relaxed)
-}
 
 static GLOBAL: OnceLock<Arc<Registry>> = OnceLock::new();
 

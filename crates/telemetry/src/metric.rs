@@ -31,11 +31,9 @@ impl Counter {
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        if crate::enabled() {
-            // relaxed: monotonic event count; no other memory is
-            // published through it, readers only need eventual totals.
-            self.value.fetch_add(n, Ordering::Relaxed);
-        }
+        // relaxed: monotonic event count; no other memory is
+        // published through it, readers only need eventual totals.
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// The current count.
@@ -61,11 +59,9 @@ impl Gauge {
     /// Overwrites the value.
     #[inline]
     pub fn set(&self, v: i64) {
-        if crate::enabled() {
-            // relaxed: last-writer-wins point-in-time value, independent
-            // of any other shared state.
-            self.value.store(v, Ordering::Relaxed);
-        }
+        // relaxed: last-writer-wins point-in-time value, independent
+        // of any other shared state.
+        self.value.store(v, Ordering::Relaxed);
     }
 
     /// Adjusts the value by `delta` (negative to decrement); returns the
@@ -75,11 +71,7 @@ impl Gauge {
     pub fn add(&self, delta: i64) -> i64 {
         // relaxed: the RMW is atomic on this one cell, which is all the
         // depth accounting needs; nothing else is ordered through it.
-        if crate::enabled() {
-            self.value.fetch_add(delta, Ordering::Relaxed) + delta
-        } else {
-            self.value.load(Ordering::Relaxed)
-        }
+        self.value.fetch_add(delta, Ordering::Relaxed) + delta
     }
 
     /// The current value.
@@ -144,9 +136,6 @@ impl Histogram {
     /// Records one integer sample (nanoseconds, bytes, sizes, depths).
     #[inline]
     pub fn record(&self, v: u64) {
-        if !crate::enabled() {
-            return;
-        }
         // relaxed: each bucket/count cell is an independent monotonic
         // counter; snapshots may see a sample in the bucket before the
         // count (or vice versa), which exposition accepts by design.
@@ -164,9 +153,6 @@ impl Histogram {
     /// count in the overflow bucket without touching the sum.
     #[inline]
     pub fn record_f64(&self, v: f64) {
-        if !crate::enabled() {
-            return;
-        }
         if !v.is_finite() {
             // relaxed: independent monotonic counters, as in record().
             self.overflow.fetch_add(1, Ordering::Relaxed);
@@ -288,8 +274,4 @@ mod tests {
         assert_eq!(Histogram::bucket_index(1 << 47), Some(47));
         assert_eq!(Histogram::bucket_index((1 << 47) + 1), None);
     }
-
-    // The kill-switch behavior is pinned in `tests/disabled.rs` — its own
-    // test binary, because flipping the process-wide flag would race with
-    // parallel unit tests that record.
 }

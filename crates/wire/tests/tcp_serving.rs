@@ -90,6 +90,15 @@ fn serve_errors_keep_the_connection_usable() {
         Err(WireError::Peer { code, .. }) => assert_eq!(code, ERR_SERVE),
         other => panic!("expected Peer(ERR_SERVE), got {other:?}"),
     }
+    let mut nan = vec![-60.0; data.building.num_aps()];
+    nan[1] = f32::NAN;
+    match client.localize(&LocalizeRequest::new(data.building.id, "phone", nan)) {
+        Err(WireError::Peer { code, message }) => {
+            assert_eq!(code, ERR_SERVE);
+            assert_eq!(message, "AP reading 1 is NaN");
+        }
+        other => panic!("expected Peer(ERR_SERVE), got {other:?}"),
+    }
 
     let pool = safeloc_serve::request_pool(&data);
     let good = client.localize(&pool[0]).unwrap();
