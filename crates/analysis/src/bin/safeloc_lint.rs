@@ -1,38 +1,27 @@
 //! Workspace invariant linter CLI.
 //!
 //! ```text
-//! safeloc_lint [--root DIR] [--baseline FILE] [--check | --bless | --list-rules]
+//! safeloc_lint [--root DIR] [--check | --list-rules]
 //! ```
 //!
-//! - default (no mode flag): print all current findings with their
-//!   baseline status, exit 0.
-//! - `--check`: exit nonzero if any finding is not in the baseline, any
-//!   baseline entry is stale, or the frame tag table changed without a
-//!   `WIRE_SCHEMA` bump. This is the CI gate.
-//! - `--bless`: rewrite the baseline from the current findings
-//!   (refused for schema-coupling conflicts — those need a real fix).
+//! - default (no mode flag): print all current findings, exit 0.
+//! - `--check`: exit nonzero on any finding. This is the CI gate.
 //! - `--list-rules`: print the rule catalog and exit.
 
-use safeloc_analysis::lint::{
-    default_baseline_path, lint_workspace, load_baseline, Baseline, RULES,
-};
+use safeloc_analysis::lint::{lint_workspace, RULES};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Args {
     root: PathBuf,
-    baseline: Option<PathBuf>,
     check: bool,
-    bless: bool,
     list_rules: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: default_root(),
-        baseline: None,
         check: false,
-        bless: false,
         list_rules: false,
     };
     let mut it = std::env::args().skip(1);
@@ -41,11 +30,7 @@ fn parse_args() -> Result<Args, String> {
             "--root" => {
                 args.root = PathBuf::from(it.next().ok_or("--root needs a directory")?);
             }
-            "--baseline" => {
-                args.baseline = Some(PathBuf::from(it.next().ok_or("--baseline needs a file")?));
-            }
             "--check" => args.check = true,
-            "--bless" => args.bless = true,
             "--list-rules" => args.list_rules = true,
             "--help" | "-h" => {
                 print!("{}", HELP);
@@ -54,9 +39,6 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument {other:?} (try --help)")),
         }
     }
-    if args.check && args.bless {
-        return Err("--check and --bless are mutually exclusive".to_string());
-    }
     Ok(args)
 }
 
@@ -64,20 +46,16 @@ const HELP: &str = "\
 safeloc_lint: workspace invariant linter
 
 USAGE:
-    safeloc_lint [--root DIR] [--baseline FILE] [--check | --bless | --list-rules]
+    safeloc_lint [--root DIR] [--check | --list-rules]
 
 MODES:
-    (default)     print findings with baseline status, exit 0
-    --check       exit 1 on any finding missing from the baseline, any
-                  stale baseline entry, or a frame-tag change without a
-                  WIRE_SCHEMA bump (the CI gate)
-    --bless       rewrite the baseline from the current findings
+    (default)     print findings, exit 0
+    --check       exit 1 on any finding (the CI gate)
     --list-rules  print the rule catalog
 
 OPTIONS:
-    --root DIR       workspace root (default: ancestor of this binary's
-                     manifest, else the current directory)
-    --baseline FILE  baseline path (default: ROOT/crates/analysis/lint_baseline.txt)
+    --root DIR    workspace root (default: ancestor of this binary's
+                  manifest, else the current directory)
 ";
 
 /// The workspace root: `CARGO_MANIFEST_DIR/../..` when built from the
@@ -118,11 +96,6 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let baseline_path = args
-        .baseline
-        .clone()
-        .unwrap_or_else(|| default_baseline_path(&args.root));
-
     let findings = match lint_workspace(&args.root) {
         Ok(f) => f,
         Err(e) => {
@@ -131,97 +104,14 @@ fn main() -> ExitCode {
         }
     };
 
-    if args.bless {
-        let baseline = match load_baseline(&baseline_path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!(
-                    "safeloc_lint: bad baseline {}: {e}",
-                    baseline_path.display()
-                );
-                return ExitCode::from(2);
-            }
-        };
-        if let Some(conflict) = baseline.check(&findings).schema_conflict {
-            eprintln!("safeloc_lint: refusing to bless: {conflict}");
-            return ExitCode::FAILURE;
-        }
-        let rendered = Baseline::render(&findings);
-        if let Err(e) = std::fs::write(&baseline_path, rendered) {
-            eprintln!(
-                "safeloc_lint: cannot write {}: {e}",
-                baseline_path.display()
-            );
-            return ExitCode::from(2);
-        }
-        println!(
-            "blessed {} finding(s) into {}",
-            findings.len(),
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
+    for f in &findings {
+        println!("[{}] {}:{}: {}", f.rule, f.path, f.line, f.message);
+        println!("    {}", f.excerpt);
     }
-
-    let baseline = match load_baseline(&baseline_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!(
-                "safeloc_lint: bad baseline {}: {e}",
-                baseline_path.display()
-            );
-            return ExitCode::from(2);
-        }
-    };
-    let diff = baseline.check(&findings);
-
-    if args.check {
-        for f in &diff.new {
-            println!("NEW  [{}] {}:{}: {}", f.rule, f.path, f.line, f.message);
-            println!("       {}", f.excerpt);
-        }
-        for (fp, n) in &diff.stale {
-            println!("STALE {n}× no longer produced: {}", fp.replace('\t', "  "));
-        }
-        if let Some(conflict) = &diff.schema_conflict {
-            println!("SCHEMA {conflict}");
-        }
-        if diff.is_clean() {
-            println!(
-                "safeloc_lint: clean ({} finding(s), all baselined)",
-                findings.len()
-            );
-            ExitCode::SUCCESS
-        } else {
-            println!(
-                "safeloc_lint: FAILED: {} new, {} stale, schema conflict: {}",
-                diff.new.len(),
-                diff.stale.len(),
-                diff.schema_conflict.is_some(),
-            );
-            println!("(accept intentional findings with --bless; schema conflicts need a WIRE_SCHEMA bump)");
-            ExitCode::FAILURE
-        }
+    println!("safeloc_lint: {} finding(s)", findings.len());
+    if args.check && !findings.is_empty() {
+        ExitCode::FAILURE
     } else {
-        let new: std::collections::HashSet<_> = diff
-            .new
-            .iter()
-            .map(|f| (f.path.clone(), f.line, f.rule))
-            .collect();
-        for f in &findings {
-            let status = if new.contains(&(f.path.clone(), f.line, f.rule)) {
-                "NEW "
-            } else {
-                "base"
-            };
-            println!("{status} [{}] {}:{}: {}", f.rule, f.path, f.line, f.message);
-        }
-        println!(
-            "{} finding(s): {} baselined, {} new, {} stale",
-            findings.len(),
-            findings.len() - diff.new.len(),
-            diff.new.len(),
-            diff.stale.len()
-        );
         ExitCode::SUCCESS
     }
 }

@@ -5,9 +5,9 @@
 //! - [`lint`] — a workspace-aware lexical rule engine (`safeloc_lint`
 //!   binary) enforcing the invariants the test suite cannot see:
 //!   determinism in the bitwise-pinned crates, panic-freedom on
-//!   request-handling paths, justified atomic orderings, and wire-schema
-//!   hygiene. Accepted pre-existing findings live in a checked-in
-//!   baseline; `--check` fails CI on anything new or stale.
+//!   request-handling paths, justified atomic orderings, and no dead
+//!   `pub fn`s. Every accepted site carries an inline justification, so
+//!   `--check` fails CI on any finding.
 //! - [`interleave`] — a loom-lite bounded-interleaving checker that
 //!   exhaustively explores thread schedules of modeled concurrent
 //!   structures under sequential consistency, with [`models`] restating

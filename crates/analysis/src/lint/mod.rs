@@ -1,17 +1,14 @@
-//! The invariant linter: workspace walk + rule engine + baseline.
+//! The invariant linter: workspace walk + rule engine.
 //!
-//! See [`rules`] for the catalog, [`baseline`] for how accepted findings
-//! are pinned, and the `safeloc_lint` binary for the CLI. The library
-//! surface exists so the engine can be tested against fixture snippets
-//! (`tests/lint_engine.rs`) and so the self-lint test can assert the
-//! committed baseline is exactly reproduced.
+//! See [`rules`] for the catalog and the `safeloc_lint` binary for the
+//! CLI. The library surface exists so the engine can be tested against
+//! fixture snippets (`tests/lint_engine.rs`) and so the self-lint test
+//! can assert this workspace lints clean.
 
-pub mod baseline;
 pub mod dead_pub;
 pub mod rules;
 pub mod source;
 
-pub use baseline::{Baseline, Diff};
 pub use rules::{Finding, RuleInfo, RULES};
 pub use source::SourceFile;
 
@@ -128,7 +125,7 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// `/`-separated path relative to `root` (stable fingerprints across
+/// `/`-separated path relative to `root` (stable finding paths across
 /// platforms and absolute-path prefixes).
 fn relative_path(root: &Path, file: &Path) -> String {
     file.strip_prefix(root)
@@ -137,26 +134,4 @@ fn relative_path(root: &Path, file: &Path) -> String {
         .map(|c| c.as_os_str().to_string_lossy())
         .collect::<Vec<_>>()
         .join("/")
-}
-
-/// Default baseline location relative to the workspace root.
-pub fn default_baseline_path(root: &Path) -> PathBuf {
-    root.join("crates/analysis/lint_baseline.txt")
-}
-
-/// Loads and parses the baseline at `path`; a missing file is an empty
-/// baseline (bootstrapping a new workspace).
-///
-/// # Errors
-///
-/// I/O errors other than not-found, and any parse error (as
-/// `InvalidData`).
-pub fn load_baseline(path: &Path) -> io::Result<Baseline> {
-    match fs::read_to_string(path) {
-        Ok(text) => {
-            Baseline::parse(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Baseline::default()),
-        Err(e) => Err(e),
-    }
 }

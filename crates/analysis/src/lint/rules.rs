@@ -2,17 +2,15 @@
 //!
 //! Rules are lexical (see [`super::source`]) and deliberately
 //! over-approximate: a finding means "this line *looks like* it violates
-//! the invariant". Three escape hatches keep that workable as a hard CI
-//! gate:
+//! the invariant". Two escape hatches keep that workable as a hard CI
+//! gate that fails on any finding:
 //!
 //! 1. **Justification comments** — a comment containing the rule's
 //!    token (`det:`, `panic-ok:`, `relaxed:`, `seqcst:`, `pub-ok:`) on the
 //!    flagged line or within [`JUSTIFY_WINDOW`] lines above it suppresses
 //!    the finding. The token must carry a reason; reviewers see it inline.
-//! 2. **The baseline** — pre-existing accepted findings live in
-//!    `crates/analysis/lint_baseline.txt`; `--check` fails only on
-//!    findings not in it (and on stale entries).
-//! 3. **Test code is exempt** — lines under `#[cfg(test)]` / `#[test]`
+//!    `det-fused-arith` takes none by design.
+//! 2. **Test code is exempt** — lines under `#[cfg(test)]` / `#[test]`
 //!    are skipped by the production-path rules (`panic-*`, `det-*`).
 //!    Atomic-ordering rules apply everywhere: a test that models
 //!    orderings wrongly is still wrong.
@@ -35,7 +33,7 @@ pub const JUSTIFY_WINDOW: usize = 6;
 
 /// One catalog entry, rendered by `--list-rules` and the README table.
 pub struct RuleInfo {
-    /// Stable rule id (finding key, baseline key).
+    /// Stable rule id (finding key).
     pub id: &'static str,
     /// Where it applies.
     pub scope: &'static str,
@@ -117,29 +115,6 @@ pub const RULES: &[RuleInfo] = &[
         justify: Some("seqcst:"),
     },
     RuleInfo {
-        id: "wire-tag-unique",
-        scope: "crates/wire/src/frame.rs",
-        rationale: "Two frame types sharing a tag byte silently decode into each other; the \
-                    TAG_* table must be injective.",
-        justify: None,
-    },
-    RuleInfo {
-        id: "wire-tag-dense",
-        scope: "crates/wire/src/frame.rs",
-        rationale: "Gaps in the tag table are where silent tag typos hide (0x0D vs 0x0E). The \
-                    table must be dense from its first tag.",
-        justify: None,
-    },
-    RuleInfo {
-        id: "wire-schema-bump",
-        scope: "crates/wire/src/frame.rs",
-        rationale: "Any change to the frame tag table is a wire-format change and must bump \
-                    WIRE_SCHEMA so peers negotiate instead of misdecoding. This rule couples \
-                    the tag set to the schema number in the baseline; changing the tags without \
-                    bumping the schema cannot be blessed away.",
-        justify: None,
-    },
-    RuleInfo {
         id: "dead-pub",
         scope: "free `pub fn` in non-test code under crates/*/src",
         rationale: "rustc's dead_code stops at `pub`: a library function whose last caller was \
@@ -162,8 +137,7 @@ pub struct Finding {
     pub path: String,
     /// 1-based line number.
     pub line: usize,
-    /// Trimmed source excerpt — the baseline fingerprint component, so
-    /// baselined findings survive unrelated line-number churn.
+    /// Trimmed source line the finding points at.
     pub excerpt: String,
     /// Human-readable message.
     pub message: String,
@@ -183,11 +157,6 @@ impl Finding {
             excerpt: file.raw[line0].trim().to_string(),
             message,
         }
-    }
-
-    /// `rule\tpath\texcerpt` — the identity the baseline stores.
-    pub fn fingerprint(&self) -> String {
-        format!("{}\t{}\t{}", self.rule, self.path, self.excerpt)
     }
 }
 
@@ -226,9 +195,6 @@ pub fn lint_file(file: &SourceFile) -> Vec<Finding> {
         panic_path(file, &mut findings);
     }
     atomic_orderings(file, &mut findings);
-    if file.path.ends_with("wire/src/frame.rs") {
-        wire_frame_rules(file, &mut findings);
-    }
     findings
 }
 
@@ -509,101 +475,4 @@ fn atomic_orderings(file: &SourceFile, findings: &mut Vec<Finding>) {
             ));
         }
     }
-}
-
-/// Parses the `const TAG_* : u8 = 0x..;` table and `WIRE_SCHEMA` from
-/// `frame.rs`, then checks uniqueness, density and the schema coupling.
-fn wire_frame_rules(file: &SourceFile, findings: &mut Vec<Finding>) {
-    let mut tags: Vec<(String, u8, usize)> = Vec::new(); // (name, value, line0)
-    let mut schema: Option<(u32, usize)> = None;
-    for (i, line) in file.code.iter().enumerate() {
-        let t = line.trim();
-        if let Some(rest) = t.strip_prefix("const TAG_") {
-            if let Some((name_part, value_part)) = rest.split_once('=') {
-                let name = format!("TAG_{}", name_part.split(':').next().unwrap_or("").trim());
-                if let Some(v) = parse_u64(value_part) {
-                    tags.push((name, v as u8, i));
-                }
-            }
-        }
-        if let Some(rest) = t.strip_prefix("pub const WIRE_SCHEMA") {
-            if let Some((_, value_part)) = rest.split_once('=') {
-                if let Some(v) = parse_u64(value_part) {
-                    schema = Some((v as u32, i));
-                }
-            }
-        }
-    }
-    if tags.is_empty() {
-        return;
-    }
-    // Uniqueness.
-    let mut by_value = tags.clone();
-    by_value.sort_by_key(|&(_, v, _)| v);
-    for pair in by_value.windows(2) {
-        if pair[0].1 == pair[1].1 {
-            findings.push(Finding::new(
-                "wire-tag-unique",
-                file,
-                pair[1].2,
-                format!(
-                    "{} and {} share tag {:#04x}",
-                    pair[0].0, pair[1].0, pair[1].1
-                ),
-            ));
-        }
-    }
-    // Density from the first tag.
-    let present: Vec<u8> = by_value.iter().map(|&(_, v, _)| v).collect();
-    let (lo, hi) = (present[0], present[present.len() - 1]);
-    for missing in lo..hi {
-        if !present.contains(&missing) {
-            let after = by_value.iter().rev().find(|&&(_, v, _)| v < missing);
-            findings.push(Finding::new(
-                "wire-tag-dense",
-                file,
-                after.map_or(0, |&(_, _, l)| l),
-                format!("tag table has a gap at {missing:#04x}"),
-            ));
-        }
-    }
-    // Schema coupling: one synthetic finding whose excerpt encodes the
-    // exact tag set and the schema version. The baseline pins the pair;
-    // `Baseline::check` refuses to bless a tag-set change that keeps the
-    // schema number (see `wire_schema_conflict`).
-    let tag_list: Vec<String> = by_value
-        .iter()
-        .map(|(_, v, _)| format!("{v:#04x}"))
-        .collect();
-    let (schema_v, schema_line) = schema.unwrap_or((0, 0));
-    findings.push(Finding {
-        rule: "wire-schema-bump",
-        path: file.path.clone(),
-        line: schema_line + 1,
-        excerpt: format!("tags=[{}] schema={}", tag_list.join(","), schema_v),
-        message: "frame-tag table ↔ WIRE_SCHEMA coupling record (any tag change must bump the \
-                  schema and re-bless the baseline)"
-            .to_string(),
-    });
-}
-
-fn parse_u64(s: &str) -> Option<u64> {
-    let s = s.trim().trim_end_matches(';').trim();
-    if let Some(hex) = s.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        s.parse().ok()
-    }
-}
-
-/// Extracts `(tag_set, schema)` from a `wire-schema-bump` excerpt.
-pub fn parse_schema_coupling(excerpt: &str) -> Option<(String, String)> {
-    let tags = excerpt
-        .split("tags=")
-        .nth(1)?
-        .split(']')
-        .next()?
-        .to_string();
-    let schema = excerpt.split("schema=").nth(1)?.trim().to_string();
-    Some((tags, schema))
 }

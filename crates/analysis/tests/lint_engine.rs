@@ -1,12 +1,10 @@
 //! Lint-engine tests: the fixture corpus pins every rule's positives
-//! and negatives, and the self-lint test asserts the committed baseline
-//! is exactly what linting this workspace produces — so CI's
-//! `safeloc_lint --check` gate and `cargo test` can never disagree.
+//! and negatives, and the self-lint test asserts this workspace lints
+//! clean — so CI's `safeloc_lint --check` gate and `cargo test` can never
+//! disagree.
 
 use safeloc_analysis::lint::dead_pub::dead_pub;
-use safeloc_analysis::lint::{
-    default_baseline_path, lint_text, lint_workspace, load_baseline, Finding, SourceFile,
-};
+use safeloc_analysis::lint::{lint_text, lint_workspace, Finding, SourceFile};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -150,49 +148,6 @@ fn atomics_fixture_flags_unjustified_orderings_only() {
 }
 
 #[test]
-fn wire_frame_bad_fixture_reports_duplicate_gap_and_coupling() {
-    let findings = lint_text(
-        "crates/wire/src/frame.rs",
-        "wire",
-        &fixture("wire_frame_bad.rs"),
-    );
-    let counts = by_rule(&findings);
-    assert_eq!(counts.get("wire-tag-unique"), Some(&1), "{findings:#?}");
-    // 0x03 and 0x04 are two separate gap findings.
-    assert_eq!(counts.get("wire-tag-dense"), Some(&2), "{findings:#?}");
-    assert_eq!(counts.get("wire-schema-bump"), Some(&1), "{findings:#?}");
-    let coupling = findings
-        .iter()
-        .find(|f| f.rule == "wire-schema-bump")
-        .unwrap();
-    assert!(coupling.excerpt.contains("schema=7"), "{coupling:?}");
-}
-
-#[test]
-fn wire_frame_good_fixture_yields_only_the_coupling_record() {
-    let findings = lint_text(
-        "crates/wire/src/frame.rs",
-        "wire",
-        &fixture("wire_frame_good.rs"),
-    );
-    assert_eq!(findings.len(), 1, "{findings:#?}");
-    assert_eq!(findings[0].rule, "wire-schema-bump");
-    assert!(findings[0]
-        .excerpt
-        .contains("tags=[0x01,0x02,0x03,0x04] schema=2"));
-}
-
-#[test]
-fn frame_rules_only_fire_on_the_frame_module() {
-    let findings = lint_text(
-        "crates/wire/src/conn.rs",
-        "wire",
-        &fixture("wire_frame_bad.rs"),
-    );
-    assert!(findings.is_empty(), "{findings:#?}");
-}
-
-#[test]
 fn dead_pub_fixture_flags_uncalled_free_pub_fns_only() {
     let defs = SourceFile::parse(
         "crates/bench/src/fixture.rs",
@@ -224,28 +179,15 @@ fn dead_pub_fixture_flags_uncalled_free_pub_fns_only() {
     );
 }
 
-/// The self-lint: linting this workspace must reproduce the committed
-/// baseline exactly — zero new findings, zero stale entries. This is the
-/// same invariant CI's `safeloc_lint --check` enforces, pinned here so a
-/// plain `cargo test -q` catches drift without the extra CI step.
+/// The self-lint: this workspace has no findings. This is the same
+/// invariant CI's `safeloc_lint --check` enforces, pinned here so a
+/// plain `cargo test -q` catches a regression without the extra CI step.
 #[test]
-fn workspace_lint_exactly_reproduces_the_committed_baseline() {
+fn workspace_lint_has_no_findings() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let findings = lint_workspace(&root).expect("workspace lints");
-    let baseline_path = default_baseline_path(&root);
-    let baseline = load_baseline(&baseline_path)
-        .unwrap_or_else(|e| panic!("baseline {} unreadable: {e}", baseline_path.display()));
-    let diff = baseline.check(&findings);
     assert!(
-        diff.is_clean(),
-        "workspace lint drifted from {}:\n  new: {:#?}\n  stale: {:?}\n  schema: {:?}\n\
-         (run `cargo run --bin safeloc_lint -- --bless` after reviewing)",
-        baseline_path.display(),
-        diff.new,
-        diff.stale,
-        diff.schema_conflict,
+        findings.is_empty(),
+        "justify each site inline or fix it: {findings:#?}"
     );
-    // The committed baseline is not an empty formality: it pins the
-    // tag-table ↔ WIRE_SCHEMA coupling record, and nothing else.
-    assert_eq!(baseline.accepted(), 1);
 }

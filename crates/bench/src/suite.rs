@@ -403,18 +403,25 @@ impl ParticipationSpec {
     }
 
     /// Checks a spec-file participation: `dropout` and `straggle` in
-    /// `[0, 1]`, a `Fraction` finite and in `(0, 1]`.
+    /// `[0, 1]`, a `Fraction` finite and in `(0, 1]`, a `UniformK` or
+    /// `WeightedByData` cohort with `k >= 1`.
     ///
     /// # Errors
     ///
     /// A message naming the first offending field and its value.
     pub fn validate(&self) -> Result<(), String> {
-        if let ParticipationMode::Fraction { fraction } = self.mode {
-            if !(fraction.is_finite() && fraction > 0.0 && fraction <= 1.0) {
+        match self.mode {
+            ParticipationMode::Fraction { fraction }
+                if !(fraction.is_finite() && fraction > 0.0 && fraction <= 1.0) =>
+            {
                 return Err(format!(
                     "fraction must be finite and in (0, 1], got {fraction}"
                 ));
             }
+            ParticipationMode::UniformK { k: 0 } | ParticipationMode::WeightedByData { k: 0 } => {
+                return Err("k must be at least 1, got 0".to_string());
+            }
+            _ => {}
         }
         for (field, rate) in [("dropout", self.dropout), ("straggle", self.straggle)] {
             if !(0.0..=1.0).contains(&rate) {
@@ -2072,6 +2079,17 @@ mod tests {
                 .validate()
                 .unwrap_err();
             assert!(err.contains("fraction"), "{err}");
+        }
+        for mode in [
+            ParticipationMode::UniformK { k: 0 },
+            ParticipationMode::WeightedByData { k: 0 },
+        ] {
+            let empty = ParticipationSpec {
+                mode,
+                ..ParticipationSpec::full()
+            };
+            let err = empty.validate().unwrap_err();
+            assert!(err.starts_with("k "), "{err}");
         }
         assert_eq!(ParticipationSpec::full().validate(), Ok(()));
         assert_eq!(

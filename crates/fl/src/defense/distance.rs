@@ -30,8 +30,8 @@ const PARALLEL_MIN_PAIRS: usize = 8;
 /// 10 %, **×1.08 at 12.5 %**, ×1.7 at 25 % — a gathered term costs ~3.7
 /// cycles (an indexed load and a lane read-modify-write) against a third of
 /// a cycle per element of the vectorized sweep, which is L2-bound at ~670
-/// cycles a pair. `cargo bench -p safeloc-bench --bench aggregation`
-/// prints the table at the group's five densities
+/// cycles a pair. The table was measured with the since-deleted criterion
+/// bench `aggregation`, at its `screening_sparse` group's five densities
 /// (`screening_sparse/{dense,view}/cosine_sampled/*`).
 const SUPPORT_DOT_MAX_DENSITY_INV: usize = 10;
 

@@ -13,7 +13,7 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 /// the first coordinate past that and the row is stored dense.
 ///
 /// ⅛ is the measured break-even of the operation that crosses first
-/// (`cargo bench -p safeloc-bench --bench aggregation`, group
+/// (the since-deleted criterion bench `aggregation`, group
 /// `screening_sparse`, 256 × 46 953, one core, `view` time over `dense`
 /// time, two runs): at 5 % norms ×0.16, a 2-means pass ×0.24–0.25, the
 /// projection ×0.36–0.45, the trimmed mean ×0.21–0.25; at 12.5 % norms

@@ -280,18 +280,51 @@ pub enum Frame {
     Bye,
 }
 
-const TAG_HELLO: u8 = 0x01;
-const TAG_HELLO_ACK: u8 = 0x02;
-const TAG_JOIN: u8 = 0x03;
-const TAG_GM_BROADCAST: u8 = 0x04;
-const TAG_UPDATE: u8 = 0x05;
-const TAG_LOCALIZE_REQ: u8 = 0x06;
-const TAG_LOCALIZE_RESP: u8 = 0x07;
-const TAG_UPDATE_DELTA: u8 = 0x08;
-const TAG_METRICS_REQ: u8 = 0x09;
-const TAG_METRICS_RESP: u8 = 0x0A;
-const TAG_ERROR: u8 = 0x0B;
-const TAG_BYE: u8 = 0x0C;
+/// The frame-type byte after the length prefix. Discriminants are
+/// implicit and dense from `Hello = 1`, so rustc rejects two variants on
+/// one byte (E0081) and a gap cannot be written; [`Frame::decode_body`]
+/// matches on `Tag`, so a tag without a decode arm does not compile. The
+/// `tags_are_pinned_with_the_schema` test pins each byte to
+/// [`WIRE_SCHEMA`].
+#[derive(Debug, Clone, Copy)]
+#[repr(u8)]
+enum Tag {
+    Hello = 1,
+    HelloAck,
+    Join,
+    GmBroadcast,
+    Update,
+    LocalizeReq,
+    LocalizeResp,
+    UpdateDelta,
+    MetricsReq,
+    MetricsResp,
+    Error,
+    Bye,
+}
+
+impl Tag {
+    /// Every tag, in byte order.
+    const ALL: [Tag; 12] = [
+        Tag::Hello,
+        Tag::HelloAck,
+        Tag::Join,
+        Tag::GmBroadcast,
+        Tag::Update,
+        Tag::LocalizeReq,
+        Tag::LocalizeResp,
+        Tag::UpdateDelta,
+        Tag::MetricsReq,
+        Tag::MetricsResp,
+        Tag::Error,
+        Tag::Bye,
+    ];
+
+    /// The tag whose byte is `b`, if any.
+    fn from_u8(b: u8) -> Option<Tag> {
+        Tag::ALL.get(usize::from(b).wrapping_sub(1)).copied()
+    }
+}
 
 impl Frame {
     /// Short name of the frame type, for protocol-violation messages.
@@ -336,15 +369,15 @@ impl Frame {
     fn encode_body(&self, out: &mut Vec<u8>) {
         match self {
             Frame::Hello { schema } => {
-                out.push(TAG_HELLO);
+                out.push(Tag::Hello as u8);
                 put_u32(out, *schema);
             }
             Frame::HelloAck { schema } => {
-                out.push(TAG_HELLO_ACK);
+                out.push(Tag::HelloAck as u8);
                 put_u32(out, *schema);
             }
             Frame::Join { client_index } => {
-                out.push(TAG_JOIN);
+                out.push(Tag::Join as u8);
                 put_u32(out, *client_index);
             }
             Frame::GmBroadcast {
@@ -352,13 +385,13 @@ impl Frame {
                 round_salt,
                 params,
             } => {
-                out.push(TAG_GM_BROADCAST);
+                out.push(Tag::GmBroadcast as u8);
                 put_u32(out, *round);
                 put_u64(out, *round_salt);
                 put_params(out, params);
             }
             Frame::Update(update) => {
-                out.push(TAG_UPDATE);
+                out.push(Tag::Update as u8);
                 put_u64(out, update.client_id);
                 put_u32(out, update.round);
                 put_u32(out, update.building);
@@ -367,7 +400,7 @@ impl Frame {
                 put_params(out, &update.params);
             }
             Frame::UpdateDelta(update) => {
-                out.push(TAG_UPDATE_DELTA);
+                out.push(Tag::UpdateDelta as u8);
                 put_u64(out, update.client_id);
                 put_u32(out, update.round);
                 put_u32(out, update.building);
@@ -381,7 +414,7 @@ impl Frame {
                 device,
                 rss_dbm,
             } => {
-                out.push(TAG_LOCALIZE_REQ);
+                out.push(Tag::LocalizeReq as u8);
                 put_u64(out, *id);
                 put_u32(out, *building);
                 put_str(out, device);
@@ -397,7 +430,7 @@ impl Frame {
                 device_class,
                 model_version,
             } => {
-                out.push(TAG_LOCALIZE_RESP);
+                out.push(Tag::LocalizeResp as u8);
                 put_u64(out, *id);
                 put_u32(out, *label);
                 match position {
@@ -411,17 +444,17 @@ impl Frame {
                 put_str(out, device_class);
                 put_u64(out, *model_version);
             }
-            Frame::MetricsRequest => out.push(TAG_METRICS_REQ),
+            Frame::MetricsRequest => out.push(Tag::MetricsReq as u8),
             Frame::MetricsResponse { text } => {
-                out.push(TAG_METRICS_RESP);
+                out.push(Tag::MetricsResp as u8);
                 put_lstr(out, text);
             }
             Frame::Error { code, message } => {
-                out.push(TAG_ERROR);
+                out.push(Tag::Error as u8);
                 put_u16(out, *code);
                 put_str(out, message);
             }
-            Frame::Bye => out.push(TAG_BYE),
+            Frame::Bye => out.push(Tag::Bye as u8),
         }
     }
 
@@ -463,18 +496,18 @@ impl Frame {
     pub fn decode_body(body: &[u8]) -> Result<Frame, WireError> {
         let mut r = Reader::new(body);
         let tag = r.u8()?;
-        let frame = match tag {
-            TAG_HELLO => Frame::Hello { schema: r.u32()? },
-            TAG_HELLO_ACK => Frame::HelloAck { schema: r.u32()? },
-            TAG_JOIN => Frame::Join {
+        let frame = match Tag::from_u8(tag).ok_or(WireError::UnknownTag(tag))? {
+            Tag::Hello => Frame::Hello { schema: r.u32()? },
+            Tag::HelloAck => Frame::HelloAck { schema: r.u32()? },
+            Tag::Join => Frame::Join {
                 client_index: r.u32()?,
             },
-            TAG_GM_BROADCAST => Frame::GmBroadcast {
+            Tag::GmBroadcast => Frame::GmBroadcast {
                 round: r.u32()?,
                 round_salt: r.u64()?,
                 params: r.params()?,
             },
-            TAG_UPDATE => Frame::Update(UpdateFrame {
+            Tag::Update => Frame::Update(UpdateFrame {
                 client_id: r.u64()?,
                 round: r.u32()?,
                 building: r.u32()?,
@@ -482,7 +515,7 @@ impl Frame {
                 num_samples: r.u64()?,
                 params: r.params()?,
             }),
-            TAG_UPDATE_DELTA => Frame::UpdateDelta(DeltaUpdateFrame {
+            Tag::UpdateDelta => Frame::UpdateDelta(DeltaUpdateFrame {
                 client_id: r.u64()?,
                 round: r.u32()?,
                 building: r.u32()?,
@@ -490,7 +523,7 @@ impl Frame {
                 num_samples: r.u64()?,
                 repr: r.delta_repr()?,
             }),
-            TAG_LOCALIZE_REQ => {
+            Tag::LocalizeReq => {
                 let id = r.u64()?;
                 let building = r.u32()?;
                 let device = r.string()?;
@@ -507,7 +540,7 @@ impl Frame {
                     rss_dbm,
                 }
             }
-            TAG_LOCALIZE_RESP => {
+            Tag::LocalizeResp => {
                 let id = r.u64()?;
                 let label = r.u32()?;
                 let position = match r.u8()? {
@@ -525,14 +558,13 @@ impl Frame {
                     model_version: r.u64()?,
                 }
             }
-            TAG_METRICS_REQ => Frame::MetricsRequest,
-            TAG_METRICS_RESP => Frame::MetricsResponse { text: r.lstring()? },
-            TAG_ERROR => Frame::Error {
+            Tag::MetricsReq => Frame::MetricsRequest,
+            Tag::MetricsResp => Frame::MetricsResponse { text: r.lstring()? },
+            Tag::Error => Frame::Error {
                 code: r.u16()?,
                 message: r.string()?,
             },
-            TAG_BYE => Frame::Bye,
-            other => return Err(WireError::UnknownTag(other)),
+            Tag::Bye => Frame::Bye,
         };
         r.finish()?;
         Ok(frame)
@@ -862,6 +894,38 @@ mod tests {
         round_trip(Frame::Bye);
     }
 
+    /// The tag table is part of the wire format: changing a byte, adding
+    /// or removing a tag is a schema change, so this pin and
+    /// [`WIRE_SCHEMA`] are edited together or not at all.
+    #[test]
+    fn tags_are_pinned_with_the_schema() {
+        let tags: Vec<(String, u8)> = Tag::ALL
+            .iter()
+            .map(|&tag| (format!("{tag:?}"), tag as u8))
+            .collect();
+        let pinned = [
+            ("Hello", 0x01),
+            ("HelloAck", 0x02),
+            ("Join", 0x03),
+            ("GmBroadcast", 0x04),
+            ("Update", 0x05),
+            ("LocalizeReq", 0x06),
+            ("LocalizeResp", 0x07),
+            ("UpdateDelta", 0x08),
+            ("MetricsReq", 0x09),
+            ("MetricsResp", 0x0A),
+            ("Error", 0x0B),
+            ("Bye", 0x0C),
+        ]
+        .map(|(name, byte)| (name.to_string(), byte));
+        assert_eq!(
+            (WIRE_SCHEMA, tags),
+            (4, pinned.to_vec()),
+            "a frame-tag change is a wire-format change: bump WIRE_SCHEMA and \
+             update this pin with it"
+        );
+    }
+
     #[test]
     fn metrics_response_carries_more_than_a_u16_of_text() {
         // A busy registry's exposition exceeds the short-string budget;
@@ -874,7 +938,7 @@ mod tests {
 
     #[test]
     fn hostile_metrics_length_is_bounded_by_the_payload() {
-        let mut body = vec![TAG_METRICS_RESP];
+        let mut body = vec![Tag::MetricsResp as u8];
         body.extend_from_slice(&u32::MAX.to_le_bytes());
         body.extend_from_slice(b"tiny");
         assert!(matches!(
@@ -885,7 +949,7 @@ mod tests {
 
     #[test]
     fn non_utf8_metrics_text_is_a_typed_error() {
-        let mut body = vec![TAG_METRICS_RESP];
+        let mut body = vec![Tag::MetricsResp as u8];
         body.extend_from_slice(&2u32.to_le_bytes());
         body.extend_from_slice(&[0xFF, 0xFE]);
         assert!(matches!(
@@ -912,7 +976,7 @@ mod tests {
     #[test]
     fn oversized_prefix_is_rejected_before_allocation() {
         let mut bytes = ((MAX_FRAME_LEN + 1) as u32).to_le_bytes().to_vec();
-        bytes.push(TAG_BYE);
+        bytes.push(Tag::Bye as u8);
         assert_eq!(
             Frame::decode(&bytes),
             Err(WireError::Oversized {
@@ -937,7 +1001,7 @@ mod tests {
     #[test]
     fn hostile_counts_cannot_preallocate() {
         // A LocalizeReq claiming u32::MAX RSS floats in an 18-byte payload.
-        let mut body = vec![TAG_LOCALIZE_REQ];
+        let mut body = vec![Tag::LocalizeReq as u8];
         body.extend_from_slice(&0u64.to_le_bytes()); // id
         body.extend_from_slice(&0u32.to_le_bytes()); // building
         body.extend_from_slice(&0u16.to_le_bytes()); // empty device name
@@ -947,7 +1011,7 @@ mod tests {
             Err(WireError::Truncated { .. })
         ));
         // An UpdateDelta claiming u32::MAX top-k coefficients.
-        let mut body = vec![TAG_UPDATE_DELTA];
+        let mut body = vec![Tag::UpdateDelta as u8];
         body.extend_from_slice(&0u64.to_le_bytes()); // client_id
         body.extend_from_slice(&0u32.to_le_bytes()); // round
         body.extend_from_slice(&0u32.to_le_bytes()); // building

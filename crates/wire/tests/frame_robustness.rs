@@ -159,12 +159,6 @@ proptest! {
     }
 
     #[test]
-    fn unknown_tags_are_typed(tag in 0x10u32..0xFF) {
-        let body = vec![tag as u8];
-        prop_assert_eq!(Frame::decode_body(&body), Err(WireError::UnknownTag(tag as u8)));
-    }
-
-    #[test]
     fn corrupting_one_byte_never_panics(
         victim_fraction in 0.0f64..1.0,
         xor in 1u32..256,
@@ -179,6 +173,25 @@ proptest! {
         let victim = ((bytes.len() - 1) as f64 * victim_fraction) as usize;
         bytes[victim] ^= xor as u8;
         let _ = Frame::decode(&bytes); // must return, never panic
+    }
+}
+
+/// Every byte is tried as a bare tag: exactly the twelve frame tags
+/// `0x01..=0x0C` name a frame type (their bodies then decode or fail on
+/// the missing payload), and every other byte — the neighbours `0x00`
+/// and `0x0D` included — is an `UnknownTag` carrying that byte.
+#[test]
+fn unknown_tags_are_typed() {
+    for b in 0..=u8::MAX {
+        let decoded = Frame::decode_body(&[b]);
+        if (1..=12).contains(&b) {
+            assert!(
+                !matches!(decoded, Err(WireError::UnknownTag(_))),
+                "tag {b:#04x} decoded as {decoded:?}"
+            );
+        } else {
+            assert_eq!(decoded, Err(WireError::UnknownTag(b)));
+        }
     }
 }
 
