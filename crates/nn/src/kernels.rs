@@ -23,8 +23,18 @@
 //!    `b` rows meet four output rows in 16 independent products feeding
 //!    four separate chains, which amortizes loads across rows (the seed's
 //!    one-row-at-a-time loop was load-port bound) and breaks the add
-//!    latency chain. Each group of four reduction steps is summed as one
-//!    multiply and three fused multiply-adds,
+//!    latency chain. A 2- or 3-row remainder is one block of that many
+//!    rows (`accumulate_rows`), and only a lone row runs the 1-row loop:
+//!    the 1-row loop costs about twice a block's time per row, and the
+//!    served micro-batch runs one forward pass per pinned snapshot, 4.6
+//!    rows on average, with over a quarter of its rows in such
+//!    remainders. On the paper layers (203→128→89→62→60, one pinned core)
+//!    a 2-row forward pass went 3.67 → 2.61 µs per row and a 3-row one
+//!    3.61 → 2.31 (the 4-row block runs 1.9). Rows are independent, so
+//!    which block a row shares a pass with moves no bit (pinned by
+//!    `every_row_of_a_product_is_that_row_computed_alone`). Each group
+//!    of four reduction steps is summed as one multiply and three fused
+//!    multiply-adds,
 //!    `a₃·v₃ + (a₂·v₂ + (a₁·v₁ + a₀·v₀))` (`group_sum`; each `mul_add`
 //!    rounds `a·v + s` once), and the group sum is added to the output with
 //!    one plain add; the `k mod 4` tail adds `a·v` singly. `f32::mul_add`
@@ -314,8 +324,15 @@ fn accumulate_direct(
         }
         i += 4;
     }
-    // Row tail (< 4 rows): one output row, 4-wide reduction unroll.
-    while i < m {
+    // Row tail (< 4 rows): a 2- or 3-row remainder is one block of that
+    // many rows; a lone row runs the 1-row loop below.
+    match m - i {
+        3 => return accumulate_rows::<3>(out, a, lda, b, i, k, n),
+        2 => return accumulate_rows::<2>(out, a, lda, b, i, k, n),
+        _ => {}
+    }
+    // One output row, 4-wide reduction unroll.
+    if i < m {
         let a_row = &a[i * lda..i * lda + k];
         for j0 in (0..n).step_by(NC) {
             let jlen = NC.min(n - j0);
@@ -341,7 +358,63 @@ fn accumulate_direct(
                 kk += 1;
             }
         }
-        i += 1;
+    }
+}
+
+/// Output rows `i..i + R` of [`accumulate_direct`] as one block: the
+/// 4-row main loop's nest with `R` rows sharing each pass over the four
+/// `b` rows of a group. Each output element gets the same `group_sum` per
+/// 4-step group, in the same ascending order, and the same single adds
+/// of the `k mod 4` tail, as it does in any other block — rows are
+/// independent, so only how many rows share a pass changes, never a bit.
+/// Used for the 2- and 3-row remainders, which the 1-row loop ran at about
+/// twice the per-row cost of a 4-row block. Kept out of line, so the 4-row
+/// and 1-row loops of [`accumulate_direct`] compile as they did without it.
+#[inline(never)]
+fn accumulate_rows<const R: usize>(
+    out: &mut [f32],
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    i: usize,
+    k: usize,
+    n: usize,
+) {
+    let ar: [&[f32]; R] = std::array::from_fn(|r| &a[(i + r) * lda..(i + r) * lda + k]);
+    for j0 in (0..n).step_by(NC) {
+        let jlen = NC.min(n - j0);
+        // Split the `R` output rows into disjoint mutable windows.
+        let mut rest = &mut out[i * n..(i + R) * n];
+        let o: [&mut [f32]; R] = std::array::from_fn(|_| {
+            let (row, tail) = std::mem::take(&mut rest).split_at_mut(n);
+            rest = tail;
+            &mut row[j0..j0 + jlen]
+        });
+        let mut kk = 0;
+        while kk + 4 <= k {
+            let b0 = &b[kk * n + j0..kk * n + j0 + jlen];
+            let b1 = &b[(kk + 1) * n + j0..(kk + 1) * n + j0 + jlen];
+            let b2 = &b[(kk + 2) * n + j0..(kk + 2) * n + j0 + jlen];
+            let b3 = &b[(kk + 3) * n + j0..(kk + 3) * n + j0 + jlen];
+            let a_group = ar.map(|ar| [ar[kk], ar[kk + 1], ar[kk + 2], ar[kk + 3]]);
+            for j in 0..jlen {
+                let v = [b0[j], b1[j], b2[j], b3[j]];
+                for r in 0..R {
+                    o[r][j] += group_sum(a_group[r], v);
+                }
+            }
+            kk += 4;
+        }
+        while kk < k {
+            let b0 = &b[kk * n + j0..kk * n + j0 + jlen];
+            for j in 0..jlen {
+                let v = b0[j];
+                for r in 0..R {
+                    o[r][j] += ar[r][kk] * v;
+                }
+            }
+            kk += 1;
+        }
     }
 }
 
@@ -989,6 +1062,32 @@ mod tests {
         }
     }
 
+    /// Rows are independent: every row of a product equals that row's
+    /// product computed alone, bit for bit, whichever block it shares a
+    /// pass with — the 4-row block, a 2- or 3-row tail block or the 1-row
+    /// loop — on every `k mod 4` tail, past a `KC` edge and across an `NC`
+    /// column block. This is what makes a served micro-batch answer
+    /// exactly what one offline `predict` of each request would.
+    #[test]
+    fn every_row_of_a_product_is_that_row_computed_alone() {
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for m in 1..=9 {
+            for k in [1, 3, 4, 7, 203, KC + 5] {
+                for n in [1, 5, 130] {
+                    let a = fill(m * k, 17);
+                    let b = fill(k * n, 18);
+                    let mut out = vec![f32::NAN; m * n];
+                    matmul_into(&mut out, &a, &b, m, k, n);
+                    for (r, (a_row, out_row)) in a.chunks(k).zip(out.chunks(n)).enumerate() {
+                        let mut alone = vec![f32::NAN; n];
+                        matmul_into(&mut alone, a_row, &b, 1, k, n);
+                        assert_eq!(bits(out_row), bits(&alone), "row {r} of {m}x{k}x{n}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn dot_matches_naive() {
         for len in [0, 1, 3, 4, 7, 64, 203] {
@@ -1210,21 +1309,24 @@ mod tests {
                 }
                 for n in [1, 9] {
                     let b: Vec<f32> = projection.chunks(9).take(len).flat_map(|r| &r[..n]).copied().collect();
-                    // Five rows: the dense kernel's 4-row block and its row tail.
-                    let picks = [1, 0, 2, 1, 1];
-                    let a: Vec<f32> = picks.iter().flat_map(|&r| rows[r].iter().copied()).collect();
-                    let mut dense_out = vec![f32::NAN; picks.len() * n];
-                    matmul_into(&mut dense_out, &a, &b, picks.len(), len, n);
-                    let support_rows: Vec<(&[u32], &[f32])> = picks
-                        .iter()
-                        .map(|&r| (supports[r].0.as_slice(), supports[r].1.as_slice()))
-                        .collect();
-                    let mut support_out = vec![f32::NAN; picks.len() * n];
-                    support_matmul_into(&mut support_out, &support_rows, &b, len, n);
-                    prop_assert!(
-                        same_bits(&support_out, &dense_out),
-                        "matmul, len {}, n {}", len, n
-                    );
+                    // Five to seven rows: the dense kernel's 4-row block and
+                    // its 1-, 2- and 3-row tails.
+                    for m in 5..=7 {
+                        let picks = &[1, 0, 2, 1, 1, 2, 0][..m];
+                        let a: Vec<f32> = picks.iter().flat_map(|&r| rows[r].iter().copied()).collect();
+                        let mut dense_out = vec![f32::NAN; m * n];
+                        matmul_into(&mut dense_out, &a, &b, m, len, n);
+                        let support_rows: Vec<(&[u32], &[f32])> = picks
+                            .iter()
+                            .map(|&r| (supports[r].0.as_slice(), supports[r].1.as_slice()))
+                            .collect();
+                        let mut support_out = vec![f32::NAN; m * n];
+                        support_matmul_into(&mut support_out, &support_rows, &b, len, n);
+                        prop_assert!(
+                            same_bits(&support_out, &dense_out),
+                            "matmul, len {}, n {}, rows {}", len, n, m
+                        );
+                    }
                 }
             }
         }
@@ -1265,37 +1367,40 @@ mod tests {
             0.75, -0.0, TINY, -1.25, 0.0, 1.0, -TINY, 0.1, -3.0, 1.0e-3, 0.0, 2.0, -0.0,
         ];
         let k = KC + 8 + 3;
-        let rows = 5; // the dense kernel's 4-row block and its row tail
-        for pattern in 1usize..16 {
-            for quiet in [0, 3] {
-                // Row `r`, step `i`: a member where the pattern has bit
-                // `i mod 4`, `-0.0` throughout the first `quiet` groups.
-                let a: Vec<f32> = (0..rows * k)
-                    .map(|at| match (at / k, at % k) {
-                        (_, i) if pattern >> (i % 4) & 1 == 0 => 0.0,
-                        (_, i) if i < 4 * quiet => -0.0,
-                        (r, i) => member_values[(3 * i + r) % member_values.len()],
-                    })
-                    .collect();
-                let supports: Vec<(Vec<u32>, Vec<f32>)> = a.chunks(k).map(support_of).collect();
-                let support_rows: Vec<(&[u32], &[f32])> = supports
-                    .iter()
-                    .map(|(indices, values)| (indices.as_slice(), values.as_slice()))
-                    .collect();
-                assert!(supports.iter().all(|(indices, _)| !indices.is_empty()));
-                for n in [1, 9, 32] {
-                    let b: Vec<f32> = (0..k * n)
-                        .map(|at| b_values[(5 * (at / n) + 7 * (at % n)) % b_values.len()])
+        // Five to seven rows: the dense kernel's 4-row block and its 1-, 2-
+        // and 3-row tails.
+        for rows in 5..=7 {
+            for pattern in 1usize..16 {
+                for quiet in [0, 3] {
+                    // Row `r`, step `i`: a member where the pattern has bit
+                    // `i mod 4`, `-0.0` throughout the first `quiet` groups.
+                    let a: Vec<f32> = (0..rows * k)
+                        .map(|at| match (at / k, at % k) {
+                            (_, i) if pattern >> (i % 4) & 1 == 0 => 0.0,
+                            (_, i) if i < 4 * quiet => -0.0,
+                            (r, i) => member_values[(3 * i + r) % member_values.len()],
+                        })
                         .collect();
-                    let mut dense_out = vec![f32::NAN; rows * n];
-                    matmul_into(&mut dense_out, &a, &b, rows, k, n);
-                    let mut support_out = vec![f32::NAN; rows * n];
-                    support_matmul_into(&mut support_out, &support_rows, &b, k, n);
-                    assert!(
-                        same_bits(&support_out, &dense_out),
-                        "pattern {pattern:04b}, quiet {quiet}, n {n}"
-                    );
-                    assert!(dense_out.iter().all(|v| v.is_finite()));
+                    let supports: Vec<(Vec<u32>, Vec<f32>)> = a.chunks(k).map(support_of).collect();
+                    let support_rows: Vec<(&[u32], &[f32])> = supports
+                        .iter()
+                        .map(|(indices, values)| (indices.as_slice(), values.as_slice()))
+                        .collect();
+                    assert!(supports.iter().all(|(indices, _)| !indices.is_empty()));
+                    for n in [1, 9, 32] {
+                        let b: Vec<f32> = (0..k * n)
+                            .map(|at| b_values[(5 * (at / n) + 7 * (at % n)) % b_values.len()])
+                            .collect();
+                        let mut dense_out = vec![f32::NAN; rows * n];
+                        matmul_into(&mut dense_out, &a, &b, rows, k, n);
+                        let mut support_out = vec![f32::NAN; rows * n];
+                        support_matmul_into(&mut support_out, &support_rows, &b, k, n);
+                        assert!(
+                            same_bits(&support_out, &dense_out),
+                            "pattern {pattern:04b}, quiet {quiet}, n {n}, rows {rows}"
+                        );
+                        assert!(dense_out.iter().all(|v| v.is_finite()));
+                    }
                 }
             }
         }

@@ -37,7 +37,13 @@
 //!
 //! Batches may mix buildings, device classes and model versions: the
 //! worker groups the drained requests by pinned snapshot and runs one
-//! forward pass per group.
+//! forward pass per group (`serve_forward_rows` records each pass's
+//! rows). So a full batch is many short passes, not one of 32 rows: on
+//! the benchmark's `serve_surge` (one building, a default model and six
+//! per-phone variants) passes average 4.6 rows — 1 to 17, mostly 3 to 6
+//! — and 27.5 % of all rows sit in a 2- or 3-row remainder, which the
+//! matmul kernel runs as one block rather than row by row; on `serve_tcp`
+//! every pass is a single row.
 //!
 //! # Why served results are bitwise offline results
 //!
@@ -66,7 +72,7 @@ use crate::registry::ModelRegistry;
 use safeloc_dataset::DeviceCatalog;
 use safeloc_nn::Matrix;
 use safeloc_telemetry::Registry;
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -97,10 +103,26 @@ impl Default for ServeConfig {
 
 /// One enqueued request: the admitted form plus its reply channel and
 /// admission timestamp (for the admission→response latency histogram).
+/// The channel has one slot and a job is sent exactly one reply, so the
+/// send never blocks; a job dropped unanswered drops its sender, and its
+/// [`Ticket::wait`] returns [`ServeError::ShuttingDown`].
 struct Job {
     admitted: AdmittedRequest,
-    reply: Sender<LocalizeResponse>,
+    reply: SyncSender<LocalizeResponse>,
     submitted: Instant,
+}
+
+impl Job {
+    /// A job for `admitted`, stamped now, and the ticket its reply goes to.
+    fn new(admitted: AdmittedRequest) -> (Self, Ticket) {
+        let (reply, rx) = sync_channel(1);
+        let job = Self {
+            admitted,
+            reply,
+            submitted: Instant::now(),
+        };
+        (job, Ticket { rx })
+    }
 }
 
 /// A pending response: blocks on [`Ticket::wait`] until the batch holding
@@ -204,17 +226,12 @@ impl Service {
             &admitted.device_class,
             admitted.model.version,
         );
-        let (reply, rx) = channel();
-        let job = Job {
-            admitted,
-            reply,
-            submitted: Instant::now(),
-        };
+        let (job, ticket) = Job::new(admitted);
         if self.queue.push(job).is_err() {
             self.metrics.on_drop();
             return Err(ServeError::ShuttingDown);
         }
-        Ok(Ticket { rx })
+        Ok(ticket)
     }
 
     /// Submits a request and blocks for the response — the closed-loop
@@ -297,6 +314,7 @@ fn execute_batch(batch: &mut Vec<Job>, metrics: &ServeMetrics) {
         // exactly group.len() such rows.
         let x = Matrix::from_vec(group.len(), cols, rows)
             .expect("admission fixed every row to the model width");
+        metrics.on_forward(group.len());
         let labels = model.predict(&x);
         for (job, label) in group.into_iter().zip(labels) {
             metrics.on_reply(job.submitted);
@@ -385,10 +403,54 @@ mod tests {
         };
         assert_eq!(count_and_sum("serve_batch_size"), Some((20, 20.0)));
         assert_eq!(
+            count_and_sum("serve_forward_rows"),
+            Some((20, 20.0)),
+            "each batch of 1 ran one 1-row pass"
+        );
+        assert_eq!(
             count_and_sum("serve_queue_depth"),
             Some((20, 0.0)),
             "each batch of 1 left nothing queued"
         );
+    }
+
+    #[test]
+    fn each_forward_pass_records_its_rows() {
+        let service = service(32, 1);
+        let admit = || {
+            let request = LocalizeRequest::new(1, "x", vec![-40.0; 4]);
+            Job::new(service.front.admit(&request).unwrap()).0
+        };
+        let (v1a, v1b) = (admit(), admit());
+        service.registry().publish(
+            ModelKey::default_for(1),
+            Sequential::mlp(&[4, 8, 3], Activation::Relu, 8),
+            None,
+        );
+        // Two snapshots interleaved: one pass of two rows, one of three.
+        let mut batch = vec![v1a, admit(), v1b, admit(), admit()];
+        execute_batch(&mut batch, &service.metrics);
+        let snap = service.telemetry().snapshot();
+        let rows = snap
+            .histograms
+            .iter()
+            .find(|h| h.name == "serve_forward_rows")
+            .expect("registered at start");
+        assert_eq!((rows.count, rows.sum), (2, 5.0));
+    }
+
+    #[test]
+    fn a_job_dropped_without_a_reply_fails_its_ticket_instead_of_hanging() {
+        let service = service(32, 1);
+        let request = LocalizeRequest::new(1, "x", vec![-40.0; 4]);
+        let (job, ticket) = Job::new(service.front.admit(&request).unwrap());
+        let (done, outcome) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || done.send(ticket.wait()));
+        // What a panicking worker's unwind does to the batch it held.
+        drop(job);
+        let waited = outcome.recv_timeout(Duration::from_secs(10));
+        assert_eq!(waited, Ok(Err(ServeError::ShuttingDown)));
+        waiter.join().unwrap().unwrap();
     }
 
     #[test]
