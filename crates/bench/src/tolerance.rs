@@ -263,7 +263,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use safeloc::SaliencyAggregator;
-    use safeloc_fl::defense::test_support::{attacked_cohort, reencoded, WIDE_SHAPES};
+    use safeloc_fl::defense::test_support::{attacked_cohort, one_in_ten, reencoded, WIDE_SHAPES};
     use safeloc_fl::defense::{
         ClusterAggregator, LatentFilterAggregator, NonFiniteGuard, NormClip, TrimmedMean,
     };
@@ -484,7 +484,7 @@ mod tests {
         let mut lines = Vec::new();
         for n in [40, 128, 256] {
             for seed in 40..44 {
-                let (g, dense) = attacked_cohort(n, &WIDE_SHAPES, seed);
+                let (g, dense) = attacked_cohort(n, one_in_ten(n), &WIDE_SHAPES, seed);
                 let topk = reencoded(&g, &dense, DeltaSpec::TopK { fraction: 0.05 });
                 for (repr, updates) in [("dense", &dense), ("topk", &topk)] {
                     let pipelines: [(&str, DefensePipeline); 3] = [

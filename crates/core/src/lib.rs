@@ -52,7 +52,7 @@ pub mod fused;
 pub mod saliency;
 
 pub use config::{RceMode, SafeLocConfig};
-pub use detector::{calibrate_tau, DetectionReport};
+pub use detector::calibrate_tau;
 pub use framework::SafeLoc;
 pub use fused::{DaeAugment, FusedConfig, FusedNetwork, FusedTrace, FusedWorkspace};
 pub use saliency::{saliency_matrix, AggregationMode, SaliencyAggregator};

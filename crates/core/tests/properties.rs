@@ -46,34 +46,89 @@ proptest! {
         prop_assert!(s.as_slice().iter().all(|&v| (v - 1.0).abs() < 1e-6));
     }
 
-    /// Normalized aggregation moves every element by strictly less than
-    /// 1/sharpness per round — the bounded-influence guarantee.
+    /// Bounded influence: `m` arbitrary finite uploads among `n` move each
+    /// coordinate of the aggregate by less than a fixed bound, compared with
+    /// the same round where those `m` uploads are the GM itself.
+    ///
+    /// Write `g` for a GM coordinate, `l_i = g + Δ_i` for upload `i`'s, `k`
+    /// for the sharpness and `S_i = 1/(1 + k|Δ_i|)`. An upload equal to the
+    /// GM has `Δ = 0` and `S = 1`.
+    ///
+    /// * `Normalized`: `g' = g + (1/n)·Σ_i S_i·Δ_i`. A GM upload adds `0`,
+    ///   so the two aggregates differ by `(1/n)·Σ_{i∈A} Δ_i/(1 + k|Δ_i|)`
+    ///   over the `m` attackers `A`, each term below `1/k` in magnitude:
+    ///   `|Δg'| < m/(n·k)`, whatever the honest uploads are.
+    /// * `Literal`: `g' = (g + (1/n)·Σ_i S_i·l_i) / 2`. A GM upload adds
+    ///   `g`, so the aggregates differ by `(1/2n)·Σ_{i∈A} (S_i·l_i − g)`.
+    ///   With `t_i = k|Δ_i|/(1 + k|Δ_i|) ∈ [0, 1)`,
+    ///   `S_i·l_i − g = Δ_i/(1 + k|Δ_i|) − t_i·g = t_i·(±1/k − g)`, so each
+    ///   term is below `1/k + |g|` in magnitude:
+    ///   `|Δg'| < m·(1/k + |g|)/(2n)`. The attacker's `l_i/(1 + k|Δ_i|)`
+    ///   stands against the GM's own value, which is why the bound carries
+    ///   `|g|`: an upload far from the GM pulls the coordinate towards `±1/k`.
+    ///
+    /// Each case checks the drawn cohort (`n ≤ 8`, the first `m` uploads
+    /// the attackers) and the one-update cohort `n = m = 1`, in both
+    /// modes. Half of an attacker's coordinates are `g + U(±100)`, the
+    /// other half arbitrary finite bit patterns (from subnormals to
+    /// `f32::MAX`); honest uploads are `g + U(±1)`. The slack covers the
+    /// f32 rounding of the two aggregates.
     #[test]
     fn normalized_aggregation_is_bounded(
         gm_vals in prop::collection::vec(-2.0f32..2.0, 6),
-        deltas in prop::collection::vec(-100.0f32..100.0, 6),
+        n in 1usize..=8,
+        m_draw in 0usize..=8,
+        near in prop::collection::vec(-100.0f32..100.0, 8 * 6),
+        bits in prop::collection::vec(0u32..=u32::MAX, 8 * 6),
+        honest in prop::collection::vec(-1.0f32..1.0, 8 * 6),
     ) {
-        let gm = NamedParams::new(vec![(
-            "w".into(),
-            Matrix::from_vec(1, 6, gm_vals.clone()).unwrap(),
-        )]);
-        let lm = NamedParams::new(vec![(
-            "w".into(),
-            Matrix::from_vec(
-                1,
-                6,
-                gm_vals.iter().zip(&deltas).map(|(g, d)| g + d).collect(),
-            )
-            .unwrap(),
-        )]);
-        let agg = SaliencyAggregator::new(AggregationMode::Normalized);
-        let bound = 1.0 / agg.sharpness;
-        let out = agg.into_pipeline().aggregate(&gm, &[ClientUpdate::new(0, lm, 1)]);
-        let step = out.params.get("w").unwrap().sub(gm.get("w").unwrap());
-        prop_assert!(
-            step.as_slice().iter().all(|v| v.abs() < bound + 1e-5),
-            "step exceeded 1/k bound: {:?}", step
-        );
+        const SLACK: f32 = 1e-5;
+        let params = |w: Vec<f32>| {
+            NamedParams::new(vec![("w".into(), Matrix::from_vec(1, 6, w).unwrap())])
+        };
+        let gm = params(gm_vals.clone());
+        let attacker = |i: usize| {
+            (0..6)
+                .map(|j| {
+                    let wild = f32::from_bits(bits[6 * i + j]);
+                    if j % 2 == 1 && wild.is_finite() {
+                        wild
+                    } else {
+                        gm_vals[j] + near[6 * i + j]
+                    }
+                })
+                .collect::<Vec<f32>>()
+        };
+        let benign =
+            |i: usize| gm_vals.iter().zip(&honest[6 * i..]).map(|(g, d)| g + d).collect();
+        for (n, m) in [(1, 1), (n, m_draw.min(n))] {
+            let upload = |i: usize, w: Vec<f32>| ClientUpdate::new(i, params(w), 1);
+            let full: Vec<ClientUpdate> = (0..n)
+                .map(|i| upload(i, if i < m { attacker(i) } else { benign(i) }))
+                .collect();
+            let reference: Vec<ClientUpdate> = (0..n)
+                .map(|i| upload(i, if i < m { gm_vals.clone() } else { benign(i) }))
+                .collect();
+            for mode in [AggregationMode::Normalized, AggregationMode::Literal] {
+                let agg = SaliencyAggregator::new(mode);
+                let k = agg.sharpness;
+                let moved = agg.into_pipeline().aggregate(&gm, &full).params;
+                let stayed = agg.into_pipeline().aggregate(&gm, &reference).params;
+                let diff = moved.get("w").unwrap().sub(stayed.get("w").unwrap());
+                for (j, (&d, &g)) in diff.as_slice().iter().zip(&gm_vals).enumerate() {
+                    let bound = match mode {
+                        AggregationMode::Normalized => m as f32 / (n as f32 * k),
+                        AggregationMode::Literal => {
+                            m as f32 * (1.0 / k + g.abs()) / (2.0 * n as f32)
+                        }
+                    };
+                    prop_assert!(
+                        d.abs() < bound + SLACK,
+                        "{mode:?}, {m} of {n} attackers: coordinate {j} moved {d}, bound {bound}"
+                    );
+                }
+            }
+        }
     }
 
     /// Aggregating any set of finite updates never produces non-finite

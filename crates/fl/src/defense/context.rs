@@ -502,7 +502,7 @@ fn sampled_delta_block(
 mod tests {
     use super::*;
     use crate::defense::test_support::{
-        attacked_cohort, delta_block, params, reencoded, shaped, update, WIDE_SHAPES,
+        attacked_cohort, delta_block, one_in_ten, params, reencoded, shaped, update, WIDE_SHAPES,
     };
     use crate::defense::{ClusterAggregator, DeltaRow};
 
@@ -541,7 +541,7 @@ mod tests {
     #[test]
     fn the_delta_view_reads_like_the_dense_block_bitwise() {
         for n in [EXACT_SCREEN_MAX + 6, 9] {
-            let (g, dense) = attacked_cohort(n, &WIDE_SHAPES, 31);
+            let (g, dense) = attacked_cohort(n, one_in_ten(n), &WIDE_SHAPES, 31);
             // 5 % supports; one upload left dense, one that moved nothing.
             let mut u = reencoded(&g, &dense, crate::DeltaSpec::TopK { fraction: 0.05 });
             u[2] = dense[2].clone();
@@ -596,7 +596,7 @@ mod tests {
     #[test]
     fn projecting_some_rows_gives_them_the_full_projections_bits() {
         let n = EXACT_SCREEN_MAX + 6;
-        let (g, dense) = attacked_cohort(n, &WIDE_SHAPES, 37);
+        let (g, dense) = attacked_cohort(n, one_in_ten(n), &WIDE_SHAPES, 37);
         let mut u = reencoded(&g, &dense, crate::DeltaSpec::TopK { fraction: 0.05 });
         (u[2], u[9]) = (dense[2].clone(), dense[9].clone());
         u[4].params = g.clone();
@@ -638,7 +638,7 @@ mod tests {
             })
             .collect();
         let n = EXACT_SCREEN_MAX + 6;
-        let (wide_g, wide) = attacked_cohort(n, &WIDE_SHAPES, 19);
+        let (wide_g, wide) = attacked_cohort(n, one_in_ten(n), &WIDE_SHAPES, 19);
         for (g, u, sampled) in [(tiny_g, tiny, 0), (wide_g, wide, n * SCREEN_SAMPLE_DIM)] {
             let refs: Vec<&ClientUpdate> = u.iter().collect();
             let mut scales = vec![1.0; refs.len()];
@@ -722,7 +722,7 @@ mod tests {
     #[test]
     fn sampled_distances_match_the_delta_pass_reference_bitwise() {
         let n = 96;
-        let (g, u) = attacked_cohort(n, &WIDE_SHAPES, 17);
+        let (g, u) = attacked_cohort(n, one_in_ten(n), &WIDE_SHAPES, 17);
         let refs: Vec<&ClientUpdate> = u.iter().collect();
         let rows: Vec<Vec<f32>> = u.iter().map(|u| delta_pass_sample(&g, u)).collect();
         let d = g.num_params();
@@ -769,7 +769,7 @@ mod tests {
     fn the_sampled_block_reads_the_same_through_the_view_as_in_place() {
         for shapes in [&WIDE_SHAPES[..], &NARROW_SHAPES[..]] {
             let n = EXACT_SCREEN_MAX + 6;
-            let (mut g, dense) = attacked_cohort(n, shapes, 29);
+            let (mut g, dense) = attacked_cohort(n, one_in_ten(n), shapes, 29);
             let d = g.num_params();
             let d_prime = d.min(SCREEN_SAMPLE_DIM);
             // Two picks whose GM value is a zero, one of each sign.
@@ -846,7 +846,7 @@ mod tests {
     #[test]
     fn scaled_distances_at_the_threshold_are_the_exact_ones_bitwise() {
         let n = EXACT_SCREEN_MAX;
-        let (g, u) = attacked_cohort(n, &WIDE_SHAPES, 23);
+        let (g, u) = attacked_cohort(n, one_in_ten(n), &WIDE_SHAPES, 23);
         let refs: Vec<&ClientUpdate> = u.iter().collect();
         let mut scales = vec![1.0f32; n];
         scales[3] = 0.3;
@@ -962,7 +962,7 @@ mod tests {
         let mut rows = Vec::new();
         for n in [128, 256] {
             for seed in 40..44 {
-                let (g, dense) = attacked_cohort(n, &WIDE_SHAPES, seed);
+                let (g, dense) = attacked_cohort(n, one_in_ten(n), &WIDE_SHAPES, seed);
                 let u = reencoded(&g, &dense, crate::DeltaSpec::TopK { fraction: 0.05 });
                 let refs: Vec<&ClientUpdate> = u.iter().collect();
                 let ctx = RoundContext::new(&g, &refs);
@@ -1073,6 +1073,23 @@ mod tests {
         xy / (xx * yy).sqrt()
     }
 
+    /// `round_screen`'s pipeline.
+    fn screen_pipeline() -> crate::defense::DefensePipeline {
+        use crate::defense::{
+            DefensePipeline, LatentFilterAggregator, NonFiniteGuard, NormClip, TrimmedMean,
+        };
+        DefensePipeline::new(
+            "screen",
+            vec![
+                Box::new(NonFiniteGuard),
+                Box::new(NormClip::default()),
+                Box::new(ClusterAggregator::default()),
+                Box::new(LatentFilterAggregator::new(0x5AFE)),
+            ],
+            Box::new(TrimmedMean::new(0.1)),
+        )
+    }
+
     /// One row of the exact-vs-sampled verdict comparison.
     struct Agreement {
         pipeline: &'static str,
@@ -1094,21 +1111,10 @@ mod tests {
     /// run on `round_screen`'s cohort in miniature, `TopK{0.05}`, through
     /// the sampled paths and through the exact ones.
     fn agreements() -> Vec<Agreement> {
-        use crate::defense::{
-            DefensePipeline, Krum, LatentFilterAggregator, NonFiniteGuard, NormClip, TrimmedMean,
-        };
+        use crate::defense::{DefensePipeline, Krum, NormClip};
         use crate::{Aggregator, UpdateDecision};
         let build = |pipeline: &str, n: usize| match pipeline {
-            "screen" => DefensePipeline::new(
-                "screen",
-                vec![
-                    Box::new(NonFiniteGuard),
-                    Box::new(NormClip::default()),
-                    Box::new(ClusterAggregator::default()),
-                    Box::new(LatentFilterAggregator::new(0x5AFE)),
-                ],
-                Box::new(TrimmedMean::new(0.1)),
-            ),
+            "screen" => screen_pipeline(),
             "krum" => DefensePipeline::krum(n / 10),
             _ => DefensePipeline::new(
                 "clip+krum",
@@ -1119,7 +1125,7 @@ mod tests {
         let mut rows = Vec::new();
         for n in [128, 256] {
             for seed in 40..44 {
-                let (g, dense) = attacked_cohort(n, &WIDE_SHAPES, seed);
+                let (g, dense) = attacked_cohort(n, one_in_ten(n), &WIDE_SHAPES, seed);
                 let u = reencoded(&g, &dense, crate::DeltaSpec::TopK { fraction: 0.05 });
                 for pipeline in ["screen", "krum", "clip+krum"] {
                     let sampled = build(pipeline, n).aggregate(&g, &u).decisions;
@@ -1243,5 +1249,90 @@ mod tests {
                 r.flipped
             );
         }
+    }
+
+    /// ROADMAP item 13's benign ceiling, kept as the assertion it fails:
+    /// with no attacker in the round, the cluster stage rejects at most
+    /// 2 % of the honest updates, at every round size, through the sampled
+    /// paths and the exact ones, in `round_screen`'s pipeline and in
+    /// FEDCC's. The cohorts are [`attacked_cohort`] with zero attackers
+    /// over `WIDE_SHAPES` (d = 3 070), dense, seeds 40–47, three rounds
+    /// each through one pipeline. `cargo test --release -p safeloc-fl
+    /// --lib benign_rounds -- --ignored --nocapture` prints the table:
+    /// the share of honest updates rejected, in all and by rule. Measured:
+    ///
+    /// | n | path | screen, all | screen, cluster | screen, latent | FEDCC cluster |
+    /// | --- | --- | --- | --- | --- | --- |
+    /// | 16 | sampled = exact | 6.0 % | 1.3 % | 4.7 % | 1.3 % |
+    /// | 40 | sampled = exact | 10.9 % | 6.2 % | 4.7 % | 6.2 % |
+    /// | 64 | sampled = exact | 12.6 % | 8.7 % | 4.0 % | 8.7 % |
+    /// | 65 | sampled | 28.5 % | 25.1 % | 3.4 % | 25.1 % |
+    /// | 65 | exact | 13.0 % | 8.7 % | 4.3 % | 8.7 % |
+    /// | 128 | sampled | 33.8 % | 31.1 % | 2.7 % | 31.1 % |
+    /// | 128 | exact | 17.2 % | 13.4 % | 3.7 % | 13.4 % |
+    /// | 256 | sampled | 36.8 % | 33.8 % | 3.0 % | 33.8 % |
+    /// | 256 | exact | 26.8 % | 23.5 % | 3.3 % | 23.5 % |
+    ///
+    /// The cluster gate opens on the seed pair's cosine distance, a
+    /// maximum over all pairs, so it opens more often as `n` grows, and
+    /// more again on the noisier sampled cosine above `EXACT_SCREEN_MAX`.
+    #[test]
+    #[ignore = "ROADMAP item 13: benign cluster rejections, sampled / exact, equal in \
+                round_screen's pipeline and FEDCC's: n 16 1.3 / 1.3 %, 40 6.2 / 6.2 %, \
+                64 8.7 / 8.7 %, 65 25.1 / 8.7 %, 128 31.1 / 13.4 %, 256 33.8 / 23.5 % \
+                (latent stage 2.7-4.7 %); the ceiling is 2 %"]
+    fn benign_rounds_reject_at_most_two_percent_in_the_cluster_stage() {
+        use crate::defense::DefensePipeline;
+        use crate::report::UpdateDecision;
+        use crate::Aggregator;
+        let fedcc = || DefensePipeline::cluster(ClusterAggregator::default().separation_threshold);
+        let rejected = |decisions: &[UpdateDecision], rule: Option<&str>| {
+            (decisions.iter())
+                .filter(|d| match d {
+                    UpdateDecision::Rejected { rule: r, .. } => rule.is_none_or(|rule| r == rule),
+                    UpdateDecision::Accepted { .. } => false,
+                })
+                .count()
+        };
+        let mut over = Vec::new();
+        println!("| n | path | screen, all | screen, cluster | screen, latent | FEDCC cluster |");
+        println!("| --- | --- | --- | --- | --- | --- |");
+        for n in [16, 40, 64, 65, 128, 256] {
+            for exact in [false, true] {
+                let mut counts = [0usize; 4];
+                for seed in 40..48 {
+                    let (mut screen, mut fedcc) = (screen_pipeline(), fedcc());
+                    for round in 0..3 {
+                        let (g, u) = attacked_cohort(n, 0, &WIDE_SHAPES, 10 * seed + round);
+                        let run = |pipeline: &mut DefensePipeline| {
+                            let mut aggregate = || pipeline.aggregate(&g, &u).decisions;
+                            match exact {
+                                true => screening_exactly(aggregate),
+                                false => aggregate(),
+                            }
+                        };
+                        let screened = run(&mut screen);
+                        let clustered = run(&mut fedcc);
+                        counts[0] += rejected(&screened, None);
+                        counts[1] += rejected(&screened, Some("cluster"));
+                        counts[2] += rejected(&screened, Some("latent"));
+                        counts[3] += rejected(&clustered, Some("cluster"));
+                    }
+                }
+                let rate = counts.map(|c| 100.0 * c as f64 / (24 * n) as f64);
+                let path = if exact { "exact" } else { "sampled" };
+                println!(
+                    "| {n} | {path} | {:.1} % | {:.1} % | {:.1} % | {:.1} % |",
+                    rate[0], rate[1], rate[2], rate[3]
+                );
+                if rate[1] > 2.0 || rate[3] > 2.0 {
+                    over.push(format!("n {n} {path}: {:.1} / {:.1} %", rate[1], rate[3]));
+                }
+            }
+        }
+        assert!(
+            over.is_empty(),
+            "benign cluster rejections (screen / FEDCC) above 2 %: {over:?}"
+        );
     }
 }

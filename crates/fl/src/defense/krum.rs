@@ -297,11 +297,11 @@ mod tests {
     /// select what the exact rule selects.
     #[test]
     fn clipped_large_rounds_select_what_the_exact_rule_selects() {
-        use crate::defense::test_support::{attacked_cohort, delta_block, WIDE_SHAPES};
+        use crate::defense::test_support::{attacked_cohort, delta_block, one_in_ten, WIDE_SHAPES};
         use crate::defense::{DefenseStage, NormClip, EXACT_SCREEN_MAX};
         let n = 96;
         assert!(n > EXACT_SCREEN_MAX);
-        let (g, mut u) = attacked_cohort(n, &WIDE_SHAPES, 5);
+        let (g, mut u) = attacked_cohort(n, one_in_ten(n), &WIDE_SHAPES, 5);
         // A clear consensus: update 0 sits at the mean of the unboosted
         // updates, half as far from each of them as they are from each
         // other.

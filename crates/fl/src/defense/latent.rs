@@ -733,7 +733,7 @@ mod tests {
     /// the autoencoder on the accepted history.
     #[test]
     fn latent_stage_bits_match_the_golden_digest() {
-        use crate::defense::test_support::{attacked_cohort, WIDE_SHAPES};
+        use crate::defense::test_support::{attacked_cohort, one_in_ten, WIDE_SHAPES};
         let mut digest = 0xcbf2_9ce4_8422_2325u64;
         let mut fold = |bytes: &[u8]| {
             for &b in bytes {
@@ -743,7 +743,7 @@ mod tests {
         };
         for n in [40, 128] {
             for seed in 40..44 {
-                let (g, updates) = attacked_cohort(n, &WIDE_SHAPES, seed);
+                let (g, updates) = attacked_cohort(n, one_in_ten(n), &WIDE_SHAPES, seed);
                 let mut pipeline = latent(seed);
                 for _ in 0..3 {
                     let out = pipeline.aggregate(&g, &updates);

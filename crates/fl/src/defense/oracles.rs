@@ -28,7 +28,9 @@
 //! updates received, not the number that survived.
 
 use super::*;
-use crate::defense::test_support::{attacked_cohort, delta_block, reencoded, shaped, WIDE_SHAPES};
+use crate::defense::test_support::{
+    attacked_cohort, delta_block, one_in_ten, reencoded, shaped, WIDE_SHAPES,
+};
 use crate::report::UpdateDecision;
 use crate::{DeltaRepr, DeltaSpec};
 use rayon::prelude::*;
@@ -423,7 +425,7 @@ fn fast_screening_matches_the_reference_implementations_bitwise() {
     // Three rounds: the latent stage scores by median distance while its
     // benign history is short and by autoencoder afterwards.
     for round in 0..3 {
-        let (g, u) = attacked_cohort(n, &WIDE_SHAPES, 40 + round);
+        let (g, u) = attacked_cohort(n, one_in_ten(n), &WIDE_SHAPES, 40 + round);
         let got = fast.aggregate(&g, &u);
         let expected = reference.aggregate(&g, &u);
         assert_eq!(bits(&got), bits(&expected), "round {round} diverged");
@@ -479,7 +481,7 @@ fn sparse_cohorts_screen_bit_for_bit_like_the_dense_block() {
         for z_threshold in [LatentFilterAggregator::new(SEED).z_threshold, f32::MAX] {
             let (mut fast, mut reference) = pipelines_at(z_threshold);
             for round in 0..3 {
-                let (g, u) = attacked_cohort(n, &WIDE_SHAPES, 40 + round);
+                let (g, u) = attacked_cohort(n, one_in_ten(n), &WIDE_SHAPES, 40 + round);
                 let u = reencoded(&g, &u, TOP_5_PERCENT);
                 assert_eq!(dense_rows(&g, &u), 0, "a 5 % upload was stored dense");
                 let got = fast.aggregate(&g, &u);
@@ -507,7 +509,7 @@ fn sparse_cohorts_screen_bit_for_bit_like_the_dense_block() {
 #[test]
 fn mixed_cohorts_store_each_row_as_it_is() {
     let n = 96;
-    let (g, dense) = attacked_cohort(n, &WIDE_SHAPES, 71);
+    let (g, dense) = attacked_cohort(n, one_in_ten(n), &WIDE_SHAPES, 71);
     let mut u = reencoded(&g, &dense, TOP_5_PERCENT);
     u[5] = dense[5].clone();
     u[11] = reencoded(&g, &dense[11..12], DeltaSpec::QuantizedI8).remove(0);
@@ -539,7 +541,7 @@ fn mixed_cohorts_store_each_row_as_it_is() {
 #[test]
 fn a_lying_repr_is_never_read() {
     let n = 96;
-    let (g, dense) = attacked_cohort(n, &WIDE_SHAPES, 72);
+    let (g, dense) = attacked_cohort(n, one_in_ten(n), &WIDE_SHAPES, 72);
     let mut u = reencoded(&g, &dense, TOP_5_PERCENT);
     let claimed = u[9].repr.clone();
     assert!(matches!(claimed, DeltaRepr::TopK { .. }));
@@ -573,7 +575,7 @@ const SMALL_SHAPES: [(usize, usize); 2] = [(4, 16), (1, 16)];
 /// supports overlapping on coordinates 0–2 with values that tie with each
 /// other and straddle the GM's.
 fn corner_cohort(n: usize, with_zero_flips: bool) -> (NamedParams, Vec<ClientUpdate>) {
-    let (g, dense) = attacked_cohort(n, &SMALL_SHAPES, 73);
+    let (g, dense) = attacked_cohort(n, one_in_ten(n), &SMALL_SHAPES, 73);
     let zeros = [(5, 0.0f32), (6, -0.0), (40, 0.0), (70, -0.0)];
     let mut flat = g.flatten().into_vec();
     for &(e, zero) in &zeros {
@@ -672,7 +674,7 @@ const LANE_EDGE_SHAPES: [(usize, usize); 3] = [(1, 65), (1, 127), (2, 64)];
 /// `t + 1`-column.
 fn block_cohort(shapes: &[(usize, usize)]) -> (NamedParams, Vec<ClientUpdate>) {
     let n = 12;
-    let (g, _) = attacked_cohort(n, shapes, 76);
+    let (g, _) = attacked_cohort(n, one_in_ten(n), shapes, 76);
     let mut flat = g.flatten().into_vec();
     let d = flat.len();
     let mut lms = vec![Vec::new(); n];
@@ -721,7 +723,7 @@ fn lockstep_columns_fold_like_the_gathered_ones() {
             0,
             "a ten-coordinate row was stored dense"
         );
-        let (_, noisy) = attacked_cohort(sparse.len(), shapes, 77);
+        let (_, noisy) = attacked_cohort(sparse.len(), one_in_ten(sparse.len()), shapes, 77);
         let mut mixed = sparse.clone();
         mixed[7].params = g.clone();
         mixed[7].params.axpy(0.01, &noisy[7].params);
@@ -787,7 +789,7 @@ fn poison(g: &NamedParams, u: &mut ClientUpdate, bad: f32) {
 #[test]
 fn the_guard_stage_reads_non_finite_values_off_the_view() {
     let n = 96;
-    let (g, dense) = attacked_cohort(n, &WIDE_SHAPES, 74);
+    let (g, dense) = attacked_cohort(n, one_in_ten(n), &WIDE_SHAPES, 74);
     let mut u = reencoded(&g, &dense, TOP_5_PERCENT);
     poison(&g, &mut u[4], f32::NAN);
     poison(&g, &mut u[5], f32::NEG_INFINITY);
@@ -846,7 +848,7 @@ fn stage_zero_decides_what_the_filter_in_front_of_the_pipeline_decided() {
         for sparse in [false, true] {
             for (mut fast, mut reference) in every_pipeline().into_iter().zip(every_pipeline()) {
                 for round in 0..3 {
-                    let (g, dense) = attacked_cohort(n, &WIDE_SHAPES, 80 + round);
+                    let (g, dense) = attacked_cohort(n, one_in_ten(n), &WIDE_SHAPES, 80 + round);
                     let mut u = dense.clone();
                     let mut bad = vec![(0, f32::NAN), (n / 2, f32::INFINITY)];
                     if n > 4 {
@@ -915,7 +917,7 @@ impl DefenseStage for DistanceProbe {
 #[test]
 fn sixty_five_updates_with_one_nan_screen_on_the_sampled_path() {
     let n = EXACT_SCREEN_MAX + 1;
-    let (g, mut u) = attacked_cohort(n, &WIDE_SHAPES, 90);
+    let (g, mut u) = attacked_cohort(n, one_in_ten(n), &WIDE_SHAPES, 90);
     poison(&g, &mut u[0], f32::NAN);
     let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
     let probed = || {
@@ -959,7 +961,7 @@ fn sixty_five_updates_with_one_nan_screen_on_the_sampled_path() {
 #[test]
 fn an_overflowing_delta_stores_the_round_dense() {
     let n = 96;
-    let (mut g, dense) = attacked_cohort(n, &WIDE_SHAPES, 75);
+    let (mut g, dense) = attacked_cohort(n, one_in_ten(n), &WIDE_SHAPES, 75);
     g.iter_mut().next().expect("a tensor").1.as_mut_slice()[3] = 3e38;
     let mut u = reencoded(&g, &dense, TOP_5_PERCENT);
     assert_eq!(dense_rows(&g, &u), 0);
@@ -1005,7 +1007,7 @@ fn recycled_buffers_never_change_an_outcome() {
             (100, &WIDE_SHAPES[..], true),
         ];
         for (round, (n, shapes, sparse)) in rounds.into_iter().enumerate() {
-            let (g, mut u) = attacked_cohort(n, shapes, 60 + round as u64);
+            let (g, mut u) = attacked_cohort(n, one_in_ten(n), shapes, 60 + round as u64);
             if sparse {
                 // One dense row among the supports, in a different place
                 // every round.
@@ -1038,7 +1040,7 @@ fn recycled_buffers_never_change_an_outcome() {
 /// At `n = 96` and seed 32 it runs all ten passes.
 fn noise_cohort(n: usize, seed: u64) -> (NamedParams, Vec<ClientUpdate>) {
     use rand::{Rng, SeedableRng};
-    let (g, _) = attacked_cohort(n, &SMALL_SHAPES, seed);
+    let (g, _) = attacked_cohort(n, one_in_ten(n), &SMALL_SHAPES, seed);
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let flat = g.flatten().into_vec();
     let updates = (0..n)
@@ -1060,7 +1062,7 @@ fn noise_cohort(n: usize, seed: u64) -> (NamedParams, Vec<ClientUpdate>) {
 /// Pass 1 puts everyone on side `a`, where they started: the split is
 /// settled at once.
 fn settling_cohort(n: usize) -> (NamedParams, Vec<ClientUpdate>) {
-    let (g, mut u) = attacked_cohort(n, &WIDE_SHAPES, 78);
+    let (g, mut u) = attacked_cohort(n, one_in_ten(n), &WIDE_SHAPES, 78);
     for i in (3..n).step_by(10) {
         u[i].params = u[i - 1].params.clone();
     }
@@ -1078,7 +1080,7 @@ fn settling_cohort(n: usize) -> (NamedParams, Vec<ClientUpdate>) {
 #[test]
 fn a_settled_split_is_not_recentred_and_decides_the_same() {
     let threshold = ClusterAggregator::default().separation_threshold;
-    let (attacked_g, attacked) = attacked_cohort(96, &WIDE_SHAPES, 40);
+    let (attacked_g, attacked) = attacked_cohort(96, one_in_ten(96), &WIDE_SHAPES, 40);
     let sparse = reencoded(&attacked_g, &attacked, TOP_5_PERCENT);
     let (noise_g, noise) = noise_cohort(96, 32);
     let (settling_g, settling) = settling_cohort(96);

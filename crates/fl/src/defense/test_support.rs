@@ -74,17 +74,30 @@ pub const WIDE_SHAPES: [(usize, usize); 4] = [(40, 60), (1, 60), (60, 10), (1, 1
 
 /// `round_screen`'s fixture in miniature: a GM over `shapes` and `n`
 /// updates `GM + δᵢ` sharing one honest direction plus per-client
-/// noise. Every tenth update (`i % 10 == 3`) is a ×10-boosted
-/// label-direction outlier (`δ = −10·honest`), and update 7 is an
-/// honest one at 4× the benign norm: past `NormClip`'s default cap, so
-/// clipped, in the majority cluster, and the latent stage's outlier.
+/// noise. The first `attackers` of the updates `i % 10 == 3` are
+/// ×10-boosted label-direction outliers (`δ = −10·honest`), and while there is one,
+/// update 7 is an honest one at 4× the benign norm: past `NormClip`'s
+/// default cap, so clipped, in the majority cluster, and the latent
+/// stage's outlier. [`one_in_ten`]`(n)` attackers boost every such
+/// update; `0` is the benign cohort, every update at the benign norm. The
+/// draws do not depend on `attackers`, so cohorts that differ only there
+/// share every honest update bit for bit.
+///
+/// # Panics
+///
+/// Panics if `attackers > one_in_ten(n)`.
 pub fn attacked_cohort(
     n: usize,
+    attackers: usize,
     shapes: &[(usize, usize)],
     seed: u64,
 ) -> (NamedParams, Vec<ClientUpdate>) {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    assert!(
+        attackers <= one_in_ten(n),
+        "{attackers} attackers do not fit {n} updates"
+    );
     let mut rng = StdRng::seed_from_u64(seed);
     let mut tensor = |scale: f32, (rows, cols): (usize, usize)| {
         Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-scale..scale))
@@ -103,8 +116,8 @@ pub fn attacked_cohort(
             let mut delta = named(shapes.iter().map(|&s| tensor(0.02, s)).collect());
             delta.axpy(1.0, &honest);
             let boost = match i {
-                7 => 4.0,
-                _ if i % 10 == 3 => -10.0,
+                7 if attackers > 0 => 4.0,
+                _ if i % 10 == 3 && i / 10 < attackers => -10.0,
                 _ => 1.0,
             };
             let mut lm = global.clone();
@@ -113,4 +126,10 @@ pub fn attacked_cohort(
         })
         .collect();
     (global, updates)
+}
+
+/// How many of `n` updates sit at `i % 10 == 3`: [`attacked_cohort`]'s
+/// attacker count with every such update boosted.
+pub fn one_in_ten(n: usize) -> usize {
+    (n + 6) / 10
 }

@@ -23,17 +23,21 @@
 //!    `b` rows meet four output rows in 16 independent products feeding
 //!    four separate chains, which amortizes loads across rows (the seed's
 //!    one-row-at-a-time loop was load-port bound) and breaks the add
-//!    latency chain. A 2- or 3-row remainder is one block of that many
-//!    rows (`accumulate_rows`), and only a lone row runs the 1-row loop:
-//!    the 1-row loop costs about twice a block's time per row, and the
-//!    served micro-batch runs one forward pass per pinned snapshot, 4.6
-//!    rows on average, with over a quarter of its rows in such
-//!    remainders. On the paper layers (203→128→89→62→60, one pinned core)
-//!    a 2-row forward pass went 3.67 → 2.61 µs per row and a 3-row one
-//!    3.61 → 2.31 (the 4-row block runs 1.9). Rows are independent, so
-//!    which block a row shares a pass with moves no bit (pinned by
-//!    `every_row_of_a_product_is_that_row_computed_alone`). Each group
-//!    of four reduction steps is summed as one multiply and three fused
+//!    latency chain. A 1-, 2- or 3-row remainder is one block of that
+//!    many rows (`accumulate_rows`), accumulated in a local `R × NC` tile
+//!    that aliases nothing, so its loops carry no runtime overlap checks:
+//!    the served micro-batch runs one forward pass per pinned snapshot,
+//!    4.6 rows on average, with over a quarter of its rows in 2- or 3-row
+//!    remainders, and every `serve_tcp` pass is one row. On the paper
+//!    layers (203→128→89→62→60, one pinned core) running those
+//!    remainders as blocks took a 2-row forward pass 3.67 → 2.61 µs per
+//!    row and a 3-row one 3.61 → 2.31 (the 4-row block runs 1.9); the
+//!    tile took 2- and 3-row passes a further ×0.81–0.88 and ×0.85–0.91
+//!    and left a 1-row pass level (×0.95–1.00) with the hand-written
+//!    1-row loop it replaced. Rows are independent, so which block a row
+//!    shares a pass with moves no bit (pinned by
+//!    `every_row_of_a_product_is_that_row_computed_alone`). Each group of
+//!    four reduction steps is summed as one multiply and three fused
 //!    multiply-adds,
 //!    `a₃·v₃ + (a₂·v₂ + (a₁·v₁ + a₀·v₀))` (`group_sum`; each `mul_add`
 //!    rounds `a·v + s` once), and the group sum is added to the output with
@@ -324,52 +328,27 @@ fn accumulate_direct(
         }
         i += 4;
     }
-    // Row tail (< 4 rows): a 2- or 3-row remainder is one block of that
-    // many rows; a lone row runs the 1-row loop below.
+    // Row tail (< 4 rows): one block of that many rows.
     match m - i {
-        3 => return accumulate_rows::<3>(out, a, lda, b, i, k, n),
-        2 => return accumulate_rows::<2>(out, a, lda, b, i, k, n),
+        3 => accumulate_rows::<3>(out, a, lda, b, i, k, n),
+        2 => accumulate_rows::<2>(out, a, lda, b, i, k, n),
+        1 => accumulate_rows::<1>(out, a, lda, b, i, k, n),
         _ => {}
-    }
-    // One output row, 4-wide reduction unroll.
-    if i < m {
-        let a_row = &a[i * lda..i * lda + k];
-        for j0 in (0..n).step_by(NC) {
-            let jlen = NC.min(n - j0);
-            let o_row = &mut out[i * n + j0..i * n + j0 + jlen];
-            let mut kk = 0;
-            while kk + 4 <= k {
-                let a_group = [a_row[kk], a_row[kk + 1], a_row[kk + 2], a_row[kk + 3]];
-                let b0 = &b[kk * n + j0..kk * n + j0 + jlen];
-                let b1 = &b[(kk + 1) * n + j0..(kk + 1) * n + j0 + jlen];
-                let b2 = &b[(kk + 2) * n + j0..(kk + 2) * n + j0 + jlen];
-                let b3 = &b[(kk + 3) * n + j0..(kk + 3) * n + j0 + jlen];
-                for j in 0..jlen {
-                    o_row[j] += group_sum(a_group, [b0[j], b1[j], b2[j], b3[j]]);
-                }
-                kk += 4;
-            }
-            while kk < k {
-                let av = a_row[kk];
-                let b_row = &b[kk * n + j0..kk * n + j0 + jlen];
-                for j in 0..jlen {
-                    o_row[j] += av * b_row[j];
-                }
-                kk += 1;
-            }
-        }
     }
 }
 
-/// Output rows `i..i + R` of [`accumulate_direct`] as one block: the
-/// 4-row main loop's nest with `R` rows sharing each pass over the four
-/// `b` rows of a group. Each output element gets the same `group_sum` per
-/// 4-step group, in the same ascending order, and the same single adds
-/// of the `k mod 4` tail, as it does in any other block — rows are
-/// independent, so only how many rows share a pass changes, never a bit.
-/// Used for the 2- and 3-row remainders, which the 1-row loop ran at about
-/// twice the per-row cost of a 4-row block. Kept out of line, so the 4-row
-/// and 1-row loops of [`accumulate_direct`] compile as they did without it.
+/// Output rows `i..i + R` of [`accumulate_direct`] as one block, for the
+/// 1-, 2- and 3-row remainders. Per `NC` column block the `R` output rows
+/// are copied into a local `R × NC` tile, every 4-step group of the
+/// reduction is added to it in ascending order (one `group_sum` per row
+/// and group, each `b` value loaded once for all `R` rows), then the
+/// `k mod 4` singles, and the tile is copied back. Each output element
+/// gets the same adds in the same order as in the 4-row block, so which
+/// block a row runs in moves no bit. The tile aliases neither operand, so
+/// the inner loops carry no runtime overlap checks. Kept out of line, so
+/// the 4-row nest compiles as it did without it; the 4-row block stays
+/// hand-written because it measured ×1.03–1.23 slower as an instance of
+/// this one (crates/README.md, "measured and left alone").
 #[inline(never)]
 fn accumulate_rows<const R: usize>(
     out: &mut [f32],
@@ -381,15 +360,12 @@ fn accumulate_rows<const R: usize>(
     n: usize,
 ) {
     let ar: [&[f32]; R] = std::array::from_fn(|r| &a[(i + r) * lda..(i + r) * lda + k]);
+    let mut tile = [[0.0f32; NC]; R];
     for j0 in (0..n).step_by(NC) {
         let jlen = NC.min(n - j0);
-        // Split the `R` output rows into disjoint mutable windows.
-        let mut rest = &mut out[i * n..(i + R) * n];
-        let o: [&mut [f32]; R] = std::array::from_fn(|_| {
-            let (row, tail) = std::mem::take(&mut rest).split_at_mut(n);
-            rest = tail;
-            &mut row[j0..j0 + jlen]
-        });
+        for (r, row) in tile.iter_mut().enumerate() {
+            row[..jlen].copy_from_slice(&out[(i + r) * n + j0..(i + r) * n + j0 + jlen]);
+        }
         let mut kk = 0;
         while kk + 4 <= k {
             let b0 = &b[kk * n + j0..kk * n + j0 + jlen];
@@ -400,7 +376,7 @@ fn accumulate_rows<const R: usize>(
             for j in 0..jlen {
                 let v = [b0[j], b1[j], b2[j], b3[j]];
                 for r in 0..R {
-                    o[r][j] += group_sum(a_group[r], v);
+                    tile[r][j] += group_sum(a_group[r], v);
                 }
             }
             kk += 4;
@@ -410,10 +386,13 @@ fn accumulate_rows<const R: usize>(
             for j in 0..jlen {
                 let v = b0[j];
                 for r in 0..R {
-                    o[r][j] += ar[r][kk] * v;
+                    tile[r][j] += ar[r][kk] * v;
                 }
             }
             kk += 1;
+        }
+        for (r, row) in tile.iter().enumerate() {
+            out[(i + r) * n + j0..(i + r) * n + j0 + jlen].copy_from_slice(&row[..jlen]);
         }
     }
 }
@@ -1064,16 +1043,36 @@ mod tests {
 
     /// Rows are independent: every row of a product equals that row's
     /// product computed alone, bit for bit, whichever block it shares a
-    /// pass with — the 4-row block, a 2- or 3-row tail block or the 1-row
-    /// loop — on every `k mod 4` tail, past a `KC` edge and across an `NC`
-    /// column block. This is what makes a served micro-batch answer
-    /// exactly what one offline `predict` of each request would.
+    /// pass with — the 4-row block or a 1-, 2- or 3-row tail block — on
+    /// every `k mod 4` tail, past a `KC` edge, at one `NC` column block
+    /// and across two edges of them. And a row computed alone is the
+    /// documented sum, element by element: `group_sum` per 4-step group in
+    /// ascending order, each added with one plain add, then the `k mod 4`
+    /// singles. This is what makes a served micro-batch answer exactly
+    /// what one offline `predict` of each request would.
     #[test]
     fn every_row_of_a_product_is_that_row_computed_alone() {
         let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let by_groups = |a_row: &[f32], b: &[f32], n: usize| -> Vec<f32> {
+            let whole = a_row.len() - a_row.len() % 4;
+            (0..n)
+                .map(|j| {
+                    let col = |kk: usize| b[kk * n + j];
+                    let mut o = 0.0f32;
+                    for (g, a) in a_row[..whole].chunks_exact(4).enumerate() {
+                        let v = [col(4 * g), col(4 * g + 1), col(4 * g + 2), col(4 * g + 3)];
+                        o += group_sum([a[0], a[1], a[2], a[3]], v);
+                    }
+                    for (kk, &a) in a_row.iter().enumerate().skip(whole) {
+                        o += a * col(kk);
+                    }
+                    o
+                })
+                .collect()
+        };
         for m in 1..=9 {
             for k in [1, 3, 4, 7, 203, KC + 5] {
-                for n in [1, 5, 130] {
+                for n in [1, 5, NC, 2 * NC + 3] {
                     let a = fill(m * k, 17);
                     let b = fill(k * n, 18);
                     let mut out = vec![f32::NAN; m * n];
@@ -1082,6 +1081,10 @@ mod tests {
                         let mut alone = vec![f32::NAN; n];
                         matmul_into(&mut alone, a_row, &b, 1, k, n);
                         assert_eq!(bits(out_row), bits(&alone), "row {r} of {m}x{k}x{n}");
+                        if m == 1 {
+                            let summed = by_groups(a_row, &b, n);
+                            assert_eq!(bits(&alone), bits(&summed), "1x{k}x{n} by groups");
+                        }
                     }
                 }
             }
