@@ -14,7 +14,7 @@
 //! cargo run -p safeloc-bench --release --bin suite -- --check-specs scenarios
 //! ```
 
-use safeloc_bench::{DefenseSpec, HarnessConfig, Scale, ScenarioSpec, SuiteRunner};
+use safeloc_bench::{HarnessConfig, Scale, ScenarioSpec, SuiteRunner};
 use std::path::{Path, PathBuf};
 
 struct Args {
@@ -85,9 +85,10 @@ fn parse_args() -> Args {
 }
 
 /// Validates one spec file without running any cell: parse, expand the
-/// grid, check every network's fault parameters and every participation's
-/// rates, and build every spec-defined defense pipeline. Returns the cell
-/// count or a readable error.
+/// grid and check every cell as a run would
+/// ([`ScenarioCell::validate`](safeloc_bench::ScenarioCell::validate):
+/// network, participation and defense-pipeline parameters). Returns the
+/// cell count or a readable error.
 fn check_spec(path: &Path, cfg: HarnessConfig) -> Result<usize, String> {
     let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
     let spec: ScenarioSpec =
@@ -100,18 +101,7 @@ fn check_spec(path: &Path, cfg: HarnessConfig) -> Result<usize, String> {
         );
     }
     for cell in &cells {
-        cell.network
-            .validate()
-            .map_err(|e| format!("network {}: {e}", cell.network.label()))?;
-        cell.participation
-            .validate()
-            .map_err(|e| format!("participation: {e}"))?;
-        // Defense pipelines are built exactly as a run would build them,
-        // so a spec naming an unbuildable composition fails here.
-        if let DefenseSpec::Pipeline(p) = &cell.defense {
-            let pipeline = p.build(cell.defense_seed(cfg.seed));
-            let _ = pipeline.label();
-        }
+        cell.validate()?;
     }
     Ok(cells.len())
 }

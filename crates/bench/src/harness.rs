@@ -1,12 +1,10 @@
-//! Shared experiment plumbing: scales, the scenario fleet and the session
-//! runner every suite cell goes through.
+//! Shared experiment plumbing: scales, their configurations and the
+//! paper's evaluation protocol every suite cell, test and example measures
+//! with ([`evaluate_errors`]).
 
 use safeloc::SafeLocConfig;
-use safeloc_attacks::{Attack, PoisonInjector};
 use safeloc_dataset::{Building, BuildingDataset};
-use safeloc_fl::{Client, CohortSampler, FlSession, Framework, RoundReport, ServerConfig};
-use safeloc_metrics::localization_errors;
-use safeloc_wire::FaultProfile;
+use safeloc_fl::{Framework, ServerConfig};
 
 /// Experiment scale, selected on the command line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,109 +73,18 @@ pub fn default_buildings(scale: Scale) -> Vec<Building> {
     }
 }
 
-/// One attack scenario: which attack, which clients are compromised, and
-/// how many federated rounds run before evaluation.
-#[derive(Debug, Clone)]
-pub struct Scenario {
-    /// The attack; `None` is the clean baseline.
-    pub attack: Option<Attack>,
-    /// Indices of compromised clients (the paper compromises the HTC U11).
-    pub attacker_ids: Vec<usize>,
-    /// Federated rounds before evaluation.
-    pub rounds: usize,
-    /// Scenario seed (clients/injectors derive their streams from it).
-    pub seed: u64,
-    /// Attacker update-boost factor; `None` = `n_clients / n_attackers`
-    /// (model replacement, shared across colluders), `Some(1.0)` =
-    /// honest-magnitude data poisoning only.
-    pub boost: Option<f32>,
-    /// Colluding attackers share one poison stream (identical flip
-    /// choices), so their updates push coherently instead of cancelling.
-    /// Matters only with several attackers (Fig. 7).
-    pub coherent: bool,
-}
-
-/// Errors plus the per-round telemetry a scenario session produced.
-#[derive(Debug, Clone)]
-pub struct ScenarioOutcome {
-    /// Per-sample localization errors (meters) over the five non-training
-    /// devices' held-out test sets.
-    pub errors: Vec<f32>,
-    /// One report per federated round, in order.
-    pub reports: Vec<RoundReport>,
-}
-
-/// The fleet for a scenario: clients with the scenario's attackers wired
-/// in (model-replacement boost shared across colluders).
-pub fn scenario_fleet(data: &BuildingDataset, scenario: &Scenario) -> Vec<Client> {
-    let mut clients = Client::from_dataset(data, scenario.seed);
-    // Model-replacement boost: k colluding attackers share the n× factor so
-    // their combined mass steers a plain mean exactly once.
-    let boost = scenario
-        .boost
-        .unwrap_or(clients.len() as f32 / scenario.attacker_ids.len().max(1) as f32);
-    if let Some(attack) = &scenario.attack {
-        for &id in &scenario.attacker_ids {
-            if id < clients.len() {
-                let stream = if scenario.coherent {
-                    scenario.seed ^ 0xC0117DE
-                } else {
-                    scenario.seed ^ ((id as u64 + 1) << 24)
-                };
-                clients[id].injector =
-                    Some(PoisonInjector::new(attack.clone(), stream).with_boost(boost));
-            }
-        }
-    }
-    clients
-}
-
-/// Drives `rounds` session rounds of `framework` over a prebuilt fleet
-/// under simulated network conditions and evaluates the result: every
-/// round's sampled cohort plan is replayed through the wire crate's
-/// fault-injection shim ([`FaultProfile::degrade_plan`], installed as the
-/// session's plan transform) before the framework runs it, so a would-be
-/// connection drop becomes
-/// [`Availability::DropsOut`](safeloc_fl::Availability::DropsOut) and a
-/// slow reader — or a latency draw beyond `deadline_ms` — becomes
-/// [`Availability::Straggles`](safeloc_fl::Availability::Straggles).
-/// Network conditions thereby sweep like any other scenario axis without
-/// paying per-cell process spawns.
-///
-/// [`FaultProfile::ideal`] returns every plan untouched (`deadline_ms` is
-/// then unused), so cells without the network axis stay bitwise identical
-/// to the pre-axis engine.
-pub fn run_fleet_with_network(
-    framework: Box<dyn Framework>,
-    data: &BuildingDataset,
-    clients: Vec<Client>,
-    rounds: usize,
-    sampler: CohortSampler,
-    fault: &FaultProfile,
-    deadline_ms: f64,
-) -> ScenarioOutcome {
-    let fault = *fault;
-    let mut session = FlSession::builder(framework)
-        .clients(clients)
-        .sampler(sampler)
-        .plan_transform(Box::new(move |round, plan| {
-            fault.degrade_plan(&plan, round as u64, deadline_ms)
-        }))
-        .build();
-    let reports = session.run(rounds);
-    ScenarioOutcome {
-        errors: evaluate_errors(session.framework(), data),
-        reports,
-    }
-}
-
-/// Localization errors of `framework` over the non-training devices' test
-/// sets (the paper's evaluation protocol).
+/// Per-sample localization errors in meters
+/// ([`Building::label_error_m`]) of `framework` over the non-training
+/// devices' test sets (the paper's evaluation protocol).
 pub fn evaluate_errors(framework: &dyn Framework, data: &BuildingDataset) -> Vec<f32> {
     let mut errors = Vec::new();
     for (_, set) in data.eval_sets() {
         let pred = framework.predict(&set.x);
-        errors.extend(localization_errors(&data.building, &pred, &set.labels));
+        errors.extend(
+            pred.iter()
+                .zip(&set.labels)
+                .map(|(&p, &t)| data.building.label_error_m(p, t)),
+        );
     }
     errors
 }
@@ -185,12 +92,32 @@ pub fn evaluate_errors(framework: &dyn Framework, data: &BuildingDataset) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use safeloc::SafeLoc;
+    use crate::{
+        AttackSpec, ErrorStats, FrameworkSpec, NetworkSpec, ParticipationMode, ParticipationSpec,
+        ScenarioCell, ScenarioSpec, SuiteRunner,
+    };
+    use safeloc_attacks::Attack;
     use safeloc_dataset::DatasetConfig;
-    use safeloc_metrics::ErrorStats;
+    use safeloc_fl::{Client, FlSession, RoundReport};
 
     fn tiny_dataset() -> BuildingDataset {
         BuildingDataset::generate(Building::tiny(3), &DatasetConfig::tiny(), 3)
+    }
+
+    /// A one-cell SAFELOC suite at `--quick` over [`tiny_dataset`]. The
+    /// tiny dataset has three devices and the last one trains on the
+    /// server, so an attacked cell compromises client 1.
+    fn tiny_cell(attack: AttackSpec, rounds: usize) -> (SuiteRunner, ScenarioCell) {
+        let mut spec = ScenarioSpec::new("harness", vec![FrameworkSpec::Safeloc], vec![attack]);
+        spec.buildings = vec![3];
+        spec.rounds = rounds;
+        let cfg = HarnessConfig {
+            scale: Scale::Quick,
+            seed: 3,
+        };
+        let runner = SuiteRunner::new(cfg, spec).with_dataset_builder(|_, _, _| tiny_dataset());
+        let cell = runner.cells().remove(0);
+        (runner, cell)
     }
 
     #[test]
@@ -213,37 +140,20 @@ mod tests {
 
     #[test]
     fn scenario_runner_produces_errors_for_every_eval_sample() {
+        let (mut runner, cell) = tiny_cell(AttackSpec::of(Attack::label_flip(0.5)), 1);
+        let run = runner.run_cell(&cell);
+        assert_eq!(run.error, None);
+        assert_eq!(run.reports.len(), 1);
         let data = tiny_dataset();
-        let mut f = SafeLoc::new(
-            data.building.num_aps(),
-            data.building.num_rps(),
-            safeloc::SafeLocConfig::tiny(),
-        );
-        f.pretrain(&data.server_train);
-        let scenario = Scenario {
-            attack: Some(Attack::label_flip(0.5)),
-            attacker_ids: vec![1],
-            rounds: 1,
-            seed: 3,
-            boost: None,
-            coherent: false,
-        };
-        let errors = run_fleet_with_network(
-            f.clone_box(),
-            &data,
-            scenario_fleet(&data, &scenario),
-            scenario.rounds,
-            CohortSampler::full(),
-            &FaultProfile::ideal(),
-            0.0,
-        )
-        .errors;
         let expected: usize = data.eval_sets().iter().map(|(_, s)| s.len()).sum();
-        assert_eq!(errors.len(), expected);
-        let stats = ErrorStats::from_errors(&errors);
-        assert!(stats.mean.is_finite());
+        assert_eq!(run.errors.len(), expected);
+        assert!(run.stats().mean.is_finite());
     }
 
+    /// A cell under a lossy network and a churning cohort runs exactly the
+    /// rounds a hand-rolled loop runs: sample the plan, degrade it through
+    /// the fault shim, run the framework. So does a bare session with the
+    /// shim as its plan transform, and it publishes every degraded round.
     #[test]
     fn degraded_session_matches_a_hand_rolled_network_loop() {
         use safeloc_fl::{ModelPublisher, RoundPlan};
@@ -260,19 +170,26 @@ mod tests {
             }
         }
 
+        let (mut runner, mut cell) = tiny_cell(AttackSpec::clean(), 6);
+        cell.participation = ParticipationSpec {
+            mode: ParticipationMode::UniformK { k: 2 },
+            dropout: 0.0,
+            straggle: 0.0,
+        };
+        cell.network = NetworkSpec {
+            latency_ms_mean: 40.0,
+            latency_ms_std: 30.0,
+            drop_probability: 0.2,
+            slow_reader_probability: 0.2,
+            deadline_ms: 60.0,
+            ..NetworkSpec::ideal()
+        };
         let data = tiny_dataset();
-        let mut template = SafeLoc::new(
-            data.building.num_aps(),
-            data.building.num_rps(),
-            safeloc::SafeLocConfig::tiny(),
-        );
-        template.pretrain(&data.server_train);
-        let fault = FaultProfile::latency(40.0, 30.0, 5)
-            .with_drops(0.2)
-            .with_slow_readers(0.2);
-        let (deadline_ms, rounds) = (60.0, 6);
-        let sampler = || CohortSampler::uniform(2, 9);
-        let fleet = || Client::from_dataset(&data, 3);
+        let template = runner.framework(&cell);
+        let fault = cell.network.fault(cell.network_seed(3));
+        let (deadline_ms, rounds) = (cell.network.deadline_ms, cell.rounds);
+        let fleet = || Client::from_dataset(&data, cell.scenario_seed(3));
+        let sampler = || cell.participation.sampler(&fleet(), cell.sampler_seed(3));
 
         // The reference: the loop the harness used to hand-roll.
         let mut reference = template.clone_box();
@@ -316,46 +233,15 @@ mod tests {
         assert_eq!(seen, reports, "publisher missed a degraded round");
         assert_eq!(published.last().unwrap().1, reference.global_params());
 
-        let harness = run_fleet_with_network(
-            template.clone_box(),
-            &data,
-            fleet(),
-            rounds,
-            sampler(),
-            &fault,
-            deadline_ms,
-        );
-        assert_eq!(outcomes(&harness.reports), outcomes(&expected));
-        assert_eq!(harness.errors, evaluate_errors(reference.as_ref(), &data));
+        let run = runner.run_cell(&cell);
+        assert_eq!(outcomes(&run.reports), outcomes(&expected));
+        assert_eq!(run.errors, evaluate_errors(reference.as_ref(), &data));
     }
 
     #[test]
     fn clean_scenario_beats_random_guessing() {
-        let data = tiny_dataset();
-        let mut f = SafeLoc::new(
-            data.building.num_aps(),
-            data.building.num_rps(),
-            safeloc::SafeLocConfig::tiny(),
-        );
-        f.pretrain(&data.server_train);
-        let clean = Scenario {
-            attack: None,
-            attacker_ids: vec![],
-            rounds: 1,
-            seed: 3,
-            boost: None,
-            coherent: false,
-        };
-        let errors = run_fleet_with_network(
-            f.clone_box(),
-            &data,
-            scenario_fleet(&data, &clean),
-            clean.rounds,
-            CohortSampler::full(),
-            &FaultProfile::ideal(),
-            0.0,
-        )
-        .errors;
+        let (mut runner, cell) = tiny_cell(AttackSpec::clean(), 1);
+        let errors = runner.run_cell(&cell).errors;
         let stats = ErrorStats::from_errors(&errors);
         // Random guessing on the tiny serpentine floor is ~2.5 m mean.
         assert!(stats.mean < 2.5, "clean mean error {}", stats.mean);

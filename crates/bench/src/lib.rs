@@ -20,12 +20,14 @@
 //! deployed models' single-fingerprint latency is `benchmark/`'s
 //! `core.infer_b1_us` and `nn.predict_b1_us`.
 //!
-//! The engine is [`suite`]. Every cell runs through one
-//! [`safeloc_fl::FlSession`]: [`run_fleet_with_network`] takes any
-//! [`CohortSampler`](safeloc_fl::CohortSampler), installs the suite's
-//! network axis as the session's per-round plan transform and returns the
-//! per-round [`RoundReport`](safeloc_fl::RoundReport)s next to the errors.
-//! [`SyntheticFleet`] is a generating
+//! The engine is [`suite`], and every figure number comes out of it on one
+//! path. Each cell runs through one [`safeloc_fl::FlSession`]: the cell's
+//! fleet with its attackers wired in, its participation spec's
+//! [`CohortSampler`](safeloc_fl::CohortSampler) and its network axis as
+//! the session's per-round plan transform. [`evaluate_errors`] measures
+//! the result (the paper's protocol: per-sample localization error in
+//! meters over the held-out devices), and [`ErrorStats`] summarizes it as
+//! the figures' best / mean / worst. [`SyntheticFleet`] is a generating
 //! [`FleetProvider`](safeloc_fl::FleetProvider) for fleets too large to
 //! hold in memory (`examples/scalability.rs`).
 //!
@@ -45,17 +47,17 @@ pub mod harness;
 #[cfg(test)]
 mod naive;
 pub mod rss;
+mod stats;
 pub mod suite;
+mod table;
 pub mod telem;
 #[cfg(test)]
 mod tolerance;
 
 pub use fleet::SyntheticFleet;
-pub use harness::{
-    default_buildings, evaluate_errors, run_fleet_with_network, scenario_fleet, HarnessConfig,
-    Scale, Scenario, ScenarioOutcome,
-};
+pub use harness::{default_buildings, evaluate_errors, HarnessConfig, Scale};
 pub use rss::record_peak_rss_gauge;
+pub use stats::ErrorStats;
 pub use suite::{
     AttackSpec, CellRun, CombinerSpec, DefenseSpec, FleetSpec, FrameworkSpec, Key, NetworkSpec,
     ParticipationMode, ParticipationSpec, PipelineSpec, ReportView, SafelocVariant, ScenarioCell,

@@ -1,4 +1,28 @@
 //! Summary statistics in the shape of the paper's box-and-whisker plots.
+//!
+//! Every figure reports *localization error in meters*: the distance
+//! between the predicted reference point and the true one
+//! ([`Building::label_error_m`](safeloc_dataset::Building::label_error_m)).
+//! [`ErrorStats`] summarizes a sample of them as best / mean / worst plus
+//! percentiles; the suite pools raw errors across cells before it
+//! summarizes ([`SuiteRun::pooled_errors`](crate::SuiteRun::pooled_errors)).
+//!
+//! ```
+//! use safeloc_bench::ErrorStats;
+//! use safeloc_dataset::Building;
+//!
+//! let b = Building::tiny(0);
+//! let truth = [0, 1, 2];
+//! let predicted = [0, 1, 3]; // one neighbouring-RP miss
+//! let errors: Vec<f32> = predicted
+//!     .iter()
+//!     .zip(&truth)
+//!     .map(|(&p, &t)| b.label_error_m(p, t))
+//!     .collect();
+//! let stats = ErrorStats::from_errors(&errors);
+//! assert_eq!(stats.best, 0.0);
+//! assert!(stats.worst > 0.0);
+//! ```
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -54,31 +78,6 @@ impl ErrorStats {
             p50: percentile(&sorted, 0.50),
             p95: percentile(&sorted, 0.95),
             std: var.sqrt(),
-        }
-    }
-
-    /// Merges several stats by pooling their underlying counts (exact for
-    /// mean/best/worst; percentiles are approximated by the weighted mean).
-    pub fn pool(stats: &[ErrorStats]) -> ErrorStats {
-        let total: usize = stats.iter().map(|s| s.n).sum();
-        if total == 0 {
-            return ErrorStats::from_errors(&[]);
-        }
-        let wmean = |f: fn(&ErrorStats) -> f32| -> f32 {
-            stats.iter().map(|s| f(s) * s.n as f32).sum::<f32>() / total as f32
-        };
-        ErrorStats {
-            n: total,
-            best: stats
-                .iter()
-                .filter(|s| s.n > 0)
-                .map(|s| s.best)
-                .fold(f32::INFINITY, f32::min),
-            mean: wmean(|s| s.mean),
-            worst: stats.iter().map(|s| s.worst).fold(0.0, f32::max),
-            p50: wmean(|s| s.p50),
-            p95: wmean(|s| s.p95),
-            std: wmean(|s| s.std),
         }
     }
 }
@@ -154,23 +153,6 @@ mod tests {
         let s = ErrorStats::from_errors(&errors);
         assert!(s.p95 < 50.0, "p95 dominated by single outlier");
         assert_eq!(s.worst, 100.0);
-    }
-
-    #[test]
-    fn pooling_weights_by_count() {
-        let a = ErrorStats::from_errors(&[1.0, 1.0, 1.0, 1.0]);
-        let b = ErrorStats::from_errors(&[5.0]);
-        let pooled = ErrorStats::pool(&[a, b]);
-        assert_eq!(pooled.n, 5);
-        assert!((pooled.mean - 1.8).abs() < 1e-5);
-        assert_eq!(pooled.best, 1.0);
-        assert_eq!(pooled.worst, 5.0);
-    }
-
-    #[test]
-    fn pooling_nothing_is_zero() {
-        let pooled = ErrorStats::pool(&[]);
-        assert_eq!(pooled.n, 0);
     }
 
     #[test]

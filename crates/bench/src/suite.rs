@@ -1,6 +1,5 @@
 //! Declarative scenario suites: one serde-backed spec → a grid of
-//! [`FlSession`](safeloc_fl::FlSession) runs → one machine-readable report
-//! per cell.
+//! [`FlSession`] runs → one machine-readable report per cell.
 //!
 //! Every paper figure is a sweep over the same axes — framework, defense,
 //! building, fleet shape, attack, participation, network conditions and
@@ -21,12 +20,12 @@
 //! cargo run --release -p safeloc-bench --bin suite -- --spec scenarios/fig6_comparison.json --quick
 //! ```
 
-use crate::harness::{
-    default_buildings, run_fleet_with_network, scenario_fleet, HarnessConfig, Scenario,
-};
+use crate::harness::{default_buildings, evaluate_errors, HarnessConfig};
+use crate::stats::ErrorStats;
+use crate::table::{heatmap, markdown_table};
 use rayon::prelude::*;
 use safeloc::{AggregationMode, DaeAugment, SafeLoc, SaliencyAggregator};
-use safeloc_attacks::Attack;
+use safeloc_attacks::{Attack, PoisonInjector};
 use safeloc_baselines::{fedcc, fedhil, fedloc, fedls, krum, Onlad};
 use safeloc_dataset::{Building, BuildingDataset, DatasetConfig, DeviceProfile, FingerprintSet};
 use safeloc_fl::defense::{
@@ -34,10 +33,9 @@ use safeloc_fl::defense::{
     TrimmedMean, UniformMean,
 };
 use safeloc_fl::{
-    Client, ClusterAggregator, CohortSampler, DeltaSpec, FedAvg, Framework, HistoryScreen, Krum,
-    LatentFilterAggregator, RoundReport, RoundTally, SelectiveAggregator,
+    Client, ClusterAggregator, CohortSampler, DeltaSpec, FedAvg, FlSession, Framework,
+    HistoryScreen, Krum, LatentFilterAggregator, RoundReport, RoundTally, SelectiveAggregator,
 };
-use safeloc_metrics::{heatmap, markdown_table, ErrorStats};
 use safeloc_wire::FaultProfile;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -651,6 +649,73 @@ impl PipelineSpec {
         parts.join("→")
     }
 
+    /// Checks a spec-file pipeline: every parameter in the range its stage
+    /// or combiner honours as written. Outside it the cell would run a
+    /// different defense than its label names — `TrimmedMean` clamps
+    /// `trim_fraction` into `[0, 0.5]`, and a `NormClip` multiple of 0
+    /// switches the stage off.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first offending field and its value.
+    pub fn validate(&self) -> Result<(), String> {
+        fn require(
+            ok: bool,
+            field: &str,
+            range: &str,
+            value: impl std::fmt::Display,
+        ) -> Result<(), String> {
+            match ok {
+                true => Ok(()),
+                false => Err(format!("{field} must be {range}, got {value}")),
+            }
+        }
+        let z = |z_threshold: f32| {
+            let ok = z_threshold.is_finite() && z_threshold > 0.0;
+            require(ok, "z_threshold", "finite and > 0", z_threshold)
+        };
+        for stage in &self.stages {
+            match *stage {
+                StageSpec::NonFinite => {}
+                StageSpec::NormClip { multiple } => {
+                    let ok = multiple.is_finite() && multiple > 0.0;
+                    require(ok, "multiple", "finite and > 0", multiple)?;
+                }
+                StageSpec::ClusterSplit {
+                    separation_threshold: t,
+                } => require(
+                    (0.0..=2.0).contains(&t),
+                    "separation_threshold",
+                    "in [0, 2]",
+                    t,
+                )?,
+                StageSpec::LatentScreen { z_threshold } => z(z_threshold)?,
+                StageSpec::HistoryScreen {
+                    z_threshold,
+                    min_history,
+                } => {
+                    z(z_threshold)?;
+                    require(min_history >= 1, "min_history", "at least 1", min_history)?;
+                }
+            }
+        }
+        match self.combiner {
+            CombinerSpec::TrimmedMean { trim_fraction: t } => {
+                require((0.0..0.5).contains(&t), "trim_fraction", "in [0, 0.5)", t)
+            }
+            CombinerSpec::Selective {
+                aggregate_fraction: a,
+            } => require(a > 0.0 && a <= 1.0, "aggregate_fraction", "in (0, 1]", a),
+            CombinerSpec::Saliency { sharpness: k } => {
+                require(k.is_finite() && k >= 0.0, "sharpness", "finite and >= 0", k)
+            }
+            CombinerSpec::Mean
+            | CombinerSpec::SampleWeightedMean
+            | CombinerSpec::Krum { .. }
+            | CombinerSpec::CoordinateMedian => Ok(()),
+        }
+    }
+
     /// Builds the runnable pipeline; `seed` feeds the stateful stages'
     /// projections so distinct cells draw independent streams.
     pub fn build(&self, seed: u64) -> DefensePipeline {
@@ -1015,6 +1080,25 @@ impl ScenarioCell {
         self.scenario_seed(base) ^ 0x4E_77E7 ^ ((self.index.network as u64 + 1) << 12)
     }
 
+    /// Checks the cell's network, participation and defense pipeline
+    /// ([`NetworkSpec::validate`], [`ParticipationSpec::validate`],
+    /// [`PipelineSpec::validate`]). A run records an invalid cell as failed
+    /// without running it; `suite --check-specs` refuses its file.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the axis, the first offending field and its value.
+    pub fn validate(&self) -> Result<(), String> {
+        (self.network.validate()).map_err(|e| format!("network {}: {e}", self.network.label()))?;
+        (self.participation.validate()).map_err(|e| format!("participation: {e}"))?;
+        match &self.defense {
+            DefenseSpec::Pipeline(p) => p
+                .validate()
+                .map_err(|e| format!("defense {}: {e}", p.label())),
+            DefenseSpec::Builtin => Ok(()),
+        }
+    }
+
     /// Compact display label.
     pub fn label(&self) -> String {
         let defense = match &self.defense {
@@ -1287,8 +1371,20 @@ impl SuiteRunner {
     }
 }
 
-/// Executes one cell against the prepared dataset cache, converting a
-/// panicking cell into a [`CellRun`] with [`CellRun::error`] set.
+/// Executes one cell against the prepared dataset cache, converting an
+/// invalid or panicking cell into a [`CellRun`] with [`CellRun::error`]
+/// set.
+///
+/// The cell's fleet gets its attackers wired in (k colluders share the
+/// model-replacement boost) and its delta compressor; its session draws
+/// cohorts from the participation spec's sampler and replays each plan
+/// through the network axis's fault shim ([`FaultProfile::degrade_plan`],
+/// the session's plan transform) before the framework runs it: a drawn
+/// connection drop becomes
+/// [`Availability::DropsOut`](safeloc_fl::Availability::DropsOut), a slow
+/// reader or a latency draw beyond `deadline_ms` becomes
+/// [`Availability::Straggles`](safeloc_fl::Availability::Straggles). The
+/// ideal network returns every plan untouched.
 fn run_prepared_cell(
     datasets: &HashMap<(usize, usize), BuildingDataset>,
     base_seed: u64,
@@ -1298,72 +1394,62 @@ fn run_prepared_cell(
     let data = datasets
         .get(&(cell.building, cell.fleet.total))
         .expect("prepare ensured the dataset");
-    let invalid = cell
-        .network
-        .validate()
-        .map_err(|e| format!("network: {e}"))
-        .and_then(|()| {
-            cell.participation
-                .validate()
-                .map_err(|e| format!("participation: {e}"))
-        });
-    if let Err(e) = invalid {
-        return CellRun {
-            cell,
-            fleet_size: data.num_clients(),
-            errors: Vec::new(),
-            reports: Vec::new(),
-            error: Some(e),
-        };
-    }
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let scenario = Scenario {
-            attack: cell.attack.attack.clone(),
-            attacker_ids: if cell.attack.attack.is_some() {
-                cell.fleet.attacker_ids(data)
-            } else {
-                Vec::new()
-            },
-            rounds: cell.rounds,
-            seed: cell.scenario_seed(base_seed),
-            boost: cell.boost,
-            coherent: cell.coherent,
-        };
-        let mut clients = scenario_fleet(data, &scenario);
-        if !cell.delta.is_dense() {
-            for client in &mut clients {
-                client.compressor = cell.delta.compressor();
+    let outcome = cell.validate().and_then(|()| {
+        catch_unwind(AssertUnwindSafe(|| {
+            let seed = cell.scenario_seed(base_seed);
+            let mut clients = Client::from_dataset(data, seed);
+            if let Some(attack) = &cell.attack.attack {
+                let attacker_ids = cell.fleet.attacker_ids(data);
+                // Model-replacement boost: k colluding attackers share the
+                // n× factor so their combined mass steers a plain mean
+                // exactly once.
+                let boost = cell
+                    .boost
+                    .unwrap_or(clients.len() as f32 / attacker_ids.len().max(1) as f32);
+                for &id in &attacker_ids {
+                    let stream = if cell.coherent {
+                        seed ^ 0xC0117DE
+                    } else {
+                        seed ^ ((id as u64 + 1) << 24)
+                    };
+                    if let Some(client) = clients.get_mut(id) {
+                        client.injector =
+                            Some(PoisonInjector::new(attack.clone(), stream).with_boost(boost));
+                    }
+                }
             }
-        }
-        let sampler = cell
-            .participation
-            .sampler(&clients, cell.sampler_seed(base_seed));
-        let fault = cell.network.fault(cell.network_seed(base_seed));
-        run_fleet_with_network(
-            framework,
-            data,
-            clients,
-            cell.rounds,
-            sampler,
-            &fault,
-            cell.network.deadline_ms,
-        )
-    }));
-    match outcome {
-        Ok(outcome) => CellRun {
-            cell,
-            fleet_size: data.num_clients(),
-            errors: outcome.errors,
-            reports: outcome.reports,
-            error: None,
-        },
-        Err(payload) => CellRun {
-            cell,
-            fleet_size: data.num_clients(),
-            errors: Vec::new(),
-            reports: Vec::new(),
-            error: Some(panic_message(payload.as_ref())),
-        },
+            if !cell.delta.is_dense() {
+                for client in &mut clients {
+                    client.compressor = cell.delta.compressor();
+                }
+            }
+            let sampler = cell
+                .participation
+                .sampler(&clients, cell.sampler_seed(base_seed));
+            let fault = cell.network.fault(cell.network_seed(base_seed));
+            let deadline_ms = cell.network.deadline_ms;
+            let mut session = FlSession::builder(framework)
+                .clients(clients)
+                .sampler(sampler)
+                .plan_transform(Box::new(move |round, plan| {
+                    fault.degrade_plan(&plan, round as u64, deadline_ms)
+                }))
+                .build();
+            let reports = session.run(cell.rounds);
+            (evaluate_errors(session.framework(), data), reports)
+        }))
+        .map_err(|payload| panic_message(payload.as_ref()))
+    });
+    let (errors, reports, error) = match outcome {
+        Ok((errors, reports)) => (errors, reports, None),
+        Err(e) => (Vec::new(), Vec::new(), Some(e)),
+    };
+    CellRun {
+        cell,
+        fleet_size: data.num_clients(),
+        errors,
+        reports,
+        error,
     }
 }
 
@@ -2097,6 +2183,100 @@ mod tests {
                 .with_churn(0.15, 0.1)
                 .validate(),
             Ok(())
+        );
+    }
+
+    /// A spec-file pipeline whose stage or combiner would run something
+    /// other than its label names (a clamped trim fraction, a norm clip
+    /// switched off) is refused, naming the field and the value, by the
+    /// pipeline and by the cell that carries it; the boundary values pass.
+    #[test]
+    fn pipeline_specs_are_validated_field_by_field() {
+        let stage = |json: &str| PipelineSpec {
+            name: None,
+            stages: vec![serde_json::from_str(json).unwrap()],
+            combiner: CombinerSpec::Mean,
+        };
+        let combiner = |json: &str| PipelineSpec {
+            name: None,
+            stages: Vec::new(),
+            combiner: serde_json::from_str(json).unwrap(),
+        };
+        for (pipeline, field, value) in [
+            (
+                combiner(r#"{"TrimmedMean":{"trim_fraction":0.7}}"#),
+                "trim_fraction",
+                "0.7",
+            ),
+            (
+                combiner(r#"{"TrimmedMean":{"trim_fraction":-0.1}}"#),
+                "trim_fraction",
+                "-0.1",
+            ),
+            (
+                combiner(r#"{"TrimmedMean":{"trim_fraction":0.5}}"#),
+                "trim_fraction",
+                "0.5",
+            ),
+            (stage(r#"{"NormClip":{"multiple":0}}"#), "multiple", "0"),
+            (
+                stage(r#"{"NormClip":{"multiple":1e999}}"#),
+                "multiple",
+                "inf",
+            ),
+            (
+                stage(r#"{"ClusterSplit":{"separation_threshold":2.5}}"#),
+                "separation_threshold",
+                "2.5",
+            ),
+            (
+                stage(r#"{"LatentScreen":{"z_threshold":0}}"#),
+                "z_threshold",
+                "0",
+            ),
+            (
+                stage(r#"{"HistoryScreen":{"z_threshold":1e999,"min_history":3}}"#),
+                "z_threshold",
+                "inf",
+            ),
+            (
+                stage(r#"{"HistoryScreen":{"z_threshold":2,"min_history":0}}"#),
+                "min_history",
+                "0",
+            ),
+            (
+                combiner(r#"{"Selective":{"aggregate_fraction":0}}"#),
+                "aggregate_fraction",
+                "0",
+            ),
+            (
+                combiner(r#"{"Saliency":{"sharpness":-1}}"#),
+                "sharpness",
+                "-1",
+            ),
+        ] {
+            let err = pipeline.validate().unwrap_err();
+            assert!(err.starts_with(field) && err.ends_with(value), "{err}");
+        }
+        for ok in [
+            combiner(r#"{"TrimmedMean":{"trim_fraction":0}}"#),
+            combiner(r#"{"Selective":{"aggregate_fraction":1}}"#),
+            combiner(r#"{"Saliency":{"sharpness":0}}"#),
+            stage(r#"{"ClusterSplit":{"separation_threshold":2}}"#),
+            stage(r#"{"HistoryScreen":{"z_threshold":2,"min_history":1}}"#),
+        ] {
+            assert_eq!(ok.validate(), Ok(()), "{}", ok.label());
+        }
+        let cfg = HarnessConfig {
+            scale: Scale::Quick,
+            seed: 7,
+        };
+        let mut cell = SuiteRunner::new(cfg, spec()).cells().remove(0);
+        assert_eq!(cell.validate(), Ok(()));
+        cell.defense = DefenseSpec::Pipeline(combiner(r#"{"TrimmedMean":{"trim_fraction":0.7}}"#));
+        assert_eq!(
+            cell.validate().unwrap_err(),
+            "defense trimmed-mean(0.7): trim_fraction must be in [0, 0.5), got 0.7"
         );
     }
 

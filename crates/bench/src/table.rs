@@ -1,4 +1,4 @@
-//! Plain-text table rendering for the `suite` bin.
+//! Markdown rendering behind the suite's [`ReportView`](crate::ReportView)s.
 //!
 //! The `suite` bin prints the rows/series the paper's figures show, one
 //! `scenarios/*.json` spec (e.g. `scenarios/ablation.json`) at a time;
@@ -9,7 +9,7 @@
 /// # Panics
 ///
 /// Panics if any row's length differs from the header's.
-pub fn markdown_table(header: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn markdown_table(header: &[&str], rows: &[Vec<String>]) -> String {
     let mut out = String::new();
     out.push_str("| ");
     out.push_str(&header.join(" | "));
@@ -33,7 +33,7 @@ pub fn markdown_table(header: &[&str], rows: &[Vec<String>]) -> String {
 /// # Panics
 ///
 /// Panics if dimensions are inconsistent.
-pub fn heatmap(
+pub(crate) fn heatmap(
     corner: &str,
     col_labels: &[String],
     row_labels: &[String],

@@ -50,7 +50,11 @@ fn every_checked_in_scenario_parses_and_expands() {
                 },
                 spec,
             );
-            assert!(!runner.cells().is_empty(), "{name} expands to no cells");
+            let cells = runner.cells();
+            assert!(!cells.is_empty(), "{name} expands to no cells");
+            for cell in &cells {
+                assert_eq!(cell.validate(), Ok(()), "{name}: {}", cell.label());
+            }
             names.push(name);
         }
     }

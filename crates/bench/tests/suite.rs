@@ -6,11 +6,11 @@
 use rayon::ThreadPoolBuilder;
 use safeloc_attacks::Attack;
 use safeloc_bench::{
-    AttackSpec, CellRun, FrameworkSpec, HarnessConfig, Key, NetworkSpec, ParticipationMode,
-    ParticipationSpec, ReportView, Scale, ScenarioSpec, SuiteReport, SuiteRunner,
+    AttackSpec, CellRun, ErrorStats, FrameworkSpec, HarnessConfig, Key, NetworkSpec,
+    ParticipationMode, ParticipationSpec, ReportView, Scale, ScenarioSpec, SuiteReport,
+    SuiteRunner,
 };
 use safeloc_dataset::{Building, BuildingDataset, DatasetConfig, FingerprintSet};
-use safeloc_metrics::ErrorStats;
 use safeloc_nn::Matrix;
 
 /// A runner over tiny synthetic buildings so tests stay fast; the builder

@@ -265,6 +265,19 @@ mod tests {
     }
 
     #[test]
+    fn neighbouring_rp_costs_about_one_meter() {
+        // RPs 0 and 1 are adjacent on the 1 m path.
+        let error = Building::paper(1).label_error_m(1, 0);
+        assert!((error - 1.0).abs() < 0.01, "got {error}");
+    }
+
+    #[test]
+    fn distant_rp_costs_more() {
+        let b = Building::paper(1);
+        assert!(b.label_error_m(59, 0) > b.label_error_m(1, 0) * 3.0);
+    }
+
+    #[test]
     #[should_panic(expected = "numbered 1..=5")]
     fn paper_rejects_bad_id() {
         let _ = Building::paper(9);

@@ -16,10 +16,10 @@
 use safeloc::{SafeLoc, SafeLocConfig};
 use safeloc_attacks::{Attack, PoisonInjector};
 use safeloc_baselines::fedloc;
+use safeloc_bench::{evaluate_errors, ErrorStats};
 use safeloc_dataset::{Building, BuildingDataset, DatasetConfig, DeviceProfile};
 use safeloc_fl::defense::{DefensePipeline, NormClip};
 use safeloc_fl::{Client, FlSession, Framework, Krum, ServerConfig};
-use safeloc_metrics::{localization_errors, ErrorStats};
 
 fn attacked_mean(mut framework: Box<dyn Framework>, data: &BuildingDataset, rounds: usize) -> f32 {
     framework.pretrain(&data.server_train);
@@ -43,12 +43,7 @@ fn attacked_mean(mut framework: Box<dyn Framework>, data: &BuildingDataset, roun
             stage.stage, stage.rejections, stage.wall_ms
         );
     }
-    let mut errors = Vec::new();
-    for (_, set) in data.eval_sets() {
-        let pred = session.framework().predict(&set.x);
-        errors.extend(localization_errors(&data.building, &pred, &set.labels));
-    }
-    ErrorStats::from_errors(&errors).mean
+    ErrorStats::from_errors(&evaluate_errors(session.framework(), data)).mean
 }
 
 fn main() {

@@ -8,9 +8,9 @@
 
 use safeloc::{SafeLoc, SafeLocConfig};
 use safeloc_attacks::{Attack, PoisonInjector};
+use safeloc_bench::ErrorStats;
 use safeloc_dataset::{Building, BuildingDataset, DatasetConfig};
 use safeloc_fl::{Client, ClientOutcome, CohortSampler, FlSession, Framework};
-use safeloc_metrics::{localization_errors, ErrorStats};
 
 fn main() {
     // 1. A synthetic building: reference points on a 1 m walking path,
@@ -96,7 +96,9 @@ fn main() {
     let mut errors = Vec::new();
     for (device, set) in data.eval_sets() {
         let pred = session.framework().predict(&set.x);
-        let device_errors = localization_errors(&data.building, &pred, &set.labels);
+        let device_errors: Vec<f32> = (pred.iter().zip(&set.labels))
+            .map(|(&p, &t)| data.building.label_error_m(p, t))
+            .collect();
         let stats = ErrorStats::from_errors(&device_errors);
         println!("  {} — {}", data.devices[device].name, stats);
         errors.extend(device_errors);

@@ -9,13 +9,12 @@
 
 use safeloc::{SafeLoc, SafeLocConfig};
 use safeloc_attacks::{Attack, PoisonInjector};
-use safeloc_bench::SyntheticFleet;
+use safeloc_bench::{evaluate_errors, ErrorStats, SyntheticFleet};
 use safeloc_dataset::{Building, BuildingDataset, DatasetConfig};
 use safeloc_fl::{
     Client, ClientOutcome, CohortSampler, DefensePipeline, DeltaRepr, DeltaSpec, FlSession,
     Framework, SequentialFlServer, ServerConfig,
 };
-use safeloc_metrics::{localization_errors, ErrorStats};
 
 fn main() {
     for (total, poisoned) in [(6usize, 1usize), (12, 4), (18, 8)] {
@@ -49,11 +48,7 @@ fn main() {
             .build();
         session.run(3);
 
-        let mut errors = Vec::new();
-        for (_, set) in data.eval_sets() {
-            let pred = session.framework().predict(&set.x);
-            errors.extend(localization_errors(&data.building, &pred, &set.labels));
-        }
+        let errors = evaluate_errors(session.framework(), &data);
         println!(
             "fleet ({total:>2} clients, {poisoned:>2} poisoned): {}",
             ErrorStats::from_errors(&errors)

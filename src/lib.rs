@@ -13,11 +13,10 @@
 //! | [`fl`] | federated engine: clients, servers, aggregation rules, sessions + round plans/reports |
 //! | [`core`] | SAFELOC itself: fused network + saliency aggregation |
 //! | [`baselines`] | FEDLOC / FEDHIL / KRUM / FEDCC / FEDLS / ONLAD |
-//! | [`metrics`] | localization-error statistics and report rendering |
 //! | [`serve`] | online serving: model registry, micro-batched inference, FL hot-swap publisher |
 //! | [`wire`] | binary wire protocol: TCP serving front, remote federated rounds |
 //! | [`telemetry`] | lock-light metrics, Prometheus exposition, JSON snapshots |
-//! | [`bench`](mod@bench) | paper-figure harness: scenario suites and their views |
+//! | [`bench`](mod@bench) | paper-figure engine: scenario suites, localization-error statistics and their views |
 
 pub use safeloc as core;
 pub use safeloc_attacks as attacks;
@@ -25,7 +24,6 @@ pub use safeloc_baselines as baselines;
 pub use safeloc_bench as bench;
 pub use safeloc_dataset as dataset;
 pub use safeloc_fl as fl;
-pub use safeloc_metrics as metrics;
 pub use safeloc_nn as nn;
 pub use safeloc_serve as serve;
 pub use safeloc_telemetry as telemetry;

@@ -3,9 +3,9 @@
 
 use safeloc::{SafeLoc, SafeLocConfig, SaliencyAggregator};
 use safeloc_attacks::{Attack, PoisonInjector, ALL_ATTACK_KINDS};
+use safeloc_bench::{evaluate_errors, ErrorStats};
 use safeloc_dataset::{Building, BuildingDataset, DatasetConfig};
 use safeloc_fl::{Aggregator, Client, ClientUpdate, DefensePipeline, Framework, RoundPlan};
-use safeloc_metrics::{localization_errors, ErrorStats};
 use safeloc_nn::{Matrix, NamedParams};
 
 fn dataset() -> BuildingDataset {
@@ -27,12 +27,7 @@ fn attacked_mean(attack: Attack, boost: f32) -> f32 {
     for _ in 0..3 {
         f.run_round(&mut clients, &plan);
     }
-    let mut errors = Vec::new();
-    for (_, set) in data.eval_sets() {
-        let pred = f.predict(&set.x);
-        errors.extend(localization_errors(&data.building, &pred, &set.labels));
-    }
-    ErrorStats::from_errors(&errors).mean
+    ErrorStats::from_errors(&evaluate_errors(&f, &data)).mean
 }
 
 #[test]

@@ -5,9 +5,9 @@
 use safeloc::{SafeLoc, SafeLocConfig};
 use safeloc_attacks::{Attack, PoisonInjector};
 use safeloc_baselines::{fedcc, fedhil, fedloc, fedls, krum, Onlad};
+use safeloc_bench::{evaluate_errors, ErrorStats};
 use safeloc_dataset::{Building, BuildingDataset, DatasetConfig};
 use safeloc_fl::{Client, Framework, RoundPlan, ServerConfig};
-use safeloc_metrics::{localization_errors, ErrorStats};
 
 fn dataset() -> BuildingDataset {
     BuildingDataset::generate(Building::tiny(42), &DatasetConfig::tiny(), 42)
@@ -21,12 +21,7 @@ fn run_full_rounds(f: &mut dyn Framework, clients: &mut [Client], n: usize) {
 }
 
 fn eval(framework: &dyn Framework, data: &BuildingDataset) -> ErrorStats {
-    let mut errors = Vec::new();
-    for (_, set) in data.eval_sets() {
-        let pred = framework.predict(&set.x);
-        errors.extend(localization_errors(&data.building, &pred, &set.labels));
-    }
-    ErrorStats::from_errors(&errors)
+    ErrorStats::from_errors(&evaluate_errors(framework, data))
 }
 
 #[test]
