@@ -259,6 +259,14 @@ mod tests {
     }
 
     #[test]
+    fn correct_predictions_have_zero_error() {
+        let b = Building::tiny(0);
+        for label in 0..b.num_rps() {
+            assert_eq!(b.label_error_m(label, label), 0.0, "rp {label}");
+        }
+    }
+
+    #[test]
     fn label_error_is_symmetric() {
         let b = Building::paper(2);
         assert_eq!(b.label_error_m(0, 10), b.label_error_m(10, 0));
