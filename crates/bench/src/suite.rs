@@ -761,14 +761,20 @@ pub enum StageSpec {
 }
 
 impl StageSpec {
-    /// Short label for derived pipeline names.
+    /// Short label for derived pipeline names, parameters included, so
+    /// two stages that screen differently never share a label.
     pub fn label(&self) -> String {
         match self {
             StageSpec::NonFinite => "non-finite".to_string(),
             StageSpec::NormClip { multiple } => format!("norm-clip({multiple})"),
-            StageSpec::ClusterSplit { .. } => "cluster".to_string(),
-            StageSpec::LatentScreen { .. } => "latent".to_string(),
-            StageSpec::HistoryScreen { .. } => "history-screen".to_string(),
+            StageSpec::ClusterSplit {
+                separation_threshold,
+            } => format!("cluster({separation_threshold})"),
+            StageSpec::LatentScreen { z_threshold } => format!("latent(z={z_threshold})"),
+            StageSpec::HistoryScreen {
+                z_threshold,
+                min_history,
+            } => format!("history-screen(z={z_threshold}, min={min_history})"),
         }
     }
 
@@ -1133,9 +1139,10 @@ impl ScenarioCell {
 /// Builds the experimental bundle for one cell's `(building, fleet)` pair.
 type DatasetBuilder = Box<dyn Fn(usize, &FleetSpec, u64) -> BuildingDataset>;
 
-/// A cell paired with its instantiated framework, the unit the parallel
+/// A cell paired with its instantiated framework, or with the reason the
+/// run refuses it ([`ScenarioCell::validate`]): the unit the parallel
 /// executor consumes.
-type PreparedCell = (ScenarioCell, Box<dyn Framework>);
+type PreparedCell = (ScenarioCell, Result<Box<dyn Framework>, String>);
 
 /// Expands a [`ScenarioSpec`] over a [`HarnessConfig`] and executes the
 /// grid, caching datasets per `(building, fleet)` and pretrained framework
@@ -1306,11 +1313,21 @@ impl SuiteRunner {
         framework
     }
 
+    /// The cell's framework ([`SuiteRunner::framework`]) once
+    /// [`ScenarioCell::validate`] passes, else its message. A refused cell
+    /// gets its dataset (its [`CellRun`] reports the fleet size) but
+    /// never pretrains a template or clones a framework.
+    fn prepare(&mut self, cell: &ScenarioCell) -> Result<Box<dyn Framework>, String> {
+        self.dataset(cell);
+        cell.validate()?;
+        Ok(self.framework(cell))
+    }
+
     /// Executes one cell end to end: fleet construction with the cell's
     /// attackers wired in, a seeded session under the cell's participation
     /// spec, and error evaluation over the held-out devices.
     pub fn run_cell(&mut self, cell: &ScenarioCell) -> CellRun {
-        let framework = self.framework(cell);
+        let framework = self.prepare(cell);
         run_prepared_cell(&self.datasets, self.cfg.seed, cell.clone(), framework)
     }
 
@@ -1339,7 +1356,7 @@ impl SuiteRunner {
         for wave in cells.chunks(wave_len) {
             let prepared: Vec<PreparedCell> = wave
                 .iter()
-                .map(|cell| (cell.clone(), self.framework(cell)))
+                .map(|cell| (cell.clone(), self.prepare(cell)))
                 .collect();
             // Parallel execute: cells only read the shared dataset cache.
             let datasets = &self.datasets;
@@ -1371,8 +1388,8 @@ impl SuiteRunner {
     }
 }
 
-/// Executes one cell against the prepared dataset cache, converting an
-/// invalid or panicking cell into a [`CellRun`] with [`CellRun::error`]
+/// Executes one prepared cell against the dataset cache, converting a
+/// refused or panicking cell into a [`CellRun`] with [`CellRun::error`]
 /// set.
 ///
 /// The cell's fleet gets its attackers wired in (k colluders share the
@@ -1389,12 +1406,12 @@ fn run_prepared_cell(
     datasets: &HashMap<(usize, usize), BuildingDataset>,
     base_seed: u64,
     cell: ScenarioCell,
-    framework: Box<dyn Framework>,
+    framework: Result<Box<dyn Framework>, String>,
 ) -> CellRun {
     let data = datasets
         .get(&(cell.building, cell.fleet.total))
         .expect("prepare ensured the dataset");
-    let outcome = cell.validate().and_then(|()| {
+    let outcome = framework.and_then(|framework| {
         catch_unwind(AssertUnwindSafe(|| {
             let seed = cell.scenario_seed(base_seed);
             let mut clients = Client::from_dataset(data, seed);
@@ -2278,6 +2295,82 @@ mod tests {
             cell.validate().unwrap_err(),
             "defense trimmed-mean(0.7): trim_fraction must be in [0, 0.5), got 0.7"
         );
+    }
+
+    /// An unnamed pipeline's label carries every stage parameter, so two
+    /// cells that screen differently never share a table row.
+    #[test]
+    fn unnamed_pipelines_label_every_stage_parameter() {
+        let label = |json: &str| {
+            PipelineSpec {
+                name: None,
+                stages: vec![serde_json::from_str(json).unwrap()],
+                combiner: CombinerSpec::Mean,
+            }
+            .label()
+        };
+        for (a, b, expected) in [
+            (
+                r#"{"ClusterSplit":{"separation_threshold":0.15}}"#,
+                r#"{"ClusterSplit":{"separation_threshold":0.3}}"#,
+                "cluster(0.15)→mean",
+            ),
+            (
+                r#"{"LatentScreen":{"z_threshold":1.8}}"#,
+                r#"{"LatentScreen":{"z_threshold":2.5}}"#,
+                "latent(z=1.8)→mean",
+            ),
+            (
+                r#"{"HistoryScreen":{"z_threshold":2,"min_history":3}}"#,
+                r#"{"HistoryScreen":{"z_threshold":2.5,"min_history":3}}"#,
+                "history-screen(z=2, min=3)→mean",
+            ),
+            (
+                r#"{"HistoryScreen":{"z_threshold":2,"min_history":3}}"#,
+                r#"{"HistoryScreen":{"z_threshold":2,"min_history":4}}"#,
+                "history-screen(z=2, min=3)→mean",
+            ),
+        ] {
+            assert_eq!(label(a), expected);
+            assert_ne!(label(a), label(b), "{a} vs {b}");
+        }
+    }
+
+    /// A cell the run refuses is refused before its framework is built:
+    /// with no valid cell of that framework in the grid, the run leaves
+    /// the template cache empty, and the cell's error is the message
+    /// [`ScenarioCell::validate`] gives.
+    #[test]
+    fn a_refused_cell_pretrains_no_template() {
+        let mut s = ScenarioSpec::new(
+            "refused",
+            vec![FrameworkSpec::Krum],
+            vec![AttackSpec::clean()],
+        );
+        s.buildings = vec![4];
+        s.rounds = 1;
+        s.defenses = vec![DefenseSpec::Pipeline(PipelineSpec {
+            name: None,
+            stages: Vec::new(),
+            combiner: CombinerSpec::TrimmedMean { trim_fraction: 0.7 },
+        })];
+        let cfg = HarnessConfig {
+            scale: Scale::Quick,
+            seed: 7,
+        };
+        let mut runner = SuiteRunner::new(cfg, s).with_dataset_builder(|building, _, seed| {
+            BuildingDataset::generate(
+                Building::tiny(building as u64),
+                &DatasetConfig::tiny(),
+                seed,
+            )
+        });
+        let expected = runner.cells()[0].validate().unwrap_err();
+        let run = runner.run();
+        assert_eq!(run.cells.len(), 1);
+        assert_eq!(run.cells[0].error.as_deref(), Some(expected.as_str()));
+        assert!(run.cells[0].fleet_size > 0);
+        assert!(runner.templates.is_empty());
     }
 
     #[test]

@@ -142,15 +142,15 @@ impl Client {
     /// The client's training set this round, `None` when `screen` kept no
     /// row:
     ///
-    /// 1. label the raw RSS;
-    /// 2. a backdoor attacker perturbs the sensor feed *before* any
-    ///    framework logic runs (paper Fig. 2), using gradients of `gm`
-    ///    against those labels;
-    /// 3. the engine's on-device `screen`;
-    /// 4. re-label the screened rows (under self-training a perturbed row
+    /// 1. a backdoor attacker labels the raw RSS and perturbs the sensor
+    ///    feed *before* any framework logic runs (paper Fig. 2), using
+    ///    gradients of `gm` against those labels (nobody else reads the
+    ///    raw-RSS labels, so nobody else pays for them);
+    /// 2. the engine's on-device `screen`;
+    /// 3. label the screened rows (under self-training a perturbed row
     ///    the screen let through yields a *wrong* prediction — the
     ///    backdoor's payload); survey labels follow the rows `screen` kept;
-    /// 5. a label flipper flips the final labels *after* the framework's
+    /// 4. a label flipper flips the final labels *after* the framework's
     ///    own steps (§IV), so no client-side defense can see the flip.
     fn round_data(
         &mut self,
@@ -166,9 +166,9 @@ impl Client {
                 kept.iter().map(|&i| self.local.labels[i]).collect()
             }
         };
-        let base = label(&self.local.x, None);
         let x = match &mut self.injector {
             Some(inj) if inj.attack().kind().is_backdoor() => {
+                let base = label(&self.local.x, None);
                 let set = FingerprintSet::new(self.local.x.clone(), base);
                 inj.poison_set(&set, gm, n_classes).x
             }
@@ -375,6 +375,58 @@ mod tests {
             .filter(|(a, b)| a != b)
             .count();
         assert_eq!(flips, set.len(), "every predicted label should be flipped");
+    }
+
+    /// A GM that counts its `predict_labels` calls.
+    struct CountingGm<'a> {
+        gm: &'a Sequential,
+        predicts: std::cell::Cell<usize>,
+    }
+
+    impl PredictLabels for CountingGm<'_> {
+        fn predict_labels(&self, x: &Matrix) -> Vec<usize> {
+            self.predicts.set(self.predicts.get() + 1);
+            self.gm.predict_labels(x)
+        }
+    }
+
+    impl GradientSource for CountingGm<'_> {
+        fn loss_input_gradient(&self, x: &Matrix, labels: &[usize]) -> Matrix {
+            self.gm.loss_input_gradient(x, labels)
+        }
+    }
+
+    /// Self-training labels the raw RSS only for a backdoor attacker, the
+    /// one reader of those labels: a label flipper predicts once per round
+    /// (the rows it trains on), a backdoor attacker twice (the raw rows
+    /// its perturbation is aimed with, then the perturbed rows). Both
+    /// build the set the label-raw-rows-first order built, drawn here from
+    /// a second injector on the same stream.
+    #[test]
+    fn only_a_backdoor_client_labels_its_raw_rss() {
+        let data = dataset();
+        let model = gm(&data);
+        let n = data.building.num_rps();
+        let local = &data.client_local[0];
+        for (attack, predicts) in [(Attack::label_flip(1.0), 1), (Attack::fgsm(0.4), 2)] {
+            let mut clients = Client::from_dataset(&data, 0);
+            clients[0].injector = Some(PoisonInjector::new(attack.clone(), 3));
+            let counting = CountingGm {
+                gm: &model,
+                predicts: std::cell::Cell::new(0),
+            };
+            let set = clients[0].prepare_round_data(&counting, n, &LocalTrainConfig::default());
+            assert_eq!(counting.predicts.get(), predicts, "{attack:?}");
+
+            let mut inj = PoisonInjector::new(attack.clone(), 3);
+            let base = FingerprintSet::new(local.x.clone(), model.predict(&local.x));
+            let x = match attack.kind().is_backdoor() {
+                true => inj.poison_set(&base, &model, n).x,
+                false => local.x.clone(),
+            };
+            let labels = inj.poison_labels(&model.predict(&x), n);
+            assert_eq!(set, FingerprintSet::new(x, labels), "{attack:?}");
+        }
     }
 
     #[test]

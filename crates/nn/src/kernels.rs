@@ -102,16 +102,40 @@
 //!    per parameter, 39 % of a fused training step at batch 32 and 54 %
 //!    at batch 16. Slice arguments carry the no-alias guarantee into the
 //!    loop wherever it is inlined; the kernel runs 0.9 ns per parameter.
-//!    Every element still goes through the *same* IEEE operations in the
-//!    *same* order — `m / bc1`, `v / bc2`, `lr·m̂ / (√v̂ + eps)`: three
-//!    true divides and a correctly rounded square root, no hoisted
-//!    reciprocal, no `mul_add`, no `rsqrt` — so each vector lane computes
-//!    exactly what the scalar loop did and trained models are
-//!    bit-identical (pinned by
+//!    Every element still gets the *same* bits as the scalar loop's IEEE
+//!    operations in the *same* order — `m / bc1`, `v / bc2`,
+//!    `lr·m̂ / (√v̂ + eps)` — with no `mul_add` and no `rsqrt`, so each
+//!    vector lane computes exactly what the scalar loop did and trained
+//!    models are bit-identical (pinned by
 //!    `adam_update_is_bitwise_identical_to_the_indexed_loop`; the parent's
 //!    loop survives only as that test's oracle and as `SeedAdam` in
-//!    `safeloc_bench`'s test-only `naive` module) — with one exception,
-//!    the **flush**: a new first moment with `|m′| < f32::MIN_POSITIVE` is
+//!    `safeloc_bench`'s test-only `naive` module). The last divide and the
+//!    square root are true IEEE operations; the two divides by the bias
+//!    corrections are **reciprocal products** — `r = 1 / f64(bc)` once per
+//!    call, then `(f64(x)·r) as f32` per element, which vectorizes as a
+//!    widen, a multiply and a narrow where a divide is a long-latency
+//!    unit's (79 → 65–67 µs a step over the fused network's 70 830
+//!    parameters). *Lemma (reciprocal products):* for finite `b` with
+//!    `0 < |b| < 2` — every bias correction `1 − βᵗ` lies in `(0, 1]` —
+//!    and every `f32` `a`, `RN32(RN64(a·RN64(1/b))) = RN32(a/b)`. The
+//!    product is two `f64` roundings, within 2⁻⁵¹ (relative) of `a/b`,
+//!    and never leaves `f64`'s normal range. `a/b` is never an `f32`
+//!    rounding midpoint: a normal-range midpoint has 25 significant bits,
+//!    which a quotient of two 24-bit significands cannot have, and it lies
+//!    at least 2⁻⁴⁹ (relative) from every one; a subnormal-range midpoint
+//!    is an odd multiple of 2⁻¹⁵⁰, which `a/b` (`a` a multiple of 2⁻¹⁴⁹)
+//!    can equal only if `b` carries a factor of 2 beyond its odd part —
+//!    `|b| ≥ 2`, where such a tie *is* split (pinned by
+//!    `a_divisor_of_two_or_more_can_split_a_subnormal_tie`) — and
+//!    otherwise lies at least 2⁻¹⁷⁴ (absolute) or 2⁻²⁴ (relative) away,
+//!    where the error is below 2⁻¹⁷⁷. So no midpoint separates the
+//!    product from the quotient and both round to the same `f32`; zeros,
+//!    infinities and NaNs (payloads too) come out the same. Pinned by
+//!    `bias_correction_products_round_like_the_divides` under proptest
+//!    over raw bit patterns and the specials, and by its `#[ignore]`d
+//!    exhaustive twin over all 2³² `a` (CI's release-profile kernel
+//!    oracles). One rule departs from the scalar loop's bits, the
+//!    **flush**: a new first moment with `|m′| < f32::MIN_POSITIVE` is
 //!    stored as `+0.0` (one compare and one select, inside the same
 //!    vector loop; NaN compares false and passes through; `v` is never
 //!    flushed). A weight whose gradient turned exactly zero — a dead
@@ -809,11 +833,13 @@ pub struct AdamStep {
 /// p ← p − (lr·(m / bc1)) / (√(v / bc2) + ε)
 /// ```
 ///
-/// Every element goes through exactly these IEEE operations in exactly
-/// this order — two true divides by the bias corrections, a correctly
-/// rounded square root, a third divide — so the result does not depend on
-/// how many elements share a vector register. The flush is a compare and
-/// a select (NaN compares false and passes through); it moves no
+/// Every element gets exactly the bits of these IEEE operations in
+/// exactly this order, so the result does not depend on how many elements
+/// share a vector register. The divides by the bias corrections run as
+/// products with their `f64` reciprocals, taken once per call, which
+/// round to the divides' bits (design rule 6's lemma); the square root
+/// and the third divide are true IEEE operations. The flush is a compare
+/// and a select (NaN compares false and passes through); it moves no
 /// parameter bit above the bound design rule 6 states.
 ///
 /// # Panics
@@ -839,6 +865,7 @@ pub fn adam_update(p: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32], step:
         bc1,
         bc2,
     } = *step;
+    let (r1, r2) = (reciprocal(bc1), reciprocal(bc2));
     for (((p, &g), m), v) in p.iter_mut().zip(g).zip(m.iter_mut()).zip(v.iter_mut()) {
         let m_new = beta1 * *m + (1.0 - beta1) * g;
         *m = if m_new.abs() < f32::MIN_POSITIVE {
@@ -847,10 +874,23 @@ pub fn adam_update(p: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32], step:
             m_new
         };
         *v = beta2 * *v + (1.0 - beta2) * g * g;
-        let m_hat = *m / bc1;
-        let v_hat = *v / bc2;
+        let m_hat = times_reciprocal(*m, r1);
+        let v_hat = times_reciprocal(*v, r2);
         *p -= lr * m_hat / (v_hat.sqrt() + eps);
     }
+}
+
+/// `1 / b` in `f64`: the factor [`times_reciprocal`] divides by `b` with.
+fn reciprocal(b: f32) -> f64 {
+    1.0 / f64::from(b)
+}
+
+/// `a / b` for `r = reciprocal(b)`, as a double-width product rounded
+/// once to `f32`. For `0 < |b| < 2` it is the bits of `a / b` for every
+/// `a`, zeros, infinities and NaN payloads included (design rule 6).
+#[inline(always)]
+fn times_reciprocal(a: f32, r: f64) -> f32 {
+    (f64::from(a) * r) as f32
 }
 
 /// Elements per early-exit check of [`has_non_finite`].
@@ -1861,6 +1901,101 @@ mod tests {
     #[should_panic(expected = "second-moment and parameter lengths differ")]
     fn adam_update_rejects_a_short_second_moment() {
         adam_update_with_lengths(3, 3, 3, 2);
+    }
+
+    /// The operands `a` among `a_bits` (raw `f32` bit patterns) whose
+    /// reciprocal product with `b` differs from `a / b` in any bit, NaN
+    /// payloads included.
+    fn product_mismatches(b: f32, a_bits: impl IntoIterator<Item = u32>) -> Vec<u32> {
+        let r = reciprocal(b);
+        a_bits
+            .into_iter()
+            .filter(|&bits| {
+                let a = f32::from_bits(bits);
+                times_reciprocal(a, r).to_bits() != (a / b).to_bits()
+            })
+            .collect()
+    }
+
+    /// `1 − βᵗ` for both of `Adam::new`'s betas.
+    fn bias_corrections_at(t: i32) -> [f32; 2] {
+        let step = adam_step(1e-3, t);
+        [step.bc1, step.bc2]
+    }
+
+    /// The operands a raw-bits draw almost never hits, both signs: zero,
+    /// the three smallest and the largest subnormal, `MIN_POSITIVE`,
+    /// `MAX`, infinity, and quiet and signalling NaNs with empty, low and
+    /// full payloads.
+    fn special_operands() -> Vec<u32> {
+        let magnitudes = [
+            0,
+            1,
+            2,
+            3,
+            f32::MIN_POSITIVE.to_bits() - 1,
+            f32::MIN_POSITIVE.to_bits(),
+            f32::MAX.to_bits(),
+            f32::INFINITY.to_bits(),
+            0x7FC0_0000,
+            0x7FC0_0001,
+            0x7FFF_FFFF,
+            0x7F80_0001,
+            0x7FA0_0000,
+            0x7FBF_FFFF,
+        ];
+        let sign = 0x8000_0000;
+        magnitudes.iter().flat_map(|&m| [m, m | sign]).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Design rule 6's reciprocal lemma: for every bias correction of
+        /// `Adam::new`'s betas over the first 10 000 steps, and for an
+        /// arbitrary positive finite divisor below 2, the product with the
+        /// `f64` reciprocal has the divide's bits — for raw bit patterns
+        /// of `a` (NaNs of every payload among them) and the specials.
+        #[test]
+        fn bias_correction_products_round_like_the_divides(
+            a in prop::collection::vec(0u32..=u32::MAX, 64),
+            b in prop::collection::vec(1u32..2.0f32.to_bits(), 16),
+        ) {
+            let a: Vec<u32> = a.into_iter().chain(special_operands()).collect();
+            let mut divisors: Vec<f32> = (1..=10_000).flat_map(bias_corrections_at).collect();
+            divisors.extend(b.into_iter().map(f32::from_bits));
+            divisors.sort_by(f32::total_cmp);
+            divisors.dedup();
+            for b in divisors {
+                let bad = product_mismatches(b, a.iter().copied());
+                prop_assert!(bad.is_empty(), "b {:e}: a bits {:x?}", b, bad);
+            }
+        }
+    }
+
+    /// The twin of the proptest above over every `f32` `a`, against the
+    /// bias corrections of both betas at four steps. ~75 s in the
+    /// release profile.
+    #[test]
+    #[ignore = "walks all 2³² operands eight times; run with --release -- --ignored"]
+    fn bias_correction_products_round_like_the_divides_for_every_operand() {
+        for t in [1, 2, 3, 40] {
+            for b in bias_corrections_at(t) {
+                let bad = product_mismatches(b, 0..=u32::MAX);
+                assert!(bad.is_empty(), "t {t}, b {b:e}: {} operands", bad.len());
+            }
+        }
+    }
+
+    /// The lemma's `|b| < 2` is needed: `0x272e5 / 24 690` is exactly
+    /// `6.5 · 2⁻¹⁴⁹`, a subnormal midpoint the divide rounds to even while
+    /// the product, a hair above it, rounds up.
+    #[test]
+    fn a_divisor_of_two_or_more_can_split_a_subnormal_tie() {
+        let (a, b) = (f32::from_bits(0x272e5), 24_690.0f32);
+        assert_eq!((a / b).to_bits(), 6);
+        assert_eq!(times_reciprocal(a, reciprocal(b)).to_bits(), 7);
+        assert_eq!(product_mismatches(b, [0x272e5]), [0x272e5]);
     }
 
     /// A lone NaN / ±Inf must be found wherever it sits — first, last, and
