@@ -11,10 +11,11 @@
 //! | [`RegistryInterning`] | `safeloc_telemetry::Registry::register` double-checked registration | racing registrants all get the *same* series; no duplicate entry |
 //! | [`HistogramCasSum`] | `safeloc_telemetry::Histogram` f64-bits CAS sum | no lost update: final sum is the exact total, count matches |
 //! | [`HotSwapMonotonic`] | `safeloc_serve::ModelRegistry` publish/resolve | readers never see torn (version, weights) pairs; per-key versions are monotone per reader |
-//! | [`BatchQueue`] | `safeloc_serve`'s serve queue (`queue.rs`): mutex + condvar, batch drains, bounded fill wait, close | every accepted job is delivered exactly once, no job is queued beside a sleeping un-notified worker with nobody on the way, every worker terminates after close |
+//! | [`BatchQueue`] | `safeloc_serve`'s serve queue (`queue.rs`): mutex + condvar, drains keyed by snapshot, bounded fill wait skipped while a drain has left a backlog, close | every accepted job is delivered exactly once, every drain takes the oldest queued job, no job is queued beside a sleeping un-notified worker with nobody on the way, every worker terminates after close |
 //!
 //! Each model has a `*_buggy` variant with the guarding discipline
-//! removed (no CAS, no recheck, no lock); `tests/interleave.rs` asserts
+//! removed (no CAS, no recheck, no lock, no chained notify, a drain
+//! that passes over the oldest job); `tests/interleave.rs` asserts
 //! the checker *finds* those bugs — the checker is only trustworthy
 //! because it demonstrably catches what it claims to catch.
 
@@ -423,13 +424,20 @@ impl Model for HotSwapMonotonic {
 }
 
 // ---------------------------------------------------------------------
-// 4. Serve batch queue: mutex + condvar, work-conserving drains, close.
+// 4. Serve batch queue: mutex + condvar, keyed drains, close.
 // ---------------------------------------------------------------------
 
 /// Producers `push`, workers loop on `next_batch` and then execute what
 /// they took, one closer `close`s — the protocol of `safeloc_serve`'s
 /// serve queue, with the closer free to run at any point (a shutdown
 /// racing live submits).
+///
+/// Every job carries a key (the snapshot it pinned). A drain takes the
+/// oldest queued job plus up to `max_batch − 1` later jobs of its key, in
+/// arrival order; the queue is modeled as one list in arrival order,
+/// which is what the real queue's per-key FIFOs and arrival stamps
+/// present. The checked claim is that every drain takes the oldest
+/// queued job, which is what bounds overtaking.
 ///
 /// The condvar is a wait set: `wait` releases the mutex and joins the
 /// set in one atomic step, and the waiter is runnable again only once a
@@ -449,8 +457,10 @@ impl Model for HotSwapMonotonic {
 /// such a job, so only a per-step check sees it).
 ///
 /// A worker that finds a *short* batch (fewer than `max_batch` queued,
-/// queue open) waits once, bounded, for it to fill — unless a peer
-/// already does, in which case it sleeps as beside an empty queue. The
+/// queue open, the last drain having emptied the queue) waits once,
+/// bounded, for it to fill — unless a peer already does, in which case it
+/// sleeps as beside an empty queue. While the last drain left jobs
+/// behind, a short batch is drained without a wait. The
 /// bounded wait is a `wait_timeout`: the worker sits in the same wait set
 /// but is runnable whenever the mutex is free, because its time may run
 /// out at any point. While it sits there it *absorbs* every notify that
@@ -466,23 +476,34 @@ pub struct BatchQueue {
     /// bug that chained wakeup prevents: the remainder waits out this
     /// worker's whole forward pass beside a sleeping peer).
     no_chain: bool,
+    /// `true` drains the key with the most jobs queued instead of the
+    /// oldest job's (the bug that overtakes the head: a rare snapshot's
+    /// job waits out every batch of a busy one).
+    most_common_key: bool,
     max_batch: usize,
     workers: usize,
     lock: VMutex,
-    queue: Vec<u32>,
+    /// Queued `(id, key)`, oldest first.
+    queue: Vec<(u32, u32)>,
+    /// The last drain left jobs behind: no fill wait until one empties
+    /// the queue.
+    backlogged: bool,
     open: bool,
     /// Queue length a fill-waiting worker asked to be woken at (0: none).
     fill_target: usize,
     /// Condvar wait set, by worker.
     waiting: Vec<bool>,
-    /// Job ids each producer pushes, in order; progress through them.
-    plans: Vec<Vec<u32>>,
+    /// `(id, key)` of the jobs each producer pushes, in order; progress
+    /// through them.
+    plans: Vec<Vec<(u32, u32)>>,
     progress: Vec<usize>,
     /// Whether the push a producer just made found the queue empty or
     /// filled a waited-for batch (it notifies only then).
     notifies: Vec<bool>,
     delivered: Vec<u32>,
     rejected: Vec<u32>,
+    /// First drain found passing over the oldest queued job.
+    overtaken: Option<String>,
     pc: Vec<u8>,
 }
 
@@ -500,14 +521,16 @@ const NOTIFY: u8 = 2;
 
 impl BatchQueue {
     /// `workers` consumers taking at most `max_batch` jobs a drain, one
-    /// producer per id list, one closer.
-    pub fn new(workers: usize, max_batch: usize, producers: &[&[u32]]) -> Self {
+    /// producer per list of `(id, key)` jobs, one closer.
+    pub fn new(workers: usize, max_batch: usize, producers: &[&[(u32, u32)]]) -> Self {
         Self {
             no_chain: false,
+            most_common_key: false,
             max_batch,
             workers,
             lock: VMutex::default(),
             queue: Vec::new(),
+            backlogged: false,
             open: true,
             fill_target: 0,
             waiting: vec![false; workers],
@@ -516,16 +539,71 @@ impl BatchQueue {
             notifies: vec![false; producers.len()],
             delivered: Vec::new(),
             rejected: Vec::new(),
+            overtaken: None,
             pc: vec![0; workers + producers.len() + 1],
         }
     }
 
     /// The no-notify-after-a-partial-drain buggy variant.
-    pub fn buggy(workers: usize, max_batch: usize, producers: &[&[u32]]) -> Self {
+    pub fn buggy(workers: usize, max_batch: usize, producers: &[&[(u32, u32)]]) -> Self {
         Self {
             no_chain: true,
             ..Self::new(workers, max_batch, producers)
         }
+    }
+
+    /// The buggy variant that drains the most common key, not the
+    /// oldest job's.
+    pub fn most_common_key_buggy(
+        workers: usize,
+        max_batch: usize,
+        producers: &[&[(u32, u32)]],
+    ) -> Self {
+        Self {
+            most_common_key: true,
+            ..Self::new(workers, max_batch, producers)
+        }
+    }
+
+    /// The key a drain takes: the oldest job's, or in the buggy variant
+    /// the one with the most jobs queued (ties to the older job).
+    fn drain_key(&self) -> u32 {
+        let oldest = self.queue[0].1;
+        if !self.most_common_key {
+            return oldest;
+        }
+        let count = |key: u32| self.queue.iter().filter(|job| job.1 == key).count();
+        self.queue
+            .iter()
+            .map(|job| job.1)
+            .fold(
+                oldest,
+                |best, key| if count(key) > count(best) { key } else { best },
+            )
+    }
+
+    /// Moves the drain key's first `max_batch` jobs into `delivered`,
+    /// noting a drain that passes over the oldest job; returns whether
+    /// jobs are left queued.
+    fn drain(&mut self) -> bool {
+        let key = self.drain_key();
+        let oldest = self.queue[0].0;
+        let mut taken = Vec::new();
+        self.queue.retain(|&(id, k)| {
+            let take = k == key && taken.len() < self.max_batch;
+            if take {
+                taken.push(id);
+            }
+            !take
+        });
+        if !taken.contains(&oldest) && self.overtaken.is_none() {
+            self.overtaken = Some(format!(
+                "drain {taken:?} overtook job {oldest}, the oldest queued"
+            ));
+        }
+        self.delivered.extend(taken);
+        self.backlogged = !self.queue.is_empty();
+        self.backlogged
     }
 
     /// Every thread's step 0 is `lock()`; its step 1 runs under the lock.
@@ -551,7 +629,7 @@ impl BatchQueue {
     /// (first pass only), drain, exit, or sleep.
     fn loop_head(&mut self, tid: usize, may_wait_for_fill: bool) -> Step {
         self.lock.release(tid);
-        let short = self.queue.len() < self.max_batch && self.open;
+        let short = self.queue.len() < self.max_batch && self.open && !self.backlogged;
         if !self.queue.is_empty() && short && self.fill_target != 0 {
             // A peer already waits for this batch to fill and will take
             // it: sleep like beside an empty queue.
@@ -564,9 +642,7 @@ impl BatchQueue {
             self.pc[tid] = FILLING;
             Step::Ran
         } else if !self.queue.is_empty() {
-            let take = self.queue.len().min(self.max_batch);
-            self.delivered.extend(self.queue.drain(..take));
-            let chain = !self.queue.is_empty() && !self.no_chain;
+            let chain = self.drain() && !self.no_chain;
             self.pc[tid] = if chain { CHAIN_NOTIFY } else { EXECUTING };
             Step::Ran
         } else if !self.open {
@@ -630,13 +706,13 @@ impl BatchQueue {
             0 => self.lock_step(tid),
             // Push (or get the job back from a closed queue), unlock.
             1 => {
-                let job = self.plans[p][self.progress[p]];
+                let (id, key) = self.plans[p][self.progress[p]];
                 let filled = self.queue.len() + 1 == self.fill_target;
                 self.notifies[p] = self.open && (self.queue.is_empty() || filled);
                 if self.open {
-                    self.queue.push(job);
+                    self.queue.push((id, key));
                 } else {
-                    self.rejected.push(job);
+                    self.rejected.push(id);
                 }
                 self.lock.release(tid);
                 self.pc[tid] = NOTIFY;
@@ -681,6 +757,10 @@ impl BatchQueue {
     /// heading for the loop head (fresh, woken, about to chain, or in a
     /// fill wait that runs out by itself), or a notify that is decided
     /// but not yet issued.
+    fn queued_ids(&self) -> Vec<u32> {
+        self.queue.iter().map(|job| job.0).collect()
+    }
+
     fn someone_is_on_the_way(&self) -> bool {
         let closer = self.pc.len() - 1;
         (0..self.workers).any(|w| match self.pc[w] {
@@ -708,11 +788,14 @@ impl Model for BatchQueue {
     }
 
     fn check_step(&self) -> Result<(), String> {
+        if let Some(overtaken) = &self.overtaken {
+            return Err(overtaken.clone());
+        }
         let asleep = (0..self.workers).find(|&w| self.waiting[w] && self.pc[w] == PARKED);
         match asleep {
             Some(w) if !self.queue.is_empty() && !self.someone_is_on_the_way() => Err(format!(
                 "jobs {:?} queued while worker {w} sleeps un-notified and nobody is on the way",
-                self.queue
+                self.queued_ids()
             )),
             _ => Ok(()),
         }
@@ -722,7 +805,10 @@ impl Model for BatchQueue {
         // Every worker is done (a parked one would have been a deadlock),
         // so whatever was accepted must have been handed out.
         if !self.queue.is_empty() {
-            return Err(format!("jobs {:?} left queued after close", self.queue));
+            return Err(format!(
+                "jobs {:?} left queued after close",
+                self.queued_ids()
+            ));
         }
         let mut seen: Vec<u32> = self
             .delivered
@@ -731,7 +817,7 @@ impl Model for BatchQueue {
             .copied()
             .collect();
         seen.sort_unstable();
-        let mut all: Vec<u32> = self.plans.iter().flatten().copied().collect();
+        let mut all: Vec<u32> = self.plans.iter().flatten().map(|job| job.0).collect();
         all.sort_unstable();
         if seen != all {
             return Err(format!(

@@ -75,31 +75,42 @@ fn model_registry_without_write_lock_tears() {
 
 #[test]
 fn serve_batch_queue_delivers_once_and_never_loses_a_wakeup() {
-    // Small enough to exhaust (with a budget of its own: the three have
-    // ~1.0 M, ~64 k and ~2.2 M schedules): "no schedule deadlocks or
-    // strands a job" is then a proof over these configurations, not a
-    // sample.
+    // Small enough to exhaust (with a budget of its own: the four have
+    // ~1.0 M, ~116 k, ~2.2 M and ~4.8 M schedules): "no schedule
+    // deadlocks, strands a job or overtakes the oldest one" is then a
+    // proof over these configurations, not a sample. Jobs are
+    // `(id, key)`.
     let exhaustive = Limits {
-        max_schedules: 4_000_000,
+        max_schedules: 6_000_000,
         ..Limits::default()
     };
     let configs = [
         // Two jobs against max_batch 1 leave a remainder after a drain:
         // the chained notify, two workers racing for it and for the
         // close wakeup.
-        ("batch-queue", BatchQueue::new(2, 1, &[&[1, 2]])),
-        // Two producers race each other, the closer and one worker
-        // that waits for its short batch to fill and takes both jobs at
-        // once when they come in time.
+        ("batch-queue", BatchQueue::new(2, 1, &[&[(1, 0), (2, 0)]])),
+        // Two producers of two keys race each other, the closer and one
+        // worker that waits for its short batch to fill: a drain takes
+        // one key and leaves the other, a backlog drained without a wait.
         (
             "batch-queue-two-producers",
-            BatchQueue::new(1, 2, &[&[1], &[2]]),
+            BatchQueue::new(1, 2, &[&[(1, 0)], &[(2, 1)]]),
         ),
         // Two workers, one waiting for the batch to fill (and absorbing
         // the notifies its peer would have needed), one asleep beside
         // the short batch, while the second push fills it and the closer
         // cuts the wait short.
-        ("batch-queue-fill-wait", BatchQueue::new(2, 2, &[&[1, 2]])),
+        (
+            "batch-queue-fill-wait",
+            BatchQueue::new(2, 2, &[&[(1, 0), (2, 0)]]),
+        ),
+        // The same with two keys: the filled batch is drained one key at
+        // a time, and the chained notify or the backlogged remainder must
+        // get the second key out.
+        (
+            "batch-queue-two-keys",
+            BatchQueue::new(2, 2, &[&[(1, 0), (2, 1)]]),
+        ),
     ];
     for (name, model) in configs {
         let stats = explore(&model, exhaustive)
@@ -111,8 +122,20 @@ fn serve_batch_queue_delivers_once_and_never_loses_a_wakeup() {
 
 #[test]
 fn serve_batch_queue_without_chained_notify_strands_the_remainder() {
-    let v = assert_buggy("batch-queue-buggy", BatchQueue::buggy(2, 1, &[&[1, 2]]));
+    let v = assert_buggy(
+        "batch-queue-buggy",
+        BatchQueue::buggy(2, 1, &[&[(1, 0), (2, 0)]]),
+    );
     assert!(v.message.contains("sleeps un-notified"), "{v}");
+}
+
+#[test]
+fn serve_batch_queue_draining_the_most_common_key_overtakes_the_oldest_job() {
+    let v = assert_buggy(
+        "batch-queue-most-common-key-buggy",
+        BatchQueue::most_common_key_buggy(1, 2, &[&[(1, 0), (2, 1), (3, 1)]]),
+    );
+    assert!(v.message.contains("overtook job 1"), "{v}");
 }
 
 /// The acceptance bar from the issue, stated as its own test: every
@@ -134,7 +157,11 @@ fn every_model_clears_the_thousand_schedule_bar() {
         ),
         (
             "batch-queue",
-            explore(&BatchQueue::new(2, 1, &[&[1, 2]]), Limits::default()).unwrap(),
+            explore(
+                &BatchQueue::new(2, 1, &[&[(1, 0), (2, 0)]]),
+                Limits::default(),
+            )
+            .unwrap(),
         ),
     ];
     for (name, stats) in counts {

@@ -79,6 +79,6 @@ pub use init::Init;
 pub use loss::{relative_error_per_row, MseLoss, SparseCrossEntropyLoss};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use params::{HasParams, NamedParams, ParamError};
-pub use sequential::{ForwardTrace, Sequential, TrainConfig, Workspace};
+pub use sequential::{ForwardTrace, PredictBuffers, Sequential, TrainConfig, Workspace};
 pub use snapshot::SnapshotError;
 pub use tensor::{Matrix, ShapeError};

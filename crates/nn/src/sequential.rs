@@ -88,6 +88,22 @@ impl ForwardTrace {
     }
 }
 
+/// Reusable activation buffers for [`Sequential::predict_into`]: the
+/// output of the layer just run and the ping-pong space the next one
+/// writes into. Shaped on first use.
+#[derive(Debug, Clone, Default)]
+pub struct PredictBuffers {
+    out: Matrix,
+    scratch: Matrix,
+}
+
+impl PredictBuffers {
+    /// Empty buffers; they take the batch shape on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
 /// Reusable scratch buffers for one training stream.
 ///
 /// Holds the forward trace, the flat per-tensor gradient list and the two
@@ -206,14 +222,30 @@ impl Sequential {
 
     /// Forward pass returning only the output.
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut h = x.clone();
-        let mut scratch = Matrix::zeros(0, 0);
-        for (layer, act) in self.layers.iter().zip(&self.activations) {
-            layer.forward_into(&h, &mut scratch);
-            act.forward_assign(&mut scratch);
-            std::mem::swap(&mut h, &mut scratch);
+        let mut buffers = PredictBuffers::new();
+        self.forward_buffered(x, &mut buffers);
+        buffers.out
+    }
+
+    /// Forward pass through `buffers` (allocation-free once warm): layer 0
+    /// reads `x`, every later layer the previous output, and the network
+    /// output ends in `buffers.out`.
+    fn forward_buffered<'a>(&self, x: &Matrix, buffers: &'a mut PredictBuffers) -> &'a Matrix {
+        let PredictBuffers { out, scratch } = buffers;
+        let mut stack = self.layers.iter().zip(&self.activations);
+        match stack.next() {
+            Some((layer, act)) => {
+                layer.forward_into(x, out);
+                act.forward_assign(out);
+            }
+            None => out.copy_from(x),
         }
-        h
+        for (layer, act) in stack {
+            layer.forward_into(out, scratch);
+            act.forward_assign(scratch);
+            std::mem::swap(out, scratch);
+        }
+        out
     }
 
     /// Forward pass that records everything the backward pass needs.
@@ -296,6 +328,19 @@ impl Sequential {
     /// rows are independent, so the result is identical to the serial path
     /// for any thread count.
     pub fn predict(&self, x: &Matrix) -> Vec<usize> {
+        let mut labels = Vec::with_capacity(x.rows());
+        self.predict_into(x, &mut PredictBuffers::new(), &mut labels);
+        labels
+    }
+
+    /// [`Sequential::predict`] into caller-owned buffers: `labels` is
+    /// cleared and refilled with one class per row of `x`, bitwise what
+    /// `predict` returns. Below the parallel row threshold (64 rows) the
+    /// pass runs serially through `buffers` and allocates nothing once
+    /// they have seen the batch shape; a serving worker keeps one set for
+    /// its lifetime.
+    pub fn predict_into(&self, x: &Matrix, buffers: &mut PredictBuffers, labels: &mut Vec<usize>) {
+        labels.clear();
         let rows = x.rows();
         // Size first: asking for the thread count queries the OS on every
         // call, which costs more than a batch-1 forward pass.
@@ -305,7 +350,9 @@ impl Sequential {
             rayon::current_num_threads()
         };
         if threads <= 1 {
-            return self.forward(x).argmax_rows();
+            let out = self.forward_buffered(x, buffers);
+            labels.extend((0..out.rows()).map(|r| out.argmax_row(r)));
+            return;
         }
         let chunk_rows = rows.div_ceil(threads).max(1);
         let cols = x.cols();
@@ -319,7 +366,7 @@ impl Sequential {
                 self.forward(&sub).argmax_rows()
             })
             .collect();
-        blocks.into_iter().flatten().collect()
+        labels.extend(blocks.into_iter().flatten());
     }
 
     /// Classification accuracy against `labels`.
@@ -576,6 +623,31 @@ mod tests {
             let x = Matrix::from_fn(rows, 7, |r, c| ((r * 37 + c * 11) % 23) as f32 / 11.0 - 1.0);
             let expected = m.forward(&x).argmax_rows();
             assert_eq!(pool.install(|| m.predict(&x)), expected, "{rows} rows");
+        }
+    }
+
+    /// One set of buffers reused across every batch size from 1 to 33
+    /// rows, shrinking and growing: the logits are `to_bits` the layer-by-
+    /// layer allocating reference and the labels are `predict`'s.
+    #[test]
+    fn predict_into_reused_buffers_is_bitwise_predict_for_1_to_33_rows() {
+        let m = Sequential::mlp(&[23, 17, 9, 6], Activation::Relu, 29);
+        let x = Matrix::from_fn(33, 23, |r, c| ((r * 41 + c * 13) % 31) as f32 / 7.0 - 2.0);
+        let mut buffers = PredictBuffers::new();
+        let mut labels = vec![usize::MAX; 40];
+        let sizes = (1..=33).rev().chain(1..=33).step_by(2);
+        for rows in sizes {
+            let sub = Matrix::from_vec(rows, 23, x.as_slice()[..rows * 23].to_vec()).unwrap();
+            let mut reference = sub.clone();
+            for (layer, act) in m.layers.iter().zip(&m.activations) {
+                reference = act.forward(&layer.forward(&reference));
+            }
+            let logits = m.forward_buffered(&sub, &mut buffers);
+            let bits = |a: &Matrix| a.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(logits), bits(&reference), "{rows} rows");
+            m.predict_into(&sub, &mut buffers, &mut labels);
+            assert_eq!(labels, m.predict(&sub), "{rows} rows");
+            assert_eq!(labels, reference.argmax_rows(), "{rows} rows");
         }
     }
 

@@ -6,7 +6,7 @@
 //! the workspace and optimizer, snapshots the allocation counter, runs more
 //! steps and asserts the counter did not move.
 
-use safeloc_nn::{Activation, Adam, Matrix, Sequential, Sgd, Workspace};
+use safeloc_nn::{Activation, Adam, Matrix, PredictBuffers, Sequential, Sgd, Workspace};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -104,6 +104,32 @@ fn autoencoder_step_is_allocation_free_after_warmup() {
         "warm autoencoder step allocated {} times",
         after - before
     );
+}
+
+/// A serving worker's pass: once its buffers have seen the largest batch,
+/// `predict_into` allocates nothing for that batch or any smaller one.
+#[test]
+fn predict_into_is_allocation_free_after_warmup() {
+    let model = Sequential::mlp(&[203, 128, 89, 62, 60], Activation::Relu, 7);
+    let (x, _) = paper_batch(&model, 32);
+    let (x5, _) = paper_batch(&model, 5);
+    let mut buffers = PredictBuffers::new();
+    let mut labels = Vec::new();
+    model.predict_into(&x, &mut buffers, &mut labels);
+
+    let before = allocations();
+    for _ in 0..5 {
+        model.predict_into(&x5, &mut buffers, &mut labels);
+        model.predict_into(&x, &mut buffers, &mut labels);
+    }
+    let after = allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "warm predict_into allocated {} times",
+        after - before
+    );
+    assert_eq!(labels, model.predict(&x));
 }
 
 /// The workspace path must compute exactly the same update as the

@@ -27,15 +27,13 @@ struct RouteHandles {
 /// |---|---|---|---|
 /// | `serve_requests_total` | counter | `building`, `device_class` | admitted requests per route |
 /// | `serve_model_version` | gauge | `building`, `device_class` | version the route's latest request pinned |
-/// | `serve_batch_size` | histogram | — | requests a worker took in one batch |
-/// | `serve_forward_rows` | histogram | — | rows of one forward pass: a batch runs one pass per pinned snapshot |
+/// | `serve_batch_size` | histogram | — | requests a worker took in one batch: one pinned snapshot, one forward pass |
 /// | `serve_queue_depth` | histogram | — | backlog left in the queue when a batch was sealed (0 on an idle service; excludes jobs already inside a batch) |
 /// | `serve_latency_us` | histogram | — | admission → reply |
 /// | `serve_pending_requests` | gauge | — | admitted − replied: queued *plus* executing |
 pub struct ServeMetrics {
     registry: Arc<Registry>,
     batch_size: Arc<Histogram>,
-    forward_rows: Arc<Histogram>,
     queue_depth: Arc<Histogram>,
     latency_us: Arc<Histogram>,
     pending: Arc<Gauge>,
@@ -47,14 +45,12 @@ impl ServeMetrics {
     /// route-independent series eagerly.
     pub fn new(registry: Arc<Registry>) -> Arc<Self> {
         let batch_size = registry.histogram("serve_batch_size", &[]);
-        let forward_rows = registry.histogram("serve_forward_rows", &[]);
         let queue_depth = registry.histogram("serve_queue_depth", &[]);
         let latency_us = registry.histogram("serve_latency_us", &[]);
         let pending = registry.gauge("serve_pending_requests", &[]);
         Arc::new(Self {
             registry,
             batch_size,
-            forward_rows,
             queue_depth,
             latency_us,
             pending,
@@ -82,12 +78,6 @@ impl ServeMetrics {
     pub fn on_batch(&self, batch_len: usize, backlog: usize) {
         self.batch_size.record(batch_len as u64);
         self.queue_depth.record(backlog as u64);
-    }
-
-    /// Records one forward pass of a batch: the rows of one
-    /// pinned-snapshot group.
-    pub fn on_forward(&self, rows: usize) {
-        self.forward_rows.record(rows as u64);
     }
 
     /// Records a completed request: admission→response latency, and one

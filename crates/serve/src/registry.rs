@@ -12,9 +12,11 @@
 //!   weights in place. A reader that resolved a model keeps serving that
 //!   exact snapshot until it resolves again.
 //! * **Readers never block publishers** (and vice versa) beyond a
-//!   pointer-sized critical section: the lock guards only the
-//!   `HashMap<key, Arc>` — cloning an `Arc` out or swapping one in —
-//!   never a weight copy or a forward pass.
+//!   pointer-sized critical section: the lock guards only the map of
+//!   `Arc`s — cloning an `Arc` out or swapping one in — never a weight
+//!   copy or a forward pass. The map is keyed building → device class, so
+//!   a lookup borrows the request's class name: resolving a request
+//!   allocates nothing.
 //! * **Versions are monotone per key.** Every publish bumps the key's
 //!   version; readers can therefore assert freshness and the hot-swap
 //!   tests can pin "in-flight requests finish on the old version,
@@ -141,12 +143,15 @@ struct RegistryFile {
     models: Vec<ServedModel>,
 }
 
+/// Published models by building, then device class.
+type Models = HashMap<usize, HashMap<String, Arc<ServedModel>>>;
+
 /// The registry: an atomically swappable map of published models.
 ///
 /// Cheaply shareable behind an [`Arc`]; all methods take `&self`.
 #[derive(Debug, Default)]
 pub struct ModelRegistry {
-    models: RwLock<HashMap<ModelKey, Arc<ServedModel>>>,
+    models: RwLock<Models>,
 }
 
 impl ModelRegistry {
@@ -156,37 +161,42 @@ impl ModelRegistry {
     }
 
     /// Read-locks the map, recovering from poison: every mutation is a
-    /// single `HashMap` insert that either happened or did not, so a
+    /// single insert or slot swap that either happened or did not, so a
     /// panicking publisher cannot leave the map torn and the serving
     /// path must not abort because an unrelated thread died.
-    fn read_models(&self) -> RwLockReadGuard<'_, HashMap<ModelKey, Arc<ServedModel>>> {
+    fn read_models(&self) -> RwLockReadGuard<'_, Models> {
         self.models.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Write-locks the map with the same poison recovery as
     /// [`Self::read_models`].
-    fn write_models(&self) -> RwLockWriteGuard<'_, HashMap<ModelKey, Arc<ServedModel>>> {
+    fn write_models(&self) -> RwLockWriteGuard<'_, Models> {
         self.models.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Publishes a network under `key`, atomically replacing any previous
     /// version; returns the new version number.
     ///
-    /// The critical section is one `HashMap` insert — in-flight batches
-    /// keep the `Arc` they already resolved and finish on the old
-    /// snapshot.
+    /// The critical section is one slot swap (or, for a new key, one
+    /// insert) — in-flight batches keep the `Arc` they already resolved
+    /// and finish on the old snapshot.
     pub fn publish(&self, key: ModelKey, network: Sequential, geometry: Option<Building>) -> u64 {
         let mut models = self.write_models();
-        let version = models.get(&key).map_or(1, |m| m.version + 1);
-        models.insert(
-            key.clone(),
-            Arc::new(ServedModel {
-                key,
-                version,
-                network,
-                geometry,
-            }),
-        );
+        let classes = models.entry(key.building).or_default();
+        let slot = classes.get_mut(key.device_class.as_str());
+        let version = slot.as_ref().map_or(1, |m| m.version + 1);
+        let model = Arc::new(ServedModel {
+            key,
+            version,
+            network,
+            geometry,
+        });
+        match slot {
+            Some(slot) => *slot = model,
+            None => {
+                classes.insert(model.key.device_class.clone(), model);
+            }
+        }
         version
     }
 
@@ -219,30 +229,37 @@ impl ModelRegistry {
 
     /// The current model under `key`, if any.
     pub fn get(&self, key: &ModelKey) -> Option<Arc<ServedModel>> {
-        self.read_models().get(key).cloned()
+        let models = self.read_models();
+        let classes = models.get(&key.building)?;
+        classes.get(key.device_class.as_str()).cloned()
     }
 
     /// Resolves a request's (building, device class) to a servable model:
     /// the class's own variant when published, else the building default —
-    /// the HetNN routing rule.
+    /// the HetNN routing rule. Allocates nothing.
     pub fn resolve(&self, building: usize, device_class: &str) -> Option<Arc<ServedModel>> {
         let models = self.read_models();
-        models
-            .get(&ModelKey::new(building, device_class))
-            .or_else(|| models.get(&ModelKey::default_for(building)))
+        let classes = models.get(&building)?;
+        classes
+            .get(device_class)
+            .or_else(|| classes.get(DEFAULT_CLASS))
             .cloned()
     }
 
     /// Every published key, sorted for stable iteration.
     pub fn keys(&self) -> Vec<ModelKey> {
-        let mut keys: Vec<ModelKey> = self.read_models().keys().cloned().collect();
+        let mut keys: Vec<ModelKey> = {
+            let models = self.read_models();
+            let published = models.values().flat_map(HashMap::values);
+            published.map(|m| m.key.clone()).collect()
+        };
         keys.sort_by(|a, b| (a.building, &a.device_class).cmp(&(b.building, &b.device_class)));
         keys
     }
 
     /// Number of published (building, device class) entries.
     pub fn len(&self) -> usize {
-        self.read_models().len()
+        self.read_models().values().map(HashMap::len).sum()
     }
 
     /// `true` if nothing has been published.
@@ -261,7 +278,8 @@ impl ModelRegistry {
         // snapshot even while publishers keep swapping entries.
         let models: Vec<ServedModel> = {
             let map = self.read_models();
-            let mut list: Vec<ServedModel> = map.values().map(|m| (**m).clone()).collect();
+            let published = map.values().flat_map(HashMap::values);
+            let mut list: Vec<ServedModel> = published.map(|m| (**m).clone()).collect();
             list.sort_by(|a, b| {
                 (a.key.building, &a.key.device_class).cmp(&(b.key.building, &b.key.device_class))
             });
@@ -291,7 +309,8 @@ impl ModelRegistry {
         {
             let mut models = registry.write_models();
             for model in file.models {
-                models.insert(model.key.clone(), Arc::new(model));
+                let classes = models.entry(model.key.building).or_default();
+                classes.insert(model.key.device_class.clone(), Arc::new(model));
             }
         }
         Ok(registry)

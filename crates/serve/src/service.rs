@@ -1,25 +1,33 @@
 //! The micro-batch scheduler: worker threads that drain the request
-//! queue in batches and run them through the rayon-parallel
-//! batch-inference hot path.
+//! queue in batches of one pinned snapshot and run each batch as one
+//! pass of the batch-inference hot path.
 //!
 //! # Batching semantics
 //!
-//! Batches fill from the **backlog**: a worker blocks while the queue is
-//! empty, and when requests are there it takes everything queued, up to
-//! [`ServeConfig::max_batch`], and runs it at once. Under a burst (more
-//! requests in flight than workers) the backlog that builds up while the
-//! workers are busy is tens of requests deep, so batches ride the
-//! blocked-kernel throughput of batch-32 inference with no timer
-//! involved. `max_batch` bounds what one worker takes, which bounds
-//! per-batch latency (no request waits behind more than `max_batch − 1`
-//! rows of someone else's forward pass) and leaves the rest of a deep
-//! backlog to the other workers.
+//! A batch is **one forward pass over one pinned snapshot**. A worker
+//! blocks while the queue is empty; when requests are there it takes the
+//! oldest queued request plus up to [`ServeConfig::max_batch`] − 1 later
+//! requests pinned to the same snapshot (building × device class ×
+//! version), in arrival order, and runs them at once. Every other request
+//! keeps its place. Under a burst (more requests in flight than workers)
+//! the backlog that builds up while the workers are busy is tens of
+//! requests deep, so batches ride the blocked-kernel throughput of
+//! multi-row inference with no timer involved, and the rest of a deep
+//! backlog goes to the other workers.
 //!
-//! Only a *short* batch waits: a worker that finds fewer than `max_batch`
-//! requests queued gives later ones [`FILL_WAIT`] (1.2 ms, fixed — not a
-//! knob) to arrive, and leaves at once when the push that fills the batch
-//! comes. A lone request on an idle service therefore still pays that
-//! wait, where it used to pay a configurable 2 ms batch deadline.
+//! `max_batch` bounds one pass, and taking the oldest request first bounds
+//! how far a request can be overtaken: one with `p` requests queued ahead
+//! of it is in one of the next `p + 1` batches, whatever their snapshots.
+//! A request shares a pass only with requests pinned to its own snapshot.
+//!
+//! Only a *short* queue at the start of a backlog waits: a worker that
+//! finds fewer than `max_batch` requests queued in total, when the last
+//! batch emptied the queue, gives later ones [`FILL_WAIT`] (1.2 ms,
+//! fixed — not a knob) to arrive, and leaves at once when the push that
+//! fills the queue comes. A lone request on an idle service therefore
+//! still pays that wait, where it used to pay a configurable 2 ms batch
+//! deadline. Once a batch leaves requests behind nobody waits until the
+//! queue empties: the snapshots a batch passed over go out at once.
 //!
 //! The wait has no measured benefit and is kept only because the
 //! end-to-end benchmark cannot read a service without it. A closed-loop
@@ -35,15 +43,22 @@
 //! on the higher figure is already wider than the bound. See ROADMAP and
 //! the PR 14 entry of CHANGES.md.
 //!
-//! Batches may mix buildings, device classes and model versions: the
-//! worker groups the drained requests by pinned snapshot and runs one
-//! forward pass per group (`serve_forward_rows` records each pass's
-//! rows). So a full batch is many short passes, not one of 32 rows: on
-//! the benchmark's `serve_surge` (one building, a default model and six
-//! per-phone variants) passes average 4.6 rows — 1 to 17, mostly 3 to 6
-//! — and 27.5 % of all rows sit in a 2- or 3-row remainder, which the
-//! matmul kernel runs as one block rather than row by row; on `serve_tcp`
-//! every pass is a single row.
+//! Why one snapshot per batch: a device-routed front splits traffic over
+//! many snapshots (the benchmark's `serve_surge` serves one building's
+//! default model and six per-phone variants). When a batch took all 32
+//! queued requests of every snapshot it ran one pass per snapshot, and
+//! those passes averaged 4.6 rows; a 1-row pass costs about twice as much
+//! per row as a pass of 12 or more, because a 4-row tile streams every
+//! weight matrix from L2 once. Draining by snapshot makes each batch the
+//! longest same-snapshot run of the backlog instead — 14.8 requests on
+//! average on `serve_surge`, where batches of all snapshots averaged 32 —
+//! and `serve_batch_size` is the size of each pass. On `serve_tcp` every
+//! batch is a single request.
+//!
+//! Each worker owns its pass's buffers — the input rows, the two
+//! ping-pong activation matrices of
+//! [`Sequential::predict_into`](safeloc_nn::Sequential::predict_into) and
+//! the labels — so a warm pass allocates nothing.
 //!
 //! # Why served results are bitwise offline results
 //!
@@ -67,10 +82,10 @@
 
 use crate::front::{AdmittedRequest, LocalizeRequest, LocalizeResponse, RequestFront, ServeError};
 use crate::metrics::ServeMetrics;
-use crate::queue::BatchQueue;
+use crate::queue::{BatchQueue, Keyed};
 use crate::registry::ModelRegistry;
 use safeloc_dataset::DeviceCatalog;
-use safeloc_nn::Matrix;
+use safeloc_nn::{Matrix, PredictBuffers};
 use safeloc_telemetry::Registry;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -276,47 +291,60 @@ impl Drop for Service {
     }
 }
 
-/// Worker: take the backlog (up to `max_batch`), execute grouped by
-/// pinned snapshot, reply, repeat until the queue is closed and drained.
-fn worker_loop(queue: &BatchQueue<Job>, max_batch: usize, metrics: &ServeMetrics) {
-    let mut batch = Vec::new();
-    while let Some(backlog) = queue.next_batch(max_batch, &mut batch) {
-        metrics.on_batch(batch.len(), backlog);
-        execute_batch(&mut batch, metrics);
+impl Keyed for Job {
+    /// Jobs share a batch when they pinned the same snapshot. Arc pointer
+    /// identity is exact: every publish makes a fresh Arc, and a queued
+    /// job keeps its snapshot alive, so no later one can reuse the address.
+    fn same_key(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.admitted.model, &other.admitted.model)
     }
 }
 
-/// Runs one assembled micro-batch: group by pinned snapshot, one forward
-/// pass per group, reply per request.
-fn execute_batch(batch: &mut Vec<Job>, metrics: &ServeMetrics) {
-    while !batch.is_empty() {
-        // Peel off the largest group sharing the first job's snapshot.
-        // Arc pointer identity is exact: every publish makes a fresh Arc.
-        let model = Arc::clone(&batch[0].admitted.model);
-        let mut group = Vec::with_capacity(batch.len());
-        let mut rest = Vec::new();
-        for job in batch.drain(..) {
-            if Arc::ptr_eq(&job.admitted.model, &model) {
-                group.push(job);
-            } else {
-                rest.push(job);
-            }
-        }
-        *batch = rest;
+/// Worker: take the oldest request and up to `max_batch − 1` more pinned
+/// to its snapshot, run them as one forward pass, reply, repeat until the
+/// queue is closed and drained.
+fn worker_loop(queue: &BatchQueue<Job>, max_batch: usize, metrics: &ServeMetrics) {
+    let mut batch = Vec::new();
+    let mut pass = Pass::default();
+    while let Some(backlog) = queue.next_batch(max_batch, &mut batch) {
+        metrics.on_batch(batch.len(), backlog);
+        pass.execute(&mut batch, metrics);
+    }
+}
 
-        let cols = model.network.in_dim();
-        let mut rows = Vec::with_capacity(group.len() * cols);
-        for job in &group {
-            rows.extend_from_slice(&job.admitted.features);
+/// What a worker keeps from one batch to the next, so a warm pass
+/// allocates nothing: the batch's input rows, the forward pass's
+/// activation buffers and its labels.
+#[derive(Default)]
+struct Pass {
+    rows: Matrix,
+    buffers: PredictBuffers,
+    labels: Vec<usize>,
+}
+
+impl Pass {
+    /// Runs one batch — every job pinned to one snapshot — as one forward
+    /// pass and replies to each job, leaving `batch` empty.
+    fn execute(&mut self, batch: &mut Vec<Job>, metrics: &ServeMetrics) {
+        let Some(first) = batch.first() else {
+            return;
+        };
+        let model = Arc::clone(&first.admitted.model);
+        debug_assert!(
+            batch
+                .iter()
+                .all(|job| Arc::ptr_eq(&job.admitted.model, &model)),
+            "a batch mixes snapshots"
+        );
+        // Admission fixed every row to the pinned model's width.
+        self.rows.ensure_shape(batch.len(), model.network.in_dim());
+        for (r, job) in batch.iter().enumerate() {
+            self.rows.row_mut(r).copy_from_slice(&job.admitted.features);
         }
-        // panic-ok: infallible by construction — admit() rejected any row
-        // whose width differs from the pinned model's in_dim, and rows is
-        // exactly group.len() such rows.
-        let x = Matrix::from_vec(group.len(), cols, rows)
-            .expect("admission fixed every row to the model width");
-        metrics.on_forward(group.len());
-        let labels = model.predict(&x);
-        for (job, label) in group.into_iter().zip(labels) {
+        model
+            .network
+            .predict_into(&self.rows, &mut self.buffers, &mut self.labels);
+        for (job, &label) in batch.drain(..).zip(&self.labels) {
             metrics.on_reply(job.submitted);
             // A dropped ticket (client gave up) is not an error.
             let _ = job.reply.send(LocalizeResponse {
@@ -401,11 +429,10 @@ mod tests {
             let found = snap.histograms.iter().find(|h| h.name == name);
             found.map(|h| (h.count, h.sum))
         };
-        assert_eq!(count_and_sum("serve_batch_size"), Some((20, 20.0)));
         assert_eq!(
-            count_and_sum("serve_forward_rows"),
+            count_and_sum("serve_batch_size"),
             Some((20, 20.0)),
-            "each batch of 1 ran one 1-row pass"
+            "each request ran alone, as one 1-row pass"
         );
         assert_eq!(
             count_and_sum("serve_queue_depth"),
@@ -414,29 +441,97 @@ mod tests {
         );
     }
 
+    /// A burst from a default-routed and a variant-routed device with a
+    /// hot swap of the default half-way, drained the way a worker drains
+    /// it: every batch is one snapshot, its oldest queued job leads it, a
+    /// job with `p` jobs queued ahead of it leaves within `p + 1` drains,
+    /// and each drain is one `serve_batch_size` sample.
     #[test]
-    fn each_forward_pass_records_its_rows() {
-        let service = service(32, 1);
-        let admit = || {
-            let request = LocalizeRequest::new(1, "x", vec![-40.0; 4]);
-            Job::new(service.front.admit(&request).unwrap()).0
-        };
-        let (v1a, v1b) = (admit(), admit());
-        service.registry().publish(
-            ModelKey::default_for(1),
-            Sequential::mlp(&[4, 8, 3], Activation::Relu, 8),
+    fn a_mixed_burst_with_a_hot_swap_drains_one_snapshot_per_batch_oldest_first() {
+        let service = service(4, 1);
+        let registry = service.registry();
+        registry.publish(
+            ModelKey::new(1, "HTC U11"),
+            Sequential::mlp(&[4, 8, 3], Activation::Relu, 9),
             None,
         );
-        // Two snapshots interleaved: one pass of two rows, one of three.
-        let mut batch = vec![v1a, admit(), v1b, admit(), admit()];
-        execute_batch(&mut batch, &service.metrics);
+        let queue = BatchQueue::new(Duration::ZERO);
+        // Each queued job's (order of arrival, snapshot version, class).
+        let mut queued = Vec::new();
+        let mut tickets = Vec::new();
+        for i in 0..24 {
+            if i == 12 {
+                registry.publish(
+                    ModelKey::default_for(1),
+                    Sequential::mlp(&[4, 8, 3], Activation::Relu, 8),
+                    None,
+                );
+            }
+            let device = if i % 3 == 0 { "HTC U11" } else { "Pixel 9" };
+            let request = LocalizeRequest::new(1, device, vec![-40.0 - i as f32; 4]);
+            let (job, ticket) = Job::new(service.front.admit(&request).unwrap());
+            queued.push((
+                i,
+                job.admitted.model.version,
+                job.admitted.device_class.clone(),
+            ));
+            assert!(queue.push(job).is_ok());
+            tickets.push(ticket);
+        }
+        let mut pass = Pass::default();
+        let mut batch = Vec::new();
+        let mut drains = 0;
+        let mut deadline = [usize::MAX; 24];
+        while !queued.is_empty() {
+            for (pos, &(i, ..)) in queued.iter().enumerate() {
+                deadline[i] = deadline[i].min(drains + pos + 1);
+            }
+            let backlog = queue.next_batch(4, &mut batch).unwrap();
+            drains += 1;
+            let head = &batch[0].admitted;
+            let snapshot = (head.model.version, head.device_class.clone());
+            assert!(batch.len() <= 4);
+            assert!(batch
+                .iter()
+                .all(|job| Arc::ptr_eq(&job.admitted.model, &head.model)));
+            let leaving: Vec<usize> = queued
+                .iter()
+                .filter(|(_, version, class)| (*version, class.clone()) == snapshot)
+                .take(batch.len())
+                .map(|&(i, ..)| i)
+                .collect();
+            assert_eq!(leaving[0], queued[0].0, "the oldest job leads the batch");
+            for &i in &leaving {
+                assert!(drains <= deadline[i], "job {i} overtaken");
+            }
+            queued.retain(|(i, ..)| !leaving.contains(i));
+            assert_eq!(backlog, queued.len());
+            service.metrics.on_batch(batch.len(), backlog);
+            pass.execute(&mut batch, &service.metrics);
+        }
+        // Three snapshots (the variant, the default before and after the
+        // swap) of 8 jobs each, at most 4 a batch: at least 6 passes.
         let snap = service.telemetry().snapshot();
-        let rows = snap
+        let sizes = snap
             .histograms
             .iter()
-            .find(|h| h.name == "serve_forward_rows")
-            .expect("registered at start");
-        assert_eq!((rows.count, rows.sum), (2, 5.0));
+            .find(|h| h.name == "serve_batch_size");
+        let sizes = sizes.expect("registered at start");
+        assert_eq!((sizes.count, sizes.sum), (drains as u64, 24.0));
+        assert!(drains >= 6, "{drains} drains");
+        for (i, ticket) in tickets.into_iter().enumerate() {
+            let response = ticket.wait().unwrap();
+            let expected = if i % 3 == 0 {
+                (1, "HTC U11")
+            } else {
+                (1 + u64::from(i >= 12), DEFAULT_CLASS)
+            };
+            assert_eq!(
+                (response.model_version, response.device_class.as_str()),
+                expected,
+                "job {i}"
+            );
+        }
     }
 
     #[test]

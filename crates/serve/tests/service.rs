@@ -265,3 +265,106 @@ fn an_idle_default_service_answers_sequential_requests_well_inside_the_old_deadl
     );
     service.shutdown();
 }
+
+/// A burst from a default-routed and a variant-routed phone with a hot
+/// swap of the default half-way, through one worker: each request is
+/// answered on the snapshot it pinned, bitwise against offline `predict`
+/// there, and `serve_batch_size` shows no batch mixing snapshots — its
+/// samples sum to the burst, and there are at least as many as batches of
+/// `max_batch` per snapshot need, fewer than a drain across snapshots
+/// could get away with. The oldest-first overtaking bound is pinned where
+/// the drain order is visible: `queue.rs`'s proptest and
+/// `service::tests::a_mixed_burst_with_a_hot_swap_drains_one_snapshot_per_batch_oldest_first`.
+#[test]
+fn a_mixed_device_burst_with_a_mid_burst_hot_swap_runs_one_snapshot_per_batch() {
+    let data = tiny_data(51);
+    let dims = [data.building.num_aps(), 16, data.building.num_rps()];
+    let (v1, v2, variant) = (
+        Sequential::mlp(&dims, Activation::Relu, 300),
+        Sequential::mlp(&dims, Activation::Relu, 301),
+        Sequential::mlp(&dims, Activation::Relu, 302),
+    );
+    let registry = Arc::new(ModelRegistry::new());
+    let key = ModelKey::default_for(data.building.id);
+    let variant_device = data.devices[1].name.clone();
+    registry.publish(key.clone(), v1.clone(), None);
+    registry.publish(
+        ModelKey::new(data.building.id, &variant_device),
+        variant.clone(),
+        None,
+    );
+    let telemetry = Arc::new(safeloc_telemetry::Registry::new());
+    let max_batch = 8;
+    let service = Service::start_with_telemetry(
+        Arc::clone(&registry),
+        DeviceCatalog::new(data.devices.clone()),
+        ServeConfig {
+            max_batch,
+            workers: 1,
+        },
+        Arc::clone(&telemetry),
+    );
+
+    // Every third request from the variant's phone; the default is
+    // swapped after the first half of the burst.
+    let pool = request_pool(&data);
+    let burst: Vec<LocalizeRequest> = pool
+        .iter()
+        .take(30)
+        .enumerate()
+        .map(|(i, r)| {
+            let device = if i % 3 == 0 {
+                variant_device.as_str()
+            } else {
+                "Pixel 9"
+            };
+            LocalizeRequest::new(r.building, device, r.rss_dbm.clone())
+        })
+        .collect();
+    let mut tickets = Vec::new();
+    for (i, request) in burst.iter().enumerate() {
+        if i == 15 {
+            registry.publish(key.clone(), v2.clone(), None);
+        }
+        tickets.push(service.submit(request).expect("admitted"));
+    }
+
+    let mut per_snapshot = [0u64; 3];
+    for (i, ticket) in tickets.into_iter().enumerate() {
+        let response = ticket.wait().expect("served");
+        let (snapshot, model, version, class) = match (i % 3, i < 15) {
+            (0, _) => (0, &variant, 1, variant_device.as_str()),
+            (_, true) => (1, &v1, 1, DEFAULT_CLASS),
+            (_, false) => (2, &v2, 2, DEFAULT_CLASS),
+        };
+        per_snapshot[snapshot] += 1;
+        let offline = offline_predict(model, std::slice::from_ref(&burst[i]));
+        assert_eq!(
+            (
+                response.label,
+                response.model_version,
+                response.device_class.as_str()
+            ),
+            (offline[0], version, class),
+            "request {i}"
+        );
+    }
+    service.shutdown();
+
+    let snap = telemetry.snapshot();
+    let sizes = snap
+        .histograms
+        .iter()
+        .find(|h| h.name == "serve_batch_size")
+        .expect("registered at start");
+    let fewest: u64 = per_snapshot
+        .iter()
+        .map(|n| n.div_ceil(max_batch as u64))
+        .sum();
+    assert_eq!(sizes.sum, burst.len() as f64);
+    assert!(
+        sizes.count >= fewest,
+        "{} batches, but the three snapshots need at least {fewest}",
+        sizes.count
+    );
+}

@@ -46,6 +46,7 @@
 use crate::conn::FrameConn;
 use crate::fault::FaultProfile;
 use crate::frame::{DeltaUpdateFrame, Frame, UpdateFrame, WireError};
+use crate::tcp::is_per_connection;
 use safeloc_dataset::FingerprintSet;
 use safeloc_fl::{
     Availability, Client, ClientUpdate, DefensePipeline, DeltaRepr, Framework, LocalTrainConfig,
@@ -109,10 +110,12 @@ impl RemoteFleet {
     }
 
     /// Accepts joins until every slot is filled or `timeout` elapses.
-    /// A connection that fails its handshake or join is discarded; the
-    /// slot stays open for a retry. The handshake and the `Join` are read
-    /// under the time left, so a peer that connects and stays silent
-    /// cannot hold setup past `timeout`.
+    /// A connection that fails its handshake or join, or fails before it
+    /// is accepted (aborted, reset, interrupted — counted in
+    /// `wire_errors_total`), is discarded; the slot stays open for a
+    /// retry. The handshake and the `Join` are read under the time left,
+    /// so a peer that connects and stays silent cannot hold setup past
+    /// `timeout`.
     ///
     /// # Errors
     ///
@@ -154,6 +157,14 @@ impl RemoteFleet {
                         return Err(WireError::Timeout);
                     }
                     std::thread::sleep(Duration::from_millis(5));
+                }
+                // One client's join failed, not the listener: count it and
+                // keep waiting for the others until the deadline.
+                Err(e) if is_per_connection(e.kind()) => {
+                    crate::metrics::wire_metrics().on_error(&WireError::Io(e.to_string()));
+                    if Instant::now() >= deadline {
+                        return Err(WireError::Timeout);
+                    }
                 }
                 Err(e) => return Err(WireError::Io(e.to_string())),
             }

@@ -17,13 +17,17 @@
 //!
 //! Malformed frames never panic the server: the per-connection thread
 //! answers with a typed [`Frame::Error`] (best effort) and closes that
-//! connection only. Admission errors (`ServeError`) keep the connection
+//! connection only. Likewise a connection that fails before it is
+//! accepted (aborted, reset, or an interrupted `accept`) is counted in
+//! `wire_errors_total` and the listener keeps accepting. Admission errors (`ServeError`) keep the connection
 //! open — a phone that asked for an unknown building can retry with a
 //! valid request.
 
 use crate::conn::FrameConn;
 use crate::frame::{Frame, WireError, ERR_MALFORMED, ERR_PROTOCOL, ERR_SERVE};
+use crate::metrics::wire_metrics;
 use safeloc_serve::{LocalizeRequest, LocalizeResponse, Service};
+use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -67,6 +71,11 @@ impl WireServer {
                         let service = Arc::clone(&service);
                         std::thread::spawn(move || serve_connection(&service, stream));
                     }
+                    // One connection failed, not the listener: count it and
+                    // keep accepting.
+                    Err(e) if is_per_connection(e.kind()) => {
+                        wire_metrics().on_error(&WireError::Io(e.to_string()));
+                    }
                     Err(_) => break,
                 }
             }
@@ -105,6 +114,17 @@ impl Drop for WireServer {
     fn drop(&mut self) {
         self.shutdown();
     }
+}
+
+/// `true` for an accept error that ends one incoming connection and leaves
+/// the listener working: the peer aborted or reset the connection before
+/// it was accepted, or a signal interrupted the call. An accept loop
+/// retries these; anything else is the listener's own failure.
+pub(crate) fn is_per_connection(kind: ErrorKind) -> bool {
+    matches!(
+        kind,
+        ErrorKind::ConnectionAborted | ErrorKind::ConnectionReset | ErrorKind::Interrupted
+    )
 }
 
 /// One connection's lifetime: handshake, then a request/response loop
@@ -261,5 +281,50 @@ impl WireClient {
     pub fn bye(mut self) {
         let _ = self.conn.send(&Frame::Bye);
         self.conn.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use safeloc_dataset::DeviceCatalog;
+    use safeloc_serve::{ModelRegistry, ServeConfig};
+    use std::time::Duration;
+
+    #[test]
+    fn only_errors_of_one_connection_are_retried() {
+        for kind in [
+            ErrorKind::ConnectionAborted,
+            ErrorKind::ConnectionReset,
+            ErrorKind::Interrupted,
+        ] {
+            assert!(is_per_connection(kind), "{kind:?}");
+        }
+        for kind in [
+            ErrorKind::InvalidInput,
+            ErrorKind::PermissionDenied,
+            ErrorKind::AddrNotAvailable,
+            ErrorKind::OutOfMemory,
+            ErrorKind::Other,
+        ] {
+            assert!(!is_per_connection(kind), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn shutdown_still_ends_the_accept_loop() {
+        let service = Arc::new(Service::start(
+            Arc::new(ModelRegistry::new()),
+            DeviceCatalog::paper(),
+            ServeConfig::default(),
+        ));
+        let mut server = WireServer::serve(Arc::clone(&service)).unwrap();
+        let (done, joined) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            server.shutdown();
+            let _ = done.send(server.accept_handle.is_none());
+        });
+        assert_eq!(joined.recv_timeout(Duration::from_secs(10)), Ok(true));
+        service.shutdown();
     }
 }

@@ -3,7 +3,7 @@
 //! actual poison.
 //!
 //! ```text
-//! cargo run -p safeloc-bench --release --example heterogeneous_fleet
+//! cargo run --release --example heterogeneous_fleet
 //! ```
 
 use rand::rngs::StdRng;

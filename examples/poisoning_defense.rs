@@ -10,7 +10,7 @@
 //! then attribute rejections to the stage that made them.
 //!
 //! ```text
-//! cargo run -p safeloc-bench --release --example poisoning_defense
+//! cargo run --release --example poisoning_defense
 //! ```
 
 use safeloc::{SafeLoc, SafeLocConfig};

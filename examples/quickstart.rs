@@ -3,7 +3,7 @@
 //! and read the round-by-round defense telemetry.
 //!
 //! ```text
-//! cargo run -p safeloc-bench --release --example quickstart
+//! cargo run --release --example quickstart
 //! ```
 
 use safeloc::{SafeLoc, SafeLocConfig};

@@ -4,7 +4,7 @@
 //! over 50 000 synthetic clients shipping top-k compressed deltas.
 //!
 //! ```text
-//! cargo run -p safeloc-bench --release --example scalability
+//! cargo run --release --example scalability
 //! ```
 
 use safeloc::{SafeLoc, SafeLocConfig};
