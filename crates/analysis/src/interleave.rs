@@ -219,11 +219,6 @@ impl VMutex {
         assert_eq!(self.holder, Some(tid), "released a lock it did not hold");
         self.holder = None;
     }
-
-    /// Current holder, if any.
-    pub fn holder(&self) -> Option<usize> {
-        self.holder
-    }
 }
 
 /// A virtual `RwLock`: many readers or one writer.

@@ -1,16 +1,17 @@
-//! `dead-pub`: a free `pub fn` nothing calls.
+//! `dead-pub`: a `pub fn` nothing calls.
 //!
 //! The one cross-file rule. rustc's `dead_code` stops at `pub`, so a
 //! library function whose last caller was deleted stays exported,
 //! documented and unit-tested forever. The linter sees the whole repo
 //! and can say so — within what a lexical engine can claim honestly:
 //!
-//! * **Candidates** are *free* functions spelled `pub fn` (with
+//! * **Candidates** are functions spelled `pub fn` (with
 //!   `const`/`async`/`unsafe` in between) in non-test code under
-//!   `crates/*/src`: every enclosing brace block is a `mod`. Methods,
-//!   trait items, types and consts are out of scope — telling
-//!   `x.len()` on one type from `y.len()` on another needs type
-//!   information.
+//!   `crates/*/src` whose enclosing brace blocks are `mod`s, except
+//!   perhaps the innermost, which may be an inherent `impl X { … }`:
+//!   free functions and inherent methods. Trait items and trait-impl
+//!   methods (`impl T for X`, whose callers go through the trait),
+//!   fields, variants, types and consts are out of scope.
 //! * **A use** is any other occurrence of the identifier as a code token
 //!   anywhere in the repo's Rust sources. Comments and string literals
 //!   are already blanked; the token after `fn` is a definition; a
@@ -19,10 +20,10 @@
 //!   own unit tests call has no caller.
 //!
 //! Name-based matching errs toward silence: an unrelated identifier of
-//! the same name hides a dead function, never the reverse. A finding is
-//! therefore always real, and is fixed by deleting the function, giving
-//! it its caller, or stating the reason it is exported with
-//! `// pub-ok: <reason>`.
+//! the same name — `y.len()` on another type, a field, a trait method —
+//! hides a dead method, never the reverse. A finding is therefore always
+//! real, and is fixed by deleting the function, giving it its caller, or
+//! stating the reason it is exported with `// pub-ok: <reason>`.
 
 use super::rules::{justified, Finding};
 use super::source::SourceFile;
@@ -37,7 +38,7 @@ pub fn dead_pub(defs: &[SourceFile], others: &[SourceFile]) -> Vec<Finding> {
     let elsewhere: Vec<Scan<'_>> = others.iter().map(scan).collect();
     let mut findings = Vec::new();
     for (file, own) in defs.iter().zip(&scanned) {
-        for &(name, line0) in &own.free_pub_fns {
+        for &(name, line0) in &own.pub_fns {
             // Another file's unit tests are a use; the defining file's
             // are not.
             let used = elsewhere
@@ -54,7 +55,7 @@ pub fn dead_pub(defs: &[SourceFile], others: &[SourceFile]) -> Vec<Finding> {
                 file,
                 line0,
                 format!(
-                    "free `pub fn {name}` has no caller outside its own file's tests \
+                    "`pub fn {name}` has no caller outside its own file's tests \
                      (re-exports, comments and strings do not count): delete it, give it \
                      its caller, or justify the export with `pub-ok:`"
                 ),
@@ -64,15 +65,25 @@ pub fn dead_pub(defs: &[SourceFile], others: &[SourceFile]) -> Vec<Finding> {
     findings
 }
 
-/// What one file contributes: the free `pub fn`s it defines and the
+/// What one file contributes: the candidate `pub fn`s it defines and the
 /// identifiers it uses, split by whether the use sits in test code.
 struct Scan<'a> {
     /// `(name, 0-based line)` of each candidate definition.
-    free_pub_fns: Vec<(&'a str, usize)>,
+    pub_fns: Vec<(&'a str, usize)>,
     /// Identifiers used in non-test code.
     uses: BTreeSet<&'a str>,
     /// Identifiers used under `#[cfg(test)]` / `#[test]`.
     test_uses: BTreeSet<&'a str>,
+}
+
+/// What an open brace opened, as far as candidates care.
+#[derive(Clone, Copy, PartialEq)]
+enum Block {
+    Mod,
+    /// `impl X { … }`, not `impl T for X { … }`.
+    InherentImpl,
+    /// Anything else: a function body, a trait, a trait impl, a type.
+    Other,
 }
 
 #[derive(PartialEq)]
@@ -84,12 +95,12 @@ enum Tok<'a> {
 fn scan(file: &SourceFile) -> Scan<'_> {
     let tokens = tokenize(file);
     let mut out = Scan {
-        free_pub_fns: Vec::new(),
+        pub_fns: Vec::new(),
         uses: BTreeSet::new(),
         test_uses: BTreeSet::new(),
     };
-    // One entry per open brace: is the block a `mod`?
-    let mut blocks: Vec<bool> = Vec::new();
+    // One entry per open brace.
+    let mut blocks: Vec<Block> = Vec::new();
     // Where the current item header started (after the last `;`/`{`/`}`).
     let mut header = 0;
     let mut i = 0;
@@ -97,10 +108,7 @@ fn scan(file: &SourceFile) -> Scan<'_> {
         let (tok, line0) = &tokens[i];
         match tok {
             Tok::Punct('{') => {
-                let is_mod = tokens[header..i]
-                    .iter()
-                    .any(|(t, _)| *t == Tok::Ident("mod"));
-                blocks.push(is_mod);
+                blocks.push(block_kind(&tokens[header..i]));
                 header = i + 1;
             }
             Tok::Punct('}') => {
@@ -117,9 +125,11 @@ fn scan(file: &SourceFile) -> Scan<'_> {
             }
             Tok::Ident("fn") => {
                 if let Some((Tok::Ident(name), def_line)) = tokens.get(i + 1) {
-                    let free = blocks.iter().all(|&is_mod| is_mod);
-                    if free && !file.in_test[*def_line] && is_plain_pub(&tokens[header..i]) {
-                        out.free_pub_fns.push((name, *def_line));
+                    let (innermost, outer) = blocks.split_last().unwrap_or((&Block::Mod, &[]));
+                    let candidate = matches!(innermost, Block::Mod | Block::InherentImpl)
+                        && outer.iter().all(|&b| b == Block::Mod);
+                    if candidate && !file.in_test[*def_line] && is_plain_pub(&tokens[header..i]) {
+                        out.pub_fns.push((name, *def_line));
                     }
                     // The defined name is not a use of itself.
                     i += 1;
@@ -138,6 +148,21 @@ fn scan(file: &SourceFile) -> Scan<'_> {
         i += 1;
     }
     out
+}
+
+/// The kind of block whose header (the tokens since the previous item
+/// boundary) is `header`. A `for` anywhere in an `impl` header — the
+/// trait's `for`, or a rare `for<'a>` bound — makes it a trait impl, so
+/// a misread can only drop a candidate.
+fn block_kind(header: &[(Tok<'_>, usize)]) -> Block {
+    let has = |word: &str| header.iter().any(|(t, _)| *t == Tok::Ident(word));
+    if has("mod") {
+        Block::Mod
+    } else if has("impl") && !has("fn") && !has("for") {
+        Block::InherentImpl
+    } else {
+        Block::Other
+    }
 }
 
 /// `pub fn`, `pub const fn`, `pub async unsafe fn`, … — but not

@@ -116,14 +116,15 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "dead-pub",
-        scope: "free `pub fn` in non-test code under crates/*/src",
+        scope: "free `pub fn` and inherent-impl `pub fn` in non-test code under crates/*/src",
         rationale: "rustc's dead_code stops at `pub`: a library function whose last caller was \
-                    deleted stays exported, documented and unit-tested. A free `pub fn` whose \
-                    name occurs nowhere else in the repo's Rust sources — comments, strings, \
-                    `pub use` re-exports and the defining file's own #[cfg(test)] code do not \
-                    count as uses — is a finding: delete it or give it its caller. Methods, \
-                    types and consts are out of scope (matching them by name needs type \
-                    information a lexical engine does not have).",
+                    deleted stays exported, documented and unit-tested. A free or inherent \
+                    `pub fn` whose name occurs nowhere else in the repo's Rust sources — \
+                    comments, strings, `pub use` re-exports and the defining file's own \
+                    #[cfg(test)] code do not count as uses — is a finding: delete it or give \
+                    it its caller. Any same-named token counts as a use, so a collision can \
+                    hide a dead method but never invent one. Trait-impl methods, fields, \
+                    variants, types and consts are out of scope.",
         justify: Some("pub-ok:"),
     },
 ];

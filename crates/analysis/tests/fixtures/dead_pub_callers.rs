@@ -1,4 +1,5 @@
-//! Fixture: the only other source `dead_pub_defs.rs` is linted against.
+//! Fixture: the only other source `dead_pub_defs.rs` and
+//! `dead_pub_methods.rs` are linted against.
 #![allow(dead_code)]
 
 pub use defs::{
@@ -17,5 +18,6 @@ mod tests {
     #[test]
     fn calls_it() {
         super::defs::fixture_tested_elsewhere();
+        super::methods::Holder.fixture_method_tested_elsewhere();
     }
 }

@@ -26,13 +26,6 @@ pub fn fixture_justified() {}
 /// Not `pub`: rustc's own dead-code lint has it.
 pub(crate) fn fixture_crate_private() {}
 
-pub struct Holder;
-
-impl Holder {
-    /// Methods are out of scope.
-    pub fn fixture_method(&self) {}
-}
-
 pub mod nested {
     /// Free inside an inline module: still a candidate, and a finding.
     pub const fn fixture_nested_orphan() {}

@@ -147,27 +147,27 @@ fn atomics_fixture_flags_unjustified_orderings_only() {
     assert_eq!(counts.get("atomic-seqcst-audit"), Some(&1), "{findings:#?}");
 }
 
-#[test]
-fn dead_pub_fixture_flags_uncalled_free_pub_fns_only() {
-    let defs = SourceFile::parse(
-        "crates/bench/src/fixture.rs",
-        "bench",
-        &fixture("dead_pub_defs.rs"),
-    );
+/// The function names `dead-pub` flags in `defs`, linted against the
+/// callers fixture.
+fn dead_pub_flagged(defs: &str) -> Vec<String> {
+    let defs = SourceFile::parse("crates/bench/src/fixture.rs", "bench", &fixture(defs));
     let callers = SourceFile::parse("tests/fixture.rs", "", &fixture("dead_pub_callers.rs"));
     let findings = dead_pub(&[defs], &[callers]);
     assert!(findings.iter().all(|f| f.rule == "dead-pub"));
-    let flagged: Vec<&str> = findings
+    findings
         .iter()
         .map(|f| {
             let name = f.excerpt.split("fn ").nth(1).expect("a fn definition line");
-            &name[..name.find('(').expect("a parameter list")]
+            name[..name.find('(').expect("a parameter list")].to_string()
         })
-        .collect();
-    // Silent: called, tested from another file, justified, pub(crate),
-    // a method.
+        .collect()
+}
+
+#[test]
+fn dead_pub_fixture_flags_uncalled_free_pub_fns_only() {
+    // Silent: called, tested from another file, justified, pub(crate).
     assert_eq!(
-        flagged,
+        dead_pub_flagged("dead_pub_defs.rs"),
         [
             "fixture_orphan",
             "fixture_reexported_only",
@@ -175,7 +175,18 @@ fn dead_pub_fixture_flags_uncalled_free_pub_fns_only() {
             "fixture_mentioned_in_prose",
             "fixture_nested_orphan",
         ],
-        "{findings:#?}"
+    );
+}
+
+/// Inherent methods are candidates like free functions; trait-impl
+/// methods never are.
+#[test]
+fn dead_pub_fixture_flags_uncalled_inherent_methods_only() {
+    // Silent: called in the file, tested from another file, private, and
+    // both trait-impl methods although nothing names them.
+    assert_eq!(
+        dead_pub_flagged("dead_pub_methods.rs"),
+        ["fixture_dead_method", "fixture_method_tested_here_only"],
     );
 }
 

@@ -57,27 +57,6 @@ impl Onlad {
             cfg,
         }
     }
-
-    /// The calibrated detection threshold.
-    pub fn threshold(&self) -> f32 {
-        self.threshold
-    }
-
-    /// The on-device detector (for latency benches).
-    pub fn detector(&self) -> &Sequential {
-        &self.detector
-    }
-
-    /// The localization model (for latency benches).
-    pub fn localizer(&self) -> &Sequential {
-        &self.localizer
-    }
-
-    /// Indices of the rows the on-device detector keeps (used by tests to
-    /// probe detection quality directly).
-    pub fn keep_indices(&self, x: &Matrix) -> Vec<usize> {
-        keep_indices(&self.detector, self.threshold, x)
-    }
 }
 
 /// Indices of the rows the on-device detector keeps (RCE within the
@@ -139,11 +118,10 @@ impl Framework for Onlad {
                     localizer,
                     gm_params,
                     localizer.out_dim(),
-                    local,
                     round_salt,
                     |x| {
                         let keep = keep_indices(detector, threshold, &x);
-                        (safeloc_nn::gather_rows(&x, &keep), Some(keep))
+                        (!keep.is_empty()).then(|| safeloc_nn::gather_rows(&x, &keep))
                     },
                     |set, seed| train_sequential_lm(localizer, set, local, seed),
                 )
@@ -200,8 +178,8 @@ mod tests {
     fn pretrain_calibrates_threshold() {
         let data = dataset();
         let f = pretrained(&data);
-        assert!(f.threshold().is_finite());
-        assert!(f.threshold() > 0.0);
+        assert!(f.threshold.is_finite());
+        assert!(f.threshold > 0.0);
         assert!(f.accuracy(&data.server_train.x, &data.server_train.labels) > 0.7);
     }
 
@@ -209,13 +187,13 @@ mod tests {
     fn detector_drops_perturbed_samples() {
         let data = dataset();
         let f = pretrained(&data);
-        let clean_keep = f.keep_indices(&data.server_train.x);
+        let clean_keep = keep_indices(&f.detector, f.threshold, &data.server_train.x);
         assert!(
             clean_keep.len() as f32 >= data.server_train.len() as f32 * 0.8,
             "detector drops too much clean data"
         );
         let poisoned = data.server_train.x.map(|v| (v + 0.5).min(1.0));
-        let poisoned_keep = f.keep_indices(&poisoned);
+        let poisoned_keep = keep_indices(&f.detector, f.threshold, &poisoned);
         assert!(
             poisoned_keep.len() < clean_keep.len(),
             "detector blind to perturbations"
@@ -247,7 +225,7 @@ mod tests {
         let f = Onlad::new(100, 20, ServerConfig::tiny());
         assert_eq!(
             f.num_params(),
-            f.localizer().num_params() + f.detector().num_params()
+            f.localizer.num_params() + f.detector.num_params()
         );
     }
 }

@@ -14,8 +14,8 @@ use safeloc_attacks::{Attack, PoisonInjector};
 use safeloc_baselines::Onlad;
 use safeloc_dataset::{Building, BuildingDataset, DatasetConfig};
 use safeloc_fl::{
-    Client, ClientOutcome, CohortSampler, DeltaCompressor, DeltaSpec, Framework, LabelingMode,
-    RoundReport, ServerConfig,
+    Client, ClientOutcome, CohortSampler, DeltaCompressor, DeltaSpec, Framework, RoundReport,
+    ServerConfig,
 };
 
 /// FNV-1a over the bit patterns fed to it.
@@ -93,25 +93,25 @@ fn onlad_round_digest() -> u64 {
     let sampler = CohortSampler::uniform(6, 13).with_dropout(0.2);
     let mut digest = Digest::new();
     let (mut trained, mut sat_out) = ([false; 7], false);
-    for labeling in [LabelingMode::SelfTrain] {
-        let mut cfg = ServerConfig::tiny();
-        cfg.local.labeling = labeling;
-        let mut f = Onlad::new(data.building.num_aps(), data.building.num_rps(), cfg);
-        f.pretrain(&data.server_train);
-        let mut clients = mixed_fleet(&data);
-        for round in 0..3 {
-            let plan = sampler.plan(round, clients.len());
-            let report = f.run_round(&mut clients, &plan);
-            for c in report.clients.iter().filter(|c| c.samples > 0) {
-                trained[c.client_id] = true;
-            }
-            sat_out |= report
-                .clients
-                .iter()
-                .any(|c| c.client_id == 6 && matches!(c.outcome, ClientOutcome::Trained { .. }));
-            digest.report(&report);
-            digest.f32s(f.global_params().flatten().as_slice());
+    let mut f = Onlad::new(
+        data.building.num_aps(),
+        data.building.num_rps(),
+        ServerConfig::tiny(),
+    );
+    f.pretrain(&data.server_train);
+    let mut clients = mixed_fleet(&data);
+    for round in 0..3 {
+        let plan = sampler.plan(round, clients.len());
+        let report = f.run_round(&mut clients, &plan);
+        for c in report.clients.iter().filter(|c| c.samples > 0) {
+            trained[c.client_id] = true;
         }
+        sat_out |= report
+            .clients
+            .iter()
+            .any(|c| c.client_id == 6 && matches!(c.outcome, ClientOutcome::Trained { .. }));
+        digest.report(&report);
+        digest.f32s(f.global_params().flatten().as_slice());
     }
     assert!(
         trained[1] && trained[3] && trained[4],

@@ -148,14 +148,6 @@ impl Optimizer for SeedAdam {
         });
         assert_eq!(idx, grads.len(), "params/grads length mismatch");
     }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
 }
 
 /// The seed's forward/backward/step training path: every intermediate —

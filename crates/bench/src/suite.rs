@@ -235,11 +235,6 @@ impl FleetSpec {
         }
     }
 
-    /// Fig. 7-style grown fleet.
-    pub fn grown(total: usize, attackers: usize) -> Self {
-        Self { total, attackers }
-    }
-
     /// Display label.
     pub fn label(&self) -> String {
         let total = if self.total == 0 { 6 } else { self.total };
@@ -2131,7 +2126,11 @@ mod tests {
             &DatasetConfig::paper().with_fleet(9, 3),
             3,
         );
-        let ids = FleetSpec::grown(9, 3).attacker_ids(&data);
+        let ids = FleetSpec {
+            total: 9,
+            attackers: 3,
+        }
+        .attacker_ids(&data);
         assert_eq!(ids[0], DeviceProfile::ATTACKER_DEVICE);
         assert_eq!(ids.len(), 3);
         assert!(!ids.contains(&data.train_device));
@@ -2149,7 +2148,11 @@ mod tests {
             &DatasetConfig::paper().with_fleet(4, 3),
             3,
         );
-        let ids = FleetSpec::grown(4, 4).attacker_ids(&small);
+        let ids = FleetSpec {
+            total: 4,
+            attackers: 4,
+        }
+        .attacker_ids(&small);
         assert_eq!(ids.len(), small.num_clients() - 1);
         assert!(ids.contains(&0));
         assert!(!ids.contains(&small.train_device));
@@ -2161,7 +2164,11 @@ mod tests {
             &DatasetConfig::paper().with_fleet(3, 3),
             3,
         );
-        let ids = FleetSpec::grown(3, 1).attacker_ids(&three);
+        let ids = FleetSpec {
+            total: 3,
+            attackers: 1,
+        }
+        .attacker_ids(&three);
         assert_eq!(ids, vec![1]);
         assert!(!ids.contains(&three.train_device));
     }

@@ -120,22 +120,9 @@ impl SafeLocConfig {
                 epochs: 2,
                 learning_rate: 3e-4,
                 batch_size: 8,
-                ..LocalTrainConfig::default()
             },
             seed: 0,
         }
-    }
-
-    /// Replaces τ (used by the Fig. 4 sweep).
-    pub fn with_tau(mut self, tau: f32) -> Self {
-        self.tau = tau;
-        self
-    }
-
-    /// Replaces the aggregation mode (used by the ablation bench).
-    pub fn with_aggregation(mut self, mode: AggregationMode) -> Self {
-        self.aggregation = mode;
-        self
     }
 }
 
@@ -153,14 +140,5 @@ mod tests {
         assert!((c.pretrain_lr - 1e-3).abs() < 1e-9);
         assert_eq!(c.local.epochs, 5);
         assert!((c.local.learning_rate - 1e-4).abs() < 1e-9);
-    }
-
-    #[test]
-    fn builders_replace_fields() {
-        let c = SafeLocConfig::tiny()
-            .with_tau(0.3)
-            .with_aggregation(AggregationMode::Literal);
-        assert!((c.tau - 0.3).abs() < 1e-6);
-        assert_eq!(c.aggregation, AggregationMode::Literal);
     }
 }

@@ -158,9 +158,8 @@ impl Framework for SafeLoc {
                     net,
                     gm_params,
                     net.n_classes(),
-                    &cfg.local,
                     round_salt,
-                    |x| (net.denoise_matrix(&x, threshold, cfg.rce_mode).0, None),
+                    |x| Some(net.denoise_matrix(&x, threshold, cfg.rce_mode).0),
                     |set, seed| {
                         let mut lm = net.clone();
                         lm.fit_augmented(

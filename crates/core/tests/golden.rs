@@ -24,8 +24,7 @@ use safeloc::{
 use safeloc_attacks::{Attack, GradientSource, PoisonInjector};
 use safeloc_dataset::{Building, BuildingDataset, DatasetConfig};
 use safeloc_fl::{
-    Client, ClientOutcome, CohortSampler, DeltaCompressor, DeltaSpec, Framework, LabelingMode,
-    RoundReport,
+    Client, ClientOutcome, CohortSampler, DeltaCompressor, DeltaSpec, Framework, RoundReport,
 };
 use safeloc_nn::{Adam, HasParams, Matrix, TrainConfig};
 
@@ -213,21 +212,21 @@ fn safeloc_round_digest() -> u64 {
     let sampler = CohortSampler::uniform(5, 21).with_dropout(0.2);
     let mut digest = Digest::new();
     let mut trained = [false; 6];
-    for labeling in [LabelingMode::SelfTrain] {
-        let mut cfg = SafeLocConfig::tiny();
-        cfg.local.labeling = labeling;
-        let mut f = SafeLoc::new(data.building.num_aps(), data.building.num_rps(), cfg);
-        f.pretrain(&data.server_train);
-        let mut clients = mixed_fleet(&data);
-        for round in 0..3 {
-            let plan = sampler.plan(round, clients.len());
-            let report = f.run_round(&mut clients, &plan);
-            for c in report.clients.iter().filter(|c| c.samples > 0) {
-                trained[c.client_id] = true;
-            }
-            digest.report(&report);
-            digest.f32s(f.global_params().flatten().as_slice());
+    let mut f = SafeLoc::new(
+        data.building.num_aps(),
+        data.building.num_rps(),
+        SafeLocConfig::tiny(),
+    );
+    f.pretrain(&data.server_train);
+    let mut clients = mixed_fleet(&data);
+    for round in 0..3 {
+        let plan = sampler.plan(round, clients.len());
+        let report = f.run_round(&mut clients, &plan);
+        for c in report.clients.iter().filter(|c| c.samples > 0) {
+            trained[c.client_id] = true;
         }
+        digest.report(&report);
+        digest.f32s(f.global_params().flatten().as_slice());
     }
     assert!(
         trained[1] && trained[3] && trained[4],

@@ -213,11 +213,6 @@ impl DeviceCatalog {
         Self::new(DeviceProfile::paper_fleet())
     }
 
-    /// The known device classes, in fleet order.
-    pub fn profiles(&self) -> &[DeviceProfile] {
-        &self.profiles
-    }
-
     /// Resolves a reported model name to its class index
     /// (case-insensitive, surrounding whitespace ignored).
     pub fn class_of(&self, name: &str) -> Option<usize> {
@@ -315,7 +310,7 @@ mod tests {
         assert_eq!(catalog.canonical_name("HTC U11"), Some("HTC U11"));
         assert_eq!(catalog.class_of("Pixel 9"), None);
         assert!(catalog.resolve("Pixel 9").is_none());
-        assert_eq!(catalog.profiles().len(), 6);
+        assert_eq!(catalog.profiles.len(), 6);
     }
 
     #[test]

@@ -8,23 +8,13 @@ use safeloc_dataset::{BuildingDataset, FingerprintSet};
 use safeloc_nn::{Adam, HasParams, Matrix, NamedParams, Sequential, TrainConfig};
 use serde::{Deserialize, Serialize};
 
-/// How clients label their local RSS before retraining.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LabelingMode {
-    /// Paper-literal §III (default): clients label their RSS with the GM's
-    /// own predictions before retraining. This is also what arms the
-    /// attacks — a backdoor perturbation makes those predictions wrong, so
-    /// the poisoned LM trains toward wrong locations.
-    SelfTrain,
-    /// Clients know the RP they stood on when collecting (survey-style FL,
-    /// as in FEDHIL). Kept as an ablation mode.
-    Surveyed,
-}
-
 /// Client-side training protocol.
 ///
 /// The paper uses 5 epochs at a reduced learning rate of `1e-4` for
-/// lightweight on-device training.
+/// lightweight on-device training. Clients always label their RSS with
+/// the GM's own predictions before retraining (§III), which is also what
+/// arms the attacks: a backdoor perturbation makes those predictions
+/// wrong, so the poisoned LM trains toward wrong locations.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LocalTrainConfig {
     /// Local epochs (paper: 5).
@@ -33,8 +23,6 @@ pub struct LocalTrainConfig {
     pub learning_rate: f32,
     /// Mini-batch size (0 = full batch).
     pub batch_size: usize,
-    /// Labeling mode.
-    pub labeling: LabelingMode,
 }
 
 impl Default for LocalTrainConfig {
@@ -43,7 +31,6 @@ impl Default for LocalTrainConfig {
             epochs: 5,
             learning_rate: 1e-4,
             batch_size: 16,
-            labeling: LabelingMode::SelfTrain,
         }
     }
 }
@@ -147,38 +134,27 @@ impl Client {
     ///    gradients of `gm` against those labels (nobody else reads the
     ///    raw-RSS labels, so nobody else pays for them);
     /// 2. the engine's on-device `screen`;
-    /// 3. label the screened rows (under self-training a perturbed row
-    ///    the screen let through yields a *wrong* prediction — the
-    ///    backdoor's payload); survey labels follow the rows `screen` kept;
+    /// 3. label the screened rows with the GM's predictions (a perturbed
+    ///    row the screen let through yields a *wrong* prediction — the
+    ///    backdoor's payload);
     /// 4. a label flipper flips the final labels *after* the framework's
     ///    own steps (§IV), so no client-side defense can see the flip.
     fn round_data(
         &mut self,
         gm: &(impl GradientSource + PredictLabels),
         n_classes: usize,
-        cfg: &LocalTrainConfig,
-        screen: impl FnOnce(Matrix) -> (Matrix, Option<Vec<usize>>),
+        screen: impl FnOnce(Matrix) -> Option<Matrix>,
     ) -> Option<FingerprintSet> {
-        let label = |x: &Matrix, kept: Option<&[usize]>| match (cfg.labeling, kept) {
-            (LabelingMode::SelfTrain, _) => gm.predict_labels(x),
-            (LabelingMode::Surveyed, None) => self.local.labels.clone(),
-            (LabelingMode::Surveyed, Some(kept)) => {
-                kept.iter().map(|&i| self.local.labels[i]).collect()
-            }
-        };
         let x = match &mut self.injector {
             Some(inj) if inj.attack().kind().is_backdoor() => {
-                let base = label(&self.local.x, None);
+                let base = gm.predict_labels(&self.local.x);
                 let set = FingerprintSet::new(self.local.x.clone(), base);
                 inj.poison_set(&set, gm, n_classes).x
             }
             _ => self.local.x.clone(),
         };
-        let (x, kept) = screen(x);
-        if kept.as_ref().is_some_and(|kept| kept.is_empty()) {
-            return None;
-        }
-        let labels = label(&x, kept.as_deref());
+        let x = screen(x)?;
+        let labels = gm.predict_labels(&x);
         let labels = match &mut self.injector {
             Some(inj) => inj.poison_labels(&labels, n_classes),
             None => labels,
@@ -187,13 +163,15 @@ impl Client {
     }
 
     /// The client's training set this round with no on-device screen.
+    /// `_cfg` is not read (every client self-labels); `benchmark/` still
+    /// passes it.
     pub fn prepare_round_data(
         &mut self,
         gm: &(impl GradientSource + PredictLabels),
         n_classes: usize,
-        cfg: &LocalTrainConfig,
+        _cfg: &LocalTrainConfig,
     ) -> FingerprintSet {
-        self.round_data(gm, n_classes, cfg, |x| (x, None))
+        self.round_data(gm, n_classes, Some)
             .expect("an identity screen keeps every row")
     }
 
@@ -202,23 +180,22 @@ impl Client {
     /// `train(set, self.seed ^ round_salt)`, [`Client::finalize_params`]
     /// and [`Client::build_update`]. `gm_params` is `gm`'s snapshot.
     ///
-    /// `screen` returns the rows to train on and, if it dropped any, the
-    /// indices of the local rows it kept: the identity for the `Sequential`
-    /// engines, de-noising for SAFELOC, the detector's row filter for
-    /// ONLAD. A client whose screen keeps no row sits the round out: it
-    /// uploads the GM unchanged with zero samples.
-    #[allow(clippy::too_many_arguments)]
+    /// `screen` returns the rows to train on, or `None` if it kept no row:
+    /// the identity (`Some`) for the `Sequential` engines, de-noising for
+    /// SAFELOC, the detector's row filter for ONLAD. A client whose screen
+    /// keeps no row sits the round out: it uploads the GM unchanged with
+    /// zero samples. An identity screen never sits a client out, not even
+    /// one with no local rows.
     pub fn round_update(
         &mut self,
         gm: &(impl GradientSource + PredictLabels),
         gm_params: &NamedParams,
         n_classes: usize,
-        cfg: &LocalTrainConfig,
         round_salt: u64,
-        screen: impl FnOnce(Matrix) -> (Matrix, Option<Vec<usize>>),
+        screen: impl FnOnce(Matrix) -> Option<Matrix>,
         train: impl FnOnce(&FingerprintSet, u64) -> NamedParams,
     ) -> ClientUpdate {
-        let Some(set) = self.round_data(gm, n_classes, cfg, screen) else {
+        let Some(set) = self.round_data(gm, n_classes, screen) else {
             return ClientUpdate::new(self.id, gm_params.clone(), 0);
         };
         let lm = train(&set, self.seed ^ round_salt);
@@ -240,16 +217,15 @@ impl Client {
             gm,
             gm_params,
             gm.out_dim(),
-            cfg,
             round_salt,
-            |x| (x, None),
+            Some,
             |set, seed| train_sequential_lm(gm, set, cfg, seed),
         )
     }
 }
 
 /// Label prediction, implemented by every global model type so clients can
-/// self-label under [`LabelingMode::SelfTrain`].
+/// self-label.
 pub trait PredictLabels {
     /// Predicted RP label per row of `x`.
     fn predict_labels(&self, x: &Matrix) -> Vec<usize>;
@@ -309,20 +285,6 @@ mod tests {
         assert_eq!(clients[0].device_name, data.devices[0].name);
         // Distinct seeds per client.
         assert_ne!(clients[0].seed, clients[1].seed);
-    }
-
-    #[test]
-    fn surveyed_labels_pass_through() {
-        let data = dataset();
-        let mut clients = Client::from_dataset(&data, 0);
-        let model = gm(&data);
-        let cfg = LocalTrainConfig {
-            labeling: LabelingMode::Surveyed,
-            ..Default::default()
-        };
-        let set = clients[0].prepare_round_data(&model, data.building.num_rps(), &cfg);
-        assert_eq!(set.labels, data.client_local[0].labels);
-        assert_eq!(set.x, data.client_local[0].x);
     }
 
     #[test]
@@ -442,6 +404,57 @@ mod tests {
             &LocalTrainConfig::default(),
         );
         assert_ne!(set.labels, model.predict(&set.x));
+    }
+
+    /// A screen that keeps no row sits the client out before training: it
+    /// uploads the GM bit for bit with zero samples, even with a
+    /// compressor. An identity screen never does, not even on an empty
+    /// local set: that client still trains and compresses its upload.
+    #[test]
+    fn a_client_whose_screen_keeps_no_row_sits_the_round_out() {
+        let data = dataset();
+        let model = gm(&data);
+        let gm_params = model.snapshot();
+        let n = data.building.num_rps();
+        let mut clients = Client::from_dataset(&data, 0);
+        clients[0].compressor = Some(DeltaCompressor::new(crate::DeltaSpec::TopK {
+            fraction: 0.5,
+        }));
+        let mut trained = 0;
+        let update = clients[0].round_update(
+            &model,
+            &gm_params,
+            n,
+            1,
+            |_| None,
+            |_, _| {
+                trained += 1;
+                gm_params.clone()
+            },
+        );
+        assert_eq!(trained, 0, "a client that sits out must not train");
+        assert_eq!(update, ClientUpdate::new(0, gm_params.clone(), 0));
+        let bits = |p: &NamedParams| -> Vec<u32> {
+            p.flatten().as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&update.params), bits(&gm_params));
+
+        clients[1].local = FingerprintSet::empty(data.building.num_aps());
+        clients[1].compressor = Some(DeltaCompressor::new(crate::DeltaSpec::TopK {
+            fraction: 0.5,
+        }));
+        let mut seen = None;
+        let update = clients[1].round_update(&model, &gm_params, n, 1, Some, |set, _| {
+            seen = Some(set.len());
+            gm_params.clone()
+        });
+        assert_eq!(seen, Some(0), "an identity screen must train");
+        assert_eq!((update.client_id, update.num_samples), (1, 0));
+        assert_ne!(
+            update.repr,
+            crate::DeltaRepr::Dense,
+            "build_update was skipped"
+        );
     }
 
     #[test]

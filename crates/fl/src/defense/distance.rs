@@ -247,33 +247,6 @@ impl DistanceMatrix {
         let (lo, hi) = if i < j { (i, j) } else { (j, i) };
         self.values[condensed_index(lo, hi, self.n)]
     }
-
-    /// All distances from point `i` to its peers (excluding itself),
-    /// appended to `out`.
-    pub fn distances_from(&self, i: usize, out: &mut Vec<f32>) {
-        out.clear();
-        for j in 0..self.n {
-            if j != i {
-                out.push(self.get(i, j));
-            }
-        }
-    }
-
-    /// The pair `(i, j)` with the largest distance, or `None` for fewer
-    /// than two points. Ties resolve to the first pair in row-major order.
-    pub fn max_pair(&self) -> Option<(usize, usize, f32)> {
-        if self.n < 2 {
-            return None;
-        }
-        let mut best = (0usize, 1usize, f32::NEG_INFINITY);
-        for p in 0..self.values.len() {
-            if self.values[p] > best.2 {
-                let (i, j) = unflatten(p, self.n);
-                best = (i, j, self.values[p]);
-            }
-        }
-        Some(best)
-    }
 }
 
 /// The L2 norm of every row, as the cosine matrices divide by it.
@@ -346,22 +319,6 @@ mod tests {
                 assert!((m.get(i, j) - (pts[i] - pts[j]).abs()).abs() < 1e-6);
             }
         }
-    }
-
-    #[test]
-    fn distances_from_excludes_self() {
-        let m = DistanceMatrix::build(4, |i, j| (i + j) as f32);
-        let mut out = Vec::new();
-        m.distances_from(2, &mut out);
-        assert_eq!(out.len(), 3);
-        assert_eq!(out, vec![2.0, 3.0, 5.0]);
-    }
-
-    #[test]
-    fn max_pair_finds_extreme() {
-        let m = DistanceMatrix::build(4, |i, j| if (i, j) == (1, 3) { 9.0 } else { 1.0 });
-        assert_eq!(m.max_pair(), Some((1, 3, 9.0)));
-        assert_eq!(DistanceMatrix::build(1, |_, _| 0.0).max_pair(), None);
     }
 
     #[test]

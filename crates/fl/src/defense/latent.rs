@@ -36,10 +36,6 @@ use safeloc_nn::{Activation, Adam, Dense, Init, Matrix, MseLoss, Sequential, Wor
 /// closes that gap without re-pinning the default trajectories.
 #[derive(Debug, Clone)]
 pub struct LatentFilterAggregator {
-    /// Random-projection feature dimension.
-    pub feature_dim: usize,
-    /// Autoencoder training epochs per round.
-    pub ae_epochs: usize,
     /// Rejection threshold in standard deviations above the mean RCE.
     pub z_threshold: f32,
     /// Seed for the projection and AE init.
@@ -55,8 +51,6 @@ impl LatentFilterAggregator {
     /// epochs, 1.8σ rejection).
     pub fn new(seed: u64) -> Self {
         Self {
-            feature_dim: 32,
-            ae_epochs: 60,
             z_threshold: 1.8,
             seed,
             record: BenignRecord::new(0x9801_77CE),
@@ -77,9 +71,15 @@ impl LatentFilterAggregator {
 
     /// The stage's random projection for `d`-parameter models.
     pub(crate) fn projection(&mut self, d: usize) -> &Matrix {
-        self.record.projection_for(self.seed, self.feature_dim, d)
+        self.record.projection_for(self.seed, d)
     }
 }
+
+/// Random-projection feature dimension of both latent stages.
+const FEATURE_DIM: usize = 32;
+
+/// Autoencoder training epochs per FEDLS round.
+const AE_EPOCHS: usize = 60;
 
 /// Accepted feature rows a [`BenignRecord`] retains.
 const HISTORY_CAP: usize = 60;
@@ -113,8 +113,8 @@ impl BenignRecord {
     }
 
     /// Builds (or rebuilds on dimension change) the random `d ×
-    /// feature_dim` projection and returns it.
-    fn projection_for(&mut self, seed: u64, feature_dim: usize, d: usize) -> &Matrix {
+    /// FEATURE_DIM` projection and returns it.
+    fn projection_for(&mut self, seed: u64, d: usize) -> &Matrix {
         if self
             .projection
             .as_ref()
@@ -122,8 +122,8 @@ impl BenignRecord {
             .unwrap_or(true)
         {
             let mut rng = StdRng::seed_from_u64(seed ^ self.salt);
-            let scale = (1.0 / feature_dim as f32).sqrt();
-            self.projection = Some(Init::Uniform(scale).matrix(d, feature_dim, &mut rng));
+            let scale = (1.0 / FEATURE_DIM as f32).sqrt();
+            self.projection = Some(Init::Uniform(scale).matrix(d, FEATURE_DIM, &mut rng));
         }
         self.projection.as_ref().expect("just built")
     }
@@ -190,7 +190,7 @@ impl BenignRecord {
 /// Feature rows of the active updates: their rows of the round's shared
 /// delta view, random-projected by **one** kernel call per storage kind
 /// ([`DeltaRows::project`](crate::defense::DeltaRows::project)). The tall
-/// `d × feature_dim` projection is thereby streamed from memory once per
+/// `d × FEATURE_DIM` projection is thereby streamed from memory once per
 /// round (the kernels block over `d`) instead of once per update; a row's
 /// features depend on that row alone, so the rows earlier stages rejected
 /// are simply not projected.
@@ -386,7 +386,7 @@ impl LatentFilterAggregator {
         } else {
             let hist = Matrix::from_rows(&self.record.rows);
             let mut rng = StdRng::seed_from_u64(self.seed ^ 0xAE0);
-            let f = self.feature_dim;
+            let f = FEATURE_DIM;
             let ae = vec![
                 Dense::new(f, f / 2, Init::HeUniform, &mut rng),
                 Dense::new(f / 2, f, Init::HeUniform, &mut rng),
@@ -394,7 +394,7 @@ impl LatentFilterAggregator {
             let mut ae = Sequential::from_layers(ae, vec![Activation::Relu, Activation::Identity]);
             let mut opt = Adam::new(5e-3);
             let mut ws = Workspace::new();
-            for _ in 0..self.ae_epochs {
+            for _ in 0..AE_EPOCHS {
                 ae.train_batch_autoencoder_with(&hist, &mut opt, &mut ws);
             }
             let recon = ae.forward(&features);
@@ -432,8 +432,6 @@ impl LatentFilterAggregator {
 /// `"history-screen"`. It also works standalone in front of any combiner.
 #[derive(Debug, Clone)]
 pub struct HistoryScreen {
-    /// Random-projection feature dimension.
-    pub feature_dim: usize,
     /// Rejection threshold in standard deviations above the history's
     /// mean distance-to-center.
     pub z_threshold: f32,
@@ -450,7 +448,6 @@ impl HistoryScreen {
     /// 1.8σ, 3-row activation gate).
     pub fn new(seed: u64) -> Self {
         Self {
-            feature_dim: 32,
             z_threshold: 1.8,
             min_history: 3,
             seed,
@@ -469,9 +466,9 @@ impl DefenseStage for HistoryScreen {
         if active.is_empty() {
             return;
         }
-        let projection =
-            self.record
-                .projection_for(self.seed, self.feature_dim, ctx.global().num_params());
+        let projection = self
+            .record
+            .projection_for(self.seed, ctx.global().num_params());
         let raw_rows = project_active(ctx, projection, &active);
         self.record.screen(
             &raw_rows,

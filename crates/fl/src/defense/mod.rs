@@ -249,13 +249,6 @@ impl DefensePipeline {
         &self.label
     }
 
-    /// Stage names in execution order, combiner last.
-    pub fn stage_names(&self) -> Vec<&'static str> {
-        let mut names: Vec<&'static str> = self.stages.iter().map(|s| s.name()).collect();
-        names.push(self.combiner.name());
-        names
-    }
-
     // ----------------------------------------------- canonical pipelines
     //
     // The six paper rules as stage compositions (behind stage zero). Each
@@ -440,15 +433,21 @@ mod tests {
         ));
     }
 
+    /// Stage names in execution order, combiner last.
+    fn stage_names(p: &DefensePipeline) -> Vec<&'static str> {
+        let stages = p.stages.iter().map(|s| s.name());
+        stages.chain([p.combiner.name()]).collect()
+    }
+
     #[test]
     fn canonical_labels_and_stage_names() {
         assert_eq!(DefensePipeline::fedavg().label(), "FedAvg");
         assert_eq!(
-            DefensePipeline::krum(1).stage_names(),
+            stage_names(&DefensePipeline::krum(1)),
             vec!["non-finite", "krum"]
         );
         assert_eq!(
-            DefensePipeline::latent_with_history(0).stage_names(),
+            stage_names(&DefensePipeline::latent_with_history(0)),
             vec!["non-finite", "latent", "history-screen", "mean"]
         );
         let dbg = format!("{:?}", DefensePipeline::cluster(0.15));
@@ -472,11 +471,11 @@ mod tests {
             Box::new(UniformMean),
         );
         assert_eq!(
-            explicit.stage_names(),
+            stage_names(&explicit),
             vec!["non-finite", "norm-clip", "mean"]
         );
         for p in canonical.iter().chain([&explicit]) {
-            let names = p.stage_names();
+            let names = stage_names(p);
             assert_eq!(names[0], NON_FINITE_RULE, "{}", p.label());
             let guards = names.iter().filter(|&&s| s == NON_FINITE_RULE).count();
             assert_eq!(guards, 1, "{}", p.label());

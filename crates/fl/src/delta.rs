@@ -204,11 +204,6 @@ impl DeltaCompressor {
         self.spec
     }
 
-    /// The banked residual (empty before the first compression).
-    pub fn residual(&self) -> &[f32] {
-        &self.residual
-    }
-
     /// `true` once the accumulator carries round-to-round state — the
     /// signal generating fleet providers use to decide whether a reclaimed
     /// client must persist or can be rebuilt from its seed.
@@ -312,8 +307,8 @@ mod tests {
         expect[6] = 1.5;
         assert_eq!(decoded, expect);
         // The residual banks exactly what was dropped.
-        assert_eq!(c.residual()[0], 0.5);
-        assert_eq!(c.residual()[1], 0.0);
+        assert_eq!(c.residual[0], 0.5);
+        assert_eq!(c.residual[1], 0.0);
     }
 
     #[test]

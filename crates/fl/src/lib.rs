@@ -121,7 +121,7 @@ mod aggregate {
     pub(crate) mod selective;
 }
 
-pub use client::{Client, LabelingMode, LocalTrainConfig};
+pub use client::{Client, LocalTrainConfig};
 pub use defense::{
     Aggregator, ClusterAggregator, Combiner, DefensePipeline, DefenseStage, FedAvg, HistoryScreen,
     Krum, LatentFilterAggregator, SelectiveAggregator,

@@ -74,16 +74,6 @@ pub struct AggregationOutcome {
 }
 
 impl AggregationOutcome {
-    /// Outcome accepting every one of `n` updates with equal weight —
-    /// the shape rules without per-update rejection produce.
-    pub fn all_accepted(params: NamedParams, n: usize) -> Self {
-        let weight = if n == 0 { 0.0 } else { 1.0 / n as f32 };
-        Self {
-            params,
-            decisions: vec![UpdateDecision::Accepted { weight }; n],
-        }
-    }
-
     /// Number of accepted updates.
     pub fn accepted(&self) -> usize {
         self.decisions.iter().filter(|d| d.is_accepted()).count()
@@ -580,7 +570,10 @@ mod tests {
 
     #[test]
     fn outcome_helpers() {
-        let o = AggregationOutcome::all_accepted(NamedParams::new(vec![]), 4);
+        let o = AggregationOutcome {
+            params: NamedParams::new(vec![]),
+            decisions: vec![UpdateDecision::Accepted { weight: 0.25 }; 4],
+        };
         assert_eq!(o.accepted(), 4);
         assert_eq!(o.rejected(), 0);
         assert!(o.decisions[0].is_accepted());

@@ -79,17 +79,6 @@ impl RoundPlan {
             .map(|(i, _)| *i)
             .collect()
     }
-
-    /// `true` if every one of `n_clients` participates — the shape whose
-    /// results must be bitwise identical to the seed `round` path.
-    pub fn is_full_participation(&self, n_clients: usize) -> bool {
-        self.cohort.len() == n_clients
-            && self
-                .cohort
-                .iter()
-                .enumerate()
-                .all(|(slot, (i, a))| *i == slot && *a == Availability::Participates)
-    }
 }
 
 /// How the cohort is drawn from the fleet each round.
@@ -309,8 +298,10 @@ mod tests {
     fn full_plan_is_full_participation() {
         let p = RoundPlan::full(4);
         assert_eq!(p.cohort_size(), 4);
-        assert!(p.is_full_participation(4));
-        assert!(!p.is_full_participation(5));
+        assert!(p
+            .cohort
+            .iter()
+            .all(|(_, a)| *a == Availability::Participates));
         assert_eq!(p.active_indices(), vec![0, 1, 2, 3]);
     }
 

@@ -69,7 +69,6 @@ impl ServerConfig {
                 epochs: 3,
                 learning_rate: 1e-3,
                 batch_size: 8,
-                ..LocalTrainConfig::default()
             },
             seed: 0,
         }

@@ -14,14 +14,9 @@ use serde::{Deserialize, Serialize};
 pub enum Activation {
     /// `f(x) = x`.
     Identity,
-    /// `f(x) = max(0, x)` — used by every layer in the paper's models.
+    /// `f(x) = max(0, x)` — used by every hidden layer in the paper's
+    /// models.
     Relu,
-    /// `f(x) = x` for `x > 0`, `alpha * x` otherwise.
-    LeakyRelu(f32),
-    /// Logistic sigmoid, used by the ONLAD-style online autoencoder.
-    Sigmoid,
-    /// Hyperbolic tangent.
-    Tanh,
 }
 
 impl Activation {
@@ -38,12 +33,6 @@ impl Activation {
         match self {
             Activation::Identity => {}
             Activation::Relu => x.map_assign(|v| v.max(0.0)),
-            Activation::LeakyRelu(a) => {
-                let a = *a;
-                x.map_assign(move |v| if v > 0.0 { v } else { a * v });
-            }
-            Activation::Sigmoid => x.map_assign(sigmoid),
-            Activation::Tanh => x.map_assign(f32::tanh),
         }
     }
 
@@ -84,33 +73,8 @@ impl Activation {
                     }
                 }
             }
-            Activation::LeakyRelu(a) => {
-                let a = *a;
-                for (g, &p) in grad.iter_mut().zip(pre) {
-                    if p <= 0.0 {
-                        *g *= a;
-                    }
-                }
-            }
-            Activation::Sigmoid => {
-                for (g, &p) in grad.iter_mut().zip(pre) {
-                    let s = sigmoid(p);
-                    *g *= s * (1.0 - s);
-                }
-            }
-            Activation::Tanh => {
-                for (g, &p) in grad.iter_mut().zip(pre) {
-                    let t = p.tanh();
-                    *g *= 1.0 - t * t;
-                }
-            }
         }
     }
-}
-
-#[inline]
-fn sigmoid(v: f32) -> f32 {
-    1.0 / (1.0 + (-v).exp())
 }
 
 #[cfg(test)]
@@ -131,32 +95,9 @@ mod tests {
     }
 
     #[test]
-    fn leaky_relu_forward() {
-        let x = Matrix::row_vector(&[-2.0, 3.0]);
-        let y = Activation::LeakyRelu(0.1).forward(&x);
-        assert!((y.get(0, 0) + 0.2).abs() < 1e-6);
-        assert_eq!(y.get(0, 1), 3.0);
-    }
-
-    #[test]
-    fn sigmoid_range_and_midpoint() {
-        let x = Matrix::row_vector(&[-50.0, 0.0, 50.0]);
-        let y = Activation::Sigmoid.forward(&x);
-        assert!(y.get(0, 0) < 1e-6);
-        assert!((y.get(0, 1) - 0.5).abs() < 1e-6);
-        assert!(y.get(0, 2) > 1.0 - 1e-6);
-    }
-
-    #[test]
     fn backward_matches_finite_differences() {
         let points = [-1.5f32, -0.3, 0.4, 2.0];
-        for act in [
-            Activation::Identity,
-            Activation::Relu,
-            Activation::LeakyRelu(0.05),
-            Activation::Sigmoid,
-            Activation::Tanh,
-        ] {
+        for act in [Activation::Identity, Activation::Relu] {
             for &p in &points {
                 let pre = Matrix::row_vector(&[p]);
                 let ones = Matrix::row_vector(&[1.0]);

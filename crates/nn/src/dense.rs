@@ -37,16 +37,6 @@ impl Dense {
         }
     }
 
-    /// Builds a layer directly from a weight matrix and bias row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b` is not `1 x w.cols()`.
-    pub fn from_parts(w: Matrix, b: Matrix) -> Self {
-        assert_eq!(b.shape(), (1, w.cols()), "bias must be 1x{}", w.cols());
-        Self { w, b }
-    }
-
     /// Input dimensionality.
     pub fn in_dim(&self) -> usize {
         self.w.rows()
@@ -67,19 +57,9 @@ impl Dense {
         &self.w
     }
 
-    /// Mutable access to the weight matrix.
-    pub fn weights_mut(&mut self) -> &mut Matrix {
-        &mut self.w
-    }
-
     /// The bias row vector.
     pub fn bias(&self) -> &Matrix {
         &self.b
-    }
-
-    /// Mutable access to the bias row vector.
-    pub fn bias_mut(&mut self) -> &mut Matrix {
-        &mut self.b
     }
 
     /// Simultaneous mutable access to weights and bias (split borrow), used
@@ -176,7 +156,7 @@ mod tests {
     fn layer() -> Dense {
         let w = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
         let b = Matrix::row_vector(&[0.1, 0.2, 0.3]);
-        Dense::from_parts(w, b)
+        Dense { w, b }
     }
 
     #[test]
@@ -224,8 +204,8 @@ mod tests {
             for c in 0..3 {
                 let mut lp = l.clone();
                 let mut lm = l.clone();
-                lp.weights_mut().set(r, c, l.weights().get(r, c) + h);
-                lm.weights_mut().set(r, c, l.weights().get(r, c) - h);
+                lp.w.set(r, c, l.w.get(r, c) + h);
+                lm.w.set(r, c, l.w.get(r, c) - h);
                 let num = (loss(&lp, &x) - loss(&lm, &x)) / (2.0 * h);
                 assert!(
                     (num - grads.w.get(r, c)).abs() < 1e-2,
@@ -238,8 +218,8 @@ mod tests {
         for c in 0..3 {
             let mut lp = l.clone();
             let mut lm = l.clone();
-            lp.bias_mut().set(0, c, l.bias().get(0, c) + h);
-            lm.bias_mut().set(0, c, l.bias().get(0, c) - h);
+            lp.b.set(0, c, l.b.get(0, c) + h);
+            lm.b.set(0, c, l.b.get(0, c) - h);
             let num = (loss(&lp, &x) - loss(&lm, &x)) / (2.0 * h);
             assert!((num - grads.b.get(0, c)).abs() < 1e-2);
         }
@@ -254,13 +234,5 @@ mod tests {
                 assert!((num - grads.x.get(r, c)).abs() < 1e-2);
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "bias must be 1x3")]
-    fn from_parts_validates_bias() {
-        let w = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(1, 2);
-        let _ = Dense::from_parts(w, b);
     }
 }

@@ -6,19 +6,15 @@ use rand::Rng;
 /// Weight initialization scheme for dense layers.
 ///
 /// The SAFELOC models use ReLU activations throughout, so [`Init::HeUniform`]
-/// is the default; [`Init::XavierUniform`] suits the sigmoid/tanh layers in
-/// some baselines.
+/// is the default for weights; [`Init::Uniform`] draws fixed-scale random
+/// projections.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Init {
     /// He/Kaiming uniform: `U(-sqrt(6/fan_in), sqrt(6/fan_in))`.
     #[default]
     HeUniform,
-    /// Xavier/Glorot uniform: `U(-sqrt(6/(fan_in+fan_out)), ...)`.
-    XavierUniform,
     /// Uniform in `[-a, a]`.
     Uniform(f32),
-    /// All zeros (biases).
-    Zeros,
 }
 
 impl Init {
@@ -30,9 +26,7 @@ impl Init {
     pub fn matrix(self, rows: usize, cols: usize, rng: &mut impl Rng) -> Matrix {
         let bound = match self {
             Init::HeUniform => (6.0 / rows.max(1) as f32).sqrt(),
-            Init::XavierUniform => (6.0 / (rows + cols).max(1) as f32).sqrt(),
             Init::Uniform(a) => a.abs(),
-            Init::Zeros => return Matrix::zeros(rows, cols),
         };
         Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-bound..=bound))
     }
@@ -45,13 +39,6 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn zeros_is_all_zero() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let m = Init::Zeros.matrix(3, 4, &mut rng);
-        assert!(m.as_slice().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
     fn he_uniform_respects_bound() {
         let mut rng = StdRng::seed_from_u64(1);
         let fan_in = 24;
@@ -60,15 +47,6 @@ mod tests {
         assert!(m.as_slice().iter().all(|v| v.abs() <= bound));
         // Not degenerate: values actually spread out.
         assert!(m.max_abs() > bound * 0.5);
-    }
-
-    #[test]
-    fn xavier_uniform_respects_bound() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let (fi, fo) = (10, 30);
-        let bound = (6.0 / (fi + fo) as f32).sqrt();
-        let m = Init::XavierUniform.matrix(fi, fo, &mut rng);
-        assert!(m.as_slice().iter().all(|v| v.abs() <= bound));
     }
 
     #[test]

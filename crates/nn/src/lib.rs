@@ -10,12 +10,13 @@
 //!   the module docs for the design rules and measured speedups over the
 //!   seed scalar loops).
 //! * [`Dense`] — a fully-connected layer with explicit forward/backward.
-//! * [`Activation`] — ReLU / LeakyReLU / Sigmoid / Tanh / Identity, with
+//! * [`Activation`] — ReLU (every hidden layer of the paper's models) and
+//!   Identity (their outputs), with
 //!   in-place `forward_assign` / `backward_assign` hot-path variants.
 //! * [`MseLoss`] / [`SparseCrossEntropyLoss`] — the two losses the paper
 //!   trains with (autoencoder reconstruction and RP classification); the
 //!   softmax/NLL pass is fused in `loss_and_grad_into`.
-//! * [`Sgd`] / [`Adam`] — optimizers over named parameter lists, streaming
+//! * [`Adam`] — the paper's optimizer over named parameter lists, streaming
 //!   updates through [`optim::ParamStream`] without per-step allocation.
 //! * [`Sequential`] — an MLP assembled from the above, with mini-batch
 //!   training, prediction and **input gradients** (required by the
@@ -77,7 +78,7 @@ pub use data::{
 pub use dense::{Dense, DenseGrads};
 pub use init::Init;
 pub use loss::{relative_error_per_row, MseLoss, SparseCrossEntropyLoss};
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::{Adam, Optimizer};
 pub use params::{HasParams, NamedParams, ParamError};
 pub use sequential::{ForwardTrace, PredictBuffers, Sequential, TrainConfig, Workspace};
 pub use snapshot::SnapshotError;

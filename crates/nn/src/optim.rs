@@ -1,4 +1,4 @@
-//! Optimizers: plain SGD and Adam (the paper trains everything with Adam).
+//! The Adam optimizer (the paper trains everything with Adam).
 
 use crate::kernels::{adam_update, AdamStep};
 use crate::params::HasParams;
@@ -55,53 +55,13 @@ pub trait Optimizer {
     fn step(&mut self, mut params: Vec<&mut Matrix>, grads: &[Matrix]) {
         self.step_stream(&mut params, grads);
     }
-
-    /// Current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Replaces the learning rate (used for the reduced client-side rate).
-    fn set_learning_rate(&mut self, lr: f32);
-}
-
-/// Stochastic gradient descent: `p -= lr * g`.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer with learning rate `lr`.
-    pub fn new(lr: f32) -> Self {
-        Self { lr }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step_stream(&mut self, params: &mut dyn ParamStream, grads: &[Matrix]) {
-        let lr = self.lr;
-        let mut i = 0;
-        params.visit(&mut |p| {
-            assert!(i < grads.len(), "params/grads length mismatch");
-            p.axpy(-lr, &grads[i]);
-            i += 1;
-        });
-        assert_eq!(i, grads.len(), "params/grads length mismatch");
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
 }
 
 /// Adam optimizer (Kingma & Ba) with bias-corrected moment estimates.
 ///
 /// The paper's configuration is `lr = 0.001` for server-side training and
-/// `lr = 0.0001` for lightweight client-side updates; betas and epsilon are
-/// the standard defaults.
+/// `lr = 0.0001` for lightweight client-side updates; β₁ = 0.9, β₂ = 0.999
+/// and ε = 1e-8 are the standard defaults, and fixed.
 ///
 /// First moments below `f32::MIN_POSITIVE` in magnitude are stored as
 /// zero: a weight whose gradient turned exactly zero (a dead ReLU) would
@@ -114,27 +74,23 @@ impl Optimizer for Sgd {
 #[derive(Debug, Clone)]
 pub struct Adam {
     lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
     t: u64,
     m: Vec<Vec<f32>>,
     v: Vec<Vec<f32>>,
 }
 
-impl Adam {
-    /// Creates an Adam optimizer with the standard betas (0.9, 0.999).
-    pub fn new(lr: f32) -> Self {
-        Self::with_betas(lr, 0.9, 0.999, 1e-8)
-    }
+/// First-moment decay β₁.
+const BETA1: f32 = 0.9;
+/// Second-moment decay β₂.
+const BETA2: f32 = 0.999;
+/// Denominator offset ε.
+const EPS: f32 = 1e-8;
 
-    /// Creates an Adam optimizer with explicit hyperparameters.
-    pub fn with_betas(lr: f32, beta1: f32, beta2: f32, eps: f32) -> Self {
+impl Adam {
+    /// Creates an Adam optimizer with learning rate `lr`.
+    pub fn new(lr: f32) -> Self {
         Self {
             lr,
-            beta1,
-            beta2,
-            eps,
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
@@ -151,22 +107,14 @@ impl Adam {
     pub fn moments(&self) -> (&[Vec<f32>], &[Vec<f32>]) {
         (&self.m, &self.v)
     }
-
-    /// Clears the moment estimates (e.g. when re-using the optimizer for a
-    /// fresh model of the same shape).
-    pub fn reset_state(&mut self) {
-        self.t = 0;
-        self.m.clear();
-        self.v.clear();
-    }
 }
 
 /// Step `t`'s bias corrections `(1 − β₁ᵗ, 1 − β₂ᵗ)`. The exponent
 /// saturates at `i32::MAX` — both powers are `0.0` long before it — where
 /// a wrapping cast would go negative and turn the corrections into `−inf`.
-fn bias_corrections(beta1: f32, beta2: f32, t: u64) -> (f32, f32) {
+fn bias_corrections(t: u64) -> (f32, f32) {
     let t = i32::try_from(t).unwrap_or(i32::MAX);
-    (1.0 - beta1.powi(t), 1.0 - beta2.powi(t))
+    (1.0 - BETA1.powi(t), 1.0 - BETA2.powi(t))
 }
 
 impl Optimizer for Adam {
@@ -177,12 +125,12 @@ impl Optimizer for Adam {
         }
         assert_eq!(self.m.len(), grads.len(), "parameter count changed");
         self.t += 1;
-        let (bc1, bc2) = bias_corrections(self.beta1, self.beta2, self.t);
+        let (bc1, bc2) = bias_corrections(self.t);
         let step = AdamStep {
             lr: self.lr,
-            beta1: self.beta1,
-            beta2: self.beta2,
-            eps: self.eps,
+            beta1: BETA1,
+            beta2: BETA2,
+            eps: EPS,
             bc1,
             bc2,
         };
@@ -205,14 +153,6 @@ impl Optimizer for Adam {
         });
         assert_eq!(idx, grads.len(), "params/grads length mismatch");
     }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
 }
 
 #[cfg(test)]
@@ -222,17 +162,6 @@ mod tests {
     fn quadratic_grad(p: &Matrix) -> Matrix {
         // L = sum(p^2) => dL/dp = 2p
         p.scale(2.0)
-    }
-
-    #[test]
-    fn sgd_descends_a_quadratic() {
-        let mut p = Matrix::row_vector(&[5.0, -3.0]);
-        let mut opt = Sgd::new(0.1);
-        for _ in 0..100 {
-            let g = quadratic_grad(&p);
-            opt.step(vec![&mut p], &[g]);
-        }
-        assert!(p.l2_norm() < 1e-3, "did not converge: {p:?}");
     }
 
     #[test]
@@ -278,10 +207,10 @@ mod tests {
     /// stopped.
     #[test]
     fn bias_corrections_saturate_instead_of_wrapping() {
-        let (bc1, bc2) = bias_corrections(0.9, 0.999, 1);
+        let (bc1, bc2) = bias_corrections(1);
         assert_eq!((bc1, bc2), (1.0 - 0.9, 1.0 - 0.999));
         for t in [i32::MAX as u64, i32::MAX as u64 + 1, u64::MAX] {
-            assert_eq!(bias_corrections(0.9, 0.999, t), (1.0, 1.0), "t = {t}");
+            assert_eq!(bias_corrections(t), (1.0, 1.0), "t = {t}");
         }
     }
 
@@ -317,28 +246,9 @@ mod tests {
     }
 
     #[test]
-    fn learning_rate_accessors() {
-        let mut a = Adam::new(0.001);
-        assert_eq!(a.learning_rate(), 0.001);
-        a.set_learning_rate(0.0001);
-        assert_eq!(a.learning_rate(), 0.0001);
-        assert_eq!(a.steps(), 0);
-    }
-
-    #[test]
-    fn reset_state_clears_moments() {
-        let mut p = Matrix::row_vector(&[1.0]);
-        let mut opt = Adam::new(0.1);
-        opt.step(vec![&mut p], &[Matrix::row_vector(&[1.0])]);
-        assert_eq!(opt.steps(), 1);
-        opt.reset_state();
-        assert_eq!(opt.steps(), 0);
-    }
-
-    #[test]
     #[should_panic(expected = "params/grads length mismatch")]
     fn step_validates_lengths() {
         let mut p = Matrix::row_vector(&[1.0]);
-        Sgd::new(0.1).step(vec![&mut p], &[]);
+        Adam::new(0.1).step(vec![&mut p], &[]);
     }
 }

@@ -129,11 +129,6 @@ impl Workspace {
         Self::default()
     }
 
-    /// The flat gradient tensors produced by the last backward pass.
-    pub fn gradients(&self) -> &[Matrix] {
-        &self.grads
-    }
-
     /// Backward pass of `model` over this workspace's trace, from the
     /// output gradient held in `grad_cur`.
     fn backward(&mut self, model: &Sequential, need_input_grad: bool) {

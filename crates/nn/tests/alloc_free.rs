@@ -6,7 +6,7 @@
 //! the workspace and optimizer, snapshots the allocation counter, runs more
 //! steps and asserts the counter did not move.
 
-use safeloc_nn::{Activation, Adam, Matrix, PredictBuffers, Sequential, Sgd, Workspace};
+use safeloc_nn::{Activation, Adam, Matrix, PredictBuffers, Sequential, Workspace};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -84,9 +84,10 @@ fn classifier_step_is_allocation_free_after_warmup() {
 
 #[test]
 fn autoencoder_step_is_allocation_free_after_warmup() {
-    let mut model = Sequential::mlp(&[60, 20, 60], Activation::Sigmoid, 3);
+    // FEDLS's autoencoder shape: ReLU hidden, identity output, Adam.
+    let mut model = Sequential::mlp(&[60, 20, 60], Activation::Relu, 3);
     let x = Matrix::from_fn(16, 60, |r, c| ((r + c) % 10) as f32 / 10.0);
-    let mut opt = Sgd::new(1e-2);
+    let mut opt = Adam::new(5e-3);
     let mut ws = Workspace::new();
 
     for _ in 0..2 {

@@ -14,12 +14,14 @@
 //!   model is resolved through a [`DeviceCatalog`](safeloc_dataset::DeviceCatalog)
 //!   to the right model variant (the HetNN mapping), falling back to the
 //!   building default for unknown devices.
-//! * [`Service`] — micro-batch workers: each takes the backlog that
-//!   built up while it was busy (up to batch-32; only a shorter batch
-//!   waits, 1.2 ms at most, to fill) and runs it through the
-//!   rayon-parallel batch-inference hot path. Served predictions are bitwise identical
-//!   to offline `predict` on the same snapshot for any batching schedule
-//!   (`tests/service.rs`).
+//! * [`Service`] — micro-batch workers: a batch is the oldest queued
+//!   request plus up to 31 more pinned to the same snapshot, run as one
+//!   serial [`Sequential::predict_into`](safeloc_nn::Sequential::predict_into)
+//!   pass (32 rows is below the 64 at which `predict` goes parallel).
+//!   Only a short queue that the last batch emptied waits, up to
+//!   [`FILL_WAIT`](service::FILL_WAIT) (1.2 ms), to fill. Served
+//!   predictions are bitwise identical to offline `predict` on the same
+//!   snapshot for any batching schedule (`tests/service.rs`).
 //! * [`RegistryPublisher`] — the closed loop: an
 //!   [`FlSession`](safeloc_fl::FlSession) hook that hot-swaps each
 //!   round's aggregated model into the registry while the service keeps

@@ -17,50 +17,28 @@ use std::sync::Arc;
 ///
 /// The registry key must already hold a base model of the session's
 /// architecture (publish the pretrained model before starting the
-/// session); rounds whose parameters do not fit are counted in
-/// [`RegistryPublisher::skipped`] instead of poisoning the registry — a
-/// session of the wrong architecture must not take serving down.
+/// session); rounds whose parameters do not fit are skipped, with a line on
+/// stderr, instead of poisoning the registry — a session of the wrong
+/// architecture must not take serving down.
 pub struct RegistryPublisher {
     registry: Arc<ModelRegistry>,
     key: ModelKey,
-    published: u64,
-    skipped: u64,
 }
 
 impl RegistryPublisher {
     /// A publisher pushing into `registry` under `key`.
     pub fn new(registry: Arc<ModelRegistry>, key: ModelKey) -> Self {
-        Self {
-            registry,
-            key,
-            published: 0,
-            skipped: 0,
-        }
-    }
-
-    /// Rounds successfully published so far.
-    pub fn published(&self) -> u64 {
-        self.published
-    }
-
-    /// Rounds skipped because their parameters did not fit the key's
-    /// serving architecture.
-    pub fn skipped(&self) -> u64 {
-        self.skipped
+        Self { registry, key }
     }
 }
 
 impl ModelPublisher for RegistryPublisher {
     fn publish_round(&mut self, report: &RoundReport, global: &NamedParams) {
-        match self.registry.publish_params(&self.key, global) {
-            Ok(_) => self.published += 1,
-            Err(err) => {
-                self.skipped += 1;
-                eprintln!(
-                    "registry publisher: skipping round {} for {}: {err}",
-                    report.round, self.key
-                );
-            }
+        if let Err(err) = self.registry.publish_params(&self.key, global) {
+            eprintln!(
+                "registry publisher: skipping round {} for {}: {err}",
+                report.round, self.key
+            );
         }
     }
 }

@@ -273,6 +273,8 @@ impl ModelRegistry {
     /// # Errors
     ///
     /// [`RegistryError::Io`] if the file cannot be written.
+    // pub-ok: the registry file is the persistence format crash-consistent
+    // rounds resume from (ROADMAP item 11).
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), RegistryError> {
         // One read-lock acquisition: the file is a consistent point-in-time
         // snapshot even while publishers keep swapping entries.

@@ -88,12 +88,6 @@ impl FaultProfile {
         self
     }
 
-    /// Sets the slow-reader probability.
-    pub fn with_slow_readers(mut self, probability: f64) -> Self {
-        self.slow_reader_probability = probability;
-        self
-    }
-
     /// `true` when the profile can inject nothing — the fast path that
     /// never consults an RNG, mirroring the cohort sampler's no-churn
     /// guarantee.
@@ -310,7 +304,10 @@ mod tests {
                 "drop_probability",
             ),
             (
-                FaultProfile::ideal().with_slow_readers(-0.1),
+                FaultProfile {
+                    slow_reader_probability: -0.1,
+                    ..FaultProfile::ideal()
+                },
                 "slow_reader_probability",
             ),
         ] {

@@ -7,7 +7,7 @@
 //!
 //! | Crate | Role |
 //! |---|---|
-//! | [`nn`] | dense NN substrate (blocked matmul kernels, layers, losses, optimizers) |
+//! | [`nn`] | dense NN substrate (blocked matmul kernels, layers, losses, the Adam optimizer) |
 //! | [`dataset`] | synthetic multi-building, multi-device RSS fingerprints |
 //! | [`attacks`] | the five poisoning attacks of §III.A |
 //! | [`fl`] | federated engine: clients, servers, aggregation rules, sessions + round plans/reports |

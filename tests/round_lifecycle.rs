@@ -163,7 +163,7 @@ fn partial_participation_trains_exactly_the_sampled_cohort() {
 }
 
 /// Regression for the fig8 participation-sweep collapse: FEDLS's latent
-/// filter used to return `all_accepted` for any round smaller than its
+/// filter used to accept every update of any round smaller than its
 /// 3-update guard, so a single boosted attacker sampled into a cohort of
 /// two bypassed the defense entirely. With benign history accumulated from
 /// earlier full rounds, the small round is now screened against it: the
