@@ -19,21 +19,31 @@ use safeloc_nn::{kernels, Matrix};
 /// than the distance arithmetic for tiny client fleets.
 const PARALLEL_MIN_PAIRS: usize = 8;
 
-/// [`DistanceMatrix::cosine_over_supports_into`] gathers a pair's dot
-/// product through the shorter of its two supports while that support is
-/// at most `1 / SUPPORT_DOT_MAX_DENSITY_INV` of the row, and takes the
-/// dense [`kernels::dot`] past it.
+/// [`DistanceMatrix::cosine_over_supports_into`] indexes a row's support
+/// while it is at most `1 / INDEXED_MAX_DENSITY_INV` of the row; a pair
+/// with a row past that takes the dense [`kernels::dot`].
 ///
-/// ⅒ is the measured crossover (256 × 2 048 blocks of uniformly placed
-/// supports, one core, all 32 640 pairs, gathered time over dense time):
-/// ×0.22 at 1 %, ×0.56 at 5 %, ×0.67 at 6.25 %, ×0.79 at 8.3 %, ×0.88 at
-/// 10 %, **×1.08 at 12.5 %**, ×1.7 at 25 % — a gathered term costs ~3.7
-/// cycles (an indexed load and a lane read-modify-write) against a third of
-/// a cycle per element of the vectorized sweep, which is L2-bound at ~670
-/// cycles a pair. The table was measured with the since-deleted criterion
-/// bench `aggregation`, at its `screening_sparse` group's five densities
-/// (`screening_sparse/{dense,view}/cosine_sampled/*`).
-const SUPPORT_DOT_MAX_DENSITY_INV: usize = 10;
+/// ⅕ is the densest row the column-inverted walk still wins on (256 ×
+/// 2 048 blocks of uniformly placed supports, every row indexed, against
+/// one dense [`kernels::dot`] per pair; one pinned core, medians of 21 and
+/// 41 alternating samples in two runs): ×0.18–0.21 at 1 %, ×0.27–0.33 at
+/// 5 %, ×0.37–0.39 at 10 %, ×0.54–0.57 at 12.5 %, ×0.63 at 15 %,
+/// **×0.79–0.95 at 20 %**, ×0.99–1.21 at 25 %, ×1.5–1.9 at ⅓ and ×3.2–3.7
+/// at ½. A shared product is a scattered read-modify-write of one lane,
+/// and two rows share a number of them that grows with the square of their
+/// density, where the dense sweep costs the same at every density. Against
+/// the per-pair gather through the shorter support that it replaced, the
+/// walk ran ×0.62–0.72 at 1 %, ×0.40–0.43 at 5 % and ×0.35–0.38 at 10 %.
+const INDEXED_MAX_DENSITY_INV: usize = 5;
+
+/// The reusable buffers of [`DistanceMatrix::cosine_over_supports_into`]:
+/// the block's supports indexed by column and one set of lane accumulators
+/// per task.
+#[derive(Debug, Default)]
+pub(crate) struct SupportScratch {
+    columns: kernels::SupportColumns,
+    lanes: Vec<kernels::PairLanes>,
+}
 
 /// A symmetric `n x n` distance matrix stored as its upper triangle.
 #[derive(Debug, Clone, PartialEq)]
@@ -156,58 +166,84 @@ impl DistanceMatrix {
 
     /// [`cosine_into`](Self::cosine_into), bit for bit, for a block whose
     /// rows are mostly `+0.0` — the sampled block of a round of sparse
-    /// uploads, 2 048 picks of which a 5 % row moves about a hundred. Each
-    /// row's support (the elements that are not `+0.0` bit for bit, so a
-    /// `−0.0` stays a member) is found once, and a pair's dot product is
-    /// [`kernels::support_dot`] through the shorter of its two supports
-    /// into the other row: the terms left out are `±0.0` added to lanes
-    /// that started at `+0.0`, and a product does not depend on which
-    /// operand is gathered (design rule 7 of `safeloc_nn::kernels`). Norms
-    /// are taken over the rows as they are.
+    /// uploads, 2 048 picks of which a 5 % row moves about a hundred. The
+    /// rows' supports (the elements that are not `+0.0` bit for bit, so a
+    /// `−0.0` stays a member) are indexed by column once
+    /// ([`kernels::SupportColumns`]), and each row takes its dot products
+    /// with every later row in one walk of its own support, adding only the
+    /// products the two supports share, in [`kernels::dot`]'s lanes and
+    /// order: the terms left out are `±0.0` added to lanes that are never
+    /// `−0.0` (design rule 7 of `safeloc_nn::kernels`). Norms are taken
+    /// over the rows as they are.
     ///
     /// A pair goes through [`kernels::dot`] instead when either row holds
-    /// a non-finite value (`0 · ∞` is NaN, not a skippable zero) or when
-    /// its shorter support is past `1 / SUPPORT_DOT_MAX_DENSITY_INV` of
-    /// the row, where gathering has stopped paying — so a dense block
-    /// costs what [`cosine_into`](Self::cosine_into) costs plus one scan.
-    pub(crate) fn cosine_over_supports_into(deltas: &Matrix, scratch: Vec<f32>) -> Self {
+    /// a non-finite value (`0 · ∞` is NaN, not a skippable zero) or has a
+    /// support past `1 / INDEXED_MAX_DENSITY_INV` of the row — so a dense
+    /// block costs what [`cosine_into`](Self::cosine_into) costs plus one
+    /// scan. Rows run in parallel, each task with lanes of its own, and
+    /// every pair is computed by one task in one order: the matrix does not
+    /// depend on the thread count. `supports` carries the index and the
+    /// lanes across rounds.
+    pub(crate) fn cosine_over_supports_into(
+        deltas: &Matrix,
+        scratch: Vec<f32>,
+        supports: &mut SupportScratch,
+    ) -> Self {
         let (n, d) = deltas.shape();
         let norms = row_norms(deltas);
-        // Row `i`'s support is `lens[i]` entries of the two flat buffers
-        // from `starts[i]` on — stored only if a pair could gather through
-        // it.
-        let gatherable = |len: usize| len * SUPPORT_DOT_MAX_DENSITY_INV <= d;
-        let (mut indices, mut values) = (Vec::<u32>::new(), Vec::<f32>::new());
-        let (mut starts, mut lens, mut finite) = (vec![0; n], vec![0; n], vec![true; n]);
-        let (mut row_indices, mut row_values) = (vec![0u32; d], vec![0.0f32; d]);
-        for (i, row) in deltas.iter_rows().enumerate() {
-            // Compacted without a branch: always written, kept if a member.
-            let mut len = 0;
-            for (e, &v) in row.iter().enumerate() {
-                (row_indices[len], row_values[len]) = (e as u32, v);
-                len += usize::from(v.to_bits() != 0);
+        let SupportScratch { columns, lanes } = supports;
+        columns.rebuild(d, deltas.iter_rows(), d / INDEXED_MAX_DENSITY_INV);
+        let columns = &*columns;
+        let row_of = |a: usize, out: &mut [f32], lanes: &mut kernels::PairLanes| {
+            let held = columns.holds(a);
+            if held {
+                columns.dots_after(a, lanes, out);
             }
-            (starts[i], lens[i]) = (indices.len(), len);
-            finite[i] = !kernels::has_non_finite(&row_values[..len]);
-            if finite[i] && gatherable(len) {
-                indices.extend_from_slice(&row_indices[..len]);
-                values.extend_from_slice(&row_values[..len]);
+            for (b, o) in (a + 1..).zip(out.iter_mut()) {
+                let denom = norms[a] * norms[b];
+                *o = if denom == 0.0 {
+                    1.0
+                } else {
+                    let dot = if held && columns.holds(b) {
+                        *o
+                    } else {
+                        kernels::dot(deltas.row(a), deltas.row(b))
+                    };
+                    1.0 - dot / denom
+                };
             }
+        };
+        let pairs = n * n.saturating_sub(1) / 2;
+        let mut values = scratch;
+        values.clear();
+        values.resize(pairs, 0.0);
+        let tasks = if pairs < PARALLEL_MIN_PAIRS {
+            1
+        } else {
+            rayon::current_num_threads()
+        };
+        let ranges = balanced_rows(n, tasks);
+        if lanes.len() < ranges.len() {
+            lanes.resize_with(ranges.len(), Default::default);
         }
-        Self::build_into(n, scratch, |i, j| {
-            let denom = norms[i] * norms[j];
-            if denom == 0.0 {
-                return 1.0;
+        // Each task owns a contiguous run of the triangle's rows.
+        let mut work = Vec::with_capacity(ranges.len());
+        let mut rest = values.as_mut_slice();
+        for (rows, lanes) in ranges.into_iter().zip(lanes.iter_mut()) {
+            let len = rows.clone().map(|a| n - 1 - a).sum();
+            let (head, tail) = rest.split_at_mut(len);
+            work.push((rows, head, lanes));
+            rest = tail;
+        }
+        work.par_iter_mut().for_each(|(rows, triangle, lanes)| {
+            let mut triangle = &mut **triangle;
+            for a in rows.clone() {
+                let (out, tail) = std::mem::take(&mut triangle).split_at_mut(n - 1 - a);
+                row_of(a, out, lanes);
+                triangle = tail;
             }
-            let (short, long) = if lens[i] <= lens[j] { (i, j) } else { (j, i) };
-            let dot = if finite[i] && finite[j] && gatherable(lens[short]) {
-                let at = starts[short]..starts[short] + lens[short];
-                kernels::support_dot(&indices[at.clone()], &values[at], deltas.row(long))
-            } else {
-                kernels::dot(deltas.row(i), deltas.row(j))
-            };
-            1.0 - dot / denom
-        })
+        });
+        Self { n, values }
     }
 
     /// The entries as bit patterns: `PartialEq` calls `−0.0` and `+0.0`
@@ -255,6 +291,26 @@ fn row_norms(deltas: &Matrix) -> Vec<f32> {
         .iter_rows()
         .map(|row| kernels::sum_squares(row).sqrt())
         .collect()
+}
+
+/// Rows `0..n − 1` of the condensed triangle in at most `tasks` contiguous
+/// runs of about equal pair counts (row `a` holds `n − 1 − a` pairs).
+fn balanced_rows(n: usize, tasks: usize) -> Vec<std::ops::Range<usize>> {
+    let last = n.saturating_sub(1);
+    let pairs = n * last / 2;
+    let (mut runs, mut start, mut done) = (Vec::with_capacity(tasks), 0, 0);
+    for t in 1..=tasks {
+        let mut end = start;
+        while end < last && done < pairs * t / tasks {
+            done += last - end;
+            end += 1;
+        }
+        if end > start {
+            runs.push(start..end);
+            start = end;
+        }
+    }
+    runs
 }
 
 /// Index of pair `(i, j)` with `i < j` in the condensed upper triangle.
@@ -353,7 +409,7 @@ mod tests {
     }
 
     /// The cosine matrix over supports is the dense one, bit for bit: on a
-    /// sparse block (gathered pairs), a block past the crossover (dense
+    /// sparse block (indexed pairs), a block past the crossover (dense
     /// pairs), and a mixed one — a row past the crossover among sparse
     /// ones, an all-zero row (`denom == 0 → 1.0`), a row of `-0.0`s only,
     /// and rows holding an infinity and a NaN, whose pairs must go through
@@ -365,7 +421,12 @@ mod tests {
         for density in [0.0, 0.01, 0.05, 0.09, 0.11, 0.3, 1.0] {
             let block = sparse_block(12, d, density);
             assert_eq!(
-                DistanceMatrix::cosine_over_supports_into(&block, vec![3.0; 7]).to_bits(),
+                DistanceMatrix::cosine_over_supports_into(
+                    &block,
+                    vec![3.0; 7],
+                    &mut Default::default()
+                )
+                .to_bits(),
                 DistanceMatrix::cosine(&block).to_bits(),
                 "density {density}"
             );
@@ -381,7 +442,8 @@ mod tests {
         mixed.row_mut(9)[41] = f32::NAN;
         mixed.row_mut(11)[40] = f32::NEG_INFINITY;
         let expected = DistanceMatrix::cosine(&mixed);
-        let got = DistanceMatrix::cosine_over_supports_into(&mixed, Vec::new());
+        let got =
+            DistanceMatrix::cosine_over_supports_into(&mixed, Vec::new(), &mut Default::default());
         assert_eq!(got.to_bits(), expected.to_bits());
         // Not vacuously: the corner rows produced what they should.
         assert_eq!(expected.get(3, 0), 1.0, "a zero row is at distance 1");
@@ -391,6 +453,114 @@ mod tests {
             .filter(|v| v.is_finite() && **v != 1.0)
             .count();
         assert!(overlapping >= 30, "{overlapping} pairs share a member");
+    }
+
+    /// A finite value from a raw bit pattern: its own bits when finite
+    /// (`±0.0`, subnormals and values near overflow among them), its
+    /// exponent's top bit cleared otherwise.
+    fn finite_bits(bits: u32) -> f32 {
+        let v = f32::from_bits(bits);
+        if v.is_finite() {
+            v
+        } else {
+            f32::from_bits(bits & !0x4000_0000)
+        }
+    }
+
+    /// One row of a proptest block, `d` wide, of the kind `kind` picks:
+    /// sparse rows from raw bit patterns (`finite_bits`) at 5 % and 10 %,
+    /// sparse rows of ordinary values at 12 % and 19 % (below the indexing
+    /// crossover, so two such rows share many products across many lanes),
+    /// a row most of whose members fall in one lane (`e ≡ lane mod 32`), a
+    /// row past the crossover, an all-`+0.0` row, a row of `−0.0` members
+    /// and specials, and a sparse row holding a `±∞` or NaN. `raw`,
+    /// `plain` and `picks` are the row's own draws.
+    fn proptest_row(
+        kind: u32,
+        (d, lane): (usize, usize),
+        raw: &[u32],
+        plain: &[f32],
+        picks: &[u32],
+    ) -> Vec<f32> {
+        const SPECIALS: [f32; 8] = [
+            -0.0,
+            0.0,
+            f32::MIN_POSITIVE,
+            -1e-40,
+            f32::MAX,
+            -3.0e38,
+            1e-20,
+            f32::from_bits(1),
+        ];
+        let member = |e: usize, per_mille: u32| picks[e] < per_mille;
+        let mut row: Vec<f32> = (0..d)
+            .map(|e| {
+                let (bits, v) = (finite_bits(raw[e]), plain[e]);
+                match kind {
+                    0 => [0.0, bits][usize::from(member(e, 50))],
+                    1 => [0.0, bits][usize::from(member(e, 100))],
+                    2 => [0.0, v][usize::from(member(e, 120))],
+                    3 => [0.0, v][usize::from(member(e, 190))],
+                    4 => [0.0, v][usize::from(member(e, [60, 800][usize::from(e % 32 == lane)]))],
+                    5 => [0.0, v][usize::from(member(e, 600))],
+                    6 => 0.0,
+                    7 if member(e, 100) => SPECIALS[raw[e] as usize % SPECIALS.len()],
+                    7 => 0.0,
+                    _ => [0.0, v][usize::from(member(e, 60))],
+                }
+            })
+            .collect();
+        if kind >= 8 {
+            let bad = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+            row[picks[0] as usize % d] = bad[raw[0] as usize % bad.len()];
+        }
+        row
+    }
+
+    use proptest::prelude::*;
+
+    /// Rows and columns drawn per proptest case (at most).
+    const MAX_ROWS: usize = 40;
+    const MAX_DIM: usize = 300;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The column-inverted cosine against the dense one, `to_bits`, on
+        /// blocks of every row kind `proptest_row` draws, at widths that
+        /// end in every kind of lane tail — at 1 and at 4 threads, and once
+        /// more through the buffers the first build left behind.
+        #[test]
+        fn cosine_over_supports_matches_the_dense_cosine_on_raw_bits(
+            n in 2usize..=MAX_ROWS,
+            d in 1usize..=MAX_DIM,
+            lane in 0usize..32,
+            kinds in prop::collection::vec(0u32..9, MAX_ROWS),
+            raw in prop::collection::vec(0u32..=u32::MAX, MAX_ROWS * MAX_DIM),
+            plain in prop::collection::vec(-100.0f32..100.0, MAX_ROWS * MAX_DIM),
+            picks in prop::collection::vec(0u32..1000, MAX_ROWS * MAX_DIM),
+        ) {
+            let rows: Vec<Vec<f32>> = (0..n)
+                .map(|r| {
+                    let at = r * MAX_DIM..(r + 1) * MAX_DIM;
+                    let draws = (&raw[at.clone()], &plain[at.clone()], &picks[at]);
+                    proptest_row(kinds[r], (d, lane), draws.0, draws.1, draws.2)
+                })
+                .collect();
+            let block = Matrix::from_rows(&rows);
+            let expected = DistanceMatrix::cosine(&block).to_bits();
+            let mut supports = SupportScratch::default();
+            for threads in [1, 4, 1] {
+                let got = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap()
+                    .install(|| {
+                        DistanceMatrix::cosine_over_supports_into(&block, Vec::new(), &mut supports)
+                    });
+                prop_assert!(got.to_bits() == expected, "n {}, d {}, {} threads", n, d, threads);
+            }
+        }
     }
 
     #[test]

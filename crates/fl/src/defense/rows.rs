@@ -410,7 +410,9 @@ impl<'a> DeltaRows<'a> {
 
     /// Rows `rows` times `projection` (`d × f`), as a `rows.len() × f`
     /// matrix, row `r` for update `rows[r]`: the whole dense block through
-    /// one [`Matrix::matmul`] call, the asked-for support rows through one
+    /// one [`Matrix::matmul`] call if any asked-for row is dense (and
+    /// neither the block nor its product otherwise — every row of a
+    /// `TopK` round is a support), the asked-for support rows through one
     /// [`kernels::support_matmul_into`] call, each sweeping the tall
     /// projection from memory once. A row's features depend on that row
     /// alone, and either kernel gives a row the bits the other would — so a
@@ -424,7 +426,10 @@ impl<'a> DeltaRows<'a> {
     pub fn project(&self, projection: &Matrix, rows: &[usize]) -> Matrix {
         assert_eq!(projection.rows(), self.dim(), "projection height");
         let f = projection.cols();
-        let dense = self.dense_block().matmul(projection);
+        // No dense row asked for, no dense block built or projected.
+        let dense = (rows.iter())
+            .any(|&i| matches!(self.slots[i], Slot::Dense(_)))
+            .then(|| self.dense_block().matmul(projection));
         let supports: Vec<(&[u32], &[f32])> = (rows.iter())
             .filter_map(|&i| self.delta_support(i))
             .collect();
@@ -435,7 +440,7 @@ impl<'a> DeltaRows<'a> {
         let mut sparse_rows = sparse.chunks(f.max(1));
         for &i in rows {
             features.extend_from_slice(match self.slots[i] {
-                Slot::Dense(slot) => dense.row(slot),
+                Slot::Dense(slot) => dense.as_ref().expect("a dense row was asked for").row(slot),
                 Slot::Support(_) => sparse_rows.next().unwrap_or_default(),
             });
         }

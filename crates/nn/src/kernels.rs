@@ -165,14 +165,17 @@
 //!    this kernel none).
 //! 7. **A support kernel is its dense kernel with the `+0.0` terms left
 //!    out — nothing else moves.** [`support_sum_squares`],
-//!    [`support_dot`], [`support_dot_pair`], [`support_axpy`] and
-//!    [`support_matmul_into`] take a vector as its *support*: strictly
-//!    ascending indices plus the values there, every other element being
-//!    exactly `+0.0`. Each reproduces the arithmetic of its dense twin over
-//!    the densified vector bit for bit: a support element still lands in
-//!    lane `i mod LANES`, in index order, and the lanes fold by the same
-//!    halving ([`support_dot_pair`] is two [`support_dot`]s sharing one
-//!    walk of the support, each sum in lanes of its own); a projection still
+//!    [`support_dot`], [`support_dot_pair`], [`support_axpy`],
+//!    [`SupportColumns::dots_after`] and [`support_matmul_into`] take a
+//!    vector as its *support*: strictly ascending indices plus the values
+//!    there, every other element being exactly `+0.0`. Each reproduces the
+//!    arithmetic of its dense twin over the densified vector bit for bit:
+//!    a support element still lands in lane `i mod LANES`, in index order,
+//!    and the lanes fold by the same halving ([`support_dot_pair`] is two
+//!    [`support_dot`]s sharing one walk of the support, each sum in lanes
+//!    of its own; [`SupportColumns::dots_after`] is one row's [`dot`]s with
+//!    every later row of a column-inverted block, each in lanes of its own,
+//!    with only the products both supports hold added); a projection still
 //!    adds one contracted `a₃v₃ + (a₂v₂ + (a₁v₁ + a₀v₀))` group sum (rule
 //!    2) per 4-aligned group, in ascending order, `KC`-blocked the same
 //!    way. What is skipped is a term `+0.0 · y = ±0.0` (or a group of
@@ -205,12 +208,17 @@
 //!    measured level, 4.3–4.9 against 4.1–5.0 ms, so those groups are
 //!    still evaluated whole. (The one operand that breaks all of this is
 //!    a non-finite `y`, `0 · ∞ = NaN`; callers hand these kernels finite
-//!    dense operands, and `RoundContext` stores every row dense in the
-//!    rounds where it cannot promise that.) Pinned `to_bits` against the
-//!    dense kernels under proptest, including supports in the `d mod 32`
-//!    and `d mod 4` tails, and — the products proptest never draws: `±0.0`
-//!    members, signed-zero and underflowing products, every member
-//!    pattern of a group — by
+//!    dense operands, `RoundContext` stores every row dense in the
+//!    rounds where it cannot promise that, and [`SupportColumns`] does not
+//!    index a row that holds one.) Pinned `to_bits` against the dense
+//!    kernels under proptest, including supports in the `d mod 32` and
+//!    `d mod 4` tails and the projection at every output tile width
+//!    (`support_matmul_at_every_tile_width`), the column-inverted dots
+//!    over raw bit patterns, supports that collide in one lane and
+//!    non-finite rows (`safeloc-fl`'s
+//!    `cosine_over_supports_matches_the_dense_cosine_on_raw_bits`), and —
+//!    the products proptest never draws: `±0.0` members, signed-zero and
+//!    underflowing products, every member pattern of a group — by
 //!    `support_groups_match_the_dense_groups_on_every_member_pattern`.
 //! 8. **A hot loop reads its operands only through slice arguments.** An
 //!    operand the kernel reaches through a thread-local `RefCell` — a
@@ -245,11 +253,18 @@
 /// plus four output row blocks stay comfortably L1-resident.
 const NC: usize = 128;
 
-/// Reduction block size for [`matmul_into`]. A multiple of 4, so block
-/// edges coincide with the kernel's 4-step reduction groups and blocking
-/// never moves a group boundary; at least 256, so every paper-network
-/// shape (`k ≤ 203`) is a single block.
-const KC: usize = 256;
+/// Reduction block size for [`matmul_into`] and [`support_matmul_into`].
+/// A multiple of 4, so block edges coincide with the kernel's 4-step
+/// reduction groups and blocking never moves a group boundary; at least
+/// 256, so every paper-network shape (`k ≤ 203`) is a single block.
+/// 1 024 rather than 256: a block of the latent stages' 32-wide projection
+/// (128 KB) stays L2-resident, and each support row visits a block — a
+/// tile loaded and stored, its members' cursor resumed — a quarter as
+/// often. On `round_screen`'s own 231 support rows, the projection
+/// evicted between calls as the op evicts it, the support product ran
+/// ×0.86 (4.96 → 4.27 ms, one pinned core, medians of 41); the dense
+/// product over 231 rows read ×0.95.
+const KC: usize = 1024;
 const _: () = assert!(
     KC.is_multiple_of(4),
     "a k-block edge would split a reduction group"
@@ -697,6 +712,170 @@ pub fn support_dot_pair(indices: &[u32], values: &[f32], a: &[f32], b: &[f32]) -
     (fold_lanes(lanes_a), fold_lanes(lanes_b))
 }
 
+/// The supports of a block's rows indexed by column — the operand of
+/// [`dots_after`](Self::dots_after), which takes one row's [`dot`]s with
+/// every later row, bit for bit, in time proportional to the products the
+/// two supports share.
+///
+/// A row's support is its elements that are not `+0.0` bit for bit (a
+/// `−0.0` is a member). Column `c` lists `(row, value)` for every held row
+/// with a member at `c`, rows ascending, and each member records its own
+/// position in its column, so a row finds the later rows that share a
+/// column without a cursor. A row is held only while it is finite (`0 · ∞`
+/// is NaN, not a skippable zero) and its support is at most `max_len`
+/// long; the caller takes [`dot`] for any pair with a row not held. Every
+/// buffer is overwritten by [`rebuild`](Self::rebuild), so an index reused
+/// across blocks allocates only to grow.
+#[derive(Debug, Default)]
+pub struct SupportColumns {
+    /// Whether row `r` is held.
+    held: Vec<bool>,
+    /// Row `r`'s members are `members[row_starts[r]..row_starts[r + 1]]`
+    /// (an empty range for a row not held).
+    row_starts: Vec<u32>,
+    /// Each member's column and its position in `entries`, row after row,
+    /// columns ascending within a row.
+    members: Vec<(u32, u32)>,
+    /// Each member's value, in `members`' order.
+    values: Vec<f32>,
+    /// Column `c`'s members are `entries[col_starts[c]..col_starts[c + 1]]`.
+    col_starts: Vec<u32>,
+    /// `(row, value)`, column after column, rows ascending within one.
+    entries: Vec<(u32, f32)>,
+    /// Each column's fill cursor while `entries` is filled.
+    cursors: Vec<u32>,
+}
+
+/// Elements per mask of [`SupportColumns::rebuild`]'s scan: one bit each
+/// of a `u64`.
+const SUPPORT_SCAN_CHUNK: usize = 64;
+
+/// One task's lane accumulators for [`SupportColumns::dots_after`]:
+/// `LANES` partial sums per row of the block.
+#[derive(Debug, Default)]
+pub struct PairLanes(Vec<[f32; LANES]>);
+
+impl SupportColumns {
+    /// Indexes the `d`-long `rows` (see the type docs), holding each row
+    /// that is finite with a support of at most `max_len` elements.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row is not `d` long, or if the columns, the rows or the
+    /// held supports' members cannot be numbered in a `u32`.
+    pub fn rebuild<'r>(&mut self, d: usize, rows: impl Iterator<Item = &'r [f32]>, max_len: usize) {
+        assert!(u32::try_from(d).is_ok(), "columns are numbered in a u32");
+        self.held.clear();
+        self.row_starts.clear();
+        self.row_starts.push(0);
+        self.members.clear();
+        self.values.clear();
+        // `col_starts[c + 1]` counts column `c`'s members until the
+        // prefix sum below.
+        self.col_starts.clear();
+        self.col_starts.resize(d + 1, 0);
+        for row in rows {
+            assert_eq!(row.len(), d, "every row of an indexed block is d long");
+            let start = self.members.len();
+            // One mask bit per element: the test vectorizes, and only the
+            // members are walked. A row is given up on once it is past
+            // `max_len`.
+            for (chunk, xs) in row.chunks(SUPPORT_SCAN_CHUNK).enumerate() {
+                let mut members = (xs.iter().enumerate()).fold(0u64, |mask, (e, v)| {
+                    mask | (u64::from(v.to_bits() != 0) << e)
+                });
+                while members != 0 {
+                    let e = members.trailing_zeros() as usize;
+                    members &= members - 1;
+                    self.members
+                        .push(((chunk * SUPPORT_SCAN_CHUNK + e) as u32, 0));
+                    self.values.push(xs[e]);
+                }
+                if self.members.len() - start > max_len {
+                    break;
+                }
+            }
+            let held =
+                self.members.len() - start <= max_len && !has_non_finite(&self.values[start..]);
+            if held {
+                for &(c, _) in &self.members[start..] {
+                    self.col_starts[c as usize + 1] += 1;
+                }
+            } else {
+                self.members.truncate(start);
+                self.values.truncate(start);
+            }
+            self.held.push(held);
+            let end = u32::try_from(self.members.len()).expect("fewer than u32::MAX members");
+            self.row_starts.push(end);
+        }
+        for c in 0..d {
+            self.col_starts[c + 1] += self.col_starts[c];
+        }
+        // Rows are filled in ascending order, so every column lists its
+        // rows ascending.
+        self.cursors.clear();
+        self.cursors.extend_from_slice(&self.col_starts[..d]);
+        self.entries.clear();
+        self.entries.resize(self.members.len(), (0, 0.0));
+        for (r, at) in self.row_starts.windows(2).enumerate() {
+            let (r, at) = (
+                u32::try_from(r).expect("rows are numbered in a u32"),
+                at[0] as usize..at[1] as usize,
+            );
+            for (member, &v) in self.members[at.clone()].iter_mut().zip(&self.values[at]) {
+                let cursor = &mut self.cursors[member.0 as usize];
+                member.1 = *cursor;
+                self.entries[*cursor as usize] = (r, v);
+                *cursor += 1;
+            }
+        }
+    }
+
+    /// Whether row `r` of the block is held (see the type docs).
+    pub fn holds(&self, r: usize) -> bool {
+        self.held[r]
+    }
+
+    /// `out[b − a − 1] = dot(row a, row b)` for every later row `b` of the
+    /// block, bit for bit [`dot`] over the two rows — a row not held
+    /// counting as all `+0.0`, so the caller overwrites those pairs.
+    /// `lanes` need not be zeroed: it is the task's scratch.
+    ///
+    /// Each of `a`'s members, in ascending column order, adds its product
+    /// with every later row's member in that column to the lane its column
+    /// falls in, `acc[b][c mod LANES] += vₐ·v_b`, and each row's lanes fold
+    /// by the halving every fixed-lane reduction ends in. That is [`dot`]'s
+    /// lane layout with the terms left out where either row is `+0.0` — a
+    /// term `±0.0` added to a lane that started at `+0.0` and so is never
+    /// `−0.0` — and IEEE multiplication is commutative, so which row drives
+    /// does not matter (design rule 7 in the module docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not `rows − a − 1` long.
+    pub fn dots_after(&self, a: usize, lanes: &mut PairLanes, out: &mut [f32]) {
+        let rows = self.held.len();
+        assert_eq!(out.len(), rows - a - 1, "one dot per later row");
+        if lanes.0.len() < rows {
+            lanes.0.resize(rows, [0.0; LANES]);
+        }
+        let acc = &mut lanes.0[..rows];
+        acc[a + 1..].fill([0.0; LANES]);
+        let at = self.row_starts[a] as usize..self.row_starts[a + 1] as usize;
+        for (&(c, q), &va) in self.members[at.clone()].iter().zip(&self.values[at]) {
+            let lane = c as usize % LANES;
+            let later = q as usize + 1..self.col_starts[c as usize + 1] as usize;
+            for &(b, vb) in &self.entries[later] {
+                acc[b as usize][lane] += va * vb;
+            }
+        }
+        for (o, row_lanes) in out.iter_mut().zip(&acc[a + 1..]) {
+            *o = fold_lanes(*row_lanes);
+        }
+    }
+}
+
 /// `acc[i] += weight · v` over the support: what the dense
 /// `acc[i] += weight · x[i]` sweep does to an accumulator that is never
 /// `−0.0` (one that started at `+0.0`), for a positive or negative finite
@@ -732,7 +911,16 @@ pub fn support_axpy(acc: &mut [f32], weight: f32, indices: &[u32], values: &[f32
 /// and evaluates a group of two or more members whole, zeros included, the
 /// same expression over the same operands. It walks `k` in the same
 /// `KC`-row blocks, outermost, so a block of a tall `b` is swept by every
-/// row while it is cache-resident.
+/// row while it is cache-resident, and a row's visit to a block adds its
+/// members to a local 32-wide tile of its output row — loaded and stored
+/// once per visit, kept in registers across the members where the dense
+/// kernel's row would be reloaded and stored per member (a width that is
+/// not a multiple of 32 takes narrower tiles for the rest, each a walk of
+/// the members of its own). The tile took the latent stages' 46 953 × 32
+/// projection of 231 rows ×0.65–0.76 on uniformly 5 %-dense rows and
+/// ×0.74–0.78 on `round_screen`'s own rows (one pinned core, 41
+/// alternating samples a side, both in 256-row blocks; 1 024-row blocks
+/// take it ×0.86 further with the projection evicted between calls).
 ///
 /// # Panics
 ///
@@ -760,7 +948,7 @@ pub fn support_matmul_into(
         // Checked here, before any early return: an `n = 0` product reads
         // no `b` row that would catch a stray index.
         assert!(
-            indices.iter().all(|&i| (i as usize) < k),
+            indices.iter().fold(0, |max, &i| max.max(i as usize + 1)) <= k,
             "support index out of range for a reduction of length {k}"
         );
     }
@@ -775,33 +963,106 @@ pub fn support_matmul_into(
         for ((&(indices, values), cursor), o) in
             rows.iter().zip(&mut cursors).zip(out.chunks_exact_mut(n))
         {
-            let mut c = *cursor;
-            while c < indices.len() && (indices[c] as usize) < k_end {
-                let i = indices[c] as usize;
-                let g0 = i - i % 4;
-                // Alone in its group, a member adds its own product like a
-                // step of the `k mod 4` tail: one `b` row instead of four.
-                let alone = (indices.get(c + 1)).is_none_or(|&next| next as usize >= g0 + 4);
-                if i >= grouped || alone {
-                    let (a0, b0) = (values[c], &b[i * n..(i + 1) * n]);
-                    for (o, v0) in o.iter_mut().zip(b0) {
-                        *o += a0 * v0;
-                    }
-                    c += 1;
-                    continue;
-                }
-                let mut a = [0.0f32; 4];
-                while c < indices.len() && (indices[c] as usize) < g0 + 4 {
-                    a[indices[c] as usize - g0] = values[c];
-                    c += 1;
-                }
-                let [b0, b1, b2, b3] = [0, 1, 2, 3].map(|step| &b[(g0 + step) * n..][..n]);
-                for ((((o, v0), v1), v2), v3) in o.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
-                    *o += group_sum(a, [*v0, *v1, *v2, *v3]);
-                }
+            let row = Members {
+                indices,
+                values,
+                start: *cursor,
+                k_end,
+                grouped,
+            };
+            // 32-wide tiles, then at most one of each narrower width.
+            let mut j0 = 0;
+            while j0 < n {
+                let (next, width) = match n - j0 {
+                    32.. => (add_to_tile::<32>(o, j0, &row, b, n), 32),
+                    16.. => (add_to_tile::<16>(o, j0, &row, b, n), 16),
+                    8.. => (add_to_tile::<8>(o, j0, &row, b, n), 8),
+                    4.. => (add_to_tile::<4>(o, j0, &row, b, n), 4),
+                    2.. => (add_to_tile::<2>(o, j0, &row, b, n), 2),
+                    _ => (add_to_tile::<1>(o, j0, &row, b, n), 1),
+                };
+                (*cursor, j0) = (next, j0 + width);
             }
-            *cursor = c;
         }
+    }
+}
+
+/// One support row's members in one `KC` block of [`support_matmul_into`]:
+/// from `start` on, those whose index is below `k_end`. A 4-step group
+/// never straddles a block edge (`KC` is a multiple of 4).
+struct Members<'r> {
+    indices: &'r [u32],
+    values: &'r [f32],
+    start: usize,
+    k_end: usize,
+    /// Steps below this belong to 4-step groups, the rest add singly.
+    grouped: usize,
+}
+
+/// Adds `row`'s members to the output columns `j0..j0 + W` of its output
+/// row `o`, in a local `W`-wide tile loaded and stored once: its width a
+/// constant, the tile stays in registers across the members. Returns the
+/// cursor past the block.
+#[inline(always)]
+fn add_to_tile<const W: usize>(
+    o: &mut [f32],
+    j0: usize,
+    row: &Members<'_>,
+    b: &[f32],
+    n: usize,
+) -> usize {
+    let window: &mut [f32; W] = (&mut o[j0..j0 + W]).try_into().expect("W columns");
+    let mut tile = *window;
+    let next = row.add_to(&mut tile, b, n, j0);
+    *window = tile;
+    next
+}
+
+impl Members<'_> {
+    /// The members' terms over `b`'s columns `j0..j0 + W`, added to
+    /// `tile`: a member alone in its 4-step group, or in the `k mod 4`
+    /// tail, adds `a·v` over one `b` row; a group of two or more adds its
+    /// [`group_sum`] over the group's four `b` rows (one contiguous slice),
+    /// zeros included — in ascending order, as [`support_matmul_into`]
+    /// documents.
+    #[inline(always)]
+    fn add_to<const W: usize>(&self, tile: &mut [f32; W], b: &[f32], n: usize, j0: usize) -> usize {
+        let (indices, values) = (self.indices, self.values);
+        let mut c = self.start;
+        while c < indices.len() && (indices[c] as usize) < self.k_end {
+            let i = indices[c] as usize;
+            let g0 = i - i % 4;
+            // Alone in its group, a member adds its own product like a
+            // step of the `k mod 4` tail: one `b` row instead of four.
+            let alone = (indices.get(c + 1)).is_none_or(|&next| next as usize >= g0 + 4);
+            if i >= self.grouped || alone {
+                let (a0, b0): (f32, &[f32; W]) = (
+                    values[c],
+                    b[i * n + j0..][..W].try_into().expect("W columns"),
+                );
+                for j in 0..W {
+                    tile[j] += a0 * b0[j];
+                }
+                c += 1;
+                continue;
+            }
+            let mut a = [0.0f32; 4];
+            while c < indices.len() && (indices[c] as usize) < g0 + 4 {
+                a[indices[c] as usize - g0] = values[c];
+                c += 1;
+            }
+            // Spelled out: an array `map` over fallible conversions stays
+            // an out-of-line call that spills the tile.
+            let group = &b[g0 * n..(g0 + 4) * n];
+            let columns = |step: usize| -> &[f32; W] {
+                group[step * n + j0..][..W].try_into().expect("W columns")
+            };
+            let (v0, v1, v2, v3) = (columns(0), columns(1), columns(2), columns(3));
+            for j in 0..W {
+                tile[j] += group_sum(a, [v0[j], v1[j], v2[j], v3[j]]);
+            }
+        }
+        c
     }
 }
 
@@ -1063,7 +1324,7 @@ mod tests {
     /// for row counts that take the 4-row main loop, the row tail and both.
     #[test]
     fn k_blocking_is_bitwise_identical_to_the_unblocked_loop() {
-        for k in [1, 3, 203, 255, 256, 257, 1024 + 5] {
+        for k in [1, 3, 203, KC - 1, KC, KC + 1, 2 * KC + 5] {
             for m in [1, 3, 4, 17] {
                 for n in [5, 32, 130] {
                     let a = fill(m * k, 11);
@@ -1371,6 +1632,61 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// Rows of [`support_matmul_at_every_tile_width`]'s products: the dense
+    /// kernel's 4-row block and a 3-row tail.
+    const TILE_ROWS: usize = 7;
+    /// Its reduction: two `KC` blocks and a `k mod 4 = 3` tail.
+    const TILE_K: usize = KC + 64 + 3;
+    const TILE_GROUPS: usize = TILE_K / 4;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// [`support_matmul_into`] against [`matmul_into`] over the
+        /// densified rows, `to_bits`, at output widths of one tile, one
+        /// tile and a column, two tiles, and widths that take every
+        /// narrower tile. Each 4-step group's members follow a drawn
+        /// pattern — row 0 runs through all 15 non-empty ones in order —
+        /// and every ninth member is `−0.0`; the `k mod 4` tail draws its
+        /// members too.
+        #[test]
+        fn support_matmul_at_every_tile_width(
+            patterns in prop::collection::vec(0usize..16, TILE_ROWS * TILE_GROUPS),
+            tails in prop::collection::vec(0usize..8, TILE_ROWS),
+            values in prop::collection::vec(-100.0f32..100.0, TILE_ROWS * TILE_K),
+            b in prop::collection::vec(-1.0f32..1.0, TILE_K * 64),
+        ) {
+            let a: Vec<f32> = (0..TILE_ROWS * TILE_K)
+                .map(|at| {
+                    let (r, i) = (at / TILE_K, at % TILE_K);
+                    let member = match (r, i / 4) {
+                        (_, g) if g == TILE_GROUPS => tails[r] >> (i % 4) & 1 == 1,
+                        (0, g) => (g % 15 + 1) >> (i % 4) & 1 == 1,
+                        (r, g) => patterns[r * TILE_GROUPS + g] >> (i % 4) & 1 == 1,
+                    };
+                    match (member, at % 9) {
+                        (false, _) => 0.0,
+                        (true, 0) => -0.0,
+                        (true, _) => values[at],
+                    }
+                })
+                .collect();
+            let supports: Vec<(Vec<u32>, Vec<f32>)> = a.chunks(TILE_K).map(support_of).collect();
+            let rows: Vec<(&[u32], &[f32])> = supports
+                .iter()
+                .map(|(indices, values)| (indices.as_slice(), values.as_slice()))
+                .collect();
+            for n in [1, 3, 31, 32, 33, 64] {
+                let b: Vec<f32> = b.chunks(64).flat_map(|row| &row[..n]).copied().collect();
+                let mut dense = vec![f32::NAN; TILE_ROWS * n];
+                matmul_into(&mut dense, &a, &b, TILE_ROWS, TILE_K, n);
+                let mut support = vec![f32::NAN; TILE_ROWS * n];
+                support_matmul_into(&mut support, &rows, &b, TILE_K, n);
+                prop_assert!(same_bits(&support, &dense), "n {}", n);
             }
         }
     }

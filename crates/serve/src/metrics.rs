@@ -31,6 +31,7 @@ struct RouteHandles {
 /// | `serve_queue_depth` | histogram | — | backlog left in the queue when a batch was sealed (0 on an idle service; excludes jobs already inside a batch) |
 /// | `serve_latency_us` | histogram | — | admission → reply |
 /// | `serve_pending_requests` | gauge | — | admitted − replied: queued *plus* executing |
+/// | `serve_publish_skipped_total` | counter | `building`, `device_class` | rounds a [`RegistryPublisher`](crate::RegistryPublisher) skipped because their parameters do not fit the served architecture; recorded in the global registry, not through these handles |
 pub struct ServeMetrics {
     registry: Arc<Registry>,
     batch_size: Arc<Histogram>,

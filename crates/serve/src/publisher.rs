@@ -17,9 +17,11 @@ use std::sync::Arc;
 ///
 /// The registry key must already hold a base model of the session's
 /// architecture (publish the pretrained model before starting the
-/// session); rounds whose parameters do not fit are skipped, with a line on
-/// stderr, instead of poisoning the registry — a session of the wrong
-/// architecture must not take serving down.
+/// session); rounds whose parameters do not fit are skipped — counted in
+/// the global registry's `serve_publish_skipped_total` under the key's
+/// building and device class, with a line on stderr — instead of poisoning
+/// the registry: a session of the wrong architecture must not take serving
+/// down.
 pub struct RegistryPublisher {
     registry: Arc<ModelRegistry>,
     key: ModelKey,
@@ -35,12 +37,22 @@ impl RegistryPublisher {
 impl ModelPublisher for RegistryPublisher {
     fn publish_round(&mut self, report: &RoundReport, global: &NamedParams) {
         if let Err(err) = self.registry.publish_params(&self.key, global) {
+            skipped_counter(&self.key).inc();
             eprintln!(
                 "registry publisher: skipping round {} for {}: {err}",
                 report.round, self.key
             );
         }
     }
+}
+
+/// The global registry's count of the rounds skipped under `key`.
+fn skipped_counter(key: &ModelKey) -> Arc<safeloc_telemetry::Counter> {
+    let building = key.building.to_string();
+    safeloc_telemetry::global().counter(
+        "serve_publish_skipped_total",
+        &[("building", &building), ("device_class", &key.device_class)],
+    )
 }
 
 #[cfg(test)]
@@ -123,9 +135,16 @@ mod tests {
                 key.clone(),
             )))
             .build();
+        // No other test publishes under building 99.
+        let skipped_before = skipped_counter(&key).get();
         session.run(2);
 
         let served = registry.get(&key).expect("base model untouched");
         assert_eq!(served.version, 1, "mismatched rounds must not publish");
+        assert_eq!(
+            skipped_counter(&key).get() - skipped_before,
+            2,
+            "every skipped round is counted"
+        );
     }
 }
